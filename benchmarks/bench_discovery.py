@@ -31,7 +31,7 @@ from repro.discover import (
     software_case,
 )
 from repro.discover.trace import DataflowTraceObserver
-from repro.xtcore import ReferenceSimulator
+from repro.obs import run_session
 
 DEFAULT_OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_DISCOVER.json"
 
@@ -64,9 +64,9 @@ def measure_workload(workload: str, model, options=None) -> dict:
 
     t0 = time.perf_counter()
     observer = DataflowTraceObserver()
-    ReferenceSimulator(
+    run_session(
         config, program, observers=[observer], max_instructions=case.max_instructions
-    ).run()
+    )
     profile_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()

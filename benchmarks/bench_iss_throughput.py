@@ -1,21 +1,19 @@
-"""ISS retire throughput: reference interpreter vs compiled dispatch tiers.
+"""ISS retire throughput: reference interpreter vs the two dispatch loops.
 
 Measures retired-MIPS (millions of retired instructions per second of
-host wall-clock) on the bundled characterization programs for four
-engines:
+host wall-clock) on the bundled characterization programs for three
+paths:
 
 * ``interpreted`` — :class:`repro.xtcore.ReferenceSimulator`, the
-  retained pre-compilation loop;
-* ``instrumented`` — the compiled dispatch loop with an external
+  oracle pre-compilation loop;
+* ``instrumented`` — the per-op compiled dispatch loop with an external
   retire observer subscribed (full event protocol active);
-* ``compiled`` — the per-op compiled dispatch loop with no observers
-  and no trace (counter-folding fast path);
 * ``superop`` — block-level fused dispatch (one Python call per basic
-  block; what ``engine="auto"`` resolves to for uninstrumented runs).
+  block; what every run without per-retire observers or a trace takes).
 
 A batch section additionally measures :func:`repro.xtcore.run_batch`
 (one program across N cache/clock variants in a single pass) against
-the same N runs done solo through the superop engine.
+the same N runs done solo through the superop loop.
 
 Run as a script to (re)generate ``BENCH_ISS.json`` at the repo root:
 
@@ -26,9 +24,9 @@ or as a CI smoke check on a couple of programs:
     PYTHONPATH=src python benchmarks/bench_iss_throughput.py \
         --programs tp01_alu_mix tp05_memcpy --repeat 2 --check
 
-``--check`` fails when any tier drops below the interpreter on any
-program, or when the superop tier's geomean falls below the compiled
-tier's (the fused blocks must pay for themselves).
+``--check`` fails when either compiled loop drops below the interpreter
+on any program, or when the superop loop is slower than the instrumented
+loop on any program (the un-instrumented path must pay for itself).
 """
 
 from __future__ import annotations
@@ -37,7 +35,9 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import pathlib
+import platform
 import time
 
 import pytest
@@ -59,7 +59,7 @@ class NullRetireObserver(SimObserver):
 
 
 def _measure(make_runner, repeat: int) -> tuple[float, int]:
-    """Best-of-``repeat`` (MIPS, retired instructions) for one engine."""
+    """Best-of-``repeat`` (MIPS, retired instructions) for one path."""
     best_mips = 0.0
     retired = 0
     for _ in range(repeat):
@@ -73,7 +73,7 @@ def _measure(make_runner, repeat: int) -> tuple[float, int]:
 
 
 def measure_case(case, repeat: int = 3) -> dict:
-    """Throughput of all three engines on one benchmark case."""
+    """Throughput of the interpreter and both dispatch loops on one case."""
     config, program = case.build()
     executable = compile_program(config, program)
     budget = case.max_instructions
@@ -92,23 +92,9 @@ def measure_case(case, repeat: int = 3) -> dict:
         ),
         repeat,
     )
-    compiled_mips, _ = _measure(
-        lambda: Simulator(
-            config,
-            program,
-            max_instructions=budget,
-            executable=executable,
-            engine="compiled",
-        ),
-        repeat,
-    )
     superop_mips, _ = _measure(
         lambda: Simulator(
-            config,
-            program,
-            max_instructions=budget,
-            executable=executable,
-            engine="superop",
+            config, program, max_instructions=budget, executable=executable
         ),
         repeat,
     )
@@ -117,12 +103,10 @@ def measure_case(case, repeat: int = 3) -> dict:
         "retired_instructions": retired,
         "interpreted_mips": round(interp_mips, 3),
         "instrumented_mips": round(instr_mips, 3),
-        "compiled_mips": round(compiled_mips, 3),
         "superop_mips": round(superop_mips, 3),
         "instrumented_speedup": round(instr_mips / interp_mips, 2),
-        "compiled_speedup": round(compiled_mips / interp_mips, 2),
         "superop_speedup": round(superop_mips / interp_mips, 2),
-        "superop_vs_compiled": round(superop_mips / compiled_mips, 2),
+        "superop_vs_instrumented": round(superop_mips / instr_mips, 2),
     }
 
 
@@ -192,6 +176,10 @@ def run_suite(program_names=None, repeat: int = 3, batch_configs: int = 16) -> d
     return {
         "benchmark": "iss_retire_throughput",
         "unit": "retired MIPS (best of repeats, host wall-clock)",
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+        },
         "repeat": repeat,
         "programs": results,
         "batch": measure_batch(cases[0], n_configs=batch_configs, repeat=repeat),
@@ -199,16 +187,13 @@ def run_suite(program_names=None, repeat: int = 3, batch_configs: int = 16) -> d
             "instrumented_speedup_geomean": round(
                 _geomean([r["instrumented_speedup"] for r in results]), 2
             ),
-            "compiled_speedup_geomean": round(
-                _geomean([r["compiled_speedup"] for r in results]), 2
-            ),
             "superop_speedup_geomean": round(
                 _geomean([r["superop_speedup"] for r in results]), 2
             ),
-            "superop_vs_compiled_geomean": round(
-                _geomean([r["superop_vs_compiled"] for r in results]), 2
+            "superop_vs_instrumented_min": min(
+                r["superop_vs_instrumented"] for r in results
             ),
-            "targets": {"instrumented": 3.0, "compiled": 5.0, "superop": 10.0},
+            "targets": {"instrumented": 3.0, "superop": 10.0},
         },
     }
 
@@ -237,7 +222,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero if either compiled path is slower than the interpreter",
+        help="exit non-zero if a dispatch loop is slower than the interpreter, "
+        "or superop slower than instrumented, on any program",
     )
     args = parser.parse_args(argv)
 
@@ -247,25 +233,24 @@ def main(argv=None) -> int:
     args.output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     header = (
-        f"{'program':<24}{'interp':>9}{'instr':>9}{'compiled':>10}{'superop':>9}"
-        f"{'comp x':>8}{'sup x':>7}"
+        f"{'program':<24}{'interp':>9}{'instr':>9}{'superop':>9}"
+        f"{'instr x':>9}{'sup x':>7}{'sup/instr':>11}"
     )
     print(header)
     print("-" * len(header))
     for row in payload["programs"]:
         print(
             f"{row['program']:<24}{row['interpreted_mips']:>9.2f}"
-            f"{row['instrumented_mips']:>9.2f}{row['compiled_mips']:>10.2f}"
-            f"{row['superop_mips']:>9.2f}"
-            f"{row['compiled_speedup']:>8.2f}{row['superop_speedup']:>7.2f}"
+            f"{row['instrumented_mips']:>9.2f}{row['superop_mips']:>9.2f}"
+            f"{row['instrumented_speedup']:>9.2f}{row['superop_speedup']:>7.2f}"
+            f"{row['superop_vs_instrumented']:>11.2f}"
         )
     summary = payload["summary"]
     batch = payload["batch"]
     print(
         f"geomean speedup: instrumented {summary['instrumented_speedup_geomean']}x, "
-        f"compiled {summary['compiled_speedup_geomean']}x, "
         f"superop {summary['superop_speedup_geomean']}x "
-        f"(superop/compiled {summary['superop_vs_compiled_geomean']}x)"
+        f"(superop/instrumented min {summary['superop_vs_instrumented_min']}x)"
     )
     print(
         f"batch: {batch['program']} x {batch['configs']} configs: "
@@ -279,18 +264,18 @@ def main(argv=None) -> int:
         slow = [
             row["program"]
             for row in payload["programs"]
-            if row["instrumented_speedup"] < 1.0
-            or row["compiled_speedup"] < 1.0
-            or row["superop_speedup"] < 1.0
+            if row["instrumented_speedup"] < 1.0 or row["superop_speedup"] < 1.0
         ]
         if slow:
             print(f"CHECK FAILED: compiled dispatch slower than interpreter on: {slow}")
             failed = True
-        if summary["superop_vs_compiled_geomean"] < 1.0:
-            print(
-                "CHECK FAILED: superop tier geomean below the compiled tier "
-                f"({summary['superop_vs_compiled_geomean']}x)"
-            )
+        behind = [
+            f"{row['program']} ({row['superop_vs_instrumented']}x)"
+            for row in payload["programs"]
+            if row["superop_mips"] < row["instrumented_mips"]
+        ]
+        if behind:
+            print(f"CHECK FAILED: superop slower than instrumented on: {behind}")
             failed = True
         if batch["batch_speedup"] < 1.0:
             print(f"CHECK FAILED: run_batch slower than solo runs ({batch['batch_speedup']}x)")
@@ -298,8 +283,8 @@ def main(argv=None) -> int:
         if failed:
             return 1
         print(
-            "CHECK OK: every tier at least as fast as the interpreter, "
-            "superop >= compiled, batch >= solo"
+            "CHECK OK: both dispatch loops at least as fast as the interpreter, "
+            "superop >= instrumented on every program, batch >= solo"
         )
     return 0
 
@@ -336,16 +321,15 @@ def test_compiled_not_slower_than_interpreter(benchmark, save_report):
     lines = [
         f"{row['program']}: interpreted {row['interpreted_mips']} MIPS, "
         f"instrumented {row['instrumented_mips']} MIPS "
-        f"({row['instrumented_speedup']}x), compiled {row['compiled_mips']} MIPS "
-        f"({row['compiled_speedup']}x), superop {row['superop_mips']} MIPS "
+        f"({row['instrumented_speedup']}x), superop {row['superop_mips']} MIPS "
         f"({row['superop_speedup']}x)"
         for row in payload["programs"]
     ]
     save_report("iss_throughput", "\n".join(lines))
     for row in payload["programs"]:
         assert row["instrumented_speedup"] >= 1.0, row
-        assert row["compiled_speedup"] >= 1.0, row
         assert row["superop_speedup"] >= 1.0, row
+        assert row["superop_mips"] >= row["instrumented_mips"], row
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# ISS throughput smoke, per engine tier: instrumented, per-op compiled
-# and fused superop dispatch must all beat the reference interpreter on
-# a two-program subset, the superop tier must not be slower than the
-# compiled tier (geomean), and run_batch must not be slower than the
-# same configs run solo.  All of that is --check's contract.
+# ISS throughput smoke, per dispatch loop: the instrumented per-op loop
+# and the fused superop loop must both beat the reference interpreter on
+# a two-program subset, superop must not be slower than instrumented on
+# any program, and run_batch must not be slower than the same configs
+# run solo.  All of that is --check's contract.
 # Run identically by CI and locally:  bash scripts/ci/smoke_iss.sh
 set -euo pipefail
 

@@ -34,7 +34,6 @@ from .programs.extensions import ALL_SPEC_FACTORIES
 from .rtl import reference_energy
 from .xtcore import (
     DEFAULT_MAX_INSTRUCTIONS,
-    ENGINES,
     ProcessorConfig,
     build_processor,
 )
@@ -107,7 +106,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         program,
         collect_trace=args.trace,
         max_instructions=args.max_instructions,
-        engine=args.engine,
     )
     print(f"engine: {result.engine}")
     print(result.stats.summary())
@@ -940,13 +938,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="assemble and simulate a program")
     add_program_options(p)
-    p.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="auto",
-        help="execution tier: auto picks superop unless per-retire "
-        "visibility (--trace) forces the per-op compiled path",
-    )
     p.add_argument("--trace", action="store_true", help="collect and print a trace")
     p.add_argument("--trace-limit", type=int, default=40)
     p.add_argument(

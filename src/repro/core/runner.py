@@ -50,13 +50,6 @@ from .characterize import (
 from .coverage import CoverageReport, audit_coverage
 from .extract import extract_variables
 
-#: Legacy positional ``simulate(config, program, collect_trace,
-#: max_instructions)`` seam shape.  The runner now invokes its simulation
-#: stage with keyword arguments (the :data:`~repro.obs.session.SessionFn`
-#: contract); callables of this legacy shape keep working as long as they
-#: use the standard parameter names.
-SimulateFn = Callable[[ProcessorConfig, Program, bool, int], SimulationResult]
-
 #: ``estimate_energy(config, sim_result) -> float`` seam.
 EstimateFn = Callable[[ProcessorConfig, SimulationResult], float]
 
@@ -89,25 +82,6 @@ class CoverageLossError(CharacterizationRunError):
 
 class CheckpointError(ValueError):
     """A checkpoint file could not be read back."""
-
-
-def default_simulate(
-    config: ProcessorConfig,
-    program: Program,
-    collect_trace: bool = False,
-    max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-) -> SimulationResult:
-    """Positional-compatibility wrapper around :func:`repro.obs.run_session`.
-
-    The production simulation stage is :func:`~repro.obs.session.run_session`
-    itself; this shim keeps the pre-session positional call shape working.
-    """
-    return run_session(
-        config,
-        program,
-        collect_trace=collect_trace,
-        max_instructions=max_instructions,
-    )
 
 
 def default_estimate(characterizer: Characterizer) -> EstimateFn:
@@ -324,9 +298,7 @@ class CharacterizationRunner:
         Injectable pipeline stages (used by the fault-injection harness).
         ``simulate`` is invoked with keyword arguments per the
         :data:`~repro.obs.session.SessionFn` contract — wrap it with
-        :meth:`repro.testing.faults.FaultPlan.wrap_session`; legacy
-        positional-signature callables keep working as long as their
-        parameters are named ``collect_trace`` / ``max_instructions``.
+        :meth:`repro.testing.faults.FaultPlan.wrap_session`.
     """
 
     def __init__(

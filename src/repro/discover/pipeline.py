@@ -1,7 +1,7 @@
 """The closed loop: profile → mine → legalize → rewrite → estimate.
 
 :func:`discover_case` drives one benchmark through the whole discovery
-flow.  A profiled reference run feeds the block miner and the
+flow.  A profiled run feeds the block miner and the
 call-site unroller; the merged candidate pool is ranked by saved
 dynamic instructions, legalized against the TIE compiler's budgets, and
 the top candidates are *proven* — each one's rewritten program must
@@ -24,9 +24,10 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Callable, Optional
 
 from ..core.model import EnergyMacroModel
+from ..obs.session import run_session
 from ..programs.registry import BenchmarkCase
 from ..rtl import generate_netlist
-from ..xtcore import DEFAULT_MAX_INSTRUCTIONS, ReferenceSimulator, build_processor
+from ..xtcore import DEFAULT_MAX_INSTRUCTIONS, build_processor
 from .legalize import (
     LegalizedCandidate,
     LegalizeOptions,
@@ -359,9 +360,9 @@ def discover_case(
 
     config, program = case.build()
     observer = DataflowTraceObserver()
-    base = ReferenceSimulator(
+    base = run_session(
         config, program, observers=[observer], max_instructions=options.max_instructions
-    ).run()
+    )
     trace_report = observer.report
     emit(
         f"profiled {case.name}: {base.instructions} instructions, "
@@ -418,9 +419,9 @@ def _prove_one(
         result = rewrite_program(program, extended.isa, legalized)
         verify_roundtrip(result.program, extended.isa)
         stage = "verify"
-        rerun = ReferenceSimulator(
+        rerun = run_session(
             extended, result.program, max_instructions=options.max_instructions
-        ).run()
+        )
         ok, why = states_equivalent(base_state, rerun.state, result.clobbers)
         if not ok:
             return CandidateFailure(legalized.mnemonic, "verify", why)

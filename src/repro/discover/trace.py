@@ -76,8 +76,9 @@ class DataflowReport:
 class DataflowTraceObserver(SimObserver):
     """Record per-block execution counts and dynamic def-use chains.
 
-    Register with :func:`repro.obs.run_session` (or any
-    ``ReferenceSimulator`` run); read :attr:`report` after the run.
+    Register with :func:`repro.obs.run_session` (it takes the
+    instrumented per-op loop, since this observer wants retires); read
+    :attr:`report` after the run.
     """
 
     wants_retire = True

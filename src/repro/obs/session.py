@@ -35,7 +35,6 @@ def run_session(
     collect_trace: bool = False,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
     entry: Optional[int] = None,
-    engine: str = "auto",
 ) -> "SimulationResult":
     """Simulate ``program`` on ``config``, streaming events to ``observers``.
 
@@ -48,11 +47,10 @@ def run_session(
     (:func:`repro.xtcore.compilation_cache`), so repeated sessions over
     the same ``(program, config)`` content share one compiled form.
 
-    ``engine`` picks the dispatch tier (``auto`` / ``reference`` /
-    ``compiled`` / ``superop``).  The default ``auto`` resolves to fused
-    superop blocks when nothing needs per-retire visibility and to the
-    per-op compiled path when a trace or a retire/event observer is
-    registered — see ``docs/PERFORMANCE.md`` for the selection matrix.
+    The run dispatches through fused superop blocks when nothing needs
+    per-retire visibility and through the instrumented per-op loop when a
+    trace or a retire/event observer is registered — see
+    ``docs/PERFORMANCE.md``.
     """
     # Imported lazily: the simulator itself subscribes its bundled
     # observers from this package, so a module-level import would cycle.
@@ -64,5 +62,4 @@ def run_session(
         collect_trace=collect_trace,
         max_instructions=max_instructions,
         observers=observers,
-        engine=engine,
     ).run(entry=entry)

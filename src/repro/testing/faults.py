@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-import warnings
 from typing import Optional, Sequence
 
 from ..asm import Program, assemble
@@ -35,7 +34,7 @@ from ..obs.protocol import SimObserver
 from ..obs.session import DEFAULT_MAX_INSTRUCTIONS, SessionFn, run_session
 from ..xtcore import ProcessorConfig, SimulationResult, build_processor
 from ..xtcore.iss import SimulationError, SimulationLimitExceeded
-from ..core.runner import EstimateFn, RunnerTask, SimulateFn
+from ..core.runner import EstimateFn, RunnerTask
 
 #: Inject on every attempt (never exhausts).
 ALWAYS = -1
@@ -128,53 +127,6 @@ class FaultPlan:
             )
 
         return session
-
-    def wrap_simulate(self, inner: Optional[SimulateFn] = None) -> SimulateFn:
-        """Deprecated positional-shape wrapper; use :meth:`wrap_session`.
-
-        Kept for pre-session callers: accepts and returns the old
-        positional ``(config, program, collect_trace, max_instructions)``
-        stage shape, delegating to :meth:`wrap_session` internally.
-        """
-        warnings.warn(
-            "FaultPlan.wrap_simulate() is deprecated; use wrap_session(), "
-            "which follows the keyword-only run_session() signature",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        inner_session: Optional[SessionFn] = None
-        if inner is not None:
-            inner_positional = inner
-
-            def inner_session(
-                config: ProcessorConfig,
-                program: Program,
-                *,
-                observers: Sequence[SimObserver] = (),
-                collect_trace: bool = False,
-                max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                entry: Optional[int] = None,
-            ) -> SimulationResult:
-                return inner_positional(
-                    config, program, collect_trace, max_instructions
-                )
-
-        session = self.wrap_session(inner_session)
-
-        def simulate(
-            config: ProcessorConfig,
-            program: Program,
-            collect_trace: bool = False,
-            max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-        ) -> SimulationResult:
-            return session(
-                config,
-                program,
-                collect_trace=collect_trace,
-                max_instructions=max_instructions,
-            )
-
-        return simulate
 
     def wrap_estimate(self, inner: EstimateFn) -> EstimateFn:
         """An ``estimate_energy`` stage that injects NaN/Inf energies."""

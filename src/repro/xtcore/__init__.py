@@ -22,7 +22,6 @@ from .errors import SimulationError, SimulationLimitExceeded
 from .interp import ReferenceSimulator
 from .iss import (
     DEFAULT_STACK_TOP,
-    ENGINES,
     EXIT_ADDRESS,
     SimulationResult,
     Simulator,
@@ -35,7 +34,6 @@ __all__ = [
     "CompilationCache",
     "DEFAULT_MAX_INSTRUCTIONS",
     "DEFAULT_STACK_TOP",
-    "ENGINES",
     "EXIT_ADDRESS",
     "ExecutableProgram",
     "ExecutionStats",

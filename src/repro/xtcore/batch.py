@@ -14,8 +14,9 @@ models and the per-class cycle attribution.
 
 :func:`run_batch` exploits that split:
 
-1. **Record** — execute the program once (a fast-path dispatch loop with
-   no cache models), capturing the per-op retire/taken counters, the
+1. **Record** — execute the program once (the shared
+   :func:`repro.xtcore.iss.dispatch` loop, per-op, with recorders in
+   place of cache models), capturing the per-op retire/taken counters, the
    interlock count, and the I-fetch / D-access address streams deduped
    at the *finest* line granularity present in the batch.  A coarser
    line cannot change where its own same-line transitions fall: equal
@@ -41,12 +42,11 @@ import hashlib
 import json
 from typing import TYPE_CHECKING, Sequence
 
-from ..isa import INSTRUCTION_BYTES
 from .caches import SetAssociativeCache
-from .compiled import compilation_cache, describe_invalid_pc
+from .compiled import compilation_cache
 from .config import DEFAULT_MAX_INSTRUCTIONS, ProcessorConfig, _extension_payload
-from .errors import SimulationError, SimulationLimitExceeded
-from .iss import EXIT_ADDRESS, SimulationResult, Simulator, _aggregate_stats
+from .errors import SimulationError
+from .iss import SimulationResult, Simulator, _aggregate_stats, dispatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..asm import Program
@@ -92,7 +92,7 @@ def _record_trajectory(
     min_dshift: int,
     entry: int | None,
 ):
-    """One fast-path execution with address-stream capture, no cache models.
+    """One per-op execution with address-stream capture, no cache models.
 
     Returns ``(state, counts, taken_counts, interlocks, ifetch, daccess)``
     where the streams hold the first address of every same-line transition
@@ -100,88 +100,24 @@ def _record_trajectory(
     batch member's cache model would see (coarser grains are subsequences
     recovered by the replay memo).
     """
-    executable = simulator.executable
-    ops = executable.ops
-    pc_map = executable.pc_to_index
-    counts = [0] * len(ops)
-    taken_counts = [0] * len(ops)
-    interlocks = 0
-    ifetch: list[int] = []
-    daccess: list[int] = []
-    ilast = -1
-    dlast = -1
-    prev_load_dests: tuple[int, ...] = ()
-    max_instructions = simulator.max_instructions
     state = simulator._reset()
     if entry is not None:
         state.pc = entry
-    state_get = state.regs.__getitem__ if executable.regs_in_range else state.get
-    executed = 0
-    mem_base = 0
-
-    pc = state.pc
-    if pc != EXIT_ADDRESS:
-        idx = pc_map.get(pc, -1)
-        if idx < 0:
-            raise SimulationError(
-                describe_invalid_pc(executable.program_name, pc, executable, None)
-            )
-        while True:
-            if executed >= max_instructions:
-                raise SimulationLimitExceeded(
-                    f"{executable.program_name}: "
-                    f"exceeded {max_instructions} instructions"
-                )
-            executed += 1
-            op = ops[idx]
-            addr = op[10]
-            if op[6]:  # cached fetch: record the line transition
-                line = addr >> min_ishift
-                if line != ilast:
-                    ilast = line
-                    ifetch.append(addr)
-            if prev_load_dests:
-                for src in op[2]:
-                    if src in prev_load_dests:
-                        interlocks += 1
-                        break
-            if op[5]:  # memory op: base register read precedes execution
-                mem_base = state_get(op[3])
-            state.pc = addr
-            counts[idx] += 1
-            next_pc = op[0](state, op[1])
-            if op[5]:
-                mem_addr = (mem_base + op[4]) & 0xFFFFFFFF
-                line = mem_addr >> min_dshift
-                if line != dlast:
-                    dlast = line
-                    daccess.append(mem_addr)
-            prev_load_dests = op[8]
-            if next_pc is None:
-                if state.halted:
-                    state.pc = addr + INSTRUCTION_BYTES
-                    break
-                idx = op[9]
-                if idx >= 0:
-                    continue
-                pc = addr + INSTRUCTION_BYTES
-            else:
-                taken_counts[idx] += 1
-                if state.halted:
-                    state.pc = next_pc
-                    break
-                if next_pc == EXIT_ADDRESS:
-                    state.pc = EXIT_ADDRESS
-                    break
-                idx = pc_map.get(next_pc, -1)
-                if idx >= 0:
-                    continue
-                pc = next_pc
-            state.pc = pc
-            raise SimulationError(
-                describe_invalid_pc(executable.program_name, pc, executable, addr)
-            )
-
+    ifetch: list[int] = []
+    daccess: list[int] = []
+    # No blocks: fused closures replay at one config's line size, the
+    # recorder needs the batch's finest.  ``append`` returns None, so
+    # every recorded access counts as a "miss" — those counts are unused.
+    counts, taken_counts, _, _, interlocks = dispatch(
+        simulator.executable,
+        state,
+        simulator.max_instructions,
+        (None,) * len(simulator.executable.ops),
+        min_ishift,
+        min_dshift,
+        ifetch.append,
+        daccess.append,
+    )
     return state, counts, taken_counts, interlocks, ifetch, daccess
 
 
@@ -213,7 +149,7 @@ def run_batch(
     :func:`semantic_fingerprint`), or :class:`SimulationError` is raised
     before anything executes.  Results are ordered like ``configs`` and
     bitwise identical — stats and final state — to running each config
-    individually through the fast dispatch path; the final
+    individually; the final
     :class:`~repro.isa.MachineState` object is shared across all results.
     Execution faults (wild jumps, budget expiry, semantics errors) are
     trajectory properties, so they raise once for the whole batch.
@@ -227,9 +163,7 @@ def run_batch(
             f"partitions; run_batch requires one (group by semantic_fingerprint)"
         )
     cache = compilation_cache()
-    lead = Simulator(
-        configs[0], program, max_instructions=max_instructions, engine="compiled"
-    )
+    lead = Simulator(configs[0], program, max_instructions=max_instructions)
     min_ishift = min(
         config.icache.line_bytes.bit_length() - 1 for config in configs
     )

@@ -803,7 +803,7 @@ def compile_program(config: "ProcessorConfig", program: "Program") -> Executable
 # Superop lowering: fusing basic blocks into single-dispatch closures
 # ---------------------------------------------------------------------------
 #
-# The compiled fast path still pays one Python dispatch iteration per
+# A per-op dispatch loop pays one Python dispatch iteration per
 # retired instruction: budget check, op-tuple load, I-cache memo,
 # interlock scan, pc bookkeeping, successor resolution.  For a run of
 # *interior* ops (see OP_INTERIOR) every one of those outcomes is a
@@ -818,7 +818,7 @@ def compile_program(config: "ProcessorConfig", program: "Program") -> Executable
 
 #: Field indices of one superop block descriptor (flat tuple, same
 #: rationale as the OP_* layout above).
-BLK_ID = 0  #: dense block index (keys the per-block execution counter)
+BLK_ID = 0  #: dense block index
 BLK_START = 1  #: op index of the first instruction in the block
 BLK_LEN = 2  #: number of instructions retired per block execution
 BLK_STEPS = 3  #: fused execution steps (see compile_superops)

@@ -1,19 +1,20 @@
-"""The retained reference interpreter (pre-compilation dispatch loop).
+"""The reference interpreter (pre-compilation dispatch loop).
 
-This is the seed `Simulator` loop, kept verbatim as
-:class:`ReferenceSimulator`: it re-resolves semantics, source/dest
-registers and the class/latency decision per retired instruction, and
-re-decodes the program on every construction.  It exists for two jobs:
+This is the seed `Simulator` loop, kept as :class:`ReferenceSimulator`:
+it re-resolves semantics, source/dest registers and the class/latency
+decision per retired instruction, and re-decodes the program on every
+construction.  It is an oracle only, with two jobs:
 
-* the **differential test harness** asserts that the compiled dispatch
-  engine in :mod:`repro.xtcore.iss` produces bitwise-identical stats,
-  traces and final machine state against this loop on generated and
-  bundled programs;
+* the **differential test harness** asserts that both dispatch loops in
+  :mod:`repro.xtcore.iss` (superop and instrumented) produce
+  bitwise-identical stats, traces and final machine state against this
+  loop on generated and bundled programs;
 * the **throughput benchmark** (`benchmarks/bench_iss_throughput.py`)
-  measures the compiled paths' speedup against it.
+  measures the compiled loops' speedup against it.
 
-It is not wired into any production call path — ``run_session`` and the
-CLI always use the compiled engine.
+No production call path uses it: ``run_session``, the CLI and discovery
+all dispatch through :class:`repro.xtcore.iss.Simulator`.  Tests and
+benchmarks construct it directly.
 """
 
 from __future__ import annotations
@@ -213,6 +214,7 @@ class ReferenceSimulator:
             stats=stats,
             state=state,
             trace=trace_observer.records if trace_observer is not None else None,
+            engine="reference",
         )
         for observer in chain:
             observer.on_run_finish(result)

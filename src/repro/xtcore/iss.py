@@ -21,28 +21,32 @@ Execution is a three-stage **compile → link → dispatch** pipeline: the
 program is lowered once against the processor config into an
 :class:`~repro.xtcore.compiled.ExecutableProgram` (memoized across runs
 by the :func:`~repro.xtcore.compiled.compilation_cache`), and
-:meth:`Simulator.run` dispatches over that IR with two specializations:
+:meth:`Simulator.run` dispatches over that IR through one of two loops,
+picked by what the run must report:
 
-* the **instrumented path** runs whenever observers are registered or a
-  trace is requested: it populates one reused
+* the **instrumented loop** runs whenever a trace is requested or an
+  observer wants per-retire callbacks: it populates one reused
   :class:`~repro.obs.events.RetireEvent` per instruction and fans it out
   to the :class:`~repro.obs.protocol.SimObserver` chain, exactly as the
   streaming protocol documents;
-* the **fast path** runs when there is nothing to observe (the
-  characterize/DSE common case): no event objects, no operand tuples, no
-  callback dispatch — just semantics plus per-op retire counters.
+* the **superop loop** (:func:`dispatch`) runs when there is nothing to
+  observe per instruction (the estimate/DSE common case): fused basic
+  blocks plus a per-op path for block boundaries — no event objects, no
+  operand tuples, no callback dispatch.  Batched multi-config runs
+  (:func:`repro.xtcore.batch.run_batch`) record their trajectory through
+  the same loop.
 
-Both paths fold statistics the same way — per-op retire/taken counts and
+Both loops fold statistics the same way — per-op retire/taken counts and
 scalar event counters, aggregated into :class:`ExecutionStats` at run
 end — so their stats are identical by construction, and the differential
-suite pins both against the retained reference interpreter
-(:class:`repro.xtcore.interp.ReferenceSimulator`).
+suite pins both against the reference interpreter
+(:mod:`repro.xtcore.interp`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..asm import Program
 from ..isa import INSTRUCTION_BYTES, MachineState
@@ -52,16 +56,6 @@ from ..obs.events import RetireEvent
 from ..obs.protocol import SimObserver
 from .caches import SetAssociativeCache
 from .compiled import (
-    BLK_FIRST_SRCS,
-    BLK_ID,
-    BLK_IFETCH,
-    BLK_INTERLOCKS,
-    BLK_LAST_ADDR,
-    BLK_LEN,
-    BLK_LOAD_DESTS,
-    BLK_NEXT_IDX,
-    BLK_START,
-    BLK_STEPS,
     ExecutableProgram,
     SuperopProgram,
     compilation_cache,
@@ -81,16 +75,9 @@ DEFAULT_STACK_TOP = 0x0007_FF00
 _BRANCH_TAKEN = InstructionClass.BRANCH_TAKEN
 _BRANCH_UNTAKEN = InstructionClass.BRANCH_UNTAKEN
 
-#: Engine-selection names accepted by :class:`Simulator`, ``simulate`` and
-#: ``run_session``.  ``auto`` resolves to the fastest engine that can honor
-#: the run's instrumentation: superop blocks when nothing needs per-retire
-#: callbacks, the per-op compiled path when something does.
-ENGINES = ("auto", "reference", "compiled", "superop")
-
 __all__ = [
     "DEFAULT_MAX_INSTRUCTIONS",
     "DEFAULT_STACK_TOP",
-    "ENGINES",
     "EXIT_ADDRESS",
     "SimulationError",
     "SimulationLimitExceeded",
@@ -109,8 +96,8 @@ class SimulationResult:
     stats: ExecutionStats
     state: MachineState
     trace: Optional[list[TraceRecord]] = None
-    #: dispatch engine that produced this result ("reference", "compiled",
-    #: "superop" or "batch"); None when the producer predates the field.
+    #: dispatch path that produced this result: "superop", "instrumented",
+    #: "batch" or "reference" (the oracle interpreter).
     engine: Optional[str] = None
 
     @property
@@ -176,8 +163,8 @@ def _aggregate_stats(
     O(static ops) instead of O(dynamic instructions): every retire of one
     micro-op contributes the same class, issue cycles and bus attribution,
     so the per-retire sums collapse to ``count x per-op values`` — with
-    branches split by their taken count.  Both dispatch paths use this, so
-    fast-path stats equal instrumented-path stats by construction.
+    branches split by their taken count.  Both dispatch loops use this, so
+    superop stats equal instrumented stats by construction.
     """
     stats = ExecutionStats()
     class_cycles = stats.class_cycles
@@ -246,6 +233,156 @@ def _aggregate_stats(
     return stats
 
 
+def dispatch(
+    executable: ExecutableProgram,
+    state: MachineState,
+    max_instructions: int,
+    block_at: Sequence[Optional[tuple]],
+    ishift: int,
+    dshift: int,
+    icache_access: Callable[[int], Optional[bool]],
+    dcache_access: Callable[[int], Optional[bool]],
+) -> tuple[list[int], list[int], int, int, int]:
+    """The un-instrumented dispatch loop: semantics plus retire counters.
+
+    Runs ``executable`` from ``state.pc`` to completion and returns
+    ``(counts, taken_counts, icache_misses, dcache_misses, interlocks)``
+    for :func:`_aggregate_stats`.  ``block_at`` is a superop block table
+    (:attr:`~repro.xtcore.compiled.SuperopProgram.block_at`): an op index
+    heading a block retires the whole block in one fused dispatch; every
+    other op, and any block that would cross the instruction budget,
+    takes the per-op path; fused blocks bake in their config's line
+    shifts, so pass that config's.  ``icache_access``/``dcache_access`` see the
+    first address of every same-line transition at ``ishift``/``dshift``
+    granularity and report hits; a falsy return counts as a miss, so a
+    recorder such as ``list.append`` captures the address streams (and
+    its miss counts are meaningless).
+    """
+    ops = executable.ops
+    pc_map = executable.pc_to_index
+    counts = [0] * len(ops)
+    taken_counts = [0] * len(ops)
+    block_counts = [0] * len(ops)  # keyed by the block's first op index
+    interlocks = 0
+    # Same-line memo + miss counters as two-slot lists so fused block
+    # closures and the per-op path mutate one shared state.  A repeat
+    # access to the line just touched is a guaranteed MRU hit with no
+    # LRU movement, so the cache model call can be skipped.
+    ic = [-1, 0]
+    dc = [-1, 0]
+    prev_load_dests: tuple[int, ...] = ()
+    # Register reads skip the bounds check when compilation proved every
+    # index in range (the out-of-range IndexError path is kept for
+    # programs where it did not).
+    state_get = state.regs.__getitem__ if executable.regs_in_range else state.get
+    executed = 0
+    mem_base = 0
+
+    pc = state.pc
+    if pc != EXIT_ADDRESS:
+        idx = pc_map.get(pc, -1)
+        if idx < 0:
+            raise SimulationError(
+                describe_invalid_pc(executable.program_name, pc, executable, None)
+            )
+        while True:
+            block = block_at[idx]
+            if block is not None and executed + block[2] <= max_instructions:
+                # Fused fast path: the whole block retires in one
+                # dispatch — semantics, I-line memo and D-cache replays
+                # inlined into one generated closure, and the remaining
+                # bookkeeping folded to block deltas.
+                executed += block[2]
+                if prev_load_dests:
+                    for src in block[5]:
+                        if src in prev_load_dests:
+                            interlocks += 1
+                            break
+                interlocks += block[6]
+                block[10](state, ic, dc, icache_access, dcache_access)
+                block_counts[idx] += 1
+                prev_load_dests = block[7]
+                idx = block[8]
+                if idx >= 0:
+                    continue
+                # Fell off the end of the mapped address range.
+                addr = block[9]
+                pc = (addr + INSTRUCTION_BYTES) & 0xFFFFFFFF
+                state.pc = pc
+                raise SimulationError(
+                    describe_invalid_pc(executable.program_name, pc, executable, addr)
+                )
+            # Per-op path: block boundaries (branches, jumps, system ops,
+            # customs), mid-block landings from dynamic jumps, and blocks
+            # that would cross the instruction budget (so
+            # SimulationLimitExceeded raises at the exact instruction,
+            # after any earlier fault).
+            if executed >= max_instructions:
+                raise SimulationLimitExceeded(
+                    f"{executable.program_name}: "
+                    f"exceeded {max_instructions} instructions"
+                )
+            executed += 1
+            op = ops[idx]
+            addr = op[10]
+            if op[6]:  # cached fetch
+                line = addr >> ishift
+                if line != ic[0]:
+                    ic[0] = line
+                    if not icache_access(addr):
+                        ic[1] += 1
+            if prev_load_dests:
+                for src in op[2]:
+                    if src in prev_load_dests:
+                        interlocks += 1
+                        break
+            if op[5]:  # memory op: base register read precedes execution
+                mem_base = state_get(op[3])
+            state.pc = addr
+            counts[idx] += 1
+            next_pc = op[0](state, op[1])
+            if op[5]:
+                mem_addr = (mem_base + op[4]) & 0xFFFFFFFF
+                line = mem_addr >> dshift
+                if line != dc[0]:
+                    dc[0] = line
+                    if not dcache_access(mem_addr):
+                        dc[1] += 1
+            prev_load_dests = op[8]
+            if next_pc is None:
+                if state.halted:
+                    state.pc = addr + INSTRUCTION_BYTES
+                    break
+                idx = op[9]
+                if idx >= 0:
+                    continue
+                pc = addr + INSTRUCTION_BYTES
+            else:
+                taken_counts[idx] += 1
+                if state.halted:
+                    state.pc = next_pc
+                    break
+                if next_pc == EXIT_ADDRESS:
+                    state.pc = EXIT_ADDRESS
+                    break
+                idx = pc_map.get(next_pc, -1)
+                if idx >= 0:
+                    continue
+                pc = next_pc
+            state.pc = pc
+            raise SimulationError(
+                describe_invalid_pc(executable.program_name, pc, executable, addr)
+            )
+
+    # Expand per-block execution counters into the per-op counts the
+    # aggregation contract expects (O(static ops), like aggregation).
+    for start, count in enumerate(block_counts):
+        if count:
+            for i in range(start, start + block_at[start][2]):
+                counts[i] += count
+    return counts, taken_counts, ic[1], dc[1], interlocks
+
+
 class Simulator:
     """Executes one :class:`Program` on one :class:`ProcessorConfig`.
 
@@ -255,14 +392,11 @@ class Simulator:
     pool).  ``observers`` registers extra
     :class:`~repro.obs.protocol.SimObserver` subscribers on every run.
 
-    ``engine`` selects the dispatch tier explicitly — one of
-    :data:`ENGINES`.  The default ``auto`` resolves per run: superop
-    block dispatch when nothing needs per-retire visibility, the per-op
-    compiled path when a trace or a retire/event observer is registered,
-    never the reference interpreter.  An explicit ``superop`` request
-    likewise deoptimizes to the compiled per-op path for instrumented
-    runs — fused blocks cannot fan out per-retire callbacks — so stats
-    stay bitwise identical either way.  Most callers should go through
+    Each run picks its dispatch loop from what it must report: the
+    instrumented per-op loop when a trace is requested or an observer
+    wants per-retire callbacks (``wants_retire`` / ``wants_events``),
+    the superop block loop (:func:`dispatch`) otherwise.  Stats are
+    bitwise identical either way.  Most callers should go through
     :func:`repro.obs.run_session` instead of constructing a ``Simulator``
     directly.
     """
@@ -275,18 +409,12 @@ class Simulator:
         max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
         observers: Sequence[SimObserver] = (),
         executable: Optional[ExecutableProgram] = None,
-        engine: str = "auto",
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
-            )
         self.config = config
         self.program = program
         self.collect_trace = collect_trace
         self.max_instructions = max_instructions
         self.observers = tuple(observers)
-        self.engine = engine
         if executable is None:
             executable = compilation_cache().get_or_compile(config, program)
         elif (
@@ -310,44 +438,8 @@ class Simulator:
         state.pc = self.program.entry
         return state
 
-    def resolve_engine(self) -> str:
-        """The engine this simulator will actually dispatch through.
-
-        ``auto`` picks the fastest tier that honors the instrumentation;
-        a ``superop`` request deoptimizes to ``compiled`` when per-retire
-        visibility (a trace, or an observer with ``wants_retire`` /
-        ``wants_events``) is required, since fused blocks cannot fan out
-        per-instruction callbacks.  Run-scoped observers (tallies that
-        only need ``on_run_start``/``on_run_finish``) do not force the
-        deopt — both fast engines bracket the run for them.
-        """
-        engine = self.engine
-        if engine == "reference":
-            return engine
-        per_retire = self.collect_trace or any(
-            o.wants_retire or o.wants_events for o in self.observers
-        )
-        if per_retire:
-            return "compiled"
-        if engine == "auto":
-            return "superop"
-        return engine
-
     def run(self, entry: Optional[int] = None) -> SimulationResult:
         """Simulate from ``entry`` (default: program entry) to completion."""
-        engine = self.resolve_engine()
-        if engine == "reference":
-            from .interp import ReferenceSimulator
-
-            result = ReferenceSimulator(
-                self.config,
-                self.program,
-                collect_trace=self.collect_trace,
-                max_instructions=self.max_instructions,
-                observers=self.observers,
-            ).run(entry=entry)
-            result.engine = "reference"
-            return result
         state = self._reset()
         if entry is not None:
             state.pc = entry
@@ -355,280 +447,38 @@ class Simulator:
             o.wants_retire or o.wants_events for o in self.observers
         ):
             return self._run_instrumented(state)
-        if self.observers:
-            # Run-scoped observers only: bracket the fast engine with the
-            # start/finish callbacks the protocol guarantees.
-            for observer in self.observers:
-                observer.on_run_start(self.config, self.program)
-            result = (
-                self._run_superop(state)
-                if engine == "superop"
-                else self._run_fast(state)
-            )
-            for observer in self.observers:
-                observer.on_run_finish(result)
-            return result
-        if engine == "superop":
-            return self._run_superop(state)
-        return self._run_fast(state)
-
-    # ------------------------------------------------------------------
-    # fast path: no observers, no trace — counters only
-    # ------------------------------------------------------------------
-
-    def _run_fast(self, state: MachineState) -> SimulationResult:
-        executable = self.executable
-        ops = executable.ops
-        pc_map = executable.pc_to_index
-        counts = [0] * len(ops)
-        taken_counts = [0] * len(ops)
-        config = self.config
-        icache = SetAssociativeCache(config.icache, "icache")
-        dcache = SetAssociativeCache(config.dcache, "dcache")
-        icache_access = icache.access
-        dcache_access = dcache.access
-        ishift = icache.offset_bits
-        dshift = dcache.offset_bits
-        icache_misses = 0
-        dcache_misses = 0
-        interlocks = 0
-        # Same-line memo: a repeat access to the line just touched is a
-        # guaranteed MRU hit with no LRU movement and no events, so the
-        # cache model call can be skipped without changing any outcome.
-        ilast = -1
-        dlast = -1
-        prev_load_dests: tuple[int, ...] = ()
-        max_instructions = self.max_instructions
-        # Register reads skip the bounds check when compilation proved
-        # every index in range (the out-of-range IndexError path is kept
-        # for programs where it did not).
-        state_get = state.regs.__getitem__ if executable.regs_in_range else state.get
-        executed = 0
-        mem_base = 0
-
-        pc = state.pc
-        if pc != EXIT_ADDRESS:
-            idx = pc_map.get(pc, -1)
-            if idx < 0:
-                raise SimulationError(
-                    describe_invalid_pc(executable.program_name, pc, executable, None)
-                )
-            while True:
-                if executed >= max_instructions:
-                    raise SimulationLimitExceeded(
-                        f"{executable.program_name}: "
-                        f"exceeded {max_instructions} instructions"
-                    )
-                executed += 1
-                op = ops[idx]
-                addr = op[10]
-                if op[6]:  # cached fetch
-                    line = addr >> ishift
-                    if line != ilast:
-                        ilast = line
-                        if not icache_access(addr):
-                            icache_misses += 1
-                if prev_load_dests:
-                    for src in op[2]:
-                        if src in prev_load_dests:
-                            interlocks += 1
-                            break
-                if op[5]:  # memory op: base register read precedes execution
-                    mem_base = state_get(op[3])
-                state.pc = addr
-                counts[idx] += 1
-                next_pc = op[0](state, op[1])
-                if op[5]:
-                    mem_addr = (mem_base + op[4]) & 0xFFFFFFFF
-                    line = mem_addr >> dshift
-                    if line != dlast:
-                        dlast = line
-                        if not dcache_access(mem_addr):
-                            dcache_misses += 1
-                prev_load_dests = op[8]
-                if next_pc is None:
-                    if state.halted:
-                        state.pc = addr + INSTRUCTION_BYTES
-                        break
-                    idx = op[9]
-                    if idx >= 0:
-                        continue
-                    pc = addr + INSTRUCTION_BYTES
-                else:
-                    taken_counts[idx] += 1
-                    if state.halted:
-                        state.pc = next_pc
-                        break
-                    if next_pc == EXIT_ADDRESS:
-                        state.pc = EXIT_ADDRESS
-                        break
-                    idx = pc_map.get(next_pc, -1)
-                    if idx >= 0:
-                        continue
-                    pc = next_pc
-                state.pc = pc
-                raise SimulationError(
-                    describe_invalid_pc(executable.program_name, pc, executable, addr)
-                )
-
-        stats = _aggregate_stats(
-            config, executable, counts, taken_counts,
-            icache_misses, dcache_misses, interlocks,
-        )
-        return SimulationResult(
-            program=self.program,
-            config=config,
-            stats=stats,
-            state=state,
-            engine="compiled",
-        )
-
-    # ------------------------------------------------------------------
-    # superop path: one dispatch per basic block, per-op side exits
-    # ------------------------------------------------------------------
+        # Run-scoped observers only need the start/finish callbacks the
+        # protocol guarantees; fused blocks honor those.
+        for observer in self.observers:
+            observer.on_run_start(self.config, self.program)
+        result = self._run_superop(state)
+        for observer in self.observers:
+            observer.on_run_finish(result)
+        return result
 
     def _run_superop(self, state: MachineState) -> SimulationResult:
-        executable = self.executable
+        config = self.config
         superops = self._superops
         if superops is None:
             superops = compilation_cache().get_or_compile_superops(
-                self.config, self.program, executable=executable
+                config, self.program, executable=self.executable
             )
             self._superops = superops
-        ops = executable.ops
-        pc_map = executable.pc_to_index
-        block_at = superops.block_at
-        counts = [0] * len(ops)
-        taken_counts = [0] * len(ops)
-        block_counts = [0] * len(superops.blocks)
-        config = self.config
         icache = SetAssociativeCache(config.icache, "icache")
         dcache = SetAssociativeCache(config.dcache, "dcache")
-        icache_access = icache.access
-        dcache_access = dcache.access
-        ishift = icache.offset_bits
-        dshift = dcache.offset_bits
-        interlocks = 0
-        # Same-line memo + miss counters as two-slot lists so fused block
-        # closures and the per-op side-exit path mutate one shared state.
-        ic = [-1, 0]
-        dc = [-1, 0]
-        prev_load_dests: tuple[int, ...] = ()
-        max_instructions = self.max_instructions
-        state_get = state.regs.__getitem__ if executable.regs_in_range else state.get
-        executed = 0
-        mem_base = 0
-
-        pc = state.pc
-        if pc != EXIT_ADDRESS:
-            idx = pc_map.get(pc, -1)
-            if idx < 0:
-                raise SimulationError(
-                    describe_invalid_pc(executable.program_name, pc, executable, None)
-                )
-            while True:
-                block = block_at[idx]
-                if block is not None and executed + block[2] <= max_instructions:
-                    # Fused fast path: the whole block retires in one
-                    # dispatch — semantics, I-line memo and D-cache
-                    # replays inlined into one generated closure, and
-                    # the remaining bookkeeping folded to block deltas.
-                    executed += block[2]
-                    if prev_load_dests:
-                        for src in block[5]:
-                            if src in prev_load_dests:
-                                interlocks += 1
-                                break
-                    interlocks += block[6]
-                    block[10](state, ic, dc, icache_access, dcache_access)
-                    block_counts[block[0]] += 1
-                    prev_load_dests = block[7]
-                    idx = block[8]
-                    if idx >= 0:
-                        continue
-                    # Fell off the end of the mapped address range.
-                    addr = block[9]
-                    pc = (addr + INSTRUCTION_BYTES) & 0xFFFFFFFF
-                    state.pc = pc
-                    raise SimulationError(
-                        describe_invalid_pc(
-                            executable.program_name, pc, executable, addr
-                        )
-                    )
-                # Side exit / per-op path: block boundaries (branches,
-                # jumps, system ops, customs), mid-block landings from
-                # dynamic jumps, and blocks that would cross the
-                # instruction budget (so SimulationLimitExceeded raises
-                # at the exact instruction, after any earlier fault).
-                if executed >= max_instructions:
-                    raise SimulationLimitExceeded(
-                        f"{executable.program_name}: "
-                        f"exceeded {max_instructions} instructions"
-                    )
-                executed += 1
-                op = ops[idx]
-                addr = op[10]
-                if op[6]:  # cached fetch
-                    line = addr >> ishift
-                    if line != ic[0]:
-                        ic[0] = line
-                        if not icache_access(addr):
-                            ic[1] += 1
-                if prev_load_dests:
-                    for src in op[2]:
-                        if src in prev_load_dests:
-                            interlocks += 1
-                            break
-                if op[5]:  # memory op: base register read precedes execution
-                    mem_base = state_get(op[3])
-                state.pc = addr
-                counts[idx] += 1
-                next_pc = op[0](state, op[1])
-                if op[5]:
-                    mem_addr = (mem_base + op[4]) & 0xFFFFFFFF
-                    line = mem_addr >> dshift
-                    if line != dc[0]:
-                        dc[0] = line
-                        if not dcache_access(mem_addr):
-                            dc[1] += 1
-                prev_load_dests = op[8]
-                if next_pc is None:
-                    if state.halted:
-                        state.pc = addr + INSTRUCTION_BYTES
-                        break
-                    idx = op[9]
-                    if idx >= 0:
-                        continue
-                    pc = addr + INSTRUCTION_BYTES
-                else:
-                    taken_counts[idx] += 1
-                    if state.halted:
-                        state.pc = next_pc
-                        break
-                    if next_pc == EXIT_ADDRESS:
-                        state.pc = EXIT_ADDRESS
-                        break
-                    idx = pc_map.get(next_pc, -1)
-                    if idx >= 0:
-                        continue
-                    pc = next_pc
-                state.pc = pc
-                raise SimulationError(
-                    describe_invalid_pc(executable.program_name, pc, executable, addr)
-                )
-
-        # Expand per-block execution counters into the per-op counts the
-        # aggregation contract expects (O(static ops), like aggregation).
-        blocks = superops.blocks
-        for block_id, count in enumerate(block_counts):
-            if not count:
-                continue
-            block = blocks[block_id]
-            for i in range(block[1], block[1] + block[2]):
-                counts[i] += count
+        counts, taken_counts, icache_misses, dcache_misses, interlocks = dispatch(
+            self.executable,
+            state,
+            self.max_instructions,
+            superops.block_at,
+            icache.offset_bits,
+            dcache.offset_bits,
+            icache.access,
+            dcache.access,
+        )
         stats = _aggregate_stats(
-            config, executable, counts, taken_counts,
-            ic[1], dc[1], interlocks,
+            config, self.executable, counts, taken_counts,
+            icache_misses, dcache_misses, interlocks,
         )
         return SimulationResult(
             program=self.program,
@@ -819,7 +669,7 @@ class Simulator:
             stats=stats,
             state=state,
             trace=trace_observer.records if trace_observer is not None else None,
-            engine="compiled",
+            engine="instrumented",
         )
         for observer in chain:
             observer.on_run_finish(result)
@@ -833,7 +683,6 @@ def simulate(
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
     observers: Sequence[SimObserver] = (),
     executable: Optional[ExecutableProgram] = None,
-    engine: str = "auto",
 ) -> SimulationResult:
     """One-shot convenience wrapper around :class:`Simulator`."""
     return Simulator(
@@ -843,5 +692,4 @@ def simulate(
         max_instructions=max_instructions,
         observers=observers,
         executable=executable,
-        engine=engine,
     ).run()

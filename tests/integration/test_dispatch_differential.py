@@ -1,7 +1,9 @@
-"""Differential tests: compiled dispatch == reference interpreter.
+"""Differential tests: both dispatch loops == reference interpreter.
 
-The compiled engine (:class:`repro.xtcore.Simulator`) must be bitwise
-equivalent to the retained reference interpreter
+:class:`repro.xtcore.Simulator` has two dispatch paths — the superop
+block loop (the default) and the instrumented per-op loop (taken when a
+trace or a per-retire observer is present).  Both must be bitwise
+equivalent to the reference interpreter
 (:class:`repro.xtcore.ReferenceSimulator`) on statistics, traces and
 final machine state — on every bundled benchmark and on hundreds of
 seeded random programs from :mod:`repro.testing.progen`.
@@ -11,6 +13,7 @@ import dataclasses
 
 import pytest
 
+from repro.obs import SimObserver
 from repro.programs import characterization_suite
 from repro.testing.progen import generate_program, generate_source, stress_programs
 from repro.xtcore import (
@@ -74,6 +77,21 @@ def assert_states_equal(expected, actual, context):
     assert ref_pages == new_pages, f"{context}: memory contents differ"
 
 
+#: The two dispatch paths, each selected the way callers select it: by
+#: what the run observes.  The base observer wants retires and ignores
+#: them, which forces the instrumented loop without a trace.
+PATHS = {
+    "superop": {},
+    "instrumented": {"observers": (SimObserver(),)},
+}
+
+
+def run_path(path, config, program, **kwargs):
+    result = Simulator(config, program, **PATHS[path], **kwargs).run()
+    assert result.engine == path
+    return result
+
+
 def run_both(config, program, max_instructions=MAX_INSTRUCTIONS):
     reference = ReferenceSimulator(
         config, program, collect_trace=True, max_instructions=max_instructions
@@ -88,6 +106,7 @@ def run_both(config, program, max_instructions=MAX_INSTRUCTIONS):
         executable=executable,
     )
     new_result = compiled.run()
+    assert new_result.engine == "instrumented"
     return reference, ref_result, compiled, new_result, executable
 
 
@@ -105,20 +124,17 @@ class TestBundledSuiteEquivalence:
         assert_states_equal(ref_result.state, new_result.state, case.name)
         case.verify(new_result)
 
-        # both untraced tiers (per-op fast path and fused superop blocks)
-        # must agree as well; auto resolves to superop, so the compiled
-        # tier needs an explicit request
-        for engine in ("compiled", "superop"):
-            fast = Simulator(
+        # both untraced paths (fused superop blocks, and the per-op
+        # instrumented loop driven by an observer) must agree as well
+        for path in PATHS:
+            fast_result = run_path(
+                path,
                 config,
                 program,
                 max_instructions=case.max_instructions,
                 executable=executable,
-                engine=engine,
             )
-            fast_result = fast.run()
-            context = f"{case.name} ({engine})"
-            assert fast_result.engine == engine
+            context = f"{case.name} ({path})"
             assert_stats_equal(ref_result.stats, fast_result.stats, context)
             assert fast_result.trace is None  # trace off => not materialized
             assert_states_equal(ref_result.state, fast_result.state, context)
@@ -141,22 +157,21 @@ class TestRandomProgramEquivalence:
             assert_traces_equal(ref_result.trace, new_result.trace, context)
             assert_states_equal(ref_result.state, new_result.state, context)
 
-            for engine in ("compiled", "superop"):
-                fast = Simulator(
-                    config,
-                    program,
-                    max_instructions=MAX_INSTRUCTIONS,
-                    executable=executable,
-                    engine=engine,
-                )
-                fast_result = fast.run()
-                assert fast_result.engine == engine
-                assert_stats_equal(
-                    ref_result.stats, fast_result.stats, f"{context} ({engine})"
-                )
-                assert_states_equal(
-                    ref_result.state, fast_result.state, f"{context} ({engine})"
-                )
+            # the traced run above is the instrumented path; the default
+            # untraced run is the superop path
+            fast_result = run_path(
+                "superop",
+                config,
+                program,
+                max_instructions=MAX_INSTRUCTIONS,
+                executable=executable,
+            )
+            assert_stats_equal(
+                ref_result.stats, fast_result.stats, f"{context} (superop)"
+            )
+            assert_states_equal(
+                ref_result.state, fast_result.state, f"{context} (superop)"
+            )
 
     def test_sweep_exercises_interesting_shapes(self):
         sources = [generate_source(seed) for seed in RANDOM_SEEDS]
@@ -186,35 +201,31 @@ class TestStressPrograms:
                 config, program, max_instructions=case.max_instructions
             )
             ref_result = reference.run()
-            for engine in ("compiled", "superop"):
-                result = Simulator(
-                    config,
-                    program,
-                    max_instructions=case.max_instructions,
-                    engine=engine,
-                ).run()
-                assert result.engine == engine
-                context = f"{case.name} ({engine})"
+            for path in PATHS:
+                result = run_path(
+                    path, config, program, max_instructions=case.max_instructions
+                )
+                context = f"{case.name} ({path})"
                 assert_stats_equal(ref_result.stats, result.stats, context)
                 assert_states_equal(ref_result.state, result.state, context)
             return
 
-        # faulting case: same exception type everywhere; the compiled
-        # tiers agree exactly, and both extend the reference's bare
+        # faulting case: same exception type everywhere; the two dispatch
+        # paths agree exactly, and both extend the reference's bare
         # message with locator diagnostics (never contradict it)
         errors = {}
-        for engine in ("reference", "compiled", "superop"):
+        with pytest.raises((SimulationError, SimulationLimitExceeded)) as info:
+            ReferenceSimulator(
+                config, program, max_instructions=case.max_instructions
+            ).run()
+        errors["reference"] = info.value
+        for path in PATHS:
             with pytest.raises((SimulationError, SimulationLimitExceeded)) as info:
-                Simulator(
-                    config,
-                    program,
-                    max_instructions=case.max_instructions,
-                    engine=engine,
-                ).run()
-            errors[engine] = info.value
-        assert type(errors["compiled"]) is type(errors["reference"])
+                run_path(path, config, program, max_instructions=case.max_instructions)
+            errors[path] = info.value
+        assert type(errors["instrumented"]) is type(errors["reference"])
         assert type(errors["superop"]) is type(errors["reference"])
-        assert str(errors["compiled"]) == str(errors["superop"])
+        assert str(errors["instrumented"]) == str(errors["superop"])
         assert str(errors["superop"]).startswith(str(errors["reference"]))
 
     def test_fused_fall_off_end_diagnostics(self):
@@ -225,7 +236,7 @@ class TestStressPrograms:
             cp for cp in stress_programs() if cp[0].name == "stress_fall_off_end"
         )
         with pytest.raises(SimulationError) as info:
-            Simulator(config, program, engine="superop").run()
+            Simulator(config, program).run()
         message = str(info.value)
         assert "is not a valid instruction address" in message
         assert "nearest preceding symbol: 'tail'" in message

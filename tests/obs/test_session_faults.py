@@ -1,9 +1,9 @@
-"""The session seam: run_session wrapping, fault injection, legacy shim."""
+"""The session seam: run_session wrapping and fault injection."""
 
 import pytest
 
 from repro.asm import assemble
-from repro.core.runner import CharacterizationRunner, RunnerTask, default_simulate
+from repro.core.runner import CharacterizationRunner, RunnerTask
 from repro.obs import StatsObserver, run_session
 from repro.testing.faults import FaultPlan, InjectedFault
 
@@ -59,38 +59,6 @@ class TestWrapSession:
         report = runner.run([RunnerTask.from_pair(config, program)], fit=False)
         assert report.ok
         assert len(report.samples) == 1
-
-
-class TestLegacyShim:
-    def test_wrap_simulate_warns(self):
-        with pytest.warns(DeprecationWarning, match="wrap_session"):
-            FaultPlan().wrap_simulate()
-
-    def test_positional_shape_still_works(self, pair):
-        config, program = pair
-        with pytest.warns(DeprecationWarning):
-            simulate = FaultPlan().wrap_simulate()
-        result = simulate(config, program, True, 5000)
-        assert result.trace is not None
-
-    def test_positional_inner_still_wrapped(self, pair):
-        config, program = pair
-        calls = []
-
-        def inner(config, program, collect_trace, max_instructions):
-            calls.append((collect_trace, max_instructions))
-            return default_simulate(config, program, collect_trace, max_instructions)
-
-        with pytest.warns(DeprecationWarning):
-            simulate = FaultPlan().wrap_simulate(inner)
-        simulate(config, program, False, 777)
-        assert calls == [(False, 777)]
-
-    def test_default_simulate_matches_run_session(self, pair):
-        config, program = pair
-        legacy = default_simulate(config, program, False, 10_000)
-        modern = run_session(config, program, max_instructions=10_000)
-        assert legacy.stats.total_cycles == modern.stats.total_cycles
 
 
 class TestSessionEntry:

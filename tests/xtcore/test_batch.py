@@ -1,7 +1,7 @@
 """Unit tests for batched multi-config simulation (repro.xtcore.batch).
 
 ``run_batch`` must be bitwise identical — stats and final state — to
-running each config alone through the fast dispatch path, and must
+running each config alone, must fault exactly like a solo run, and must
 refuse batches that span more than one semantic partition.
 """
 
@@ -11,6 +11,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.isa import base_isa
+from repro.testing.progen import stress_programs
 from repro.xtcore import (
     SimulationError,
     SimulationLimitExceeded,
@@ -105,7 +106,7 @@ class TestRunBatch:
         results = run_batch(configs, program)
         assert len(results) == len(configs)
         for config, result in zip(configs, results):
-            solo = Simulator(config, program, engine="compiled").run()
+            solo = Simulator(config, program).run()
             assert result.engine == "batch"
             assert result.config is config
             for field in dataclasses.fields(solo.stats):
@@ -128,3 +129,30 @@ class TestRunBatch:
     def test_budget_faults_once_for_the_batch(self, program):
         with pytest.raises(SimulationLimitExceeded):
             run_batch(heterogeneous_configs(), program, max_instructions=5)
+
+
+class TestRecordLoopStress:
+    """The record pass over every superop side-exit seam, faults included."""
+
+    @pytest.mark.parametrize(
+        "case_program", stress_programs(), ids=lambda cp: cp[0].name
+    )
+    def test_batch_of_one_matches_solo(self, case_program):
+        case, program = case_program
+        config = build_processor("xt-stress", [])
+        budget = case.max_instructions
+        if case.faulting:
+            errors = (SimulationError, SimulationLimitExceeded)
+            with pytest.raises(errors) as solo:
+                Simulator(config, program, max_instructions=budget).run()
+            with pytest.raises(errors) as batch:
+                run_batch([config], program, max_instructions=budget)
+            assert type(batch.value) is type(solo.value)
+            assert str(batch.value) == str(solo.value)
+            return
+        solo = Simulator(config, program, max_instructions=budget).run()
+        (result,) = run_batch([config], program, max_instructions=budget)
+        assert result.stats == solo.stats
+        assert result.state.regs == solo.state.regs
+        assert result.state.pc == solo.state.pc
+        assert result.state.halted == solo.state.halted

@@ -2,7 +2,7 @@
 
 The differential suites (tests/integration/test_dispatch_differential.py)
 pin bitwise equivalence; these tests pin the *structure*: block
-discovery, fused-closure presence, engine selection, and the superop
+discovery, fused-closure presence, dispatch-path selection, and the superop
 artifact tier of the compilation cache.
 """
 
@@ -10,8 +10,10 @@ import pytest
 
 from repro.asm import assemble
 from repro.isa import base_isa
+from repro.obs import SimObserver
 from repro.obs.tally import RunTallyObserver
 from repro.xtcore import (
+    ReferenceSimulator,
     Simulator,
     build_processor,
     compile_program,
@@ -88,25 +90,26 @@ class TestCompileSuperops:
 
 
 class TestEngineSelection:
-    def test_unknown_engine_rejected(self, config, program):
-        with pytest.raises(ValueError, match="unknown engine"):
-            Simulator(config, program, engine="warp")
+    """The dispatch path follows what the run observes, not an option."""
 
     @pytest.mark.parametrize(
-        "engine,expected",
-        [("auto", "superop"), ("reference", "reference"),
-         ("compiled", "compiled"), ("superop", "superop")],
+        "path,expected",
+        [("superop", "superop"), ("instrumented", "instrumented"),
+         ("reference", "reference")],
     )
-    def test_result_engine_field(self, config, program, engine, expected):
-        result = Simulator(config, program, engine=engine).run()
+    def test_result_engine_field(self, config, program, path, expected):
+        if path == "reference":
+            result = ReferenceSimulator(config, program).run()
+        elif path == "instrumented":
+            result = Simulator(config, program, observers=[SimObserver()]).run()
+        else:
+            result = Simulator(config, program).run()
         assert result.engine == expected
         assert result.state.halted
 
-    def test_trace_deoptimizes_to_compiled(self, config, program):
-        sim = Simulator(config, program, collect_trace=True, engine="superop")
-        assert sim.resolve_engine() == "compiled"
-        result = sim.run()
-        assert result.engine == "compiled"
+    def test_trace_deoptimizes_to_instrumented(self, config, program):
+        result = Simulator(config, program, collect_trace=True).run()
+        assert result.engine == "instrumented"
         assert result.trace is not None
 
     def test_run_scoped_observer_keeps_superop(self, config, program):

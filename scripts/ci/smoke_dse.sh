@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Design-space exploration smoke: a cold exploration populates the result
-# cache, an identical warm rerun must be answered entirely from it.
+# cache, an identical warm rerun must be answered entirely from it, and a
+# cold serial (--jobs 1) run must print the same top-k table as the cold
+# forked (--jobs 2) one, whose workers read the inherited build tier.
 # Run identically by CI and locally:  bash scripts/ci/smoke_dse.sh
 set -euo pipefail
 
@@ -17,7 +19,16 @@ python -m repro explore --list-spaces
 
 python -m repro explore "$WORK/smoke-model.json" --space reed_solomon_tuned \
     --strategy random --budget 6 --seed 1 --jobs 2 \
-    --cache "$WORK/dse-smoke-cache" --top-k 3
+    --cache "$WORK/dse-smoke-cache" --top-k 3 \
+    | tee "$WORK/cold-jobs2.txt"
+
+python -m repro explore "$WORK/smoke-model.json" --space reed_solomon_tuned \
+    --strategy random --budget 6 --seed 1 --jobs 1 --top-k 3 \
+    | tee "$WORK/cold-jobs1.txt"
+
+# the ranking table starts at its dashed rule
+diff <(sed -n '/^---/,$p' "$WORK/cold-jobs1.txt") <(sed -n '/^---/,$p' "$WORK/cold-jobs2.txt")
+grep -q "^  1 " "$WORK/cold-jobs1.txt"
 
 python -m repro explore "$WORK/smoke-model.json" --space reed_solomon_tuned \
     --strategy random --budget 6 --seed 1 --jobs 2 \
@@ -25,4 +36,4 @@ python -m repro explore "$WORK/smoke-model.json" --space reed_solomon_tuned \
     | tee "$WORK/warm.txt"
 
 grep -q "6 hit(s), 0 miss(es)" "$WORK/warm.txt"
-echo "smoke_dse: OK (warm rerun fully cached)"
+echo "smoke_dse: OK (--jobs 1 and --jobs 2 rank alike; warm rerun fully cached)"

@@ -13,35 +13,49 @@ profiling run that produced it.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Optional, Sequence, Tuple
 
 from ..asm import Program, assemble
-from ..dse.space import Knob, SearchSpace, register_space, with_operating_points
-from ..xtcore import CacheConfig, ProcessorConfig, build_processor
+from ..dse.space import (
+    Knob,
+    SearchSpace,
+    register_space,
+    with_cache_knobs,
+    with_operating_points,
+)
+from ..xtcore import ProcessorConfig, build_processor, compilation_cache
 from .pipeline import DiscoveryManifest, software_case
 from .rewrite import rewrite_program
 
 
-def _build_discovered_point(
-    manifest: DiscoveryManifest, assignment: dict
+def _build_discovered_impl(
+    manifest: DiscoveryManifest, impl: str
 ) -> Tuple[ProcessorConfig, Program]:
+    """The default-geometry config and the (rewritten) program of one impl."""
     case = software_case(manifest.workload)
-    base = ProcessorConfig(
-        icache=CacheConfig(size_bytes=int(assignment.get("icache_kb", 16)) * 1024),
-        dcache=CacheConfig(
-            size_bytes=int(assignment.get("dcache_kb", 16)) * 1024,
-            ways=int(assignment.get("dcache_ways", 4)),
-        ),
-    )
-    impl = assignment["impl"]
     if impl == "sw":
-        config = build_processor(f"xt-{case.name}", base=base)
+        config = build_processor(f"xt-{case.name}")
         return config, assemble(case.source, case.name, isa=config.isa)
     entry = next(e for e in manifest.entries if e.mnemonic == impl)
     legalized = entry.legalize()
-    config = build_processor(f"xt-{case.name}+{impl}", legalized.lifted.specs, base=base)
+    config = build_processor(f"xt-{case.name}+{impl}", legalized.lifted.specs)
     program = assemble(case.source, case.name, isa=config.isa)
     return config, rewrite_program(program, config.isa, legalized).program
+
+
+def _build_discovered_point(
+    manifest: DiscoveryManifest, manifest_digest: str, assignment: dict
+) -> Tuple[ProcessorConfig, Program]:
+    """One discovered design point; legalize, build, assemble and rewrite
+    run once per ``(manifest content, impl)`` through the compilation
+    cache's ``build`` tier, as for the bundled spaces."""
+    impl = assignment["impl"]
+    template, program = compilation_cache().get_or_build(
+        ("discover.impl", manifest_digest, impl),
+        lambda: _build_discovered_impl(manifest, impl),
+    )
+    return with_cache_knobs(template, assignment), program
 
 
 def discovered_space(
@@ -56,6 +70,7 @@ def discovered_space(
     manifests stay stable.
     """
     impls = ("sw",) + tuple(entry.mnemonic for entry in manifest.entries)
+    manifest_digest = hashlib.sha256(manifest.to_json().encode("utf-8")).hexdigest()
     space = SearchSpace(
         name=f"discovered:{manifest.workload}",
         description=(
@@ -68,7 +83,7 @@ def discovered_space(
             Knob("dcache_kb", (4, 8, 16)),
             Knob("dcache_ways", (1, 2, 4)),
         ),
-        builder=lambda a: _build_discovered_point(manifest, a),
+        builder=lambda a: _build_discovered_point(manifest, manifest_digest, a),
     )
     if operating_points:
         space = with_operating_points(space, operating_points, name=space.name)

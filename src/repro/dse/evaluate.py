@@ -1,8 +1,19 @@
 """Candidate scoring: the macro-model fast path, parallel and cached.
 
-Every candidate costs one untraced instruction-set simulation (the
-paper's ~1000x-cheaper-than-RTL estimate path) plus a netlist generation
-for the custom-area proxy.  The engine layers three accelerations on it:
+A candidate is scored on the paper's macro-model path (untraced
+instruction-set simulation, then a dot product; no RTL) plus a netlist
+generation for the custom-area proxy.  Candidates rarely pay a
+simulation each:
+
+* **shared builds** — the design point's extensions and program come
+  from the compilation cache's ``build`` tier, built once per distinct
+  ``(workload, impl)`` (see :mod:`repro.dse.space`);
+* **batched execution** — on the serial path, candidates sharing one
+  program and one semantic partition
+  (:func:`repro.xtcore.semantic_fingerprint`) run through a single
+  :func:`repro.xtcore.run_batch` pass, one stats plane per config.
+
+On top of that the engine layers three accelerations:
 
 * a per-run **memo** — strategies that revisit design points (greedy
   walks) pay for each point once;
@@ -336,10 +347,11 @@ class EvaluationEngine:
         context = _fork_context() if self.jobs > 1 and len(pending) > 1 else None
         if context is None:
             return self._run_serial(pending)
-        # Lower every pending design point in the parent before forking:
-        # workers inherit the populated compilation cache copy-on-write, so
-        # each (program, config-content) pair compiles exactly once per
-        # exploration instead of once per worker.
+        # Build and lower every pending design point in the parent before
+        # forking: workers inherit the populated compilation cache (build
+        # tier and lowerings) copy-on-write, so each distinct impl builds
+        # and each (program, config-content) pair compiles exactly once
+        # per exploration instead of once per worker.
         for _, candidate, built in pending:
             try:
                 config, program = built if built is not None else candidate.build()
@@ -470,10 +482,16 @@ class EvaluationEngine:
         try:
             for start in range(0, len(pending), wave_size):
                 wave = range(start, min(start + wave_size, len(pending)))
-                futures = [
-                    executor.submit(_worker_evaluate, assignments[i]) for i in wave
-                ]
                 crash: Optional[BaseException] = None
+                futures = []
+                for i in wave:
+                    try:
+                        futures.append(executor.submit(_worker_evaluate, assignments[i]))
+                    except BrokenExecutor as exc:
+                        # A worker died while the wave was still being
+                        # submitted: the rest of it is scored serially.
+                        crash = exc
+                        break
                 for offset, future in zip(wave, futures):
                     try:
                         results[offset] = future.result()
@@ -494,7 +512,7 @@ class EvaluationEngine:
                     self.pool_restarts += 1
                     self._emit(
                         "worker pool died; scoring the remaining "
-                        f"{len(pending) - wave.stop} candidate(s) serially"
+                        f"{results.count(None)} candidate(s) serially"
                     )
                     break
         finally:

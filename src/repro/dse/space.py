@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterator, Mapping, Sequence, Tuple
 
 from ..asm import Program, assemble
 from ..tech import DEFAULT_DVFS_POINTS, OperatingPoint, default_calibration
-from ..xtcore import CacheConfig, ProcessorConfig, build_processor
+from ..xtcore import CacheConfig, ProcessorConfig, build_processor, compilation_cache
 
 #: Name of the reserved operating-point knob (see
 #: :func:`with_operating_points`).  Builders never see it — the value is
@@ -252,25 +252,42 @@ def _case_factories(workload: str) -> Mapping[str, Callable]:
     raise SpaceError(f"unknown bundled workload {workload!r}")
 
 
-def _build_impl_point(workload: str, assignment: Assignment) -> Tuple[ProcessorConfig, Program]:
-    """Build one bundled design point, honoring optional cache knobs.
-
-    The program is always assembled against the freshly built config's
-    ISA so candidate evaluation never leaks object identity between
-    design points (a requirement for content-addressed caching).
-    """
-    case = _case_factories(workload)[assignment["impl"]]()
-    base = ProcessorConfig(
+def with_cache_knobs(config: ProcessorConfig, assignment: Assignment) -> ProcessorConfig:
+    """``config`` with the assignment's optional cache-geometry knobs applied."""
+    return dataclasses.replace(
+        config,
         icache=CacheConfig(size_bytes=int(assignment.get("icache_kb", 16)) * 1024),
         dcache=CacheConfig(
             size_bytes=int(assignment.get("dcache_kb", 16)) * 1024,
             ways=int(assignment.get("dcache_ways", 4)),
         ),
     )
+
+
+def _build_impl(workload: str, impl: str) -> Tuple[ProcessorConfig, Program]:
+    """The default-geometry config and the assembled program of one impl."""
+    case = _case_factories(workload)[impl]()
     specs = [factory() for factory in case.spec_factories]
-    config = build_processor(f"xt-{case.name}", specs, base=base)
-    program = assemble(case.source, case.name, isa=config.isa)
-    return config, program
+    config = build_processor(f"xt-{case.name}", specs)
+    return config, assemble(case.source, case.name, isa=config.isa)
+
+
+def _build_impl_point(workload: str, assignment: Assignment) -> Tuple[ProcessorConfig, Program]:
+    """Build one bundled design point, honoring optional cache knobs.
+
+    Cache geometry and the operating point change neither the extensions
+    nor the program, so every candidate of one ``impl`` shares one
+    compiled extension tuple and one :class:`Program`, built once per
+    ``(workload, impl)`` in the compilation cache's ``build`` tier; each
+    candidate only swaps in its cache geometry.  Every downstream key
+    (config fingerprint, program digest, result-cache key) stays
+    content-based, so the sharing changes none of them.
+    """
+    impl = assignment["impl"]
+    template, program = compilation_cache().get_or_build(
+        ("dse.impl", workload, impl), lambda: _build_impl(workload, impl)
+    )
+    return with_cache_knobs(template, assignment), program
 
 
 def _impl_space(workload: str, impls: Sequence[str], description: str) -> SearchSpace:

@@ -21,7 +21,7 @@ import random
 from typing import Optional
 
 from ..asm import Program, assemble
-from ..isa import InstructionSet, base_isa
+from ..isa import BASE_ISA, InstructionSet
 
 #: Register roles: a2..a9 are the scratch pool the generator mutates
 #: freely, a10 holds the data-buffer base, a11 the loop counter.  a0/a1
@@ -179,7 +179,7 @@ def generate_program(
     return assemble(
         generate_source(seed, **kwargs),
         name if name is not None else f"progen-{seed}",
-        isa=isa if isa is not None else base_isa(),
+        isa=isa if isa is not None else BASE_ISA,
     )
 
 
@@ -322,8 +322,7 @@ def stress_cases() -> tuple[StressCase, ...]:
 
 def stress_programs() -> tuple[tuple[StressCase, Program], ...]:
     """Assembled stress cases against the base ISA."""
-    isa = base_isa()
     return tuple(
-        (case, assemble(case.source + "\n", case.name, isa=isa))
+        (case, assemble(case.source + "\n", case.name, isa=BASE_ISA))
         for case in stress_cases()
     )

@@ -39,12 +39,16 @@ The returned results share one final :class:`~repro.isa.MachineState`
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import TYPE_CHECKING, Sequence
 
 from .caches import SetAssociativeCache
 from .compiled import compilation_cache
-from .config import DEFAULT_MAX_INSTRUCTIONS, ProcessorConfig, _extension_payload
+from .config import (
+    DEFAULT_MAX_INSTRUCTIONS,
+    ProcessorConfig,
+    canonical_json_with_extensions,
+    extension_json,
+)
 from .errors import SimulationError
 from .iss import SimulationResult, Simulator, _aggregate_stats, dispatch
 
@@ -52,11 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..asm import Program
 
 __all__ = ["run_batch", "semantic_fingerprint"]
-
-#: Fingerprint-payload keys that shape energy/timing but not execution:
-#: a custom instruction's latency, hardware instances, schedule and bus
-#: taps change what a retire *costs*, never what it *computes*.
-_NON_SEMANTIC_EXTENSION_KEYS = ("latency", "instances", "active_cycles", "bus_tapped")
 
 
 def semantic_fingerprint(config: ProcessorConfig) -> str:
@@ -68,20 +67,9 @@ def semantic_fingerprint(config: ProcessorConfig) -> str:
     their caches, pipeline penalties, clock or custom-hardware costs
     differ.  That is the compatibility contract of :func:`run_batch`.
     """
-    extensions = []
-    for impl in config.extensions:
-        payload = _extension_payload(impl)
-        for key in _NON_SEMANTIC_EXTENSION_KEYS:
-            payload.pop(key, None)
-        extensions.append(payload)
-    blob = json.dumps(
-        {
-            "format": "repro-semantic-fingerprint/1",
-            "num_registers": config.num_registers,
-            "extensions": extensions,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+    blob = canonical_json_with_extensions(
+        {"format": "repro-semantic-fingerprint/1", "num_registers": config.num_registers},
+        [extension_json(impl, semantic=True) for impl in config.extensions],
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

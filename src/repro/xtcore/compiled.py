@@ -28,7 +28,7 @@ import dataclasses
 import threading
 from bisect import bisect_right
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Hashable, Optional, TypeVar
 
 from ..isa import INSTRUCTION_BYTES, InstructionClass
 from ..isa.bits import (
@@ -47,6 +47,8 @@ from .errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from ..asm import Program
     from .config import ProcessorConfig
+
+_Built = TypeVar("_Built")
 
 #: Field indices of one micro-op record (a plain tuple, unpacked by the
 #: dispatch loops).  Kept flat and positional on purpose: attribute access
@@ -1274,6 +1276,11 @@ class CompilationCache:
     asserts exactly one compilation per (program, config-content) pair via
     :attr:`compilations`.
 
+    A third tier, ``build``, holds the geometry- and operating-point-free
+    pieces of a design point (compiled extensions, assembled program)
+    under a caller-chosen content key, so an exploration builds each
+    distinct one once (see :meth:`get_or_build`).
+
     Thread-safe: the estimation service's worker pool resolves lowerings
     from concurrent threads, so every mutation of the LRU order and the
     counters happens under one lock.  ``get_or_compile`` holds the lock
@@ -1290,6 +1297,8 @@ class CompilationCache:
         #: superop artifact tier: same key space, independent LRU order —
         #: a pair that only ever runs per-op never pays block lowering.
         self._superops: "OrderedDict[tuple[str, str], SuperopProgram]" = OrderedDict()
+        #: design-point build tier: caller-chosen content key -> built value
+        self._builds: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -1299,6 +1308,10 @@ class CompilationCache:
         self.superop_misses = 0
         self.superop_compilations = 0
         self.superop_evictions = 0
+        self.build_hits = 0
+        self.build_misses = 0
+        self.builds = 0
+        self.build_evictions = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -1355,6 +1368,29 @@ class CompilationCache:
                 self.superop_evictions += 1
             return superops
 
+    def get_or_build(self, key: Hashable, build: Callable[[], _Built]) -> _Built:
+        """Return the build-tier value for ``key``, calling ``build()`` on first use.
+
+        ``key`` must name the built value's content (e.g. a workload and
+        implementation, or a manifest digest), never an object identity.
+        The value is shared by every caller, so it must be immutable in
+        use.  A ``build()`` that raises is not cached: the next call
+        retries it, so each failing caller sees its own exception.
+        """
+        with self._lock:
+            if key in self._builds:
+                self._builds.move_to_end(key)
+                self.build_hits += 1
+                return self._builds[key]
+            self.build_misses += 1
+            value = build()  # may raise; not cached
+            self.builds += 1
+            self._builds[key] = value
+            if len(self._builds) > self.maxsize:
+                self._builds.popitem(last=False)
+                self.build_evictions += 1
+            return value
+
     def put(self, executable: ExecutableProgram) -> None:
         """Insert a pre-built lowering (e.g. compiled in a parent process)."""
         key = (executable.program_digest, executable.config_fingerprint)
@@ -1370,6 +1406,7 @@ class CompilationCache:
         with self._lock:
             self._entries.clear()
             self._superops.clear()
+            self._builds.clear()
             self.hits = 0
             self.misses = 0
             self.compilations = 0
@@ -1378,13 +1415,18 @@ class CompilationCache:
             self.superop_misses = 0
             self.superop_compilations = 0
             self.superop_evictions = 0
+            self.build_hits = 0
+            self.build_misses = 0
+            self.builds = 0
+            self.build_evictions = 0
 
     def info(self) -> dict:
         """Counters, overall and per artifact tier.
 
         The top-level keys keep their historical meaning (the per-op
         ``ops`` tier, which every simulation resolves through); the
-        ``tiers`` breakdown adds the superop block-artifact tier.
+        ``tiers`` breakdown adds the superop block-artifact tier and the
+        design-point ``build`` tier (its ``compilations`` count builds).
         """
         with self._lock:
             return {
@@ -1408,6 +1450,13 @@ class CompilationCache:
                         "misses": self.superop_misses,
                         "compilations": self.superop_compilations,
                         "evictions": self.superop_evictions,
+                    },
+                    "build": {
+                        "entries": len(self._builds),
+                        "hits": self.build_hits,
+                        "misses": self.build_misses,
+                        "compilations": self.builds,
+                        "evictions": self.build_evictions,
                     },
                 },
             }

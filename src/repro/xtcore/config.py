@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ..hwlib import ComponentInstance
-from ..isa import InstructionSet, base_isa
+from ..isa import BASE_ISA, InstructionSet
 from ..tie import TieImplementation, TieSpec, compile_extension
 
 #: Default per-run instruction budget shared by the simulator, ``simulate``,
@@ -94,11 +94,10 @@ class ProcessorConfig:
     @cached_property
     def isa(self) -> InstructionSet:
         """The full instruction set: base ISA + custom definitions."""
-        isa = base_isa()
         if not self.extensions:
-            return isa
-        return isa.extend(
-            f"{isa.name}+{self.name}",
+            return BASE_ISA
+        return BASE_ISA.extend(
+            f"{BASE_ISA.name}+{self.name}",
             [impl.instruction for impl in self.extensions],
         )
 
@@ -158,30 +157,27 @@ class ProcessorConfig:
 
     @cached_property
     def _fingerprint(self) -> str:
-        blob = json.dumps(
-            self._fingerprint_payload(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    def _fingerprint_payload(self) -> dict:
-        """Canonical JSON-able form of the config's energy-relevant content."""
+        """sha256 of the canonical JSON of the config's energy-relevant content."""
 
         def cache_payload(cache: CacheConfig) -> list:
             return [cache.size_bytes, cache.ways, cache.line_bytes, cache.miss_penalty]
 
-        return {
-            "format": "repro-config-fingerprint/1",
-            "clock_mhz": self.clock_mhz,
-            "num_registers": self.num_registers,
-            "icache": cache_payload(self.icache),
-            "dcache": cache_payload(self.dcache),
-            "timing": [
-                self.timing.branch_taken_penalty,
-                self.timing.interlock_stall,
-                self.timing.uncached_fetch_penalty,
-            ],
-            "extensions": [_extension_payload(impl) for impl in self.extensions],
-        }
+        blob = canonical_json_with_extensions(
+            {
+                "format": "repro-config-fingerprint/1",
+                "clock_mhz": self.clock_mhz,
+                "num_registers": self.num_registers,
+                "icache": cache_payload(self.icache),
+                "dcache": cache_payload(self.dcache),
+                "timing": [
+                    self.timing.branch_taken_penalty,
+                    self.timing.interlock_stall,
+                    self.timing.uncached_fetch_penalty,
+                ],
+            },
+            [extension_json(impl) for impl in self.extensions],
+        )
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def describe(self) -> str:
         """One-paragraph human-readable summary."""
@@ -197,6 +193,47 @@ class ProcessorConfig:
                 f"{impl.spec.description or 'no description'}"
             )
         return "\n".join(lines)
+
+
+#: Extension-payload keys that shape energy/timing but not execution:
+#: a custom instruction's latency, hardware instances, schedule and bus
+#: taps change what a retire *costs*, never what it *computes*.
+_NON_SEMANTIC_EXTENSION_KEYS = ("latency", "instances", "active_cycles", "bus_tapped")
+
+
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``, with the
+#: encoder built once instead of per call.
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def canonical_json_with_extensions(fields: Mapping[str, object], extensions: Sequence[str]) -> str:
+    """``_canonical_json({**fields, "extensions": [...]})``, byte for byte,
+    with the extension list given as already-serialised fragments."""
+    # A quote inside an encoded string is always escaped, so the marker
+    # can only match the key itself.
+    return _canonical_json({**fields, "extensions": None}).replace(
+        '"extensions":null', '"extensions":[' + ",".join(extensions) + "]", 1
+    )
+
+
+def extension_json(impl: TieImplementation, semantic: bool = False) -> str:
+    """Canonical JSON of one compiled instruction's content.
+
+    The full form feeds :meth:`ProcessorConfig.fingerprint`; the
+    ``semantic`` form drops :data:`_NON_SEMANTIC_EXTENSION_KEYS` and
+    feeds :func:`repro.xtcore.semantic_fingerprint`.  Each is memoized on
+    the (immutable) implementation, so configs sharing an extension tuple
+    serialise each instruction's dataflow graph once.
+    """
+    memo = impl.__dict__.setdefault("_json_memo", {})
+    text = memo.get(semantic)
+    if text is None:
+        payload = _extension_payload(impl)
+        if semantic:
+            for key in _NON_SEMANTIC_EXTENSION_KEYS:
+                del payload[key]
+        text = memo[semantic] = _canonical_json(payload)
+    return text
 
 
 def _extension_payload(impl: TieImplementation) -> dict:

@@ -128,6 +128,13 @@ class TestCompilationCache:
                     "compilations": 0,
                     "evictions": 0,
                 },
+                "build": {
+                    "entries": 0,
+                    "hits": 0,
+                    "misses": 0,
+                    "compilations": 0,
+                    "evictions": 0,
+                },
             },
         }
 

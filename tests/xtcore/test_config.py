@@ -192,3 +192,115 @@ class TestFingerprint:
         }
         assert len(runs) == 1
         assert runs == {build_processor("a", [_mul_spec()]).fingerprint()}
+
+
+# -- byte identity of the spliced fingerprints ---------------------------------
+
+
+def _reference_fingerprint(config):
+    """The full-JSON formulation: re-serialise every extension in place."""
+    import hashlib
+    import json
+
+    from repro.xtcore.config import _extension_payload
+
+    def cache_payload(cache):
+        return [cache.size_bytes, cache.ways, cache.line_bytes, cache.miss_penalty]
+
+    payload = {
+        "format": "repro-config-fingerprint/1",
+        "clock_mhz": config.clock_mhz,
+        "num_registers": config.num_registers,
+        "icache": cache_payload(config.icache),
+        "dcache": cache_payload(config.dcache),
+        "timing": [
+            config.timing.branch_taken_penalty,
+            config.timing.interlock_stall,
+            config.timing.uncached_fetch_penalty,
+        ],
+        "extensions": [_extension_payload(impl) for impl in config.extensions],
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _reference_semantic_fingerprint(config):
+    import hashlib
+    import json
+
+    from repro.xtcore.config import _extension_payload
+
+    extensions = []
+    for impl in config.extensions:
+        payload = _extension_payload(impl)
+        for key in ("latency", "instances", "active_cycles", "bus_tapped"):
+            payload.pop(key)
+        extensions.append(payload)
+    blob = json.dumps(
+        {
+            "format": "repro-semantic-fingerprint/1",
+            "num_registers": config.num_registers,
+            "extensions": extensions,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _assert_byte_identical(configs):
+    from repro.xtcore import semantic_fingerprint
+
+    for config in configs:
+        assert config.fingerprint() == _reference_fingerprint(config), config.name
+        assert semantic_fingerprint(config) == _reference_semantic_fingerprint(config), (
+            config.name
+        )
+
+
+class TestFingerprintByteIdentity:
+    """``fingerprint()`` and ``semantic_fingerprint()`` splice memoized
+    per-instruction JSON fragments; the digests must equal the full
+    re-serialisation byte for byte, or every content key would move."""
+
+    @pytest.mark.parametrize("space_name", ["reed_solomon_tuned", "fir_tuned"])
+    def test_every_tuned_candidate(self, space_name):
+        from repro.dse import get_space
+
+        space = get_space(space_name)
+        _assert_byte_identical(c.build()[0] for c in space.candidates())
+
+    def test_all_bundled_cases(self):
+        from repro.programs import application_suite, characterization_suite
+
+        cases = characterization_suite() + application_suite()
+        assert len(cases) == 66
+        _assert_byte_identical(case.config for case in cases)
+
+    def test_after_cache_clear(self):
+        from repro.dse import get_space
+        from repro.xtcore import compilation_cache
+
+        space = get_space("reed_solomon_tuned")
+        candidate = space.candidate_at(space.size - 1)
+        before = candidate.build()[0]
+        compilation_cache().clear()
+        after = candidate.build()[0]
+        assert after.extensions is not before.extensions
+        assert after.fingerprint() == before.fingerprint()
+        _assert_byte_identical([before, after])
+
+    def test_configs_sharing_one_extension_tuple(self):
+        config = build_processor("shared", [_mul_spec(), *_acc_specs()])
+        variants = [
+            config,
+            dataclasses.replace(config, name="other"),
+            dataclasses.replace(config, icache=CacheConfig(size_bytes=4 * 1024)),
+            dataclasses.replace(config, num_registers=32, clock_mhz=200.0),
+        ]
+        assert all(v.extensions is config.extensions for v in variants)
+        _assert_byte_identical(variants)
+        assert len({v.fingerprint() for v in variants}) == 3  # name is cosmetic
+
+    def test_no_extensions(self):
+        _assert_byte_identical([ProcessorConfig(), build_processor("plain")])

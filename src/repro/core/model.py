@@ -21,17 +21,24 @@ characterization infrastructure.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import warnings
-from typing import Optional
-
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from ..asm import Program
-from ..obs import run_session
+from ..obs import SimObserver, run_session
 from ..tech import CalibrationError, OperatingPoint, TechCalibration, default_calibration
-from ..xtcore import DEFAULT_MAX_INSTRUCTIONS, ExecutionStats, ProcessorConfig
+from ..xtcore import (
+    DEFAULT_MAX_INSTRUCTIONS,
+    ExecutionStats,
+    ProcessorConfig,
+    SimulationResult,
+    run_batch,
+    semantic_fingerprint,
+)
 from .extract import extract_variables
 from .template import (
     MacroModelTemplate,
@@ -52,6 +59,26 @@ _TEMPLATE_REGISTRY = {
     "instruction-only-11": instruction_level_template,
     "hybrid-21-unweighted": unweighted_template,
 }
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .runner import SampleFailure
+
+#: One estimation job: an already-built ``(config, program,
+#: operating_point, max_instructions)``; ``operating_point`` may be None.
+EstimateJob = tuple[ProcessorConfig, Program, "OperatingPoint | str | None", int]
+
+
+class Estimates(list):
+    """:meth:`EnergyMacroModel.estimate_many` outcomes, in job order.
+
+    Each is a :class:`MacroEstimate` or a ``SampleFailure``.  ``passes``
+    holds the size of every simulation pass behind them: 1 for a solo
+    run, more for one :func:`repro.xtcore.run_batch` pass.
+    """
+
+    def __init__(self, outcomes: Sequence, passes: list[int]) -> None:
+        super().__init__(outcomes)
+        self.passes = passes
 
 
 @dataclasses.dataclass
@@ -123,19 +150,33 @@ class EnergyMacroModel:
             self.operating_point, OperatingPoint
         ):
             self.operating_point = OperatingPoint.parse(self.operating_point)
-        # Per-instance memo of derived models (key -> EnergyMacroModel).
-        # Kept out of __eq__ semantics by not being a dataclass field, and
-        # out of pickles (forked DSE/serve workers) via __getstate__.
+        # Per-instance memos of derived models (key -> EnergyMacroModel)
+        # and of the content digest.  Kept out of __eq__ semantics by not
+        # being dataclass fields, and out of pickles (forked DSE/serve
+        # workers) via __getstate__.
         self._derived_cache: dict[str, "EnergyMacroModel"] = {}
+        self._digest: Optional[str] = None
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state.pop("_derived_cache", None)
+        state.pop("_digest", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._derived_cache = {}
+        self._digest = None
+
+    def digest(self) -> str:
+        """sha256 of :meth:`to_json`: the model's content address (memoized).
+
+        Derived models carry their operating point in the JSON, so each
+        point has its own digest; result-cache and request keys build on it.
+        """
+        if self._digest is None:
+            self._digest = hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        return self._digest
 
     # -- operating-point rescaling -----------------------------------------
 
@@ -208,17 +249,96 @@ class EnergyMacroModel:
         """The fast estimation path: ISS (no trace) + variable extraction.
 
         This is exactly what the paper promises: evaluating a candidate
-        custom-instruction set needs no synthesized processor.
+        custom-instruction set needs no synthesized processor.  It is the
+        one-job case of :meth:`estimate_many`, except that a failure
+        raises instead of becoming a record.
         """
-        result = run_session(config, program, max_instructions=max_instructions)
-        variables = extract_variables(result.stats, config, self.template)
+        job = (config, program, None, max_instructions)
+        (run,) = self._simulate([job], ())
+        return self._finish(job, run)
+
+    def estimate_many(
+        self,
+        jobs: Sequence[EstimateJob],
+        observers: Sequence[SimObserver] = (),
+    ) -> "Estimates":
+        """Estimate every job; the one estimation kernel of the repo.
+
+        Jobs sharing one program (by content digest), one semantic
+        partition (:func:`repro.xtcore.semantic_fingerprint`) and one
+        instruction budget execute the identical trajectory, so each such
+        group of two or more runs through a single
+        :func:`repro.xtcore.run_batch` pass; singles run through
+        :func:`repro.obs.run_session`.  Each job is then scored by this
+        model at its own operating point (:meth:`at`), so jobs differing
+        only in the point share one simulation.  Estimates are bitwise
+        identical to :meth:`estimate` at that point.
+
+        ``observers`` see every job as one run, batched or not.  Failures
+        are isolated per job as ``SampleFailure`` records at stage
+        ``estimate``; a ``run_batch`` that raises fails every member of
+        its group.  Results keep the order of ``jobs``; their ``passes``
+        lists the size of every simulation pass made, failed ones too.
+        """
+        outcomes: list = [None] * len(jobs)
+        groups: dict = {}
+        for index, (config, program, _, max_instructions) in enumerate(jobs):
+            key = index
+            if len(jobs) > 1:
+                try:
+                    key = (program.digest(), semantic_fingerprint(config), max_instructions)
+                except Exception:  # noqa: BLE001 — runs alone; its own run reports it
+                    pass
+            groups.setdefault(key, []).append(index)
+        passes = []
+        for members in groups.values():
+            group = [jobs[index] for index in members]
+            passes.append(len(group))
+            try:
+                runs = self._simulate(group, observers)
+            except Exception as exc:  # noqa: BLE001 — the fault is trajectory-wide
+                for index, job in zip(members, group):
+                    outcomes[index] = _failure(job, exc)
+                continue
+            for index, job, run in zip(members, group, runs):
+                try:
+                    outcomes[index] = self._finish(job, run)
+                except Exception as exc:  # noqa: BLE001 — per-job isolation
+                    outcomes[index] = _failure(job, exc)
+        return Estimates(outcomes, passes)
+
+    def _simulate(
+        self, group: Sequence[EstimateJob], observers: Sequence[SimObserver]
+    ) -> list[SimulationResult]:
+        """One execution pass for a group of trajectory-compatible jobs."""
+        config, program, _, max_instructions = group[0]
+        if len(group) == 1:
+            return [
+                run_session(
+                    config, program, observers=observers, max_instructions=max_instructions
+                )
+            ]
+        runs = run_batch(
+            [job[0] for job in group], program, max_instructions=max_instructions
+        )
+        for job, run in zip(group, runs):
+            for observer in observers:
+                observer.on_run_start(job[0], job[1])
+                observer.on_run_finish(run)
+        return runs
+
+    def _finish(self, job: EstimateJob, run: SimulationResult) -> MacroEstimate:
+        """Variables and dot product for one job at its operating point."""
+        config, program, point, _ = job
+        model = self.at(point)
+        variables = extract_variables(run.stats, config, model.template)
         return MacroEstimate(
             program_name=program.name,
             processor_name=config.name,
-            energy=float(variables @ self.coefficients),
-            stats=result.stats,
-            variables=dict(zip(self.template.keys(), variables.tolist())),
-            operating_point=self.operating_point,
+            energy=float(variables @ model.coefficients),
+            stats=run.stats,
+            variables=dict(zip(model.template.keys(), variables.tolist())),
+            operating_point=model.operating_point,
         )
 
     # -- reporting -----------------------------------------------------------
@@ -313,3 +433,10 @@ class EnergyMacroModel:
     def load(cls, path: str) -> "EnergyMacroModel":
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_json(handle.read())
+
+
+def _failure(job: EstimateJob, exc: BaseException) -> "SampleFailure":
+    # imported here: the runner module imports this one
+    from .runner import SampleFailure
+
+    return SampleFailure.from_exception(job[1].name, job[0].name, "estimate", exc)

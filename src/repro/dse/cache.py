@@ -39,8 +39,8 @@ CACHE_FORMAT = "repro-dse-score/2"
 
 
 def model_digest(model: EnergyMacroModel) -> str:
-    """Stable digest of a macro-model's content (template + coefficients)."""
-    return hashlib.sha256(model.to_json().encode("utf-8")).hexdigest()
+    """Stable digest of a macro-model's content (see :meth:`EnergyMacroModel.digest`)."""
+    return model.digest()
 
 
 def program_digest(program: Program, config: ProcessorConfig) -> str:

@@ -8,10 +8,11 @@ simulation each:
 * **shared builds** — the design point's extensions and program come
   from the compilation cache's ``build`` tier, built once per distinct
   ``(workload, impl)`` (see :mod:`repro.dse.space`);
-* **batched execution** — on the serial path, candidates sharing one
-  program and one semantic partition
-  (:func:`repro.xtcore.semantic_fingerprint`) run through a single
-  :func:`repro.xtcore.run_batch` pass, one stats plane per config.
+* **batched execution** — on the serial path, every pending candidate
+  goes to the estimation kernel
+  (:meth:`~repro.core.model.EnergyMacroModel.estimate_many`) in one
+  call, which runs candidates sharing one program and one semantic
+  partition through a single :func:`repro.xtcore.run_batch` pass.
 
 On top of that the engine layers three accelerations:
 
@@ -36,17 +37,12 @@ import multiprocessing
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Callable, Optional, Sequence
 
-from ..core.model import EnergyMacroModel
+from ..core.model import EnergyMacroModel, MacroEstimate
 from ..core.runner import SampleFailure, TooManyFailures
 from ..rtl import generate_netlist
-from ..xtcore import (
-    DEFAULT_MAX_INSTRUCTIONS,
-    compilation_cache,
-    run_batch,
-    semantic_fingerprint,
-)
-from .cache import ResultCache, candidate_cache_key, model_digest
-from .space import OPERATING_POINT_KNOB, Candidate, SearchSpace
+from ..xtcore import DEFAULT_MAX_INSTRUCTIONS, ProcessorConfig, compilation_cache
+from .cache import ResultCache, candidate_cache_key
+from .space import OPERATING_POINT_KNOB, Candidate, SearchSpace, assignment_key
 
 
 @dataclasses.dataclass
@@ -148,6 +144,31 @@ class CandidateScore:
 OBJECTIVES = ("energy", "cycles", "edp", "area", "time", "edp_seconds")
 
 
+def score_payload(
+    outcome: "MacroEstimate | SampleFailure", config: Optional[ProcessorConfig] = None
+) -> dict:
+    """The record of one estimation-kernel outcome, shared by DSE and serve.
+
+    An estimate becomes the :class:`~repro.dse.cache.ResultCache` entry
+    shape, with the custom-area proxy of ``config`` (the processor it
+    was estimated on); a failure keeps its own fields under
+    ``ok: False``.
+    """
+    if isinstance(outcome, SampleFailure):
+        return {"ok": False, **outcome.to_payload()}
+    point = outcome.operating_point
+    return {
+        "ok": True,
+        "program": outcome.program_name,
+        "processor": outcome.processor_name,
+        "energy": float(outcome.energy),
+        "cycles": int(outcome.cycles),
+        "area": float(generate_netlist(config).custom_area),
+        "operating_point": point.key if point is not None else None,
+        "frequency_mhz": point.frequency_mhz if point is not None else None,
+    }
+
+
 # -- worker-process plumbing -------------------------------------------------
 #
 # Workers receive the heavy shared state (model, space) once through the
@@ -164,6 +185,46 @@ def _worker_init(model: EnergyMacroModel, space: SearchSpace, max_instructions: 
     _WORKER_STATE["max_instructions"] = max_instructions
 
 
+def _score_points(
+    model: EnergyMacroModel,
+    space: SearchSpace,
+    points: Sequence[tuple[dict, Optional[tuple]]],
+    max_instructions: int,
+) -> tuple[list[dict], list[int]]:
+    """Score ``(assignment, built)`` design points in one kernel call.
+
+    ``built`` is the point's ``(config, program)`` when already in hand,
+    else None.  An operating-point knob rescales the model, never the
+    hardware, so it travels as the job's point.  Never raises: failures
+    become records.  Also returns the kernel's simulation pass sizes.
+    """
+    outcomes: list = [None] * len(points)
+    configs: list = [None] * len(points)
+    jobs = []
+    for index, (assignment, built) in enumerate(points):
+        try:
+            config, program = built if built is not None else space.build(assignment)
+        except Exception as exc:  # noqa: BLE001 — per-candidate isolation is the point
+            outcomes[index] = SampleFailure.from_exception(
+                assignment_key(assignment), "", "build", exc
+            )
+            continue
+        configs[index] = config
+        jobs.append((config, program, assignment.get(OPERATING_POINT_KNOB), max_instructions))
+    estimates = model.estimate_many(jobs)
+    estimated = iter(estimates)
+    outcomes = [next(estimated) if o is None else o for o in outcomes]
+    records = [
+        {
+            **score_payload(outcome, config),
+            "key": assignment_key(assignment),
+            "assignment": dict(assignment),
+        }
+        for outcome, config, (assignment, _) in zip(outcomes, configs, points)
+    ]
+    return records, estimates.passes
+
+
 def _score_point(
     model: EnergyMacroModel,
     space: SearchSpace,
@@ -172,41 +233,7 @@ def _score_point(
     built: Optional[tuple] = None,
 ) -> dict:
     """Score one design point; never raises (failures become records)."""
-    from .space import assignment_key
-
-    key = assignment_key(assignment)
-    stage = "build"
-    try:
-        # An operating-point knob rescales the model, never the hardware:
-        # model.at() memoizes per point, so the derived model is shared
-        # across every candidate at that point.
-        model = model.at(assignment.get(OPERATING_POINT_KNOB))
-        config, program = built if built is not None else space.build(assignment)
-        stage = "estimate"
-        estimate = model.estimate(config, program, max_instructions=max_instructions)
-        area = generate_netlist(config).custom_area
-    except Exception as exc:  # noqa: BLE001 — per-candidate isolation is the point
-        return {
-            "ok": False,
-            "key": key,
-            "processor": "" if stage == "build" else config.name,
-            "stage": stage,
-            "error_type": type(exc).__name__,
-            "message": str(exc),
-        }
-    point = model.operating_point
-    return {
-        "ok": True,
-        "key": key,
-        "assignment": dict(assignment),
-        "program": program.name,
-        "processor": config.name,
-        "energy": float(estimate.energy),
-        "cycles": int(estimate.cycles),
-        "area": float(area),
-        "operating_point": point.key if point is not None else None,
-        "frequency_mhz": point.frequency_mhz if point is not None else None,
-    }
+    return _score_points(model, space, [(assignment, built)], max_instructions)[0][0]
 
 
 def _worker_evaluate(assignment: dict) -> dict:
@@ -263,27 +290,16 @@ class EvaluationEngine:
         #: member candidates those passes covered
         self.batch_groups = 0
         self.batch_members = 0
-        # Per-operating-point (model, digest) pairs: the base model under
-        # None plus one derived model per point key seen in assignments.
-        # Distinct digests make cache keys disjoint across points.
-        self._models: dict[Optional[str], tuple[EnergyMacroModel, str]] = {
-            None: (model, model_digest(model))
-        }
         self._memo: dict[str, CandidateScore] = {}
 
-    def _resolve_model(self, assignment: dict) -> tuple[EnergyMacroModel, str]:
-        """The (derived model, digest) for one assignment's operating point.
+    def _model_digest(self, candidate: Candidate) -> str:
+        """The model digest at the candidate's operating point.
 
-        Raises (CalibrationError) on a bad point — callers score inside
-        their per-candidate isolation, or pre-validate via the space.
+        Distinct digests make cache keys disjoint across points.  Raises
+        (CalibrationError) on a bad point — callers score inside their
+        per-candidate isolation, or pre-validate via the space.
         """
-        point = assignment.get(OPERATING_POINT_KNOB)
-        entry = self._models.get(point)
-        if entry is None:
-            derived = self.model.at(point)
-            entry = (derived, model_digest(derived))
-            self._models[point] = entry
-        return entry
+        return self.model.at(candidate.assignment_dict.get(OPERATING_POINT_KNOB)).digest()
 
     # -- cache bookkeeping -------------------------------------------------
 
@@ -335,7 +351,7 @@ class EvaluationEngine:
                 self._store(candidate, raw, built)
                 self._emit(f"scored {candidate.key}: edp {score.edp:.3g}")
             else:
-                self._record_failure(candidate, raw)
+                self._record_failure(SampleFailure.from_payload({**raw, "name": candidate.key}))
         return [score for score in slots if score is not None]
 
     # -- internals ---------------------------------------------------------
@@ -361,102 +377,21 @@ class EvaluationEngine:
         return self._run_forked(context, pending)
 
     def _run_serial(self, pending: list) -> list[dict]:
-        """In-parent scoring with batched multi-config execution.
+        """In-parent scoring: every pending candidate in one kernel call.
 
-        Design points that share one program (by content digest) and one
-        semantic partition (:func:`repro.xtcore.semantic_fingerprint`)
-        execute the identical instruction trajectory, so each such group
-        of two or more is scored through a single
-        :func:`repro.xtcore.run_batch` pass — one simulation feeding N
-        per-config stats planes — instead of N full simulations.
-        Singles, build failures and batch-incompatible points keep the
-        per-point path; result records are shaped identically either way.
+        The kernel batches candidates that share a trajectory; the
+        batched-execution counters tally the passes it reports.
         """
-        results: list[Optional[dict]] = [None] * len(pending)
-        groups: dict[tuple, list] = {}
-        for index, (_, candidate, built) in enumerate(pending):
-            try:
-                config, program = (
-                    built if built is not None else candidate.build()
-                )
-                partition = (program.digest(), semantic_fingerprint(config))
-            except Exception:  # noqa: BLE001 — scored per-point for the real record
-                results[index] = _score_point(
-                    self.model,
-                    self.space,
-                    pending[index][1].assignment_dict,
-                    self.max_instructions,
-                    built=built,
-                )
-                continue
-            groups.setdefault(partition, []).append(
-                (index, candidate, config, program)
-            )
-        for members in groups.values():
-            if len(members) < 2:
-                index, candidate, config, program = members[0]
-                results[index] = _score_point(
-                    self.model,
-                    self.space,
-                    candidate.assignment_dict,
-                    self.max_instructions,
-                    built=(config, program),
-                )
-                continue
-            self.batch_groups += 1
-            self.batch_members += len(members)
-            try:
-                batch = run_batch(
-                    [member[2] for member in members],
-                    members[0][3],
-                    max_instructions=self.max_instructions,
-                )
-            except Exception as exc:  # noqa: BLE001 — the fault is trajectory-wide
-                for index, candidate, config, program in members:
-                    results[index] = {
-                        "ok": False,
-                        "key": candidate.key,
-                        "processor": config.name,
-                        "stage": "estimate",
-                        "error_type": type(exc).__name__,
-                        "message": str(exc),
-                    }
-                continue
-            for (index, candidate, config, program), result in zip(members, batch):
-                try:
-                    # One shared simulation, one derived model per member's
-                    # operating point: candidates differing only in the
-                    # point collapse into this group (identical config ->
-                    # identical semantic fingerprint) and diverge here.
-                    member_model = self._resolve_model(candidate.assignment_dict)[0]
-                    energy = member_model.estimate_from_stats(result.stats, config)
-                    area = generate_netlist(config).custom_area
-                except Exception as exc:  # noqa: BLE001 — per-candidate isolation
-                    results[index] = {
-                        "ok": False,
-                        "key": candidate.key,
-                        "processor": config.name,
-                        "stage": "estimate",
-                        "error_type": type(exc).__name__,
-                        "message": str(exc),
-                    }
-                    continue
-                point = member_model.operating_point
-                results[index] = {
-                    "ok": True,
-                    "key": candidate.key,
-                    "assignment": dict(candidate.assignment_dict),
-                    "program": program.name,
-                    "processor": config.name,
-                    "energy": float(energy),
-                    "cycles": int(result.stats.total_cycles),
-                    "area": float(area),
-                    "operating_point": point.key if point is not None else None,
-                    "frequency_mhz": (
-                        point.frequency_mhz if point is not None else None
-                    ),
-                }
-        return results
+        records, passes = _score_points(
+            self.model,
+            self.space,
+            [(candidate.assignment_dict, built) for _, candidate, built in pending],
+            self.max_instructions,
+        )
+        batched = [size for size in passes if size > 1]
+        self.batch_groups += len(batched)
+        self.batch_members += sum(batched)
+        return records
 
     def _run_forked(self, context, pending: list) -> list[dict]:
         """Parallel scoring that survives worker death.
@@ -467,8 +402,8 @@ class EvaluationEngine:
         affected: its unfinished candidates become ``stage="pool"``
         failures (the crasher cannot be told apart from innocents that
         were in flight beside it), and every not-yet-submitted candidate
-        is scored serially in the parent, so one bad design point cannot
-        sink an exploration.
+        goes through :meth:`_run_serial` in the parent, so one bad design
+        point cannot sink an exploration.
         """
         assignments = [candidate.assignment_dict for _, candidate, _ in pending]
         results: list[Optional[dict]] = [None] * len(pending)
@@ -497,17 +432,19 @@ class EvaluationEngine:
                         results[offset] = future.result()
                     except BrokenExecutor as exc:
                         crash = exc
-                        results[offset] = {
-                            "ok": False,
-                            "key": pending[offset][1].key,
-                            "processor": "",
-                            "stage": "pool",
-                            "error_type": type(exc).__name__,
-                            "message": (
-                                "worker pool died while this candidate was "
-                                f"in flight: {exc}"
-                            ),
-                        }
+                        results[offset] = score_payload(
+                            SampleFailure(
+                                name=pending[offset][1].key,
+                                processor_name="",
+                                stage="pool",
+                                error_type=type(exc).__name__,
+                                message=(
+                                    "worker pool died while this candidate was "
+                                    f"in flight: {exc}"
+                                ),
+                                attempts=1,
+                            )
+                        )
                 if crash is not None:
                     self.pool_restarts += 1
                     self._emit(
@@ -517,32 +454,20 @@ class EvaluationEngine:
                     break
         finally:
             executor.shutdown(wait=False)
-        for index, raw in enumerate(results):
-            if raw is None:
-                _, candidate, built = pending[index]
-                results[index] = _score_point(
-                    self.model,
-                    self.space,
-                    candidate.assignment_dict,
-                    self.max_instructions,
-                    built=built,
-                )
+        remaining = [index for index, raw in enumerate(results) if raw is None]
+        scored = self._run_serial([pending[index] for index in remaining])
+        for index, raw in zip(remaining, scored):
+            results[index] = raw
         return results
 
     def _try_cache(self, candidate: Candidate):
         """A cached score, a built (config, program) pair, or None."""
         try:
-            digest = self._resolve_model(candidate.assignment_dict)[1]
+            digest = self._model_digest(candidate)
             config, program = candidate.build()
         except Exception as exc:  # noqa: BLE001
             self._record_failure(
-                candidate,
-                {
-                    "processor": "",
-                    "stage": "build",
-                    "error_type": type(exc).__name__,
-                    "message": str(exc),
-                },
+                SampleFailure.from_exception(candidate.key, "", "build", exc)
             )
             return None
         key = candidate_cache_key(digest, config, program, self.max_instructions)
@@ -561,24 +486,13 @@ class EvaluationEngine:
             return
         config, program = built if built is not None else candidate.build()
         key = candidate_cache_key(
-            self._resolve_model(candidate.assignment_dict)[1],
-            config,
-            program,
-            self.max_instructions,
+            self._model_digest(candidate), config, program, self.max_instructions
         )
         payload = dict(raw)
         payload.pop("ok", None)
         self.cache.put(key, payload)
 
-    def _record_failure(self, candidate: Candidate, raw: dict) -> None:
-        failure = SampleFailure(
-            name=candidate.key,
-            processor_name=raw.get("processor", ""),
-            stage=raw.get("stage", "?"),
-            error_type=raw.get("error_type", "?"),
-            message=raw.get("message", ""),
-            attempts=1,
-        )
+    def _record_failure(self, failure: SampleFailure) -> None:
         self.failures.append(failure)
         self._emit(f"FAILED {failure.describe()}")
         if self.max_failures is not None and len(self.failures) > self.max_failures:

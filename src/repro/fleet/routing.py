@@ -1,7 +1,7 @@
 """The router's shard key for estimate requests.
 
 The *exact* dedup identity of a request — the
-:func:`repro.serve.api.request_key` content address — requires building
+:func:`repro.dse.cache.candidate_cache_key` content address — requires building
 the processor config and assembling the program, which is precisely the
 work the router must **not** do per request.  Routing only needs a
 cheaper invariant: *equal workloads hash equal*.  So the router keys on
@@ -11,7 +11,7 @@ the validated wire fields that determine the workload:
      max_instructions, canonical operating point)
 
 Two requests with the same routing key necessarily have the same
-``request_key`` (the fields above determine config, program image and
+request key (the fields above determine config, program image and
 budget), so consistent-hash routing sends every duplicate of a workload
 to the same node, where the node's memo/coalescer merges them exactly.
 The converse misses are harmless: a workload spelled differently (e.g.

@@ -13,17 +13,16 @@ long-running process.  This package is that server-shaped entry point:
   :class:`~repro.core.runner.RetryPolicy`-driven timeouts;
 * :class:`EstimationServer` / :func:`run_server` — the stdlib-only
   asyncio HTTP transport (``repro serve`` on the command line);
-* :class:`ServiceMetrics` / :class:`ServiceMetricsObserver` — the
-  ``/metrics`` registry, fed worker-side through the
-  :mod:`repro.obs` observer protocol.
+* :class:`ServiceMetrics` — the ``/metrics`` registry, fed worker-side
+  through the :mod:`repro.obs` observer protocol.
 
 See ``docs/SERVING.md`` for the wire API and operational semantics.
 """
 
 from .admission import DrainRateEstimator, retry_after_seconds
-from .api import ApiError, EstimateRequest, ExploreRequest, parse_estimate, parse_explore, request_key
+from .api import ApiError, EstimateRequest, ExploreRequest, parse_estimate, parse_explore
 from .batching import BatchQueue, Coalescer, Job, partition_compatible
-from .metrics import LatencyWindow, ServiceMetrics, ServiceMetricsObserver, render_prometheus
+from .metrics import LatencyWindow, ServiceMetrics, render_prometheus
 from .pool import WorkerPool, run_estimate_batch, run_explore
 from .server import EstimationServer, EstimationService, run_server
 from .supervise import (
@@ -50,7 +49,6 @@ __all__ = [
     "LatencyWindow",
     "QuarantineRegistry",
     "ServiceMetrics",
-    "ServiceMetricsObserver",
     "WorkerPool",
     "deadline_at",
     "deadline_expired",
@@ -59,7 +57,6 @@ __all__ = [
     "parse_explore",
     "partition_compatible",
     "render_prometheus",
-    "request_key",
     "retry_after_seconds",
     "run_estimate_batch",
     "run_explore",

@@ -12,8 +12,8 @@ by **bundled benchmark name** (``benchmark``, one of the
 characterization-suite programs) — the second form is what load
 generators and smoke tests use, since it ships no assembly.
 
-The deduplication identity of an estimate request is
-:func:`request_key` — exactly the DSE result cache's content address
+The deduplication identity of an estimate request is the DSE result
+cache's content address, :func:`repro.dse.cache.candidate_cache_key`
 ``sha256(model digest, config fingerprint, program image digest,
 instruction budget)`` — so the service's in-memory memo, its in-flight
 coalescing map and the shared on-disk
@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from ..dse.cache import candidate_cache_key
 from ..tech import CalibrationError, default_calibration
 from ..xtcore import DEFAULT_MAX_INSTRUCTIONS
 
@@ -264,12 +263,3 @@ def parse_explore(payload: object) -> ExploreRequest:
         top_k=top_k,
         operating_point=_parse_operating_point(body),
     )
-
-
-def request_key(model_digest: str, config, program, max_instructions: int) -> str:
-    """The coalescing/memo/disk-cache identity of one estimate request.
-
-    Delegates to :func:`repro.dse.cache.candidate_cache_key` so service
-    results and exploration results share one content address.
-    """
-    return candidate_cache_key(model_digest, config, program, max_instructions)

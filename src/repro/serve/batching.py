@@ -3,7 +3,7 @@
 Two independent mechanisms make a duplicate-heavy workload cheap:
 
 * **Coalescing** (:class:`Coalescer`): each estimate request is
-  content-addressed by :func:`repro.serve.api.request_key`.  A request
+  content-addressed by :func:`repro.dse.cache.candidate_cache_key`.  A request
   whose key is already *in flight* attaches to the existing job's future
   instead of enqueueing a second simulation; a request whose key is in
   the bounded completed-**memo** is answered without touching the queue

@@ -7,12 +7,11 @@ Three layers feed ``GET /metrics``:
   rejections, timeouts, queue depth;
 * **latency windows** — bounded reservoirs of recent request latencies
   per endpoint, reduced to p50/p95/mean on demand;
-* **simulation tallies** — a :class:`ServiceMetricsObserver` (the
-  :mod:`repro.obs` protocol's :class:`~repro.obs.tally.RunTallyObserver`
-  plus nothing service-specific yet) rides along every worker-side
-  ``run_session``; workers ship its ``snapshot()`` back with their
-  results and the parent merges them, so instruction/cycle throughput is
-  exact even though simulations happen in forked children.
+* **simulation tallies** — a :class:`~repro.obs.tally.RunTallyObserver`
+  rides along every worker-side estimate; workers ship its
+  ``snapshot()`` back with their results and the parent merges them, so
+  instruction/cycle throughput is exact even though simulations happen
+  in forked children.
 
 Everything renders twice: a JSON payload (the default, what smoke tests
 assert against) and a Prometheus text exposition (``?format=prom``).
@@ -26,16 +25,6 @@ from collections import deque
 from typing import Optional
 
 from ..obs.tally import RunTallyObserver
-
-
-class ServiceMetricsObserver(RunTallyObserver):
-    """Per-worker simulation tally shipped back to the service frontend.
-
-    Subscribes to the simulator's event stream via the
-    :class:`~repro.obs.protocol.SimObserver` protocol with the per-retire
-    stream switched off, so instrumenting every service request costs two
-    callbacks per run regardless of run length.
-    """
 
 
 class LatencyWindow:
@@ -132,7 +121,7 @@ class ServiceMetrics:
             self.operating_points[label] = self.operating_points.get(label, 0) + 1
 
     def merge_sim_snapshot(self, snapshot: dict) -> None:
-        """Fold a worker-side :class:`ServiceMetricsObserver` snapshot in."""
+        """Fold a worker-side :class:`RunTallyObserver` snapshot in."""
         with self._lock:
             self.sim_tally.merge(snapshot)
 

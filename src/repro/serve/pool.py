@@ -8,38 +8,37 @@ worker processes.  Fork matters twice:
   :class:`~repro.xtcore.compiled.CompilationCache` before the first fork,
   so every child inherits the lowered benchmark programs copy-on-write
   and never pays first-request compilation latency;
-* the model and the per-process config/program caches are inherited or
-  built once per worker, never per request.
+* the model is inherited, and built configs and assembled inline
+  programs live in the compilation cache's bounded ``build`` tier, so
+  they are built once per worker, never per request.
 
 Where fork is unavailable (or ``workers=0`` is requested) the pool
 degrades to an in-process thread executor — same interface, same worker
 functions, no pickling — which is also what the unit tests run.
 
 Worker functions receive *batches*: a list of small picklable item
-dicts sharing one processor configuration, so the per-batch cost of
-config resolution is paid once and the per-item cost is exactly one
-simulation.  Each batch result carries a
-:class:`~repro.serve.metrics.ServiceMetricsObserver` snapshot so the
-frontend's metrics see worker-side simulation totals.
+dicts sharing one processor configuration.  A batch is scored by one
+call to the estimation kernel,
+:meth:`~repro.core.model.EnergyMacroModel.estimate_many`, so items that
+share a trajectory (one program, one semantic partition, one budget)
+share one simulation pass.  Each batch result carries a
+:class:`~repro.obs.RunTallyObserver` snapshot so the frontend's metrics
+see worker-side simulation totals.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import multiprocessing
 from typing import Optional, Sequence
 
-from ..core.model import EnergyMacroModel
+from ..core.model import EnergyMacroModel, MacroEstimate
+from ..core.runner import SampleFailure
+from ..dse.evaluate import score_payload
+from ..obs import RunTallyObserver
 from ..programs import characterization_suite
-from ..rtl import generate_netlist
-from ..xtcore import (
-    ProcessorConfig,
-    build_processor,
-    compilation_cache,
-    run_batch,
-    semantic_fingerprint,
-)
-from .metrics import ServiceMetricsObserver
+from ..xtcore import ProcessorConfig, build_processor, compilation_cache
 from .supervise import (
     CHAOS_KEY,
     DEADLINE_KEY,
@@ -87,48 +86,31 @@ def _worker_init(model: EnergyMacroModel, fork: bool = False) -> None:
                 pass
     _WORKER["model"] = model
     _WORKER["fork"] = fork
-    _WORKER.setdefault("configs", {})
-    _WORKER.setdefault("programs", {})
-    _WORKER.setdefault("areas", {})
 
 
-def _config_for(extensions: tuple[str, ...]) -> ProcessorConfig:
-    """Per-process memo of built processor configs, keyed by extensions."""
-    configs = _WORKER["configs"]
-    config = configs.get(extensions)
-    if config is None:
-        from ..programs.extensions import ALL_SPEC_FACTORIES
+def _build_config(extensions: tuple[str, ...]) -> ProcessorConfig:
+    from ..programs.extensions import ALL_SPEC_FACTORIES
 
-        specs = []
-        for mnemonic in extensions:
-            factory = ALL_SPEC_FACTORIES.get(mnemonic)
-            if factory is None:
-                raise ValueError(
-                    f"unknown extension {mnemonic!r}; available: "
-                    + ", ".join(sorted(ALL_SPEC_FACTORIES))
-                )
-            specs.append(factory())
-        config = build_processor("serve", specs)
-        configs[extensions] = config
-    return config
-
-
-def _custom_area(config: ProcessorConfig) -> float:
-    """Per-process memo of the netlist custom-area proxy."""
-    areas = _WORKER["areas"]
-    fingerprint = config.fingerprint()
-    area = areas.get(fingerprint)
-    if area is None:
-        area = float(generate_netlist(config).custom_area)
-        areas[fingerprint] = area
-    return area
+    specs = []
+    for mnemonic in extensions:
+        factory = ALL_SPEC_FACTORIES.get(mnemonic)
+        if factory is None:
+            raise ValueError(
+                f"unknown extension {mnemonic!r}; available: "
+                + ", ".join(sorted(ALL_SPEC_FACTORIES))
+            )
+        specs.append(factory())
+    return build_processor("serve", specs)
 
 
 def resolve_workload(item: dict):
-    """Build (config, program) for one request item, with per-process memos.
+    """Build (config, program) for one request item.
 
     Items are the picklable wire shape: either ``{"benchmark": name}`` or
-    ``{"name", "source", "extensions"}``.
+    ``{"name", "source", "extensions"}``.  Inline configs and programs are
+    memoized in the compilation cache's bounded ``build`` tier under
+    content keys (the extension tuple; the source's sha256 and the
+    extensions), so a program's name never splits an entry.
     """
     benchmark = item.get("benchmark")
     if benchmark is not None:
@@ -141,168 +123,93 @@ def resolve_workload(item: dict):
         return case.build()
     from ..asm import assemble
 
-    config = _config_for(tuple(item.get("extensions", ())))
-    cache_key = (hash(item["source"]), tuple(item.get("extensions", ())))
-    programs = _WORKER["programs"]
-    program = programs.get(cache_key)
-    if program is None:
-        program = assemble(item["source"], item.get("name", "request"), isa=config.isa)
-        programs[cache_key] = program
+    builds = compilation_cache()
+    extensions = tuple(item.get("extensions", ()))
+    config = builds.get_or_build(
+        ("serve.config", extensions), lambda: _build_config(extensions)
+    )
+    source = item["source"]
+    program = builds.get_or_build(
+        ("serve.program", extensions, hashlib.sha256(source.encode("utf-8")).hexdigest()),
+        lambda: assemble(source, item.get("name", "request"), isa=config.isa),
+    )
     return config, program
 
 
-def _estimate_payload(result, config: ProcessorConfig, program, model) -> dict:
-    """The success wire payload for one simulation result."""
-    from ..core.extract import extract_variables
-
-    variables = extract_variables(result.stats, config, model.template)
-    # keep the entry ResultCache/DSE-compatible: area included
-    point = model.operating_point
-    payload = {
-        "ok": True,
-        "program": program.name,
-        "processor": config.name,
-        "energy": float(variables @ model.coefficients),
-        "cycles": int(result.stats.total_cycles),
-        "area": _custom_area(config),
-        "instructions": int(result.stats.total_instructions),
-        "operating_point": point.key if point is not None else None,
-        "frequency_mhz": point.frequency_mhz if point is not None else None,
-    }
-    if point is not None:
-        payload["seconds"] = point.seconds(result.stats.total_cycles)
-    # always shipped: a coalesced waiter may want the breakdown even
-    # when the request that triggered the simulation did not
-    payload["variables"] = dict(
-        zip(model.template.keys(), (float(v) for v in variables))
-    )
+def _payload(outcome, config: Optional[ProcessorConfig] = None) -> dict:
+    """The wire payload of one kernel outcome (see :func:`score_payload`)."""
+    payload = score_payload(outcome, config)
+    if isinstance(outcome, MacroEstimate):
+        payload["instructions"] = int(outcome.stats.total_instructions)
+        if outcome.seconds is not None:
+            payload["seconds"] = outcome.seconds
+        # always shipped: a coalesced waiter may want the breakdown even
+        # when the request that triggered the simulation did not
+        payload["variables"] = outcome.variables
     return payload
 
 
-def _estimate_item(item: dict, model, observer: ServiceMetricsObserver) -> dict:
-    """Score one estimate item through its own simulation; never raises.
+def _estimate_items(items: Sequence[dict], tally: RunTallyObserver) -> list[dict]:
+    """Score items through one kernel call; never raises (except by chaos).
 
-    Two supervision hooks run *before* the isolation block: a
+    Two supervision hooks run per item before the kernel: a
     parent-stamped chaos directive (worker crash/hang — deliberately not
     contained, that is the point) and the item's propagated deadline,
-    shedding expired requests before they pay for simulation.
+    shedding expired requests before they pay for simulation.  A
+    workload that does not build fails at stage ``build``.
     """
-    from ..obs import run_session
-
-    directive = item.get(CHAOS_KEY)
-    if directive is not None:
-        execute_chaos_directive(directive, fork=bool(_WORKER.get("fork")))
-    if deadline_expired(item.get(DEADLINE_KEY)):
-        return {
-            "ok": False,
-            "stage": "deadline",
-            "error_type": "DeadlineExceeded",
-            "message": "deadline expired before simulation started",
-        }
-    stage = "build"
-    try:
-        # The operating point rescales the model only — the simulation
-        # below is identical across points (bitwise-equal stats).
-        model = model.at(item.get("operating_point"))
-        config, program = resolve_workload(item)
-        stage = "estimate"
-        result = run_session(
-            config,
-            program,
-            observers=[observer],
-            max_instructions=int(item["max_instructions"]),
+    outcomes: list = [None] * len(items)
+    configs: list = [None] * len(items)
+    jobs = []
+    for index, item in enumerate(items):
+        directive = item.get(CHAOS_KEY)
+        if directive is not None:
+            execute_chaos_directive(directive, fork=bool(_WORKER.get("fork")))
+        name = item.get("benchmark") or item.get("name", "request")
+        if deadline_expired(item.get(DEADLINE_KEY)):
+            outcomes[index] = SampleFailure(
+                name=name,
+                processor_name="",
+                stage="deadline",
+                error_type="DeadlineExceeded",
+                message="deadline expired before simulation started",
+                attempts=1,
+            )
+            continue
+        try:
+            config, program = resolve_workload(item)
+        except Exception as exc:  # noqa: BLE001 — per-item isolation is the point
+            outcomes[index] = SampleFailure.from_exception(name, "", "build", exc)
+            continue
+        configs[index] = config
+        # the operating point rescales the model only: the kernel shares
+        # one simulation across items that differ just in the point
+        jobs.append(
+            (config, program, item.get("operating_point"), int(item["max_instructions"]))
         )
-        return _estimate_payload(result, config, program, model)
-    except Exception as exc:  # noqa: BLE001 — per-item isolation is the point
-        return {
-            "ok": False,
-            "stage": stage,
-            "error_type": type(exc).__name__,
-            "message": str(exc),
-        }
+    estimated = iter(_WORKER["model"].estimate_many(jobs, observers=(tally,)))
+    return [
+        _payload(next(estimated) if outcome is None else outcome, config)
+        for outcome, config in zip(outcomes, configs)
+    ]
 
 
 def run_estimate_batch(items: Sequence[dict]) -> dict:
     """Score one batch of estimate items; never raises (except by chaos).
 
-    Per-item failures become ``{"ok": False, ...}`` payloads in the same
-    stage/error shape as :class:`~repro.core.runner.SampleFailure`.  One
-    :class:`ServiceMetricsObserver` subscribes to every simulation of the
-    batch and its snapshot rides back with the results.
-
-    Items sharing one program (by content digest), one semantic partition
-    (:func:`repro.xtcore.semantic_fingerprint`) and one instruction
-    budget are scored through a single :func:`repro.xtcore.run_batch`
-    execution pass; the observer is bracketed manually per member so the
-    tally matches the unbatched path run for run.  Chaos-carrying batches
-    keep the strict sequential per-item path — the directives crash or
-    wedge the worker at a specific position on purpose.
+    Per-item failures become ``{"ok": False, ...}`` payloads carrying a
+    :class:`~repro.core.runner.SampleFailure`.  One
+    :class:`~repro.obs.RunTallyObserver` sees every simulated item of the
+    batch and its snapshot rides back with the results.  Chaos-carrying
+    batches score item by item — the directives crash or wedge the
+    worker at a specific position on purpose.
     """
-    model: EnergyMacroModel = _WORKER["model"]
-    observer = ServiceMetricsObserver()
+    tally = RunTallyObserver()
     if any(item.get(CHAOS_KEY) is not None for item in items):
-        return {
-            "results": [_estimate_item(item, model, observer) for item in items],
-            "tally": observer.snapshot(),
-        }
-
-    results: list[Optional[dict]] = [None] * len(items)
-    singles: list[int] = []
-    groups: dict[tuple, list] = {}
-    for index, item in enumerate(items):
-        try:
-            if deadline_expired(item.get(DEADLINE_KEY)):
-                raise LookupError  # shed through the per-item path
-            config, program = resolve_workload(item)
-            partition = (
-                program.digest(),
-                semantic_fingerprint(config),
-                int(item["max_instructions"]),
-            )
-        except Exception:  # noqa: BLE001 — per-item path records the real failure
-            singles.append(index)
-            continue
-        groups.setdefault(partition, []).append((index, item, config, program))
-
-    for partition, members in groups.items():
-        if len(members) == 1:
-            singles.append(members[0][0])
-            continue
-        try:
-            batch = run_batch(
-                [member[2] for member in members],
-                members[0][3],
-                max_instructions=partition[2],
-            )
-        except Exception as exc:  # noqa: BLE001 — the fault is trajectory-wide
-            for index, _item, config, _program in members:
-                results[index] = {
-                    "ok": False,
-                    "stage": "estimate",
-                    "error_type": type(exc).__name__,
-                    "message": str(exc),
-                }
-            continue
-        for (index, _item, config, program), result in zip(members, batch):
-            observer.on_run_start(config, program)
-            observer.on_run_finish(result)
-            try:
-                # One shared execution pass, one derived model per item's
-                # operating point (memoized on the base model instance).
-                results[index] = _estimate_payload(
-                    result, config, program, model.at(_item.get("operating_point"))
-                )
-            except Exception as exc:  # noqa: BLE001 — per-item isolation
-                results[index] = {
-                    "ok": False,
-                    "stage": "estimate",
-                    "error_type": type(exc).__name__,
-                    "message": str(exc),
-                }
-
-    for index in singles:
-        results[index] = _estimate_item(items[index], model, observer)
-    return {"results": results, "tally": observer.snapshot()}
+        results = [_estimate_items([item], tally)[0] for item in items]
+    else:
+        results = _estimate_items(items, tally)
+    return {"results": results, "tally": tally.snapshot()}
 
 
 def run_explore(item: dict) -> dict:
@@ -403,7 +310,7 @@ class WorkerPool:
         inherit the populated :func:`~repro.xtcore.compilation_cache`
         copy-on-write, so no worker ever compiles a prewarmed program.
         """
-        _worker_init(self.model)  # parent needs the same memos for keys
+        _worker_init(self.model)  # the degraded path scores in the parent
         names = list(prewarm)
         if names == ["suite"]:
             names = sorted(benchmark_cases())
@@ -458,7 +365,7 @@ class WorkerPool:
         """Run a batch in-process, bypassing the (possibly broken) pool.
 
         This is the circuit breaker's degraded path: the parent already
-        holds the model and memos (installed during prewarm), so the
+        holds the model (installed during prewarm), so the
         batch runs on a lazily-created single-thread executor exactly
         like ``--workers 0`` mode would.
         """

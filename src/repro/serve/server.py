@@ -56,14 +56,13 @@ from typing import Optional, Sequence
 
 from ..core.model import EnergyMacroModel
 from ..core.runner import RetryPolicy, SampleFailure
-from ..dse.cache import ResultCache, TieredResultCache, model_digest
+from ..dse.cache import ResultCache, TieredResultCache, candidate_cache_key
 from .admission import DrainRateEstimator, retry_after_seconds
 from .api import (
     ApiError,
     EstimateRequest,
     parse_estimate,
     parse_explore,
-    request_key,
 )
 from .batching import BatchQueue, Coalescer, Job, partition_compatible
 from .http import (
@@ -132,13 +131,6 @@ class EstimationService:
         if drain_grace < 0:
             raise ValueError(f"drain_grace must be >= 0, got {drain_grace}")
         self.model = model
-        self.model_digest = model_digest(model)
-        # Per-operating-point derived models and their digests: requests
-        # at different points must dedupe/cache separately, and the
-        # distinct digest of each derived model guarantees exactly that.
-        self._op_models: dict[Optional[str], tuple] = {
-            None: (model, self.model_digest)
-        }
         self.dedupe = dedupe
         self.batch_max = batch_max
         self.batch_window = batch_window
@@ -406,15 +398,6 @@ class EstimationService:
 
     # -- estimate path -----------------------------------------------------
 
-    def _digest_for(self, operating_point: Optional[str]) -> str:
-        """Model digest at one operating point (memoized per point)."""
-        entry = self._op_models.get(operating_point)
-        if entry is None:
-            derived = self.model.at(operating_point)
-            entry = (derived, model_digest(derived))
-            self._op_models[operating_point] = entry
-        return entry[1]
-
     async def _handle_estimate(self, body: object):
         began = time.perf_counter()
         self.metrics.incr("requests_total")
@@ -441,8 +424,10 @@ class EstimationService:
             raise
         except Exception as exc:  # noqa: BLE001 — bad workload == bad request
             raise ApiError(400, f"cannot build workload: {exc}", code="bad_workload")
-        key = request_key(
-            self._digest_for(req.operating_point),
+        # requests at different points must dedupe/cache separately: the
+        # derived model at each point has its own digest
+        key = candidate_cache_key(
+            self.model.at(req.operating_point).digest(),
             config,
             program,
             req.max_instructions,

@@ -1287,6 +1287,9 @@ class CompilationCache:
     across the compilation itself — that serializes first-time lowerings
     of *different* pairs, but guarantees the one-compilation-per-pair
     invariant under races (and compilation is a one-time cost by design).
+    The ``build`` tier has its own lock and builds outside it, so a
+    build-tier lookup (the estimation service resolves request keys on
+    its event loop) never waits behind a lowering or another build.
     """
 
     def __init__(self, maxsize: int = 256) -> None:
@@ -1300,6 +1303,7 @@ class CompilationCache:
         #: design-point build tier: caller-chosen content key -> built value
         self._builds: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.RLock()
+        self._build_lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.compilations = 0
@@ -1376,15 +1380,20 @@ class CompilationCache:
         The value is shared by every caller, so it must be immutable in
         use.  A ``build()`` that raises is not cached: the next call
         retries it, so each failing caller sees its own exception.
+        ``build()`` runs outside the lock; callers racing on one missing
+        key may each build, and all of them get the first value stored.
         """
-        with self._lock:
+        with self._build_lock:
             if key in self._builds:
                 self._builds.move_to_end(key)
                 self.build_hits += 1
                 return self._builds[key]
             self.build_misses += 1
-            value = build()  # may raise; not cached
+        value = build()  # may raise; not cached
+        with self._build_lock:
             self.builds += 1
+            if key in self._builds:
+                return self._builds[key]
             self._builds[key] = value
             if len(self._builds) > self.maxsize:
                 self._builds.popitem(last=False)
@@ -1403,7 +1412,7 @@ class CompilationCache:
 
     def clear(self) -> None:
         """Drop all entries and reset every counter."""
-        with self._lock:
+        with self._lock, self._build_lock:
             self._entries.clear()
             self._superops.clear()
             self._builds.clear()
@@ -1428,7 +1437,7 @@ class CompilationCache:
         ``tiers`` breakdown adds the superop block-artifact tier and the
         design-point ``build`` tier (its ``compilations`` count builds).
         """
-        with self._lock:
+        with self._lock, self._build_lock:
             return {
                 "entries": len(self._entries),
                 "maxsize": self.maxsize,

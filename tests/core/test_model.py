@@ -10,7 +10,7 @@ from repro.core import (
     extract_variables,
     instruction_level_template,
 )
-from repro.xtcore import simulate
+from repro.xtcore import SimulationLimitExceeded, simulate
 
 
 @pytest.fixture()
@@ -62,6 +62,37 @@ class TestEstimation:
         small = model.estimate(base_config, looped(10)).energy
         large = model.estimate(base_config, looped(100)).energy
         assert large > small
+
+    def test_estimate_many_isolates_failures(self, model, tiny_loop_program, base_config):
+        good = (base_config, tiny_loop_program, None, 10_000)
+        starved = (base_config, tiny_loop_program, None, 3)
+        outcomes = model.estimate_many([good, starved, starved, good])
+        assert outcomes[0].energy == outcomes[3].energy == (
+            model.estimate(base_config, tiny_loop_program).energy
+        )
+        assert outcomes.passes == [2, 2]
+        # the starved pair shares one run_batch pass, whose fault fails both
+        for failure in outcomes[1:3]:
+            assert (failure.stage, failure.error_type) == (
+                "estimate",
+                "SimulationLimitExceeded",
+            )
+            assert failure.name == tiny_loop_program.name
+        with pytest.raises(SimulationLimitExceeded):
+            model.estimate(base_config, tiny_loop_program, max_instructions=3)
+
+    def test_estimate_many_reports_partly_failed_passes(
+        self, model, tiny_loop_program, base_config
+    ):
+        good = (base_config, tiny_loop_program, None, 10_000)
+        bad_point = (base_config, tiny_loop_program, "65nm@9V@800MHz", 10_000)
+        outcomes = model.estimate_many([good, bad_point])
+        # one pass fed both jobs; only the second failed, while scoring
+        assert outcomes.passes == [2]
+        assert outcomes[0].energy == model.estimate(base_config, tiny_loop_program).energy
+        assert (outcomes[1].stage, outcomes[1].error_type) == ("estimate", "CalibrationError")
+        assert model.estimate_many([good]).passes == [1]
+        assert model.estimate_many([]).passes == []
 
 
 class TestReports:

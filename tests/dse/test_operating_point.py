@@ -8,6 +8,7 @@ simulation), and disjoint result-cache key sets per point.
 
 import pytest
 
+import repro.core.model as model_module
 from repro.dse import (
     OPERATING_POINT_KNOB,
     EvaluationEngine,
@@ -110,6 +111,35 @@ class TestScoring:
         assert engine.batch_groups == 1
         assert engine.batch_members == len(POINTS)
         assert len({score.energy for score in scores}) == len(POINTS)
+
+    @pytest.mark.parametrize("fault", ["one_member", "whole_pass"])
+    def test_failing_batch_passes_still_count(self, synthetic_model, monkeypatch, fault):
+        space = with_operating_points(make_toy_space(with_pad=False), POINTS)
+        candidates = [
+            space.candidate({"n": 4, OPERATING_POINT_KNOB: point}) for point in POINTS[:2]
+        ]
+        if fault == "one_member":
+            real = model_module.extract_variables
+            calls = []
+
+            def flaky(*args, **kwargs):
+                calls.append(None)
+                if len(calls) == 2:
+                    raise RuntimeError("injected scoring fault")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(model_module, "extract_variables", flaky)
+        else:
+
+            def broken(configs, program, **kwargs):
+                raise RuntimeError("injected batch fault")
+
+            monkeypatch.setattr(model_module, "run_batch", broken)
+        engine = EvaluationEngine(synthetic_model, space)
+        scores = engine.evaluate(candidates)
+        assert (engine.batch_groups, engine.batch_members) == (1, 2)
+        assert len(scores) == (1 if fault == "one_member" else 0)
+        assert [failure.stage for failure in engine.failures] == ["estimate"] * (2 - len(scores))
 
     def test_time_objectives(self, synthetic_model):
         space = with_operating_points(make_toy_space(with_pad=False), POINTS)

@@ -1,4 +1,4 @@
-"""Request parsing/validation and the content-addressed request key."""
+"""Request parsing/validation and the content address requests coalesce on."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.dse.cache import candidate_cache_key
-from repro.serve import parse_estimate, parse_explore, request_key
+from repro.serve import parse_estimate, parse_explore
 from repro.serve.api import ApiError, MAX_SOURCE_BYTES
 from repro.xtcore import build_processor
 
@@ -99,29 +99,23 @@ class TestParseExplore:
 
 
 class TestRequestKey:
-    def test_matches_dse_content_address(self):
-        """Service results and exploration results share one address space."""
-        config = build_processor("key-test")
-        program = assemble("main:\n    halt\n", "p", isa=config.isa)
-        assert request_key("m" * 64, config, program, 1000) == candidate_cache_key(
-            "m" * 64, config, program, 1000
-        )
+    """The server addresses requests by the exploration cache key."""
 
     def test_sensitive_to_each_component(self):
         config = build_processor("key-test")
         program = assemble("main:\n    halt\n", "p", isa=config.isa)
         other = assemble("main:\n    nop\n    halt\n", "p", isa=config.isa)
-        base = request_key("m" * 64, config, program, 1000)
-        assert request_key("n" * 64, config, program, 1000) != base
-        assert request_key("m" * 64, config, other, 1000) != base
-        assert request_key("m" * 64, config, program, 999) != base
+        base = candidate_cache_key("m" * 64, config, program, 1000)
+        assert candidate_cache_key("n" * 64, config, program, 1000) != base
+        assert candidate_cache_key("m" * 64, config, other, 1000) != base
+        assert candidate_cache_key("m" * 64, config, program, 999) != base
 
     def test_name_insensitive(self):
         """Cosmetic program names must not defeat coalescing."""
         config = build_processor("key-test")
         a = assemble("main:\n    halt\n", "first", isa=config.isa)
         b = assemble("main:\n    halt\n", "second", isa=config.isa)
-        assert request_key("m" * 64, config, a, 1000) == request_key(
+        assert candidate_cache_key("m" * 64, config, a, 1000) == candidate_cache_key(
             "m" * 64, config, b, 1000
         )
 

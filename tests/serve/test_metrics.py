@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from repro.obs import RunTallyObserver, run_session
-from repro.serve import LatencyWindow, ServiceMetrics, ServiceMetricsObserver, render_prometheus
-from repro.serve.metrics import ServiceMetricsObserver as _ObserverAlias
+from repro.serve import LatencyWindow, ServiceMetrics, render_prometheus
 
 
 class TestLatencyWindow:
@@ -28,22 +26,6 @@ class TestLatencyWindow:
             window.record(0.001)
         assert window.snapshot()["window"] == 8
         assert window.count == 100
-
-
-class TestServiceMetricsObserver:
-    def test_rides_the_observer_protocol(self, base_config, tiny_loop_program):
-        observer = ServiceMetricsObserver()
-        result = run_session(base_config, tiny_loop_program, observers=[observer])
-        run_session(base_config, tiny_loop_program, observers=[observer])
-        snap = observer.snapshot()
-        assert snap["runs_finished"] == 2
-        assert snap["instructions"] == 2 * result.stats.total_instructions
-        assert snap["cycles"] == 2 * result.stats.total_cycles
-        assert snap["sim_seconds"] > 0
-
-    def test_is_a_run_tally(self):
-        # the service observer is the obs-layer tally, shipped across forks
-        assert issubclass(_ObserverAlias, RunTallyObserver)
 
 
 class TestServiceMetrics:

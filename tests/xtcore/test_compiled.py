@@ -1,5 +1,8 @@
 """Unit tests for the compile-and-dispatch layer (repro.xtcore.compiled)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.asm import assemble
@@ -178,6 +181,86 @@ class TestCompilationCache:
         b = Simulator(config, program).executable
         assert a is b
         assert compilation_cache().compilations == before + 1
+
+    def test_build_tier_does_not_wait_on_lowering(self):
+        cache = CompilationCache()
+        cache.get_or_build("warm", lambda: "value")
+        lowering, release = threading.Event(), threading.Event()
+
+        def hold_lowering_lock():
+            with cache._lock:  # what get_or_compile holds across a lowering
+                lowering.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold_lowering_lock)
+        holder.start()
+        try:
+            assert lowering.wait(10)
+            results = []
+            lookup = threading.Thread(
+                target=lambda: results.append(
+                    (cache.get_or_build("warm", list), cache.get_or_build("cold", lambda: 7))
+                )
+            )
+            lookup.start()
+            lookup.join(5)
+            assert not lookup.is_alive()
+            assert results == [("value", 7)]
+        finally:
+            release.set()
+            holder.join()
+
+    def test_racing_builds_share_the_first_value(self):
+        cache = CompilationCache()
+        both_building = threading.Barrier(2)
+
+        def build():
+            both_building.wait(10)
+            return object()
+
+        values = []
+        threads = [
+            threading.Thread(target=lambda: values.append(cache.get_or_build("k", build)))
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert len(values) == 2 and values[0] is values[1]
+        assert cache.get_or_build("k", build) is values[0]
+        tier = cache.info()["tiers"]["build"]
+        assert (tier["entries"], tier["misses"], tier["compilations"]) == (1, 2, 2)
+
+    def test_build_tier_counters_survive_contention(self):
+        cache = CompilationCache(maxsize=8)
+        threads_n, calls_n = 8, 300
+        wrong = []
+
+        def hammer(seed):
+            for call in range(calls_n):
+                key = (seed * 7 + call) % 20
+                value = cache.get_or_build(key, lambda key=key: (key, object()))
+                if value[0] != key:
+                    wrong.append((key, value))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(n,)) for n in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        tier = cache.info()["tiers"]["build"]
+        assert wrong == []
+        assert tier["hits"] + tier["misses"] == threads_n * calls_n
+        assert tier["compilations"] == tier["misses"]
+        assert tier["entries"] <= 8
 
 
 class TestSimulatorExecutableContract:

@@ -2,11 +2,14 @@
 
 Benchmarks the two estimation paths on the same application so
 pytest-benchmark reports them side by side, and writes the measured
-per-application speedup table.  The paper reports three orders of
-magnitude against gate-level ModelSim + WattWatcher; our reference is a
-block-level Python estimator, so the measured ratio is smaller but the
-direction and growth-with-program-size are preserved (see EXPERIMENTS.md).
-"""
+per-application speedup table.  The macro path is one untraced run on
+the superop block-dispatch loop plus variable extraction and the dot
+product; the reference path is one run on the per-op instrumented loop
+feeding the streaming RTL energy observer (no trace is kept).  The paper
+reports three orders of magnitude against gate-level ModelSim +
+WattWatcher; our reference is a block-level Python estimator, so the
+measured ratio is smaller (about 20x on the perfbench ``paper`` workload,
+see EXPERIMENTS.md section 5)."""
 
 import pytest
 
@@ -28,7 +31,7 @@ def test_speedup_macro_path(benchmark, ctx, drawline_case):
 
 
 def test_speedup_reference_path(benchmark, ctx, drawline_case):
-    """The slow path: traced ISS + structural RTL energy walk."""
+    """The slow path: instrumented ISS + streaming RTL energy walk."""
     config, program = drawline_case
     estimator = RtlEnergyEstimator(generate_netlist(config))
     report, _ = benchmark(estimator.estimate_program, program)

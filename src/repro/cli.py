@@ -695,10 +695,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             prewarm = ["suite"]
         else:
             prewarm = [t.strip() for t in args.prewarm.split(",") if t.strip()]
-    if args.fleet:
-        if args.fleet < 1:
-            raise _die("--fleet must be >= 1")
-        return _run_fleet(args)
     try:
         service = EstimationService(
             model,
@@ -708,7 +704,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             batch_window=args.batch_window_ms / 1e3,
             dedupe=not args.no_dedupe,
             cache_dir=args.cache,
-            shared_cache_dir=args.shared_cache,
             retry=RetryPolicy(max_attempts=args.max_attempts),
             request_timeout=args.timeout,
             prewarm=prewarm,
@@ -724,120 +719,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(
             run_server(
                 service,
-                host=args.host,
-                port=args.port,
-                port_file=args.port_file,
-            )
-        )
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _run_fleet(args: argparse.Namespace) -> int:
-    """`repro serve --fleet N`: N node subprocesses behind one router."""
-    import asyncio
-    import tempfile
-
-    from .fleet import FleetManager, FleetRouter, FleetSpawnError, run_router
-
-    workdir = args.fleet_workdir or tempfile.mkdtemp(prefix="repro-fleet-")
-    if args.cache:
-        print(
-            "repro serve: --cache is per-node in fleet mode; using "
-            f"{workdir}/node<i>-cache (shared tier: --shared-cache)",
-            file=sys.stderr,
-        )
-    node_args = [
-        "--batch-window-ms", str(args.batch_window_ms),
-        "--timeout", str(args.timeout),
-        "--max-attempts", str(args.max_attempts),
-        "--quarantine-after", str(args.quarantine_after),
-        "--breaker-failures", str(args.breaker_failures),
-        "--breaker-cooldown", str(args.breaker_cooldown),
-        "--drain-grace", str(args.drain_grace),
-    ]
-    if args.no_dedupe:
-        node_args.append("--no-dedupe")
-    if args.prewarm:
-        node_args += ["--prewarm", args.prewarm]
-    if args.chaos:
-        node_args += ["--chaos", args.chaos]
-    manager = FleetManager(
-        model_path=args.model,
-        workdir=workdir,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        batch_max=args.batch_max,
-        node_args=node_args,
-        shared_cache=args.shared_cache,
-    )
-    print(f"repro serve: spawning {args.fleet} node(s) under {workdir}")
-    try:
-        manager.start(args.fleet)
-        addresses = manager.wait_ready()
-    except FleetSpawnError as exc:
-        manager.stop()
-        raise _die(str(exc))
-    for node in manager.nodes:
-        print(
-            f"repro serve: node {node.index} pid {node.process.pid} "
-            f"at http://{node.address}"
-        )
-    router = FleetRouter(
-        addresses,
-        vnodes=args.vnodes,
-        health_interval=args.health_interval,
-        node_failures=args.node_failures,
-        node_cooldown=args.node_cooldown,
-    )
-    try:
-        asyncio.run(
-            run_router(
-                router,
-                host=args.host,
-                port=args.port,
-                port_file=args.port_file,
-            )
-        )
-    except KeyboardInterrupt:
-        pass
-    finally:
-        print("repro serve: stopping fleet nodes")
-        manager.stop()
-    return 0
-
-
-def _cmd_route(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .fleet import FleetRouter, run_router
-    from .fleet.wire import split_address
-
-    nodes = [node.strip() for node in args.nodes.split(",") if node.strip()]
-    if not nodes:
-        raise _die("--nodes needs at least one host:port address")
-    for node in nodes:
-        try:
-            split_address(node)
-        except ValueError as exc:
-            raise _die(str(exc))
-    try:
-        router = FleetRouter(
-            nodes,
-            vnodes=args.vnodes,
-            forward_timeout=args.forward_timeout,
-            health_interval=args.health_interval,
-            node_failures=args.node_failures,
-            node_cooldown=args.node_cooldown,
-            soft_fraction=args.soft_fraction,
-        )
-    except ValueError as exc:
-        raise _die(str(exc))
-    try:
-        asyncio.run(
-            run_router(
-                router,
                 host=args.host,
                 port=args.port,
                 port_file=args.port_file,
@@ -880,41 +761,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         print(f"\n=== {name} ===")
         print(runners[name](ctx).report())
     return 0
-
-
-def _add_router_args(p: argparse.ArgumentParser) -> None:
-    """Router knobs shared by `serve --fleet` and `route`."""
-    p.add_argument(
-        "--vnodes",
-        type=int,
-        default=128,
-        metavar="N",
-        help="virtual nodes per fleet node on the consistent-hash ring "
-        "(default 128; load spread ~1/sqrt(vnodes))",
-    )
-    p.add_argument(
-        "--health-interval",
-        type=float,
-        default=2.0,
-        metavar="S",
-        help="seconds between node healthz polls (default 2; 0 disables)",
-    )
-    p.add_argument(
-        "--node-failures",
-        type=int,
-        default=3,
-        metavar="N",
-        help="consecutive transport failures before a node leaves the "
-        "ring (default 3)",
-    )
-    p.add_argument(
-        "--node-cooldown",
-        type=float,
-        default=5.0,
-        metavar="S",
-        help="seconds a down node waits before a half-open probe may "
-        "re-admit it (default 5)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1334,71 +1180,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(testing only)",
     )
     p.add_argument(
-        "--shared-cache",
-        metavar="DIR",
-        help="cross-node shared result-cache tier layered under --cache "
-        "(any fleet node can answer keys another node computed)",
-    )
-    p.add_argument(
         "--port-file",
         metavar="PATH",
         help="write the bound port here once listening (for --port 0 "
-        "supervisors: fleet manager, CI smokes)",
+        "supervisors: CI smokes, the benchmark)",
     )
-    p.add_argument(
-        "--fleet",
-        type=int,
-        default=0,
-        metavar="N",
-        help="spawn N node subprocesses behind a consistent-hash router "
-        "on --host:--port instead of one in-process service",
-    )
-    p.add_argument(
-        "--fleet-workdir",
-        metavar="DIR",
-        help="fleet scratch directory: node logs, port files, per-node "
-        "and shared caches (default: a fresh temp dir)",
-    )
-    _add_router_args(p)
     p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "route",
-        help="consistent-hash router over running `repro serve` nodes",
-    )
-    p.add_argument(
-        "--nodes",
-        required=True,
-        metavar="ADDRS",
-        help="comma-separated node addresses, e.g. "
-        "'127.0.0.1:8731,127.0.0.1:8732'",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument(
-        "--port", type=int, default=8730, help="TCP port (0 picks an ephemeral port)"
-    )
-    p.add_argument(
-        "--port-file",
-        metavar="PATH",
-        help="write the bound port here once listening",
-    )
-    p.add_argument(
-        "--forward-timeout",
-        type=float,
-        default=120.0,
-        metavar="S",
-        help="per-forward node response timeout in seconds (default 120)",
-    )
-    p.add_argument(
-        "--soft-fraction",
-        type=float,
-        default=0.7,
-        metavar="F",
-        help="queue fill fraction where weighted load shedding starts "
-        "(default 0.7; sheds 100%% at a full queue)",
-    )
-    _add_router_args(p)
-    p.set_defaults(func=_cmd_route)
 
     p = sub.add_parser("experiments", help="regenerate the paper's tables/figures")
     p.add_argument(

@@ -28,7 +28,6 @@ Typical use::
 
 from .cache import (
     ResultCache,
-    TieredResultCache,
     candidate_cache_key,
     model_digest,
     program_digest,
@@ -74,7 +73,6 @@ __all__ = [
     "PARETO_AXES",
     "RandomStrategy",
     "ResultCache",
-    "TieredResultCache",
     "SearchSpace",
     "SpaceError",
     "Strategy",

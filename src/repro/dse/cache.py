@@ -154,90 +154,3 @@ class ResultCache:
             count += sum(1 for name in files if name.endswith(".json"))
         return count
 
-
-class TieredResultCache:
-    """A per-node cache layered over a cross-node shared directory.
-
-    The fleet topology gives every serving node a **local** result cache
-    (fast, on the node's own disk) plus one **shared** tier that all
-    nodes mount; a key any node ever computed is a shared-tier hit for
-    every other node, so consistent-hash rebalancing (a node joining or
-    leaving moves ~K/N keys) never re-simulates work the fleet already
-    paid for.
-
-    Read path: local, then shared; a shared hit is *promoted* into the
-    local tier so the node answers repeats without touching shared
-    storage again.  Write path: both tiers (entries are immutable by
-    content address, so double-writes are idempotent).  The interface is
-    a drop-in :class:`ResultCache`: ``get``/``put``/``info``/``root``.
-    """
-
-    def __init__(self, local_root: str, shared_root: str) -> None:
-        if os.path.abspath(local_root) == os.path.abspath(shared_root):
-            raise ValueError(
-                f"local and shared cache roots must differ, got {local_root!r}"
-            )
-        self.local = ResultCache(local_root)
-        self.shared = ResultCache(shared_root)
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        #: shared-tier hits copied into the local tier
-        self.promotions = 0
-
-    @property
-    def root(self) -> str:
-        return self.local.root
-
-    @property
-    def shared_root(self) -> str:
-        return self.shared.root
-
-    def get(self, key: str) -> Optional[dict]:
-        payload = self.local.get(key)
-        if payload is None:
-            payload = self.shared.get(key)
-            if payload is not None:
-                # promote: strip the bookkeeping fields ResultCache.put
-                # re-stamps, so the local entry is byte-equivalent
-                stored = {
-                    k: v for k, v in payload.items() if k not in ("format", "key")
-                }
-                self.local.put(key, stored)
-                with self._lock:
-                    self.promotions += 1
-        with self._lock:
-            if payload is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-        return payload
-
-    def put(self, key: str, payload: dict) -> None:
-        self.local.put(key, payload)
-        self.shared.put(key, payload)
-        with self._lock:
-            self.stores += 1
-
-    @property
-    def corrupt_entries(self) -> int:
-        return self.local.corrupt_entries + self.shared.corrupt_entries
-
-    def info(self) -> dict:
-        """Tier-level counters plus per-tier breakdowns (metrics-compatible)."""
-        with self._lock:
-            payload = {
-                "root": self.local.root,
-                "shared_root": self.shared.root,
-                "hits": self.hits,
-                "misses": self.misses,
-                "stores": self.stores,
-                "promotions": self.promotions,
-                "corrupt_entries": self.corrupt_entries,
-            }
-        payload["tiers"] = {"local": self.local.info(), "shared": self.shared.info()}
-        return payload
-
-    def __len__(self) -> int:
-        return len(self.shared)

@@ -2,7 +2,7 @@
 
 The paper's macro-model estimate is ~1000x cheaper than RTL power
 simulation, which makes energy estimation viable as an *interactive
-service*: a DSE loop, a CI fleet or many concurrent users hammering one
+service*: a DSE loop, a CI job or many concurrent users hammering one
 long-running process.  This package is that server-shaped entry point:
 
 * :class:`EstimationService` — request coalescing by content address,

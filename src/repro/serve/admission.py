@@ -16,11 +16,9 @@ empty one.  This module derives the hint from observed behavior instead:
   has room, clamped to ``[1, cap]`` whole seconds, with a conservative
   cold-start default while no drain has been observed yet.
 
-Both the single-node :class:`~repro.serve.server.EstimationService` and
-the fleet router's per-node gossip tables
-(:mod:`repro.fleet.admission`) are built on these pieces, so a client
-sees one consistent backoff story whether it talks to a node directly
-or through the fleet.
+:class:`~repro.serve.server.EstimationService` computes every ``429``
+and ``503`` ``Retry-After`` hint from these pieces, for estimates and
+explorations alike.
 """
 
 from __future__ import annotations

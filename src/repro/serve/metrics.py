@@ -226,7 +226,6 @@ def render_prometheus(payload: dict) -> str:
             "stores",
             "evictions",
             "corrupt_entries",
-            "promotions",
         ):
             if field in info:
                 emit(f"cache_{field}", info[field], labels)

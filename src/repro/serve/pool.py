@@ -31,6 +31,9 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import multiprocessing
+import os
+import signal
+import threading
 from typing import Optional, Sequence
 
 from ..core.model import EnergyMacroModel, MacroEstimate
@@ -68,24 +71,51 @@ def benchmark_cases() -> dict:
 
 def _worker_init(model: EnergyMacroModel, fork: bool = False) -> None:
     """Install per-process state (runs in each worker, and inline mode)."""
-    if fork:
-        # Forked children inherit the parent's asyncio signal plumbing:
-        # its Python-level handlers AND the signal wakeup fd (the event
-        # loop's self-pipe).  A signal delivered to a *child* — e.g. the
-        # supervisor terminating a wedged worker — would then write into
-        # the shared pipe and the PARENT's loop would dispatch it as if
-        # the server itself had been signalled (spontaneous drain).
-        # Disarm both before the worker takes any work.
-        import signal
-
-        signal.set_wakeup_fd(-1)
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                signal.signal(signum, signal.SIG_DFL)
-            except (OSError, ValueError):  # non-main thread / exotic platform
-                pass
     _WORKER["model"] = model
     _WORKER["fork"] = fork
+
+
+#: Signals the server's asyncio loop handles; a forked child must not.
+_LOOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
+_fork_mask = threading.local()
+
+
+def _block_loop_signals() -> None:
+    _fork_mask.saved = signal.pthread_sigmask(signal.SIG_BLOCK, _LOOP_SIGNALS)
+
+
+def _restore_mask() -> None:
+    signal.pthread_sigmask(signal.SIG_SETMASK, _fork_mask.saved)
+
+
+def _disarm_child() -> None:
+    """Drop the parent's signal plumbing in a freshly forked child.
+
+    A child inherits the parent's C-level handlers AND its signal wakeup
+    fd (the event loop's self-pipe).  A signal the child receives before
+    it disarms — e.g. ``ProcessPoolExecutor`` terminating the siblings
+    of a dead worker, possibly before they ran any pool initializer —
+    would write into that shared pipe, and the PARENT's loop would
+    dispatch it as if the server itself had been signalled (spontaneous
+    drain).  The signals stay blocked from before the fork until both
+    are disarmed, so none can slip into that window; one already
+    pending then acts with its default disposition.
+    """
+    try:
+        signal.set_wakeup_fd(-1)
+        for signum in _LOOP_SIGNALS:
+            signal.signal(signum, signal.SIG_DFL)
+    except (OSError, ValueError):  # non-main thread / exotic platform
+        pass
+    _restore_mask()
+
+
+if hasattr(os, "register_at_fork") and hasattr(signal, "pthread_sigmask"):
+    os.register_at_fork(
+        before=_block_loop_signals,
+        after_in_parent=_restore_mask,
+        after_in_child=_disarm_child,
+    )
 
 
 def _build_config(extensions: tuple[str, ...]) -> ProcessorConfig:

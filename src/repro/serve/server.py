@@ -56,7 +56,7 @@ from typing import Optional, Sequence
 
 from ..core.model import EnergyMacroModel
 from ..core.runner import RetryPolicy, SampleFailure
-from ..dse.cache import ResultCache, TieredResultCache, candidate_cache_key
+from ..dse.cache import ResultCache, candidate_cache_key
 from .admission import DrainRateEstimator, retry_after_seconds
 from .api import (
     ApiError,
@@ -113,7 +113,6 @@ class EstimationService:
         dedupe: bool = True,
         memo_size: int = 4096,
         cache_dir: Optional[str] = None,
-        shared_cache_dir: Optional[str] = None,
         retry: Optional[RetryPolicy] = None,
         request_timeout: float = 30.0,
         explore_timeout: float = 600.0,
@@ -140,17 +139,9 @@ class EstimationService:
         self.metrics = ServiceMetrics()
         self.coalescer = Coalescer(memo_size if dedupe else 0)
         self.pool = WorkerPool(model, workers=workers, prewarm=prewarm)
-        # Per-node disk cache, optionally tiered under a cross-node shared
-        # directory so any node of a fleet can answer a key another node
-        # computed (see docs/SERVING.md "Fleet topology").
-        self.result_cache: Optional[ResultCache]
-        only_root = cache_dir or shared_cache_dir
-        if cache_dir and shared_cache_dir:
-            self.result_cache = TieredResultCache(cache_dir, shared_cache_dir)
-        elif only_root:
-            self.result_cache = ResultCache(only_root)
-        else:
-            self.result_cache = None
+        self.result_cache: Optional[ResultCache] = (
+            ResultCache(cache_dir) if cache_dir else None
+        )
         self.queue = BatchQueue(queue_limit)
         #: observed completion rates, feeding computed Retry-After hints
         self.drain_rate = DrainRateEstimator()
@@ -222,13 +213,6 @@ class EstimationService:
 
     # -- HTTP dispatch -----------------------------------------------------
 
-    def _gossip_headers(self) -> dict[str, str]:
-        """Queue posture stamped on every response (fleet routers read it)."""
-        return {
-            "X-Repro-Queue-Depth": str(self.queue.qsize()),
-            "X-Repro-Queue-Limit": str(self.queue.maxsize),
-        }
-
     async def dispatch_http(self, request: HttpRequest) -> bytes:
         keep_alive = request.keep_alive
         try:
@@ -244,7 +228,7 @@ class EstimationService:
             return json_response(
                 exc.status,
                 exc.to_payload(),
-                {**self._gossip_headers(), **(exc.headers or {})},
+                exc.headers,
                 keep_alive=keep_alive,
             )
         except Exception as exc:  # noqa: BLE001 — a request must never kill the loop
@@ -252,13 +236,11 @@ class EstimationService:
             return json_response(
                 500,
                 {"error": "internal", "message": f"{type(exc).__name__}: {exc}"},
-                self._gossip_headers(),
                 keep_alive=keep_alive,
             )
-        merged = {**self._gossip_headers(), **(headers or {})}
         if isinstance(payload, str):
-            return text_response(status, payload, merged, keep_alive=keep_alive)
-        return json_response(status, payload, merged, keep_alive=keep_alive)
+            return text_response(status, payload, headers, keep_alive=keep_alive)
+        return json_response(status, payload, headers, keep_alive=keep_alive)
 
     async def _route(self, request: HttpRequest):
         path, method = request.path, request.method
@@ -563,13 +545,7 @@ class EstimationService:
             "max_instructions": req.max_instructions,
             "top_k": req.top_k,
             "operating_point": req.operating_point,
-            # tiered (fleet) caches expose the cross-node shared directory;
-            # explorations write there so every node benefits from the sweep
-            "cache_root": (
-                getattr(self.result_cache, "shared_root", self.result_cache.root)
-                if self.result_cache
-                else None
-            ),
+            "cache_root": self.result_cache.root if self.result_cache else None,
         }
         self.metrics.observe_operating_point(req.operating_point)
         self._active_explores += 1
@@ -1063,7 +1039,7 @@ async def run_server(
     """Serve until SIGTERM/SIGINT, then drain and shut down cleanly.
 
     ``port_file`` publishes the bound port (atomically, after the
-    listener is up) so supervisors — the fleet manager, CI smokes — can
+    listener is up) so supervisors — CI smokes, the benchmark — can
     discover an ephemeral ``--port 0`` binding without log scraping.
     """
     import signal

@@ -1,8 +1,8 @@
 """Self-healing primitives for the serving and parallel-evaluation stack.
 
 A forked worker dying is not an exception at scale — it is the steady
-state.  This module holds the small, reusable pieces the service (and
-the future sharded fleet) composes into a recovery story:
+state.  This module holds the small, reusable pieces the service composes
+into a recovery story:
 
 * :func:`is_pool_crash` — one predicate for "the executor is gone"
   covering real :class:`concurrent.futures.BrokenExecutor` process
@@ -27,8 +27,8 @@ the future sharded fleet) composes into a recovery story:
   seeded — see :class:`repro.testing.faults.ServiceChaosPlan`) and
   executed here as a real ``os._exit`` / sleep in the worker.
 
-Everything is transport-free and asyncio-free so the DSE engine and
-future fleet layers can reuse it unchanged.
+Everything is transport-free and asyncio-free so the DSE engine can
+reuse it unchanged.
 """
 
 from __future__ import annotations

@@ -132,82 +132,3 @@ class TestResultCache:
         cache.put(key, dict(self.PAYLOAD))
         assert (tmp_path / "c" / "ef" / f"{key}.json").exists()
 
-
-class TestTieredResultCache:
-    PAYLOAD = dict(TestResultCache.PAYLOAD)
-
-    def _tiered(self, tmp_path):
-        from repro.dse import TieredResultCache
-
-        return TieredResultCache(str(tmp_path / "local"), str(tmp_path / "shared"))
-
-    def test_rejects_identical_roots(self, tmp_path):
-        from repro.dse import TieredResultCache
-
-        root = str(tmp_path / "c")
-        import pytest
-
-        with pytest.raises(ValueError):
-            TieredResultCache(root, root)
-
-    def test_put_writes_both_tiers(self, tmp_path):
-        cache = self._tiered(tmp_path)
-        key = "ab" + "0" * 62
-        cache.put(key, dict(self.PAYLOAD))
-        assert cache.local.get(key) is not None
-        assert cache.shared.get(key) is not None
-        assert cache.stores == 1
-
-    def test_shared_hit_is_promoted_into_local(self, tmp_path):
-        cache = self._tiered(tmp_path)
-        key = "cd" + "0" * 62
-        # another node computed this key: it exists only in the shared tier
-        cache.shared.put(key, dict(self.PAYLOAD))
-        assert cache.local.get(key) is None
-
-        got = cache.get(key)
-        assert got is not None and got["energy"] == 10.0
-        assert cache.promotions == 1
-        # the promoted entry now answers locally, without the shared tier
-        assert cache.local.get(key) is not None
-
-        again = cache.get(key)
-        assert again is not None
-        assert cache.promotions == 1  # no second promotion
-        assert (cache.hits, cache.misses) == (2, 0)
-
-    def test_promoted_entry_round_trips_identically(self, tmp_path):
-        cache = self._tiered(tmp_path)
-        key = "ef" + "0" * 62
-        cache.shared.put(key, dict(self.PAYLOAD))
-        via_shared = cache.get(key)
-        local_copy = cache.local.get(key)
-        # strip the per-tier bookkeeping ResultCache stamps on read
-        def essence(payload):
-            return {k: v for k, v in payload.items() if k not in ("format", "key")}
-
-        assert essence(via_shared) == essence(local_copy)
-
-    def test_miss_in_both_tiers_counts_once(self, tmp_path):
-        cache = self._tiered(tmp_path)
-        assert cache.get("99" + "0" * 62) is None
-        assert (cache.hits, cache.misses) == (0, 1)
-
-    def test_info_exposes_tier_breakdown(self, tmp_path):
-        cache = self._tiered(tmp_path)
-        key = "12" + "0" * 62
-        cache.put(key, dict(self.PAYLOAD))
-        cache.get(key)
-        info = cache.info()
-        assert info["hits"] == 1 and info["stores"] == 1
-        assert set(info["tiers"]) == {"local", "shared"}
-        assert info["tiers"]["local"]["hits"] == 1
-        assert info["root"].endswith("local")
-        assert info["shared_root"].endswith("shared")
-
-    def test_len_counts_the_shared_tier(self, tmp_path):
-        cache = self._tiered(tmp_path)
-        # a key promoted from shared must not double-count fleet-wide
-        cache.shared.put("aa" + "0" * 62, dict(self.PAYLOAD))
-        cache.put("bb" + "0" * 62, dict(self.PAYLOAD))
-        assert len(cache) == 2

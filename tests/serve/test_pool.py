@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import asyncio
+import os
+import signal
 import time
 
 import pytest
@@ -90,3 +93,30 @@ def test_workload_memos_are_bounded_and_content_keyed(worker, monkeypatch):
         )
     finally:
         builds.clear()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_signal_in_a_fresh_fork_child_does_not_reach_the_parent_loop():
+    """A child signalled before any pool initializer ran (a sibling that
+    ``ProcessPoolExecutor`` terminates when another worker dies) must
+    not drain the server: it may not echo into the parent's wakeup fd.
+    Importing :mod:`repro.serve.pool` arms the fork hooks that ensure it."""
+
+    async def scenario() -> bool:
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        loop.add_signal_handler(signal.SIGTERM, stop.set)
+        try:
+            pid = os.fork()
+            if pid == 0:  # child: signal ourselves at once, then leave
+                try:
+                    os.kill(os.getpid(), signal.SIGTERM)
+                finally:
+                    os._exit(0)
+            await asyncio.wait_for(loop.run_in_executor(None, os.waitpid, pid, 0), 10)
+            await asyncio.sleep(0.2)  # let the loop read its self-pipe
+            return stop.is_set()
+        finally:
+            loop.remove_signal_handler(signal.SIGTERM)
+
+    assert asyncio.run(scenario()) is False

@@ -8,7 +8,7 @@ product; the reference path is one run on the per-op instrumented loop
 feeding the streaming RTL energy observer (no trace is kept).  The paper
 reports three orders of magnitude against gate-level ModelSim +
 WattWatcher; our reference is a block-level Python estimator, so the
-measured ratio is smaller (about 20x on the perfbench ``paper`` workload,
+measured ratio is smaller (about 10x on the perfbench ``paper`` workload,
 see EXPERIMENTS.md section 5)."""
 
 import pytest

@@ -32,6 +32,13 @@ Two consumption modes share one switching-activity accumulator:
 
 Both walk identical arithmetic over identical per-instruction values, so
 their energy reports agree exactly.
+
+The accumulator runs on every retire, so it is table-driven: a 32-bit
+toggle factor is one lookup by Hamming distance,
+``toggle[((previous ^ current) & 0xFFFFFFFF).bit_count()]``, per-mnemonic
+constants are planned once per estimator, and each charge is added inline
+to its block and group in a fixed order.  Sums run left to right, so a
+report is the same to the bit on every Python version.
 """
 
 from __future__ import annotations
@@ -39,8 +46,7 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Optional
 
-from ..hwlib import ComponentInstance
-from ..isa import InstructionClass, hamming_distance
+from ..isa import InstructionClass
 from ..obs.protocol import SimObserver
 from ..obs.session import run_session
 from ..tech import OperatingPoint, TechCalibration, default_calibration
@@ -65,13 +71,34 @@ if TYPE_CHECKING:  # pragma: no cover
 #: (toggle in [0.55, 1.0] — a realistic ±20%-ish data swing).
 _TOGGLE_FLOOR = 0.55
 
+#: The report's energy groups, in ``by_group`` order.
+_GROUPS = ("base_core", "custom_hw", "events", "control", "idle")
+_BASE_CORE, _CUSTOM_HW, _EVENTS, _CONTROL, _IDLE = range(len(_GROUPS))
 
-def _toggle_factor(previous: int, current: int, width: int = 32) -> float:
-    """Activity factor in [_TOGGLE_FLOOR, 1.0] from input toggling."""
-    if width <= 0:
-        return _TOGGLE_FLOOR
-    density = hamming_distance(previous, current, width) / width
-    return _TOGGLE_FLOOR + (1.0 - _TOGGLE_FLOOR) * density
+# Instruction classes feed() tests on every retire, bound once.
+_ARITH = InstructionClass.ARITH
+_CUSTOM = InstructionClass.CUSTOM
+_UNTAKEN = InstructionClass.BRANCH_UNTAKEN
+#: classes that write a register even when the result reads back as 0
+_PORT_CLASSES = (InstructionClass.ARITH, InstructionClass.LOAD, InstructionClass.CUSTOM)
+_MEMORY = (InstructionClass.LOAD, InstructionClass.STORE)
+_CONTROL_FLOW = (
+    InstructionClass.JUMP,
+    InstructionClass.BRANCH_TAKEN,
+    InstructionClass.BRANCH_UNTAKEN,
+)
+
+
+def _serial_sum(values) -> float:
+    """Left-to-right float sum, the same on every Python version.
+
+    ``sum()`` compensates rounding from Python 3.12 on, which would move
+    the reference energies' last bits between interpreter versions.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclasses.dataclass
@@ -109,34 +136,31 @@ class _ActivityAccumulator:
     :class:`~repro.obs.events.RetireEvent` interchangeably (identical
     field layout) and never retains a reference past the
     :meth:`feed` call, so streaming consumption is O(1) in trace length.
+
+    Every unit of energy is charged as ``e = amount * scale`` and added to
+    its block, then to its group, so one factor rescales the whole report
+    to the estimator's operating point — exactly linear, matching
+    :meth:`EnergyMacroModel.at`.  Amounts that depend on the record keep
+    the association ``(E * toggle * cycles) * scale``; the estimator
+    scales the constant ones once.
     """
 
     def __init__(self, estimator: "RtlEnergyEstimator") -> None:
         self._est = estimator
-        self.by_block: dict[str, float] = {name: 0.0 for name in estimator._blocks}
-        for instance in estimator.netlist.custom_instances:
+        self.reset()
+
+    def reset(self) -> None:
+        """Zero every charge and the activity history."""
+        est = self._est
+        self.by_block: dict[str, float] = {name: 0.0 for name in est._active}
+        for instance in est.netlist.custom_instances:
             self.by_block[instance.name] = 0.0
         self.by_block["tie_control"] = 0.0
-        self.groups = {
-            "base_core": 0.0,
-            "custom_hw": 0.0,
-            "events": 0.0,
-            "control": 0.0,
-            "idle": 0.0,
-        }
-        mean_toggle = (_TOGGLE_FLOOR + 1.0) / 2.0
-        if estimator.data_dependent:
-            self._toggle_of = _toggle_factor
-        else:
-            def toggle_of(previous: int, current: int, width: int = 32) -> float:
-                return mean_toggle
-
-            self._toggle_of = toggle_of
+        #: running sum per group, in ``_GROUPS`` order
+        self.groups = [0.0] * len(_GROUPS)
         # Activity history (per consumer context).
         self._prev_pc = 0
-        self._prev_alu = (0, 0)
-        self._prev_mul = (0, 0)
-        self._prev_shift = (0, 0)
+        self._prev_unit = {"alu": (0, 0), "base_multiplier": (0, 0), "base_shifter": (0, 0)}
         self._prev_mem = 0
         self._prev_bus = (0, 0)
         self._prev_custom: dict[str, tuple[int, ...]] = {}
@@ -146,202 +170,184 @@ class _ActivityAccumulator:
         est = self._est
         by_block = self.by_block
         groups = self.groups
-        blocks = est._blocks
-        extensions = est.config.extension_index
-        control = est.netlist.control
-        toggle_of = self._toggle_of
+        active = est._active
+        toggle = est._toggle
         scale = est.energy_scale
-
-        # Every unit of energy flows through this closure, so one factor
-        # here rescales the whole report to the estimator's operating
-        # point — exactly linear, matching EnergyMacroModel.at().
-        def charge(block: str, amount: float, group: str) -> None:
-            by_block[block] += amount * scale
-            groups[group] += amount * scale
-
+        mnemonic = record.mnemonic
+        iclass = record.iclass
         operands = record.operands
-        cycles = record.cycles
+        decode, decode_e, unit, latency, custom = (
+            est._plans.get(mnemonic) or est._plan(mnemonic, iclass)
+        )
 
         # ---- fetch + decode (every instruction) ----------------------
-        fetch_toggle = toggle_of(self._prev_pc, record.addr)
-        charge("fetch_unit", blocks["fetch_unit"].active_energy * fetch_toggle, "base_core")
-        self._prev_pc = record.addr
-        decode_var = est._decode_variation.get(record.mnemonic)
-        if decode_var is None:
-            if est.data_dependent:
-                decode_var = stable_unit_variation(
-                    "decode/" + record.mnemonic, spread=0.06
-                )
-            else:
-                decode_var = 1.0
-            est._decode_variation[record.mnemonic] = decode_var
-        charge(
-            "instruction_decoder",
-            blocks["instruction_decoder"].active_energy * decode_var,
-            "base_core",
-        )
+        addr = record.addr
+        fetch_toggle = toggle[((self._prev_pc ^ addr) & 0xFFFFFFFF).bit_count()]
+        self._prev_pc = addr
+        e = active["fetch_unit"] * fetch_toggle * scale
+        by_block["fetch_unit"] += e
+        groups[_BASE_CORE] += e
+        by_block["instruction_decoder"] += decode_e
+        groups[_BASE_CORE] += decode_e
         if not record.uncached_fetch:
-            charge("icache", blocks["icache"].active_energy * fetch_toggle, "base_core")
-        if extensions:
+            e = active["icache"] * fetch_toggle * scale
+            by_block["icache"] += e
+            groups[_BASE_CORE] += e
+        e = est._tie_decode
+        if e is not None:
             # The generated TIE decoder examines every fetched opcode.
-            charge("tie_control", control.decode_energy, "control")
+            by_block["tie_control"] += e
+            groups[_CONTROL] += e
 
         # ---- register file -------------------------------------------
-        port_uses = len(operands) + (1 if record.result or record.iclass in (
-            InstructionClass.ARITH, InstructionClass.LOAD, InstructionClass.CUSTOM
-        ) else 0)
+        port_uses = len(operands) + (1 if record.result or iclass in _PORT_CLASSES else 0)
         if port_uses:
             # Decode, word-line precharge etc. dominate; the marginal
             # cost of extra ports is sub-linear.
-            port_factor = 0.55 + 0.15 * min(port_uses, 3)
-            charge(
-                "register_file",
-                blocks["register_file"].active_energy * port_factor,
-                "base_core",
-            )
+            register_file = est._register_file[port_uses if port_uses < 3 else 3]
+            e = register_file * scale
+            by_block["register_file"] += e
+            groups[_BASE_CORE] += e
 
         # ---- execution units ------------------------------------------
-        iclass = record.iclass
-        if iclass is InstructionClass.ARITH:
+        if iclass is _ARITH:
             a = operands[0] if operands else 0
             b = operands[1] if len(operands) > 1 else record.result
-            if record.mnemonic in MULTIPLIER_MNEMONICS:
-                toggle = (
-                    toggle_of(self._prev_mul[0], a) + toggle_of(self._prev_mul[1], b)
-                ) / 2.0
-                self._prev_mul = (a, b)
-                active_cycles = est._latency[record.mnemonic]
-                charge(
-                    "base_multiplier",
-                    blocks["base_multiplier"].active_energy * toggle * active_cycles,
-                    "base_core",
-                )
-            elif record.mnemonic in SHIFTER_MNEMONICS:
-                toggle = toggle_of(self._prev_shift[0], a)
-                self._prev_shift = (a, b)
-                charge("base_shifter", blocks["base_shifter"].active_energy * toggle, "base_core")
+            prev_a, prev_b = self._prev_unit[unit]
+            self._prev_unit[unit] = (a, b)
+            if latency is None:  # the shifter sees only its data input
+                e = active[unit] * toggle[((prev_a ^ a) & 0xFFFFFFFF).bit_count()] * scale
             else:
-                toggle = (
-                    toggle_of(self._prev_alu[0], a) + toggle_of(self._prev_alu[1], b)
-                ) / 2.0
-                self._prev_alu = (a, b)
-                # Iterative units (divide/remainder) keep the ALU busy
+                # Iterative units (multiply, divide/remainder) stay busy
                 # for every issue cycle.
-                active_cycles = est._latency[record.mnemonic]
-                charge(
-                    "alu",
-                    blocks["alu"].active_energy * toggle * active_cycles,
-                    "base_core",
-                )
-        elif iclass in (InstructionClass.LOAD, InstructionClass.STORE):
-            addr = record.mem_addr or 0
-            toggle = toggle_of(self._prev_mem, addr)
-            self._prev_mem = addr
-            charge("load_store_unit", blocks["load_store_unit"].active_energy * toggle, "base_core")
-            charge("dcache", blocks["dcache"].active_energy * toggle, "base_core")
-        elif iclass in (
-            InstructionClass.JUMP,
-            InstructionClass.BRANCH_TAKEN,
-            InstructionClass.BRANCH_UNTAKEN,
-        ):
+                unit_toggle = (
+                    toggle[((prev_a ^ a) & 0xFFFFFFFF).bit_count()]
+                    + toggle[((prev_b ^ b) & 0xFFFFFFFF).bit_count()]
+                ) / 2.0
+                e = active[unit] * unit_toggle * latency * scale
+            by_block[unit] += e
+            groups[_BASE_CORE] += e
+        elif iclass in _MEMORY:
+            mem_addr = record.mem_addr or 0
+            mem_toggle = toggle[((self._prev_mem ^ mem_addr) & 0xFFFFFFFF).bit_count()]
+            self._prev_mem = mem_addr
+            e = active["load_store_unit"] * mem_toggle * scale
+            by_block["load_store_unit"] += e
+            groups[_BASE_CORE] += e
+            e = active["dcache"] * mem_toggle * scale
+            by_block["dcache"] += e
+            groups[_BASE_CORE] += e
+        elif iclass in _CONTROL_FLOW:
             # Compare/target logic rides on the ALU; taken control flow
             # additionally re-steers the fetch unit.
-            charge("alu", blocks["alu"].active_energy * 0.6, "base_core")
-            if iclass is not InstructionClass.BRANCH_UNTAKEN:
-                charge("fetch_unit", blocks["fetch_unit"].active_energy * 0.8, "base_core")
+            e = est._compare_e
+            by_block["alu"] += e
+            groups[_BASE_CORE] += e
+            if iclass is not _UNTAKEN:
+                e = est._resteer_e
+                by_block["fetch_unit"] += e
+                groups[_BASE_CORE] += e
 
         # ---- custom instruction execution ------------------------------
-        if iclass is InstructionClass.CUSTOM:
-            impl = extensions[record.mnemonic]
-            previous = self._prev_custom.get(record.mnemonic)
-            toggle = _TOGGLE_FLOOR + (1.0 - _TOGGLE_FLOOR) * 0.5
+        if iclass is _CUSTOM:
+            instances, extra_cycles, bypass_e, widths = custom
+            previous = self._prev_custom.get(mnemonic)
+            custom_toggle = _TOGGLE_FLOOR + (1.0 - _TOGGLE_FLOOR) * 0.5
             if est.data_dependent and previous is not None and operands:
-                widths = est._custom_widths.get(record.mnemonic, ())
                 densities = [
-                    hamming_distance(p, c, width) / width
+                    ((p ^ c) & ((1 << width) - 1)).bit_count() / width
                     for p, c, width in zip(
                         previous, operands, widths or (32,) * len(operands)
                     )
                 ]
-                mean_density = sum(densities) / len(densities)
-                toggle = _TOGGLE_FLOOR + (1.0 - _TOGGLE_FLOOR) * mean_density
-            self._prev_custom[record.mnemonic] = operands
-            for instance in impl.instances:
-                active = len(impl.active_cycles[instance.name])
-                if not active:
-                    continue
-                energy = est._instance_energy[instance.name] * toggle * active
-                charge(instance.name, energy, "custom_hw")
+                mean_density = _serial_sum(densities) / len(densities)
+                custom_toggle = _TOGGLE_FLOOR + (1.0 - _TOGGLE_FLOOR) * mean_density
+            self._prev_custom[mnemonic] = operands
+            for name, energy, active_cycles in instances:
+                e = energy * custom_toggle * active_cycles * scale
+                by_block[name] += e
+                groups[_CUSTOM_HW] += e
             # A multi-cycle custom instruction stalls issue but keeps
             # the decode latches, register-file ports and bypass logic
             # engaged every cycle it occupies the pipeline.
-            extra_cycles = impl.latency - 1
             if extra_cycles:
-                charge(
-                    "instruction_decoder",
-                    blocks["instruction_decoder"].active_energy * decode_var * extra_cycles,
-                    "base_core",
-                )
+                e = decode * extra_cycles * scale
+                by_block["instruction_decoder"] += e
+                groups[_BASE_CORE] += e
                 if port_uses:
-                    charge(
-                        "register_file",
-                        blocks["register_file"].active_energy * port_factor * extra_cycles,
-                        "base_core",
-                    )
-            if impl.accesses_gpr:
-                charge("tie_control", control.bypass_energy * impl.latency, "control")
+                    e = register_file * extra_cycles * scale
+                    by_block["register_file"] += e
+                    groups[_BASE_CORE] += e
+            if bypass_e is not None:
+                by_block["tie_control"] += bypass_e
+                groups[_CONTROL] += bypass_e
 
         # ---- spurious operand-bus activation ----------------------------
         elif operands and est._taps:
             a = operands[0]
             b = operands[1] if len(operands) > 1 else 0
+            prev_a, prev_b = self._prev_bus
             bus_toggle = (
-                toggle_of(self._prev_bus[0], a) + toggle_of(self._prev_bus[1], b)
+                toggle[((prev_a ^ a) & 0xFFFFFFFF).bit_count()]
+                + toggle[((prev_b ^ b) & 0xFFFFFFFF).bit_count()]
             ) / 2.0
             self._prev_bus = (a, b)
-            for instance, nominal in est._taps:
-                charge(
-                    instance.name,
-                    nominal * SPURIOUS_INPUT_STAGE_WEIGHT * bus_toggle,
-                    "custom_hw",
-                )
+            for name, weighted in est._taps:
+                e = weighted * bus_toggle * scale
+                by_block[name] += e
+                groups[_CUSTOM_HW] += e
 
         # ---- events ------------------------------------------------------
         if record.icache_miss:
-            charge("bus_interface", EVENT_ENERGY["icache_miss"], "events")
+            e = est._event_e["icache_miss"]
+            by_block["bus_interface"] += e
+            groups[_EVENTS] += e
         if record.dcache_miss:
-            charge("bus_interface", EVENT_ENERGY["dcache_miss"], "events")
+            e = est._event_e["dcache_miss"]
+            by_block["bus_interface"] += e
+            groups[_EVENTS] += e
         if record.uncached_fetch:
-            charge("bus_interface", EVENT_ENERGY["uncached_fetch"], "events")
+            e = est._event_e["uncached_fetch"]
+            by_block["bus_interface"] += e
+            groups[_EVENTS] += e
         if record.interlock:
-            charge("pipeline_control", EVENT_ENERGY["interlock"], "events")
+            e = est._event_e["interlock"]
+            by_block["pipeline_control"] += e
+            groups[_EVENTS] += e
 
         # ---- per-cycle clock / pipeline / idle ----------------------------
-        charge("pipeline_control", blocks["pipeline_control"].active_energy * cycles, "base_core")
-        charge("clock_tree", blocks["clock_tree"].active_energy * cycles, "base_core")
-        idle = (est._base_idle_per_cycle + est._custom_idle_per_cycle) * cycles
-        charge("clock_tree", idle, "idle")
+        cycles = record.cycles
+        e = active["pipeline_control"] * cycles * scale
+        by_block["pipeline_control"] += e
+        groups[_BASE_CORE] += e
+        e = active["clock_tree"] * cycles * scale
+        by_block["clock_tree"] += e
+        groups[_BASE_CORE] += e
+        e = est._idle_per_cycle * cycles * scale
+        by_block["clock_tree"] += e
+        groups[_IDLE] += e
 
     def finish(self, program_name: str, cycles: int, instructions: int) -> EnergyReport:
         """Package the accumulated charges into an :class:`EnergyReport`."""
         return EnergyReport(
             program_name=program_name,
             processor_name=self._est.config.name,
-            total=sum(self.groups.values()),
+            total=_serial_sum(self.groups),
             by_block=self.by_block,
-            by_group=self.groups,
+            by_group=dict(zip(_GROUPS, self.groups)),
             cycles=cycles,
             instructions=instructions,
         )
 
 
-class RtlEnergyObserver(SimObserver):
+class RtlEnergyObserver(_ActivityAccumulator, SimObserver):
     """Streams retire events into a switching-activity accumulator.
 
     Register one on a :func:`repro.obs.run_session` run (no trace
     collection needed) and read :attr:`report` after the run — the
     streaming reference path: one pass, peak trace memory independent of
-    instruction count.
+    instruction count.  The observer is its own accumulator, so each
+    retire is one call straight into :meth:`~_ActivityAccumulator.feed`.
     """
 
     wants_retire = True
@@ -349,20 +355,18 @@ class RtlEnergyObserver(SimObserver):
     needs_result = True
 
     def __init__(self, estimator: "RtlEnergyEstimator") -> None:
-        self._estimator = estimator
-        self._accumulator: Optional[_ActivityAccumulator] = None
+        self._est = estimator
         self._report: Optional[EnergyReport] = None
 
     def on_run_start(self, config: ProcessorConfig, program: Program) -> None:
-        self._estimator._check_config(config, source="run")
-        self._accumulator = _ActivityAccumulator(self._estimator)
+        self._est._check_config(config, source="run")
+        self.reset()
         self._report = None
 
-    def on_retire(self, event: "RetireEvent") -> None:
-        self._accumulator.feed(event)
+    on_retire = _ActivityAccumulator.feed
 
     def on_run_finish(self, result: SimulationResult) -> None:
-        self._report = self._accumulator.finish(
+        self._report = self.finish(
             result.program.name,
             result.stats.total_cycles,
             result.stats.total_instructions,
@@ -414,44 +418,95 @@ class RtlEnergyEstimator:
         else:
             self.operating_point = None
             self.energy_scale = 1.0
-        self._blocks = BLOCKS_BY_NAME
         # Pre-resolve per-instance nominal energies (variation applied).
         self._instance_energy: dict[str, float] = {}
-        self._instance_idle: dict[str, float] = {}
+        custom_idle = 0.0
         for instance in netlist.custom_instances:
             variation = (
                 netlist.instance_variation(instance.name) if data_dependent else 1.0
             )
             self._instance_energy[instance.name] = instance.unit_energy * variation
-            self._instance_idle[instance.name] = (
-                instance.unit_energy * instance.info.idle_fraction * variation
+            custom_idle += instance.unit_energy * instance.info.idle_fraction * variation
+        base_idle = _serial_sum(b.idle_energy for b in netlist.base_blocks)
+        self._idle_per_cycle = base_idle + custom_idle
+        # Bus-tapped instances and their spurious input-stage energies.
+        self._taps = [
+            (name, self._instance_energy[name] * SPURIOUS_INPUT_STAGE_WEIGHT)
+            for impl in self.config.extensions
+            for name in impl.bus_tapped
+        ]
+        # Switching activity depends on the Hamming distance alone, so a
+        # 32-bit toggle factor is one lookup by distance.
+        if data_dependent:
+            self._toggle = tuple(
+                _TOGGLE_FLOOR + (1.0 - _TOGGLE_FLOOR) * (hd / 32) for hd in range(33)
             )
-        # Per-mnemonic decode variation: the within-class energy spread the
-        # macro-model cannot observe.
-        self._decode_variation: dict[str, float] = {}
-        # Bus-tapped instance lists per extension (precomputed).
-        self._taps: list[tuple[ComponentInstance, float]] = []
-        for impl in self.config.extensions:
-            for name in impl.bus_tapped:
-                instance = impl.instance_by_name(name)
-                self._taps.append((instance, self._instance_energy[name]))
-        self._base_idle_per_cycle = sum(b.idle_energy for b in netlist.base_blocks)
-        self._custom_idle_per_cycle = sum(self._instance_idle.values())
+        else:
+            self._toggle = ((_TOGGLE_FLOOR + 1.0) / 2.0,) * 33
+        self._active = {name: block.active_energy for name, block in BLOCKS_BY_NAME.items()}
+        #: register-file energy by port uses (clamped at 3)
+        self._register_file = tuple(
+            self._active["register_file"] * (0.55 + 0.15 * uses) for uses in range(4)
+        )
+        # Charges that do not depend on the record, scaled once.
+        scale = self.energy_scale
+        self._tie_decode = (
+            netlist.control.decode_energy * scale if self.config.extension_index else None
+        )
+        self._compare_e = self._active["alu"] * 0.6 * scale
+        self._resteer_e = self._active["fetch_unit"] * 0.8 * scale
+        self._event_e = {event: energy * scale for event, energy in EVENT_ENERGY.items()}
         #: issue-cycle latency per mnemonic (multi-cycle units stay active
         #: for every issue cycle)
         self._latency = {d.mnemonic: d.latency for d in self.config.isa}
-        #: declared GPR-source widths per custom mnemonic, in operand order
-        #: (toggle densities are relative to the datapath width actually
-        #: wired to the operand, not the full 32-bit bus)
-        self._custom_widths: dict[str, tuple[int, ...]] = {}
-        for impl in self.config.extensions:
-            widths = {
-                node.payload: node.width
-                for node in impl.spec.nodes
-                if node.kind == "gpr_in"
-            }
+        #: per-mnemonic charge constants, see :meth:`_plan`
+        self._plans: dict[str, tuple] = {}
+
+    def _plan(self, mnemonic: str, iclass: InstructionClass) -> tuple:
+        """``(decode, decode scaled, unit, latency, custom)`` of a mnemonic.
+
+        Built on its first retire and kept: a mnemonic's class is fixed
+        by the ISA (a branch only resolves taken or untaken).  ``unit`` and
+        ``latency`` are an ARITH mnemonic's execution block and issue
+        cycles (no latency for the shifter); ``custom`` is a custom
+        mnemonic's active instances, extra cycles, scaled bypass charge
+        and operand widths.
+        """
+        # Decode variation: the within-class spread the macro-model
+        # cannot observe.
+        if self.data_dependent:
+            variation = stable_unit_variation("decode/" + mnemonic, spread=0.06)
+        else:
+            variation = 1.0
+        decode = self._active["instruction_decoder"] * variation
+        unit = latency = custom = None
+        if iclass is InstructionClass.ARITH:
+            if mnemonic in MULTIPLIER_MNEMONICS:
+                unit = "base_multiplier"
+            elif mnemonic in SHIFTER_MNEMONICS:
+                unit = "base_shifter"
+            else:
+                unit = "alu"
+            if unit != "base_shifter":
+                latency = self._latency[mnemonic]
+        elif iclass is InstructionClass.CUSTOM:
+            impl = self.config.extension_index[mnemonic]
+            instances = []
+            for instance in impl.instances:
+                active = len(impl.active_cycles[instance.name])
+                if active:
+                    instances.append((instance.name, self._instance_energy[instance.name], active))
+            bypass = None
+            if impl.accesses_gpr:
+                bypass = self.netlist.control.bypass_energy * impl.latency * self.energy_scale
+            # Toggle densities are relative to the declared width of the
+            # datapath wired to each GPR source, in operand order.
+            widths = {node.payload: node.width for node in impl.spec.nodes if node.kind == "gpr_in"}
             ordered = tuple(widths[field] for field in ("rs", "rt") if field in widths)
-            self._custom_widths[impl.mnemonic] = ordered
+            custom = (tuple(instances), impl.latency - 1, bypass, ordered)
+        plan = (decode, decode * self.energy_scale, unit, latency, custom)
+        self._plans[mnemonic] = plan
+        return plan
 
     # -- public API -----------------------------------------------------------
 

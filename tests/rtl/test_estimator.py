@@ -73,6 +73,33 @@ class TestBasics:
         assert first.total == second.total
         assert first.by_block == second.by_block
 
+    def test_unknown_arith_mnemonic_raises_key_error(self):
+        from repro.isa import InstructionClass
+        from repro.obs.records import TraceRecord
+        from repro.rtl.estimator import _ActivityAccumulator
+
+        estimator = RtlEnergyEstimator(generate_netlist(build_processor("plain")))
+        record = TraceRecord(0x100, "nosuchop", InstructionClass.ARITH, 1, (3, 5), 8)
+        with pytest.raises(KeyError, match="nosuchop"):
+            _ActivityAccumulator(estimator).feed(record)
+        # the failed mnemonic leaves no plan behind: it raises again
+        with pytest.raises(KeyError, match="nosuchop"):
+            _ActivityAccumulator(estimator).feed(record)
+
+    def test_observer_reused_across_runs_starts_from_zero(self):
+        from repro.obs import run_session
+
+        config = build_processor("plain")
+        program = _program(LOOP, config)
+        estimator = RtlEnergyEstimator(generate_netlist(config))
+        observer = estimator.observer()
+        run_session(config, program, observers=(observer,))
+        first = observer.report
+        run_session(config, program, observers=(observer,))
+        assert observer.report.total == first.total
+        assert observer.report.by_block == first.by_block
+        assert observer.report.by_block is not first.by_block
+
     def test_report_consistency(self):
         config = build_processor("plain")
         report, result = reference_energy(config, _program(LOOP, config))

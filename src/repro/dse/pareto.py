@@ -39,12 +39,20 @@ def pareto_frontier(
     unique: dict[str, CandidateScore] = {}
     for score in scores:
         unique.setdefault(score.key, score)
-    points = sorted(unique.values(), key=lambda s: (_axis_tuple(s, axes), s.key))
-    frontier = []
-    for candidate in points:
-        if not any(dominates(other, candidate, axes) for other in points):
-            frontier.append(candidate)
-    return frontier
+    # Each axis tuple once, shared by the sort and the dominance test
+    # (the inner test is ``dominates`` on precomputed tuples).
+    points = sorted(
+        ((_axis_tuple(s, axes), s.key, s) for s in unique.values()),
+        key=lambda point: point[:2],
+    )
+    return [
+        candidate
+        for values, _, candidate in points
+        if not any(
+            all(x <= y for x, y in zip(other, values)) and other != values
+            for other, _, _ in points
+        )
+    ]
 
 
 def rank_scores(

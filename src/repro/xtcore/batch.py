@@ -22,10 +22,13 @@ models and the per-class cycle attribution.
    line cannot change where its own same-line transitions fall: equal
    fine lines imply equal coarse lines, so every coarse-grain transition
    is preserved in the fine-grain stream.
-2. **Replay** — per config, push the recorded streams through that
-   config's own :class:`~repro.xtcore.caches.SetAssociativeCache` pair
-   (with the same same-line memo the dispatch loops use) to obtain its
-   miss counts.
+2. **Replay** — per distinct cache geometry ``(size_bytes, ways,
+   line_bytes)``, push the recorded stream once through a fresh
+   :class:`~repro.xtcore.caches.SetAssociativeCache` via
+   :meth:`~repro.xtcore.caches.SetAssociativeCache.replay` (the same
+   same-line memo the dispatch loops use) to obtain its miss count.
+   Misses depend on nothing else — ``miss_penalty`` only prices them —
+   so batch members with equal geometry share one replay.
 3. **Aggregate** — fold the shared counters plus the per-config miss
    counts through :func:`repro.xtcore.iss._aggregate_stats` against each
    config's own compiled lowering (issue latencies and branch penalties
@@ -45,6 +48,7 @@ from .caches import SetAssociativeCache
 from .compiled import compilation_cache
 from .config import (
     DEFAULT_MAX_INSTRUCTIONS,
+    CacheConfig,
     ProcessorConfig,
     canonical_json_with_extensions,
     extension_json,
@@ -109,18 +113,17 @@ def _record_trajectory(
     return state, counts, taken_counts, interlocks, ifetch, daccess
 
 
-def _replay_stream(stream: list[int], cache: SetAssociativeCache) -> int:
-    """Misses when ``cache`` sees ``stream``, with the same-line memo applied."""
-    access = cache.access
-    shift = cache.offset_bits
-    last = -1
-    misses = 0
-    for addr in stream:
-        line = addr >> shift
-        if line != last:
-            last = line
-            if not access(addr):
-                misses += 1
+def _geometry_misses(
+    memo: dict[tuple[int, int, int], int],
+    stream: list[int],
+    config: CacheConfig,
+    name: str,
+) -> int:
+    """Misses of ``stream`` on ``config``'s geometry, replayed once per ``memo``."""
+    key = (config.size_bytes, config.ways, config.line_bytes)
+    misses = memo.get(key)
+    if misses is None:
+        misses = memo[key] = SetAssociativeCache(config, name).replay(stream)
     return misses
 
 
@@ -162,11 +165,13 @@ def run_batch(
         lead, min_ishift, min_dshift, entry
     )
 
+    imisses: dict[tuple[int, int, int], int] = {}
+    dmisses: dict[tuple[int, int, int], int] = {}
     results: list[SimulationResult] = []
     for config in configs:
         executable = cache.get_or_compile(config, program)
-        icache_misses = _replay_stream(ifetch, SetAssociativeCache(config.icache, "icache"))
-        dcache_misses = _replay_stream(daccess, SetAssociativeCache(config.dcache, "dcache"))
+        icache_misses = _geometry_misses(imisses, ifetch, config.icache, "icache")
+        dcache_misses = _geometry_misses(dmisses, daccess, config.dcache, "dcache")
         stats = _aggregate_stats(
             config,
             executable,

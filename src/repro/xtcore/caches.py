@@ -8,6 +8,8 @@ recency but not line contents.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .config import CacheConfig
 
 
@@ -58,6 +60,47 @@ class SetAssociativeCache:
         if len(ways) > self._num_ways:
             ways.pop()
         return False
+
+    def replay(self, stream: Iterable[int]) -> int:
+        """Push ``stream`` through the cache; returns the misses it caused.
+
+        Applies the dispatch loops' same-line memo: an address on the
+        same line as the previous one is skipped (it could only be an MRU
+        hit that changes nothing).  Every surviving address follows
+        exactly :meth:`access`'s LRU rule, inlined over locals, and
+        ``hits``/``misses`` end where an ``access()`` loop over the
+        survivors would leave them.
+        """
+        shift = self._offset_bits
+        index_mask = self._index_mask
+        index_bits = self._index_bits
+        num_ways = self._num_ways
+        sets = self._sets
+        last = -1
+        hits = misses = 0
+        for addr in stream:
+            line = addr >> shift
+            if line == last:
+                continue
+            last = line
+            tag = line >> index_bits
+            ways = sets[line & index_mask]
+            if ways:
+                if ways[0] == tag:
+                    hits += 1
+                    continue
+                if tag in ways:
+                    ways.remove(tag)
+                    ways.insert(0, tag)
+                    hits += 1
+                    continue
+            misses += 1
+            ways.insert(0, tag)
+            if len(ways) > num_ways:
+                ways.pop()
+        self.hits += hits
+        self.misses += misses
+        return misses
 
     def contains(self, addr: int) -> bool:
         """Non-destructive lookup (no LRU update, no fill)."""

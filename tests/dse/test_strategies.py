@@ -1,6 +1,7 @@
 """Strategies, Pareto frontier, ranking and the explore/report layer."""
 
 import json
+import random
 
 import pytest
 
@@ -14,6 +15,8 @@ from repro.dse import (
     pareto_frontier,
     rank_scores,
 )
+from repro.dse.evaluate import CandidateScore
+from repro.dse.pareto import PARETO_AXES, dominates
 
 
 def _engine(model, space, **kwargs):
@@ -133,6 +136,46 @@ class TestParetoAndRanking:
         scores = ExhaustiveStrategy().explore(toy_space, engine.evaluate)
         ranked = rank_scores(scores + scores, "edp")
         assert len(ranked) == toy_space.size
+
+
+def _random_scores(seed: int, count: int) -> list[CandidateScore]:
+    """Scores on a coarse grid (many axis ties) with some keys repeated."""
+    rng = random.Random(seed)
+    return [
+        CandidateScore(
+            key=f"k{rng.randrange(count // 2 + 1)}",
+            assignment={},
+            program_name="p",
+            processor_name="x",
+            energy=rng.choice([1.0, 1.5, 2.0, 2.5]),
+            cycles=rng.choice([100, 120, 140]),
+            area=rng.choice([0.5, 1.0, 1.5]),
+        )
+        for _ in range(count)
+    ]
+
+
+def _brute_force_frontier(scores, axes):
+    unique = {}
+    for score in scores:
+        unique.setdefault(score.key, score)
+    points = list(unique.values())
+    kept = [c for c in points if not any(dominates(o, c, axes) for o in points)]
+    return sorted(kept, key=lambda s: (tuple(s.objective(a) for a in axes), s.key))
+
+
+class TestParetoFrontierBruteForce:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("axes", [PARETO_AXES, ("energy", "cycles"), ("edp", "area")])
+    def test_matches_dominates_filter(self, seed, axes):
+        scores = _random_scores(seed, count=40)
+        assert len({s.key for s in scores}) < len(scores)  # duplicate keys present
+        frontier = pareto_frontier(scores, axes)
+        expected = _brute_force_frontier(scores, axes)
+        assert [id(s) for s in frontier] == [id(s) for s in expected]
+
+    def test_empty(self):
+        assert pareto_frontier([]) == []
 
 
 class TestExploreReport:

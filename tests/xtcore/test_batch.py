@@ -13,6 +13,7 @@ from repro.asm import assemble
 from repro.isa import base_isa
 from repro.testing.progen import stress_programs
 from repro.xtcore import (
+    SetAssociativeCache,
     SimulationError,
     SimulationLimitExceeded,
     Simulator,
@@ -80,6 +81,21 @@ def heterogeneous_configs():
     return variants
 
 
+def _assert_matches_solo(configs, results, program):
+    """Every batch member equals its solo run, stats field by field."""
+    assert len(results) == len(configs)
+    for config, result in zip(configs, results):
+        solo = Simulator(config, program).run()
+        assert result.engine == "batch"
+        assert result.config is config
+        for field in dataclasses.fields(solo.stats):
+            a = getattr(solo.stats, field.name)
+            b = getattr(result.stats, field.name)
+            assert a == b, f"{config.name}: stats.{field.name}: {a!r} != {b!r}"
+        assert result.state.regs == solo.state.regs
+        assert result.state.halted
+
+
 class TestSemanticFingerprint:
     def test_cache_and_clock_do_not_split_partitions(self):
         configs = heterogeneous_configs()
@@ -103,18 +119,7 @@ class TestRunBatch:
 
     def test_matches_solo_runs(self, program):
         configs = heterogeneous_configs()
-        results = run_batch(configs, program)
-        assert len(results) == len(configs)
-        for config, result in zip(configs, results):
-            solo = Simulator(config, program).run()
-            assert result.engine == "batch"
-            assert result.config is config
-            for field in dataclasses.fields(solo.stats):
-                a = getattr(solo.stats, field.name)
-                b = getattr(result.stats, field.name)
-                assert a == b, f"{config.name}: stats.{field.name}: {a!r} != {b!r}"
-            assert result.state.regs == solo.state.regs
-            assert result.state.halted
+        _assert_matches_solo(configs, run_batch(configs, program), program)
 
     def test_results_share_final_state(self, program):
         results = run_batch(heterogeneous_configs(), program)
@@ -129,6 +134,111 @@ class TestRunBatch:
     def test_budget_faults_once_for_the_batch(self, program):
         with pytest.raises(SimulationLimitExceeded):
             run_batch(heterogeneous_configs(), program, max_instructions=5)
+
+
+#: Two words 1 KiB apart: they collide in a 1 KiB direct-mapped D-cache.
+CONFLICT_SOURCE = """\
+    .data
+lo:
+    .word 5
+    .space 1020
+hi:
+    .word 7
+    .text
+main:
+    la a10, lo
+    la a12, hi
+    movi a11, 8
+    movi a2, 0
+loop:
+    l32i a3, a10, 0
+    l32i a4, a12, 0
+    add a2, a2, a3
+    add a2, a2, a4
+    addi a11, a11, -1
+    bnez a11, loop
+    halt
+"""
+
+
+class TestReplaySharing:
+    """Members with equal cache geometry share one replay per stream."""
+
+    @pytest.fixture()
+    def program(self):
+        return assemble(CONFLICT_SOURCE, "batch-conflict", isa=base_isa())
+
+    def sharing_configs(self):
+        base = build_processor("xt-share-base", [])
+        penalty_only = dataclasses.replace(
+            base,
+            name="xt-share-penalty",
+            icache=dataclasses.replace(base.icache, miss_penalty=30),
+            dcache=dataclasses.replace(base.dcache, miss_penalty=3),
+        )
+        direct_mapped = dataclasses.replace(
+            base,
+            name="xt-share-1way",
+            dcache=dataclasses.replace(base.dcache, ways=1, size_bytes=1024),
+        )
+        two_way = dataclasses.replace(
+            base,
+            name="xt-share-2way",
+            dcache=dataclasses.replace(base.dcache, ways=2, size_bytes=1024),
+        )
+        direct_mapped_2k = dataclasses.replace(
+            base,
+            name="xt-share-1way-2K",
+            dcache=dataclasses.replace(base.dcache, ways=1, size_bytes=2048),
+        )
+        small_lines = dataclasses.replace(
+            base,
+            name="xt-share-16B",
+            icache=_cache_variant(base.icache, line_bytes=16),
+            dcache=_cache_variant(base.dcache, line_bytes=16),
+        )
+        repeat = dataclasses.replace(small_lines, name="xt-share-16B-again", clock_mhz=400.0)
+        return [
+            base,
+            penalty_only,
+            direct_mapped,
+            base,
+            two_way,
+            direct_mapped_2k,
+            small_lines,
+            repeat,
+            direct_mapped,
+        ]
+
+    def test_each_geometry_replays_once_and_members_match_solo(self, program, monkeypatch):
+        configs = self.sharing_configs()
+        calls = {"icache": [], "dcache": []}
+        replay = SetAssociativeCache.replay
+
+        def counting_replay(cache, stream):
+            cfg = cache.config
+            calls[cache.name].append((cfg.size_bytes, cfg.ways, cfg.line_bytes))
+            return replay(cache, stream)
+
+        monkeypatch.setattr(SetAssociativeCache, "replay", counting_replay)
+        results = run_batch(configs, program)
+
+        for name in ("icache", "dcache"):
+            geometries = {
+                (c.size_bytes, c.ways, c.line_bytes)
+                for c in (getattr(config, name) for config in configs)
+            }
+            assert sorted(calls[name]) == sorted(geometries), name
+        assert len(calls["icache"]) == 2 and len(calls["dcache"]) == 5
+        _assert_matches_solo(configs, results, program)
+        # a penalty-only variant shares misses but not cycles
+        assert results[1].stats.icache_misses == results[0].stats.icache_misses
+        assert results[1].stats.total_cycles != results[0].stats.total_cycles
+        # the 1 KiB direct-mapped D-cache thrashes where one more way or
+        # twice the size does not
+        thrash = results[2].stats.dcache_misses
+        assert thrash > results[4].stats.dcache_misses
+        assert thrash > results[5].stats.dcache_misses
 
 
 class TestRecordLoopStress:

@@ -3,7 +3,8 @@
 Hypothesis drives both implementations with the same access stream; they
 must agree on every hit/miss decision.  The oracle is written for
 clarity, the production model for speed — divergence pinpoints a bug in
-either.
+either.  Both LRU forms of the production model are covered: the
+per-access ``access()`` and the batch ``replay()`` kernel.
 """
 
 from collections import OrderedDict
@@ -82,3 +83,57 @@ class TestDifferential:
             index = line_number % sets
             tag = line_number // sets
             assert production.contains(addr) == (tag in oracle.storage[index])
+
+
+def _memo_survivors(addresses, line):
+    """Addresses left after the same-line memo at ``line`` bytes."""
+    survivors, last = [], None
+    for addr in addresses:
+        if addr // line != last:
+            last = addr // line
+            survivors.append(addr)
+    return survivors
+
+
+#: Same-line runs: (start address, run length, byte stride within the run).
+RUNS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=0x3FFF),
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from([0, 1, 4]),
+    ),
+    min_size=1,
+    max_size=120,
+)
+
+
+class TestReplayKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(GEOMETRIES, RUNS, st.sampled_from([1, 2, 4, 8, 16]))
+    def test_replay_matches_memoized_oracle(self, geometry, runs, record_line):
+        sets, ways, line = geometry
+        # The stream as a batch recorder captures it: deduped at a line
+        # size no coarser than the replaying geometry's.
+        addresses = [start + i * stride for start, count, stride in runs for i in range(count)]
+        stream = _memo_survivors(addresses, min(record_line, line))
+        config = CacheConfig(size_bytes=sets * ways * line, ways=ways, line_bytes=line)
+
+        oracle = OracleCache(sets, ways, line)
+        survivors = _memo_survivors(stream, line)
+        expected_misses = sum(not oracle.access(addr) for addr in survivors)
+
+        kernel = SetAssociativeCache(config)
+        assert kernel.replay(stream) == expected_misses
+
+        stepped = SetAssociativeCache(config)
+        for addr in survivors:
+            stepped.access(addr)
+        assert (kernel.hits, kernel.misses) == (stepped.hits, stepped.misses)
+        assert kernel._sets == stepped._sets
+
+    def test_replay_of_same_line_run_is_one_access(self):
+        cache = SetAssociativeCache(CacheConfig(size_bytes=256, ways=2, line_bytes=32))
+        assert cache.replay([0x40, 0x44, 0x5C, 0x40]) == 1
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert cache.replay([0x40, 0x80, 0x40]) == 1
+        assert (cache.hits, cache.misses) == (2, 2)

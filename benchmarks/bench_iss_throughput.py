@@ -179,6 +179,7 @@ def run_suite(program_names=None, repeat: int = 3, batch_configs: int = 16) -> d
         "host": {
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
+            "machine": platform.machine(),
         },
         "repeat": repeat,
         "programs": results,

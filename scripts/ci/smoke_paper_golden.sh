@@ -7,8 +7,11 @@
 #   explore Reed-Solomon x 3 DVFS explorations; the ranked energy, cycles
 #           and area are pinned bitwise, so a batched cache-replay bug
 #           (wrong miss counts) fails it.
+#   estimate cold one-shot estimates of the 66 bundled cases at the fit
+#           point and 3 DVFS points; all 264 (case, point) energies and
+#           cycles are pinned bitwise.
 # Run identically by CI and locally:
-#   bash scripts/ci/smoke_paper_golden.sh [paper|explore]
+#   bash scripts/ci/smoke_paper_golden.sh [paper|explore|estimate]
 set -euo pipefail
 
 WORKLOAD="${1:-paper}"

@@ -55,7 +55,14 @@ UTEXT_ORIGIN = 0x0008_0000
 
 _REGISTER_ALIASES = {"ra": 0, "sp": 1}
 _LABEL_RE = re.compile(r"^[A-Za-z_.$][A-Za-z0-9_.$]*$")
+_LABEL_DEF_RE = re.compile(r"^([A-Za-z_.$][A-Za-z0-9_.$]*)\s*:\s*")
 _COMMENT_RE = re.compile(r";.*$|#.*$|//.*$")
+#: One signed expression term: a character constant standing alone
+#: (it may hold a space or a delimiter, e.g. ``' '`` or ``','``), or a run
+#: of literal/label characters.
+_TERM_RE = re.compile(
+    r"([+-]?)\s*('(?:[^'\\]|\\.)+'(?![A-Za-z0-9_.$'\\])|[A-Za-z0-9_.$'\\]+)"
+)
 
 
 class AsmError(ValueError):
@@ -145,12 +152,12 @@ class Assembler:
 
     def _pass_one(self, source: str, st: "_PassState") -> None:
         for line_no, raw_line in enumerate(source.splitlines(), start=1):
-            line = _COMMENT_RE.sub("", raw_line).strip()
+            line = _strip_comment(raw_line).strip()
             if not line:
                 continue
             # Labels (possibly several) at the start of the line.
             while True:
-                match = re.match(r"^([A-Za-z_.$][A-Za-z0-9_.$]*)\s*:\s*", line)
+                match = _LABEL_DEF_RE.match(line)
                 if not match:
                     break
                 st.bind_label(match.group(1), line_no)
@@ -204,7 +211,7 @@ class Assembler:
             pass  # accepted for compatibility; all labels are global
         elif name in (".word", ".half", ".byte"):
             size = {".word": 4, ".half": 2, ".byte": 1}[name]
-            exprs = [self._parse_expr(tok, line_no, st) for tok in _split_operands(rest)]
+            exprs = [self._parse_data_item(tok, line_no, st) for tok in _split_operands(rest)]
             if not exprs:
                 raise err(f"{name} requires at least one value")
             st.add_data(_DataSlot(line_no, st.location, size, exprs), size * len(exprs))
@@ -379,6 +386,21 @@ class Assembler:
                 return index
         raise err(f"bad register {token!r} (expected a0..a63, sp or ra)")
 
+    def _parse_data_item(self, token: str, line_no: int, st: "_PassState") -> _Expr:
+        """One ``.word/.half/.byte`` item: plain integer literals skip the parser.
+
+        Data tables are almost all literals.  An ASCII token that ``int``
+        reads is exactly a signed literal ``_parse_expr`` would fold to
+        the same value (``int`` also takes non-ASCII digits, which
+        ``_parse_expr`` rejects); anything else goes to ``_parse_expr``.
+        """
+        if token.isascii():
+            try:
+                return _Expr(int(token, 0))
+            except ValueError:
+                pass
+        return self._parse_expr(token, line_no, st)
+
     def _parse_expr(self, token: str, line_no: int, st: "_PassState") -> _Expr:
         err = st.error_factory(line_no)
         token = token.strip()
@@ -390,7 +412,7 @@ class Assembler:
 
         constant = 0
         labels: list[tuple[str, int]] = []
-        terms = re.findall(r"([+-]?)\s*([A-Za-z0-9_.$'\\]+)", token)
+        terms = _TERM_RE.findall(token)
         if not terms:
             raise err(f"empty or malformed operand expression {token!r}")
         for sign_str, term in terms:
@@ -507,12 +529,53 @@ class _PassState:
         return ranges
 
 
+def _unquoted(text: str):
+    """Yield ``(index, char)`` for each character of ``text`` outside quotes.
+
+    Quotes are ``'`` and ``"``; a backslash inside quotes escapes the next
+    character.  An unterminated quote runs to the end of the text.
+    """
+    quote = ""
+    escaped = False
+    for index, char in enumerate(text):
+        if quote:
+            if escaped:
+                escaped = False
+            elif char == "\\":
+                escaped = True
+            elif char == quote:
+                quote = ""
+        elif char == "'" or char == '"':
+            quote = char
+        else:
+            yield index, char
+
+
+def _strip_comment(line: str) -> str:
+    """``line`` without its ``;``, ``#`` or ``//`` comment; quoted text is kept."""
+    if "'" not in line and '"' not in line:
+        return _COMMENT_RE.sub("", line)
+    for index, char in _unquoted(line):
+        if char == ";" or char == "#" or (char == "/" and line.startswith("//", index)):
+            return line[:index]
+    return line
+
+
 def _split_operands(text: str) -> list[str]:
     """Split an operand list on commas, respecting quoted strings."""
     text = text.strip()
     if not text:
         return []
-    return [part.strip() for part in text.split(",")]
+    if "'" not in text and '"' not in text:
+        return [part.strip() for part in text.split(",")]
+    parts = []
+    start = 0
+    for index, char in _unquoted(text):
+        if char == ",":
+            parts.append(text[start:index].strip())
+            start = index + 1
+    parts.append(text[start:].strip())
+    return parts
 
 
 def assemble(source: str, name: str = "program", isa: InstructionSet | None = None) -> Program:

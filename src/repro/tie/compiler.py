@@ -16,7 +16,9 @@ custom-instruction specification it derives
   only) by GPR operands.  These are spuriously activated by *base*
   instructions that drive the shared operand buses (paper Example 1);
 * the executable :class:`~repro.isa.instructions.InstructionDef` used by
-  the assembler and the instruction-set simulator.
+  the assembler and the instruction-set simulator, whose semantics are
+  generated only when something first executes them
+  (:class:`LazySemantics`).
 """
 
 from __future__ import annotations
@@ -297,6 +299,40 @@ def _make_semantics(spec: TieSpec, state_inits: Mapping[str, int]):
     return semantics
 
 
+class LazySemantics:
+    """A custom instruction's semantics, generated on first use.
+
+    Generating the closure costs a ``compile()``, and a program usually
+    runs a few of its extension's instructions.  :meth:`resolve` builds
+    the closure once; :func:`~repro.xtcore.compiled.compile_program`
+    stores the resolved closure in its op table, so the dispatch loops
+    never call through here (the reference interpreter and discovery's
+    unroller do).  Threads racing to resolve build equivalent closures
+    and either is kept.
+    """
+
+    __slots__ = ("_spec", "_state_inits", "_resolved")
+
+    #: Both forms :func:`_make_semantics` builds are straight-line, so the
+    #: superop compiler knows it without generating anything.
+    tie_straightline = True
+
+    def __init__(self, spec: TieSpec, state_inits: Mapping[str, int]) -> None:
+        self._spec = spec
+        self._state_inits = state_inits
+        self._resolved = None
+
+    def resolve(self):
+        """The executable closure, generated on the first call."""
+        resolved = self._resolved
+        if resolved is None:
+            resolved = self._resolved = _make_semantics(self._spec, self._state_inits)
+        return resolved
+
+    def __call__(self, ctx: ExecContext, ins: Instruction) -> None:
+        return self.resolve()(ctx, ins)
+
+
 def compile_spec(spec: TieSpec) -> TieImplementation:
     """Compile a validated spec into a :class:`TieImplementation`."""
     spec.validate()
@@ -355,7 +391,7 @@ def compile_spec(spec: TieSpec) -> TieImplementation:
         mnemonic=spec.mnemonic,
         fmt=spec.fmt,
         iclass=InstructionClass.CUSTOM,
-        semantics=_make_semantics(spec, state_inits),
+        semantics=LazySemantics(spec, state_inits),
         latency=latency,
         description=spec.description or f"custom instruction {spec.mnemonic}",
     )

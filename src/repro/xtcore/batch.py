@@ -104,7 +104,7 @@ def _record_trajectory(
         simulator.executable,
         state,
         simulator.max_instructions,
-        (None,) * len(simulator.executable.ops),
+        None,
         min_ishift,
         min_dshift,
         ifetch.append,

@@ -42,6 +42,7 @@ from ..isa.bits import (
 )
 from ..isa.classes import BASE_ENERGY_CLASSES
 from ..isa.state import SparseMemory
+from ..tie.compiler import LazySemantics
 from .errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -160,7 +161,7 @@ class ExecutableProgram:
 # (tests/integration/test_dispatch_differential.py) pins that claim.
 #
 # Unspecialized mnemonics (TIE customs, divides, ``break``) fall back to
-# ``definition.semantics`` unchanged.
+# ``definition.semantics`` (a TIE custom's generated on first lowering).
 
 _M = 0xFFFFFFFF
 _SIGN_BIT = 0x80000000
@@ -747,6 +748,10 @@ def compile_program(config: "ProcessorConfig", program: "Program") -> Executable
             custom_kind = 0
         specialized = _specialize(definition, ins, addr, num_registers)
         semantics = specialized or definition.semantics
+        if isinstance(semantics, LazySemantics):
+            # The op table holds the generated closure itself, so neither
+            # dispatch loop pays a forwarding call per retire.
+            semantics = semantics.resolve()
         # Interior ops are provably straight-line: they never redirect the
         # pc, never halt, and never read ``ctx.pc``, so a whole run of them
         # can execute as one fused superop call (see compile_superops).
@@ -830,7 +835,6 @@ BLK_INTERLOCKS = 6  #: load-use interlocks internal to the block (static)
 BLK_LOAD_DESTS = 7  #: load dests of the last op (outgoing-interlock state)
 BLK_NEXT_IDX = 8  #: op index the block falls through to, or -1
 BLK_LAST_ADDR = 9  #: byte address of the last instruction (diagnostics)
-BLK_FN = 10  #: fused closure ``fn(state, ic, dc, icache_access, dcache_access)``
 
 
 @dataclasses.dataclass(frozen=True)
@@ -841,14 +845,23 @@ class SuperopProgram:
     (or None when op ``i`` does not lead a block), so the dispatch loop
     can probe block entry with one tuple index per control transfer.
     Derived purely from the executable plus the config's cache line
-    sizes, all already pinned by the digest/fingerprint pair — immutable
-    and safely shared across runs and forked workers.
+    sizes, all already pinned by the digest/fingerprint pair, so one
+    instance is shared across runs, threads and forked workers.
+
+    The descriptors are immutable; ``fused[i]``, the slot of the block
+    headed by op ``i``, fills on demand (:func:`repro.xtcore.iss.dispatch`):
+    None until the block is first entered, False after one entry (run op
+    by op), then the closure from :func:`fuse_block`.  A race between
+    threads to fill one slot is harmless: each generates an equivalent
+    closure and either may be kept, and fused and per-op execution
+    retire identically.
     """
 
     program_digest: str
     config_fingerprint: str
     blocks: tuple[tuple, ...]
     block_at: tuple[Optional[tuple], ...]
+    fused: list = dataclasses.field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -1082,16 +1095,20 @@ def _fuse_op_lines(op: tuple, dshift: int) -> Optional[list]:
     return None
 
 
-def _fuse_block(
-    ops: tuple, start: int, end: int, ifetch: list, dshift: int
-):
-    """Generate one fused closure executing ops ``start..end`` inline.
+def fuse_block(ops: tuple, block: tuple, dshift: int):
+    """Generate the fused closure executing ``block``'s ops inline.
 
-    Signature: ``fn(state, ic, dc, icache_access, dcache_access)`` where
+    ``ops`` is the executable's op table and ``dshift`` the D-cache line
+    shift of the config the block was lowered for.  Signature of the
+    result: ``fn(state, ic, dc, icache_access, dcache_access)`` where
     ``ic``/``dc`` are two-slot lists ``[last_line, misses]`` shared with
     the dispatch loop's per-op side-exit path, so the same-line memo
-    carries seamlessly across fused and per-op execution.
+    carries seamlessly across fused and per-op execution.  The dispatch
+    loop calls this on a block's second entry and keeps the result in
+    :attr:`SuperopProgram.fused`.
     """
+    start = block[BLK_START]
+    end = start + block[BLK_LEN] - 1
     namespace = {
         "_rotl": rotate_left,
         "_rotr": rotate_right,
@@ -1103,7 +1120,7 @@ def _fuse_block(
     body = ["    regs = state.regs"]
     if any(ops[i][OP_MEM] for i in range(start, end + 1)):
         body.append("    pages = state.memory._pages")
-    for line, fetch_addr in ifetch:
+    for line, fetch_addr in block[BLK_IFETCH]:
         body += [
             f"    if {line} != ic[0]:",
             f"        ic[0] = {line}",
@@ -1132,7 +1149,7 @@ def _fuse_block(
 def compile_superops(
     executable: ExecutableProgram, config: "ProcessorConfig"
 ) -> SuperopProgram:
-    """Fuse the executable's maximal interior runs into superop blocks.
+    """Find the executable's maximal interior runs: the superop blocks.
 
     Block leaders are the static control-flow join points: the program
     entry, every static branch/jump/call target, and the op after every
@@ -1154,12 +1171,14 @@ def compile_superops(
       excluded; their fetch penalty is count-derived at aggregation);
     * **interlocks** — load-use stalls between ops inside the block,
       a static property of adjacent (load dests, source regs) pairs.
+
+    No code is generated here: a block's fused closure is made on its
+    second entry (see :attr:`SuperopProgram.fused`).
     """
     ops = executable.ops
     pc_map = executable.pc_to_index
     n = len(ops)
     ishift = config.icache.line_bytes.bit_length() - 1
-    dshift = config.dcache.line_bytes.bit_length() - 1
 
     leaders = set()
     entry_idx = pc_map.get(executable.entry, -1)
@@ -1224,7 +1243,6 @@ def compile_superops(
             ops[end][OP_LOAD_DESTS],
             ops[end][OP_FALL_IDX],
             ops[end][OP_ADDR],
-            _fuse_block(ops, start, end, ifetch, dshift),
         )
         blocks.append(block)
         block_at[start] = block
@@ -1234,6 +1252,7 @@ def compile_superops(
         config_fingerprint=executable.config_fingerprint,
         blocks=tuple(blocks),
         block_at=tuple(block_at),
+        fused=[None] * n,
     )
 
 

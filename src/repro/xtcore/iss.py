@@ -60,6 +60,7 @@ from .compiled import (
     SuperopProgram,
     compilation_cache,
     describe_invalid_pc,
+    fuse_block,
 )
 from .config import DEFAULT_MAX_INSTRUCTIONS, ProcessorConfig
 from .errors import SimulationError, SimulationLimitExceeded
@@ -237,7 +238,7 @@ def dispatch(
     executable: ExecutableProgram,
     state: MachineState,
     max_instructions: int,
-    block_at: Sequence[Optional[tuple]],
+    superops: Optional[SuperopProgram],
     ishift: int,
     dshift: int,
     icache_access: Callable[[int], Optional[bool]],
@@ -247,12 +248,16 @@ def dispatch(
 
     Runs ``executable`` from ``state.pc`` to completion and returns
     ``(counts, taken_counts, icache_misses, dcache_misses, interlocks)``
-    for :func:`_aggregate_stats`.  ``block_at`` is a superop block table
-    (:attr:`~repro.xtcore.compiled.SuperopProgram.block_at`): an op index
-    heading a block retires the whole block in one fused dispatch; every
+    for :func:`_aggregate_stats`.  With ``superops`` (the executable's
+    block lowering) an op index heading a block retires the whole block
+    in one fused dispatch from the block's second entry on: the first
+    entry runs op by op, the second generates the fused closure
+    (:func:`~repro.xtcore.compiled.fuse_block`) into the block's
+    :attr:`~repro.xtcore.compiled.SuperopProgram.fused` slot.  Every
     other op, and any block that would cross the instruction budget,
-    takes the per-op path; fused blocks bake in their config's line
-    shifts, so pass that config's.  ``icache_access``/``dcache_access`` see the
+    takes the per-op path; ``superops=None`` runs everything per-op.
+    Fused blocks bake in their config's line shifts, so pass that
+    config's.  ``icache_access``/``dcache_access`` see the
     first address of every same-line transition at ``ishift``/``dshift``
     granularity and report hits; a falsy return counts as a miss, so a
     recorder such as ``list.append`` captures the address streams (and
@@ -260,6 +265,12 @@ def dispatch(
     """
     ops = executable.ops
     pc_map = executable.pc_to_index
+    if superops is None:
+        block_at: Sequence[Optional[tuple]] = (None,) * len(ops)
+        fused: list = []
+    else:
+        block_at = superops.block_at
+        fused = superops.fused
     counts = [0] * len(ops)
     taken_counts = [0] * len(ops)
     block_counts = [0] * len(ops)  # keyed by the block's first op index
@@ -288,35 +299,45 @@ def dispatch(
         while True:
             block = block_at[idx]
             if block is not None and executed + block[2] <= max_instructions:
-                # Fused fast path: the whole block retires in one
-                # dispatch — semantics, I-line memo and D-cache replays
-                # inlined into one generated closure, and the remaining
-                # bookkeeping folded to block deltas.
-                executed += block[2]
-                if prev_load_dests:
-                    for src in block[5]:
-                        if src in prev_load_dests:
-                            interlocks += 1
-                            break
-                interlocks += block[6]
-                block[10](state, ic, dc, icache_access, dcache_access)
-                block_counts[idx] += 1
-                prev_load_dests = block[7]
-                idx = block[8]
-                if idx >= 0:
-                    continue
-                # Fell off the end of the mapped address range.
-                addr = block[9]
-                pc = (addr + INSTRUCTION_BYTES) & 0xFFFFFFFF
-                state.pc = pc
-                raise SimulationError(
-                    describe_invalid_pc(executable.program_name, pc, executable, addr)
-                )
+                fn = fused[idx]
+                if fn is None:
+                    # First entry: run the block op by op below; most
+                    # blocks entered once are not worth generating code.
+                    fused[idx] = False
+                else:
+                    if fn is False:  # second entry: fuse once, keep it
+                        fn = fused[idx] = fuse_block(ops, block, dshift)
+                    # Fused fast path: the whole block retires in one
+                    # dispatch — semantics, I-line memo and D-cache
+                    # replays inlined into one generated closure, and the
+                    # remaining bookkeeping folded to block deltas.
+                    executed += block[2]
+                    if prev_load_dests:
+                        for src in block[5]:
+                            if src in prev_load_dests:
+                                interlocks += 1
+                                break
+                    interlocks += block[6]
+                    fn(state, ic, dc, icache_access, dcache_access)
+                    block_counts[idx] += 1
+                    prev_load_dests = block[7]
+                    idx = block[8]
+                    if idx >= 0:
+                        continue
+                    # Fell off the end of the mapped address range.
+                    addr = block[9]
+                    pc = (addr + INSTRUCTION_BYTES) & 0xFFFFFFFF
+                    state.pc = pc
+                    raise SimulationError(
+                        describe_invalid_pc(
+                            executable.program_name, pc, executable, addr
+                        )
+                    )
             # Per-op path: block boundaries (branches, jumps, system ops,
-            # customs), mid-block landings from dynamic jumps, and blocks
-            # that would cross the instruction budget (so
-            # SimulationLimitExceeded raises at the exact instruction,
-            # after any earlier fault).
+            # customs), a block's first entry, mid-block landings from
+            # dynamic jumps, and blocks that would cross the instruction
+            # budget (so SimulationLimitExceeded raises at the exact
+            # instruction, after any earlier fault).
             if executed >= max_instructions:
                 raise SimulationLimitExceeded(
                     f"{executable.program_name}: "
@@ -470,7 +491,7 @@ class Simulator:
             self.executable,
             state,
             self.max_instructions,
-            superops.block_at,
+            superops,
             icache.offset_bits,
             dcache.offset_bits,
             icache.access,

@@ -8,7 +8,8 @@ requested D times, shuffled):
   every request pays one full simulation, the pre-service baseline;
 * ``coalesced`` — K concurrent clients against the default service:
   duplicates merge in the coalescer/memo and survivors dispatch in
-  windowed batches, so the pool simulates each unique program once.
+  batches of whatever queued while the worker was busy, so the pool
+  simulates each unique program once.
 
 Run as a script to (re)generate ``BENCH_SERVE.json`` at the repo root:
 
@@ -26,7 +27,9 @@ import argparse
 import asyncio
 import http.client
 import json
+import os
 import pathlib
+import platform
 import random
 import threading
 import time
@@ -62,6 +65,15 @@ loop:
     s32i a3, a4, 0
     halt
 """
+
+
+def host_info() -> dict:
+    """The host a BENCH file was measured on."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+    }
 
 
 def make_model() -> EnergyMacroModel:
@@ -247,6 +259,7 @@ def run_loadtest(
     return {
         "benchmark": "serve_coalescing_throughput",
         "unit": "estimate requests per second of host wall-clock (closed loop)",
+        "host": host_info(),
         "workload": {
             "unique_programs": uniques,
             "duplicates_each": dupes,

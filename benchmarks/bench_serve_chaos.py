@@ -44,6 +44,7 @@ from bench_serve import (
     _get_metrics,
     _percentile,
     _post_estimate_once,
+    host_info,
     make_model,
 )
 
@@ -172,7 +173,6 @@ def run_chaos_loadtest(
             make_model(),
             workers=workers,
             batch_max=4,
-            batch_window=0.02,
             request_timeout=3.0,
             quarantine_after=2,
             breaker_failures=64,  # the pool path must stay live all run
@@ -217,6 +217,7 @@ def run_chaos_loadtest(
     return {
         "benchmark": "serve_chaos_self_healing",
         "unit": "invariant checks under a seeded fault schedule (closed loop)",
+        "host": host_info(),
         "workload": {
             "unique_programs": uniques,
             "duplicates_each": dupes,

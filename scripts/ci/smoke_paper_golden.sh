@@ -10,8 +10,11 @@
 #   estimate cold one-shot estimates of the 66 bundled cases at the fit
 #           point and 3 DVFS points; all 264 (case, point) energies and
 #           cycles are pinned bitwise.
+#   serve   closed-loop /estimate traffic against `repro serve --workers 1`;
+#           every response must be 200 and bitwise equal to the library
+#           estimate of the same program at the same operating point.
 # Run identically by CI and locally:
-#   bash scripts/ci/smoke_paper_golden.sh [paper|explore|estimate]
+#   bash scripts/ci/smoke_paper_golden.sh [paper|explore|estimate|serve]
 set -euo pipefail
 
 WORKLOAD="${1:-paper}"
@@ -47,5 +50,6 @@ if result.get("correct") is not True or result.get("failed") != 0:
         f"failed={result.get('failed')!r})"
     )
 ops = result.get("attempted")
-print(f"smoke_paper_golden: OK ({workload}: {ops} ops, all equal to the goldens)")
+reference = "the library estimate" if workload == "serve" else "the goldens"
+print(f"smoke_paper_golden: OK ({workload}: {ops} ops, all equal to {reference})")
 PY

@@ -119,7 +119,10 @@ def _parse_int_literal(token: str) -> Optional[int]:
     token = token.strip()
     if len(token) >= 3 and token.startswith("'") and token.endswith("'"):
         body = token[1:-1]
-        unescaped = body.encode().decode("unicode_escape")
+        try:
+            unescaped = body.encode().decode("unicode_escape")
+        except UnicodeDecodeError:  # e.g. a lone backslash: not a constant
+            return None
         if len(unescaped) != 1:
             return None
         return ord(unescaped)

@@ -701,7 +701,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             queue_limit=args.queue_limit,
             batch_max=args.batch_max,
-            batch_window=args.batch_window_ms / 1e3,
             dedupe=not args.no_dedupe,
             cache_dir=args.cache,
             retry=RetryPolicy(max_attempts=args.max_attempts),
@@ -1101,14 +1100,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         metavar="N",
-        help="max requests dispatched to a worker as one batch (default 8)",
-    )
-    p.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=5.0,
-        metavar="MS",
-        help="how long to gather a batch after the first request (default 5ms)",
+        help=(
+            "max requests dispatched to a free worker as one batch: whatever "
+            "queued while the workers were busy, up to N (default 8)"
+        ),
     )
     p.add_argument(
         "--cache",

@@ -6,10 +6,11 @@ service*: a DSE loop, a CI job or many concurrent users hammering one
 long-running process.  This package is that server-shaped entry point:
 
 * :class:`EstimationService` — request coalescing by content address,
-  windowed batching, a persistent fork-based worker pool pre-warmed
-  through the shared :class:`~repro.xtcore.compiled.CompilationCache`,
-  the DSE :class:`~repro.dse.cache.ResultCache` as a shared on-disk
-  result store, bounded queues with ``429`` backpressure and
+  load-adaptive batching (a free worker takes everything queued), a
+  persistent fork-based worker pool pre-warmed through the shared
+  :class:`~repro.xtcore.compiled.CompilationCache`, the DSE
+  :class:`~repro.dse.cache.ResultCache` as a shared on-disk result store,
+  bounded queues with ``429`` backpressure and
   :class:`~repro.core.runner.RetryPolicy`-driven timeouts;
 * :class:`EstimationServer` / :func:`run_server` — the stdlib-only
   asyncio HTTP transport (``repro serve`` on the command line);

@@ -9,13 +9,16 @@ Two independent mechanisms make a duplicate-heavy workload cheap:
   the bounded completed-**memo** is answered without touching the queue
   at all.  Estimation is a pure function of (model, config, program,
   budget), so both merges are exact, not heuristic.
-* **Batching** (:class:`BatchQueue`): the dispatcher takes the first
-  queued job, then keeps collecting for up to ``batch_window`` seconds
-  or ``max_batch`` jobs, and partitions the harvest into per-processor
-  groups (:func:`partition_compatible`).  One worker round-trip then
-  amortizes config resolution and pool overhead across the whole group —
-  the server-side analog of the CLI's multi-program ``estimate`` fast
-  path.
+* **Batching** (:class:`BatchQueue`): the dispatcher harvests only when
+  a worker slot is free, and then takes every job already queued, up to
+  ``max_batch``, without waiting for more.  Jobs that arrive while the
+  workers are busy build up in the queue and leave together as the next
+  batch, so batch width grows with load and a lone request on an idle
+  service is dispatched at once.  The harvest is partitioned into
+  per-processor groups (:func:`partition_compatible`); one worker
+  round-trip then amortizes config resolution and pool overhead across
+  the whole group — the server-side analog of the CLI's multi-program
+  ``estimate`` fast path.
 
 The queue is **bounded**: ``put_nowait`` raising
 :class:`asyncio.QueueFull` is the backpressure signal the server turns
@@ -102,7 +105,7 @@ class Coalescer:
 
 
 class BatchQueue:
-    """A bounded job queue with windowed batch harvesting."""
+    """A bounded job queue harvested in batches of what is already queued."""
 
     def __init__(self, maxsize: int) -> None:
         if maxsize < 1:
@@ -117,29 +120,17 @@ class BatchQueue:
     def qsize(self) -> int:
         return self._queue.qsize()
 
-    async def next_batch(self, max_batch: int, window: float) -> list[Job]:
-        """Block for the first job, then harvest more for up to ``window`` s.
+    async def next_batch(self, max_batch: int) -> list[Job]:
+        """Block for the first job, then take up to ``max_batch`` queued jobs.
 
-        Already-queued jobs are collected without waiting, so a deep queue
-        drains at full batch width regardless of the window.
+        Never waits once a job is in hand: batch width comes from what
+        built up while the caller was busy, not from a timer.
         """
-        first = await self._queue.get()
-        batch = [first]
-        deadline = time.monotonic() + max(0.0, window)
+        batch = [await self._queue.get()]
         while len(batch) < max_batch:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                # drain whatever is immediately available, then stop
-                try:
-                    batch.append(self._queue.get_nowait())
-                    continue
-                except asyncio.QueueEmpty:
-                    break
             try:
-                batch.append(
-                    await asyncio.wait_for(self._queue.get(), timeout=remaining)
-                )
-            except asyncio.TimeoutError:
+                batch.append(self._queue.get_nowait())
+            except asyncio.QueueEmpty:
                 break
         return batch
 

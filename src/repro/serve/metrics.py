@@ -6,7 +6,10 @@ Three layers feed ``GET /metrics``:
   outcome, duplicate suppression (coalesced vs. memo), backpressure
   rejections, timeouts, queue depth;
 * **latency windows** — bounded reservoirs of recent request latencies
-  per endpoint, reduced to p50/p95/mean on demand;
+  per endpoint, reduced to p50/p95/mean on demand, plus the **queue
+  wait** of every dispatched job (enqueue → batch dispatch), so a slow
+  miss splits into time spent waiting for a worker and time spent in
+  one;
 * **simulation tallies** — a :class:`~repro.obs.tally.RunTallyObserver`
   rides along every worker-side estimate; workers ship its
   ``snapshot()`` back with their results and the parent merges them, so
@@ -96,6 +99,7 @@ class ServiceMetrics:
         self.queue_depth = 0
         self.inflight = 0
         self.latency = {"estimate": LatencyWindow(), "explore": LatencyWindow()}
+        self.queue_wait = LatencyWindow()
         self.sim_tally = RunTallyObserver()
         #: requests per operating-point key ("fit-point" = no point given)
         self.operating_points: dict[str, int] = {}
@@ -113,6 +117,12 @@ class ServiceMetrics:
     def observe_latency(self, endpoint: str, seconds: float) -> None:
         with self._lock:
             self.latency[endpoint].record(seconds)
+
+    def observe_queue_wait(self, waits: list[float]) -> None:
+        """Record how long each job of one dispatched batch sat queued."""
+        with self._lock:
+            for seconds in waits:
+                self.queue_wait.record(seconds)
 
     def observe_operating_point(self, point: Optional[str]) -> None:
         """Count one request against its operating point."""
@@ -158,6 +168,7 @@ class ServiceMetrics:
                 "latency": {
                     name: window.snapshot() for name, window in self.latency.items()
                 },
+                "queue_wait": self.queue_wait.snapshot(),
                 "simulation": self.sim_tally.snapshot(),
                 "operating_points": dict(self.operating_points),
             }
@@ -212,6 +223,11 @@ def render_prometheus(payload: dict) -> str:
         emit("latency_p50_ms", window["p50_ms"], labels)
         emit("latency_p95_ms", window["p95_ms"], labels)
         emit("latency_mean_ms", window["mean_ms"], labels)
+    queue_wait = payload["queue_wait"]
+    emit("queue_wait_jobs", queue_wait["count"])
+    emit("queue_wait_p50_ms", queue_wait["p50_ms"])
+    emit("queue_wait_p95_ms", queue_wait["p95_ms"])
+    emit("queue_wait_mean_ms", queue_wait["mean_ms"])
     for name, value in sorted(payload["simulation"].items()):
         emit(f"sim_{name}", value)
     for point, count in sorted(payload.get("operating_points", {}).items()):

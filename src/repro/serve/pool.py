@@ -73,6 +73,11 @@ def _worker_init(model: EnergyMacroModel, fork: bool = False) -> None:
     """Install per-process state (runs in each worker, and inline mode)."""
     _WORKER["model"] = model
     _WORKER["fork"] = fork
+    if fork:
+        # simulations are batch work: where busy processes outnumber free
+        # cores, the frontend (memo hits, parsing, coalescing) gets the
+        # CPU first, so cached answers do not queue behind a simulation
+        os.nice(10)
 
 
 #: Signals the server's asyncio loop handles; a forked child must not.

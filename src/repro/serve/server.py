@@ -3,8 +3,9 @@
 :class:`EstimationService` owns the whole request path —
 
     parse → resolve (config, program) → content-address → dedupe
-    (memo / in-flight / shared disk cache) → bounded queue → windowed
-    batch → forked worker pool → resolve coalesced waiters → memoize
+    (memo / in-flight / shared disk cache) → bounded queue → batch of
+    what is queued when a worker is free → forked worker pool → resolve
+    coalesced waiters → memoize
 
 — and exposes it over four endpoints:
 
@@ -14,6 +15,12 @@
 ``GET  /healthz``         liveness + queue/pool posture + breaker state
 ``GET  /metrics``         counters, p50/p95 latency, cache rates (JSON or prom)
 ========================  ===================================================
+
+Batching adapts to load: the dispatcher holds one slot per pool worker
+and harvests only when a slot is free, taking every job already queued
+(up to ``batch_max``) without waiting.  A lone request on an idle
+service is dispatched at once; requests that arrive while the workers
+are busy leave together as the next batch.
 
 Backpressure is explicit: a full queue answers ``429`` with a
 ``Retry-After`` header instead of buffering unboundedly.  Per-batch
@@ -37,7 +44,8 @@ The service is **self-healing** (see :mod:`repro.serve.supervise`):
   that degrades to inline single-threaded evaluation and flips
   ``/healthz`` to ``degraded`` until a cooldown probe succeeds;
 * client ``deadline_ms`` propagates through the queue into the worker,
-  shedding expired requests with ``504`` before they pay for simulation;
+  shedding expired requests with ``504`` before they pay for simulation
+  (at harvest, after waiting behind busy workers, and again worker-side);
 * SIGTERM drains: in-flight batches complete, new work is refused with
   ``503``, then the process exits 0.
 
@@ -109,7 +117,6 @@ class EstimationService:
         workers: int = 0,
         queue_limit: int = 64,
         batch_max: int = 8,
-        batch_window: float = 0.005,
         dedupe: bool = True,
         memo_size: int = 4096,
         cache_dir: Optional[str] = None,
@@ -132,7 +139,6 @@ class EstimationService:
         self.model = model
         self.dedupe = dedupe
         self.batch_max = batch_max
-        self.batch_window = batch_window
         self.request_timeout = request_timeout
         self.explore_timeout = explore_timeout
         self.retry = retry if retry is not None else RetryPolicy(max_attempts=2)
@@ -162,6 +168,13 @@ class EstimationService:
         self._active_explores = 0
         self._draining = False
         self._pool_lock = asyncio.Lock()
+        # crash recovery owns the pool exclusively (see _handle_pool_crash):
+        # fresh batches pass through _recovery_lock before they submit, and
+        # recovery waits for _pool_quiet, set when no fresh batch is on it
+        self._recovery_lock = asyncio.Lock()
+        self._pool_quiet = asyncio.Event()
+        self._pool_quiet.set()
+        self._fresh_on_pool = 0
         self._batch_seq = 0  # chaos-plan dispatch ordinal
 
     # -- lifecycle ---------------------------------------------------------
@@ -605,27 +618,54 @@ class EstimationService:
     # -- batch dispatch ----------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
+        # one slot per worker: a harvest waits for a free worker, so jobs
+        # arriving meanwhile build up in the queue and leave as one batch
+        slots = asyncio.Semaphore(self.pool.workers)
         while True:
-            jobs = await self.queue.next_batch(self.batch_max, self.batch_window)
+            await slots.acquire()
+            jobs = await self.queue.next_batch(self.batch_max)
             self.metrics.set_gauge("queue_depth", self.queue.qsize())
+            task = asyncio.create_task(self._run_harvest(jobs, slots))
+            self._batch_tasks.add(task)
+            task.add_done_callback(self._batch_tasks.discard)
+
+    async def _run_harvest(self, jobs: list[Job], slots: asyncio.Semaphore) -> None:
+        """Run a harvest's groups one after another on its one slot.
+
+        The slot is released however the batches end — answered, shed,
+        degraded, timed out or crashed — so the next harvest can go.
+        """
+        try:
             for group in partition_compatible(jobs):
-                task = asyncio.create_task(self._run_batch(group))
-                self._batch_tasks.add(task)
-                task.add_done_callback(self._batch_tasks.discard)
+                await self._run_batch(group)
+        finally:
+            slots.release()
 
     async def _run_batch(self, jobs: list[Job]) -> None:
         self.metrics.incr("batches_dispatched")
         self.metrics.incr("batched_requests", len(jobs))
         self.metrics.set_gauge("inflight", self.coalescer.inflight_count)
+        self.metrics.observe_queue_wait(
+            [time.monotonic() - job.enqueued_at for job in jobs]
+        )
         try:
             await self._run_supervised(jobs)
+        except Exception as exc:  # noqa: BLE001 — no waiter may hang, and the
+            # harvest's later groups still run on its slot
+            self._fail_batch(
+                [job for job in jobs if not job.future.done()],
+                stage="dispatch",
+                error_type=type(exc).__name__,
+                message=str(exc),
+                attempts=1,
+            )
         finally:
             # every job left the system (resolved, failed or shed): that is
             # a drain event, and the drain rate is what Retry-After quotes
             self.drain_rate.record(len(jobs))
             self.metrics.set_gauge("inflight", self.coalescer.inflight_count)
 
-    async def _run_supervised(self, jobs: list[Job]) -> None:
+    async def _run_supervised(self, jobs: list[Job], recovering: bool = False) -> None:
         """Run one batch to full resolution, surviving pool death.
 
         The recovery ladder: shed unservable jobs (expired deadline,
@@ -633,7 +673,8 @@ class EstimationService:
         open → normal pool dispatch with timeout/retry → on a pool
         crash, respawn and either retry (singleton), bisect (multi-job,
         to isolate a poisoned request) or quarantine (singleton that
-        keeps crashing the pool).
+        keeps crashing the pool).  ``recovering`` marks a re-run that
+        already owns the pool (see :meth:`_handle_pool_crash`).
         """
         jobs = self._shed_unservable(jobs)
         if not jobs:
@@ -642,31 +683,24 @@ class EstimationService:
             await self._run_degraded(jobs)
             return
         try:
-            outcome, attempts = await self._dispatch_with_retry(jobs)
+            outcome, attempts = await self._dispatch_with_retry(jobs, recovering)
         except _PoolCrash as crash:
-            await self._handle_pool_crash(jobs, crash)
-            return
-        except Exception as exc:  # noqa: BLE001 — a dead pool must not hang waiters
-            self._fail_batch(
-                jobs,
-                stage="dispatch",
-                error_type=type(exc).__name__,
-                message=str(exc),
-                attempts=1,
-            )
+            await self._handle_pool_crash(jobs, crash, recovering)
             return
         if outcome is None:
             return  # timeout budget exhausted; waiters already failed
         self.breaker.record_success()
         self._resolve_batch(jobs, outcome, attempts)
 
-    async def _dispatch_with_retry(self, jobs: list[Job]):
+    async def _dispatch_with_retry(self, jobs: list[Job], recovering: bool):
         """The pool dispatch loop: timeouts retry on lowered budgets.
 
         Returns ``(outcome, attempts)``; ``(None, attempts)`` when the
         retry budget is exhausted (waiters are failed with 504 here).
         A pool death is re-raised as :class:`_PoolCrash` carrying the
-        pool generation the batch was submitted against.
+        pool generation the batch was submitted against.  A fresh
+        (not ``recovering``) batch waits out any crash recovery before
+        each attempt.
         """
         attempt = 0
         while True:
@@ -683,38 +717,49 @@ class EstimationService:
             for job, item in zip(jobs, items):
                 if job.deadline is not None:
                     item[DEADLINE_KEY] = job.deadline
-            directive = self._stamp_chaos(items)
-            generation = self.pool.generation
+            directive = self._stamp_chaos(jobs, items)
             try:
-                try:
-                    future = self.pool.submit_estimate_batch(items)
-                except Exception as exc:
-                    # the pool broke under a concurrent batch before this
-                    # submit: the stamped directive never reached a worker,
-                    # so put it back on the schedule for a later dispatch.
-                    # Hangs are re-armed by the outer handler (which also
-                    # covers a batch dying *queued* in a broken pool) —
-                    # re-arming here too would schedule the hang twice.
-                    if (
-                        is_pool_crash(exc)
-                        and directive is not None
-                        and not directive.startswith("hang")
-                    ):
-                        self.chaos.rearm(directive, self._batch_seq)
-                    raise
-                outcome = await asyncio.wait_for(
-                    asyncio.wrap_future(future), self.request_timeout
-                )
+                async with self._pool_turn(recovering):
+                    # read after any wait for a recovery, and never submit
+                    # into an executor that a respawn is tearing down
+                    async with self._pool_lock:
+                        generation = self.pool.generation
+                        try:
+                            future = self.pool.submit_estimate_batch(items)
+                        except Exception as exc:
+                            # the pool broke under a concurrent batch
+                            # before this submit: the stamped directive
+                            # never reached a worker, so put it back on the
+                            # schedule for a later dispatch.  Hangs are
+                            # re-armed by the outer handler (which also
+                            # covers a batch dying *queued* in a broken
+                            # pool) — re-arming here too would schedule the
+                            # hang twice.
+                            if (
+                                is_pool_crash(exc)
+                                and directive is not None
+                                and not directive.startswith("hang")
+                            ):
+                                self.chaos.rearm(directive, self._batch_seq)
+                            raise
+                    try:
+                        outcome = await asyncio.wait_for(
+                            asyncio.wrap_future(future), self.request_timeout
+                        )
+                    except asyncio.TimeoutError:
+                        future.cancel()
+                        if self.pool.mode == "fork":
+                            # a fork-mode timeout may be a wedged worker,
+                            # which never finishes on its own: kill and
+                            # respawn while this batch still holds its turn
+                            # (no recovery runs under the respawn), so the
+                            # retry lands on a healthy pool
+                            self.metrics.incr("worker_hangs_total")
+                            await self._respawn_pool(generation)
+                        raise
                 return outcome, attempt
             except asyncio.TimeoutError:
-                future.cancel()
                 self.metrics.incr("timeouts_total")
-                if self.pool.mode == "fork":
-                    # a fork-mode timeout may be a wedged worker, which
-                    # never finishes on its own: kill + respawn so the
-                    # retry (and everyone else) lands on a healthy pool
-                    self.metrics.incr("worker_hangs_total")
-                    await self._respawn_pool(generation)
                 if attempt >= self.retry.max_attempts:
                     self._fail_batch(
                         jobs,
@@ -739,12 +784,51 @@ class EstimationService:
                     raise _PoolCrash(exc, generation) from exc
                 raise
 
-    async def _handle_pool_crash(self, jobs: list[Job], crash: "_PoolCrash") -> None:
-        """Respawn after a worker death, then isolate whoever caused it."""
+    @contextlib.asynccontextmanager
+    async def _pool_turn(self, recovering: bool):
+        """One dispatch's stay on the pool.
+
+        A fresh batch waits out any crash recovery and is counted while
+        it runs; a recovery re-run already owns the pool.
+        """
+        if recovering:
+            yield
+            return
+        async with self._recovery_lock:
+            self._fresh_on_pool += 1
+            self._pool_quiet.clear()
+        try:
+            yield
+        finally:
+            self._fresh_on_pool -= 1
+            if not self._fresh_on_pool:
+                self._pool_quiet.set()
+
+    async def _handle_pool_crash(
+        self, jobs: list[Job], crash: "_PoolCrash", recovering: bool
+    ) -> None:
+        """Respawn after a worker death, then isolate whoever caused it.
+
+        A crashed batch is re-run as a *recovery*: one at a time, under
+        the recovery lock, and alone on the pool — new fresh batches wait
+        and those already running finish first.  A crash seen in
+        recovery is therefore the suspect's own, never a neighbour's, so
+        an innocent that shared a pool with a crasher collects at most
+        the one strike of that first crash, which its next success
+        clears.
+        """
         self.metrics.incr("worker_crashes_total")
         if self.breaker.record_failure():
             self.metrics.incr("breaker_trips_total")
         await self._respawn_pool(crash.generation)
+        if recovering:
+            await self._isolate_crash(jobs, crash)
+            return
+        async with self._recovery_lock:
+            await self._pool_quiet.wait()
+            await self._isolate_crash(jobs, crash)
+
+    async def _isolate_crash(self, jobs: list[Job], crash: "_PoolCrash") -> None:
         if not self.breaker.allows_pool():
             await self._run_degraded(jobs)
             return
@@ -765,13 +849,13 @@ class EstimationService:
                     attempts=self.quarantine.threshold,
                 )
                 return
-            await self._run_supervised(jobs)
+            await self._run_supervised(jobs, recovering=True)
             return
         # bisect: innocents in one half finish normally, the poisoned
         # request ends up alone and is quarantined by the singleton path
         mid = (len(jobs) + 1) // 2
-        await self._run_supervised(jobs[:mid])
-        await self._run_supervised(jobs[mid:])
+        await self._run_supervised(jobs[:mid], recovering=True)
+        await self._run_supervised(jobs[mid:], recovering=True)
 
     async def _respawn_pool(self, generation: int) -> None:
         """Serialize concurrent crash handlers into one pool restart."""
@@ -820,26 +904,36 @@ class EstimationService:
             return
         self._resolve_batch(jobs, outcome, attempts=1)
 
-    def _stamp_chaos(self, items: list[dict]) -> Optional[str]:
+    def _stamp_chaos(self, jobs: list[Job], items: list[dict]) -> Optional[str]:
         """Attach the chaos plan's directives to one dispatch's items.
 
-        Returns the plan-scheduled directive (if one fired for this
-        ordinal) so the dispatcher can re-arm it when the batch never
-        reaches a worker.  Poison stamps need no such care — they
-        re-fire on every dispatch of the poisoned item.
+        The plan's schedule skips a dispatch made only of suspects (keys
+        with a crash strike): that is the probe deciding their next
+        strike, and a scheduled fault landing there would fabricate
+        evidence against an innocent.  A scheduled fault due on a batch
+        that carries poison moves to the next scheduled dispatch: the
+        poison kills this one anyway, and the plan promises its faults
+        as separate events.  Returns the plan-scheduled directive (if
+        one fired for this ordinal) so the dispatcher can re-arm it when
+        the batch never reaches a worker.  Poison stamps need no such
+        care — they re-fire on every dispatch of the poisoned item.
         """
         if self.chaos is None:
             return None
-        ordinal = self._batch_seq
-        self._batch_seq += 1
-        directive = self.chaos.directive_for_batch(ordinal)
+        poisoned = [item for item in items if self.chaos.is_poisoned(item)]
+        directive = None
+        if not all(self.quarantine.is_suspect(job.key) for job in jobs):
+            directive = self.chaos.directive_for_batch(self._batch_seq)
+            self._batch_seq += 1
+            if directive is not None and poisoned:
+                self.chaos.rearm(directive, self._batch_seq)
+                directive = None
         if directive is not None:
             items[0][CHAOS_KEY] = directive
             self.metrics.incr("chaos_injected_total")
-        for item in items:
-            if self.chaos.is_poisoned(item):
-                item[CHAOS_KEY] = "crash"
-                self.metrics.incr("chaos_injected_total")
+        for item in poisoned:
+            item[CHAOS_KEY] = "crash"
+            self.metrics.incr("chaos_injected_total")
         return directive
 
     def _shed_unservable(self, jobs: list[Job]) -> list[Job]:

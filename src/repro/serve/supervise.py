@@ -127,6 +127,10 @@ class QuarantineRegistry:
     def is_quarantined(self, key: str) -> bool:
         return key in self._quarantined
 
+    def is_suspect(self, key: str) -> bool:
+        """Whether ``key`` has crash strikes but is not (yet) quarantined."""
+        return key in self._crashes
+
     def release(self, key: str) -> bool:
         """Operator override: lift a quarantine (True if it was held)."""
         self._crashes.pop(key, None)

@@ -147,7 +147,10 @@ class ServiceChaosPlan:
     Batch-granular faults (``crashes``, ``hangs``) are assigned to
     distinct dispatch ordinals drawn from ``range(horizon)`` with a
     seeded RNG: the service counts every batch dispatch and consults
-    :meth:`directive_for_batch` with the running ordinal.  Connection
+    :meth:`directive_for_batch` with the running ordinal.  It skips the
+    re-run of a request that just crashed (that run decides the
+    request's next quarantine strike), and it moves a fault due on a
+    batch carrying poison to the next dispatch.  Connection
     resets work the same way over response ordinals.  ``poison`` names
     programs whose mere presence in a batch crashes the worker — the
     deterministic stand-in for a request that segfaults the simulator —

@@ -76,7 +76,7 @@ class TestLiteralFastPath:
         assert assert_same(token)[0] == "ok"
 
     @pytest.mark.parametrize(
-        "token", ["５", "017", "1__0", "0x", "'ab'", "'a'b", "", "?"]
+        "token", ["５", "017", "1__0", "0x", "'ab'", "'a'b", "", "?", "'\\'"]
     )
     def test_rejected_tokens_agree(self, token):
         # int() reads "５" as 5; the assembler never accepted it

@@ -11,9 +11,11 @@ under a millisecond of simulation.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import http.client
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -103,6 +105,92 @@ class ServerHarness:
         self._loop.close()
 
 
+class PoolGate:
+    """Hold every estimate batch a service submits until :meth:`open`.
+
+    Wraps ``service.pool.submit_estimate_batch``.  While the gate is
+    shut each submitted batch keeps its worker slot, so requests that
+    arrive meanwhile wait in the queue — as they would behind a slow
+    batch — and leave together as the next harvest.  ``batches`` records
+    the items of every submission; ``max_outstanding`` is the most
+    batches the service ever had submitted and unfinished at once.
+    """
+
+    def __init__(self, service: EstimationService) -> None:
+        self._opened = threading.Event()
+        self._lock = threading.Lock()
+        self._submit = service.pool.submit_estimate_batch
+        self.batches: list[list[dict]] = []
+        self.outstanding = 0
+        self.max_outstanding = 0
+        service.pool.submit_estimate_batch = self.submit
+
+    def submit(self, items) -> concurrent.futures.Future:
+        outer: concurrent.futures.Future = concurrent.futures.Future()
+        with self._lock:
+            self.batches.append(list(items))
+            self.outstanding += 1
+            self.max_outstanding = max(self.max_outstanding, self.outstanding)
+        outer.add_done_callback(self._finished)
+
+        def run() -> None:
+            self._opened.wait(30)
+            try:
+                result = self._submit(items).result(30)
+            except BaseException as exc:  # noqa: BLE001 — relayed to the service
+                if not outer.done():
+                    outer.set_exception(exc)
+            else:
+                if not outer.done():
+                    outer.set_result(result)
+
+        threading.Thread(target=run, daemon=True).start()
+        return outer
+
+    def _finished(self, _future) -> None:
+        with self._lock:
+            self.outstanding -= 1
+
+    def open(self) -> None:
+        self._opened.set()
+
+    def sizes(self) -> list[int]:
+        with self._lock:
+            return [len(batch) for batch in self.batches]
+
+
+def wait_until(predicate, timeout: float = 10.0) -> None:
+    """Poll ``predicate`` until it holds; fail the test after ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError("condition not reached in time")
+        time.sleep(0.005)
+
+
+def fire(server: "ServerHarness", bodies: list) -> tuple[list, list[threading.Thread]]:
+    """POST each body to /estimate on its own thread.
+
+    Returns the list the responses land in (in completion order, as
+    ``(index, status, body)``) and the started threads.
+    """
+    results: list = []
+    lock = threading.Lock()
+
+    def post(index: int, body: object) -> None:
+        status, decoded = server.estimate(body, timeout=60)
+        with lock:
+            results.append((index, status, decoded))
+
+    threads = [
+        threading.Thread(target=post, args=(index, body))
+        for index, body in enumerate(bodies)
+    ]
+    for thread in threads:
+        thread.start()
+    return results, threads
+
+
 @pytest.fixture
 def make_server(serve_model):
     """Factory fixture: build a live server with custom service options."""
@@ -110,7 +198,6 @@ def make_server(serve_model):
 
     def factory(**options) -> ServerHarness:
         options.setdefault("workers", 0)
-        options.setdefault("batch_window", 0.005)
         harness = ServerHarness(EstimationService(serve_model, **options))
         harnesses.append(harness)
         return harness

@@ -1,12 +1,20 @@
-"""Coalescer semantics, windowed batch harvesting, and group partitioning."""
+"""Coalescer semantics, load-adaptive batch harvesting, and group partitioning."""
 
 from __future__ import annotations
 
 import asyncio
+import math
+import time
 
 import pytest
 
+from repro.core.runner import RetryPolicy
 from repro.serve import BatchQueue, Coalescer, Job, partition_compatible
+from repro.testing.faults import ServiceChaosPlan
+
+from .conftest import PoolGate, fire, wait_until
+from .test_chaos import inline_body
+from .test_server import StallingPool
 
 
 def job_without_future(key: str, group: str = "g") -> Job:
@@ -89,14 +97,28 @@ class TestBatchQueue:
             queue = BatchQueue(16)
             for key in "abcde":
                 queue.put_nowait(job_without_future(key))
-            batch = await queue.next_batch(max_batch=3, window=0.0)
+            batch = await queue.next_batch(max_batch=3)
             assert [job.key for job in batch] == ["a", "b", "c"]
-            batch = await queue.next_batch(max_batch=8, window=0.0)
+            batch = await queue.next_batch(max_batch=8)
             assert [job.key for job in batch] == ["d", "e"]
 
         asyncio.run(scenario())
 
-    def test_window_waits_for_stragglers(self):
+    def test_queued_lone_job_returns_without_suspending(self):
+        async def scenario():
+            queue = BatchQueue(4)
+            queue.put_nowait(job_without_future("only"))
+            harvest = queue.next_batch(max_batch=8)
+            # one step runs the coroutine to completion: it never awaited
+            # anything, so no timer (or other wakeup) was armed
+            with pytest.raises(StopIteration) as done:
+                harvest.send(None)
+            assert [job.key for job in done.value.value] == ["only"]
+            assert queue.qsize() == 0
+
+        asyncio.run(scenario())
+
+    def test_returns_without_waiting_for_stragglers(self):
         async def scenario():
             queue = BatchQueue(16)
             queue.put_nowait(job_without_future("first"))
@@ -106,9 +128,12 @@ class TestBatchQueue:
                 queue.put_nowait(job_without_future("late"))
 
             task = asyncio.create_task(straggler())
-            batch = await queue.next_batch(max_batch=8, window=0.5)
+            batch = await queue.next_batch(max_batch=8)
+            assert [job.key for job in batch] == ["first"]
             await task
-            assert [job.key for job in batch] == ["first", "late"]
+            # the straggler leaves with the next harvest
+            batch = await queue.next_batch(max_batch=8)
+            assert [job.key for job in batch] == ["late"]
 
         asyncio.run(scenario())
 
@@ -121,11 +146,144 @@ class TestBatchQueue:
                 queue.put_nowait(job_without_future("only"))
 
             task = asyncio.create_task(producer())
-            batch = await queue.next_batch(max_batch=4, window=0.0)
+            batch = await queue.next_batch(max_batch=4)
             await task
             assert [job.key for job in batch] == ["only"]
 
         asyncio.run(scenario())
+
+
+def distinct_bodies(count: int, first_loops: int = 3) -> list[dict]:
+    """Requests with distinct keys (one content-addressed job each)."""
+    return [inline_body(f"p{i}", loops=first_loops + i) for i in range(count)]
+
+
+def hold_worker(server, gate: PoolGate, name: str = "blocker"):
+    """Occupy the service's one worker with a gated request."""
+    _, threads = fire(server, [inline_body(name, loops=50)])
+    wait_until(lambda: len(gate.sizes()) == 1)
+    return threads
+
+
+class TestLoadAdaptiveBatching:
+    """A harvest happens when a worker slot is free and takes what is queued."""
+
+    @pytest.mark.parametrize(
+        "count, batch_max", [(1, 8), (5, 8), (8, 8), (7, 3), (9, 2)]
+    )
+    def test_arrivals_behind_a_busy_worker_leave_together(
+        self, make_server, count, batch_max
+    ):
+        server = make_server(batch_max=batch_max)
+        gate = PoolGate(server.service)
+        blocker = hold_worker(server, gate)
+        results, threads = fire(server, distinct_bodies(count))
+        wait_until(lambda: server.service.queue.qsize() == count)
+        gate.open()
+        for thread in blocker + threads:
+            thread.join(timeout=60)
+        assert sorted(status for _, status, _ in results) == [200] * count
+        sizes = gate.sizes()
+        assert sizes[0] == 1
+        # N <= batch_max queued jobs go out as one batch; more go out as
+        # ceil(N / batch_max) batches of at most batch_max each
+        assert len(sizes[1:]) == math.ceil(count / batch_max)
+        assert sum(sizes[1:]) == count
+        assert max(sizes[1:]) == min(count, batch_max)
+
+    def test_lone_request_on_idle_service_is_dispatched_at_once(self, make_server):
+        server = make_server()
+        gate = PoolGate(server.service)
+        results, threads = fire(server, distinct_bodies(1))
+        # dispatched while the gate is still shut: nothing waited for company
+        wait_until(lambda: gate.sizes() == [1])
+        assert server.service.queue.qsize() == 0
+        gate.open()
+        threads[0].join(timeout=60)
+        assert results[0][1] == 200
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_outstanding_batches_never_exceed_workers(self, make_server, workers):
+        server = make_server(workers=workers, batch_max=2)
+        slots = server.service.pool.workers
+        gate = PoolGate(server.service)
+        results, threads = fire(server, distinct_bodies(9))
+        # every slot is taken and the rest of the traffic waits in the queue
+        wait_until(
+            lambda: len(gate.sizes()) == slots
+            and server.service.queue.qsize() + sum(gate.sizes()) == 9
+        )
+        time.sleep(0.02)
+        assert len(gate.sizes()) == slots
+        gate.open()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert sorted(status for _, status, _ in results) == [200] * 9
+        assert gate.max_outstanding == slots
+        assert sum(gate.sizes()) == 9
+
+    @pytest.mark.parametrize("scenario", ["timeout", "crash", "degraded"])
+    def test_failed_batch_releases_its_slot(self, make_server, scenario):
+        options: dict = {}
+        if scenario == "crash":
+            options = {
+                "chaos": ServiceChaosPlan(poison=("bad",)),
+                "quarantine_after": 1,
+                "breaker_failures": 10,
+            }
+        elif scenario == "degraded":
+            options = {
+                "chaos": ServiceChaosPlan(poison=("bad",)),
+                "breaker_failures": 1,
+                "breaker_cooldown": 60.0,
+            }
+        server = make_server(**options)
+        service = server.service
+        assert service.pool.workers == 1  # one slot: a leaked one hangs the rest
+        if scenario == "timeout":
+            real_pool = service.pool
+            service.pool = StallingPool()
+            service.request_timeout = 0.05
+            service.retry = RetryPolicy(max_attempts=1)
+            status, body = server.estimate(inline_body("bad", loops=3), timeout=10)
+            service.pool = real_pool
+            assert (status, body["stage"]) == (504, "timeout")
+        elif scenario == "crash":
+            status, body = server.estimate(inline_body("bad", loops=3), timeout=10)
+            assert (status, body["stage"]) == (500, "quarantine")
+        else:
+            status, _ = server.estimate(inline_body("bad", loops=3), timeout=10)
+            assert status == 200
+            assert service.metrics.counters["degraded_batches_total"] == 1
+        for i in range(3):
+            status, _ = server.estimate(inline_body(f"next{i}", loops=20 + i), timeout=10)
+            assert status == 200
+        assert service.queue.qsize() == 0
+
+
+class TestQueueWait:
+    def test_queue_wait_splits_waiting_from_worker_time(self, make_server):
+        server = make_server()
+        gate = PoolGate(server.service)
+        blocker = hold_worker(server, gate)
+        results, threads = fire(server, distinct_bodies(1))
+        wait_until(lambda: server.service.queue.qsize() == 1)
+        held = 0.1
+        time.sleep(held)
+        gate.open()
+        for thread in blocker + threads:
+            thread.join(timeout=60)
+        assert results[0][1] == 200
+        _, metrics = server.request("GET", "/metrics")
+        wait = metrics["queue_wait"]
+        assert wait["count"] == 2  # one sample per dispatched job
+        # the blocker went straight to the idle worker; the second job
+        # waited in the queue for as long as the worker was held
+        assert wait["p50_ms"] < held * 1e3
+        assert wait["p95_ms"] >= held * 1e3
+        _, text = server.request("GET", "/metrics?format=prom")
+        assert "repro_serve_queue_wait_jobs 2" in text
+        assert "repro_serve_queue_wait_p95_ms " in text
 
 
 class TestPartitionCompatible:

@@ -11,12 +11,16 @@ equivalent (real ``os._exit`` children) is exercised by
 
 from __future__ import annotations
 
-import threading
+import asyncio
+import concurrent.futures
 
 import pytest
 
 from repro.core.runner import RetryPolicy
+from repro.serve import EstimationService, InjectedWorkerCrash, Job
 from repro.testing.faults import ServiceChaosPlan
+
+from .conftest import PoolGate, fire, wait_until
 
 pytestmark = pytest.mark.chaos
 
@@ -76,6 +80,107 @@ class TestCrashRecovery:
         assert "repro_serve_worker_crashes_total 1" in text
         assert "repro_serve_quarantine_held 0" in text
 
+    def test_scheduled_faults_spare_the_supervisors_retries(self, make_server):
+        # both scheduled crashes fall on consecutive ordinals; were the
+        # retry of the first victim counted, it would take the second
+        # crash too and an innocent would be quarantined after 2 strikes
+        server = make_server(
+            chaos=ServiceChaosPlan(seed=3, crashes=2, horizon=2),
+            quarantine_after=2,
+        )
+        for i in range(2):
+            status, body = server.estimate(inline_body(f"victim{i}", loops=5 + i))
+            assert status == 200, body
+        _, metrics = server.request("GET", "/metrics")
+        assert metrics["supervision"]["chaos"]["injected"] == {"crash": 2}
+        assert metrics["counters"]["worker_crashes_total"] == 2
+        assert metrics["supervision"]["quarantine"]["held"] == 0
+
+
+class FakePool:
+    """A two-worker pool stub whose batches finish when the test says so."""
+
+    mode = "stub"
+    workers = 2
+    prewarmed = 0
+
+    def __init__(self) -> None:
+        self.generation = 0
+        self.restarts = 0
+        self.submitted: list[tuple[list[str], concurrent.futures.Future]] = []
+
+    def submit_estimate_batch(self, items):
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        self.submitted.append(([item["name"] for item in items], future))
+        return future
+
+    def restart(self) -> int:
+        self.generation += 1
+        self.restarts += 1
+        return self.generation
+
+    def shutdown(self) -> None:
+        pass
+
+
+class TestExclusiveRecovery:
+    def test_crashed_batch_reruns_alone_on_the_pool(self, serve_model):
+        """A crash's retry waits for running batches and holds off new ones."""
+
+        async def scenario():
+            service = EstimationService(serve_model, workers=0)
+            service.pool.shutdown()
+            pool = service.pool = FakePool()
+            loop = asyncio.get_running_loop()
+            jobs = {
+                name: Job(
+                    key=name,
+                    group="g",
+                    item={"name": name, "max_instructions": 100},
+                    future=loop.create_future(),
+                )
+                for name in ("suspect", "running", "arriving")
+            }
+
+            async def settle(submissions: int) -> None:
+                for _ in range(200):
+                    await asyncio.sleep(0.005)
+                    if len(pool.submitted) == submissions:
+                        break
+                await asyncio.sleep(0.02)
+                assert [names for names, _ in pool.submitted][submissions:] == []
+
+            def finish(index: int) -> None:
+                pool.submitted[index][1].set_result({"results": [{"ok": True}]})
+
+            tasks = [
+                asyncio.create_task(service._run_batch([jobs["suspect"]])),
+                asyncio.create_task(service._run_batch([jobs["running"]])),
+            ]
+            await settle(2)
+            pool.submitted[0][1].set_exception(InjectedWorkerCrash("boom"))
+            # the suspect's retry waits for the batch still on the pool,
+            # and a batch arriving meanwhile waits for the recovery
+            await settle(2)
+            tasks.append(asyncio.create_task(service._run_batch([jobs["arriving"]])))
+            await settle(2)
+            finish(1)
+            await settle(3)
+            assert pool.submitted[2][0] == ["suspect"]
+            finish(2)
+            await settle(4)
+            assert pool.submitted[3][0] == ["arriving"]
+            finish(3)
+            await asyncio.gather(*tasks)
+            return service, {name: job.future.result() for name, job in jobs.items()}
+
+        service, results = asyncio.run(scenario())
+        assert all(payload["ok"] for payload in results.values())
+        assert service.metrics.counters["worker_crashes_total"] == 1
+        assert service.pool.restarts == 1
+        # the retried suspect succeeded alone: its one strike is cleared
+        assert service.quarantine.snapshot()["suspects"] == {}
+
 
 class TestPoisonQuarantine:
     def test_bisect_isolates_poison_and_quarantines_it(self, make_server):
@@ -84,25 +189,22 @@ class TestPoisonQuarantine:
             quarantine_after=2,
             breaker_failures=10,  # keep the breaker out of this scenario
             batch_max=8,
-            batch_window=0.25,
         )
-        results: dict[str, tuple[int, dict]] = {}
-        lock = threading.Lock()
-
-        def post(name: str, loops: int) -> None:
-            outcome = server.estimate(inline_body(name, loops), timeout=60)
-            with lock:
-                results[name] = outcome
-
+        # a busy worker makes the four requests queue up and leave as one
+        # batch, so the poison shares it with innocents and is bisected out
+        gate = PoolGate(server.service)
+        _, blocker = fire(server, [inline_body("blocker", loops=40)])
+        wait_until(lambda: gate.sizes() == [1])
         names = ["bad", "good1", "good2", "good3"]
-        threads = [
-            threading.Thread(target=post, args=(name, 3 + i))
-            for i, name in enumerate(names)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
+        responses, threads = fire(
+            server, [inline_body(name, 3 + i) for i, name in enumerate(names)]
+        )
+        wait_until(lambda: server.service.queue.qsize() == len(names))
+        gate.open()
+        for t in blocker + threads:
             t.join(timeout=60)
+        results = {names[index]: (status, body) for index, status, body in responses}
+        assert gate.sizes()[:2] == [1, 4]
 
         assert set(results) == set(names)
         # the innocents that shared batches with the poison all succeeded
@@ -131,6 +233,24 @@ class TestPoisonQuarantine:
         _, health = server.request("GET", "/healthz")
         assert health["status"] == "ok"
         assert any("quarantined" in reason for reason in health["reasons"])
+
+
+    def test_scheduled_fault_is_not_absorbed_by_poison(self, make_server):
+        # the crash scheduled for the first dispatch would die with the
+        # poison's own crash; it moves to the next batch and kills it
+        server = make_server(
+            chaos=ServiceChaosPlan(seed=0, crashes=1, horizon=1, poison=("bad",)),
+            quarantine_after=2,
+        )
+        status, body = server.estimate(inline_body("bad", loops=3))
+        assert (status, body["stage"]) == (500, "quarantine")
+        status, body = server.estimate(inline_body("good", loops=4))
+        assert status == 200, body
+        _, metrics = server.request("GET", "/metrics")
+        assert metrics["supervision"]["chaos"]["injected"] == {"crash": 1}
+        # two isolated poison strikes + the scheduled crash, separately
+        assert metrics["counters"]["worker_crashes_total"] == 3
+        assert metrics["supervision"]["quarantine"]["held"] == 1
 
 
 class TestCircuitBreaker:

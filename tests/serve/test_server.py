@@ -11,6 +11,7 @@ import asyncio
 import concurrent.futures
 import multiprocessing
 import threading
+import time
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.core.runner import RetryPolicy
 from repro.serve import EstimationService, Job
 from repro.serve.api import ApiError
 
-from .conftest import TINY_SOURCE
+from .conftest import TINY_SOURCE, PoolGate, fire, wait_until
 
 INLINE_BODY = {
     "program": {"source": TINY_SOURCE, "name": "tiny"},
@@ -61,27 +62,24 @@ class TestEstimateEndpoint:
 
     def test_concurrent_duplicates_merge(self, make_server):
         """N identical requests cost one simulation: 1 fresh + N-1 merged."""
-        server = make_server(batch_window=0.05)
-        results: list[tuple[int, dict]] = []
-        lock = threading.Lock()
-
-        def fire():
-            outcome = server.estimate(INLINE_BODY)
-            with lock:
-                results.append(outcome)
-
-        threads = [threading.Thread(target=fire) for _ in range(4)]
-        for thread in threads:
-            thread.start()
+        server = make_server()
+        # hold the first request's batch so the duplicates find it in flight
+        gate = PoolGate(server.service)
+        counters = server.service.metrics.counters
+        results, threads = fire(server, [INLINE_BODY] * 4)
+        wait_until(lambda: counters["coalesced_total"] == 3)
+        gate.open()
         for thread in threads:
             thread.join(timeout=60)
         assert len(results) == 4
-        assert all(status == 200 for status, _ in results)
-        energies = {body["energy"] for _, body in results}
+        assert all(status == 200 for _, status, _ in results)
+        energies = {body["energy"] for _, _, body in results}
         assert len(energies) == 1
-        dedups = sorted(body["dedup"] for _, body in results)
+        dedups = sorted(body["dedup"] for _, _, body in results)
         assert dedups.count("fresh") == 1
         assert all(d in ("fresh", "coalesced", "memo") for d in dedups)
+        assert dedups == ["coalesced", "coalesced", "coalesced", "fresh"]
+        assert gate.sizes() == [1]
         _, metrics = server.request("GET", "/metrics")
         assert metrics["counters"]["duplicates_merged"] == 3
         assert metrics["counters"]["estimate_requests"] == 4
@@ -336,7 +334,6 @@ class TestCliWiring:
         assert args.workers == 2
         assert args.queue_limit == 64
         assert args.batch_max == 8
-        assert args.batch_window_ms == 5.0
         assert not args.no_dedupe
         assert args.func.__name__ == "_cmd_serve"
 
@@ -367,13 +364,25 @@ class TestCliWiring:
 
 class TestDeadlines:
     def test_expired_deadline_shed_with_504(self, make_server):
-        # a 1 ms deadline expires inside the 100 ms batch window, so the
-        # job is shed at harvest time without paying for simulation
-        server = make_server(batch_window=0.1)
-        status, body = server.estimate({**INLINE_BODY, "deadline_ms": 1})
+        # the only worker is held busy, so the 1 ms job waits in the queue
+        # past its deadline and is shed at harvest without simulation
+        server = make_server()
+        service = server.service
+        gate = PoolGate(service)
+        busy, busy_threads = fire(server, [{"benchmark": "tp01_alu_mix"}])
+        wait_until(lambda: gate.sizes() == [1])
+        shed, shed_threads = fire(server, [{**INLINE_BODY, "deadline_ms": 1}])
+        wait_until(lambda: service.queue.qsize() == 1)
+        time.sleep(0.01)
+        gate.open()
+        for thread in busy_threads + shed_threads:
+            thread.join(timeout=60)
+        assert busy[0][1] == 200
+        _, status, body = shed[0]
         assert status == 504
         assert body["stage"] == "deadline"
         assert body["error_type"] == "DeadlineExceeded"
+        assert gate.sizes() == [1]  # the expired job never reached a worker
         _, metrics = server.request("GET", "/metrics")
         assert metrics["counters"]["deadline_shed_total"] == 1
         # sheds are load management, not failures
@@ -388,29 +397,11 @@ class TestDeadlines:
 
 class TestGracefulDrain:
     def test_drain_completes_inflight_and_refuses_new(self, make_server):
-        import time
-
         server = make_server()
         service = server.service
-        gate = threading.Event()
-        original = service.pool.submit_estimate_batch
-
-        def gated(items):
-            # hold the batch hostage until the test releases the gate,
-            # making "in-flight during drain" deterministic
-            outer: concurrent.futures.Future = concurrent.futures.Future()
-
-            def run() -> None:
-                gate.wait(30)
-                try:
-                    outer.set_result(original(items).result(30))
-                except BaseException as exc:  # noqa: BLE001 — relayed to the service
-                    outer.set_exception(exc)
-
-            threading.Thread(target=run, daemon=True).start()
-            return outer
-
-        service.pool.submit_estimate_batch = gated
+        # hold the batch hostage until the test opens the gate, making
+        # "in-flight during drain" deterministic
+        gate = PoolGate(service)
 
         results: dict[str, tuple] = {}
 
@@ -442,7 +433,7 @@ class TestGracefulDrain:
         assert body["error"] == "draining"
 
         # the in-flight request still completes successfully
-        gate.set()
+        gate.open()
         client.join(timeout=30)
         status, body = results["inflight"]
         assert status == 200

@@ -29,7 +29,6 @@ from .profiler import (
     RegionProfile,
     RegionStatsObserver,
     regions_from_symbols,
-    stats_from_records,
 )
 from .regression import (
     CONDITION_WARNING_THRESHOLD,
@@ -105,7 +104,6 @@ __all__ = [
     "VariableDomain",
     "analyze_resource_usage",
     "regions_from_symbols",
-    "stats_from_records",
     "audit_coverage",
     "characterize",
     "collinear_columns",

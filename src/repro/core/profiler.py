@@ -3,10 +3,10 @@
 A practical extension beyond the paper: because the macro-model is linear
 in per-cycle/per-event counts, a program's estimated energy decomposes
 *exactly* over any partition of its dynamic execution.  The profiler
-splits a traced run by code region (by default: one region per text-label
-in the program, i.e. per "function") and rebuilds each region's
-macro-model variable vector from its trace records — answering "where
-does the energy go?" with the same model that answers "how much".
+splits a run by code region (by default: one region per text-label in
+the program, i.e. per "function") and folds each region's retire events
+into its own macro-model variable vector — answering "where does the
+energy go?" with the same model that answers "how much".
 
 The per-region energies sum to the whole-program macro-model estimate to
 within floating-point error; a property test enforces this.
@@ -18,12 +18,10 @@ import dataclasses
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..asm import Program
-from ..isa import InstructionClass
-from ..isa.classes import BASE_ENERGY_CLASSES
 from ..obs.bundled import apply_event, gpr_accessing_mnemonics
 from ..obs.protocol import SimObserver
 from ..obs.session import run_session
-from ..xtcore import DEFAULT_MAX_INSTRUCTIONS, ExecutionStats, ProcessorConfig, TraceRecord
+from ..xtcore import DEFAULT_MAX_INSTRUCTIONS, ExecutionStats, ProcessorConfig
 from .model import EnergyMacroModel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -135,68 +133,6 @@ class ProfileReport:
                 for row in self.sorted_by_energy()
             ],
         }
-
-
-def _record_issue_cycles(record: TraceRecord, config: ProcessorConfig) -> int:
-    """Strip penalty cycles off a trace record, leaving issue cycles."""
-    penalties = 0
-    if record.icache_miss:
-        penalties += config.icache.miss_penalty
-    if record.dcache_miss:
-        penalties += config.dcache.miss_penalty
-    if record.uncached_fetch:
-        penalties += config.timing.uncached_fetch_penalty
-    if record.interlock:
-        penalties += config.timing.interlock_stall
-    return record.cycles - penalties
-
-
-def stats_from_records(
-    records: Sequence[TraceRecord], config: ProcessorConfig
-) -> ExecutionStats:
-    """Rebuild :class:`ExecutionStats` from a subset of trace records.
-
-    This is the inverse of trace collection for a *partition* of a run:
-    summing the stats of a partition's parts reproduces the whole run's
-    stats (tested property), which is what makes exact energy attribution
-    possible.
-    """
-    stats = ExecutionStats()
-    extensions = config.extension_index
-    for record in records:
-        issue = _record_issue_cycles(record, config)
-        iclass = record.iclass
-        if iclass in BASE_ENERGY_CLASSES:
-            stats.class_cycles[iclass] += issue
-            stats.class_counts[iclass] += 1
-        elif iclass is InstructionClass.CUSTOM:
-            stats.custom_cycles[record.mnemonic] = (
-                stats.custom_cycles.get(record.mnemonic, 0) + issue
-            )
-            stats.custom_counts[record.mnemonic] = (
-                stats.custom_counts.get(record.mnemonic, 0) + 1
-            )
-            impl = extensions.get(record.mnemonic)
-            if impl is not None and impl.accesses_gpr:
-                stats.custom_gpr_cycles += issue
-        else:  # SYSTEM
-            stats.system_cycles += issue
-        if record.icache_miss:
-            stats.icache_misses += 1
-        if record.dcache_miss:
-            stats.dcache_misses += 1
-        if record.uncached_fetch:
-            stats.uncached_fetches += 1
-        if record.interlock:
-            stats.interlocks += 1
-        if iclass is not InstructionClass.CUSTOM and record.operands:
-            stats.base_bus_cycles += issue
-        stats.total_cycles += record.cycles
-        stats.total_instructions += 1
-        stats.mnemonic_counts[record.mnemonic] = (
-            stats.mnemonic_counts.get(record.mnemonic, 0) + 1
-        )
-    return stats
 
 
 class RegionStatsObserver(SimObserver):

@@ -10,10 +10,10 @@ activity) pay no allocation at all.
 
 The field layout deliberately matches :class:`TraceRecord`, so code
 written against trace records (the reference RTL estimator's activity
-accumulator, ``stats_from_records``-style reconstruction) accepts either
-interchangeably.  ``issue_cycles`` is the one addition: the event carries
-the penalty-free issue cycles directly instead of making every consumer
-re-derive them from the processor's timing configuration.
+accumulator) accepts either interchangeably.  ``issue_cycles`` is the
+one addition: the event carries the penalty-free issue cycles directly
+instead of making every consumer re-derive them from the processor's
+timing configuration.
 """
 
 from __future__ import annotations

@@ -245,7 +245,7 @@ def render_prometheus(payload: dict) -> str:
         ):
             if field in info:
                 emit(f"cache_{field}", info[field], labels)
-        # per-tier breakdown (compilation cache: ops vs superop lowering)
+        # per-tier breakdown (compilation cache: ops lowerings vs design-point builds)
         for tier_name, tier in sorted(info.get("tiers", {}).items()):
             tier_labels = f'{{cache="{cache_name}",tier="{tier_name}"}}'
             for field in ("hits", "misses", "entries", "compilations", "evictions"):

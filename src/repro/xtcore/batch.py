@@ -15,8 +15,9 @@ models and the per-class cycle attribution.
 :func:`run_batch` exploits that split:
 
 1. **Record** — execute the program once (the shared
-   :func:`repro.xtcore.iss.dispatch` loop, per-op, with recorders in
-   place of cache models), capturing the per-op retire/taken counters, the
+   :func:`repro.xtcore.iss.dispatch` loop, through the fused blocks
+   lowered at the batch's finest line sizes, with recorders in place of
+   cache models), capturing the per-op retire/taken counters, the
    interlock count, and the I-fetch / D-access address streams deduped
    at the *finest* line granularity present in the batch.  A coarser
    line cannot change where its own same-line transitions fall: equal
@@ -31,9 +32,11 @@ models and the per-class cycle attribution.
    so batch members with equal geometry share one replay.
 3. **Aggregate** — fold the shared counters plus the per-config miss
    counts through :func:`repro.xtcore.iss._aggregate_stats` against each
-   config's own compiled lowering (issue latencies and branch penalties
-   are per-config), yielding stats bitwise identical to running that
-   config alone.
+   config's compiled lowering (issue latencies fold in the branch
+   penalty and custom latencies), yielding stats bitwise identical to
+   running that config alone.  Lowerings are keyed by
+   :attr:`~repro.xtcore.config.ProcessorConfig.lowering_key`, which
+   leaves out caches and clock, so a batch normally resolves one.
 
 The returned results share one final :class:`~repro.isa.MachineState`
 (the trajectory is shared, so the architectural outcome is too).
@@ -84,7 +87,7 @@ def _record_trajectory(
     min_dshift: int,
     entry: int | None,
 ):
-    """One per-op execution with address-stream capture, no cache models.
+    """One execution with address-stream capture, no cache models.
 
     Returns ``(state, counts, taken_counts, interlocks, ifetch, daccess)``
     where the streams hold the first address of every same-line transition
@@ -97,14 +100,14 @@ def _record_trajectory(
         state.pc = entry
     ifetch: list[int] = []
     daccess: list[int] = []
-    # No blocks: fused closures replay at one config's line size, the
-    # recorder needs the batch's finest.  ``append`` returns None, so
-    # every recorded access counts as a "miss" — those counts are unused.
+    # Fused blocks and the per-op path share one same-line memo, so the
+    # block lowering at the finest line sizes records the same streams a
+    # per-op run would.  ``append`` returns None, so every recorded
+    # access counts as a "miss" — those counts are unused.
     counts, taken_counts, _, _, interlocks = dispatch(
         simulator.executable,
         state,
         simulator.max_instructions,
-        None,
         min_ishift,
         min_dshift,
         ifetch.append,
@@ -165,11 +168,16 @@ def run_batch(
         lead, min_ishift, min_dshift, entry
     )
 
+    executables = {lead.executable.lowering_key: lead.executable}
     imisses: dict[tuple[int, int, int], int] = {}
     dmisses: dict[tuple[int, int, int], int] = {}
     results: list[SimulationResult] = []
     for config in configs:
-        executable = cache.get_or_compile(config, program)
+        executable = executables.get(config.lowering_key)
+        if executable is None:
+            executable = executables[config.lowering_key] = cache.get_or_compile(
+                config, program
+            )
         icache_misses = _geometry_misses(imisses, ifetch, config.icache, "icache")
         dcache_misses = _geometry_misses(dmisses, daccess, config.dcache, "dcache")
         stats = _aggregate_stats(

@@ -13,9 +13,10 @@ construction.  This module hoists all of that to **compile time**:
   control outcomes, uncached flag and fall-through successor index all
   pre-bound;
 * :class:`CompilationCache` memoizes those lowerings across runs, keyed
-  by ``(Program.digest(), ProcessorConfig.fingerprint())`` — content
-  hashes, so equal-content programs/configs share one compilation no
-  matter how many objects or processes spell them;
+  by ``(Program.digest(), ProcessorConfig.lowering_key)`` — content
+  hashes of exactly what the lowering reads, so equal-content programs
+  and configs that differ only in caches or clock share one compilation
+  no matter how many objects or processes spell them;
 * :func:`describe_invalid_pc` turns a wild program counter into an
   actionable diagnostic (nearest preceding symbol, last retired address).
 
@@ -97,18 +98,19 @@ _INTERIOR_CLASSES = (
 
 @dataclasses.dataclass(frozen=True)
 class ExecutableProgram:
-    """A :class:`Program` lowered against one :class:`ProcessorConfig`.
+    """A :class:`Program` lowered against one :attr:`ProcessorConfig.lowering_key`.
 
     Index-addressed: ``ops[i]`` executes the instruction at ``addrs[i]``,
     and sequential fall-through is ``ops[i][OP_FALL_IDX]`` instead of a
-    dict probe on the next byte address.  Immutable once built, so one
-    instance is safely shared across runs, sessions and forked workers.
+    dict probe on the next byte address.  The op table is immutable once
+    built, so one instance is safely shared across runs, sessions, every
+    config with the same lowering key, and forked workers.  The block
+    lowerings (:meth:`superops`) fill in on first use.
     """
 
     program_name: str
-    config_name: str
     program_digest: str
-    config_fingerprint: str
+    lowering_key: str
     entry: int
     ops: tuple[tuple, ...]
     addrs: tuple[int, ...]
@@ -118,9 +120,28 @@ class ExecutableProgram:
     #: every source/dest register of every op is < num_registers, so the
     #: dispatch loops may read the register file without bounds checks.
     regs_in_range: bool = True
+    #: ``(ishift, dshift)`` -> :class:`SuperopProgram`, see :meth:`superops`
+    _superops: dict = dataclasses.field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __len__(self) -> int:
         return len(self.ops)
+
+    def superops(self, ishift: int, dshift: int) -> "SuperopProgram":
+        """The block lowering at these I/D line shifts, built on first use.
+
+        Blocks depend on ``ishift`` alone (their I-line sequences) and
+        fused closures bake in ``dshift``, so one lowering serves every
+        config with these line sizes.  Threads racing to build one keep
+        the first stored.
+        """
+        lowering = self._superops.get((ishift, dshift))
+        if lowering is None:
+            lowering = self._superops.setdefault(
+                (ishift, dshift), compile_superops(self, ishift, dshift)
+            )
+        return lowering
 
     def index_of(self, pc: int) -> int:
         """Micro-op index for ``pc``, or -1 when no instruction lives there."""
@@ -137,9 +158,9 @@ class ExecutableProgram:
 
     def __repr__(self) -> str:
         return (
-            f"ExecutableProgram({self.program_name} on {self.config_name}: "
+            f"ExecutableProgram({self.program_name}: "
             f"{len(self.ops)} ops, key {self.program_digest[:8]}/"
-            f"{self.config_fingerprint[:8]})"
+            f"{self.lowering_key[:8]})"
         )
 
 
@@ -707,8 +728,10 @@ def _specialize(definition, ins, addr: int, num_registers: int):
 def compile_program(config: "ProcessorConfig", program: "Program") -> ExecutableProgram:
     """Lower ``program`` against ``config`` into an :class:`ExecutableProgram`.
 
-    Raises :class:`SimulationError` when the program uses a mnemonic that
-    is not in the processor's ISA (same contract the per-run decoder had).
+    Reads only what :attr:`ProcessorConfig.lowering_key` hashes, so the
+    result serves every config with that key.  Raises
+    :class:`SimulationError` when the program uses a mnemonic that is not
+    in the processor's ISA (same contract the per-run decoder had).
     """
     isa = config.isa
     penalty = config.timing.branch_taken_penalty
@@ -792,9 +815,8 @@ def compile_program(config: "ProcessorConfig", program: "Program") -> Executable
 
     return ExecutableProgram(
         program_name=program.name,
-        config_name=config.name,
         program_digest=program.digest(),
-        config_fingerprint=config.fingerprint(),
+        lowering_key=config.lowering_key,
         entry=program.entry,
         ops=tuple(ops),
         addrs=addrs,
@@ -825,27 +847,25 @@ def compile_program(config: "ProcessorConfig", program: "Program") -> Executable
 
 #: Field indices of one superop block descriptor (flat tuple, same
 #: rationale as the OP_* layout above).
-BLK_ID = 0  #: dense block index
-BLK_START = 1  #: op index of the first instruction in the block
-BLK_LEN = 2  #: number of instructions retired per block execution
-BLK_STEPS = 3  #: fused execution steps (see compile_superops)
-BLK_IFETCH = 4  #: ``(line, addr)`` per distinct I-line touched, in order
-BLK_FIRST_SRCS = 5  #: source regs of the first op (incoming-interlock check)
-BLK_INTERLOCKS = 6  #: load-use interlocks internal to the block (static)
-BLK_LOAD_DESTS = 7  #: load dests of the last op (outgoing-interlock state)
-BLK_NEXT_IDX = 8  #: op index the block falls through to, or -1
-BLK_LAST_ADDR = 9  #: byte address of the last instruction (diagnostics)
+BLK_START = 0  #: op index of the first instruction in the block
+BLK_LEN = 1  #: number of instructions retired per block execution
+BLK_IFETCH = 2  #: ``(line, addr)`` per distinct I-line touched, in order
+BLK_FIRST_SRCS = 3  #: source regs of the first op (incoming-interlock check)
+BLK_INTERLOCKS = 4  #: load-use interlocks internal to the block (static)
+BLK_LOAD_DESTS = 5  #: load dests of the last op (outgoing-interlock state)
+BLK_NEXT_IDX = 6  #: op index the block falls through to, or -1
+BLK_LAST_ADDR = 7  #: byte address of the last instruction (diagnostics)
 
 
 @dataclasses.dataclass(frozen=True)
 class SuperopProgram:
-    """Block-level lowering of an :class:`ExecutableProgram`.
+    """Block-level lowering of an :class:`ExecutableProgram` at one line size pair.
 
     ``block_at[i]`` is the block descriptor whose first op is ``ops[i]``
     (or None when op ``i`` does not lead a block), so the dispatch loop
     can probe block entry with one tuple index per control transfer.
-    Derived purely from the executable plus the config's cache line
-    sizes, all already pinned by the digest/fingerprint pair, so one
+    Derived purely from the executable plus the I/D line shifts, and
+    kept on the executable (:meth:`ExecutableProgram.superops`), so one
     instance is shared across runs, threads and forked workers.
 
     The descriptors are immutable; ``fused[i]``, the slot of the block
@@ -857,8 +877,8 @@ class SuperopProgram:
     retire identically.
     """
 
-    program_digest: str
-    config_fingerprint: str
+    ishift: int
+    dshift: int
     blocks: tuple[tuple, ...]
     block_at: tuple[Optional[tuple], ...]
     fused: list = dataclasses.field(compare=False, repr=False)
@@ -874,8 +894,8 @@ class SuperopProgram:
     def __repr__(self) -> str:
         return (
             f"SuperopProgram({len(self.blocks)} blocks over "
-            f"{self.fused_ops}/{len(self.block_at)} ops, key "
-            f"{self.program_digest[:8]}/{self.config_fingerprint[:8]})"
+            f"{self.fused_ops}/{len(self.block_at)} ops, line shifts "
+            f"{self.ishift}/{self.dshift})"
         )
 
 
@@ -1099,8 +1119,8 @@ def fuse_block(ops: tuple, block: tuple, dshift: int):
     """Generate the fused closure executing ``block``'s ops inline.
 
     ``ops`` is the executable's op table and ``dshift`` the D-cache line
-    shift of the config the block was lowered for.  Signature of the
-    result: ``fn(state, ic, dc, icache_access, dcache_access)`` where
+    shift of the block lowering.  Signature of the result:
+    ``fn(state, ic, dc, icache_access, dcache_access)`` where
     ``ic``/``dc`` are two-slot lists ``[last_line, misses]`` shared with
     the dispatch loop's per-op side-exit path, so the same-line memo
     carries seamlessly across fused and per-op execution.  The dispatch
@@ -1147,7 +1167,7 @@ def fuse_block(ops: tuple, block: tuple, dshift: int):
 
 
 def compile_superops(
-    executable: ExecutableProgram, config: "ProcessorConfig"
+    executable: ExecutableProgram, ishift: int, dshift: int
 ) -> SuperopProgram:
     """Find the executable's maximal interior runs: the superop blocks.
 
@@ -1159,26 +1179,22 @@ def compile_superops(
 
     Each block folds, at compile time:
 
-    * **steps** — the semantics calls, with straight ALU runs packed into
-      one ``(0, ((sem, ins), ...))`` step and each memory op kept as a
-      ``(1, sem, ins, base_reg, imm)`` step so the dispatch loop can read
-      the base register before semantics clobber it and replay the
-      D-cache access after, exactly as the per-op path does;
-    * **ifetch** — the I-line transition sequence at this config's line
-      granularity: intra-block fetch addresses are strictly increasing,
+    * **ifetch** — the I-line transition sequence at line shift
+      ``ishift``: intra-block fetch addresses are strictly increasing,
       so consecutive same-line fetches collapse exactly like the per-op
       same-line memo (uncached ops never touch the I-cache and are
       excluded; their fetch penalty is count-derived at aggregation);
     * **interlocks** — load-use stalls between ops inside the block,
       a static property of adjacent (load dests, source regs) pairs.
 
-    No code is generated here: a block's fused closure is made on its
-    second entry (see :attr:`SuperopProgram.fused`).
+    No code is generated here: a block's fused closure, which bakes in
+    ``dshift``, is made on its second entry (see
+    :attr:`SuperopProgram.fused`).  Callers go through
+    :meth:`ExecutableProgram.superops`, which memoizes the result.
     """
     ops = executable.ops
     pc_map = executable.pc_to_index
     n = len(ops)
-    ishift = config.icache.line_bytes.bit_length() - 1
 
     leaders = set()
     entry_idx = pc_map.get(executable.entry, -1)
@@ -1206,8 +1222,6 @@ def compile_superops(
                 break
             end = fall
 
-        steps: list[tuple] = []
-        run: list[tuple] = []
         interlocks = 0
         ifetch: list[tuple[int, int]] = []
         last_line = -1
@@ -1222,21 +1236,10 @@ def compile_superops(
                 dests = ops[i - 1][OP_LOAD_DESTS]
                 if any(src in dests for src in op[OP_SRCS]):
                     interlocks += 1
-            if op[OP_MEM]:
-                if run:
-                    steps.append((0, tuple(run)))
-                    run = []
-                steps.append((1, op[OP_SEM], op[OP_INS], op[OP_SRC0], op[OP_IMM]))
-            else:
-                run.append((op[OP_SEM], op[OP_INS]))
-        if run:
-            steps.append((0, tuple(run)))
 
         block = (
-            len(blocks),
             start,
             end - start + 1,
-            tuple(steps),
             tuple(ifetch),
             ops[start][OP_SRCS],
             interlocks,
@@ -1248,8 +1251,8 @@ def compile_superops(
         block_at[start] = block
 
     return SuperopProgram(
-        program_digest=executable.program_digest,
-        config_fingerprint=executable.config_fingerprint,
+        ishift=ishift,
+        dshift=dshift,
         blocks=tuple(blocks),
         block_at=tuple(block_at),
         fused=[None] * n,
@@ -1289,13 +1292,16 @@ def describe_invalid_pc(
 class CompilationCache:
     """LRU cache of :class:`ExecutableProgram` lowerings across runs.
 
-    Keys are ``(program digest, config fingerprint)`` — pure content, so
-    a re-assembled identical program or a re-built identical config hits.
-    The counters are part of the public contract: design-space exploration
-    asserts exactly one compilation per (program, config-content) pair via
-    :attr:`compilations`.
+    Keys are ``(program digest, config lowering key)`` — pure content, so
+    a re-assembled identical program or a re-built identical config hits,
+    and so do configs that differ only in what the lowering never reads
+    (caches, clock, stall penalties).  The counters are part of the
+    public contract: design-space exploration asserts exactly one
+    compilation per distinct (program, lowering key) pair via
+    :attr:`compilations`.  Block lowerings live on the executable itself
+    (:meth:`ExecutableProgram.superops`).
 
-    A third tier, ``build``, holds the geometry- and operating-point-free
+    A second tier, ``build``, holds the geometry- and operating-point-free
     pieces of a design point (compiled extensions, assembled program)
     under a caller-chosen content key, so an exploration builds each
     distinct one once (see :meth:`get_or_build`).
@@ -1316,9 +1322,6 @@ class CompilationCache:
             raise ValueError("compilation cache needs room for at least one entry")
         self.maxsize = maxsize
         self._entries: "OrderedDict[tuple[str, str], ExecutableProgram]" = OrderedDict()
-        #: superop artifact tier: same key space, independent LRU order —
-        #: a pair that only ever runs per-op never pays block lowering.
-        self._superops: "OrderedDict[tuple[str, str], SuperopProgram]" = OrderedDict()
         #: design-point build tier: caller-chosen content key -> built value
         self._builds: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.RLock()
@@ -1327,10 +1330,6 @@ class CompilationCache:
         self.misses = 0
         self.compilations = 0
         self.evictions = 0
-        self.superop_hits = 0
-        self.superop_misses = 0
-        self.superop_compilations = 0
-        self.superop_evictions = 0
         self.build_hits = 0
         self.build_misses = 0
         self.builds = 0
@@ -1344,7 +1343,7 @@ class CompilationCache:
         self, config: "ProcessorConfig", program: "Program"
     ) -> ExecutableProgram:
         """Return the cached lowering for the pair, compiling on first use."""
-        key = (program.digest(), config.fingerprint())
+        key = (program.digest(), config.lowering_key)
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
@@ -1359,37 +1358,6 @@ class CompilationCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
             return executable
-
-    def get_or_compile_superops(
-        self,
-        config: "ProcessorConfig",
-        program: "Program",
-        executable: Optional[ExecutableProgram] = None,
-    ) -> SuperopProgram:
-        """Return the cached block lowering for the pair, fusing on first use.
-
-        Pass ``executable`` when the per-op lowering is already in hand to
-        skip the ops-tier probe; it must carry the same digest/fingerprint
-        pair (the :class:`~repro.xtcore.iss.Simulator` constructor enforces
-        that before calling here).
-        """
-        if executable is None:
-            executable = self.get_or_compile(config, program)
-        key = (executable.program_digest, executable.config_fingerprint)
-        with self._lock:
-            cached = self._superops.get(key)
-            if cached is not None:
-                self._superops.move_to_end(key)
-                self.superop_hits += 1
-                return cached
-            self.superop_misses += 1
-            superops = compile_superops(executable, config)
-            self.superop_compilations += 1
-            self._superops[key] = superops
-            if len(self._superops) > self.maxsize:
-                self._superops.popitem(last=False)
-                self.superop_evictions += 1
-            return superops
 
     def get_or_build(self, key: Hashable, build: Callable[[], _Built]) -> _Built:
         """Return the build-tier value for ``key``, calling ``build()`` on first use.
@@ -1421,7 +1389,7 @@ class CompilationCache:
 
     def put(self, executable: ExecutableProgram) -> None:
         """Insert a pre-built lowering (e.g. compiled in a parent process)."""
-        key = (executable.program_digest, executable.config_fingerprint)
+        key = (executable.program_digest, executable.lowering_key)
         with self._lock:
             self._entries[key] = executable
             self._entries.move_to_end(key)
@@ -1433,16 +1401,11 @@ class CompilationCache:
         """Drop all entries and reset every counter."""
         with self._lock, self._build_lock:
             self._entries.clear()
-            self._superops.clear()
             self._builds.clear()
             self.hits = 0
             self.misses = 0
             self.compilations = 0
             self.evictions = 0
-            self.superop_hits = 0
-            self.superop_misses = 0
-            self.superop_compilations = 0
-            self.superop_evictions = 0
             self.build_hits = 0
             self.build_misses = 0
             self.builds = 0
@@ -1453,8 +1416,8 @@ class CompilationCache:
 
         The top-level keys keep their historical meaning (the per-op
         ``ops`` tier, which every simulation resolves through); the
-        ``tiers`` breakdown adds the superop block-artifact tier and the
-        design-point ``build`` tier (its ``compilations`` count builds).
+        ``tiers`` breakdown adds the design-point ``build`` tier (its
+        ``compilations`` count builds).
         """
         with self._lock, self._build_lock:
             return {
@@ -1471,13 +1434,6 @@ class CompilationCache:
                         "misses": self.misses,
                         "compilations": self.compilations,
                         "evictions": self.evictions,
-                    },
-                    "superop": {
-                        "entries": len(self._superops),
-                        "hits": self.superop_hits,
-                        "misses": self.superop_misses,
-                        "compilations": self.superop_compilations,
-                        "evictions": self.superop_evictions,
                     },
                     "build": {
                         "entries": len(self._builds),

@@ -179,6 +179,26 @@ class ProcessorConfig:
         )
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
+    @cached_property
+    def lowering_key(self) -> str:
+        """Content hash of exactly what :func:`~repro.xtcore.compiled.compile_program` reads.
+
+        That is the register-file size, the taken-branch penalty (folded
+        into issue latencies) and the full compiled-extension content
+        (semantics and latency).  Caches, clock, interlock stall and
+        uncached-fetch penalty only price a run, so configs differing in
+        those alone share one lowering.
+        """
+        blob = canonical_json_with_extensions(
+            {
+                "format": "repro-lowering-key/1",
+                "num_registers": self.num_registers,
+                "branch_taken_penalty": self.timing.branch_taken_penalty,
+            },
+            [extension_json(impl) for impl in self.extensions],
+        )
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
     def describe(self) -> str:
         """One-paragraph human-readable summary."""
         lines = [
@@ -219,9 +239,10 @@ def canonical_json_with_extensions(fields: Mapping[str, object], extensions: Seq
 def extension_json(impl: TieImplementation, semantic: bool = False) -> str:
     """Canonical JSON of one compiled instruction's content.
 
-    The full form feeds :meth:`ProcessorConfig.fingerprint`; the
-    ``semantic`` form drops :data:`_NON_SEMANTIC_EXTENSION_KEYS` and
-    feeds :func:`repro.xtcore.semantic_fingerprint`.  Each is memoized on
+    The full form feeds :meth:`ProcessorConfig.fingerprint` and
+    :attr:`ProcessorConfig.lowering_key`; the ``semantic`` form drops
+    :data:`_NON_SEMANTIC_EXTENSION_KEYS` and feeds
+    :func:`repro.xtcore.semantic_fingerprint`.  Each is memoized on
     the (immutable) implementation, so configs sharing an extension tuple
     serialise each instruction's dataflow graph once.
     """

@@ -34,7 +34,7 @@ picked by what the run must report:
   blocks plus a per-op path for block boundaries — no event objects, no
   operand tuples, no callback dispatch.  Batched multi-config runs
   (:func:`repro.xtcore.batch.run_batch`) record their trajectory through
-  the same loop.
+  the same loop and the same fused blocks.
 
 Both loops fold statistics the same way — per-op retire/taken counts and
 scalar event counters, aggregated into :class:`ExecutionStats` at run
@@ -57,7 +57,6 @@ from ..obs.protocol import SimObserver
 from .caches import SetAssociativeCache
 from .compiled import (
     ExecutableProgram,
-    SuperopProgram,
     compilation_cache,
     describe_invalid_pc,
     fuse_block,
@@ -238,7 +237,6 @@ def dispatch(
     executable: ExecutableProgram,
     state: MachineState,
     max_instructions: int,
-    superops: Optional[SuperopProgram],
     ishift: int,
     dshift: int,
     icache_access: Callable[[int], Optional[bool]],
@@ -248,29 +246,26 @@ def dispatch(
 
     Runs ``executable`` from ``state.pc`` to completion and returns
     ``(counts, taken_counts, icache_misses, dcache_misses, interlocks)``
-    for :func:`_aggregate_stats`.  With ``superops`` (the executable's
-    block lowering) an op index heading a block retires the whole block
-    in one fused dispatch from the block's second entry on: the first
-    entry runs op by op, the second generates the fused closure
+    for :func:`_aggregate_stats`.  Through the executable's block
+    lowering at ``(ishift, dshift)``
+    (:meth:`~repro.xtcore.compiled.ExecutableProgram.superops`), an op
+    index heading a block retires the whole block in one fused dispatch
+    from the block's second entry on: the first entry runs op by op, the
+    second generates the fused closure
     (:func:`~repro.xtcore.compiled.fuse_block`) into the block's
     :attr:`~repro.xtcore.compiled.SuperopProgram.fused` slot.  Every
     other op, and any block that would cross the instruction budget,
-    takes the per-op path; ``superops=None`` runs everything per-op.
-    Fused blocks bake in their config's line shifts, so pass that
-    config's.  ``icache_access``/``dcache_access`` see the
+    takes the per-op path.  ``icache_access``/``dcache_access`` see the
     first address of every same-line transition at ``ishift``/``dshift``
-    granularity and report hits; a falsy return counts as a miss, so a
-    recorder such as ``list.append`` captures the address streams (and
-    its miss counts are meaningless).
+    granularity, on the fused and per-op paths alike, and report hits; a
+    falsy return counts as a miss, so a recorder such as ``list.append``
+    captures the address streams (and its miss counts are meaningless).
     """
     ops = executable.ops
     pc_map = executable.pc_to_index
-    if superops is None:
-        block_at: Sequence[Optional[tuple]] = (None,) * len(ops)
-        fused: list = []
-    else:
-        block_at = superops.block_at
-        fused = superops.fused
+    superops = executable.superops(ishift, dshift)
+    block_at = superops.block_at
+    fused = superops.fused
     counts = [0] * len(ops)
     taken_counts = [0] * len(ops)
     block_counts = [0] * len(ops)  # keyed by the block's first op index
@@ -297,8 +292,11 @@ def dispatch(
                 describe_invalid_pc(executable.program_name, pc, executable, None)
             )
         while True:
+            # Block fields by position (BLK_* in compiled.py): 0 start,
+            # 1 length, 3 first srcs, 4 interlocks, 5 load dests, 6 next
+            # op index, 7 last address.
             block = block_at[idx]
-            if block is not None and executed + block[2] <= max_instructions:
+            if block is not None and executed + block[1] <= max_instructions:
                 fn = fused[idx]
                 if fn is None:
                     # First entry: run the block op by op below; most
@@ -311,21 +309,21 @@ def dispatch(
                     # dispatch — semantics, I-line memo and D-cache
                     # replays inlined into one generated closure, and the
                     # remaining bookkeeping folded to block deltas.
-                    executed += block[2]
+                    executed += block[1]
                     if prev_load_dests:
-                        for src in block[5]:
+                        for src in block[3]:
                             if src in prev_load_dests:
                                 interlocks += 1
                                 break
-                    interlocks += block[6]
+                    interlocks += block[4]
                     fn(state, ic, dc, icache_access, dcache_access)
                     block_counts[idx] += 1
-                    prev_load_dests = block[7]
-                    idx = block[8]
+                    prev_load_dests = block[5]
+                    idx = block[6]
                     if idx >= 0:
                         continue
                     # Fell off the end of the mapped address range.
-                    addr = block[9]
+                    addr = block[7]
                     pc = (addr + INSTRUCTION_BYTES) & 0xFFFFFFFF
                     state.pc = pc
                     raise SimulationError(
@@ -399,7 +397,7 @@ def dispatch(
     # aggregation contract expects (O(static ops), like aggregation).
     for start, count in enumerate(block_counts):
         if count:
-            for i in range(start, start + block_at[start][2]):
+            for i in range(start, start + block_at[start][1]):
                 counts[i] += count
     return counts, taken_counts, ic[1], dc[1], interlocks
 
@@ -440,14 +438,13 @@ class Simulator:
             executable = compilation_cache().get_or_compile(config, program)
         elif (
             executable.program_digest != program.digest()
-            or executable.config_fingerprint != config.fingerprint()
+            or executable.lowering_key != config.lowering_key
         ):
             raise SimulationError(
                 f"executable {executable!r} was compiled for different content "
                 f"than ({program.name}, {config.name})"
             )
         self.executable = executable
-        self._superops: Optional[SuperopProgram] = None
 
     def _reset(self) -> MachineState:
         state = MachineState(self.config.num_registers)
@@ -479,19 +476,12 @@ class Simulator:
 
     def _run_superop(self, state: MachineState) -> SimulationResult:
         config = self.config
-        superops = self._superops
-        if superops is None:
-            superops = compilation_cache().get_or_compile_superops(
-                config, self.program, executable=self.executable
-            )
-            self._superops = superops
         icache = SetAssociativeCache(config.icache, "icache")
         dcache = SetAssociativeCache(config.dcache, "dcache")
         counts, taken_counts, icache_misses, dcache_misses, interlocks = dispatch(
             self.executable,
             state,
             self.max_instructions,
-            superops,
             icache.offset_bits,
             dcache.offset_bits,
             icache.access,

@@ -10,9 +10,9 @@ from repro.core import (
     EnergyProfiler,
     default_template,
     regions_from_symbols,
-    stats_from_records,
 )
 from repro.xtcore import Simulator, build_processor
+from tests.stats_oracle import stats_from_records
 
 TWO_PHASE = """
     .data

@@ -1,5 +1,13 @@
-"""Exploration must compile each (program, config-content) pair exactly once."""
+"""Exploration must compile each (program, lowering key) pair exactly once.
 
+The lowering key (:attr:`repro.xtcore.ProcessorConfig.lowering_key`)
+covers only what compilation reads, so candidates that differ in cache
+geometry or operating point share one lowering.
+"""
+
+import pytest
+
+from repro.dse import ExhaustiveStrategy, explore, get_space
 from repro.dse.evaluate import EvaluationEngine
 from repro.xtcore import compilation_cache
 
@@ -39,3 +47,20 @@ def test_repeated_sessions_share_one_lowering(synthetic_model):
         run_session(config, program)
     assert cache.compilations == 1
     assert cache.hits == 3
+
+
+@pytest.mark.parametrize(
+    "space_name,impls", [("reed_solomon_tuned", 4), ("fir_tuned", 3)]
+)
+def test_cold_tuned_explore_compiles_one_lowering_per_impl(
+    synthetic_model, space_name, impls
+):
+    # every impl is crossed with 27 cache geometries, none of which the
+    # lowering reads
+    space = get_space(space_name)
+    compilation_cache().clear()
+    report = explore(synthetic_model, space, ExhaustiveStrategy())
+    assert not report.failures
+    assert len(report.scores) == space.size
+    assert len({score.assignment["impl"] for score in report.scores}) == impls
+    assert compilation_cache().compilations == impls

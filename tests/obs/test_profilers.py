@@ -5,7 +5,6 @@ import pytest
 
 from repro.asm import assemble
 from repro.core import EnergyMacroModel, EnergyProfiler, default_template
-from repro.core.profiler import stats_from_records
 from repro.obs import (
     CacheEventObserver,
     EnergyTimelineObserver,
@@ -13,6 +12,7 @@ from repro.obs import (
     ObserverStateError,
     run_session,
 )
+from tests.stats_oracle import stats_from_records
 
 LOOPY = """
     .data

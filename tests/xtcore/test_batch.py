@@ -266,3 +266,121 @@ class TestRecordLoopStress:
         assert result.state.regs == solo.state.regs
         assert result.state.pc == solo.state.pc
         assert result.state.halted == solo.state.halted
+
+
+#: A loop over memory with a custom instruction in its fused body.
+CUSTOM_LOOP_SOURCE = """\
+    .data
+buf:
+    .word 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25
+    .text
+main:
+    la a10, buf
+    movi a11, 12
+    movi a2, 0
+loop:
+    l32i a3, a10, 0
+    mul16 a4, a3, a3
+    add a2, a2, a4
+    s32i a2, a10, 0
+    addi a10, a10, 4
+    addi a11, a11, -1
+    bnez a11, loop
+    halt
+"""
+
+
+class TestSharedLowering:
+    """One semantic partition whose members need different lowerings."""
+
+    @pytest.fixture()
+    def base(self):
+        from repro.programs.extensions import mul16_spec
+
+        return build_processor("xt-lower-base", [mul16_spec()])
+
+    @pytest.fixture()
+    def program(self, base):
+        return assemble(CUSTOM_LOOP_SOURCE, "lower-loop", isa=base.isa)
+
+    @staticmethod
+    def members(base):
+        def lines(config, size):
+            return dataclasses.replace(
+                config,
+                icache=dataclasses.replace(config.icache, line_bytes=size),
+                dcache=dataclasses.replace(config.dcache, line_bytes=size),
+            )
+
+        def penalty(config, cycles):
+            return dataclasses.replace(
+                config,
+                timing=dataclasses.replace(config.timing, branch_taken_penalty=cycles),
+            )
+
+        # The TIE compiler derives latency from the dataflow graph, which
+        # the semantic partition pins, so a slower mul16 is hand-made.
+        (impl,) = base.extensions
+        slow = dataclasses.replace(
+            impl,
+            latency=impl.latency + 2,
+            instruction=dataclasses.replace(impl.instruction, latency=impl.latency + 2),
+        )
+        slow_base = dataclasses.replace(base, name="xt-lower-slow", extensions=(slow,))
+        return [
+            base,
+            penalty(base, 1),
+            penalty(base, 4),
+            lines(base, 16),
+            lines(base, 64),
+            slow_base,
+            lines(penalty(slow_base, 4), 16),
+            dataclasses.replace(base, name="xt-lower-fast-clock", clock_mhz=400.0),
+        ]
+
+    def test_one_compilation_per_key_and_bitwise_equal_to_solo(self, base, program):
+        from repro.obs import run_session
+        from repro.xtcore import compilation_cache
+
+        configs = self.members(base)
+        assert len({semantic_fingerprint(c) for c in configs}) == 1
+        keys = {c.lowering_key for c in configs}
+        assert len(keys) == 5
+        cache = compilation_cache()
+        cache.clear()
+        results = run_batch(configs, program)
+        assert cache.compilations == len(keys)
+        assert len({r.stats.total_cycles for r in results}) >= 5
+
+        for config, result in zip(configs, results):
+            solo = run_session(config, program)
+            assert result.engine == "batch"
+            assert result.stats == solo.stats, config.name
+            assert result.state.regs == solo.state.regs
+            assert result.state.memory._pages == solo.state.memory._pages
+            assert result.state.pc == solo.state.pc
+        assert cache.compilations == len(keys)
+
+    def test_recorder_fuses_at_the_finest_line_sizes(self, base, program):
+        from repro.xtcore import compilation_cache
+
+        configs = self.members(base)
+        compilation_cache().clear()
+        run_batch(configs, program)
+        executable = compilation_cache().get_or_compile(configs[0], program)
+        assert list(executable._superops) == [(4, 4)]  # the 16 B members
+        superops = executable.superops(4, 4)
+        loop = executable.index_of(program.symbol("loop"))
+        assert callable(superops.fused[loop])
+
+    def test_budget_expiring_mid_block_raises_once_like_solo(self, base, program):
+        configs = self.members(base)
+        total = Simulator(base, program).run().stats.total_instructions
+        # the last loop iteration: each budget stops inside or at the edge
+        # of the already fused loop body
+        for budget in range(total - 8, total):
+            with pytest.raises(SimulationLimitExceeded) as solo:
+                Simulator(base, program, max_instructions=budget).run()
+            with pytest.raises(SimulationLimitExceeded) as batch:
+                run_batch(configs, program, max_instructions=budget)
+            assert str(batch.value) == str(solo.value)

@@ -1,5 +1,6 @@
 """Unit tests for the compile-and-dispatch layer (repro.xtcore.compiled)."""
 
+import dataclasses
 import sys
 import threading
 
@@ -124,13 +125,6 @@ class TestCompilationCache:
                     "compilations": 1,
                     "evictions": 0,
                 },
-                "superop": {
-                    "entries": 0,
-                    "hits": 0,
-                    "misses": 0,
-                    "compilations": 0,
-                    "evictions": 0,
-                },
                 "build": {
                     "entries": 0,
                     "hits": 0,
@@ -149,6 +143,27 @@ class TestCompilationCache:
         again = cache.get_or_compile(config, clone)
         assert first is again
         assert cache.compilations == 1
+
+    def test_pricing_only_variants_share_one_lowering(self, config, program):
+        cache = CompilationCache()
+        variants = [
+            config,
+            dataclasses.replace(config, name="renamed", clock_mhz=400.0),
+            dataclasses.replace(
+                config, icache=dataclasses.replace(config.icache, line_bytes=16)
+            ),
+            dataclasses.replace(
+                config, timing=dataclasses.replace(config.timing, interlock_stall=3)
+            ),
+        ]
+        lowerings = {id(cache.get_or_compile(v, program)) for v in variants}
+        assert len(lowerings) == 1
+        assert cache.compilations == 1
+        repriced = dataclasses.replace(
+            config, timing=dataclasses.replace(config.timing, branch_taken_penalty=4)
+        )
+        cache.get_or_compile(repriced, program)
+        assert cache.compilations == 2
 
     def test_lru_eviction(self, config):
         cache = CompilationCache(maxsize=2)
@@ -269,6 +284,19 @@ class TestSimulatorExecutableContract:
         wrong = compile_program(config, other)
         with pytest.raises(SimulationError, match="different content"):
             Simulator(config, program, executable=wrong)
+
+    def test_executable_checked_by_lowering_key(self, config, program):
+        executable = compile_program(config, program)
+        regeometried = dataclasses.replace(
+            config, icache=dataclasses.replace(config.icache, line_bytes=64)
+        )
+        assert Simulator(regeometried, program, executable=executable).executable is executable
+        repriced = dataclasses.replace(
+            config,
+            timing=dataclasses.replace(config.timing, branch_taken_penalty=5),
+        )
+        with pytest.raises(SimulationError, match="different content"):
+            Simulator(repriced, program, executable=executable)
 
     def test_default_budget_exported_everywhere(self):
         assert DEFAULT_MAX_INSTRUCTIONS == 5_000_000

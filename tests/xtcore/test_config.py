@@ -194,6 +194,50 @@ class TestFingerprint:
         assert runs == {build_processor("a", [_mul_spec()]).fingerprint()}
 
 
+class TestLoweringKey:
+    """The key covers exactly what ``compile_program`` reads."""
+
+    def test_pricing_only_knobs_are_excluded(self):
+        base = build_processor("a", [_mul_spec()])
+        variants = [
+            dataclasses.replace(base, name="b"),
+            dataclasses.replace(base, clock_mhz=400.0),
+            dataclasses.replace(
+                base, icache=CacheConfig(size_bytes=4096, ways=2, line_bytes=64)
+            ),
+            dataclasses.replace(base, dcache=CacheConfig(line_bytes=16, miss_penalty=30)),
+            dataclasses.replace(
+                base, timing=TimingConfig(interlock_stall=3, uncached_fetch_penalty=20)
+            ),
+        ]
+        assert {v.lowering_key for v in variants} == {base.lowering_key}
+
+    def test_lowered_content_is_included(self):
+        base = build_processor("a", [_mul_spec()])
+        impl = base.extensions[0]
+        slow = dataclasses.replace(
+            impl,
+            latency=impl.latency + 2,
+            instruction=dataclasses.replace(
+                impl.instruction, latency=impl.latency + 2
+            ),
+        )
+        variants = [
+            base,
+            build_processor("a"),
+            dataclasses.replace(base, num_registers=32),
+            dataclasses.replace(base, timing=TimingConfig(branch_taken_penalty=4)),
+            dataclasses.replace(base, extensions=(slow,)),
+        ]
+        assert len({v.lowering_key for v in variants}) == len(variants)
+
+    def test_memoized_hex_sha256(self):
+        config = ProcessorConfig()
+        assert config.lowering_key is config.lowering_key
+        assert len(config.lowering_key) == 64
+        assert config.lowering_key != config.fingerprint()
+
+
 # -- byte identity of the spliced fingerprints ---------------------------------
 
 

@@ -25,7 +25,7 @@ from repro.xtcore import (
     compile_program,
 )
 from repro.xtcore import iss
-from repro.xtcore.compiled import OP_SEM
+from repro.xtcore.compiled import BLK_START, OP_SEM
 
 CASE = "tp15_tie_mul16"  # a 12-instruction extension bundle
 
@@ -56,7 +56,7 @@ def fused(monkeypatch):
     original = iss.fuse_block
 
     def counting(ops, block, dshift):
-        made.append(block[1])
+        made.append(block[BLK_START])
         return original(ops, block, dshift)
 
     monkeypatch.setattr(iss, "fuse_block", counting)
@@ -140,7 +140,8 @@ class TestSecondEntryFusion:
         result = Simulator(config, program).run()
         assert result.stats.total_instructions == 4
         assert fused == []
-        superops = compilation_cache().get_or_compile_superops(config, program)
+        executable = compilation_cache().get_or_compile(config, program)
+        superops = executable.superops(5, 5)  # the default 32 B lines
         assert superops.fused[0] is False  # entered once, run op by op
 
     def test_block_entered_twice_compiles_once(self, config, fused):
@@ -193,5 +194,6 @@ class TestSecondEntryFusion:
             assert result.engine == "superop"
             assert result.stats == expected.stats
             assert result.state.regs == expected.state.regs
-        superops = compilation_cache().get_or_compile_superops(config, case.program)
+        executable = compilation_cache().get_or_compile(config, case.program)
+        superops = executable.superops(5, 5)  # the one lowering all threads share
         assert any(callable(slot) for slot in superops.fused)

@@ -3,8 +3,10 @@
 The differential suites (tests/integration/test_dispatch_differential.py)
 pin bitwise equivalence; these tests pin the *structure*: block
 discovery, on-demand fused closures, dispatch-path selection, and the
-superop artifact tier of the compilation cache.
+block lowerings memoized on each executable.
 """
+
+import dataclasses
 
 import pytest
 
@@ -62,6 +64,14 @@ def program():
     return assemble(LOOP_SOURCE, "superop-loop", isa=base_isa())
 
 
+def _shifts(config):
+    """``(ishift, dshift)`` of the config's I/D line sizes."""
+    return (
+        config.icache.line_bytes.bit_length() - 1,
+        config.dcache.line_bytes.bit_length() - 1,
+    )
+
+
 def _block_entries(config, program, superops):
     """Block start index -> times the run entered the block at its head."""
     trace = Simulator(config, program, collect_trace=True).run().trace
@@ -78,8 +88,7 @@ def _block_entries(config, program, superops):
 def _assert_fused_equals_per_op(config, executable, block, fused):
     """Run ``block`` fused and op by op from one seeded state; compare all."""
     ops = executable.ops
-    ishift = config.icache.line_bytes.bit_length() - 1
-    dshift = config.dcache.line_bytes.bit_length() - 1
+    ishift, dshift = _shifts(config)
 
     def seeded():
         state = MachineState(config.num_registers)
@@ -121,10 +130,9 @@ def _assert_fused_equals_per_op(config, executable, block, fused):
 class TestCompileSuperops:
     def test_block_discovery(self, config, program):
         executable = compile_program(config, program)
-        superops = compile_superops(executable, config)
+        superops = compile_superops(executable, *_shifts(config))
         assert len(superops) >= 2  # entry run and loop body at minimum
-        assert superops.program_digest == executable.program_digest
-        assert superops.config_fingerprint == executable.config_fingerprint
+        assert (superops.ishift, superops.dshift) == _shifts(config)
         # block_at maps exactly the leaders that head each block
         for block in superops.blocks:
             assert superops.block_at[block[BLK_START]] is block
@@ -134,7 +142,7 @@ class TestCompileSuperops:
 
     def test_blocks_cover_only_interior_ops(self, config, program):
         executable = compile_program(config, program)
-        superops = compile_superops(executable, config)
+        superops = compile_superops(executable, *_shifts(config))
         for block in superops.blocks:
             for i in range(block[BLK_START], block[BLK_START] + block[BLK_LEN]):
                 assert executable.ops[i][OP_INTERIOR]
@@ -146,8 +154,8 @@ class TestCompileSuperops:
         # retires exactly like the per-op path.
         compilation_cache().clear()
         Simulator(config, program).run()
-        superops = compilation_cache().get_or_compile_superops(config, program)
         executable = compilation_cache().get_or_compile(config, program)
+        superops = executable.superops(*_shifts(config))
         entries = _block_entries(config, program, superops)
         assert any(n >= 2 for n in entries.values())
         assert any(n == 1 for n in entries.values())
@@ -168,9 +176,8 @@ class TestCompileSuperops:
         covered = []
         for case in characterization_suite():
             Simulator(case.config, case.program).run()
-            cache = compilation_cache()
-            superops = cache.get_or_compile_superops(case.config, case.program)
-            executable = cache.get_or_compile(case.config, case.program)
+            executable = compilation_cache().get_or_compile(case.config, case.program)
+            superops = executable.superops(*_shifts(case.config))
             for start, slot in enumerate(superops.fused):
                 if not callable(slot):
                     continue
@@ -182,7 +189,7 @@ class TestCompileSuperops:
 
     def test_fall_through_links(self, config, program):
         executable = compile_program(config, program)
-        superops = compile_superops(executable, config)
+        superops = compile_superops(executable, *_shifts(config))
         for block in superops.blocks:
             nxt = block[BLK_NEXT_IDX]
             assert nxt == -1 or 0 <= nxt < len(executable.ops)
@@ -222,42 +229,59 @@ class TestEngineSelection:
         assert snapshot["cycles"] == result.stats.total_cycles
 
 
-class TestSuperopCacheTier:
-    def test_tier_counters(self, config, program):
-        cache = CompilationCache(maxsize=4)
-        first = cache.get_or_compile_superops(config, program)
-        again = cache.get_or_compile_superops(config, program)
-        assert again is first
-        info = cache.info()
-        assert info["tiers"]["superop"] == {
-            "entries": 1,
-            "hits": 1,
-            "misses": 1,
-            "compilations": 1,
-            "evictions": 0,
-        }
-        # the ops tier was populated on the way (miss then internal hit)
-        assert info["tiers"]["ops"]["entries"] == 1
+class TestBlockLoweringMemo:
+    """Block lowerings live on the executable, one per line-shift pair."""
 
-    def test_tier_eviction_and_clear(self, config):
+    def test_built_once_per_shift_pair(self, config, program, monkeypatch):
+        import repro.xtcore.compiled as compiled
+
+        built = []
+        real = compiled.compile_superops
+
+        def counting(executable, ishift, dshift):
+            built.append((ishift, dshift))
+            return real(executable, ishift, dshift)
+
+        monkeypatch.setattr(compiled, "compile_superops", counting)
+        cache = CompilationCache(maxsize=4)
+        executable = cache.get_or_compile(config, program)
+        first = executable.superops(5, 5)
+        assert executable.superops(5, 5) is first
+        other = executable.superops(4, 6)
+        assert other is not first
+        assert (other.ishift, other.dshift) == (4, 6)
+        assert built == [(5, 5), (4, 6)]
+        # the compilation cache has no separate block tier
+        assert set(cache.info()["tiers"]) == {"ops", "build"}
+        assert cache.info()["tiers"]["ops"]["entries"] == 1
+
+    def test_runs_share_the_lowering_of_their_line_sizes(self, config, program):
+        compilation_cache().clear()
+        bigger = dataclasses.replace(
+            config, icache=dataclasses.replace(config.icache, size_bytes=32768)
+        )
+        Simulator(config, program).run()
+        Simulator(bigger, program).run()
+        executable = compilation_cache().get_or_compile(config, program)
+        assert compilation_cache().compilations == 1
+        assert list(executable._superops) == [_shifts(config)]
+        superops = executable.superops(*_shifts(config))
+        assert any(callable(slot) for slot in superops.fused)
+
+    def test_lowerings_go_with_their_executable(self, config):
         cache = CompilationCache(maxsize=1)
         isa = base_isa()
-        for name, bound in (("one", 10), ("two", 11)):
-            prog = assemble(
+        progs = [
+            assemble(
                 LOOP_SOURCE.replace("movi a3, 10", f"movi a3, {bound}"),
                 name,
                 isa=isa,
             )
-            cache.get_or_compile_superops(config, prog)
-        info = cache.info()
-        assert info["tiers"]["superop"]["evictions"] == 1
-        assert info["tiers"]["superop"]["entries"] == 1
+            for name, bound in (("one", 10), ("two", 11))
+        ]
+        first = cache.get_or_compile(config, progs[0]).superops(5, 5)
+        cache.get_or_compile(config, progs[1])  # evicts "one"
+        assert cache.info()["evictions"] == 1
+        assert cache.get_or_compile(config, progs[0]).superops(5, 5) is not first
         cache.clear()
-        info = cache.info()
-        assert info["tiers"]["superop"] == {
-            "entries": 0,
-            "hits": 0,
-            "misses": 0,
-            "compilations": 0,
-            "evictions": 0,
-        }
+        assert cache.get_or_compile(config, progs[0]).superops(5, 5) is not first

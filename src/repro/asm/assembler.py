@@ -234,7 +234,10 @@ class Assembler:
             text = rest.strip()
             if len(text) < 2 or text[0] != '"' or text[-1] != '"':
                 raise err(f"{name} requires a double-quoted string")
-            data = text[1:-1].encode().decode("unicode_escape").encode("latin-1")
+            try:
+                data = text[1:-1].encode().decode("unicode_escape").encode("latin-1")
+            except UnicodeError as exc:
+                raise err(f"bad escape in {name} string {text}: {exc.reason}") from None
             if name == ".asciiz":
                 data += b"\x00"
             st.add_data(_DataSlot(line_no, st.location, 1, [], raw=data), len(data))

@@ -27,7 +27,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .asm import ImageError, assemble, disassemble_program
+from .asm import AsmError, ImageError, assemble, disassemble_program
 from .core import EnergyMacroModel, EnergyProfiler
 from .obs import run_session
 from .programs.extensions import ALL_SPEC_FACTORIES
@@ -86,7 +86,10 @@ def _load_program(path: str, config: ProcessorConfig):
             source = handle.read()
     except OSError as exc:
         raise _die(f"cannot read program file {path!r}: {exc.strerror or exc}")
-    return assemble(source, name, isa=config.isa)
+    try:
+        return assemble(source, name, isa=config.isa)
+    except AsmError as exc:
+        raise _die(f"cannot assemble {path!r}: {exc}")
 
 
 def _cmd_list_extensions(_args: argparse.Namespace) -> int:

@@ -47,7 +47,7 @@ def run_session(
     (:func:`repro.xtcore.compilation_cache`), so repeated sessions over
     the same ``(program, config)`` content share one compiled form.
 
-    The run dispatches through fused superop blocks when nothing needs
+    The run dispatches through fused superop regions when nothing needs
     per-retire visibility and through the instrumented per-op loop when a
     trace or a retire/event observer is registered — see
     ``docs/PERFORMANCE.md``.

@@ -184,17 +184,21 @@ def generate_program(
 
 
 # ---------------------------------------------------------------------------
-# Superop side-exit stress programs
+# Superop side-exit and region-seam stress programs
 # ---------------------------------------------------------------------------
 #
-# The block-level superop engine fuses straight interior runs into one
-# dispatch and *side-exits* to the per-op path for everything that could
-# make the fusion observable.  Random programs rarely pin those seams
-# hard, so each case below is built around exactly one of them: blocks
-# of a single instruction, taken branches whose target is the very next
-# address, a dynamic jump landing mid-block, the instruction budget
-# expiring inside a would-be block, and faults (wild jumps, running off
-# the end of the text segment) that must surface identically.
+# The superop engine runs fused regions — straight segments and loops
+# with their internal branches inlined — in one dispatch and *side-exits*
+# to the per-op path for everything that could make the fusion
+# observable.  Random programs rarely pin those seams hard, so each case
+# below is built around exactly one of them: segments of a single
+# instruction, taken branches whose target is the very next address, a
+# dynamic jump landing mid-segment, the instruction budget expiring
+# inside a region, faults (wild jumps, running off the end of the text
+# segment) that must surface identically, and the shapes a loop region
+# folds: if-then and if-then-else bodies, exits out of the loop, edges
+# to their own fall-through, divides by zero, load-use interlocks at
+# joins and loop bodies spanning I-lines.
 
 
 @dataclasses.dataclass(frozen=True)
@@ -210,7 +214,7 @@ class StressCase:
 
 
 def stress_cases() -> tuple[StressCase, ...]:
-    """The handwritten superop side-exit suite (pure function)."""
+    """The handwritten superop side-exit and region-seam suite (pure function)."""
     single_op_blocks = "\n".join(
         [
             "    .text",
@@ -303,6 +307,178 @@ def stress_cases() -> tuple[StressCase, ...]:
             "    addi a2, a2, 5",
         ]
     )
+    values = "\n".join(
+        ["    .data", "vals:", "    .word 3, 8, 5, 12, 7, 1, 9, 4", "    .text"]
+    )
+    region_if_then = "\n".join(
+        [
+            values,
+            "main:",
+            "    la a10, vals",
+            "    movi a11, 8",
+            "    movi a6, 0",
+            "loop:",
+            "    l32i a4, a10, 0",
+            "    bbc a4, 0, even",  # skips the if-then body for even values
+            "    add a6, a6, a4",
+            "even:",
+            "    addi a10, a10, 4",
+            "    addi a11, a11, -1",
+            "    bnez a11, loop",
+            "    halt",
+        ]
+    )
+    region_if_else = "\n".join(
+        [
+            "    .text",
+            "main:",
+            "    movi a11, 10",
+            "loop:",
+            "    andi a5, a11, 1",
+            "    beqz a5, other",
+            "    addi a6, a6, 3",
+            "    j join",  # forward j: the then-arm skips the else-arm
+            "other:",
+            "    addi a7, a7, 5",
+            "    slli a7, a7, 1",
+            "join:",
+            "    xor a8, a6, a7",
+            "    addi a11, a11, -1",
+            "    bnez a11, loop",
+            "    halt",
+        ]
+    )
+    region_early_exit = "\n".join(
+        [
+            values,
+            "main:",
+            "    movi a2, 0",
+            "    movi a3, 0",
+            "outer:",
+            "    addi a3, a3, 1",
+            "    bgei a3, 6, search",
+            "inner:",
+            "    addi a2, a2, 1",
+            # backward exit out of the inner loop, and the outer loop's
+            # back-edge: the two loop regions overlap
+            "    bbs a2, 3, outer",
+            "    bnei a2, 30, inner",
+            "search:",
+            "    la a10, vals",
+            "    movi a11, 8",
+            "find:",
+            "    l32i a4, a10, 0",
+            "    beqi a4, 12, found",  # forward exit out of the loop
+            "    addi a10, a10, 4",
+            "    addi a11, a11, -1",
+            "    bnez a11, find",
+            "    movi a2, -1",
+            "    halt",
+            "found:",
+            "    mov a5, a4",
+            "    halt",
+        ]
+    )
+    region_edge_to_fall_through = "\n".join(
+        [
+            "    .text",
+            "main:",
+            "    movi a2, 0",
+            "    movi a3, 6",
+            "first:",
+            "    addi a2, a2, 1",
+            "    bnez a2, next",  # taken and untaken both reach `next`
+            "next:",
+            "    add a4, a4, a2",
+            # the back-edge falls through into the next loop's header
+            "    bne a2, a3, first",
+            "second:",
+            "    addi a3, a3, -1",
+            "    bnez a3, second",
+            "    halt",
+        ]
+    )
+    region_budget = "\n".join(
+        [
+            "    .text",
+            "main:",
+            "    movi a11, 1000",
+            "spin:",
+            "    addi a2, a2, 1",
+            "    bbc a2, 0, evens",
+            "    addi a3, a3, 1",
+            "    xor a4, a4, a3",
+            "evens:",
+            "    addi a11, a11, -1",
+            "    bnez a11, spin",
+            "    halt",
+        ]
+    )
+    region_divide_by_zero = "\n".join(
+        [
+            "    .text",
+            "main:",
+            "    movi a2, 7",
+            "    movi a3, 2",
+            "    movi a11, 5",
+            "loop:",
+            # a3 reaches zero on the third pass, inside the fused loop:
+            # the quotient is all ones and the remainder the dividend
+            "    quos a4, a2, a3",
+            "    rems a5, a2, a3",
+            "    add a6, a6, a4",
+            "    add a7, a7, a5",
+            "    addi a3, a3, -1",
+            "    addi a11, a11, -1",
+            "    bnez a11, loop",
+            "    halt",
+        ]
+    )
+    region_load_at_join = "\n".join(
+        [
+            values,
+            "main:",
+            "    la a10, vals",
+            "    movi a11, 8",
+            "    l32i a4, a10, 0",  # feeds the header on the entry edge only
+            "loop:",
+            "    add a5, a4, a11",
+            "    bbs a11, 0, odd",
+            "    l32i a4, a10, 4",
+            "    j join",  # this edge into the join does not interlock ...
+            "odd:",
+            "    l32i a4, a10, 8",  # ... the fall-through edge does
+            "join:",
+            "    add a6, a6, a4",
+            "    addi a11, a11, -1",
+            "    bnez a11, loop",
+            "    halt",
+        ]
+    )
+    region_spans_ilines = "\n".join(
+        [
+            "    .text",
+            "main:",
+            "    movi a2, 0",
+            "    movi a3, 0",
+            "    movi a11, 9",
+            # the header is the last op of a 16 B line, and the skipped
+            # body crosses the next line boundary
+            "loop:",
+            "    addi a2, a2, 3",
+            "    bbc a2, 1, skip",
+            "    addi a3, a3, 1",
+            "    xor a4, a3, a2",
+            "    slli a5, a4, 2",
+            "    or a6, a6, a5",
+            "skip:",
+            "    srli a7, a2, 1",
+            "    add a8, a8, a7",
+            "    addi a11, a11, -1",
+            "    bnez a11, loop",
+            "    halt",
+        ]
+    )
     return (
         StressCase("stress_single_op_blocks", single_op_blocks),
         StressCase("stress_back_to_back_taken", back_to_back_taken),
@@ -317,6 +493,17 @@ def stress_cases() -> tuple[StressCase, ...]:
         ),
         StressCase("stress_wild_jump", wild_jump, faulting=True),
         StressCase("stress_fall_off_end", fall_off_end, faulting=True),
+        StressCase("stress_region_if_then", region_if_then),
+        StressCase("stress_region_if_else", region_if_else),
+        StressCase("stress_region_early_exit", region_early_exit),
+        StressCase("stress_region_edge_to_fall_through", region_edge_to_fall_through),
+        # 1 preamble op + iterations of 4 or 6 ops: 203 lands mid-loop
+        StressCase(
+            "stress_region_budget", region_budget, max_instructions=203, faulting=True
+        ),
+        StressCase("stress_region_divide_by_zero", region_divide_by_zero),
+        StressCase("stress_region_load_at_join", region_load_at_join),
+        StressCase("stress_region_spans_ilines", region_spans_ilines),
     )
 
 

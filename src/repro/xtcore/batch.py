@@ -15,11 +15,13 @@ models and the per-class cycle attribution.
 :func:`run_batch` exploits that split:
 
 1. **Record** — execute the program once (the shared
-   :func:`repro.xtcore.iss.dispatch` loop, through the fused blocks
-   lowered at the batch's finest line sizes, with recorders in place of
-   cache models), capturing the per-op retire/taken counters, the
-   interlock count, and the I-fetch / D-access address streams deduped
-   at the *finest* line granularity present in the batch.  A coarser
+   :func:`repro.xtcore.iss.dispatch` loop, through the fused regions —
+   straight segments and whole inner loops — lowered at the batch's
+   finest line sizes, with recorders in place of cache models),
+   capturing the per-op retire/taken counters, the interlock count, and
+   the I-fetch / D-access address streams deduped at the *finest* line
+   granularity present in the batch.  A fused loop calls the recorder
+   at exactly the line transitions a per-op pass would.  A coarser
    line cannot change where its own same-line transitions fall: equal
    fine lines imply equal coarse lines, so every coarse-grain transition
    is preserved in the fine-grain stream.
@@ -100,8 +102,8 @@ def _record_trajectory(
         state.pc = entry
     ifetch: list[int] = []
     daccess: list[int] = []
-    # Fused blocks and the per-op path share one same-line memo, so the
-    # block lowering at the finest line sizes records the same streams a
+    # Fused regions and the per-op path share one same-line memo, so the
+    # region lowering at the finest line sizes records the same streams a
     # per-op run would.  ``append`` returns None, so every recorded
     # access counts as a "miss" — those counts are unused.
     counts, taken_counts, _, _, interlocks = dispatch(

@@ -12,6 +12,18 @@ construction.  This module hoists all of that to **compile time**:
   tuples, resolved-or-BRANCH instruction class, issue latencies for both
   control outcomes, uncached flag and fall-through successor index all
   pre-bound;
+* :func:`compile_superops` cuts the op table into **segments** (a run of
+  interior ops from a control-flow leader, ended by a foldable
+  conditional branch or ``j`` when one follows) and chains them into
+  **regions** headed by a segment: a *loop region* runs from its header
+  through contiguous segments to the last edge back to it, with only
+  forward edges or exits in between and no calls; any other region is
+  its header's segment alone.  Region descriptors (``BLK_*``: header,
+  length, segments, header sources, loop flag, fall-through load
+  dests, next op, last address) and segment descriptors (``SEG_*``:
+  start, end, I-line transitions, internal interlocks, taken target)
+  are flat tuples; :func:`fuse_region` generates one closure per region
+  on its header's second entry;
 * :class:`CompilationCache` memoizes those lowerings across runs, keyed
   by ``(Program.digest(), ProcessorConfig.lowering_key)`` — content
   hashes of exactly what the lowering reads, so equal-content programs
@@ -76,18 +88,19 @@ OP_DEST0 = 16  #: first destination register, or -1
 OP_CUSTOM_KIND = 17  #: 0 = base op, 1 = custom, 2 = custom accessing the GPR file
 OP_HAS_SRCS = 18  #: bool(srcs) — drives base-bus-cycle attribution
 OP_BASE_CLASS = 19  #: untaken class is one of the six base energy classes
-OP_INTERIOR = 20  #: eligible for fusion into a superop block interior
+OP_INTERIOR = 20  #: straight-line op: may run inside a fused region segment
+OP_EDGE = 21  #: specialized conditional branch or ``j``: may end a region segment
 
 #: Generic (unspecialized) mnemonics proven safe as superop interiors:
 #: their semantics never read ``ctx.pc``, never redirect control, never
 #: halt, and touch only registers through the bounds-checked accessors —
-#: so fusing them into a block is observationally identical to per-op
-#: dispatch (a fault simply propagates out of the block).
+#: so fusing them into a region is observationally identical to per-op
+#: dispatch (a fault simply propagates out of the region).
 _SAFE_GENERIC_INTERIOR = frozenset({"quos", "quou", "rems", "remu"})
 
-#: Classes whose ops may be block interiors.  JUMP/BRANCH redirect the
+#: Classes whose ops may be segment interiors.  JUMP/BRANCH redirect the
 #: pc and SYSTEM covers ``halt``/``break`` (run terminators) — those end
-#: a block.  CUSTOM is handled separately: TIE-compiled semantics carry a
+#: a segment.  CUSTOM is handled separately: TIE-compiled semantics carry a
 #: ``tie_straightline`` marker proving they are pure dataflow.
 _INTERIOR_CLASSES = (
     InstructionClass.ARITH,
@@ -104,7 +117,7 @@ class ExecutableProgram:
     and sequential fall-through is ``ops[i][OP_FALL_IDX]`` instead of a
     dict probe on the next byte address.  The op table is immutable once
     built, so one instance is safely shared across runs, sessions, every
-    config with the same lowering key, and forked workers.  The block
+    config with the same lowering key, and forked workers.  The region
     lowerings (:meth:`superops`) fill in on first use.
     """
 
@@ -129,9 +142,9 @@ class ExecutableProgram:
         return len(self.ops)
 
     def superops(self, ishift: int, dshift: int) -> "SuperopProgram":
-        """The block lowering at these I/D line shifts, built on first use.
+        """The region lowering at these I/D line shifts, built on first use.
 
-        Blocks depend on ``ishift`` alone (their I-line sequences) and
+        Segments depend on ``ishift`` alone (their I-line sequences) and
         fused closures bake in ``dshift``, so one lowering serves every
         config with these line sizes.  Threads racing to build one keep
         the first stored.
@@ -810,6 +823,7 @@ def compile_program(config: "ProcessorConfig", program: "Program") -> Executable
                 bool(srcs),
                 class_untaken in BASE_ENERGY_CLASSES,
                 interior,
+                specialized is not None and ins.mnemonic in _EDGE_MNEMONICS,
             )
         )
 
@@ -829,49 +843,70 @@ def compile_program(config: "ProcessorConfig", program: "Program") -> Executable
 
 
 # ---------------------------------------------------------------------------
-# Superop lowering: fusing basic blocks into single-dispatch closures
+# Superop lowering: fusing loop regions into single-dispatch closures
 # ---------------------------------------------------------------------------
 #
 # A per-op dispatch loop pays one Python dispatch iteration per
 # retired instruction: budget check, op-tuple load, I-cache memo,
-# interlock scan, pc bookkeeping, successor resolution.  For a run of
+# interlock scan, pc bookkeeping, successor resolution.  Inside a run of
 # *interior* ops (see OP_INTERIOR) every one of those outcomes is a
-# compile-time constant: the run retires exactly ``length`` instructions,
-# touches a fixed I-line sequence, stalls a fixed number of internal
-# interlocks and falls through to a fixed successor.  compile_superops
-# folds each maximal interior run into one block descriptor so the
-# dispatch loop in :mod:`repro.xtcore.iss` pays the bookkeeping once per
-# *block* instead of once per instruction — and anything that could make
-# the folding observable (faults, budget expiry mid-block, observers)
-# side-exits to the per-op path instead.
+# compile-time constant, and a specialized conditional branch or ``j``
+# (OP_EDGE) only picks between two static successors.  compile_superops
+# cuts the op table into **segments** — a run of interior ops from a
+# leader, ended by an edge op when one follows — and chains them into
+# **regions**, each run to its exit by one generated closure:
+#
+# * a **loop region** is a header segment plus the contiguous segments up
+#   to the last edge back to the header, where every edge in between
+#   goes back to the header, forward inside the region, or out of it
+#   (an exit).  No ``call``/``ret``/``jx``/``callx``/``halt`` or other
+#   non-interior op appears, so an iteration retires at most BLK_LEN ops;
+# * any other region is **straight**: the header segment alone, its
+#   ending branch (if any) folded in as the exit choice, when it has at
+#   least two ops (one fused call runs a single op no faster).
+#
+# The dispatch loop in :mod:`repro.xtcore.iss` pays its bookkeeping once
+# per region *call* instead of once per instruction — and anything that
+# could make the folding observable (faults, budget expiry, observers)
+# either stays exact inside the closure or goes to the per-op path.
 
-#: Field indices of one superop block descriptor (flat tuple, same
-#: rationale as the OP_* layout above).
-BLK_START = 0  #: op index of the first instruction in the block
-BLK_LEN = 1  #: number of instructions retired per block execution
-BLK_IFETCH = 2  #: ``(line, addr)`` per distinct I-line touched, in order
-BLK_FIRST_SRCS = 3  #: source regs of the first op (incoming-interlock check)
-BLK_INTERLOCKS = 4  #: load-use interlocks internal to the block (static)
-BLK_LOAD_DESTS = 5  #: load dests of the last op (outgoing-interlock state)
-BLK_NEXT_IDX = 6  #: op index the block falls through to, or -1
+#: Field indices of one region descriptor (flat tuple, same rationale as
+#: the OP_* layout above).
+BLK_START = 0  #: op index of the header (first op of the first segment)
+BLK_LEN = 1  #: ops in the region: the most one iteration can retire
+BLK_SEGMENTS = 2  #: the region's segment descriptors, in address order
+BLK_FIRST_SRCS = 3  #: source regs of the header op (incoming-interlock check)
+BLK_LOOP = 4  #: True when some edge in the region returns to the header
+BLK_LOAD_DESTS = 5  #: load dests live after a fall-through exit, else ()
+BLK_NEXT_IDX = 6  #: op index after the region's last op, or -1
 BLK_LAST_ADDR = 7  #: byte address of the last instruction (diagnostics)
+
+#: Field indices of one segment descriptor.  A segment's extent depends
+#: only on its start, so :attr:`SuperopProgram.segment_at` is shared by
+#: every region that passes through it.
+SEG_START = 0  #: op index of the first op
+SEG_END = 1  #: op index of the last op (the edge op when there is one)
+SEG_IFETCH = 2  #: ``(line, addr)`` per distinct I-line touched, in order
+SEG_INTERLOCKS = 3  #: load-use interlocks between the segment's own ops
+SEG_TARGET = 4  #: op index an ending edge jumps to when taken, else -1
 
 
 @dataclasses.dataclass(frozen=True)
 class SuperopProgram:
-    """Block-level lowering of an :class:`ExecutableProgram` at one line size pair.
+    """Region lowering of an :class:`ExecutableProgram` at one line size pair.
 
-    ``block_at[i]`` is the block descriptor whose first op is ``ops[i]``
-    (or None when op ``i`` does not lead a block), so the dispatch loop
-    can probe block entry with one tuple index per control transfer.
+    ``block_at[i]`` is the region descriptor whose header is ``ops[i]``
+    (or None when op ``i`` heads none), so the dispatch loop can probe
+    region entry with one tuple index per control transfer;
+    ``segment_at[i]`` is the segment starting at op ``i`` (or None).
     Derived purely from the executable plus the I/D line shifts, and
     kept on the executable (:meth:`ExecutableProgram.superops`), so one
     instance is shared across runs, threads and forked workers.
 
-    The descriptors are immutable; ``fused[i]``, the slot of the block
+    The descriptors are immutable; ``fused[i]``, the slot of the region
     headed by op ``i``, fills on demand (:func:`repro.xtcore.iss.dispatch`):
-    None until the block is first entered, False after one entry (run op
-    by op), then the closure from :func:`fuse_block`.  A race between
+    None until the header is first entered, False after one entry (run
+    op by op), then the closure from :func:`fuse_region`.  A race between
     threads to fill one slot is harmless: each generates an equivalent
     closure and either may be kept, and fused and per-op execution
     retire identically.
@@ -881,6 +916,7 @@ class SuperopProgram:
     dshift: int
     blocks: tuple[tuple, ...]
     block_at: tuple[Optional[tuple], ...]
+    segment_at: tuple[Optional[tuple], ...]
     fused: list = dataclasses.field(compare=False, repr=False)
 
     def __len__(self) -> int:
@@ -888,21 +924,26 @@ class SuperopProgram:
 
     @property
     def fused_ops(self) -> int:
-        """Static op count covered by blocks (fusion coverage metric)."""
-        return sum(block[BLK_LEN] for block in self.blocks)
+        """Static op count covered by segments (fusion coverage metric)."""
+        return sum(
+            seg[SEG_END] - seg[SEG_START] + 1
+            for seg in self.segment_at
+            if seg is not None
+        )
 
     def __repr__(self) -> str:
+        loops = sum(1 for block in self.blocks if block[BLK_LOOP])
         return (
             f"SuperopProgram({len(self.blocks)} blocks over "
-            f"{self.fused_ops}/{len(self.block_at)} ops, line shifts "
-            f"{self.ishift}/{self.dshift})"
+            f"{self.fused_ops}/{len(self.block_at)} ops, {loops} loops, "
+            f"line shifts {self.ishift}/{self.dshift})"
         )
 
 
-# Inline source templates for the superop block codegen.  Each template
+# Inline source templates for the superop region codegen.  Each template
 # reproduces its specializer closure's body exactly — same masks, same
 # signedness windows, same single-page memory fast path — so a fused
-# block is observationally identical to calling the per-op closures in
+# region is observationally identical to calling the per-op closures in
 # sequence (pinned by tests/integration/test_dispatch_differential.py).
 # Ops with no template (divides, TIE customs) stay as bound calls.
 
@@ -986,7 +1027,7 @@ _FUSE_MEM = {
 def _fuse_op_lines(op: tuple, dshift: int) -> Optional[list]:
     """Source statements executing this interior op inline, or None.
 
-    ``None`` means "no inline form" — the block codegen then binds the
+    ``None`` means "no inline form" — the region codegen then binds the
     op's (possibly specialized) semantics callable and emits a call.
     Memory templates append the D-cache replay with the line shift
     ``dshift`` folded in, mirroring the per-op dispatch order: address
@@ -1006,7 +1047,21 @@ def _fuse_op_lines(op: tuple, dshift: int) -> Optional[list]:
             f"a{u} = (regs[{s}] + {k}) & 4294967295",
             f"o{u} = a{u} & {_PAGE_MASK}",
         ]
-        if is_store:
+        if size == 1:  # a byte never straddles a page: index it directly
+            out.append(f"p{u} = pages.get(a{u} >> {_PAGE_BITS})")
+            if is_store:
+                out += [
+                    f"if p{u} is None:",
+                    f"    p{u} = bytearray({_PAGE_SIZE})",
+                    f"    pages[a{u} >> {_PAGE_BITS}] = p{u}",
+                    f"p{u}[o{u}] = regs[{t}] & 255",
+                ]
+            else:
+                out.append(f"v{u} = 0 if p{u} is None else p{u}[o{u}]")
+                if signed:
+                    out.append(f"if v{u} & 128: v{u} |= {_M >> 8 << 8}")
+                out.append(f"regs[{t}] = v{u}")
+        elif is_store:
             value_mask = (1 << (size * 8)) - 1
             out += [
                 f"if o{u} <= {limit}:",
@@ -1115,20 +1170,82 @@ def _fuse_op_lines(op: tuple, dshift: int) -> Optional[list]:
     return None
 
 
-def fuse_block(ops: tuple, block: tuple, dshift: int):
-    """Generate the fused closure executing ``block``'s ops inline.
+#: Conditional-branch taken tests over the pre-op registers, with the
+#: same operands, signedness and bit tests as the ``_branch*`` emitters:
+#: unsigned forms over ``regs`` directly ...
+_FUSE_BRANCH = {
+    "beq": "regs[{s}] == regs[{t}]",
+    "bne": "regs[{s}] != regs[{t}]",
+    "bltu": "regs[{s}] < regs[{t}]",
+    "bgeu": "regs[{s}] >= regs[{t}]",
+    "beqz": "regs[{s}] == 0",
+    "bnez": "regs[{s}] != 0",
+    "bltz": "regs[{s}] & 2147483648",
+    "bgez": "not regs[{s}] & 2147483648",
+    "bbs": "(regs[{s}] >> {k}) & 1",
+    "bbc": "not (regs[{s}] >> {k}) & 1",
+}
+#: ... signed two-register compares over sign-converted temps ...
+_FUSE_BRANCH_SIGNED = {"blt": "<", "bge": ">="}
+#: ... and signed ``rs`` against the signed immediate folded into ``rt``.
+_FUSE_BRANCH_IMM = {"beqi": "==", "bnei": "!=", "blti": "<", "bgei": ">="}
+
+#: Mnemonics that may end a region segment (OP_EDGE when specialized).
+_EDGE_MNEMONICS = frozenset(
+    {"j", *_FUSE_BRANCH, *_FUSE_BRANCH_SIGNED, *_FUSE_BRANCH_IMM}
+)
+
+
+def _fuse_branch_test(op: tuple) -> tuple[list, str]:
+    """``(statements, condition)`` that is true when this branch is taken."""
+    mnemonic = op[OP_MNEMONIC]
+    ins = op[OP_INS]
+    u = op[OP_ADDR]
+    s, t = ins.rs, ins.rt
+    expr = _FUSE_BRANCH.get(mnemonic)
+    if expr is not None:
+        return [], expr.format(s=s, t=t, k=(t or 0) & 31)
+    lines = [f"a{u} = regs[{s}]", f"if a{u} & 2147483648: a{u} -= 4294967296"]
+    compare = _FUSE_BRANCH_SIGNED.get(mnemonic)
+    if compare is not None:
+        lines += [f"b{u} = regs[{t}]", f"if b{u} & 2147483648: b{u} -= 4294967296"]
+        return lines, f"a{u} {compare} b{u}"
+    b = t - _TWO32 if t & _SIGN_BIT else t
+    return lines, f"a{u} {_FUSE_BRANCH_IMM[mnemonic]} {b}"
+
+
+def _load_use(ops: tuple, producer: int, consumer: int) -> int:
+    """1 when op ``consumer`` reads a register op ``producer`` loads, else 0."""
+    dests = ops[producer][OP_LOAD_DESTS]
+    return int(bool(dests) and any(src in dests for src in ops[consumer][OP_SRCS]))
+
+
+def fuse_region(ops: tuple, region: tuple, dshift: int):
+    """Generate the closure running ``region`` from its header to an exit.
 
     ``ops`` is the executable's op table and ``dshift`` the D-cache line
-    shift of the block lowering.  Signature of the result:
-    ``fn(state, ic, dc, icache_access, dcache_access)`` where
-    ``ic``/``dc`` are two-slot lists ``[last_line, misses]`` shared with
-    the dispatch loop's per-op side-exit path, so the same-line memo
-    carries seamlessly across fused and per-op execution.  The dispatch
-    loop calls this on a block's second entry and keeps the result in
+    shift of the lowering.  Signature of the result: ``fn(state, ic, dc,
+    icache_access, dcache_access, segment_counts, taken_counts, budget)
+    -> (next_idx, retired, interlocks)``.  ``ic``/``dc`` are two-slot
+    lists ``[last_line, misses]`` shared with the dispatch loop's per-op
+    path, so the same-line memo carries seamlessly across fused and
+    per-op execution.  The closure counts executions per segment and
+    taken edges in locals and adds them to ``segment_counts`` (keyed by
+    segment start) and ``taken_counts`` once, at exit; interlocks on
+    every edge inside the region are compile-time constants per unit
+    executed.  A loop region runs at most the worst-case iterations
+    (BLK_LEN ops each) that fit in ``budget`` and then exits at its
+    header; the caller enters a region only while one more worst-case
+    iteration fits, so the per-op path raises
+    :class:`SimulationLimitExceeded` at the exact instruction.  The dispatch loop
+    calls this on a header's second entry and keeps the result in
     :attr:`SuperopProgram.fused`.
     """
-    start = block[BLK_START]
-    end = start + block[BLK_LEN] - 1
+    head = region[BLK_START]
+    length = region[BLK_LEN]
+    segments = region[BLK_SEGMENTS]
+    loop = region[BLK_LOOP]
+    last = segments[-1][SEG_END]
     namespace = {
         "_rotl": rotate_left,
         "_rotr": rotate_right,
@@ -1137,58 +1254,243 @@ def fuse_block(ops: tuple, block: tuple, dshift: int):
         "_popc": popcount,
         "_bswap": byte_swap,
     }
-    body = ["    regs = state.regs"]
-    if any(ops[i][OP_MEM] for i in range(start, end + 1)):
-        body.append("    pages = state.memory._pages")
-    for line, fetch_addr in block[BLK_IFETCH]:
-        body += [
-            f"    if {line} != ic[0]:",
-            f"        ic[0] = {line}",
-            f"        if not icache_access({fetch_addr}):",
-            "            ic[1] += 1",
+
+    # Units: runs of segments entered only by falling through from the
+    # one before.  A unit that only the conditional branch just before it
+    # can jump over, and that nothing jumps to, runs in that branch's
+    # untaken arm.  Any other unit an edge can jump over runs under a
+    # guard on ``s``, the number of the next unit to run: every transfer
+    # that lands on or jumps over a guarded unit sets ``s``, so a guard
+    # never reads a stale ``s``.
+    inner = {seg[SEG_TARGET] for seg in segments if head < seg[SEG_TARGET] <= last}
+    units: list[list[tuple]] = []
+    for seg in segments:
+        if units and seg[SEG_START] not in inner and units[-1][-1][SEG_TARGET] < 0:
+            units[-1].append(seg)
+        else:
+            units.append([seg])
+    number = {unit[0][SEG_START]: n for n, unit in enumerate(units)}
+    ends = [ops[unit[-1][SEG_END]] for unit in units]
+    crossed: list[set[int]] = [set() for _ in units]  # units whose edge skips it
+    for n, unit in enumerate(units):
+        target = unit[-1][SEG_TARGET]
+        if target in inner:
+            for m in range(n + 1, number[target]):
+                crossed[m].add(n)
+    nested = [
+        crossed[n] == {n - 1}
+        and units[n][0][SEG_START] not in inner
+        and ends[n - 1][OP_MNEMONIC] != "j"
+        for n in range(len(units))
+    ]
+    guarded = [bool(crossed[n]) and not nested[n] for n in range(len(units))]
+
+    # Per-unit execution counters.  A unit no edge can jump over, with
+    # no exit or back-edge before it, runs once per iteration, so it
+    # shares the header's counter ``e0``.  A branch whose untaken arm is
+    # a nested unit was taken as often as its unit ran without the other;
+    # the loop's closing edge, as often as its unit ran, less one when
+    # the loop left through its untaken arm (when no other exit goes
+    # there too).
+    counters: list[str] = []
+    shared = True
+    for n, unit in enumerate(units):
+        counters.append("e0" if shared and not crossed[n] else f"e{n}")
+        target = unit[-1][SEG_TARGET]
+        if target >= 0 and target not in inner:
+            shared = False
+    fall = ends[-1][OP_FALL_IDX]
+    other_targets = {unit[-1][SEG_TARGET] for unit in units[:-1]}
+    taken_counts = {}  # edge op index -> taken-count expression
+    for n, unit in enumerate(units):
+        end = unit[-1][SEG_END]
+        if unit[-1][SEG_TARGET] < 0:
+            continue
+        if n + 1 < len(units) and nested[n + 1]:
+            taken_counts[end] = f"{counters[n]} - e{n + 1}"
+        elif loop and n + 1 == len(units) and ends[n][OP_MNEMONIC] == "j":
+            taken_counts[end] = counters[n]
+        elif loop and n + 1 == len(units) and fall not in other_targets:
+            taken_counts[end] = f"{counters[n]} - (r == {fall})"
+        else:
+            taken_counts[end] = f"t{end}"
+    sizes: dict[str, int] = {}  # counter -> ops retired per count
+    stalls: dict[str, int] = {}  # counter -> interlocks per count
+    for n, unit in enumerate(units):
+        count = sum(seg[SEG_INTERLOCKS] for seg in unit)
+        count += sum(_load_use(ops, a[SEG_END], b[SEG_START]) for a, b in zip(unit, unit[1:]))
+        if unit[-1][SEG_TARGET] < 0 and n + 1 < len(units):
+            count += _load_use(ops, unit[-1][SEG_END], units[n + 1][0][SEG_START])
+        size = sum(seg[SEG_END] - seg[SEG_START] + 1 for seg in unit)
+        sizes[counters[n]] = sizes.get(counters[n], 0) + size
+        stalls[counters[n]] = stalls.get(counters[n], 0) + count
+
+    def weighted(per_count: dict) -> str:
+        terms = [
+            name if k == 1 else f"{name} * {k}" for name, k in per_count.items() if k
         ]
-    for i in range(start, end + 1):
-        op = ops[i]
-        lines = _fuse_op_lines(op, dshift)
-        if lines is None:
-            namespace[f"_c{i}"] = op[OP_SEM]
-            namespace[f"_i{i}"] = op[OP_INS]
-            lines = [f"_c{i}(state, _i{i})"]
-        body += ["    " + stmt for stmt in lines]
+        return " + ".join(terms) or "0"
+
+    retired = weighted(sizes)
+    interlocks = weighted(stalls)
+
+    def leave(idx: int) -> list:
+        """Statements exiting the region to op ``idx``."""
+        if loop:
+            return [f"r = {idx}", "break"]
+        return [f"return ({idx}, {length}, {stalls['e0']})"]
+
+    def move(src: int, dest: int) -> list:
+        """Statements for a transfer from unit ``src`` forward to unit ``dest``."""
+        if any(guarded[m] for m in range(src + 1, dest + 1)):
+            return [f"s = {dest}"]
+        return []
+
+    def fetch(line: int, fetch_addr: int) -> list:
+        return [
+            f"if {line} != ic[0]:",
+            f"    ic[0] = {line}",
+            f"    if not icache_access({fetch_addr}):",
+            "        ic[1] += 1",
+        ]
+
+    def emit(n: int, successor: list) -> list:
+        """Source of unit ``n``; ``successor`` is a nested next unit's source."""
+        unit = units[n]
+        if not loop:
+            lines = [f"sc[{head}] += 1"]
+        elif n and counters[n] == f"e{n}":
+            lines = [f"e{n} += 1"]
+        else:
+            lines = []
+        for seg in unit:
+            for line, fetch_addr in seg[SEG_IFETCH]:
+                lines += fetch(line, fetch_addr)
+            interior_end = seg[SEG_END] if seg[SEG_TARGET] >= 0 else seg[SEG_END] + 1
+            for i in range(seg[SEG_START], interior_end):
+                op_lines = _fuse_op_lines(ops[i], dshift)
+                if op_lines is None:
+                    namespace[f"_c{i}"] = ops[i][OP_SEM]
+                    namespace[f"_i{i}"] = ops[i][OP_INS]
+                    op_lines = [f"_c{i}(state, _i{i})"]
+                lines += op_lines
+        end = unit[-1][SEG_END]
+        target = unit[-1][SEG_TARGET]
+        if n + 1 == len(units):
+            onward = leave(ends[n][OP_FALL_IDX])
+        elif nested[n + 1]:
+            onward = successor
+        else:
+            onward = move(n, n + 1)
+        if target < 0:
+            return lines + onward
+        if loop and n + 1 == len(units):
+            # The loop body ends with its edge back to the header, so
+            # falling off the body repeats it.
+            lines += [f"t{end} += 1"] if taken_counts[end] == f"t{end}" else []
+            if ends[n][OP_MNEMONIC] == "j":
+                return lines
+            prelude, condition = _fuse_branch_test(ends[n])
+            lines += prelude + [f"if not ({condition}):"]
+            return lines + ["    " + stmt for stmt in onward]
+        taken = []
+        if not loop:
+            taken.append(f"tc[{end}] += 1")
+        elif taken_counts[end] == f"t{end}":
+            taken.append(f"t{end} += 1")
+        if target == head:
+            taken.append("continue")
+        elif target in inner:
+            taken += move(n, number[target])
+        else:
+            taken += leave(target)
+        if ends[n][OP_MNEMONIC] == "j":
+            return lines + taken
+        prelude, condition = _fuse_branch_test(ends[n])
+        lines += prelude
+        if not taken:
+            return lines + [f"if not ({condition}):"] + ["    " + stmt for stmt in onward]
+        lines.append(f"if {condition}:")
+        lines += ["    " + stmt for stmt in taken]
+        if onward:
+            lines.append("else:")
+            lines += ["    " + stmt for stmt in onward]
+        return lines
+
+    # Last unit first, so a unit's nested successor is already generated.
+    sources: list[list[str]] = [[] for _ in units]
+    for n in reversed(range(len(units))):
+        successor = sources[n + 1] if n + 1 < len(units) else []
+        sources[n] = emit(n, successor)
+        if guarded[n]:
+            sources[n] = [f"if s == {n}:"] + ["    " + stmt for stmt in sources[n]]
+    code = [stmt for n in range(len(units)) if not nested[n] for stmt in sources[n]]
+
+    body = ["regs = state.regs"]
+    memory = any(ops[i][OP_MEM] for i in range(head, last + 1))
+    if memory:
+        body.append("pages = state.memory._pages")
+    if loop:
+        # ``e0`` numbers the iterations.  The loop runs at most the
+        # worst-case iterations that fit in the budget and then leaves at
+        # the header; the dispatch loop calls it again while one more
+        # fits, and otherwise steps to the exact instruction per op.
+        edges = [end for end, taken in taken_counts.items() if taken == f"t{end}"]
+        own = [name for name in sizes if name != "e0"]
+        if own or edges:
+            body.append(" = ".join([*own, *(f"t{end}" for end in edges), "0"]))
+        body.append(f"for e0 in range(1, budget // {length} + 1):")
+        body += ["    " + stmt for stmt in code]
+        body += ["else:", f"    r = {head}"]
+        for n, unit in enumerate(units):
+            body += [f"sc[{seg[SEG_START]}] += {counters[n]}" for seg in unit]
+        body += [f"tc[{end}] += {taken}" for end, taken in taken_counts.items()]
+        body.append(f"return r, {retired}, {interlocks}")
+    else:
+        body += code
     source = (
-        "def _superop(state, ic, dc, icache_access, dcache_access):\n"
-        + "\n".join(body)
+        "def _region(state, ic, dc, icache_access, dcache_access, sc, tc, budget):\n"
+        + "\n".join("    " + stmt for stmt in body)
     )
     exec(
-        compile(source, f"<superop@{ops[start][OP_ADDR]:#x}>", "exec"),
+        compile(source, f"<region@{ops[head][OP_ADDR]:#x}>", "exec"),
         namespace,
     )
-    return namespace["_superop"]
+    return namespace["_region"]
 
 
 def compile_superops(
     executable: ExecutableProgram, ishift: int, dshift: int
 ) -> SuperopProgram:
-    """Find the executable's maximal interior runs: the superop blocks.
+    """Cut the executable into segments and chain them into regions.
 
-    Block leaders are the static control-flow join points: the program
-    entry, every static branch/jump/call target, and the op after every
-    non-interior op.  Dynamic targets (``jx``/``callx``/``ret``) that
-    land mid-block are handled by the dispatch loop, which walks per-op
-    until it reaches the next leader.
+    Leaders are the static control-flow join points: the program entry,
+    every static branch/jump/call target, and the op after every
+    non-interior op.  A segment starts at a leader and runs over
+    interior ops up to the next leader or non-interior op, taking that
+    op in as its end when it is an edge op (OP_EDGE) with a mapped
+    target and, for a conditional branch, a fall-through successor; a
+    leader that is itself such an edge op is a one-op segment.  Every
+    segment heads a region (see the section comment): a loop region
+    when edges return to it from contiguous segments with no inner loop
+    between, else the straight region of its own segment — unless that
+    is a single op, which one fused call would run no faster than the
+    per-op path.  Dynamic targets (``jx``/``callx``/``ret``) that land
+    mid-segment are handled by the dispatch loop, which walks per-op
+    until it reaches the next header.
 
-    Each block folds, at compile time:
+    Each segment folds, at compile time:
 
     * **ifetch** — the I-line transition sequence at line shift
-      ``ishift``: intra-block fetch addresses are strictly increasing,
+      ``ishift``: intra-segment fetch addresses are strictly increasing,
       so consecutive same-line fetches collapse exactly like the per-op
       same-line memo (uncached ops never touch the I-cache and are
       excluded; their fetch penalty is count-derived at aggregation);
-    * **interlocks** — load-use stalls between ops inside the block,
+    * **interlocks** — load-use stalls between ops inside the segment,
       a static property of adjacent (load dests, source regs) pairs.
 
-    No code is generated here: a block's fused closure, which bakes in
-    ``dshift``, is made on its second entry (see
+    No code is generated here: a region's closure, which bakes in
+    ``dshift``, is made on its header's second entry (see
     :attr:`SuperopProgram.fused`).  Callers go through
     :meth:`ExecutableProgram.superops`, which memoizes the result.
     """
@@ -1210,17 +1512,31 @@ def compile_superops(
             if target_idx >= 0:
                 leaders.add(target_idx)
 
-    blocks: list[tuple] = []
-    block_at: list[Optional[tuple]] = [None] * n
+    def edge_target(i: int) -> int:
+        """Taken-successor index of a foldable edge op, else -1."""
+        op = ops[i]
+        if not op[OP_EDGE] or (op[OP_MNEMONIC] != "j" and op[OP_FALL_IDX] < 0):
+            return -1
+        return pc_map.get(op[OP_INS].imm, -1)
+
+    segments: list[tuple] = []
+    segment_at: list[Optional[tuple]] = [None] * n
     for start in sorted(leaders):
-        if not ops[start][OP_INTERIOR]:
-            continue
         end = start
-        while True:
+        target = -1
+        if ops[start][OP_INTERIOR]:
             fall = ops[end][OP_FALL_IDX]
-            if fall < 0 or fall in leaders or not ops[fall][OP_INTERIOR]:
-                break
-            end = fall
+            while fall >= 0 and fall not in leaders and ops[fall][OP_INTERIOR]:
+                end = fall
+                fall = ops[end][OP_FALL_IDX]
+            if fall >= 0 and fall not in leaders:
+                target = edge_target(fall)
+                if target >= 0:
+                    end = fall
+        else:
+            target = edge_target(start)
+            if target < 0:
+                continue
 
         interlocks = 0
         ifetch: list[tuple[int, int]] = []
@@ -1233,28 +1549,58 @@ def compile_superops(
                     last_line = line
                     ifetch.append((line, op[OP_ADDR]))
             if i > start and ops[i - 1][OP_LOAD_DESTS]:
-                dests = ops[i - 1][OP_LOAD_DESTS]
-                if any(src in dests for src in op[OP_SRCS]):
-                    interlocks += 1
+                interlocks += _load_use(ops, i - 1, i)
+        segment_at[start] = (start, end, tuple(ifetch), interlocks, target)
+        segments.append(segment_at[start])
 
+    # The furthest edge back to each segment start: only those can head
+    # a loop region, and no chain needs to look past it.
+    back_edge: dict[int, int] = {}
+    for seg in segments:
+        if 0 <= seg[SEG_TARGET] <= seg[SEG_END]:
+            back_edge[seg[SEG_TARGET]] = seg[SEG_END]
+
+    blocks: list[tuple] = []
+    block_at: list[Optional[tuple]] = [None] * n
+    for seg in segments:
+        head = seg[SEG_START]
+        chain = [seg]
+        if back_edge.get(head, -1) >= seg[SEG_END]:
+            # Chain contiguous segments while no edge closes an inner
+            # loop, and keep them up to the last edge to the header.
+            size = 1 if seg[SEG_TARGET] == head else 0
+            end = seg[SEG_END]
+            while end < back_edge[head] and ops[end][OP_FALL_IDX] == end + 1:
+                seg = segment_at[end + 1]
+                if seg is None or head < seg[SEG_TARGET] <= seg[SEG_END]:
+                    break
+                chain.append(seg)
+                end = seg[SEG_END]
+                if seg[SEG_TARGET] == head:
+                    size = len(chain)
+            chain = chain[:size] or chain[:1]
+        last = chain[-1][SEG_END]
+        if last == head and chain[0][SEG_TARGET] != head:
+            continue  # one op outside a loop: a fused call saves no turn
         block = (
-            start,
-            end - start + 1,
-            tuple(ifetch),
-            ops[start][OP_SRCS],
-            interlocks,
-            ops[end][OP_LOAD_DESTS],
-            ops[end][OP_FALL_IDX],
-            ops[end][OP_ADDR],
+            head,
+            last - head + 1,
+            tuple(chain),
+            ops[head][OP_SRCS],
+            chain[-1][SEG_TARGET] == head,
+            ops[last][OP_LOAD_DESTS],
+            ops[last][OP_FALL_IDX],
+            ops[last][OP_ADDR],
         )
         blocks.append(block)
-        block_at[start] = block
+        block_at[head] = block
 
     return SuperopProgram(
         ishift=ishift,
         dshift=dshift,
         blocks=tuple(blocks),
         block_at=tuple(block_at),
+        segment_at=tuple(segment_at),
         fused=[None] * n,
     )
 

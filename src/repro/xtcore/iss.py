@@ -30,11 +30,15 @@ picked by what the run must report:
   to the :class:`~repro.obs.protocol.SimObserver` chain, exactly as the
   streaming protocol documents;
 * the **superop loop** (:func:`dispatch`) runs when there is nothing to
-  observe per instruction (the estimate/DSE common case): fused basic
-  blocks plus a per-op path for block boundaries — no event objects, no
-  operand tuples, no callback dispatch.  Batched multi-config runs
-  (:func:`repro.xtcore.batch.run_batch`) record their trajectory through
-  the same loop and the same fused blocks.
+  observe per instruction (the estimate/DSE common case): one call per
+  fused *region* — a straight segment with its ending branch folded in,
+  or a whole inner loop run to its exit with its internal branches
+  inlined — plus a per-op path for everything no region covers (calls,
+  returns, system ops, a header's first entry, the last iterations
+  before the instruction budget).  No event objects, no operand tuples,
+  no callback dispatch.  Solo runs, batched multi-config runs
+  (:func:`repro.xtcore.batch.run_batch`) and forked serve workers all
+  dispatch through this one loop and the same fused regions.
 
 Both loops fold statistics the same way — per-op retire/taken counts and
 scalar event counters, aggregated into :class:`ExecutionStats` at run
@@ -59,7 +63,7 @@ from .compiled import (
     ExecutableProgram,
     compilation_cache,
     describe_invalid_pc,
-    fuse_block,
+    fuse_region,
 )
 from .config import DEFAULT_MAX_INSTRUCTIONS, ProcessorConfig
 from .errors import SimulationError, SimulationLimitExceeded
@@ -246,20 +250,24 @@ def dispatch(
 
     Runs ``executable`` from ``state.pc`` to completion and returns
     ``(counts, taken_counts, icache_misses, dcache_misses, interlocks)``
-    for :func:`_aggregate_stats`.  Through the executable's block
+    for :func:`_aggregate_stats`.  Through the executable's region
     lowering at ``(ishift, dshift)``
     (:meth:`~repro.xtcore.compiled.ExecutableProgram.superops`), an op
-    index heading a block retires the whole block in one fused dispatch
-    from the block's second entry on: the first entry runs op by op, the
-    second generates the fused closure
-    (:func:`~repro.xtcore.compiled.fuse_block`) into the block's
-    :attr:`~repro.xtcore.compiled.SuperopProgram.fused` slot.  Every
-    other op, and any block that would cross the instruction budget,
-    takes the per-op path.  ``icache_access``/``dcache_access`` see the
-    first address of every same-line transition at ``ishift``/``dshift``
-    granularity, on the fused and per-op paths alike, and report hits; a
-    falsy return counts as a miss, so a recorder such as ``list.append``
-    captures the address streams (and its miss counts are meaningless).
+    index heading a region runs the region to its exit in one fused
+    call from the header's second entry on: the first entry runs op by
+    op, the second generates the closure
+    (:func:`~repro.xtcore.compiled.fuse_region`) into the region's
+    :attr:`~repro.xtcore.compiled.SuperopProgram.fused` slot.  A loop
+    region runs whole iterations, its internal branches inlined, until
+    an edge leaves it or the worst-case iterations that fit in the
+    remaining instruction budget have run.  Every other op, and any
+    region whose worst-case iteration would cross the budget, takes the
+    per-op path.
+    ``icache_access``/``dcache_access`` see the first address of every
+    same-line transition at ``ishift``/``dshift`` granularity, on the
+    fused and per-op paths alike, and report hits; a falsy return counts
+    as a miss, so a recorder such as ``list.append`` captures the
+    address streams (and its miss counts are meaningless).
     """
     ops = executable.ops
     pc_map = executable.pc_to_index
@@ -268,9 +276,9 @@ def dispatch(
     fused = superops.fused
     counts = [0] * len(ops)
     taken_counts = [0] * len(ops)
-    block_counts = [0] * len(ops)  # keyed by the block's first op index
+    segment_counts = [0] * len(ops)  # keyed by the segment's first op index
     interlocks = 0
-    # Same-line memo + miss counters as two-slot lists so fused block
+    # Same-line memo + miss counters as two-slot lists so fused region
     # closures and the per-op path mutate one shared state.  A repeat
     # access to the line just touched is a guaranteed MRU hit with no
     # LRU movement, so the cache model call can be skipped.
@@ -292,34 +300,35 @@ def dispatch(
                 describe_invalid_pc(executable.program_name, pc, executable, None)
             )
         while True:
-            # Block fields by position (BLK_* in compiled.py): 0 start,
-            # 1 length, 3 first srcs, 4 interlocks, 5 load dests, 6 next
-            # op index, 7 last address.
+            # Region fields by position (BLK_* in compiled.py): 1 length,
+            # 3 header srcs, 5 load dests at a fall-through exit, 7 last
+            # address.
             block = block_at[idx]
             if block is not None and executed + block[1] <= max_instructions:
                 fn = fused[idx]
                 if fn is None:
-                    # First entry: run the block op by op below; most
-                    # blocks entered once are not worth generating code.
+                    # First entry: run the region op by op below; most
+                    # regions entered once are not worth generating code.
                     fused[idx] = False
                 else:
                     if fn is False:  # second entry: fuse once, keep it
-                        fn = fused[idx] = fuse_block(ops, block, dshift)
-                    # Fused fast path: the whole block retires in one
-                    # dispatch — semantics, I-line memo and D-cache
-                    # replays inlined into one generated closure, and the
-                    # remaining bookkeeping folded to block deltas.
-                    executed += block[1]
+                        fn = fused[idx] = fuse_region(ops, block, dshift)
+                    # Fused fast path: the region runs to its exit in one
+                    # call — semantics, branches, I-line memo and D-cache
+                    # replays inlined into one generated closure, which
+                    # returns where it left and what it retired.
                     if prev_load_dests:
                         for src in block[3]:
                             if src in prev_load_dests:
                                 interlocks += 1
                                 break
-                    interlocks += block[4]
-                    fn(state, ic, dc, icache_access, dcache_access)
-                    block_counts[idx] += 1
+                    idx, retired, stalls = fn(
+                        state, ic, dc, icache_access, dcache_access,
+                        segment_counts, taken_counts, max_instructions - executed,
+                    )
+                    executed += retired
+                    interlocks += stalls
                     prev_load_dests = block[5]
-                    idx = block[6]
                     if idx >= 0:
                         continue
                     # Fell off the end of the mapped address range.
@@ -331,11 +340,12 @@ def dispatch(
                             executable.program_name, pc, executable, addr
                         )
                     )
-            # Per-op path: block boundaries (branches, jumps, system ops,
-            # customs), a block's first entry, mid-block landings from
-            # dynamic jumps, and blocks that would cross the instruction
-            # budget (so SimulationLimitExceeded raises at the exact
-            # instruction, after any earlier fault).
+            # Per-op path: ops no region covers (calls, returns, system
+            # ops, unfoldable customs and branches), a header's first
+            # entry, landings off a header from dynamic jumps, and
+            # regions that could cross the instruction budget (so
+            # SimulationLimitExceeded raises at the exact instruction,
+            # after any earlier fault).
             if executed >= max_instructions:
                 raise SimulationLimitExceeded(
                     f"{executable.program_name}: "
@@ -393,11 +403,12 @@ def dispatch(
                 describe_invalid_pc(executable.program_name, pc, executable, addr)
             )
 
-    # Expand per-block execution counters into the per-op counts the
+    # Expand per-segment execution counters into the per-op counts the
     # aggregation contract expects (O(static ops), like aggregation).
-    for start, count in enumerate(block_counts):
+    segment_at = superops.segment_at
+    for start, count in enumerate(segment_counts):
         if count:
-            for i in range(start, start + block_at[start][1]):
+            for i in range(start, segment_at[start][1] + 1):
                 counts[i] += count
     return counts, taken_counts, ic[1], dc[1], interlocks
 
@@ -414,7 +425,7 @@ class Simulator:
     Each run picks its dispatch loop from what it must report: the
     instrumented per-op loop when a trace is requested or an observer
     wants per-retire callbacks (``wants_retire`` / ``wants_events``),
-    the superop block loop (:func:`dispatch`) otherwise.  Stats are
+    the superop region loop (:func:`dispatch`) otherwise.  Stats are
     bitwise identical either way.  Most callers should go through
     :func:`repro.obs.run_session` instead of constructing a ``Simulator``
     directly.
@@ -466,7 +477,7 @@ class Simulator:
         ):
             return self._run_instrumented(state)
         # Run-scoped observers only need the start/finish callbacks the
-        # protocol guarantees; fused blocks honor those.
+        # protocol guarantees; fused regions honor those.
         for observer in self.observers:
             observer.on_run_start(self.config, self.program)
         result = self._run_superop(state)

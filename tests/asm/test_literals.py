@@ -127,6 +127,15 @@ class TestQuotedText:
         program = assemble(f"    .data\nx:  {line}\n    .text\nmain: halt\n")
         assert program.data == [(DATA_ORIGIN, data)]
 
+    @pytest.mark.parametrize(
+        "line",
+        ['.ascii "\\"', '.asciiz "\\"', '.ascii "ab\\x4"', '.asciiz "\\x"'],
+    )
+    def test_bad_escape_is_an_asm_error(self, line):
+        # a lone trailing backslash or a truncated \x escape names its line
+        with pytest.raises(AsmError, match=r":2: bad escape in \.ascii"):
+            assemble(f"    .data\nx:  {line}\n    .text\nmain: halt\n")
+
     @pytest.mark.parametrize("char", [";", "#", ",", " "])
     def test_character_immediate(self, char):
         program = assemble(f"main:\n    movi a2, '{char}' ; load it\n    halt\n")

@@ -92,6 +92,16 @@ def run_path(path, config, program, **kwargs):
     return result
 
 
+def run_to_fault(simulator):
+    """Run a simulator that must raise; return the error and the state it left."""
+    states = []
+    reset = simulator._reset
+    simulator._reset = lambda: states.append(reset()) or states[-1]
+    with pytest.raises((SimulationError, SimulationLimitExceeded)) as info:
+        simulator.run()
+    return info.value, states[0]
+
+
 def run_both(config, program, max_instructions=MAX_INSTRUCTIONS):
     reference = ReferenceSimulator(
         config, program, collect_trace=True, max_instructions=max_instructions
@@ -124,7 +134,7 @@ class TestBundledSuiteEquivalence:
         assert_states_equal(ref_result.state, new_result.state, case.name)
         case.verify(new_result)
 
-        # both untraced paths (fused superop blocks, and the per-op
+        # both untraced paths (fused superop regions, and the per-op
         # instrumented loop driven by an observer) must agree as well
         for path in PATHS:
             fast_result = run_path(
@@ -182,12 +192,14 @@ class TestRandomProgramEquivalence:
 
 
 class TestStressPrograms:
-    """Superop side-exit seams: handwritten programs that pin each one.
+    """Superop side-exit and region seams: handwritten programs that pin each one.
 
     Each :func:`~repro.testing.progen.stress_cases` program targets one
-    spot where the fused block path hands control back to the per-op
-    path (single-op blocks, taken-to-fall-through branches, dynamic
-    jumps landing mid-block, budget expiry inside a block, faults).
+    spot where the fused path hands control back to the per-op path
+    (single-op segments, taken-to-fall-through branches, dynamic jumps
+    landing mid-segment, budget expiry inside a region, faults) or a
+    shape a loop region folds (if-then/else bodies, exits, joins fed by
+    loads, divides by zero, bodies spanning I-lines).
     """
 
     @pytest.mark.parametrize(
@@ -212,21 +224,53 @@ class TestStressPrograms:
 
         # faulting case: same exception type everywhere; the two dispatch
         # paths agree exactly, and both extend the reference's bare
-        # message with locator diagnostics (never contradict it)
-        errors = {}
-        with pytest.raises((SimulationError, SimulationLimitExceeded)) as info:
-            ReferenceSimulator(
-                config, program, max_instructions=case.max_instructions
-            ).run()
-        errors["reference"] = info.value
+        # message with locator diagnostics (never contradict it); every
+        # engine leaves the same registers and memory at the fault (a
+        # budget overrun keeps the message but not the state)
+        errors, states = {}, {}
+        errors["reference"], states["reference"] = run_to_fault(
+            ReferenceSimulator(config, program, max_instructions=case.max_instructions)
+        )
         for path in PATHS:
-            with pytest.raises((SimulationError, SimulationLimitExceeded)) as info:
-                run_path(path, config, program, max_instructions=case.max_instructions)
-            errors[path] = info.value
+            errors[path], states[path] = run_to_fault(
+                Simulator(
+                    config, program, **PATHS[path],
+                    max_instructions=case.max_instructions,
+                )
+            )
         assert type(errors["instrumented"]) is type(errors["reference"])
         assert type(errors["superop"]) is type(errors["reference"])
         assert str(errors["instrumented"]) == str(errors["superop"])
         assert str(errors["superop"]).startswith(str(errors["reference"]))
+        for path in PATHS:
+            assert states[path].regs == states["reference"].regs, path
+            assert states[path].memory._pages == states["reference"].memory._pages
+
+    @pytest.mark.parametrize("line_bytes", [16, 64])
+    def test_engines_agree_at_other_line_sizes(self, line_bytes):
+        base = build_processor("xt-stress", [])
+        config = dataclasses.replace(
+            base,
+            icache=dataclasses.replace(base.icache, line_bytes=line_bytes),
+            dcache=dataclasses.replace(base.dcache, line_bytes=line_bytes),
+        )
+        for case, program in stress_programs():
+            budget = case.max_instructions
+            if case.faulting:
+                with pytest.raises((SimulationError, SimulationLimitExceeded)) as ref:
+                    ReferenceSimulator(config, program, max_instructions=budget).run()
+                for path in PATHS:
+                    with pytest.raises(type(ref.value)):
+                        run_path(path, config, program, max_instructions=budget)
+                continue
+            ref_result = ReferenceSimulator(
+                config, program, max_instructions=budget
+            ).run()
+            for path in PATHS:
+                result = run_path(path, config, program, max_instructions=budget)
+                context = f"{case.name} ({path}, {line_bytes} B lines)"
+                assert_stats_equal(ref_result.stats, result.stats, context)
+                assert_states_equal(ref_result.state, result.state, context)
 
     def test_fused_fall_off_end_diagnostics(self):
         """Satellite: the fused path's invalid-pc fault names the nearest

@@ -252,6 +252,34 @@ class TestInputErrorHygiene:
         assert "truncated image" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "profile"])
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("main:\n    frobnicate a2\n    halt\n", "unknown instruction"),
+            ('    .data\nx: .ascii "\\"\n    .text\nmain: halt\n', "bad escape"),
+            ('    .data\nx: .asciiz "\\x4"\n    .text\nmain: halt\n', "bad escape"),
+        ],
+        ids=["bad-mnemonic", "lone-backslash", "truncated-hex-escape"],
+    )
+    def test_unassemblable_source_is_clean_exit(
+        self, tmp_path, model_file, capsys, command, source, message
+    ):
+        bad = tmp_path / "bad.s"
+        bad.write_text(source)
+        argv = [command, str(bad)] if command == "simulate" else [
+            command, model_file, str(bad)
+        ]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:")
+        assert str(bad) in err
+        assert message in err
+        assert "Traceback" not in err
+
+
 class TestCharacterizeFlagValidation:
     def test_resume_requires_checkpoint(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

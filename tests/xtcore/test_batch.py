@@ -267,6 +267,43 @@ class TestRecordLoopStress:
         assert result.state.pc == solo.state.pc
         assert result.state.halted == solo.state.halted
 
+    @pytest.mark.parametrize(
+        "case_program", stress_programs(), ids=lambda cp: cp[0].name
+    )
+    def test_batch_across_line_sizes_matches_solo(self, case_program):
+        # One batch over 16/32/64 B I- and D-lines records at 16 B, so
+        # regions fused at the finest lines must replay every member's
+        # streams exactly.
+        case, program = case_program
+        base = build_processor("xt-stress", [])
+        configs = [
+            dataclasses.replace(
+                base,
+                name=f"xt-stress-{size}",
+                icache=dataclasses.replace(base.icache, line_bytes=size),
+                dcache=dataclasses.replace(base.dcache, line_bytes=size),
+            )
+            for size in (16, 32, 64)
+        ]
+        budget = case.max_instructions
+        if case.faulting:
+            errors = (SimulationError, SimulationLimitExceeded)
+            with pytest.raises(errors) as batch:
+                run_batch(configs, program, max_instructions=budget)
+            for config in configs:
+                with pytest.raises(errors) as solo:
+                    Simulator(config, program, max_instructions=budget).run()
+                assert type(batch.value) is type(solo.value)
+                assert str(batch.value) == str(solo.value)
+            return
+        results = run_batch(configs, program, max_instructions=budget)
+        for config, result in zip(configs, results):
+            solo = Simulator(config, program, max_instructions=budget).run()
+            assert result.stats == solo.stats, config.name
+            assert result.state.regs == solo.state.regs
+            assert result.state.memory._pages == solo.state.memory._pages
+            assert result.state.pc == solo.state.pc
+
 
 #: A loop over memory with a custom instruction in its fused body.
 CUSTOM_LOOP_SOURCE = """\

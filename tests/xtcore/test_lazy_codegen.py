@@ -1,8 +1,8 @@
 """Code is generated only for what runs.
 
 TIE semantics closures are generated when a program using the
-instruction is first lowered, and a superop block's fused closure on the
-block's second entry.  Results never depend on either: these tests pin
+instruction is first lowered, and a superop region's fused closure on
+its header's second entry.  Results never depend on either: these tests pin
 when code is generated, and that the lazy forms behave like eager ones.
 """
 
@@ -51,15 +51,15 @@ def generated(monkeypatch):
 
 @pytest.fixture()
 def fused(monkeypatch):
-    """Start indices of the superop blocks fused, in order."""
+    """Header indices of the superop regions fused, in order."""
     made: list[int] = []
-    original = iss.fuse_block
+    original = iss.fuse_region
 
-    def counting(ops, block, dshift):
-        made.append(block[BLK_START])
-        return original(ops, block, dshift)
+    def counting(ops, region, dshift):
+        made.append(region[BLK_START])
+        return original(ops, region, dshift)
 
-    monkeypatch.setattr(iss, "fuse_block", counting)
+    monkeypatch.setattr(iss, "fuse_region", counting)
     return made
 
 

@@ -1,9 +1,9 @@
-"""Unit tests for the block-level superop tier.
+"""Unit tests for the region-level superop tier.
 
 The differential suites (tests/integration/test_dispatch_differential.py)
-pin bitwise equivalence; these tests pin the *structure*: block
-discovery, on-demand fused closures, dispatch-path selection, and the
-block lowerings memoized on each executable.
+pin bitwise equivalence; these tests pin the *structure*: segment and
+region discovery, on-demand fused closures, dispatch-path selection,
+and the region lowerings memoized on each executable.
 """
 
 import dataclasses
@@ -15,6 +15,8 @@ from repro.isa import base_isa
 from repro.obs import SimObserver
 from repro.obs.tally import RunTallyObserver
 from repro.programs import characterization_suite
+from repro.programs.reed_solomon import reed_solomon_choices
+from repro.testing.progen import stress_programs
 from repro.isa import MachineState
 from repro.xtcore import (
     ReferenceSimulator,
@@ -25,18 +27,30 @@ from repro.xtcore import (
     compile_superops,
 )
 from repro.xtcore.compiled import (
+    BLK_FIRST_SRCS,
     BLK_LEN,
+    BLK_LOAD_DESTS,
+    BLK_LOOP,
     BLK_NEXT_IDX,
+    BLK_SEGMENTS,
     BLK_START,
     OP_ADDR,
     OP_CACHED,
     OP_CUSTOM_KIND,
+    OP_EDGE,
+    OP_FALL_IDX,
     OP_IMM,
     OP_INS,
     OP_INTERIOR,
+    OP_LOAD_DESTS,
     OP_MEM,
+    OP_MNEMONIC,
     OP_SEM,
     OP_SRC0,
+    OP_SRCS,
+    SEG_END,
+    SEG_START,
+    SEG_TARGET,
     CompilationCache,
 )
 
@@ -72,23 +86,52 @@ def _shifts(config):
     )
 
 
-def _block_entries(config, program, superops):
-    """Block start index -> times the run entered the block at its head."""
+def _region_ops(block):
+    """Op indices ``block`` covers, header first."""
+    return range(block[BLK_START], block[BLK_START] + block[BLK_LEN])
+
+
+def _fused_calls(config, program, superops):
+    """Header index -> dispatch arrivals, replaying the fusion policy on a trace.
+
+    The first arrival at a header runs its region op by op (one retire),
+    later ones run it fused: a loop region until control leaves its op
+    range, a straight region for its one segment.  No run here nears
+    the instruction budget, so no region stops for it.
+    """
     trace = Simulator(config, program, collect_trace=True).run().trace
     executable = compile_program(config, program)
-    starts = {block[BLK_START] for block in superops.blocks}
-    entries = dict.fromkeys(starts, 0)
-    for record in trace:
-        index = executable.index_of(record.addr)
-        if index in entries:
-            entries[index] += 1
-    return entries
+    path = [executable.index_of(record.addr) for record in trace]
+    arrivals: dict[int, int] = {}
+    pos = 0
+    while pos < len(path):
+        block = superops.block_at[path[pos]]
+        if block is None:
+            pos += 1
+            continue
+        head = block[BLK_START]
+        arrivals[head] = arrivals.get(head, 0) + 1
+        if arrivals[head] == 1 or not block[BLK_LOOP]:
+            pos += 1 if arrivals[head] == 1 else block[BLK_LEN]
+            continue
+        while pos < len(path) and path[pos] in _region_ops(block):
+            pos += 1
+    return arrivals
 
 
-def _assert_fused_equals_per_op(config, executable, block, fused):
-    """Run ``block`` fused and op by op from one seeded state; compare all."""
+def _assert_fused_equals_per_op(config, executable, block, fused, budget=4000):
+    """Run ``block`` fused and op by op from one seeded state; compare all.
+
+    The per-op side follows the region's rules literally: it starts at
+    the header, counts load-use interlocks on every edge after the
+    first op, stops when control leaves the region's op range, and at
+    the header once the worst-case iterations that fit in ``budget``
+    (``budget // length`` of them) have run.
+    """
     ops = executable.ops
     ishift, dshift = _shifts(config)
+    head, length = block[BLK_START], block[BLK_LEN]
+    inside = _region_ops(block)
 
     def seeded():
         state = MachineState(config.num_registers)
@@ -98,21 +141,41 @@ def _assert_fused_equals_per_op(config, executable, block, fused):
 
     fused_state, fused_ic, fused_dc = seeded(), [-1, 0], [-1, 0]
     fused_fetch, fused_data = [], []
-    fused(fused_state, fused_ic, fused_dc, fused_fetch.append, fused_data.append)
+    fused_segments, fused_taken = [0] * len(ops), [0] * len(ops)
+    exit_idx, fused_retired, fused_stalls = fused(
+        fused_state, fused_ic, fused_dc, fused_fetch.append, fused_data.append,
+        fused_segments, fused_taken, budget,
+    )
+    fused_counts = [0] * len(ops)
+    for start, count in enumerate(fused_segments):
+        if count:
+            seg = block[BLK_SEGMENTS][
+                [s[SEG_START] for s in block[BLK_SEGMENTS]].index(start)
+            ]
+            for i in range(start, seg[SEG_END] + 1):
+                fused_counts[i] += count
 
     state, ic, dc = seeded(), [-1, 0], [-1, 0]
     fetch, data = [], []
-    for i in range(block[BLK_START], block[BLK_START] + block[BLK_LEN]):
-        op = ops[i]
+    counts, taken = [0] * len(ops), [0] * len(ops)
+    retired = stalls = 0
+    iterations = 1
+    idx = head
+    prev_load_dests = ()
+    while True:
+        op = ops[idx]
         if op[OP_CACHED]:
             line = op[OP_ADDR] >> ishift
             if line != ic[0]:
                 ic[0] = line
                 if not fetch.append(op[OP_ADDR]):
                     ic[1] += 1
+        if any(src in prev_load_dests for src in op[OP_SRCS]):
+            stalls += 1
         base = state.regs[op[OP_SRC0]] if op[OP_MEM] else 0
         state.pc = op[OP_ADDR]
-        assert op[OP_SEM](state, op[OP_INS]) is None
+        next_pc = op[OP_SEM](state, op[OP_INS])
+        assert next_pc is None or op[OP_EDGE]  # interior ops never redirect
         if op[OP_MEM]:
             mem_addr = (base + op[OP_IMM]) & 0xFFFFFFFF
             line = mem_addr >> dshift
@@ -120,11 +183,27 @@ def _assert_fused_equals_per_op(config, executable, block, fused):
                 dc[0] = line
                 if not data.append(mem_addr):
                     dc[1] += 1
+        counts[idx] += 1
+        retired += 1
+        prev_load_dests = op[OP_LOAD_DESTS]
+        if next_pc is None:
+            idx = op[OP_FALL_IDX]
+        else:
+            taken[idx] += 1
+            idx = executable.index_of(next_pc)
+        if idx not in inside:
+            break
+        if idx == head:
+            iterations += 1
+            if iterations > budget // length:
+                break
 
+    assert (exit_idx, fused_retired, fused_stalls) == (idx, retired, stalls)
     assert fused_state.regs == state.regs
     assert fused_state.memory._pages == state.memory._pages
     assert (fused_ic, fused_dc) == (ic, dc)
     assert (fused_fetch, fused_data) == (fetch, data)
+    assert (fused_counts, fused_taken) == (counts, taken)
 
 
 class TestCompileSuperops:
@@ -141,30 +220,79 @@ class TestCompileSuperops:
         assert "blocks over" in repr(superops)
 
     def test_blocks_cover_only_interior_ops(self, config, program):
-        executable = compile_program(config, program)
-        superops = compile_superops(executable, *_shifts(config))
-        for block in superops.blocks:
-            for i in range(block[BLK_START], block[BLK_START] + block[BLK_LEN]):
-                assert executable.ops[i][OP_INTERIOR]
+        # Region invariants: contiguous segments of interior ops, each
+        # ended by at most one edge op (a specialized conditional branch
+        # or j); every edge goes back to the header, forward inside the
+        # region, or out of it; a loop region ends at an edge back to
+        # its header, and any other region is one segment of two or
+        # more ops.
+        shapes = [(config, program)] + [
+            case.build() for case in characterization_suite(include_variants=False)
+        ]
+        shapes += [(config, prog) for _, prog in stress_programs()]
+        loops = 0
+        for shape_config, shape_program in shapes:
+            executable = compile_program(shape_config, shape_program)
+            ops = executable.ops
+            superops = compile_superops(executable, *_shifts(shape_config))
+            for block in superops.blocks:
+                head = block[BLK_START]
+                segments = block[BLK_SEGMENTS]
+                last = segments[-1][SEG_END]
+                assert superops.block_at[head] is block
+                assert block[BLK_LEN] == last - head + 1
+                assert block[BLK_FIRST_SRCS] == ops[head][OP_SRCS]
+                assert segments[0][SEG_START] == head
+                for seg, after in zip(segments, segments[1:]):
+                    assert after[SEG_START] == seg[SEG_END] + 1
+                for seg in segments:
+                    assert superops.segment_at[seg[SEG_START]] is seg
+                    for i in range(seg[SEG_START], seg[SEG_END]):
+                        assert ops[i][OP_INTERIOR]
+                    end = ops[seg[SEG_END]]
+                    target = seg[SEG_TARGET]
+                    if target < 0:
+                        assert end[OP_INTERIOR]
+                        continue
+                    assert end[OP_EDGE] and not end[OP_INTERIOR]
+                    assert end[OP_MNEMONIC] not in (
+                        "call", "ret", "jx", "callx", "halt"
+                    )
+                    assert executable.index_of(end[OP_INS].imm) == target
+                    assert not head < target <= seg[SEG_END]  # no inner loop
+                if block[BLK_LOOP]:
+                    loops += 1
+                    assert segments[-1][SEG_TARGET] == head
+                else:
+                    assert len(segments) == 1
+                    assert segments[0][SEG_TARGET] != head
+                    assert block[BLK_LEN] >= 2  # one op gains nothing fused
+                assert block[BLK_LOAD_DESTS] == ops[last][OP_LOAD_DESTS]
+                assert block[BLK_NEXT_IDX] == ops[last][OP_FALL_IDX]
+        assert loops
 
     def test_fused_closures_present_for_base_isa(self, config, program):
-        # Fusion happens on a block's second entry: after a run, every
-        # block entered at least twice holds a callable closure, a block
-        # entered once holds the entered-once marker, and each closure
-        # retires exactly like the per-op path.
+        # Fusion happens on a header's second arrival: after a run,
+        # every region arrived at twice or more holds a callable
+        # closure, a region arrived at once holds the entered-once
+        # marker, and each closure retires exactly like the per-op path.
         compilation_cache().clear()
         Simulator(config, program).run()
         executable = compilation_cache().get_or_compile(config, program)
         superops = executable.superops(*_shifts(config))
-        entries = _block_entries(config, program, superops)
-        assert any(n >= 2 for n in entries.values())
-        assert any(n == 1 for n in entries.values())
-        for start, n in entries.items():
+        arrivals = _fused_calls(config, program, superops)
+        assert any(n >= 2 for n in arrivals.values())
+        assert any(n == 1 for n in arrivals.values())
+        for start in range(len(executable.ops)):
+            n = arrivals.get(start, 0)
             slot = superops.fused[start]
             if n >= 2:
                 assert callable(slot)
+                block = superops.block_at[start]
+                _assert_fused_equals_per_op(config, executable, block, slot)
+                # the budget stop: room for exactly one iteration
                 _assert_fused_equals_per_op(
-                    config, executable, superops.block_at[start], slot
+                    config, executable, block, slot, budget=block[BLK_LEN]
                 )
             elif n == 1:
                 assert slot is False
@@ -174,6 +302,7 @@ class TestCompileSuperops:
     def test_fused_closures_equal_per_op_with_memory_and_customs(self):
         compilation_cache().clear()
         covered = []
+        loops = 0
         for case in characterization_suite():
             Simulator(case.config, case.program).run()
             executable = compilation_cache().get_or_compile(case.config, case.program)
@@ -182,10 +311,52 @@ class TestCompileSuperops:
                 if not callable(slot):
                     continue
                 block = superops.block_at[start]
-                covered += executable.ops[start : start + block[BLK_LEN]]
+                covered += [executable.ops[i] for i in _region_ops(block)]
+                loops += block[BLK_LOOP]
                 _assert_fused_equals_per_op(case.config, executable, block, slot)
         assert any(op[OP_MEM] for op in covered)
         assert any(op[OP_CUSTOM_KIND] for op in covered)
+        assert any(op[OP_EDGE] for op in covered)
+        assert loops
+
+    def test_later_calls_enter_a_fused_loop_once(self):
+        # Once gfm_loop is fused, each later gfmult_sw call runs all
+        # eight iterations of it in one fused call.
+        compilation_cache().clear()
+        case = next(c for c in reed_solomon_choices() if c.name == "rs_sw")
+        config, program = case.build()
+        Simulator(config, program).run()
+        executable = compilation_cache().get_or_compile(config, program)
+        superops = executable.superops(*_shifts(config))
+        loop = executable.index_of(program.symbol("gfm_loop"))
+        block = superops.block_at[loop]
+        assert block[BLK_LOOP] and callable(superops.fused[loop])
+        calls = []
+        region = superops.fused[loop]
+
+        def counting(*args):
+            exit_idx, retired, stalls = region(*args)
+            calls.append(retired)
+            return exit_idx, retired, stalls
+
+        superops.fused[loop] = counting
+        try:
+            Simulator(config, program).run()
+        finally:
+            superops.fused[loop] = region
+        trace = Simulator(config, program, collect_trace=True).run().trace
+        entry = program.symbol("gfmult_sw")
+        mult_calls = sum(1 for record in trace if record.addr == entry)
+        assert mult_calls > 1
+        assert len(calls) == mult_calls
+        header_retires = sum(
+            1 for record in trace if record.addr == program.symbol("gfm_loop")
+        )
+        assert header_retires == 8 * mult_calls
+        assert sum(calls) == sum(
+            1 for record in trace
+            if executable.index_of(record.addr) in _region_ops(block)
+        )
 
     def test_fall_through_links(self, config, program):
         executable = compile_program(config, program)

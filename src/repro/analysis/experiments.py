@@ -37,7 +37,6 @@ from ..core import (
     instruction_level_template,
     unweighted_template,
 )
-from ..core.runner import default_estimate
 from ..core.model import EnergyMacroModel
 from ..programs import (
     BenchmarkCase,
@@ -75,7 +74,6 @@ def build_context(
     include_variants: bool = True,
     suite: Optional[Sequence[BenchmarkCase]] = None,
     fault_plan=None,
-    checkpoint_path: Optional[str] = None,
     max_failures: Optional[int] = None,
 ) -> ExperimentContext:
     """Run the full characterization flow and package the context.
@@ -84,19 +82,18 @@ def build_context(
     :class:`~repro.core.CharacterizationRunner`, so a paper-reproduction
     sweep survives individual bad samples instead of discarding the run.
     ``fault_plan`` (a :class:`repro.testing.faults.FaultPlan`) injects
-    deterministic faults into the simulate/estimate stages — used by the
-    robustness tests; ``checkpoint_path`` persists samples as they
-    complete.  Failures are reported in ``ExperimentContext.run_report``.
+    deterministic faults into the session/energy stages — used by the
+    robustness tests.  Failures are reported in
+    ``ExperimentContext.run_report``.
     """
     cases = list(suite) if suite is not None else characterization_suite(include_variants)
     characterizer = Characterizer(template=template, method=method)
     simulate = estimate = None
     if fault_plan is not None:
         simulate = fault_plan.wrap_session()
-        estimate = fault_plan.wrap_estimate(default_estimate(characterizer))
+        estimate = fault_plan.wrap_estimate()
     runner = CharacterizationRunner(
         characterizer,
-        checkpoint_path=checkpoint_path,
         max_failures=max_failures,
         simulate=simulate,
         estimate_energy=estimate,

@@ -150,19 +150,16 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         CharacterizationRunError,
         CharacterizationRunner,
         Characterizer,
-        CheckpointError,
         RetryPolicy,
         RunnerTask,
         audit_coverage,
     )
     from .programs import characterization_suite
 
-    if args.resume and not args.checkpoint:
-        raise _die("--resume requires --checkpoint PATH")
-    if args.checkpoint_every < 1:
-        raise _die("--checkpoint-every must be >= 1")
     if args.max_attempts < 1:
         raise _die("--max-attempts must be >= 1")
+    if args.max_failures is not None and args.max_failures < 0:
+        raise _die("--max-failures must be >= 0")
 
     from .tech import CalibrationError
 
@@ -184,19 +181,13 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         runner = CharacterizationRunner(
             characterizer,
             retry=RetryPolicy(max_attempts=args.max_attempts),
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
             max_failures=args.max_failures,
             progress=(lambda msg: print(f"  {msg}")) if args.verbose else None,
         )
         try:
-            if args.resume:
-                runner.resume()
             report = runner.run(
                 [RunnerTask.from_case(case) for case in suite], fit=False
             )
-        except CheckpointError as exc:
-            raise _die(str(exc))
         except CharacterizationRunError as exc:
             print(f"repro: characterization aborted: {exc}", file=sys.stderr)
             return EXIT_ABORTED
@@ -402,6 +393,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             )
     if args.carbon is not None and args.carbon <= 0:
         raise _die("--carbon takes a positive executions-per-second rate")
+    if args.max_failures is not None and args.max_failures < 0:
+        raise _die("--max-failures must be >= 0")
     cache = ResultCache(args.cache) if args.cache else None
     progress = (lambda msg: print(f"  {msg}", file=sys.stderr)) if args.verbose else None
     reports = []
@@ -829,23 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--from-samples",
         metavar="PATH",
         help="re-fit from cached samples instead of re-running the suite",
-    )
-    p.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        help="periodically write completed samples to this file (atomic)",
-    )
-    p.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=5,
-        metavar="N",
-        help="checkpoint after every N completed test programs (default 5)",
-    )
-    p.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from --checkpoint if it exists, skipping completed samples",
     )
     p.add_argument(
         "--max-failures",

@@ -44,7 +44,6 @@ from .regression import (
 from .runner import (
     CharacterizationRunError,
     CharacterizationRunner,
-    CheckpointError,
     CoverageLossError,
     RetryPolicy,
     RunReport,
@@ -72,7 +71,6 @@ __all__ = [
     "CharacterizationResult",
     "CharacterizationRunError",
     "CharacterizationRunner",
-    "CheckpointError",
     "CodeRegion",
     "CharacterizationSample",
     "Characterizer",

@@ -1,15 +1,17 @@
 """The characterization flow (paper Fig. 2, steps 1-8).
 
 For every test program (on whatever extended-processor configuration it
-targets) the characterizer:
+targets) :meth:`Characterizer.measure`:
 
-1. simulates it with full tracing (step 6: instruction-set simulation);
+1. generates the custom processor's netlist and streams one
+   instruction-set simulation (step 6) through the reference RTL energy
+   estimator's observer (steps 4-5) — one energy sample, no trace kept;
 2. runs the dynamic resource-usage analysis (step 7) and extracts the
    template variables — one design-matrix row;
-3. generates the custom processor's netlist and runs the reference RTL
-   energy estimator on the trace (steps 4-5) — one energy sample;
 
-and finally fits the energy coefficients by regression (step 8).
+and :meth:`Characterizer.fit` fits the energy coefficients by regression
+(step 8).  :class:`repro.core.runner.CharacterizationRunner` drives the
+same ``measure`` step with per-sample fault isolation.
 
 Because regression characterization is *in-situ*, any program works — the
 only requirement is diversity: the suite must exercise every template
@@ -27,7 +29,8 @@ import numpy as np
 
 from ..asm import Program
 from ..obs import run_session
-from ..rtl import RtlEnergyEstimator, generate_netlist
+from ..obs.session import SessionFn
+from ..rtl import EnergyReport, RtlEnergyEstimator, generate_netlist
 from ..tech import OperatingPoint, default_calibration
 from ..xtcore import DEFAULT_MAX_INSTRUCTIONS, ExecutionStats, ProcessorConfig
 from .extract import extract_variables
@@ -41,15 +44,26 @@ from .regression import (
 )
 from .template import MacroModelTemplate, default_template
 
-#: On-disk format tag for saved sample sets and runner checkpoints.
+#: On-disk format tag for saved sample sets.
 SAMPLES_FORMAT = "repro-characterization-samples/1"
+
+#: ``energy(config, program, report) -> float``: reads one sample's
+#: energy off the streamed reference report (the fault-injection seam).
+EnergyFn = Callable[[ProcessorConfig, Program, EnergyReport], float]
+
+
+def report_energy(
+    config: ProcessorConfig, program: Program, report: EnergyReport
+) -> float:
+    """The production energy reading: the reference report's total."""
+    return report.total
 
 
 def atomic_write_json(path: str, payload: dict) -> None:
     """Write JSON durably: tmp file in the same directory + ``os.replace``.
 
     A crash mid-write leaves either the previous file or a stray ``.tmp``,
-    never a truncated checkpoint masquerading as a valid one.
+    never a truncated file masquerading as a valid one.
     """
     tmp_path = f"{path}.tmp"
     with open(tmp_path, "w", encoding="utf-8") as handle:
@@ -167,7 +181,7 @@ class Characterizer:
         self.samples: list[CharacterizationSample] = []
         # Keyed by content fingerprint: equal configs share one estimator
         # no matter how many distinct (or identically-named) objects the
-        # caller builds, in this process or a resumed one.
+        # caller builds.
         self._estimators: dict[str, RtlEnergyEstimator] = {}
 
     def __len__(self) -> int:
@@ -185,38 +199,51 @@ class Characterizer:
             self._estimators[key] = estimator
         return estimator
 
+    def measure(
+        self,
+        config: ProcessorConfig,
+        program: Program,
+        max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
+        *,
+        session: Optional[SessionFn] = None,
+        energy: EnergyFn = report_energy,
+    ) -> CharacterizationSample:
+        """Measure one test program without adding it to the sample set.
+
+        The reference energy is accumulated online by the estimator's
+        streaming observer — no trace is materialized, so characterizing
+        long programs costs O(1) memory.  ``session`` and ``energy`` are
+        the injectable stages the fault-injection harness wraps; the
+        default session is this module's :func:`~repro.obs.run_session`,
+        looked up per call so a wrapper installed on it sees every run.
+        """
+        observer = self._estimator_for(config).observer()
+        result = (session or run_session)(
+            config, program, observers=(observer,), max_instructions=max_instructions
+        )
+        return CharacterizationSample(
+            name=program.name,
+            processor_name=config.name,
+            variables=extract_variables(result.stats, config, self.template),
+            energy=energy(config, program, observer.report),
+            stats=result.stats,
+        )
+
     def add_program(
         self,
         config: ProcessorConfig,
         program: Program,
         max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
     ) -> CharacterizationSample:
-        """Run one test program through the full characterization pipeline.
-
-        The reference energy is accumulated online by the estimator's
-        streaming observer — no trace is materialized, so characterizing
-        long programs costs O(1) memory.
-        """
-        observer = self._estimator_for(config).observer()
-        result = run_session(
-            config, program, observers=(observer,), max_instructions=max_instructions
-        )
-        report = observer.report
-        variables = extract_variables(result.stats, config, self.template)
-        sample = CharacterizationSample(
-            name=program.name,
-            processor_name=config.name,
-            variables=variables,
-            energy=report.total,
-            stats=result.stats,
-        )
+        """Run one test program through the full characterization pipeline."""
+        sample = self.measure(config, program, max_instructions)
         self.add_sample(sample)
         return sample
 
     def save_samples(self, path: str) -> None:
         """Persist collected samples as JSON.
 
-        The expensive half of characterization is the per-program traced
+        The expensive half of characterization is the per-program
         simulation + reference RTL estimation; saved samples let a later
         session re-fit (e.g. with a different regression method) without
         touching the simulator.  Samples are bound to the template they
@@ -225,7 +252,7 @@ class Characterizer:
         atomic_write_json(path, self.samples_payload())
 
     def samples_payload(self) -> dict:
-        """The JSON payload ``save_samples`` writes (also the checkpoint base)."""
+        """The JSON payload ``save_samples`` writes."""
         return {
             "format": SAMPLES_FORMAT,
             "template": self.template.name,
@@ -251,8 +278,7 @@ class Characterizer:
             except json.JSONDecodeError as exc:
                 raise ValueError(
                     f"samples file {path!r} is not valid JSON ({exc}); the file "
-                    "is corrupted or was truncated mid-write — delete it and "
-                    "re-run, or restore from a good checkpoint"
+                    "is corrupted or was truncated mid-write — delete it and re-run"
                 ) from exc
         if not isinstance(payload, dict) or payload.get("format") != SAMPLES_FORMAT:
             raise ValueError(f"unrecognized samples format in {path!r}")
@@ -369,21 +395,13 @@ def characterize(
     processor_family: str = "xt1040",
     method: str = "nnls",
     progress: Optional[Callable[[str], None]] = None,
-    retry: Optional[object] = None,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 5,
-    max_failures: Optional[int] = None,
     operating_point: "OperatingPoint | str | None" = None,
 ) -> CharacterizationResult:
-    """One-shot characterization over (config, program) pairs.
+    """One-shot, all-or-nothing characterization over (config, program) pairs.
 
-    By default this is all-or-nothing: the first simulation/estimation
-    error aborts the run (historical behavior).  Passing any of ``retry``
-    (a :class:`repro.core.runner.RetryPolicy`), ``checkpoint_path`` or
-    ``max_failures`` routes the run through the fault-tolerant
-    :class:`repro.core.runner.CharacterizationRunner` instead: failures
-    are isolated per sample, progress is checkpointed, and the model is
-    fitted from the surviving samples.
+    The first simulation/estimation error aborts the run; use
+    :class:`repro.core.runner.CharacterizationRunner` for per-sample
+    fault isolation.
     """
     characterizer = Characterizer(
         template=template,
@@ -391,23 +409,6 @@ def characterize(
         method=method,
         operating_point=operating_point,
     )
-    fault_tolerant = (
-        retry is not None or checkpoint_path is not None or max_failures is not None
-    )
-    if fault_tolerant:
-        from .runner import CharacterizationRunner, RunnerTask
-
-        runner = CharacterizationRunner(
-            characterizer,
-            retry=retry,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            max_failures=max_failures,
-            progress=progress,
-        )
-        report = runner.run([RunnerTask.from_pair(c, p) for c, p in runs])
-        assert report.result is not None
-        return report.result
     for config, program in runs:
         if progress is not None:
             progress(f"characterizing {program.name} on {config.name}")

@@ -1,23 +1,19 @@
 """Fault-tolerant characterization runtime (robustness extension).
 
-In-situ characterization (paper Fig. 2, steps 1-8) is the expensive half
-of the flow: every sample costs a fully-traced ISS run plus a reference
-RTL estimation.  The plain :class:`~repro.core.characterize.Characterizer`
-is all-or-nothing — one :class:`~repro.xtcore.SimulationError`, assembly
+The plain :class:`~repro.core.characterize.Characterizer` loop is
+all-or-nothing: one :class:`~repro.xtcore.SimulationError`, assembly
 failure or non-finite energy aborts the suite and discards every prior
-sample.  At production scale (large suites, many processor variants,
-partially-failing batch sweeps) that is unacceptable, so this module
-wraps the sim→RTL→extract pipeline per sample with:
+sample.  :class:`CharacterizationRunner` drives the same per-sample step,
+:meth:`Characterizer.measure <repro.core.characterize.Characterizer.measure>`
+(one simulation streamed through the reference RTL observer, then
+template extraction), with:
 
 * **error isolation** — each failure is captured as a structured
-  :class:`SampleFailure` record instead of propagating;
-* **a retry policy** (:class:`RetryPolicy`) — transient failures are
-  retried with a lowered instruction budget and an optional cheap
-  trace-off probe before the traced re-run;
-* **checkpointing** — completed samples (plus failure records) are
-  periodically written to the ``save_samples`` JSON format with atomic
-  tmp + ``os.replace`` writes, and a later run can resume from the
-  checkpoint, skipping completed samples;
+  :class:`SampleFailure` record (stage ``build``, ``simulate`` or
+  ``validate``) instead of propagating;
+* **a retry policy** (:class:`RetryPolicy`) — failed samples are retried
+  with a lowered instruction budget, each retry first probing the
+  program without the RTL observer before paying for the observed run;
 * **degradation rules** — the run proceeds on the surviving samples when
   coverage still spans the template (audited by
   :mod:`repro.core.coverage`); in strict mode a coverage-destroying
@@ -25,7 +21,7 @@ wraps the sim→RTL→extract pipeline per sample with:
   that lost coverage, and more failures than ``max_failures`` raises
   :class:`TooManyFailures`.
 
-The simulation and energy-estimation stages are injectable, which is how
+The session and energy stages are injectable, which is how
 :mod:`repro.testing.faults` deterministically injects simulator
 exceptions, NaN/Inf energies and budget exhaustion to prove containment.
 """
@@ -33,25 +29,19 @@ exceptions, NaN/Inf energies and budget exhaustion to prove containment.
 from __future__ import annotations
 
 import dataclasses
-import os
-from typing import Callable, Optional, Sequence, Union
-
-import numpy as np
+from typing import Callable, Optional, Sequence
 
 from ..asm import Program
 from ..obs.session import DEFAULT_MAX_INSTRUCTIONS, SessionFn, run_session
-from ..xtcore import ProcessorConfig, SimulationResult
+from ..xtcore import ProcessorConfig
 from .characterize import (
     CharacterizationResult,
     CharacterizationSample,
     Characterizer,
-    atomic_write_json,
+    EnergyFn,
+    report_energy,
 )
 from .coverage import CoverageReport, audit_coverage
-from .extract import extract_variables
-
-#: ``estimate_energy(config, sim_result) -> float`` seam.
-EstimateFn = Callable[[ProcessorConfig, SimulationResult], float]
 
 
 class CharacterizationRunError(RuntimeError):
@@ -80,20 +70,6 @@ class CoverageLossError(CharacterizationRunError):
         self.lost_variables = lost_variables
 
 
-class CheckpointError(ValueError):
-    """A checkpoint file could not be read back."""
-
-
-def default_estimate(characterizer: Characterizer) -> EstimateFn:
-    """The production RTL-reference energy stage, sharing the
-    characterizer's per-config netlist/estimator cache."""
-
-    def estimate(config: ProcessorConfig, result: SimulationResult) -> float:
-        return characterizer._estimator_for(config).estimate(result).total
-
-    return estimate
-
-
 @dataclasses.dataclass(frozen=True)
 class RetryPolicy:
     """How a failed sample is retried before being recorded as a failure.
@@ -103,14 +79,11 @@ class RetryPolicy:
     ``budget_factor`` so a deterministically hanging program (budget
     exhaustion) fails fast instead of paying the full budget again, while
     a transient failure gets a real second chance — characterization
-    programs finish far below their budget.  With ``probe_without_trace``
-    a retry first re-runs the simulator trace-off (cheap) to confirm the
-    program terminates before paying for the traced run.
+    programs finish far below their budget.
     """
 
     max_attempts: int = 2
     budget_factor: float = 0.5
-    probe_without_trace: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -131,7 +104,8 @@ class SampleFailure:
 
     name: str
     processor_name: str
-    #: pipeline stage that failed: build | simulate | estimate | extract | validate
+    #: pipeline stage that failed (the runner records build | simulate |
+    #: validate; other layers record their own stages)
     stage: str
     error_type: str
     message: str
@@ -213,31 +187,14 @@ class RunnerTask:
         )
 
 
-TaskLike = Union[RunnerTask, tuple]
-
-
-def as_task(item: TaskLike) -> RunnerTask:
-    """Coerce a RunnerTask, (config, program) pair, or BenchmarkCase."""
-    if isinstance(item, RunnerTask):
-        return item
-    if isinstance(item, tuple):
-        return RunnerTask.from_pair(*item)
-    if hasattr(item, "build") and hasattr(item, "name"):
-        return RunnerTask.from_case(item)
-    raise TypeError(f"cannot interpret {item!r} as a characterization task")
-
-
 @dataclasses.dataclass
 class RunReport:
     """Everything a caller needs to audit a fault-tolerant run."""
 
     samples: list[CharacterizationSample]
     failures: list[SampleFailure]
-    #: task names skipped because a resumed checkpoint already had them
-    resumed: list[str]
     coverage: Optional[CoverageReport]
     result: Optional[CharacterizationResult]
-    checkpoint_path: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -246,8 +203,7 @@ class RunReport:
     def summary(self) -> str:
         """Structured human-readable failure/coverage summary."""
         lines = [
-            f"characterization run: {len(self.samples)} sample(s) ok "
-            f"({len(self.resumed)} resumed from checkpoint), "
+            f"characterization run: {len(self.samples)} sample(s) ok, "
             f"{len(self.failures)} failure(s)"
         ]
         if self.failures:
@@ -279,14 +235,10 @@ class CharacterizationRunner:
     Parameters
     ----------
     characterizer:
-        Receives the surviving samples; a fresh default-template
-        :class:`Characterizer` when omitted.
+        Measures every sample and receives the survivors; a fresh
+        default-template :class:`Characterizer` when omitted.
     retry:
         :class:`RetryPolicy`; default retries once with a halved budget.
-    checkpoint_path / checkpoint_every:
-        When a path is given, the sample set (plus failure records) is
-        atomically rewritten after every ``checkpoint_every`` completed
-        tasks and once at the end of the run.
     max_failures:
         Abort (raising :class:`TooManyFailures`) once more than this many
         samples have failed this run.  ``None`` = unlimited.
@@ -295,10 +247,14 @@ class CharacterizationRunner:
         raises :class:`CoverageLossError` when failures occurred *and* the
         surviving samples no longer span the template.
     simulate / estimate_energy:
-        Injectable pipeline stages (used by the fault-injection harness).
-        ``simulate`` is invoked with keyword arguments per the
-        :data:`~repro.obs.session.SessionFn` contract — wrap it with
-        :meth:`repro.testing.faults.FaultPlan.wrap_session`.
+        Injectable pipeline stages (used by the fault-injection harness),
+        handed to :meth:`Characterizer.measure` as its ``session`` and
+        ``energy`` stages.  ``simulate`` is invoked with keyword arguments
+        per the :data:`~repro.obs.session.SessionFn` contract — wrap it
+        with :meth:`repro.testing.faults.FaultPlan.wrap_session`;
+        ``estimate_energy`` reads the energy off the streamed
+        :class:`~repro.rtl.EnergyReport` — wrap it with
+        :meth:`~repro.testing.faults.FaultPlan.wrap_estimate`.
     """
 
     def __init__(
@@ -306,107 +262,50 @@ class CharacterizationRunner:
         characterizer: Optional[Characterizer] = None,
         *,
         retry: Optional[RetryPolicy] = None,
-        checkpoint_path: Optional[str] = None,
-        checkpoint_every: int = 5,
         max_failures: Optional[int] = None,
         degradation: str = "warn",
         progress: Optional[Callable[[str], None]] = None,
         simulate: Optional[SessionFn] = None,
-        estimate_energy: Optional[EstimateFn] = None,
+        estimate_energy: Optional[EnergyFn] = None,
     ) -> None:
         if degradation not in ("warn", "strict"):
             raise ValueError(
                 f"unknown degradation mode {degradation!r} (use 'warn' or 'strict')"
             )
-        if checkpoint_every < 1:
-            raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+        if max_failures is not None and max_failures < 0:
+            raise ValueError(f"max_failures must be >= 0, got {max_failures}")
         self.characterizer = characterizer if characterizer is not None else Characterizer()
         self.retry = retry if retry is not None else RetryPolicy()
-        self.checkpoint_path = checkpoint_path
-        self.checkpoint_every = checkpoint_every
         self.max_failures = max_failures
         self.degradation = degradation
         self.progress = progress
         self.failures: list[SampleFailure] = []
         self._simulate: SessionFn = simulate if simulate is not None else run_session
-        self._estimate = (
-            estimate_energy
-            if estimate_energy is not None
-            else default_estimate(self.characterizer)
+        self._energy: EnergyFn = (
+            estimate_energy if estimate_energy is not None else report_energy
         )
-
-    # -- checkpointing -----------------------------------------------------
-
-    def resume(self) -> list[str]:
-        """Load the checkpoint file (if configured and present).
-
-        Returns the names of the samples restored; tasks with those names
-        are skipped by :meth:`run`.  Previously recorded *failures* are
-        not restored — a resumed run re-attempts them (they may have been
-        transient).  Raises :class:`CheckpointError` (with the underlying
-        cause and a recovery hint) when the file exists but is unreadable.
-        """
-        if self.checkpoint_path is None or not os.path.exists(self.checkpoint_path):
-            return []
-        before = len(self.characterizer.samples)
-        try:
-            self.characterizer.load_samples(self.checkpoint_path)
-        except ValueError as exc:
-            raise CheckpointError(
-                f"cannot resume from checkpoint {self.checkpoint_path!r}: {exc}"
-            ) from exc
-        restored = [s.name for s in self.characterizer.samples[before:]]
-        self._emit(f"resumed {len(restored)} sample(s) from {self.checkpoint_path}")
-        return restored
-
-    def _write_checkpoint(self) -> None:
-        if self.checkpoint_path is None:
-            return
-        payload = self.characterizer.samples_payload()
-        payload["failures"] = [f.to_payload() for f in self.failures]
-        atomic_write_json(self.checkpoint_path, payload)
-
-    # -- the run loop ------------------------------------------------------
 
     def run(
         self,
-        tasks: Sequence[TaskLike],
+        tasks: Sequence[RunnerTask],
         fit: bool = True,
         with_loocv: bool = False,
     ) -> RunReport:
-        """Run every task, isolating failures; checkpoint; audit; fit."""
-        tasks = [as_task(t) for t in tasks]
-        completed = {s.name for s in self.characterizer.samples}
-        resumed = [t.name for t in tasks if t.name in completed]
-        pending = [t for t in tasks if t.name not in completed]
-        since_checkpoint = 0
-        try:
-            for task in pending:
-                outcome = self._run_task(task)
-                if isinstance(outcome, SampleFailure):
-                    self.failures.append(outcome)
-                    self._emit(f"FAILED {outcome.describe()}")
-                    if (
-                        self.max_failures is not None
-                        and len(self.failures) > self.max_failures
-                    ):
-                        raise TooManyFailures(
-                            f"aborting: {len(self.failures)} sample failure(s) "
-                            f"exceed max_failures={self.max_failures}\n"
-                            + "\n".join(f.describe() for f in self.failures),
-                            failures=list(self.failures),
-                        )
-                else:
-                    self.characterizer.add_sample(outcome)
-                    self._emit(f"characterized {outcome.name} on {outcome.processor_name}")
-                since_checkpoint += 1
-                if since_checkpoint >= self.checkpoint_every:
-                    self._write_checkpoint()
-                    since_checkpoint = 0
-        finally:
-            # Persist whatever completed, even when aborting mid-run.
-            if since_checkpoint or self.failures:
-                self._write_checkpoint()
+        """Run every task, isolating failures; audit; fit."""
+        for task in tasks:
+            outcome = self._run_task(task)
+            if isinstance(outcome, SampleFailure):
+                self.failures.append(outcome)
+                self._emit(f"FAILED {outcome.describe()}")
+                if self.max_failures is not None and len(self.failures) > self.max_failures:
+                    raise TooManyFailures(
+                        f"aborting: {len(self.failures)} sample failure(s) "
+                        f"exceed max_failures={self.max_failures}\n"
+                        + "\n".join(f.describe() for f in self.failures),
+                        failures=list(self.failures),
+                    )
+            else:
+                self._emit(f"characterized {outcome.name} on {outcome.processor_name}")
 
         samples = list(self.characterizer.samples)
         coverage = (
@@ -414,11 +313,7 @@ class CharacterizationRunner:
         )
         if self.degradation == "strict" and self.failures:
             if coverage is None:
-                raise CharacterizationRunError(
-                    "no samples survived characterization; "
-                    f"{len(self.failures)} failure(s):\n"
-                    + "\n".join(f.describe() for f in self.failures)
-                )
+                raise self._no_survivors()
             if not coverage.is_adequate:
                 lost = list(coverage.unexercised)
                 raise CoverageLossError(
@@ -432,23 +327,20 @@ class CharacterizationRunner:
         result = None
         if fit:
             if not samples:
-                raise CharacterizationRunError(
-                    "no samples survived characterization; "
-                    f"{len(self.failures)} failure(s):\n"
-                    + "\n".join(f.describe() for f in self.failures)
-                )
+                raise self._no_survivors()
             result = self.characterizer.fit(with_loocv=with_loocv)
         return RunReport(
             samples=samples,
             failures=list(self.failures),
-            resumed=resumed,
             coverage=coverage,
             result=result,
-            checkpoint_path=self.checkpoint_path,
         )
 
     def _run_task(self, task: RunnerTask) -> CharacterizationSample | SampleFailure:
-        """One task through build→(simulate→estimate→extract→validate)×retry."""
+        """One task through build→(measure→validate)×retry.
+
+        A sample that passes validation is added to the characterizer.
+        """
         try:
             config, program = task.builder()
         except Exception as exc:  # noqa: BLE001 — isolation is the point
@@ -461,37 +353,31 @@ class CharacterizationRunner:
             budget = self.retry.budget_for(attempt, task.max_instructions)
             try:
                 stage = "simulate"
-                if attempt > 1 and self.retry.probe_without_trace:
-                    # cheap termination probe before paying for the trace
-                    self._simulate(
-                        config, program, collect_trace=False, max_instructions=budget
-                    )
-                sim = self._simulate(
-                    config, program, collect_trace=True, max_instructions=budget
-                )
-                stage = "estimate"
-                energy = float(self._estimate(config, sim))
-                stage = "extract"
-                variables = extract_variables(
-                    sim.stats, config, self.characterizer.template
+                if attempt > 1:
+                    # cheap termination probe before paying for the RTL observer
+                    self._simulate(config, program, max_instructions=budget)
+                sample = self.characterizer.measure(
+                    config,
+                    program,
+                    budget,
+                    session=self._simulate,
+                    energy=self._energy,
                 )
                 stage = "validate"
-                if not np.isfinite(energy):
-                    raise ValueError(f"non-finite energy {energy!r}")
-                if not np.all(np.isfinite(variables)):
-                    raise ValueError("non-finite template variables")
-                return CharacterizationSample(
-                    name=task.name,
-                    processor_name=config.name,
-                    variables=variables,
-                    energy=energy,
-                    stats=sim.stats,
-                )
+                self.characterizer.add_sample(sample)
+                return sample
             except Exception as exc:  # noqa: BLE001 — isolation is the point
                 last_exc = exc
         assert last_exc is not None
         return SampleFailure.from_exception(
             task.name, config.name, stage, last_exc, attempts=attempt
+        )
+
+    def _no_survivors(self) -> CharacterizationRunError:
+        return CharacterizationRunError(
+            "no samples survived characterization; "
+            f"{len(self.failures)} failure(s):\n"
+            + "\n".join(f.describe() for f in self.failures)
         )
 
     def _emit(self, message: str) -> None:

@@ -272,6 +272,8 @@ class EvaluationEngine:
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
+        if max_failures is not None and max_failures < 0:
+            raise ValueError(f"max_failures must be >= 0, got {max_failures}")
         self.model = model
         self.space = space
         self.jobs = jobs

@@ -8,13 +8,11 @@ runtime (:mod:`repro.core.runner`) contains every failure mode.
 from .faults import (
     FaultPlan,
     InjectedFault,
-    corrupt_checkpoint,
     hanging_task,
 )
 
 __all__ = [
     "FaultPlan",
     "InjectedFault",
-    "corrupt_checkpoint",
     "hanging_task",
 ]

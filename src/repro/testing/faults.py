@@ -1,14 +1,14 @@
 """Deterministic fault injection for the characterization and serving runtimes.
 
 The harness wraps the two injectable pipeline stages of
-:class:`repro.core.runner.CharacterizationRunner` (``simulate`` and
-``estimate_energy``) and perturbs them according to a :class:`FaultPlan`:
+:class:`repro.core.runner.CharacterizationRunner` (``simulate``, the
+session, and ``estimate_energy``, which reads the energy off the streamed
+reference report) and perturbs them according to a :class:`FaultPlan`:
 named programs raise simulator exceptions, exhaust their instruction
 budget, or yield NaN/Inf energies — each a bounded number of times, so
 tests can distinguish "transient fault + retry succeeds" from "permanent
 fault → structured failure record".  It also fabricates genuinely hanging
-programs (an infinite loop contained by the instruction budget) and
-corrupts checkpoint files the way a crash mid-write would.
+programs (an infinite loop contained by the instruction budget).
 
 :class:`ServiceChaosPlan` extends the same philosophy one layer up, to
 the ``repro serve`` estimation service: a seeded schedule of **worker
@@ -32,9 +32,11 @@ from typing import Optional, Sequence
 from ..asm import Program, assemble
 from ..obs.protocol import SimObserver
 from ..obs.session import DEFAULT_MAX_INSTRUCTIONS, SessionFn, run_session
+from ..rtl import EnergyReport
 from ..xtcore import ProcessorConfig, SimulationResult, build_processor
 from ..xtcore.iss import SimulationError, SimulationLimitExceeded
-from ..core.runner import EstimateFn, RunnerTask
+from ..core.characterize import EnergyFn, report_energy
+from ..core.runner import RunnerTask
 
 #: Inject on every attempt (never exhausts).
 ALWAYS = -1
@@ -128,15 +130,17 @@ class FaultPlan:
 
         return session
 
-    def wrap_estimate(self, inner: EstimateFn) -> EstimateFn:
+    def wrap_estimate(self) -> EnergyFn:
         """An ``estimate_energy`` stage that injects NaN/Inf energies."""
 
-        def estimate(config: ProcessorConfig, result: SimulationResult) -> float:
-            spec = self._energy.get(result.program.name)
+        def estimate(
+            config: ProcessorConfig, program: Program, report: EnergyReport
+        ) -> float:
+            spec = self._energy.get(program.name)
             if spec is not None and spec.fire():
-                self.injected.append((result.program.name, spec.kind))
+                self.injected.append((program.name, spec.kind))
                 return float("nan") if spec.kind == "nan" else float("inf")
-            return inner(config, result)
+            return report_energy(config, program, report)
 
         return estimate
 
@@ -295,21 +299,3 @@ def hanging_task(
         return config, assemble(source, name, isa=config.isa)
 
     return RunnerTask(name=name, builder=builder, max_instructions=max_instructions)
-
-
-def corrupt_checkpoint(path: str, mode: str = "truncate") -> None:
-    """Damage a checkpoint file the way a crash or disk fault would.
-
-    ``truncate`` keeps the first half of the bytes (a write cut short);
-    ``garbage`` replaces the content with non-JSON bytes.
-    """
-    if mode == "truncate":
-        with open(path, "rb") as handle:
-            data = handle.read()
-        with open(path, "wb") as handle:
-            handle.write(data[: len(data) // 2])
-    elif mode == "garbage":
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write('{"format": "repro-characterization-samples/1", "samp\x00')
-    else:
-        raise ValueError(f"unknown corruption mode {mode!r}")

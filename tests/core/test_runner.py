@@ -1,7 +1,5 @@
 """Fault-tolerant characterization runner tests (error isolation, retry,
-checkpoint/resume, degradation policy)."""
-
-import os
+degradation policy, one measurement path with ``characterize``)."""
 
 import numpy as np
 import pytest
@@ -11,15 +9,15 @@ from repro.core import (
     CharacterizationRunError,
     CharacterizationRunner,
     Characterizer,
-    CheckpointError,
     CoverageLossError,
     RetryPolicy,
     RunnerTask,
     TooManyFailures,
     characterize,
 )
-from repro.core.runner import as_task, default_estimate
-from repro.testing import FaultPlan, corrupt_checkpoint, hanging_task
+from repro.obs import run_session
+from repro.rtl.estimator import RtlEnergyObserver
+from repro.testing import FaultPlan, hanging_task
 from repro.xtcore import build_processor
 
 pytestmark = pytest.mark.faults
@@ -46,9 +44,7 @@ def _runner(characterizer=None, plan=None, **kwargs):
     characterizer = characterizer if characterizer is not None else Characterizer()
     if plan is not None:
         kwargs.setdefault("simulate", plan.wrap_session())
-        kwargs.setdefault(
-            "estimate_energy", plan.wrap_estimate(default_estimate(characterizer))
-        )
+        kwargs.setdefault("estimate_energy", plan.wrap_estimate())
     return CharacterizationRunner(characterizer, **kwargs)
 
 
@@ -71,26 +67,21 @@ class TestRetryPolicy:
             RetryPolicy(budget_factor=1.5)
 
 
-class TestTaskCoercion:
-    def test_pair_and_task_pass_through(self, base_tasks):
-        task = base_tasks[0]
-        assert as_task(task) is task
+class TestRunnerTask:
+    def test_from_pair_names_task_after_program(self):
         config = build_processor("coerce")
         program = assemble(_SOURCES["arith"], "arith", isa=config.isa)
-        coerced = as_task((config, program))
-        assert coerced.name == "arith"
+        task = RunnerTask.from_pair(config, program)
+        assert task.name == "arith"
+        assert task.builder() == (config, program)
 
-    def test_case_like_objects_adapt(self):
+    def test_from_case_adapts_benchmark_case(self):
         from repro.programs import characterization_suite
 
         case = characterization_suite(include_variants=False)[0]
-        task = as_task(case)
+        task = RunnerTask.from_case(case)
         assert task.name == case.name
         assert task.max_instructions == case.max_instructions
-
-    def test_garbage_rejected(self):
-        with pytest.raises(TypeError, match="task"):
-            as_task(42)
 
 
 class TestErrorIsolation:
@@ -171,89 +162,9 @@ class TestMaxFailures:
         assert len(report.failures) == 1
         assert report.result is not None
 
-    def test_checkpoint_survives_abort(self, base_tasks, tmp_path):
-        ckpt = str(tmp_path / "ckpt.json")
-        # tasks run in order: arith, loads, logic(fails), shifts never runs
-        plan = FaultPlan().fail_simulation("logic")
-        with pytest.raises(TooManyFailures):
-            _runner(
-                plan=plan, max_failures=0, checkpoint_path=ckpt, checkpoint_every=1
-            ).run(base_tasks)
-        fresh = Characterizer()
-        assert fresh.load_samples(ckpt) == 2
-        assert [s.name for s in fresh.samples] == ["arith", "loads"]
-
-
-class TestCheckpointing:
-    def test_checkpoint_written_and_loadable(self, base_tasks, tmp_path):
-        ckpt = str(tmp_path / "ckpt.json")
-        plan = FaultPlan().fail_simulation("arith")
-        report = _runner(plan=plan, checkpoint_path=ckpt, checkpoint_every=2).run(
-            base_tasks
-        )
-        assert os.path.exists(ckpt)
-        assert not os.path.exists(ckpt + ".tmp")  # atomic write cleaned up
-        fresh = Characterizer()
-        assert fresh.load_samples(ckpt) == len(report.samples)
-        import json
-
-        payload = json.loads(open(ckpt).read())
-        assert [f["name"] for f in payload["failures"]] == ["arith"]
-
-    def test_resume_skips_completed_samples(self, base_tasks, tmp_path):
-        ckpt = str(tmp_path / "ckpt.json")
-        _runner(checkpoint_path=ckpt).run(base_tasks[:2], fit=False)
-
-        resumed_runner = _runner(checkpoint_path=ckpt)
-        restored = resumed_runner.resume()
-        assert restored == ["arith", "loads"]
-        report = resumed_runner.run(base_tasks)
-        assert report.resumed == ["arith", "loads"]
-        assert [s.name for s in report.samples] == ["arith", "loads", "logic", "shifts"]
-
-    def test_killed_then_resumed_matches_uninterrupted(self, base_tasks, tmp_path):
-        """Acceptance: resuming from a mid-run checkpoint reproduces the
-        uninterrupted run's coefficients exactly."""
-        uninterrupted = _runner().run(base_tasks)
-
-        ckpt = str(tmp_path / "ckpt.json")
-        _runner(checkpoint_path=ckpt, checkpoint_every=1).run(
-            base_tasks[:2], fit=False
-        )  # "killed" after two samples
-        resumed_runner = _runner(checkpoint_path=ckpt)
-        resumed_runner.resume()
-        resumed = resumed_runner.run(base_tasks)
-        assert np.array_equal(
-            resumed.result.model.coefficients,
-            uninterrupted.result.model.coefficients,
-        )
-
-    def test_resume_without_checkpoint_is_noop(self, tmp_path):
-        runner = _runner(checkpoint_path=str(tmp_path / "missing.json"))
-        assert runner.resume() == []
-        assert _runner().resume() == []
-
-    @pytest.mark.parametrize("mode", ["truncate", "garbage"])
-    def test_resume_from_corrupted_checkpoint_is_actionable(
-        self, base_tasks, tmp_path, mode
-    ):
-        ckpt = str(tmp_path / "ckpt.json")
-        _runner(checkpoint_path=ckpt).run(base_tasks[:2], fit=False)
-        corrupt_checkpoint(ckpt, mode)
-        with pytest.raises(CheckpointError, match="cannot resume"):
-            _runner(checkpoint_path=ckpt).resume()
-
-    def test_resume_rejects_foreign_template(self, base_tasks, tmp_path):
-        from repro.core import instruction_level_template
-
-        ckpt = str(tmp_path / "ckpt.json")
-        _runner(checkpoint_path=ckpt).run(base_tasks[:2], fit=False)
-        other = CharacterizationRunner(
-            Characterizer(template=instruction_level_template()),
-            checkpoint_path=ckpt,
-        )
-        with pytest.raises(CheckpointError, match="template"):
-            other.resume()
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_failures must be >= 0"):
+            CharacterizationRunner(max_failures=-1)
 
 
 class TestDegradation:
@@ -289,16 +200,39 @@ class TestDegradation:
 
 
 class TestCharacterizeIntegration:
-    def test_characterize_routes_through_runner_when_asked(
-        self, base_tasks, tmp_path
-    ):
-        config = build_processor("ch-int")
-        runs = [
-            (config, assemble(source, name, isa=config.isa))
-            for name, source in _SOURCES.items()
-        ]
-        ckpt = str(tmp_path / "ckpt.json")
-        tolerant = characterize(runs, checkpoint_path=ckpt, max_failures=2)
+    def test_runner_and_characterize_agree_bitwise(self, base_tasks):
+        """The runner and the all-or-nothing ``characterize()`` share one
+        measurement step, so coefficients and per-sample energies match
+        bit for bit."""
+        runs = [task.builder() for task in base_tasks]
         legacy = characterize(runs)
-        assert os.path.exists(ckpt)
-        assert np.allclose(tolerant.model.coefficients, legacy.model.coefficients)
+        report = _runner().run(base_tasks)
+        assert report.ok
+        assert np.array_equal(
+            report.result.model.coefficients, legacy.model.coefficients
+        )
+        assert [s.name for s in report.samples] == [s.name for s in legacy.samples]
+        assert [s.energy for s in report.samples] == [s.energy for s in legacy.samples]
+        for ours, theirs in zip(report.samples, legacy.samples):
+            assert np.array_equal(ours.variables, theirs.variables)
+
+    def test_session_streams_through_rtl_observer(self, base_tasks):
+        """Every observed run carries the RTL observer and keeps no trace."""
+        calls = []
+
+        def spy(config, program, **kwargs):
+            calls.append(kwargs)
+            return run_session(config, program, **kwargs)
+
+        # arith fails once, so the retry's observer-free probe shows up too
+        plan = FaultPlan().fail_simulation("arith", times=1)
+        report = _runner(simulate=plan.wrap_session(spy)).run(base_tasks)
+        assert report.ok
+        assert not any(kwargs.get("collect_trace", False) for kwargs in calls)
+        observed = [kwargs for kwargs in calls if kwargs.get("observers")]
+        assert len(observed) == len(base_tasks)
+        for kwargs in observed:
+            (observer,) = kwargs["observers"]
+            assert isinstance(observer, RtlEnergyObserver)
+        probes = [kwargs for kwargs in calls if not kwargs.get("observers")]
+        assert len(probes) == 1  # the one retry's termination probe

@@ -118,6 +118,12 @@ class TestExploreErrors:
             main(["explore", model_file, "--space", "fir", "--strategy", "random"])
         assert excinfo.value.code == 2
 
+    def test_negative_max_failures_rejected(self, model_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", model_file, "--space", "fir", "--max-failures", "-5"])
+        assert excinfo.value.code == 2
+        assert "--max-failures must be >= 0" in capsys.readouterr().err
+
 
 class TestExploreOperatingPoints:
     def test_scenario_matrix_sections(self, model_file, capsys):

@@ -246,6 +246,10 @@ class TestFailureIsolation:
         with pytest.raises(TooManyFailures):
             engine.evaluate(list(space.candidates()))
 
+    def test_negative_max_failures_rejected(self, synthetic_model, toy_space):
+        with pytest.raises(ValueError, match="max_failures must be >= 0"):
+            EvaluationEngine(synthetic_model, toy_space, max_failures=-1)
+
     def test_failures_isolated_under_cache_too(self, synthetic_model, tmp_path):
         space = _broken_space()
         engine = EvaluationEngine(

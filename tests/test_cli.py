@@ -281,17 +281,10 @@ class TestInputErrorHygiene:
 
 
 class TestCharacterizeFlagValidation:
-    def test_resume_requires_checkpoint(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["characterize", "--resume"])
-        assert excinfo.value.code == 2
-        assert "--resume requires --checkpoint" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--checkpoint", "c.json", "--checkpoint-every", "0"],
-             "--checkpoint-every must be >= 1"),
+            (["--core-only", "--max-failures", "-5"], "--max-failures must be >= 0"),
             (["--max-attempts", "0"], "--max-attempts must be >= 1"),
         ],
     )

@@ -98,46 +98,3 @@ class TestMarkdownReport:
         assert text.startswith("# Energy Estimation for Extensible Processors")
         for section in ("Table I", "Fig. 3", "Table II", "Fig. 4", "Suite quality", "Suite-size"):
             assert section in text
-
-
-@pytest.mark.slow
-@pytest.mark.faults
-class TestCharacterizeResume:
-    def test_killed_then_resumed_matches_uninterrupted(self, tmp_path, capsys):
-        """Acceptance: `--resume` from a mid-run checkpoint yields exactly
-        the coefficients of an uninterrupted run."""
-        import numpy as np
-
-        from repro.core import CharacterizationRunner, Characterizer, RunnerTask
-        from repro.core.model import EnergyMacroModel
-        from repro.programs import characterization_suite
-
-        uninterrupted = str(tmp_path / "a.json")
-        assert main(["characterize", "--core-only", "-o", uninterrupted]) == 0
-
-        # simulate a run killed after 10 of the 25 core programs: the
-        # checkpoint holds exactly what a dying process had persisted
-        checkpoint = str(tmp_path / "ckpt.json")
-        seed = CharacterizationRunner(
-            Characterizer(), checkpoint_path=checkpoint, checkpoint_every=1
-        )
-        suite = characterization_suite(include_variants=False)
-        seed.run([RunnerTask.from_case(c) for c in suite[:10]], fit=False)
-
-        resumed = str(tmp_path / "b.json")
-        rc = main(
-            [
-                "characterize",
-                "--core-only",
-                "-o",
-                resumed,
-                "--checkpoint",
-                checkpoint,
-                "--resume",
-            ]
-        )
-        assert rc == 0
-        capsys.readouterr()
-        a = EnergyMacroModel.load(uninterrupted)
-        b = EnergyMacroModel.load(resumed)
-        assert np.array_equal(a.coefficients, b.coefficients)

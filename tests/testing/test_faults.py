@@ -4,9 +4,9 @@ import pytest
 
 from repro.asm import assemble
 from repro.core import Characterizer
-from repro.core.runner import default_estimate
 from repro.obs import run_session
-from repro.testing import FaultPlan, InjectedFault, corrupt_checkpoint, hanging_task
+from repro.rtl import RtlEnergyEstimator, generate_netlist
+from repro.testing import FaultPlan, InjectedFault, hanging_task
 from repro.xtcore import SimulationLimitExceeded, build_processor
 
 pytestmark = pytest.mark.faults
@@ -58,15 +58,15 @@ class TestEnergyFaults:
         import math
 
         config, program = run_args
-        characterizer = Characterizer()
         plan = FaultPlan()
         getattr(plan, f"{kind}_energy")("victim", times=1)
-        estimate = plan.wrap_estimate(default_estimate(characterizer))
-        result = run_session(config, program, collect_trace=True, max_instructions=1000)
-        first = estimate(config, result)
-        second = estimate(config, result)
+        estimate = plan.wrap_estimate()
+        observer = RtlEnergyEstimator(generate_netlist(config)).observer()
+        run_session(config, program, observers=(observer,), max_instructions=1000)
+        first = estimate(config, program, observer.report)
+        second = estimate(config, program, observer.report)
         assert math.isnan(first) if kind == "nan" else math.isinf(first)
-        assert math.isfinite(second)
+        assert second == observer.report.total
         assert plan.injected == [("victim", kind)]
 
 
@@ -78,23 +78,22 @@ class TestHangingTask:
             run_session(config, program, max_instructions=task.max_instructions)
 
 
-class TestCheckpointCorruption:
-    def _valid_checkpoint(self, tmp_path):
+class TestSamplesFileCorruption:
+    def _valid_samples_file(self, tmp_path):
         characterizer = Characterizer()
-        config = build_processor("ckpt-corrupt")
+        config = build_processor("samples-corrupt")
         characterizer.add_program(config, assemble(SOURCE, "victim", isa=config.isa))
-        path = str(tmp_path / "samples.json")
-        characterizer.save_samples(path)
+        path = tmp_path / "samples.json"
+        characterizer.save_samples(str(path))
         return path
 
     @pytest.mark.parametrize("mode", ["truncate", "garbage"])
     def test_corrupted_file_rejected_with_actionable_error(self, tmp_path, mode):
-        path = self._valid_checkpoint(tmp_path)
-        corrupt_checkpoint(path, mode)
+        path = self._valid_samples_file(tmp_path)
+        if mode == "truncate":  # a write cut short
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+        else:
+            path.write_text('{"format": "repro-characterization-samples/1", "samp\x00')
         with pytest.raises(ValueError, match="not valid JSON"):
-            Characterizer().load_samples(path)
-
-    def test_unknown_mode_rejected(self, tmp_path):
-        path = self._valid_checkpoint(tmp_path)
-        with pytest.raises(ValueError, match="corruption mode"):
-            corrupt_checkpoint(path, "gamma-rays")
+            Characterizer().load_samples(str(path))

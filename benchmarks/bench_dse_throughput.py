@@ -1,12 +1,12 @@
-"""DSE engine throughput: serial vs parallel vs warm-cache vs batched.
+"""DSE engine throughput: cold vs warm-cache vs batched.
 
 The exploration engine's whole value is candidates/second on the
 macro-model fast path.  This benchmark scores the same seeded random
-sample of the tuned Reed-Solomon space three ways — serial, with a
-worker pool, and from a warm on-disk result cache — asserts the three
-agree on the ranking, and writes the measured throughput table.
+sample of the tuned Reed-Solomon space two ways — simulated, and from a
+warm on-disk result cache — asserts the two agree on the ranking, and
+writes the measured throughput table.
 
-A fourth case measures the batched evaluator: one program across 64
+A third case measures the batched evaluator: one program across 64
 cache-geometry variants (a single semantic partition), scored through
 one :func:`repro.xtcore.run_batch` pass versus 64 per-point runs.
 """
@@ -47,9 +47,9 @@ def space():
     return get_space("reed_solomon_tuned")
 
 
-def _run(ctx, space, jobs=1, cache=None):
+def _run(ctx, space, cache=None):
     strategy = RandomStrategy(budget=BUDGET, seed=3)
-    return explore(ctx.model, space, strategy, jobs=jobs, cache=cache)
+    return explore(ctx.model, space, strategy, cache=cache)
 
 
 @pytest.fixture(scope="module")
@@ -60,16 +60,6 @@ def serial_report(ctx, space):
 def test_dse_serial(benchmark, ctx, space, serial_report):
     report = benchmark.pedantic(_run, args=(ctx, space), rounds=1, iterations=1)
     assert report.ok and len(report.scores) == BUDGET
-
-
-def test_dse_parallel(benchmark, ctx, space, serial_report):
-    report = benchmark.pedantic(
-        _run, args=(ctx, space), kwargs={"jobs": 4}, rounds=1, iterations=1
-    )
-    assert report.ok and len(report.scores) == BUDGET
-    # parallelism must never change the answer
-    serial_keys = [s.key for s in serial_report.ranked()]
-    assert [s.key for s in report.ranked()] == serial_keys
 
 
 def test_dse_warm_cache(benchmark, ctx, space, serial_report, tmp_path, save_report):
@@ -87,12 +77,7 @@ def test_dse_warm_cache(benchmark, ctx, space, serial_report, tmp_path, save_rep
     assert warm.cache_hits == BUDGET and warm.evaluated == 0
     assert [s.key for s in warm.ranked()] == [s.key for s in serial_report.ranked()]
 
-    parallel = _run(ctx, space, jobs=4)
-    rows = [
-        ("serial (jobs 1)", serial_report),
-        ("parallel (jobs 4)", parallel),
-        ("warm cache", warm),
-    ]
+    rows = [("cold", serial_report), ("warm cache", warm)]
     header = f"{'mode':<20}{'cand/s':>10}{'elapsed s':>12}{'evaluated':>11}{'hits':>6}"
     lines = [f"space reed_solomon_tuned, {BUDGET} candidates per run", header,
              "-" * len(header)]

@@ -24,6 +24,7 @@ drawn from the bundled library (see ``--list-extensions``).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -395,6 +396,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         raise _die("--carbon takes a positive executions-per-second rate")
     if args.max_failures is not None and args.max_failures < 0:
         raise _die("--max-failures must be >= 0")
+    for flag, value in (("--top-k", args.top_k), ("--verify-top", args.verify_top)):
+        if value is not None and value < 1:
+            raise _die(f"{flag} must be >= 1")
     cache = ResultCache(args.cache) if args.cache else None
     progress = (lambda msg: print(f"  {msg}", file=sys.stderr)) if args.verbose else None
     reports = []
@@ -415,7 +419,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                 point_model,
                 space,
                 strategy,
-                jobs=args.jobs,
                 cache=cache,
                 objective=args.objective,
                 max_instructions=args.max_instructions,
@@ -591,6 +594,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from .obs import CacheEventObserver, EnergyTimelineObserver, HotSpotObserver
     from .tech import CalibrationError
 
+    if args.top is not None and args.top < 1:
+        raise _die("--top must be >= 1")
     model = EnergyMacroModel.load(args.model)
     if args.operating_point:
         try:
@@ -928,9 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="append a carbon/TCO overlay assuming RPS executions per second",
     )
     p.add_argument(
-        "-j", "--jobs", type=int, default=1, help="parallel evaluation processes"
-    )
-    p.add_argument(
         "--cache",
         metavar="DIR",
         help="content-addressed on-disk result cache directory",
@@ -1182,7 +1184,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader went away (``repro ... | head``).  Point stdout at
+        # devnull so the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

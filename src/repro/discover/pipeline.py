@@ -12,14 +12,15 @@ surviving candidate by energy-delay product against the unmodified
 program.
 
 The :class:`DiscoveryManifest` serializes the survivors (graphs +
-sites) so a later process — notably ``repro explore`` workers — can
-rebuild the rewritten design points without re-profiling.
+sites) so a later process — notably ``repro explore --discovered`` —
+can rebuild the rewritten design points without re-profiling.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Callable, Optional
 
@@ -447,9 +448,21 @@ def _prove_one(
     )
 
 
-# -- optional fork-pool parallelism (mirrors repro.dse.evaluate) -------------
+# -- optional fork-pool parallelism -----------------------------------------
 
 _WORKER_STATE: dict = {}
+
+
+def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
+    """The fork start method, or None where only spawn exists.
+
+    Spawned workers would have to pickle the chosen candidates and the
+    model, so on fork-less platforms proving degrades to serial instead
+    of failing.
+    """
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return None
 
 
 def _prove_worker_init(chosen, case, base_state, model, options) -> None:
@@ -476,8 +489,6 @@ def _prove_and_score(
     options: DiscoveryOptions,
     emit: ProgressFn,
 ) -> list["EvaluatedCandidate | CandidateFailure"]:
-    from ..dse.evaluate import _fork_context
-
     context = _fork_context() if options.jobs > 1 and len(chosen) > 1 else None
     if context is not None:
         executor = ProcessPoolExecutor(

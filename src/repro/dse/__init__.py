@@ -8,8 +8,8 @@ This package is that search engine:
 * :mod:`repro.dse.space` — declarative candidate spaces (knobs x builder)
   with deterministic enumeration and a registry of bundled spaces;
 * :mod:`repro.dse.evaluate` — the scoring engine: macro-model fast path,
-  ``multiprocessing`` parallelism, per-candidate failure isolation and a
-  content-addressed on-disk result cache;
+  batched simulation per semantic partition, per-candidate failure
+  isolation and a content-addressed on-disk result cache;
 * :mod:`repro.dse.strategies` — exhaustive / seeded-random / greedy
   hill-climb search behind one ``Strategy`` interface;
 * :mod:`repro.dse.pareto` — Pareto-frontier extraction and deterministic

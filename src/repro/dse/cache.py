@@ -72,7 +72,7 @@ class ResultCache:
 
     Concurrency-safe by construction: entries are immutable once written
     (same key ⇒ same content), writes are atomic, and corrupt reads are
-    misses — so any number of processes (DSE workers, the estimation
+    misses — so any number of processes (explorations, the estimation
     service's pool) may share one directory.  The hit/miss counters are
     guarded by a lock so in-process concurrent readers keep them exact.
     """

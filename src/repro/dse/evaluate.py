@@ -1,4 +1,4 @@
-"""Candidate scoring: the macro-model fast path, parallel and cached.
+"""Candidate scoring: the macro-model fast path, batched and cached.
 
 A candidate is scored on the paper's macro-model path (untraced
 instruction-set simulation, then a dot product; no RTL) plus a netlist
@@ -8,21 +8,18 @@ simulation each:
 * **shared builds** — the design point's extensions and program come
   from the compilation cache's ``build`` tier, built once per distinct
   ``(workload, impl)`` (see :mod:`repro.dse.space`);
-* **batched execution** — on the serial path, every pending candidate
-  goes to the estimation kernel
+* **batched execution** — every pending candidate goes to the
+  estimation kernel
   (:meth:`~repro.core.model.EnergyMacroModel.estimate_many`) in one
   call, which runs candidates sharing one program and one semantic
   partition through a single :func:`repro.xtcore.run_batch` pass.
 
-On top of that the engine layers three accelerations:
+On top of that the engine layers two accelerations:
 
 * a per-run **memo** — strategies that revisit design points (greedy
   walks) pay for each point once;
 * the content-addressed **on-disk cache** (:mod:`repro.dse.cache`) —
-  repeated or resumed explorations skip already-scored points entirely;
-* a ``multiprocessing`` **parallel executor** (``jobs > 1``) — uncached
-  candidates are scored by a pool of worker processes that rebuild the
-  design point from its picklable knob assignment.
+  repeated or resumed explorations skip already-scored points entirely.
 
 Failures are isolated per candidate into the same
 :class:`~repro.core.runner.SampleFailure` records the characterization
@@ -33,14 +30,12 @@ runner uses, with the same ``max_failures`` →
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Callable, Optional, Sequence
 
 from ..core.model import EnergyMacroModel, MacroEstimate
 from ..core.runner import SampleFailure, TooManyFailures
 from ..rtl import generate_netlist
-from ..xtcore import DEFAULT_MAX_INSTRUCTIONS, ProcessorConfig, compilation_cache
+from ..xtcore import DEFAULT_MAX_INSTRUCTIONS, ProcessorConfig
 from .cache import ResultCache, candidate_cache_key
 from .space import OPERATING_POINT_KNOB, Candidate, SearchSpace, assignment_key
 
@@ -169,22 +164,6 @@ def score_payload(
     }
 
 
-# -- worker-process plumbing -------------------------------------------------
-#
-# Workers receive the heavy shared state (model, space) once through the
-# pool initializer and per-candidate work as a small picklable assignment
-# dict.  Under the "fork" start method the initializer arguments are
-# inherited rather than pickled, so spaces with closure builders work.
-
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(model: EnergyMacroModel, space: SearchSpace, max_instructions: int) -> None:
-    _WORKER_STATE["model"] = model
-    _WORKER_STATE["space"] = space
-    _WORKER_STATE["max_instructions"] = max_instructions
-
-
 def _score_points(
     model: EnergyMacroModel,
     space: SearchSpace,
@@ -225,38 +204,6 @@ def _score_points(
     return records, estimates.passes
 
 
-def _score_point(
-    model: EnergyMacroModel,
-    space: SearchSpace,
-    assignment: dict,
-    max_instructions: int,
-    built: Optional[tuple] = None,
-) -> dict:
-    """Score one design point; never raises (failures become records)."""
-    return _score_points(model, space, [(assignment, built)], max_instructions)[0][0]
-
-
-def _worker_evaluate(assignment: dict) -> dict:
-    return _score_point(
-        _WORKER_STATE["model"],
-        _WORKER_STATE["space"],
-        assignment,
-        _WORKER_STATE["max_instructions"],
-    )
-
-
-def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
-    """The fork start method, or None where only spawn exists.
-
-    Spawned workers would have to pickle the space (whose builder is
-    typically a closure), so on fork-less platforms the engine degrades
-    to serial evaluation instead of failing.
-    """
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return None
-
-
 class EvaluationEngine:
     """Scores candidates of one space against one macro-model."""
 
@@ -264,19 +211,15 @@ class EvaluationEngine:
         self,
         model: EnergyMacroModel,
         space: SearchSpace,
-        jobs: int = 1,
         cache: Optional[ResultCache] = None,
         max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
         max_failures: Optional[int] = None,
         progress: Optional[Callable[[str], None]] = None,
     ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         if max_failures is not None and max_failures < 0:
             raise ValueError(f"max_failures must be >= 0, got {max_failures}")
         self.model = model
         self.space = space
-        self.jobs = jobs
         self.cache = cache
         self.max_instructions = max_instructions
         self.max_failures = max_failures
@@ -284,9 +227,6 @@ class EvaluationEngine:
         self.failures: list[SampleFailure] = []
         self.evaluated = 0  # candidates actually simulated this run
         self.memo_hits = 0
-        #: worker-pool breakages survived this run (each one degrades the
-        #: remaining candidates of the run to serial in-parent scoring)
-        self.pool_restarts = 0
         #: batched-execution accounting: groups of semantically compatible
         #: candidates scored through one run_batch pass, and how many
         #: member candidates those passes covered
@@ -359,31 +299,13 @@ class EvaluationEngine:
     # -- internals ---------------------------------------------------------
 
     def _run_pending(self, pending: list) -> list[dict]:
-        """Score the uncached candidates, in parallel when asked to."""
-        if not pending:
-            return []
-        context = _fork_context() if self.jobs > 1 and len(pending) > 1 else None
-        if context is None:
-            return self._run_serial(pending)
-        # Build and lower every pending design point in the parent before
-        # forking: workers inherit the populated compilation cache (build
-        # tier and lowerings) copy-on-write, so each distinct impl builds
-        # and each (program, config-content) pair compiles exactly once
-        # per exploration instead of once per worker.
-        for _, candidate, built in pending:
-            try:
-                config, program = built if built is not None else candidate.build()
-                compilation_cache().get_or_compile(config, program)
-            except Exception:  # noqa: BLE001 — the worker records the real failure
-                continue
-        return self._run_forked(context, pending)
-
-    def _run_serial(self, pending: list) -> list[dict]:
-        """In-parent scoring: every pending candidate in one kernel call.
+        """Score the uncached candidates in one kernel call.
 
         The kernel batches candidates that share a trajectory; the
         batched-execution counters tally the passes it reports.
         """
+        if not pending:
+            return []
         records, passes = _score_points(
             self.model,
             self.space,
@@ -394,73 +316,6 @@ class EvaluationEngine:
         self.batch_groups += len(batched)
         self.batch_members += sum(batched)
         return records
-
-    def _run_forked(self, context, pending: list) -> list[dict]:
-        """Parallel scoring that survives worker death.
-
-        Candidates go to a :class:`ProcessPoolExecutor` in bounded waves
-        (``jobs * 4``).  If a worker dies (``BrokenProcessPool`` — a
-        segfaulting candidate, an OOM kill), only the in-flight wave is
-        affected: its unfinished candidates become ``stage="pool"``
-        failures (the crasher cannot be told apart from innocents that
-        were in flight beside it), and every not-yet-submitted candidate
-        goes through :meth:`_run_serial` in the parent, so one bad design
-        point cannot sink an exploration.
-        """
-        assignments = [candidate.assignment_dict for _, candidate, _ in pending]
-        results: list[Optional[dict]] = [None] * len(pending)
-        wave_size = max(1, self.jobs * 4)
-        executor = ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(pending)),
-            mp_context=context,
-            initializer=_worker_init,
-            initargs=(self.model, self.space, self.max_instructions),
-        )
-        try:
-            for start in range(0, len(pending), wave_size):
-                wave = range(start, min(start + wave_size, len(pending)))
-                crash: Optional[BaseException] = None
-                futures = []
-                for i in wave:
-                    try:
-                        futures.append(executor.submit(_worker_evaluate, assignments[i]))
-                    except BrokenExecutor as exc:
-                        # A worker died while the wave was still being
-                        # submitted: the rest of it is scored serially.
-                        crash = exc
-                        break
-                for offset, future in zip(wave, futures):
-                    try:
-                        results[offset] = future.result()
-                    except BrokenExecutor as exc:
-                        crash = exc
-                        results[offset] = score_payload(
-                            SampleFailure(
-                                name=pending[offset][1].key,
-                                processor_name="",
-                                stage="pool",
-                                error_type=type(exc).__name__,
-                                message=(
-                                    "worker pool died while this candidate was "
-                                    f"in flight: {exc}"
-                                ),
-                                attempts=1,
-                            )
-                        )
-                if crash is not None:
-                    self.pool_restarts += 1
-                    self._emit(
-                        "worker pool died; scoring the remaining "
-                        f"{results.count(None)} candidate(s) serially"
-                    )
-                    break
-        finally:
-            executor.shutdown(wait=False)
-        remaining = [index for index, raw in enumerate(results) if raw is None]
-        scored = self._run_serial([pending[index] for index in remaining])
-        for index, raw in zip(remaining, scored):
-            results[index] = raw
-        return results
 
     def _try_cache(self, candidate: Candidate):
         """A cached score, a built (config, program) pair, or None."""

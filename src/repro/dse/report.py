@@ -42,13 +42,10 @@ class ExplorationReport:
     scores: list[CandidateScore]
     failures: list[SampleFailure]
     pareto: list[CandidateScore]
-    jobs: int
     elapsed_seconds: float
     evaluated: int  # candidates actually simulated (cache/memo hits excluded)
     cache_hits: int = 0
     cache_misses: int = 0
-    #: worker-pool breakages the run survived (0 = clean run)
-    pool_restarts: int = 0
     #: content digest of the model the run scored against (self-describing
     #: artifacts: re-running with a different model is visibly different)
     model_digest: str = ""
@@ -82,17 +79,11 @@ class ExplorationReport:
         lines = [
             f"space {self.space_name}: scored {len(self.scores)}/{self.space_size} "
             f"design points via {self.strategy} "
-            f"({self.elapsed_seconds:.2f}s, {self.candidates_per_second:.1f} cand/s, "
-            f"jobs {self.jobs})"
+            f"({self.elapsed_seconds:.2f}s, {self.candidates_per_second:.1f} cand/s)"
         ]
         if self.cache_hits or self.cache_misses:
             lines.append(
                 f"result cache: {self.cache_hits} hit(s), {self.cache_misses} miss(es)"
-            )
-        if self.pool_restarts:
-            lines.append(
-                f"worker pool died {self.pool_restarts} time(s); "
-                "run completed with serial fallback"
             )
         if self.model_digest or self.operating_point:
             lines.append(
@@ -142,12 +133,10 @@ class ExplorationReport:
             "objective": self.objective,
             "model_digest": self.model_digest,
             "operating_point": self.operating_point,
-            "jobs": self.jobs,
             "elapsed_seconds": self.elapsed_seconds,
             "evaluated": self.evaluated,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "pool_restarts": self.pool_restarts,
             "scores": [score.to_payload() for score in self.ranked()],
             "pareto": [score.key for score in self.pareto],
             "failures": [failure.to_payload() for failure in self.failures],
@@ -203,7 +192,7 @@ def explore(
     model: EnergyMacroModel,
     space: SearchSpace,
     strategy: Strategy,
-    jobs: int = 1,
+    jobs: int = 1,  # perfbench's explore_one still passes jobs=1
     cache: Optional[ResultCache] = None,
     objective: str = "edp",
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
@@ -211,6 +200,8 @@ def explore(
     progress: Optional[Callable[[str], None]] = None,
 ) -> ExplorationReport:
     """Run one exploration end to end and package the report."""
+    if jobs != 1:
+        raise ValueError(f"explore scores serially; jobs must be 1, got {jobs}")
     if objective in ("time", "edp_seconds"):
         # fail before any simulation: real-time objectives need a clock,
         # from the model's operating point or an operating_point knob
@@ -226,7 +217,6 @@ def explore(
     engine = EvaluationEngine(
         model,
         space,
-        jobs=jobs,
         cache=cache,
         max_instructions=max_instructions,
         max_failures=max_failures,
@@ -243,12 +233,10 @@ def explore(
         scores=scores,
         failures=list(engine.failures),
         pareto=pareto_frontier(scores),
-        jobs=jobs,
         elapsed_seconds=elapsed,
         evaluated=engine.evaluated,
         cache_hits=engine.cache_hits,
         cache_misses=engine.cache_misses,
-        pool_restarts=engine.pool_restarts,
         model_digest=_model_digest(model),
         operating_point=(
             model.operating_point.key if model.operating_point is not None else None

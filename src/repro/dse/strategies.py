@@ -1,7 +1,7 @@
 """Search strategies over a :class:`~repro.dse.space.SearchSpace`.
 
 All strategies speak one interface — ``explore(space, evaluate)`` where
-``evaluate`` scores a *batch* of candidates (the engine parallelizes and
+``evaluate`` scores a *batch* of candidates (the engine batches and
 caches inside it) — and are deterministic for a fixed seed:
 
 =============  ============================================================
@@ -74,11 +74,11 @@ class GreedyStrategy(Strategy):
     """Hill-climb over single-knob moves from a seeded random start.
 
     Each step scores every unvisited single-knob neighbor of the current
-    point as one batch (so ``--jobs`` parallelism applies) and moves to
-    the strictly best neighbor under ``objective``; the walk stops at a
-    local optimum or after ``max_steps`` moves.  ``restarts`` independent
-    walks share one evaluation memo through the engine, making repeat
-    visits free.
+    point as one batch (so the engine can share their simulations) and
+    moves to the strictly best neighbor under ``objective``; the walk
+    stops at a local optimum or after ``max_steps`` moves.  ``restarts``
+    independent walks share one evaluation memo through the engine,
+    making repeat visits free.
     """
 
     name = "greedy"

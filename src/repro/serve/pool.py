@@ -269,7 +269,6 @@ def run_explore(item: dict) -> dict:
             model,
             space,
             strategy,
-            jobs=1,  # the service pool is the parallelism; keep workers serial
             cache=cache,
             objective=item.get("objective", "edp"),
             max_instructions=int(item["max_instructions"]),

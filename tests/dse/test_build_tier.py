@@ -5,13 +5,9 @@ point's extensions nor its program, so an exploration builds each
 distinct ``impl`` once and shares the pieces across its candidates.
 """
 
-import multiprocessing
-
-import pytest
-
 from repro.dse import RandomStrategy, explore, get_space, with_operating_points
 from repro.dse import space as space_module
-from repro.dse.evaluate import _score_point
+from repro.dse.evaluate import _score_points
 from repro.xtcore import DEFAULT_MAX_INSTRUCTIONS, compilation_cache
 
 
@@ -23,9 +19,9 @@ def _bits(scores):
     return [(s.key, s.energy.hex(), s.cycles, s.area.hex()) for s in scores]
 
 
-def _cold_explore(model, space, budget, seed, jobs=1):
+def _cold_explore(model, space, budget, seed):
     compilation_cache().clear()
-    return explore(model, space, RandomStrategy(budget, seed=seed), jobs=jobs)
+    return explore(model, space, RandomStrategy(budget, seed=seed))
 
 
 def test_cold_explore_builds_each_impl_once(synthetic_model):
@@ -106,21 +102,10 @@ def test_scores_match_per_candidate_cold_builds(synthetic_model):
     for score in report.scores:
         compilation_cache().clear()
         built = space.build(score.assignment)
-        raw = _score_point(
-            synthetic_model, space, score.assignment, DEFAULT_MAX_INSTRUCTIONS, built=built
-        )
+        raw = _score_points(
+            synthetic_model, space, [(score.assignment, built)], DEFAULT_MAX_INSTRUCTIONS
+        )[0][0]
         assert raw["ok"], raw
         reference.append((raw["key"], raw["energy"].hex(), raw["cycles"], raw["area"].hex()))
     assert _bits(report.scores) == reference
 
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the parallel executor needs the fork start method",
-)
-def test_forked_workers_rank_like_serial(synthetic_model):
-    space = _dvfs_space()
-    serial = _cold_explore(synthetic_model, space, budget=16, seed=7, jobs=1)
-    forked = _cold_explore(synthetic_model, space, budget=16, seed=7, jobs=2)
-    assert not serial.failures and not forked.failures
-    assert _bits(forked.ranked()) == _bits(serial.ranked())

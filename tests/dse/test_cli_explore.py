@@ -124,6 +124,21 @@ class TestExploreErrors:
         assert excinfo.value.code == 2
         assert "--max-failures must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--top-k", "-2"), ("--top-k", "0"), ("--verify-top", "-1"), ("--verify-top", "0")],
+    )
+    def test_non_positive_top_flags_rejected(self, model_file, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", model_file, "--space", "fir", flag, value])
+        assert excinfo.value.code == 2
+        assert f"repro: error: {flag} must be >= 1" in capsys.readouterr().err
+
+    def test_jobs_flag_is_gone(self, model_file):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", model_file, "--space", "fir", "-j", "2"])
+        assert excinfo.value.code == 2
+
 
 class TestExploreOperatingPoints:
     def test_scenario_matrix_sections(self, model_file, capsys):

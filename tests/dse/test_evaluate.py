@@ -1,7 +1,4 @@
-"""Evaluation engine: scoring, memo, disk cache, parallelism, failures."""
-
-import multiprocessing
-import os
+"""Evaluation engine: scoring, memo, disk cache, failures."""
 
 import pytest
 
@@ -65,9 +62,11 @@ class TestScoring:
         clone = CandidateScore.from_payload(score.to_payload())
         assert clone.key == score.key and clone.edp == score.edp
 
-    def test_rejects_bad_jobs(self, synthetic_model, toy_space):
-        with pytest.raises(ValueError):
-            EvaluationEngine(synthetic_model, toy_space, jobs=0)
+    def test_explore_accepts_only_serial_jobs(self, synthetic_model, toy_space):
+        from repro.dse import ExhaustiveStrategy, explore
+
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            explore(synthetic_model, toy_space, ExhaustiveStrategy(), jobs=2)
 
 
 class TestMemo:
@@ -121,111 +120,6 @@ class TestDiskCache:
         )
         engine.evaluate([toy_space.candidate_at(0)])
         assert engine.cache_hits == 0 and engine.cache_misses == 1
-
-
-class TestParallel:
-    def test_parallel_matches_serial(self, synthetic_model, toy_space):
-        candidates = list(toy_space.candidates())
-        serial = EvaluationEngine(synthetic_model, toy_space, jobs=1).evaluate(
-            candidates
-        )
-        parallel = EvaluationEngine(synthetic_model, toy_space, jobs=2).evaluate(
-            candidates
-        )
-        assert [(s.key, s.energy, s.cycles) for s in parallel] == [
-            (s.key, s.energy, s.cycles) for s in serial
-        ]
-
-    def test_parallel_with_cache(self, synthetic_model, toy_space, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        engine = EvaluationEngine(
-            synthetic_model, toy_space, jobs=2, cache=ResultCache(cache_dir)
-        )
-        engine.evaluate(list(toy_space.candidates()))
-        warm = EvaluationEngine(
-            synthetic_model, toy_space, jobs=2, cache=ResultCache(cache_dir)
-        )
-        warm.evaluate(list(toy_space.candidates()))
-        assert warm.cache_hits == toy_space.size and warm.evaluated == 0
-
-
-#: pid of the process that imported this module (the pytest parent).
-#: Fork-pool workers inherit the module but have their own pid, so
-#: :func:`_crashing_builder` can die only inside a worker and stay
-#: harmless in the parent's prewarm/serial paths.
-_PARENT_PID = os.getpid()
-
-POISON_N = 3  # distinct from the toy loop lengths so keys never collide
-
-
-def _crashing_builder(assignment):
-    if assignment["n"] == POISON_N and os.getpid() != _PARENT_PID:
-        os._exit(13)  # simulate a segfaulting candidate killing its worker
-    return build_toy_point(assignment)
-
-
-def _crashing_space(values):
-    return SearchSpace(
-        name="crashy",
-        description="one design point kills any worker that scores it",
-        knobs=(Knob("n", tuple(values)),),
-        builder=_crashing_builder,
-    )
-
-
-@pytest.mark.faults
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="worker crashes need the fork pool (spawn-only platform runs serial)",
-)
-class TestPoolBreakage:
-    def test_run_survives_a_worker_death(self, synthetic_model):
-        # 12 candidates, poison first: wave 0 (jobs*4 = 8) breaks the
-        # pool, waves after it must be scored serially in the parent.
-        values = [POISON_N] + list(range(4, 15))
-        space = _crashing_space(values)
-        engine = EvaluationEngine(synthetic_model, space, jobs=2)
-        candidates = list(space.candidates())
-        scores = engine.evaluate(candidates)
-
-        # exactly-once accounting: every candidate is a score or a failure
-        assert len(scores) + len(engine.failures) == len(candidates)
-        assert engine.pool_restarts == 1
-
-        pool_failures = [f for f in engine.failures if f.stage == "pool"]
-        assert pool_failures, "the in-flight wave must surface pool failures"
-        assert all(f.stage == "pool" for f in engine.failures)
-        assert f"n={POISON_N}" in {f.name for f in pool_failures}
-        for failure in pool_failures:
-            assert "worker pool died" in failure.message
-
-        # the candidates the pool never saw were scored by the serial
-        # fallback — the tail of the space always lands after the break
-        scored_keys = {score.key for score in scores}
-        for candidate in candidates[8:]:
-            assert candidate.key in scored_keys
-
-    def test_pool_failures_respect_max_failures(self, synthetic_model):
-        space = _crashing_space([POISON_N, 2, 4])
-        engine = EvaluationEngine(synthetic_model, space, jobs=2, max_failures=0)
-        with pytest.raises(TooManyFailures):
-            engine.evaluate(list(space.candidates()))
-
-    def test_explore_reports_pool_restarts(self, synthetic_model):
-        from repro.dse import ExhaustiveStrategy, explore
-
-        space = _crashing_space([POISON_N, 2, 4])
-        report = explore(synthetic_model, space, ExhaustiveStrategy(), jobs=2)
-        assert report.pool_restarts == 1
-        assert report.to_payload()["pool_restarts"] == 1
-        assert "worker pool died 1 time(s)" in report.table()
-
-    def test_healthy_parallel_run_reports_zero_restarts(
-        self, synthetic_model, toy_space
-    ):
-        engine = EvaluationEngine(synthetic_model, toy_space, jobs=2)
-        engine.evaluate(list(toy_space.candidates()))
-        assert engine.pool_restarts == 0
 
 
 class TestFailureIsolation:

@@ -1,4 +1,9 @@
-"""CLI tests (direct main() invocation; no subprocess needed)."""
+"""CLI tests (direct main() invocation; one subprocess for a closed stdout)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +219,13 @@ class TestEstimateAndProfile:
             main(["profile", model_file, demo_file, "--timeline", "0"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_profile_rejects_non_positive_top(self, model_file, demo_file, capsys, top):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", model_file, demo_file, "--top", top])
+        assert excinfo.value.code == 2
+        assert "repro: error: --top must be >= 1" in capsys.readouterr().err
+
 
 class TestInputErrorHygiene:
     def test_missing_program_file_is_clean_exit(self, capsys):
@@ -278,6 +290,27 @@ class TestInputErrorHygiene:
         assert str(bad) in err
         assert message in err
         assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_without_traceback():
+    # The read end closes before the child starts, so every write fails.
+    src = Path(__file__).resolve().parents[1] / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "list-extensions"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
 
 
 class TestCharacterizeFlagValidation:

@@ -175,7 +175,6 @@ def run_chaos_loadtest(
             batch_max=4,
             request_timeout=3.0,
             quarantine_after=2,
-            breaker_failures=64,  # the pool path must stay live all run
             chaos=plan,
         )
     )

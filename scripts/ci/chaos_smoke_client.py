@@ -10,7 +10,7 @@ program name ``ci_poison``) and asserts, via real HTTP answers and
 * the poisoned program is isolated and quarantined: a typed
   ``stage="quarantine"`` 500, and repeats are rejected without dispatch;
 * the pool restart and quarantine counters account for every fault;
-* the service stays ``ok`` (breaker closed) for everyone else.
+* the service stays ``ok`` for everyone else.
 
     python scripts/ci/chaos_smoke_client.py PORT PLANNED_CRASHES
 """
@@ -109,10 +109,9 @@ def main(argv: list[str]) -> int:
     assert "ci_poison" in quarantine["keys"].values(), quarantine
     assert counters["quarantine_rejections_total"] >= 1, counters
 
-    # the breaker never opened: crashes were isolated faults, not an outage
+    # crashes were isolated faults, not an outage
     status, health = request(port, "GET", "/healthz")
     assert status == 200 and health["status"] == "ok", (status, health)
-    assert supervision["breaker"]["state"] == "closed", supervision["breaker"]
 
     print(
         f"chaos smoke: {counters['worker_crashes_total']} worker crash(es) "

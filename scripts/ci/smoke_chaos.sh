@@ -42,7 +42,7 @@ trap cleanup EXIT
 python "$SCRIPT_DIR/make_smoke_model.py" "$WORK/smoke-model.json"
 
 python -m repro serve "$WORK/smoke-model.json" --port 0 --workers 2 \
-    --chaos "$CHAOS_SPEC" --quarantine-after 3 --breaker-failures 16 \
+    --chaos "$CHAOS_SPEC" --quarantine-after 3 \
     > "$WORK/serve.log" 2>&1 &
 SERVER_PID=$!
 

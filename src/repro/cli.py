@@ -676,10 +676,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise _die("--max-attempts must be >= 1")
     if args.quarantine_after < 1:
         raise _die("--quarantine-after must be >= 1")
-    if args.breaker_failures < 1:
-        raise _die("--breaker-failures must be >= 1")
-    if args.breaker_cooldown <= 0:
-        raise _die("--breaker-cooldown must be positive")
     if args.drain_grace < 0:
         raise _die("--drain-grace must be >= 0")
     chaos = None
@@ -708,8 +704,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             request_timeout=args.timeout,
             prewarm=prewarm,
             quarantine_after=args.quarantine_after,
-            breaker_failures=args.breaker_failures,
-            breaker_cooldown=args.breaker_cooldown,
             drain_grace=args.drain_grace,
             chaos=chaos,
         )
@@ -1123,22 +1117,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="singleton pool crashes before a request key is quarantined "
         "(default 2)",
-    )
-    p.add_argument(
-        "--breaker-failures",
-        type=int,
-        default=5,
-        metavar="N",
-        help="consecutive pool crashes that trip the circuit breaker into "
-        "degraded inline serving (default 5)",
-    )
-    p.add_argument(
-        "--breaker-cooldown",
-        type=float,
-        default=30.0,
-        metavar="S",
-        help="seconds an open breaker waits before probing the pool again "
-        "(default 30)",
     )
     p.add_argument(
         "--drain-grace",

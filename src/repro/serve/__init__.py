@@ -27,7 +27,6 @@ from .metrics import LatencyWindow, ServiceMetrics, render_prometheus
 from .pool import WorkerPool, run_estimate_batch, run_explore
 from .server import EstimationServer, EstimationService, run_server
 from .supervise import (
-    CircuitBreaker,
     InjectedWorkerCrash,
     QuarantineRegistry,
     deadline_at,
@@ -38,7 +37,6 @@ from .supervise import (
 __all__ = [
     "ApiError",
     "BatchQueue",
-    "CircuitBreaker",
     "Coalescer",
     "DrainRateEstimator",
     "EstimateRequest",

@@ -86,8 +86,6 @@ class ServiceMetrics:
         "quarantined_total",
         "quarantine_rejections_total",
         "deadline_shed_total",
-        "breaker_trips_total",
-        "degraded_batches_total",
         "drain_rejected_total",
         "chaos_injected_total",
     )
@@ -264,11 +262,6 @@ def render_prometheus(payload: dict) -> str:
             emit("admission_explore_drain_rate", explore_drain["rate_per_s"])
     supervision = payload.get("supervision")
     if supervision:
-        from .supervise import BREAKER_STATE_CODES
-
-        breaker = supervision.get("breaker", {})
-        if "state" in breaker:
-            emit("breaker_state", BREAKER_STATE_CODES.get(breaker["state"], -1))
         quarantine = supervision.get("quarantine", {})
         if "held" in quarantine:
             emit("quarantine_held", quarantine["held"])

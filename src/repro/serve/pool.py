@@ -12,9 +12,12 @@ worker processes.  Fork matters twice:
   programs live in the compilation cache's bounded ``build`` tier, so
   they are built once per worker, never per request.
 
-Where fork is unavailable (or ``workers=0`` is requested) the pool
-degrades to an in-process thread executor — same interface, same worker
-functions, no pickling — which is also what the unit tests run.
+Where fork is unavailable (or ``workers=0`` is requested) the pool is
+an in-process thread executor instead — same interface, same worker
+functions, no pickling — which is also what the unit tests run.  That is
+a deployment choice made at start-up, never a fallback: a fork pool that
+crashes is respawned by :meth:`WorkerPool.restart`, and the frontend
+process never scores a batch itself.
 
 Worker functions receive *batches*: a list of small picklable item
 dicts sharing one processor configuration.  A batch is scored by one
@@ -321,7 +324,6 @@ class WorkerPool:
         self.generation = 0
         #: pool respawns performed over the service lifetime
         self.restarts = 0
-        self._fallback: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._executor = self._make_executor()
 
     def _make_executor(self) -> concurrent.futures.Executor:
@@ -344,7 +346,6 @@ class WorkerPool:
         inherit the populated :func:`~repro.xtcore.compilation_cache`
         copy-on-write, so no worker ever compiles a prewarmed program.
         """
-        _worker_init(self.model)  # the degraded path scores in the parent
         names = list(prewarm)
         if names == ["suite"]:
             names = sorted(benchmark_cases())
@@ -393,27 +394,9 @@ class WorkerPool:
     ) -> "concurrent.futures.Future[dict]":
         return self._executor.submit(run_estimate_batch, list(items))
 
-    def submit_inline_batch(
-        self, items: Sequence[dict]
-    ) -> "concurrent.futures.Future[dict]":
-        """Run a batch in-process, bypassing the (possibly broken) pool.
-
-        This is the circuit breaker's degraded path: the parent already
-        holds the model (installed during prewarm), so the
-        batch runs on a lazily-created single-thread executor exactly
-        like ``--workers 0`` mode would.
-        """
-        if self._fallback is None:
-            self._fallback = concurrent.futures.ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-serve-degraded"
-            )
-        return self._fallback.submit(run_estimate_batch, list(items))
-
     def submit_explore(self, item: dict) -> "concurrent.futures.Future[dict]":
         return self._executor.submit(run_explore, dict(item))
 
     def shutdown(self) -> None:
         # don't block on stragglers: timed-out jobs may still be running
         self._executor.shutdown(wait=False, cancel_futures=True)
-        if self._fallback is not None:
-            self._fallback.shutdown(wait=False, cancel_futures=True)

@@ -12,7 +12,7 @@
 ========================  ===================================================
 ``POST /estimate``        macro-model energy of one program (coalesced+batched)
 ``POST /explore``         one DSE run over a bundled space (pool-dispatched)
-``GET  /healthz``         liveness + queue/pool posture + breaker state
+``GET  /healthz``         liveness + queue/pool posture + quarantine count
 ``GET  /metrics``         counters, p50/p95 latency, cache rates (JSON or prom)
 ========================  ===================================================
 
@@ -29,7 +29,9 @@ timeouts reuse the characterization :class:`~repro.core.runner.RetryPolicy`
 budget, and a batch that exhausts its attempts resolves every waiter
 with a :class:`~repro.core.runner.SampleFailure`-shaped ``504``.
 
-The service is **self-healing** (see :mod:`repro.serve.supervise`):
+The service is **self-healing** (see :mod:`repro.serve.supervise`).  A
+pool crash, however often it repeats, always climbs one ladder —
+respawn, bisect, quarantine:
 
 * a worker crash (``BrokenProcessPool``) respawns the pool — prewarmed
   lowerings are re-inherited copy-on-write — and re-dispatches the
@@ -40,14 +42,12 @@ The service is **self-healing** (see :mod:`repro.serve.supervise`):
   while the rest of the traffic keeps flowing;
 * a timed-out fork-mode batch is treated as a *hung worker*: the pool
   is respawned (killing the wedged child) before the retry;
-* repeated pool crashes trip a :class:`~repro.serve.supervise.CircuitBreaker`
-  that degrades to inline single-threaded evaluation and flips
-  ``/healthz`` to ``degraded`` until a cooldown probe succeeds;
 * client ``deadline_ms`` propagates through the queue into the worker,
   shedding expired requests with ``504`` before they pay for simulation
   (at harvest, after waiting behind busy workers, and again worker-side);
 * SIGTERM drains: in-flight batches complete, new work is refused with
-  ``503``, then the process exits 0.
+  ``503``, idle keep-alive connections are closed, and the process exits
+  0; the whole shutdown waits at most one ``drain_grace``.
 
 :class:`EstimationServer` is the thin asyncio TCP transport around the
 service; :func:`run_server` adds signal-driven graceful shutdown for the
@@ -85,7 +85,6 @@ from .pool import WorkerPool, resolve_workload
 from .supervise import (
     CHAOS_KEY,
     DEADLINE_KEY,
-    CircuitBreaker,
     QuarantineRegistry,
     deadline_at,
     is_pool_crash,
@@ -125,8 +124,6 @@ class EstimationService:
         explore_timeout: float = 600.0,
         prewarm: Sequence[str] = (),
         quarantine_after: int = 2,
-        breaker_failures: int = 5,
-        breaker_cooldown: float = 30.0,
         drain_grace: float = 10.0,
         chaos=None,
     ) -> None:
@@ -156,17 +153,14 @@ class EstimationService:
         self.failures: deque[SampleFailure] = deque(maxlen=64)
         #: crash accounting + poisoned-request isolation
         self.quarantine = QuarantineRegistry(threshold=quarantine_after)
-        #: repeated pool crashes → degraded inline evaluation
-        self.breaker = CircuitBreaker(
-            failure_threshold=breaker_failures, cooldown=breaker_cooldown
-        )
         #: optional deterministic fault injection (ServiceChaosPlan)
         self.chaos = chaos
         self.drain_grace = drain_grace
         self._dispatcher: Optional[asyncio.Task] = None
         self._batch_tasks: set[asyncio.Task] = set()
         self._active_explores = 0
-        self._draining = False
+        #: when the drain grace runs out; None until draining begins
+        self._drain_deadline: Optional[float] = None
         self._pool_lock = asyncio.Lock()
         # crash recovery owns the pool exclusively (see _handle_pool_crash):
         # fresh batches pass through _recovery_lock before they submit, and
@@ -185,21 +179,30 @@ class EstimationService:
                 self._dispatch_loop(), name="repro-serve-dispatcher"
             )
 
-    def begin_drain(self) -> None:
+    def begin_drain(self) -> float:
         """Flip into draining: new work is refused with 503, in-flight
-        requests keep going to completion."""
-        self._draining = True
+        requests keep going to completion.
+
+        The first call starts the one ``drain_grace`` period; returns the
+        instant it runs out.
+        """
+        if self._drain_deadline is None:
+            self._drain_deadline = time.monotonic() + self.drain_grace
+        return self._drain_deadline
 
     async def drain(self, grace: Optional[float] = None) -> bool:
-        """Wait (up to ``grace`` seconds) for in-flight work to complete.
+        """Wait for in-flight work to complete.
 
-        Returns True when the service fully drained — empty queue, no
-        running batches, no active explorations — within the grace
-        period.  Idle services return immediately.
+        The wait ends when the drain grace started by :meth:`begin_drain`
+        runs out, so repeated drains share one grace period; an explicit
+        ``grace`` waits that many seconds from now instead.  Returns True
+        when the service fully drained — empty queue, no running batches,
+        no active explorations — in time.  Idle services return
+        immediately.
         """
-        self.begin_drain()
-        grace = self.drain_grace if grace is None else grace
-        deadline = time.monotonic() + grace
+        deadline = self.begin_drain()
+        if grace is not None:
+            deadline = time.monotonic() + grace
         while (
             self.queue.qsize() > 0
             or self._batch_tasks
@@ -210,9 +213,13 @@ class EstimationService:
             await asyncio.sleep(0.02)
         return True
 
-    async def stop(self) -> None:
-        """Drain within the grace period, then halt the dispatch machinery."""
-        await self.drain()
+    async def stop(self) -> bool:
+        """Drain within the grace period, then halt the dispatch machinery.
+
+        Returns whether the drain completed; if not, the work still in
+        flight was abandoned.
+        """
+        drained = await self.drain()
         if self._dispatcher is not None:
             self._dispatcher.cancel()
             with contextlib.suppress(asyncio.CancelledError):
@@ -223,6 +230,7 @@ class EstimationService:
             with contextlib.suppress(asyncio.CancelledError):
                 await task
         self.pool.shutdown()
+        return drained
 
     # -- HTTP dispatch -----------------------------------------------------
 
@@ -294,7 +302,7 @@ class EstimationService:
         )
 
     def _refuse_if_draining(self) -> None:
-        if self._draining:
+        if self._drain_deadline is not None:
             self.metrics.incr("drain_rejected_total")
             raise ApiError(
                 503,
@@ -306,23 +314,11 @@ class EstimationService:
     # -- introspection endpoints -------------------------------------------
 
     def health_status(self) -> tuple[str, list[str]]:
-        """The /healthz state machine: ok → degraded → draining, with reasons.
-
-        ``draining`` wins (shutdown in progress), then ``degraded``
-        (breaker open or probing half-open: requests are served inline,
-        slower), else ``ok``.
-        """
+        """The /healthz status, ``ok`` or ``draining``, with its reasons."""
         reasons: list[str] = []
-        if self._draining:
+        if self._drain_deadline is not None:
             reasons.append("shutdown in progress; new work refused with 503")
             return "draining", reasons
-        breaker_state = self.breaker.state
-        if breaker_state != "closed":
-            reasons.append(
-                f"circuit breaker {breaker_state}: repeated pool crashes; "
-                "serving inline (degraded) until a probe batch succeeds"
-            )
-            return "degraded", reasons
         if self.quarantine.quarantined_count:
             reasons.append(
                 f"{self.quarantine.quarantined_count} poisoned request key(s) "
@@ -332,7 +328,6 @@ class EstimationService:
 
     def supervision_payload(self) -> dict:
         return {
-            "breaker": self.breaker.snapshot(),
             "quarantine": self.quarantine.snapshot(),
             "pool": {
                 "mode": self.pool.mode,
@@ -363,7 +358,6 @@ class EstimationService:
                 "restarts": self.pool.restarts,
                 "generation": self.pool.generation,
             },
-            "breaker": self.breaker.snapshot(),
             "quarantine": {
                 "held": self.quarantine.quarantined_count,
                 "total": self.quarantine.total_quarantined,
@@ -633,7 +627,7 @@ class EstimationService:
         """Run a harvest's groups one after another on its one slot.
 
         The slot is released however the batches end — answered, shed,
-        degraded, timed out or crashed — so the next harvest can go.
+        timed out or crashed — so the next harvest can go.
         """
         try:
             for group in partition_compatible(jobs):
@@ -669,8 +663,7 @@ class EstimationService:
         """Run one batch to full resolution, surviving pool death.
 
         The recovery ladder: shed unservable jobs (expired deadline,
-        quarantined key) → degraded inline path while the breaker is
-        open → normal pool dispatch with timeout/retry → on a pool
+        quarantined key) → pool dispatch with timeout/retry → on a pool
         crash, respawn and either retry (singleton), bisect (multi-job,
         to isolate a poisoned request) or quarantine (singleton that
         keeps crashing the pool).  ``recovering`` marks a re-run that
@@ -679,9 +672,6 @@ class EstimationService:
         jobs = self._shed_unservable(jobs)
         if not jobs:
             return
-        if not self.breaker.allows_pool():
-            await self._run_degraded(jobs)
-            return
         try:
             outcome, attempts = await self._dispatch_with_retry(jobs, recovering)
         except _PoolCrash as crash:
@@ -689,7 +679,6 @@ class EstimationService:
             return
         if outcome is None:
             return  # timeout budget exhausted; waiters already failed
-        self.breaker.record_success()
         self._resolve_batch(jobs, outcome, attempts)
 
     async def _dispatch_with_retry(self, jobs: list[Job], recovering: bool):
@@ -818,8 +807,6 @@ class EstimationService:
         clears.
         """
         self.metrics.incr("worker_crashes_total")
-        if self.breaker.record_failure():
-            self.metrics.incr("breaker_trips_total")
         await self._respawn_pool(crash.generation)
         if recovering:
             await self._isolate_crash(jobs, crash)
@@ -829,9 +816,6 @@ class EstimationService:
             await self._isolate_crash(jobs, crash)
 
     async def _isolate_crash(self, jobs: list[Job], crash: "_PoolCrash") -> None:
-        if not self.breaker.allows_pool():
-            await self._run_degraded(jobs)
-            return
         if len(jobs) == 1:
             job = jobs[0]
             name = job.item.get("benchmark") or job.item.get("name", "?")
@@ -863,46 +847,6 @@ class EstimationService:
             if self.pool.generation == generation:
                 self.metrics.incr("pool_restarts_total")
                 await asyncio.to_thread(self.pool.restart)
-
-    async def _run_degraded(self, jobs: list[Job]) -> None:
-        """Breaker-open path: evaluate inline, chaos-free, single-threaded."""
-        self.metrics.incr("degraded_batches_total")
-        items = []
-        for job in jobs:
-            item = dict(job.item)
-            item.pop(CHAOS_KEY, None)  # the degraded path never injects
-            if job.deadline is not None:
-                item[DEADLINE_KEY] = job.deadline
-            items.append(item)
-        future = self.pool.submit_inline_batch(items)
-        try:
-            outcome = await asyncio.wait_for(
-                asyncio.wrap_future(future), self.request_timeout
-            )
-        except asyncio.TimeoutError:
-            future.cancel()
-            self.metrics.incr("timeouts_total")
-            self._fail_batch(
-                jobs,
-                stage="timeout",
-                error_type="TimeoutError",
-                message=(
-                    f"degraded inline batch of {len(jobs)} timed out after "
-                    f"{self.request_timeout}s"
-                ),
-                attempts=1,
-            )
-            return
-        except Exception as exc:  # noqa: BLE001 — inline failures fail the batch
-            self._fail_batch(
-                jobs,
-                stage="degraded",
-                error_type=type(exc).__name__,
-                message=str(exc),
-                attempts=1,
-            )
-            return
-        self._resolve_batch(jobs, outcome, attempts=1)
 
     def _stamp_chaos(self, jobs: list[Job], items: list[dict]) -> Optional[str]:
         """Attach the chaos plan's directives to one dispatch's items.
@@ -1052,6 +996,10 @@ class EstimationServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        #: connection handler task -> its writer while it waits for a
+        #: request, None while it serves one
+        self._connections: dict[asyncio.Task, Optional[asyncio.StreamWriter]] = {}
+        self._stopping = False
 
     async def start(self) -> None:
         await self.service.start()
@@ -1061,11 +1009,28 @@ class EstimationServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
+        """Stop listening and shut down without stranding a connection.
+
+        Connections waiting for their next request are closed at once.
+        One serving a request is closed after its response is written,
+        or — when the drain grace runs out first and the request is
+        abandoned — when the service halts.
+        """
+        self._stopping = True
         if self._server is not None:
             self._server.close()
+        for writer in list(self._connections.values()):
+            if writer is not None:
+                writer.close()  # its handler reads EOF and ends
+        drained = await self.service.stop()
+        handlers = list(self._connections)
+        if not drained:
+            for task in handlers:
+                task.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        await self.service.stop()
 
     @property
     def address(self) -> str:
@@ -1074,8 +1039,11 @@ class EstimationServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None  # start_server runs each handler as a task
         try:
-            while True:
+            while not self._stopping:
+                self._connections[task] = writer
                 try:
                     request = await read_request(reader)
                 except HttpProtocolError as exc:
@@ -1090,6 +1058,7 @@ class EstimationServer:
                     break
                 if request is None:
                     break
+                self._connections[task] = None
                 response = await self.service.dispatch_http(request)
                 chaos = self.service.chaos
                 if chaos is not None and chaos.take_connection_reset():
@@ -1108,6 +1077,7 @@ class EstimationServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            self._connections.pop(task, None)
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()

@@ -1,8 +1,8 @@
-"""Self-healing primitives for the serving and parallel-evaluation stack.
+"""Self-healing primitives for the estimation service.
 
 A forked worker dying is not an exception at scale — it is the steady
-state.  This module holds the small, reusable pieces the service composes
-into a recovery story:
+state.  This module holds the small pieces the service composes into its
+one recovery ladder for a pool crash — respawn, bisect, quarantine:
 
 * :func:`is_pool_crash` — one predicate for "the executor is gone"
   covering real :class:`concurrent.futures.BrokenExecutor` process
@@ -13,11 +13,6 @@ into a recovery story:
   **poisoned**; after ``threshold`` isolated crashes it is quarantined
   and answered with a typed failure instead of crashing workers
   forever.  Keys that later succeed are exonerated;
-* :class:`CircuitBreaker` — consecutive pool-crash counting with
-  open/half-open/closed states.  While open the service degrades to
-  inline single-threaded evaluation (the ``--workers 0`` path) instead
-  of thrashing respawns; after ``cooldown`` seconds one probe batch is
-  allowed back onto the pool;
 * deadline helpers — client-supplied ``deadline_ms`` becomes an
   absolute :func:`time.monotonic` instant that flows through the batch
   queue into the worker call, so expired requests are shed before
@@ -27,8 +22,8 @@ into a recovery story:
   seeded — see :class:`repro.testing.faults.ServiceChaosPlan`) and
   executed here as a real ``os._exit`` / sleep in the worker.
 
-Everything is transport-free and asyncio-free so the DSE engine can
-reuse it unchanged.
+Everything is transport-free and asyncio-free, so each piece is unit
+tested without a server or a pool.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ import concurrent.futures
 import os
 import time
 from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Optional
 
 #: Item-dict key carrying a parent-stamped chaos directive to a worker.
 CHAOS_KEY = "_chaos"
@@ -149,93 +144,6 @@ class QuarantineRegistry:
             "keys": {key: name for key, name in self._quarantined.items()},
             "suspects": dict(self._crashes),
         }
-
-
-# -- circuit breaker ---------------------------------------------------------
-
-BREAKER_CLOSED = "closed"
-BREAKER_OPEN = "open"
-BREAKER_HALF_OPEN = "half-open"
-
-#: Numeric encoding for the Prometheus rendering.
-BREAKER_STATE_CODES = {BREAKER_CLOSED: 0, BREAKER_HALF_OPEN: 1, BREAKER_OPEN: 2}
-
-
-class CircuitBreaker:
-    """Consecutive-failure breaker guarding the forked worker pool.
-
-    ``failure_threshold`` consecutive pool crashes open the breaker;
-    while open, :meth:`allows_pool` is False and callers should take
-    the degraded (inline) path.  After ``cooldown`` seconds the state
-    reads half-open: the pool may be probed again, and the probe's
-    outcome closes the breaker or re-opens it for another cooldown.
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 5,
-        cooldown: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        if cooldown <= 0:
-            raise ValueError(f"cooldown must be positive, got {cooldown}")
-        self.failure_threshold = failure_threshold
-        self.cooldown = cooldown
-        self._clock = clock
-        self._consecutive_failures = 0
-        self._opened_at: Optional[float] = None
-        #: times the breaker tripped open (monotonic counter)
-        self.trips = 0
-
-    @property
-    def state(self) -> str:
-        if self._opened_at is None:
-            return BREAKER_CLOSED
-        if self._clock() - self._opened_at >= self.cooldown:
-            return BREAKER_HALF_OPEN
-        return BREAKER_OPEN
-
-    def allows_pool(self) -> bool:
-        """Whether a batch may be dispatched to the real pool right now."""
-        return self.state != BREAKER_OPEN
-
-    def record_failure(self) -> bool:
-        """Count one pool crash; True when this crash trips the breaker."""
-        self._consecutive_failures += 1
-        if self.state == BREAKER_HALF_OPEN:
-            # the probe failed: re-open for a fresh cooldown
-            self._opened_at = self._clock()
-            return False
-        if (
-            self._opened_at is None
-            and self._consecutive_failures >= self.failure_threshold
-        ):
-            self._opened_at = self._clock()
-            self.trips += 1
-            return True
-        return False
-
-    def record_success(self) -> None:
-        """A pool batch completed: close the breaker, reset the count."""
-        self._consecutive_failures = 0
-        self._opened_at = None
-
-    def snapshot(self) -> dict:
-        state = self.state
-        payload = {
-            "state": state,
-            "consecutive_failures": self._consecutive_failures,
-            "failure_threshold": self.failure_threshold,
-            "cooldown_seconds": self.cooldown,
-            "trips": self.trips,
-        }
-        if self._opened_at is not None:
-            payload["open_for_seconds"] = round(self._clock() - self._opened_at, 3)
-        return payload
 
 
 # -- worker-side chaos execution ---------------------------------------------

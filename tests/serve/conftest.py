@@ -90,16 +90,6 @@ class ServerHarness:
         if self._loop.is_closed():
             return
         self.run(self.server.stop())
-
-        async def drain() -> None:
-            # reap lingering keep-alive connection handlers before the loop dies
-            current = asyncio.current_task()
-            for task in asyncio.all_tasks():
-                if task is not current:
-                    task.cancel()
-            await asyncio.sleep(0)
-
-        self.run(drain())
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=10)
         self._loop.close()

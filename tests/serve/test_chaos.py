@@ -75,7 +75,6 @@ class TestCrashRecovery:
         server = make_server(chaos=ServiceChaosPlan(seed=3, crashes=1, horizon=1))
         assert server.estimate(inline_body("p", loops=9))[0] == 200
         _, text = server.request("GET", "/metrics?format=prom")
-        assert "repro_serve_breaker_state 0" in text
         assert "repro_serve_pool_restarts 1" in text
         assert "repro_serve_worker_crashes_total 1" in text
         assert "repro_serve_quarantine_held 0" in text
@@ -187,7 +186,6 @@ class TestPoisonQuarantine:
         server = make_server(
             chaos=ServiceChaosPlan(poison=("bad",)),
             quarantine_after=2,
-            breaker_failures=10,  # keep the breaker out of this scenario
             batch_max=8,
         )
         # a busy worker makes the four requests queue up and leave as one
@@ -235,6 +233,38 @@ class TestPoisonQuarantine:
         assert any("quarantined" in reason for reason in health["reasons"])
 
 
+    def test_poison_in_a_full_batch_is_quarantined_with_default_options(
+        self, make_server
+    ):
+        # a full batch_max batch needs one crash per bisection level plus
+        # quarantine_after singleton strikes — five pool crashes in a row,
+        # all of which must end in quarantine, never in an answer
+        server = make_server(chaos=ServiceChaosPlan(poison=("bad",)))
+        service = server.service
+        gate = PoolGate(service)
+        _, blocker = fire(server, [inline_body("blocker", loops=40)])
+        wait_until(lambda: gate.sizes() == [1])
+        first, first_threads = fire(server, [inline_body("bad", loops=3)])
+        wait_until(lambda: service.queue.qsize() == 1)
+        names = [f"clean{i}" for i in range(service.batch_max - 1)]
+        rest, rest_threads = fire(
+            server, [inline_body(name, loops=10 + i) for i, name in enumerate(names)]
+        )
+        wait_until(lambda: service.queue.qsize() == service.batch_max)
+        gate.open()
+        for thread in blocker + first_threads + rest_threads:
+            thread.join(timeout=60)
+        assert gate.sizes()[:2] == [1, service.batch_max]
+
+        (_, status, body), = first
+        assert (status, body.get("stage")) == (500, "quarantine"), body
+        assert sorted(status for _, status, _ in rest) == [200] * len(names)
+        _, metrics = server.request("GET", "/metrics")
+        assert metrics["counters"]["worker_crashes_total"] == 5
+        assert metrics["counters"]["quarantined_total"] == 1
+        _, health = server.request("GET", "/healthz")
+        assert health["status"] == "ok"
+
     def test_scheduled_fault_is_not_absorbed_by_poison(self, make_server):
         # the crash scheduled for the first dispatch would die with the
         # poison's own crash; it moves to the next batch and kills it
@@ -251,36 +281,6 @@ class TestPoisonQuarantine:
         # two isolated poison strikes + the scheduled crash, separately
         assert metrics["counters"]["worker_crashes_total"] == 3
         assert metrics["supervision"]["quarantine"]["held"] == 1
-
-
-class TestCircuitBreaker:
-    def test_crash_trips_breaker_into_degraded_serving(self, make_server):
-        server = make_server(
-            chaos=ServiceChaosPlan(poison=("bad",)),
-            breaker_failures=1,
-            breaker_cooldown=60.0,
-        )
-        # the poisoned request crashes the pool once, trips the breaker,
-        # and is then served by the chaos-free degraded inline path
-        status, body = server.estimate(inline_body("bad", loops=3))
-        assert status == 200, body
-
-        _, metrics = server.request("GET", "/metrics")
-        counters = metrics["counters"]
-        assert counters["breaker_trips_total"] == 1
-        assert counters["worker_crashes_total"] == 1
-        assert counters["degraded_batches_total"] >= 1
-        assert metrics["supervision"]["breaker"]["state"] == "open"
-
-        # while open, even clean requests take the degraded path
-        status, _ = server.estimate(inline_body("fine", loops=7))
-        assert status == 200
-        _, metrics = server.request("GET", "/metrics")
-        assert metrics["counters"]["degraded_batches_total"] >= 2
-
-        _, health = server.request("GET", "/healthz")
-        assert health["status"] == "degraded"
-        assert any("circuit breaker" in reason for reason in health["reasons"])
 
 
 class TestWorkerHang:

@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import http.client
+import json
 import multiprocessing
+import signal
 import threading
 import time
 
 import pytest
 
 from repro.core.runner import RetryPolicy
-from repro.serve import EstimationService, Job
+from repro.serve import EstimationService, Job, run_server
 from repro.serve.api import ApiError
 
 from .conftest import TINY_SOURCE, PoolGate, fire, wait_until
@@ -361,6 +364,14 @@ class TestCliWiring:
         assert args.prewarm == "suite"
         assert args.cache == "/tmp/c"
 
+    @pytest.mark.parametrize("flag", ["--breaker-failures", "--breaker-cooldown"])
+    def test_breaker_flags_are_gone(self, flag):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "m.json", flag, "5"])
+        assert excinfo.value.code == 2
+
 
 class TestDeadlines:
     def test_expired_deadline_shed_with_504(self, make_server):
@@ -444,3 +455,67 @@ class TestGracefulDrain:
 
         assert server.run(drained()) is True
         assert service.metrics.counters["drain_rejected_total"] == 1
+
+    def test_stop_closes_idle_keep_alive_connections_and_answers_busy_ones(
+        self, make_server
+    ):
+        server = make_server()
+        gate = PoolGate(server.service)
+        idle = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            # one finished keep-alive exchange leaves the connection idle
+            idle.request("GET", "/healthz")
+            response = idle.getresponse()
+            response.read()
+            assert not response.will_close
+            busy, threads = fire(server, [INLINE_BODY])
+            wait_until(lambda: gate.sizes() == [1])
+            stopping = asyncio.run_coroutine_threadsafe(
+                server.server.stop(), server._loop
+            )
+            # the idle connection is closed while the busy one still waits
+            assert idle.sock.recv(1) == b""
+            assert not stopping.done()
+            gate.open()
+            for thread in threads:
+                thread.join(timeout=30)
+            stopping.result(timeout=30)
+        finally:
+            idle.close()
+        assert busy[0][1] == 200
+
+    def test_sigterm_shutdown_waits_one_drain_grace(self, serve_model, tmp_path):
+        grace = 0.5
+        port_file = tmp_path / "port"
+
+        async def scenario():
+            service = EstimationService(serve_model, workers=0, drain_grace=grace)
+            service.pool.shutdown()
+            stub = service.pool = StallingPool()
+            serving = asyncio.create_task(
+                run_server(service, port=0, announce=lambda _: None, port_file=str(port_file))
+            )
+            while not port_file.exists():
+                await asyncio.sleep(0.01)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", int(port_file.read_text())
+            )
+            body = json.dumps(INLINE_BODY).encode()
+            writer.write(
+                b"POST /estimate HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body) + body
+            )
+            while not stub.budgets:  # the batch is stuck on the pool
+                await asyncio.sleep(0.01)
+            assert signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL
+            began = time.monotonic()
+            signal.raise_signal(signal.SIGTERM)
+            await asyncio.wait_for(serving, 10)
+            elapsed = time.monotonic() - began
+            # one grace period, where waiting twice would take >= 2 * grace
+            assert grace <= elapsed < 2 * grace
+            # the abandoned request's connection is closed, not left open
+            assert await asyncio.wait_for(reader.read(), 5) == b""
+            writer.close()
+
+        asyncio.run(scenario())

@@ -1,9 +1,8 @@
 """Unit tests for the self-healing primitives (`repro.serve.supervise`).
 
-Everything here is pure and clock-injectable — no server, no pool, no
-sleeping — so the supervisor's decision logic (quarantine accounting,
-breaker state machine, deadline math, chaos-plan determinism) is pinned
-exactly.
+Everything here runs without a server or a pool, so the supervisor's
+decision logic (quarantine accounting, deadline math, chaos-plan
+determinism) is pinned exactly.
 """
 
 from __future__ import annotations
@@ -14,10 +13,6 @@ import time
 import pytest
 
 from repro.serve.supervise import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    CircuitBreaker,
     InjectedWorkerCrash,
     QuarantineRegistry,
     deadline_at,
@@ -97,67 +92,6 @@ class TestQuarantineRegistry:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             QuarantineRegistry(threshold=0)
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 1000.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
-class TestCircuitBreaker:
-    def test_trips_after_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, cooldown=30.0, clock=clock)
-        assert breaker.state == BREAKER_CLOSED
-        assert breaker.record_failure() is False
-        assert breaker.record_failure() is False
-        assert breaker.record_failure() is True  # the trip
-        assert breaker.state == BREAKER_OPEN
-        assert not breaker.allows_pool()
-        assert breaker.trips == 1
-
-    def test_success_resets_the_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2, clock=FakeClock())
-        breaker.record_failure()
-        breaker.record_success()
-        assert breaker.record_failure() is False
-        assert breaker.state == BREAKER_CLOSED
-
-    def test_half_open_after_cooldown_then_probe_outcome(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=30.0, clock=clock)
-        breaker.record_failure()
-        assert breaker.state == BREAKER_OPEN
-        clock.now += 31.0
-        assert breaker.state == BREAKER_HALF_OPEN
-        assert breaker.allows_pool()  # exactly the probe window
-        # failed probe: re-open for a fresh cooldown, not a new trip
-        assert breaker.record_failure() is False
-        assert breaker.state == BREAKER_OPEN
-        assert breaker.trips == 1
-        clock.now += 31.0
-        assert breaker.state == BREAKER_HALF_OPEN
-        breaker.record_success()
-        assert breaker.state == BREAKER_CLOSED
-
-    def test_snapshot_reports_open_duration(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=30.0, clock=clock)
-        breaker.record_failure()
-        clock.now += 5.0
-        snap = breaker.snapshot()
-        assert snap["state"] == BREAKER_OPEN
-        assert snap["open_for_seconds"] == 5.0
-        assert snap["trips"] == 1
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(cooldown=0)
 
 
 class TestExecuteChaosDirective:

@@ -534,7 +534,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         min_coverage=args.min_coverage,
         legalize=LegalizeOptions(max_latency=args.max_latency),
         max_instructions=args.max_instructions,
-        jobs=args.jobs,
     )
     progress = (lambda msg: print(f"  {msg}", file=sys.stderr)) if args.verbose else None
     try:
@@ -1000,9 +999,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=6,
         help="issue-cycle budget for a candidate datapath (default 6)",
-    )
-    p.add_argument(
-        "-j", "--jobs", type=int, default=1, help="parallel verification processes"
     )
     p.add_argument("--max-instructions", type=int, default=DEFAULT_MAX_INSTRUCTIONS)
     p.add_argument("--format", choices=("table", "json"), default="table")

@@ -1,15 +1,17 @@
 """The closed loop: profile → mine → legalize → rewrite → estimate.
 
 :func:`discover_case` drives one benchmark through the whole discovery
-flow.  A profiled run feeds the block miner and the
-call-site unroller; the merged candidate pool is ranked by saved
+flow with one simulation per candidate.  A profiled run feeds the block
+miner and the call-site unroller, and its statistics also score the
+unmodified program.  The merged candidate pool is ranked by saved
 dynamic instructions, legalized against the TIE compiler's budgets, and
-the top candidates are *proven* — each one's rewritten program must
-round-trip through the assembler and finish in a bitwise-identical
-architectural state (modulo the candidate's declared clobbers) before
-the macro-model is allowed to score it.  The result ranks every
-surviving candidate by energy-delay product against the unmodified
-program.
+the top candidates are *proven* one after another — each one's
+rewritten program must round-trip through the assembler and finish in a
+bitwise-identical architectural state (modulo the candidate's declared
+clobbers).  The macro-model then scores that same verifying run from
+its statistics (:meth:`EnergyMacroModel.estimate_from_stats`); no
+candidate is simulated twice.  The result ranks every surviving
+candidate by energy-delay product against the unmodified program.
 
 The :class:`DiscoveryManifest` serializes the survivors (graphs +
 sites) so a later process — notably ``repro explore --discovered`` —
@@ -20,15 +22,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import multiprocessing
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Callable, Optional
 
+from ..asm import Program
 from ..core.model import EnergyMacroModel
 from ..obs.session import run_session
+from ..programs.fir import fir_software
+from ..programs.reed_solomon import rs_software
 from ..programs.registry import BenchmarkCase
 from ..rtl import generate_netlist
-from ..xtcore import DEFAULT_MAX_INSTRUCTIONS, build_processor
+from ..xtcore import DEFAULT_MAX_INSTRUCTIONS, ProcessorConfig, build_processor
 from .legalize import (
     LegalizedCandidate,
     LegalizeOptions,
@@ -43,9 +46,12 @@ from .unroll import mine_call_sites
 
 ProgressFn = Callable[[str], None]
 
-#: the bundled workloads discovery knows how to profile (their software
-#: baselines are the programs the miner sees)
-SOFTWARE_CASES: dict[str, str] = {"fir": "fir_software", "reed_solomon": "rs_software"}
+#: the bundled workloads discovery knows how to profile, each mapped to
+#: the factory of its software baseline (the program the miner sees)
+SOFTWARE_CASES: dict[str, Callable[[], BenchmarkCase]] = {
+    "fir": fir_software,
+    "reed_solomon": rs_software,
+}
 
 
 class DiscoveryError(Exception):
@@ -63,7 +69,6 @@ class DiscoveryOptions:
     min_coverage: float = 0.0
     legalize: LegalizeOptions = LegalizeOptions()
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS
-    jobs: int = 1
 
     def miner_options(self) -> MinerOptions:
         return MinerOptions(
@@ -320,18 +325,12 @@ class DiscoveryManifest:
 
 def software_case(workload: str) -> BenchmarkCase:
     """The pure-software baseline the miner profiles for ``workload``."""
-    if workload == "fir":
-        from ..programs.fir import fir_software
-
-        return fir_software()
-    if workload == "reed_solomon":
-        from ..programs.reed_solomon import rs_software
-
-        return rs_software()
-    raise DiscoveryError(
-        f"unknown workload {workload!r}; available: "
-        + ", ".join(sorted(SOFTWARE_CASES))
-    )
+    if workload not in SOFTWARE_CASES:
+        raise DiscoveryError(
+            f"unknown workload {workload!r}; available: "
+            + ", ".join(sorted(SOFTWARE_CASES))
+        )
+    return SOFTWARE_CASES[workload]()
 
 
 def discover_workload(
@@ -380,11 +379,15 @@ def discover_case(
     legal, rejected = legalize_candidates(candidates, options.legalize)
     emit(f"legalized {len(legal)}, rejected {len(rejected)}")
 
-    baseline = model.estimate(config, program, max_instructions=options.max_instructions)
-    chosen = legal[: options.top_k]
-    outcomes = _prove_and_score(
-        chosen, case, base.state, model, options, emit
-    )
+    baseline_energy = model.estimate_from_stats(base.stats, config)
+    outcomes: list["EvaluatedCandidate | CandidateFailure"] = []
+    for legalized in legal[: options.top_k]:
+        outcome = _prove_one(legalized, config, program, base.state, model, options)
+        if isinstance(outcome, EvaluatedCandidate):
+            emit(f"verified {outcome.mnemonic}: edp {outcome.edp:.3g}")
+        else:
+            emit(f"FAILED {outcome.describe()}")
+        outcomes.append(outcome)
     evaluated = [o for o in outcomes if isinstance(o, EvaluatedCandidate)]
     failures = [o for o in outcomes if isinstance(o, CandidateFailure)]
     evaluated.sort(key=lambda c: (c.edp, c.mnemonic))
@@ -397,21 +400,22 @@ def discover_case(
         rejected=rejected,
         evaluated=evaluated,
         failures=failures,
-        baseline_energy=float(baseline.energy),
-        baseline_cycles=int(baseline.cycles),
+        baseline_energy=baseline_energy,
+        baseline_cycles=base.stats.total_cycles,
         baseline_instructions=base.instructions,
     )
 
 
 def _prove_one(
     legalized: LegalizedCandidate,
-    case: BenchmarkCase,
+    config: ProcessorConfig,
+    program: Program,
     base_state,
     model: EnergyMacroModel,
     options: DiscoveryOptions,
 ) -> "EvaluatedCandidate | CandidateFailure":
-    """Rewrite, differential-verify and score one legalized candidate."""
-    config, program = case.build()
+    """Rewrite, differential-verify and score one legalized candidate;
+    the run that verifies the rewritten program is the run scored."""
     stage = "rewrite"
     try:
         extended = build_processor(
@@ -427,9 +431,7 @@ def _prove_one(
         if not ok:
             return CandidateFailure(legalized.mnemonic, "verify", why)
         stage = "estimate"
-        estimate = model.estimate(
-            extended, result.program, max_instructions=options.max_instructions
-        )
+        energy = model.estimate_from_stats(rerun.stats, extended)
         area = generate_netlist(extended).custom_area
     except Exception as exc:  # noqa: BLE001 — per-candidate isolation
         return CandidateFailure(legalized.mnemonic, stage, str(exc))
@@ -441,80 +443,9 @@ def _prove_one(
         latency=legalized.latency,
         bus_taps=legalized.bus_taps,
         syncs=result.syncs_inserted,
-        energy=float(estimate.energy),
-        cycles=int(estimate.cycles),
+        energy=energy,
+        cycles=rerun.stats.total_cycles,
         area=float(area),
         instructions=rerun.instructions,
     )
 
-
-# -- optional fork-pool parallelism -----------------------------------------
-
-_WORKER_STATE: dict = {}
-
-
-def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
-    """The fork start method, or None where only spawn exists.
-
-    Spawned workers would have to pickle the chosen candidates and the
-    model, so on fork-less platforms proving degrades to serial instead
-    of failing.
-    """
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return None
-
-
-def _prove_worker_init(chosen, case, base_state, model, options) -> None:
-    _WORKER_STATE.update(
-        chosen=chosen, case=case, base_state=base_state, model=model, options=options
-    )
-
-
-def _prove_worker(index: int) -> "EvaluatedCandidate | CandidateFailure":
-    return _prove_one(
-        _WORKER_STATE["chosen"][index],
-        _WORKER_STATE["case"],
-        _WORKER_STATE["base_state"],
-        _WORKER_STATE["model"],
-        _WORKER_STATE["options"],
-    )
-
-
-def _prove_and_score(
-    chosen: list[LegalizedCandidate],
-    case: BenchmarkCase,
-    base_state,
-    model: EnergyMacroModel,
-    options: DiscoveryOptions,
-    emit: ProgressFn,
-) -> list["EvaluatedCandidate | CandidateFailure"]:
-    context = _fork_context() if options.jobs > 1 and len(chosen) > 1 else None
-    if context is not None:
-        executor = ProcessPoolExecutor(
-            max_workers=min(options.jobs, len(chosen)),
-            mp_context=context,
-            initializer=_prove_worker_init,
-            initargs=(chosen, case, base_state, model, options),
-        )
-        try:
-            futures = [executor.submit(_prove_worker, i) for i in range(len(chosen))]
-            outcomes: list["EvaluatedCandidate | CandidateFailure"] = []
-            for legalized, future in zip(chosen, futures):
-                try:
-                    outcomes.append(future.result())
-                except BrokenExecutor:
-                    emit(f"worker pool died on {legalized.mnemonic}; retrying serially")
-                    outcomes.append(_prove_one(legalized, case, base_state, model, options))
-            return outcomes
-        finally:
-            executor.shutdown(wait=False)
-    outcomes = []
-    for legalized in chosen:
-        outcome = _prove_one(legalized, case, base_state, model, options)
-        if isinstance(outcome, EvaluatedCandidate):
-            emit(f"verified {outcome.mnemonic}: edp {outcome.edp:.3g}")
-        else:
-            emit(f"FAILED {outcome.describe()}")
-        outcomes.append(outcome)
-    return outcomes

@@ -134,6 +134,13 @@ class BatchQueue:
                 break
         return batch
 
+    def take_all(self) -> list[Job]:
+        """Empty the queue without waiting (the jobs a halted service abandons)."""
+        jobs = []
+        while not self._queue.empty():
+            jobs.append(self._queue.get_nowait())
+        return jobs
+
 
 def partition_compatible(jobs: list[Job]) -> list[list[Job]]:
     """Split a harvest into dispatchable groups (same processor config).

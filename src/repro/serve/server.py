@@ -157,8 +157,12 @@ class EstimationService:
         self.chaos = chaos
         self.drain_grace = drain_grace
         self._dispatcher: Optional[asyncio.Task] = None
-        self._batch_tasks: set[asyncio.Task] = set()
+        #: running harvest task -> the jobs it carries
+        self._batch_tasks: dict[asyncio.Task, list[Job]] = {}
         self._active_explores = 0
+        #: waiters of running explorations, cancelled when the service halts
+        self._explore_waiters: set[asyncio.Future] = set()
+        self._halted = False
         #: when the drain grace runs out; None until draining begins
         self._drain_deadline: Optional[float] = None
         self._pool_lock = asyncio.Lock()
@@ -217,9 +221,13 @@ class EstimationService:
         """Drain within the grace period, then halt the dispatch machinery.
 
         Returns whether the drain completed; if not, the work still in
-        flight was abandoned.
+        flight was abandoned, and every abandoned request — a queued or
+        running estimate, a running exploration — is answered 503 with
+        ``stage="shutdown"``.
         """
         drained = await self.drain()
+        self._halted = True
+        abandoned = [job for jobs in self._batch_tasks.values() for job in jobs]
         if self._dispatcher is not None:
             self._dispatcher.cancel()
             with contextlib.suppress(asyncio.CancelledError):
@@ -229,6 +237,16 @@ class EstimationService:
             task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await task
+        abandoned += self.queue.take_all()
+        self._fail_batch(
+            [job for job in abandoned if not job.future.done()],
+            stage="shutdown",
+            error_type="ServiceShutdown",
+            message="the service shut down before this request was served",
+            attempts=0,
+        )
+        for waiter in self._explore_waiters:
+            waiter.cancel()
         self.pool.shutdown()
         return drained
 
@@ -517,7 +535,9 @@ class EstimationService:
             return 200, response
         stage = payload.get("stage")
         status = 504 if stage in ("timeout", "deadline") else 500
-        if stage == "build":
+        if stage == "shutdown":
+            status = 503
+        elif stage == "build":
             status = 400
         return status, {
             "error": "estimation_failed",
@@ -558,10 +578,19 @@ class EstimationService:
         self._active_explores += 1
         try:
             future = self.pool.submit_explore(item)
+            waiter = asyncio.wrap_future(future)
+            self._explore_waiters.add(waiter)
             try:
-                outcome = await asyncio.wait_for(
-                    asyncio.wrap_future(future), self.explore_timeout
-                )
+                outcome = await asyncio.wait_for(waiter, self.explore_timeout)
+            except asyncio.CancelledError:
+                if not self._halted:
+                    raise
+                outcome = {
+                    "ok": False,
+                    "stage": "shutdown",
+                    "error_type": "ServiceShutdown",
+                    "message": "the service shut down before this exploration finished",
+                }
             except asyncio.TimeoutError:
                 future.cancel()
                 self.metrics.incr("timeouts_total")
@@ -575,6 +604,8 @@ class EstimationService:
                 )
                 self._record_failure(failure)
                 raise ApiError(504, failure.describe(), code="timeout")
+            finally:
+                self._explore_waiters.discard(waiter)
         finally:
             self._active_explores -= 1
             self.explore_drain.record(1)
@@ -591,13 +622,13 @@ class EstimationService:
                 attempts=1,
             )
             self._record_failure(failure)
-            bad_request = failure.error_type in (
-                "SpaceError",
-                "ValueError",
-                "CalibrationError",
-            )
+            status = 500
+            if failure.stage == "shutdown":
+                status = 503
+            elif failure.error_type in ("SpaceError", "ValueError", "CalibrationError"):
+                status = 400
             return (
-                400 if bad_request else 500,
+                status,
                 {
                     "error": "exploration_failed",
                     "stage": failure.stage,
@@ -620,8 +651,8 @@ class EstimationService:
             jobs = await self.queue.next_batch(self.batch_max)
             self.metrics.set_gauge("queue_depth", self.queue.qsize())
             task = asyncio.create_task(self._run_harvest(jobs, slots))
-            self._batch_tasks.add(task)
-            task.add_done_callback(self._batch_tasks.discard)
+            self._batch_tasks[task] = jobs
+            task.add_done_callback(self._batch_tasks.pop)
 
     async def _run_harvest(self, jobs: list[Job], slots: asyncio.Semaphore) -> None:
         """Run a harvest's groups one after another on its one slot.
@@ -1012,9 +1043,9 @@ class EstimationServer:
         """Stop listening and shut down without stranding a connection.
 
         Connections waiting for their next request are closed at once.
-        One serving a request is closed after its response is written,
-        or — when the drain grace runs out first and the request is
-        abandoned — when the service halts.
+        One serving a request is closed after its response is written;
+        when the drain grace runs out first, that response is the 503
+        the halted service answers the abandoned request with.
         """
         self._stopping = True
         if self._server is not None:
@@ -1022,12 +1053,8 @@ class EstimationServer:
         for writer in list(self._connections.values()):
             if writer is not None:
                 writer.close()  # its handler reads EOF and ends
-        drained = await self.service.stop()
-        handlers = list(self._connections)
-        if not drained:
-            for task in handlers:
-                task.cancel()
-        await asyncio.gather(*handlers, return_exceptions=True)
+        await self.service.stop()
+        await asyncio.gather(*self._connections, return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None

@@ -514,8 +514,66 @@ class TestGracefulDrain:
             elapsed = time.monotonic() - began
             # one grace period, where waiting twice would take >= 2 * grace
             assert grace <= elapsed < 2 * grace
-            # the abandoned request's connection is closed, not left open
-            assert await asyncio.wait_for(reader.read(), 5) == b""
+            # the abandoned request is answered, then its connection closed
+            answer = await asyncio.wait_for(reader.read(), 5)
+            assert answer.startswith(b"HTTP/1.1 503")
             writer.close()
+
+        asyncio.run(scenario())
+
+    def test_forced_shutdown_answers_every_abandoned_request_503(
+        self, serve_model, tmp_path
+    ):
+        port_file = tmp_path / "port"
+
+        class StallingExplorePool(StallingPool):
+            def submit_explore(self, item):
+                self.explores = [item]
+                return concurrent.futures.Future()  # never resolved
+
+        async def post(port, path, payload):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            body = json.dumps(payload).encode()
+            writer.write(
+                b"POST %s HTTP/1.1\r\nHost: test\r\n" % path.encode()
+                + b"Content-Length: %d\r\n\r\n" % len(body)
+                + body
+            )
+            return reader, writer
+
+        async def answer(reader, writer):
+            raw = await asyncio.wait_for(reader.read(), 5)
+            writer.close()
+            head, _, body = raw.partition(b"\r\n\r\n")
+            return int(head.split()[1]), json.loads(body)
+
+        async def scenario():
+            service = EstimationService(serve_model, workers=0, drain_grace=0.2)
+            service.pool.shutdown()
+            stub = service.pool = StallingExplorePool()
+            serving = asyncio.create_task(
+                run_server(service, port=0, announce=lambda _: None, port_file=str(port_file))
+            )
+            while not port_file.exists():
+                await asyncio.sleep(0.01)
+            port = int(port_file.read_text())
+            stalled = await post(port, "/estimate", INLINE_BODY)
+            while not stub.budgets:  # the only worker slot is stuck
+                await asyncio.sleep(0.01)
+            queued = await post(port, "/estimate", {"benchmark": "tp01_alu_mix"})
+            while not service.queue.qsize():
+                await asyncio.sleep(0.01)
+            exploring = await post(port, "/explore", {"space": "fir"})
+            while not getattr(stub, "explores", None):
+                await asyncio.sleep(0.01)
+            signal.raise_signal(signal.SIGTERM)
+            await asyncio.wait_for(serving, 10)
+            answers = [await answer(*conn) for conn in (stalled, queued, exploring)]
+            assert [status for status, _ in answers] == [503, 503, 503]
+            for _, body in answers:
+                assert body["stage"] == "shutdown"
+                assert body["error_type"] == "ServiceShutdown"
+            assert answers[0][1]["error"] == "estimation_failed"
+            assert answers[2][1]["error"] == "exploration_failed"
 
         asyncio.run(scenario())

@@ -26,7 +26,7 @@ from repro.dse import (
     get_space,
     with_operating_points,
 )
-from repro.dse.cache import candidate_cache_key, model_digest
+from repro.dse.cache import candidate_cache_key
 from repro.programs import characterization_suite
 from repro.tech import default_calibration
 from repro.xtcore import DEFAULT_MAX_INSTRUCTIONS, build_processor
@@ -247,7 +247,7 @@ def test_dse_batched_operating_point_axis(benchmark, ctx, save_report):
     config, program = space.build(candidates[0].assignment_dict)
     keys = {
         candidate_cache_key(
-            model_digest(ctx.model.at(point)),
+            ctx.model.at(point).digest(),
             config,
             program,
             DEFAULT_MAX_INSTRUCTIONS,

@@ -5,8 +5,8 @@ performance regressions in the simulator/assembler/estimator shows up in
 benchmark history:
 
 * assembler lines/sec,
-* ISS instructions/sec with and without trace collection,
-* reference-estimator instructions/sec,
+* ISS instructions/sec with and without a ``TraceObserver``,
+* reference estimation (a run streamed through the RTL observer),
 * resource-usage analysis + variable extraction per call.
 """
 
@@ -14,6 +14,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.core import analyze_resource_usage, default_template, extract_variables
+from repro.obs import TraceObserver, run_session
 from repro.rtl import RtlEnergyEstimator, generate_netlist
 from repro.xtcore import Simulator, build_processor
 
@@ -67,17 +68,15 @@ def test_perf_iss_untraced(benchmark, workload):
 
 def test_perf_iss_traced(benchmark, workload):
     config, program = workload
-    result = benchmark(
-        lambda: Simulator(config, program, collect_trace=True).run()
-    )
-    assert len(result.trace) == result.instructions
+    tracer = TraceObserver()
+    result = benchmark(lambda: run_session(config, program, observers=(tracer,)))
+    assert len(tracer.records) == result.instructions
 
 
 def test_perf_reference_estimator(benchmark, workload):
     config, program = workload
     estimator = RtlEnergyEstimator(generate_netlist(config))
-    traced = Simulator(config, program, collect_trace=True).run()
-    report = benchmark(estimator.estimate, traced)
+    report, _ = benchmark(estimator.estimate_program, program)
     assert report.total > 0
 
 

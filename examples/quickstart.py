@@ -11,9 +11,10 @@ Walks the paper's whole story in one page:
 Run:  python examples/quickstart.py
 """
 
-from repro import TieSpec, build_processor, reference_energy, simulate
+from repro import TieSpec, build_processor, reference_energy
 from repro.analysis import default_context
 from repro.asm import assemble
+from repro.obs import run_session
 
 
 def make_sataccum() -> TieSpec:
@@ -60,7 +61,7 @@ def main() -> None:
     config = build_processor("quickstart", [make_sataccum()])
     print(config.describe())
     program = assemble(SOURCE, "quickstart", isa=config.isa)
-    result = simulate(config, program)
+    result = run_session(config, program)
     print(f"\nprogram output: {result.word('out')}  "
           f"({result.instructions} instructions, {result.cycles} cycles)\n")
 

@@ -31,7 +31,7 @@ Quick start::
 from .core import Characterizer, EnergyMacroModel, default_template
 from .rtl import RtlEnergyEstimator, generate_netlist, reference_energy
 from .tie import TieSpec, TieState, compile_extension, compile_spec
-from .xtcore import ProcessorConfig, Simulator, build_processor, simulate
+from .xtcore import ProcessorConfig, Simulator, build_processor
 
 __version__ = "1.0.0"
 
@@ -50,5 +50,4 @@ __all__ = [
     "default_template",
     "generate_netlist",
     "reference_energy",
-    "simulate",
 ]

@@ -30,12 +30,13 @@ from typing import Optional, Sequence
 
 from .asm import AsmError, ImageError, assemble, disassemble_program
 from .core import EnergyMacroModel, EnergyProfiler
-from .obs import run_session
+from .obs import TraceObserver, run_session
 from .programs.extensions import ALL_SPEC_FACTORIES
 from .rtl import reference_energy
 from .xtcore import (
     DEFAULT_MAX_INSTRUCTIONS,
     ProcessorConfig,
+    SimulationError,
     build_processor,
 )
 
@@ -103,21 +104,25 @@ def _cmd_list_extensions(_args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.trace_limit < 0:
+        raise _die("--trace-limit must be >= 0")
     config = _build_config("cli", args.extensions)
     program = _load_program(args.program, config)
+    observers = (TraceObserver(),) if args.trace else ()
     result = run_session(
         config,
         program,
-        collect_trace=args.trace,
+        observers=observers,
         max_instructions=args.max_instructions,
     )
     print(f"engine: {result.engine}")
     print(result.stats.summary())
     if args.trace:
-        for record in result.trace[: args.trace_limit]:
+        trace = observers[0].records
+        for record in trace[: args.trace_limit]:
             print(f"  {record!r}")
-        if len(result.trace) > args.trace_limit:
-            print(f"  ... ({len(result.trace) - args.trace_limit} more records)")
+        if len(trace) > args.trace_limit:
+            print(f"  ... ({len(trace) - args.trace_limit} more records)")
     if args.dump_word:
         for symbol in args.dump_word:
             print(f"{symbol} = {result.word(symbol)} ({result.word(symbol):#010x})")
@@ -253,8 +258,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if args.format == "json":
         import json
 
-        from .dse.cache import model_digest
-
         entries = []
         for estimate in estimates:
             entry = {
@@ -272,7 +275,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             entries.append(entry)
         payload = {
             "format": "repro-estimates/1",
-            "model_digest": model_digest(model),
+            "model_digest": model.digest(),
             "operating_point": (
                 model.operating_point.key
                 if model.operating_point is not None
@@ -1158,10 +1161,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "max_instructions", 1) < 1:
+        raise _die("--max-instructions must be >= 1")
     try:
         status = args.func(args)
         sys.stdout.flush()
         return status
+    except SimulationError as exc:
+        # A program that assembles but fails at run time (instruction
+        # budget exhausted, jump to an unmapped address) is bad input.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     except BrokenPipeError:
         # The reader went away (``repro ... | head``).  Point stdout at
         # devnull so the flush at interpreter exit cannot raise again.

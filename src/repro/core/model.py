@@ -152,8 +152,8 @@ class EnergyMacroModel:
             self.operating_point = OperatingPoint.parse(self.operating_point)
         # Per-instance memos of derived models (key -> EnergyMacroModel)
         # and of the content digest.  Kept out of __eq__ semantics by not
-        # being dataclass fields, and out of pickles (forked DSE/serve
-        # workers) via __getstate__.
+        # being dataclass fields, and out of pickles via __getstate__, so
+        # an unpickled copy starts with empty memos.
         self._derived_cache: dict[str, "EnergyMacroModel"] = {}
         self._digest: Optional[str] = None
 

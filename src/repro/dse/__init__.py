@@ -26,12 +26,7 @@ Typical use::
     best = report.best
 """
 
-from .cache import (
-    ResultCache,
-    candidate_cache_key,
-    model_digest,
-    program_digest,
-)
+from .cache import ResultCache, candidate_cache_key
 from .evaluate import OBJECTIVES, CandidateScore, EvaluationEngine
 from .pareto import PARETO_AXES, dominates, pareto_frontier, rank_scores
 from .report import CrossCheckResult, ExplorationReport, cross_check, explore
@@ -84,9 +79,7 @@ __all__ = [
     "explore",
     "get_space",
     "make_strategy",
-    "model_digest",
     "pareto_frontier",
-    "program_digest",
     "rank_scores",
     "register_space",
     "with_operating_points",

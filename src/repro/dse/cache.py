@@ -5,7 +5,7 @@ sweeps, greedy walks that revisit neighbors, overlapping spaces — and
 every score costs an instruction-set simulation.  This cache keys each
 score by *content*, never by object identity or space/knob naming:
 
-    sha256(model digest . config fingerprint . program image digest
+    sha256(model digest . config fingerprint . program digest
            . instruction budget)
 
 so a hit is guaranteed to describe the same (model, processor, program)
@@ -29,23 +29,12 @@ import os
 import threading
 from typing import Optional
 
-from ..asm import Program, write_image
+from ..asm import Program
 from ..core.characterize import atomic_write_json
-from ..core.model import EnergyMacroModel
 from ..xtcore import ProcessorConfig
 
 #: Format tag stored in every cache entry (bump to invalidate old caches).
-CACHE_FORMAT = "repro-dse-score/2"
-
-
-def model_digest(model: EnergyMacroModel) -> str:
-    """Stable digest of a macro-model's content (see :meth:`EnergyMacroModel.digest`)."""
-    return model.digest()
-
-
-def program_digest(program: Program, config: ProcessorConfig) -> str:
-    """Stable digest of an assembled program via its serialized XPF image."""
-    return hashlib.sha256(write_image(program, config.isa)).hexdigest()
+CACHE_FORMAT = "repro-dse-score/3"
 
 
 def candidate_cache_key(
@@ -54,13 +43,18 @@ def candidate_cache_key(
     program: Program,
     max_instructions: int,
 ) -> str:
-    """The content address of one candidate score."""
+    """The content address of one candidate score.
+
+    :meth:`Program.digest` covers everything that affects execution and
+    is memoized per program; the config fingerprint covers the ISA the
+    program is encoded against.
+    """
     blob = "\n".join(
         [
             CACHE_FORMAT,
             model_fingerprint,
             config.fingerprint(),
-            program_digest(program, config),
+            program.digest(),
             str(int(max_instructions)),
         ]
     )

@@ -24,7 +24,7 @@ from ..core.model import EnergyMacroModel
 from ..core.runner import SampleFailure
 from ..rtl import reference_energy
 from ..xtcore import DEFAULT_MAX_INSTRUCTIONS
-from .cache import ResultCache, model_digest as _model_digest
+from .cache import ResultCache
 from .evaluate import CandidateScore, EvaluationEngine
 from .pareto import PARETO_AXES, pareto_frontier, rank_scores
 from .space import OPERATING_POINT_KNOB, SearchSpace
@@ -237,7 +237,7 @@ def explore(
         evaluated=engine.evaluated,
         cache_hits=engine.cache_hits,
         cache_misses=engine.cache_misses,
-        model_digest=_model_digest(model),
+        model_digest=model.digest(),
         operating_point=(
             model.operating_point.key if model.operating_point is not None else None
         ),

@@ -3,16 +3,15 @@
 The instruction-set simulator emits a stream of events — run start,
 per-instruction retire, fine-grained cache/fetch/interlock events, run
 finish — to any number of registered :class:`SimObserver` subscribers.
-The formerly hard-wired consumers (aggregate statistics, trace
-materialization) are the two bundled observers; everything else — the
-reference RTL estimator's online switching-activity accumulator, the
-energy timeline, hot-spot and cache-event profilers, future metrics
-exporters — plugs into the same seam.
+Aggregate statistics and trace materialization are the two bundled
+observers; everything else — the reference RTL estimator's online
+switching-activity accumulator, the energy timeline, hot-spot and
+cache-event profilers, future metrics exporters — plugs into the same
+seam.
 
 :func:`run_session` is the entry point that consolidates every
-simulation call site: observers, trace policy and instruction budgets
-are configured in one place (and fault harnesses wrap exactly this
-signature).
+simulation call site: observers and instruction budgets are configured
+in one place (and fault harnesses wrap exactly this signature).
 """
 
 from typing import Any

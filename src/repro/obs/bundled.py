@@ -1,12 +1,11 @@
-"""The two bundled observers every simulation run used to hard-wire.
+"""The two bundled observers: aggregate statistics and the full trace.
 
 :class:`StatsObserver` accumulates :class:`~repro.obs.records.ExecutionStats`
-(the macro-model path's aggregate view) and :class:`TraceObserver`
-materializes :class:`~repro.obs.records.TraceRecord` lists (the
-reference path's detailed view).  The simulator registers a
-``StatsObserver`` on every run and a ``TraceObserver`` only when
-``collect_trace=True`` — exactly the seed behaviour, expressed through
-the public observer protocol instead of special cases in the loop.
+per retire (the reference interpreter's stats; the compiled simulator
+folds the same rule per op at run end) and :class:`TraceObserver`
+materializes :class:`~repro.obs.records.TraceRecord` lists.  A caller
+that wants a trace passes a ``TraceObserver`` in ``run_session``'s
+``observers`` and reads its ``records`` after the run.
 
 :func:`apply_event` is the single source of truth for folding one retire
 event into an ``ExecutionStats``; the interval/region profilers reuse it

@@ -1,12 +1,11 @@
 """The streaming observer protocol of the instruction-set simulator.
 
-The simulator used to hard-wire its two consumers: aggregate statistics
-(always) and full trace materialization (``collect_trace=True``).  Both
-are now ordinary :class:`SimObserver` subscribers of one event stream,
-and anything else — online switching-activity accumulation for the
+Everything a run reports per retired instruction is a
+:class:`SimObserver` subscriber of one event stream: trace
+materialization, online switching-activity accumulation for the
 reference RTL estimator, energy timelines, hot-spot histograms, cache
-trackers, metrics export — plugs into the same seam without touching the
-simulator loop.
+trackers, metrics export.  Each plugs into the same seam without
+touching the simulator loop.
 
 Callback contract, in firing order for one run:
 

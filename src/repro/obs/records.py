@@ -6,14 +6,16 @@ Two consumers with very different appetites read simulation output:
   counts, event counts, per-custom-instruction execution counts.  These
   live in :class:`ExecutionStats` and are always collected (cheap).
 * the **reference RTL estimator** needs the dynamic execution stream with
-  operand values, to compute data-dependent switching activity.  It can
-  consume the stream online (see :class:`repro.rtl.RtlEnergyObserver`) or
-  from materialized :class:`TraceRecord` lists (``collect_trace=True``),
-  mirroring how RTL simulation is the slow, detailed path in the paper.
+  operand values, to compute data-dependent switching activity.  It
+  consumes the stream online, one retire event at a time (see
+  :class:`repro.rtl.estimator.RtlEnergyObserver`), mirroring how RTL
+  simulation is the slow, detailed path in the paper.  A
+  :class:`TraceRecord` is one such event, kept: the
+  :class:`~repro.obs.bundled.TraceObserver` materializes a run's list.
 
 These types are defined here (not in :mod:`repro.xtcore`) so the observer
 package has no import-time dependency on the simulator; ``repro.xtcore``
-re-exports them under their historical names.
+re-exports them.
 """
 
 from __future__ import annotations

@@ -2,16 +2,16 @@
 
 The CLI, the benchmark registry, the reference RTL estimator, the
 characterization runtime, the macro-model fast path and the profilers all
-used to construct :class:`~repro.xtcore.Simulator` by hand, each with its
-own argument spelling.  ``run_session`` is the single seam: budgets,
-trace policy and observer registration are configured here, and fault
-harnesses (:meth:`repro.testing.faults.FaultPlan.wrap_session`) wrap this
-signature.
+simulate through this one seam: budgets and observer registration are
+configured here, and fault harnesses
+(:meth:`repro.testing.faults.FaultPlan.wrap_session`) wrap this
+signature.  Anything a run must report per retired instruction — a
+trace, switching activity, a profile — is an observer.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..asm import Program
@@ -21,9 +21,9 @@ if TYPE_CHECKING:  # pragma: no cover
 from ..xtcore.config import DEFAULT_MAX_INSTRUCTIONS
 
 #: The injectable session seam: ``(config, program, *, observers,
-#: collect_trace, max_instructions, entry) -> SimulationResult``.  All
-#: options are keyword-only, so wrappers stay signature-compatible as the
-#: session API grows.
+#: max_instructions) -> SimulationResult``.  All options are
+#: keyword-only, so wrappers stay signature-compatible as the session API
+#: grows.
 SessionFn = Callable[..., "SimulationResult"]
 
 
@@ -32,16 +32,15 @@ def run_session(
     program: "Program",
     *,
     observers: Sequence["SimObserver"] = (),
-    collect_trace: bool = False,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-    entry: Optional[int] = None,
 ) -> "SimulationResult":
     """Simulate ``program`` on ``config``, streaming events to ``observers``.
 
-    Aggregate statistics are always collected (``result.stats``); the full
-    trace is materialized only with ``collect_trace=True`` — streaming
-    consumers should register an observer instead and leave the trace
-    off, which keeps per-run memory independent of instruction count.
+    Aggregate statistics are always collected (``result.stats``).
+    Per-retire data comes only from ``observers``: pass a
+    :class:`~repro.obs.bundled.TraceObserver` and read its ``records``
+    for the full trace, or a streaming observer whose memory does not
+    grow with instruction count.
 
     The program is lowered through the process-wide compilation cache
     (:func:`repro.xtcore.compilation_cache`), so repeated sessions over
@@ -49,17 +48,15 @@ def run_session(
 
     The run dispatches through fused superop regions when nothing needs
     per-retire visibility and through the instrumented per-op loop when a
-    trace or a retire/event observer is registered — see
-    ``docs/PERFORMANCE.md``.
+    retire/event observer is registered — see ``docs/PERFORMANCE.md``.
     """
-    # Imported lazily: the simulator itself subscribes its bundled
-    # observers from this package, so a module-level import would cycle.
+    # Imported lazily: the simulator imports this package's event and
+    # record types, so a module-level import would cycle.
     from ..xtcore.iss import Simulator
 
     return Simulator(
         config,
         program,
-        collect_trace=collect_trace,
         max_instructions=max_instructions,
         observers=observers,
-    ).run(entry=entry)
+    ).run()

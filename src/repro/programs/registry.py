@@ -81,28 +81,19 @@ class BenchmarkCase:
         config, program = self.build()
         return compilation_cache().get_or_compile(config, program)
 
-    def run(
-        self,
-        collect_trace: bool = False,
-        observers: Sequence[SimObserver] = (),
-    ) -> SimulationResult:
+    def run(self, observers: Sequence[SimObserver] = ()) -> SimulationResult:
         """Simulate the case (does not run the functional check)."""
         config, program = self.build()
         return run_session(
             config,
             program,
             observers=observers,
-            collect_trace=collect_trace,
             max_instructions=self.max_instructions,
         )
 
-    def run_verified(
-        self,
-        collect_trace: bool = False,
-        observers: Sequence[SimObserver] = (),
-    ) -> SimulationResult:
+    def run_verified(self, observers: Sequence[SimObserver] = ()) -> SimulationResult:
         """Simulate and run the functional check (if any)."""
-        result = self.run(collect_trace=collect_trace, observers=observers)
+        result = self.run(observers=observers)
         self.verify(result)
         return result
 

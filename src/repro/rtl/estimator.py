@@ -21,19 +21,14 @@ macro-model sees only class-level aggregates, the macro-model's fit has
 an irreducible error of a few percent — reproducing the paper's Fig. 3 /
 Table II error profile rather than a degenerate exact fit.
 
-Two consumption modes share one switching-activity accumulator:
+The estimator consumes the stream online: :class:`RtlEnergyObserver`
+(from :meth:`RtlEnergyEstimator.observer`, or run for you by
+:meth:`~RtlEnergyEstimator.estimate_program`) subscribes to the
+simulator's retire events and integrates data-dependent switching
+activity as they arrive — one pass, no trace, memory independent of
+instruction count.
 
-* **streaming** (:meth:`RtlEnergyEstimator.observer` /
-  :meth:`~RtlEnergyEstimator.estimate_program`): an observer subscribed
-  to the simulator's retire-event stream computes data-dependent
-  switching activity *online* — one pass, O(1) trace memory; and
-* **materialized** (:meth:`~RtlEnergyEstimator.estimate`): the
-  compatibility path over a ``collect_trace=True`` trace list.
-
-Both walk identical arithmetic over identical per-instruction values, so
-their energy reports agree exactly.
-
-The accumulator runs on every retire, so it is table-driven: a 32-bit
+The observer runs on every retire, so it is table-driven: a 32-bit
 toggle factor is one lookup by Hamming distance,
 ``toggle[((previous ^ current) & 0xFFFFFFFF).bit_count()]``, per-mnemonic
 constants are planned once per estimator, and each charge is added inline
@@ -75,7 +70,7 @@ _TOGGLE_FLOOR = 0.55
 _GROUPS = ("base_core", "custom_hw", "events", "control", "idle")
 _BASE_CORE, _CUSTOM_HW, _EVENTS, _CONTROL, _IDLE = range(len(_GROUPS))
 
-# Instruction classes feed() tests on every retire, bound once.
+# Instruction classes on_retire() tests on every retire, bound once.
 _ARITH = InstructionClass.ARITH
 _CUSTOM = InstructionClass.CUSTOM
 _UNTAKEN = InstructionClass.BRANCH_UNTAKEN
@@ -129,13 +124,13 @@ class EnergyReport:
         return "\n".join(lines)
 
 
-class _ActivityAccumulator:
-    """Online switching-activity integration over one execution stream.
+class RtlEnergyObserver(SimObserver):
+    """Online switching-activity integration over one run's retire stream.
 
-    Accepts :class:`~repro.obs.records.TraceRecord` and
-    :class:`~repro.obs.events.RetireEvent` interchangeably (identical
-    field layout) and never retains a reference past the
-    :meth:`feed` call, so streaming consumption is O(1) in trace length.
+    Register one on a :func:`repro.obs.run_session` run and read
+    :attr:`report` after it — the reference path: one pass, memory
+    independent of instruction count.  It never keeps a reference to an
+    event past the :meth:`on_retire` call.
 
     Every unit of energy is charged as ``e = amount * scale`` and added to
     its block, then to its group, so one factor rescales the whole report
@@ -145,13 +140,19 @@ class _ActivityAccumulator:
     scales the constant ones once.
     """
 
+    wants_retire = True
+    #: operand-result values feed the register-file port model
+    needs_result = True
+
     def __init__(self, estimator: "RtlEnergyEstimator") -> None:
         self._est = estimator
-        self.reset()
+        self._report: Optional[EnergyReport] = None
 
-    def reset(self) -> None:
-        """Zero every charge and the activity history."""
+    def on_run_start(self, config: ProcessorConfig, program: Program) -> None:
+        """Check the run's config, then zero every charge and the history."""
         est = self._est
+        est._check_config(config)
+        self._report = None
         self.by_block: dict[str, float] = {name: 0.0 for name in est._active}
         for instance in est.netlist.custom_instances:
             self.by_block[instance.name] = 0.0
@@ -165,7 +166,7 @@ class _ActivityAccumulator:
         self._prev_bus = (0, 0)
         self._prev_custom: dict[str, tuple[int, ...]] = {}
 
-    def feed(self, record: "RetireEvent | object") -> None:
+    def on_retire(self, record: "RetireEvent") -> None:
         """Charge every block touched by one retired instruction."""
         est = self._est
         by_block = self.by_block
@@ -327,49 +328,16 @@ class _ActivityAccumulator:
         by_block["clock_tree"] += e
         groups[_IDLE] += e
 
-    def finish(self, program_name: str, cycles: int, instructions: int) -> EnergyReport:
+    def on_run_finish(self, result: SimulationResult) -> None:
         """Package the accumulated charges into an :class:`EnergyReport`."""
-        return EnergyReport(
-            program_name=program_name,
+        self._report = EnergyReport(
+            program_name=result.program.name,
             processor_name=self._est.config.name,
             total=_serial_sum(self.groups),
             by_block=self.by_block,
             by_group=dict(zip(_GROUPS, self.groups)),
-            cycles=cycles,
-            instructions=instructions,
-        )
-
-
-class RtlEnergyObserver(_ActivityAccumulator, SimObserver):
-    """Streams retire events into a switching-activity accumulator.
-
-    Register one on a :func:`repro.obs.run_session` run (no trace
-    collection needed) and read :attr:`report` after the run — the
-    streaming reference path: one pass, peak trace memory independent of
-    instruction count.  The observer is its own accumulator, so each
-    retire is one call straight into :meth:`~_ActivityAccumulator.feed`.
-    """
-
-    wants_retire = True
-    #: operand-result values feed the register-file port model
-    needs_result = True
-
-    def __init__(self, estimator: "RtlEnergyEstimator") -> None:
-        self._est = estimator
-        self._report: Optional[EnergyReport] = None
-
-    def on_run_start(self, config: ProcessorConfig, program: Program) -> None:
-        self._est._check_config(config, source="run")
-        self.reset()
-        self._report = None
-
-    on_retire = _ActivityAccumulator.feed
-
-    def on_run_finish(self, result: SimulationResult) -> None:
-        self._report = self.finish(
-            result.program.name,
-            result.stats.total_cycles,
-            result.stats.total_instructions,
+            cycles=result.stats.total_cycles,
+            instructions=result.stats.total_instructions,
         )
 
     @property
@@ -510,17 +478,16 @@ class RtlEnergyEstimator:
 
     # -- public API -----------------------------------------------------------
 
-    def _check_config(self, other: ProcessorConfig, source: str) -> None:
-        """Reject execution streams produced on a content-different config.
+    def _check_config(self, other: ProcessorConfig) -> None:
+        """Reject runs on a content-different config.
 
         Names can collide across content-different configs, so the error
         reports content fingerprints of both sides.
         """
         if other is self.config or other.fingerprint() == self.config.fingerprint():
             return
-        noun = "trace" if source == "trace" else "simulation run"
         raise ValueError(
-            f"{noun} was produced on {other.name!r} "
+            f"simulation run was produced on {other.name!r} "
             f"(fingerprint {other.fingerprint()[:12]}), but this estimator "
             f"models {self.config.name!r} "
             f"(fingerprint {self.config.fingerprint()[:12]})"
@@ -530,28 +497,6 @@ class RtlEnergyEstimator:
         """A fresh streaming observer bound to this estimator's netlist."""
         return RtlEnergyObserver(self)
 
-    def estimate(self, result: SimulationResult) -> EnergyReport:
-        """Estimate the energy of a simulated run (requires a full trace).
-
-        Compatibility path over a materialized trace; the streaming
-        observer computes the identical report without one.
-        """
-        if result.trace is None:
-            raise ValueError(
-                "RTL estimation needs a full execution trace; simulate with "
-                "collect_trace=True, or use the streaming observer() / "
-                "estimate_program() path which needs no trace at all"
-            )
-        self._check_config(result.config, source="trace")
-        accumulator = _ActivityAccumulator(self)
-        for record in result.trace:
-            accumulator.feed(record)
-        return accumulator.finish(
-            result.program.name,
-            result.stats.total_cycles,
-            result.stats.total_instructions,
-        )
-
     def estimate_program(
         self, program: Program, max_instructions: int = DEFAULT_MAX_INSTRUCTIONS
     ) -> tuple[EnergyReport, SimulationResult]:
@@ -559,9 +504,6 @@ class RtlEnergyEstimator:
 
         Streams the run through :class:`RtlEnergyObserver` — no trace is
         materialized, so peak memory is independent of instruction count.
-        The returned :class:`SimulationResult` therefore has
-        ``trace=None``; call :meth:`estimate` on a ``collect_trace=True``
-        run if the trace itself is needed.
         """
         observer = self.observer()
         result = run_session(

@@ -22,7 +22,7 @@ See ``docs/SERVING.md`` for the wire API and operational semantics.
 
 from .admission import DrainRateEstimator, retry_after_seconds
 from .api import ApiError, EstimateRequest, ExploreRequest, parse_estimate, parse_explore
-from .batching import BatchQueue, Coalescer, Job, partition_compatible
+from .batching import BatchQueue, Coalescer, Job
 from .metrics import LatencyWindow, ServiceMetrics, render_prometheus
 from .pool import WorkerPool, run_estimate_batch, run_explore
 from .server import EstimationServer, EstimationService, run_server
@@ -54,7 +54,6 @@ __all__ = [
     "is_pool_crash",
     "parse_estimate",
     "parse_explore",
-    "partition_compatible",
     "render_prometheus",
     "retry_after_seconds",
     "run_estimate_batch",

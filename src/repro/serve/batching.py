@@ -14,10 +14,10 @@ Two independent mechanisms make a duplicate-heavy workload cheap:
   ``max_batch``, without waiting for more.  Jobs that arrive while the
   workers are busy build up in the queue and leave together as the next
   batch, so batch width grows with load and a lone request on an idle
-  service is dispatched at once.  The harvest is partitioned into
-  per-processor groups (:func:`partition_compatible`); one worker
-  round-trip then amortizes config resolution and pool overhead across
-  the whole group — the server-side analog of the CLI's multi-program
+  service is dispatched at once.  A harvest goes to the pool as one
+  batch: one worker round-trip amortizes pool overhead across it, and
+  the worker's estimation kernel groups the jobs that share a
+  simulation — the server-side analog of the CLI's multi-program
   ``estimate`` fast path.
 
 The queue is **bounded**: ``put_nowait`` raising
@@ -39,8 +39,6 @@ class Job:
     """One enqueued estimate, shared by every coalesced waiter."""
 
     key: str
-    #: batch-compatibility group (the processor-config fingerprint)
-    group: str
     #: picklable worker item (see :func:`repro.serve.pool.resolve_workload`)
     item: dict
     future: "asyncio.Future[dict]"
@@ -141,15 +139,3 @@ class BatchQueue:
             jobs.append(self._queue.get_nowait())
         return jobs
 
-
-def partition_compatible(jobs: list[Job]) -> list[list[Job]]:
-    """Split a harvest into dispatchable groups (same processor config).
-
-    Jobs sharing a config fingerprint resolve the config once worker-side;
-    mixing fingerprints in one batch would serialize distinct processors
-    behind each other for no amortization gain.
-    """
-    groups: "OrderedDict[str, list[Job]]" = OrderedDict()
-    for job in jobs:
-        groups.setdefault(job.group, []).append(job)
-    return list(groups.values())

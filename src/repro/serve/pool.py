@@ -20,8 +20,8 @@ crashes is respawned by :meth:`WorkerPool.restart`, and the frontend
 process never scores a batch itself.
 
 Worker functions receive *batches*: a list of small picklable item
-dicts sharing one processor configuration.  A batch is scored by one
-call to the estimation kernel,
+dicts, one per queued job, whatever their processor configurations.  A
+batch is scored by one call to the estimation kernel,
 :meth:`~repro.core.model.EnergyMacroModel.estimate_many`, so items that
 share a trajectory (one program, one semantic partition, one budget)
 share one simulation pass.  Each batch result carries a

@@ -72,7 +72,7 @@ from .api import (
     parse_estimate,
     parse_explore,
 )
-from .batching import BatchQueue, Coalescer, Job, partition_compatible
+from .batching import BatchQueue, Coalescer, Job
 from .http import (
     HttpProtocolError,
     HttpRequest,
@@ -440,9 +440,7 @@ class EstimationService:
             req.max_instructions,
         )
         deadline = deadline_at(req.deadline_ms)
-        payload, dedup = await self._obtain(
-            key, config.fingerprint(), item, deadline=deadline
-        )
+        payload, dedup = await self._obtain(key, item, deadline=deadline)
         status, response = self._estimate_response(req, key, payload, dedup)
         self.metrics.observe_latency("estimate", time.perf_counter() - began)
         self.metrics.incr("responses_ok" if status == 200 else "responses_error")
@@ -451,7 +449,6 @@ class EstimationService:
     async def _obtain(
         self,
         key: str,
-        group: str,
         item: dict,
         deadline: Optional[float] = None,
     ):
@@ -489,7 +486,6 @@ class EstimationService:
                 return payload, "disk"
         job = Job(
             key=key,
-            group=group,
             item=item,
             future=asyncio.get_running_loop().create_future(),
             deadline=deadline,
@@ -655,14 +651,13 @@ class EstimationService:
             task.add_done_callback(self._batch_tasks.pop)
 
     async def _run_harvest(self, jobs: list[Job], slots: asyncio.Semaphore) -> None:
-        """Run a harvest's groups one after another on its one slot.
+        """Run a harvest as one batch on its one slot.
 
-        The slot is released however the batches end — answered, shed,
+        The slot is released however the batch ends — answered, shed,
         timed out or crashed — so the next harvest can go.
         """
         try:
-            for group in partition_compatible(jobs):
-                await self._run_batch(group)
+            await self._run_batch(jobs)
         finally:
             slots.release()
 
@@ -675,8 +670,7 @@ class EstimationService:
         )
         try:
             await self._run_supervised(jobs)
-        except Exception as exc:  # noqa: BLE001 — no waiter may hang, and the
-            # harvest's later groups still run on its slot
+        except Exception as exc:  # noqa: BLE001 — no waiter may hang
             self._fail_batch(
                 [job for job in jobs if not job.future.done()],
                 stage="dispatch",

@@ -107,9 +107,7 @@ class FaultPlan:
             program: Program,
             *,
             observers: Sequence[SimObserver] = (),
-            collect_trace: bool = False,
             max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-            entry: Optional[int] = None,
         ) -> SimulationResult:
             spec = self._simulation.get(program.name)
             if spec is not None and spec.fire():
@@ -123,9 +121,7 @@ class FaultPlan:
                 config,
                 program,
                 observers=observers,
-                collect_trace=collect_trace,
                 max_instructions=max_instructions,
-                entry=entry,
             )
 
         return session

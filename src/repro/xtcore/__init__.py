@@ -1,5 +1,6 @@
 """``repro.xtcore`` — the extensible-processor substrate (Xtensa substitute)."""
 
+from ..obs.records import ExecutionStats, TraceRecord, class_mix
 from .batch import run_batch, semantic_fingerprint
 from .caches import SetAssociativeCache
 from .compiled import (
@@ -25,9 +26,7 @@ from .iss import (
     EXIT_ADDRESS,
     SimulationResult,
     Simulator,
-    simulate,
 )
-from .trace import ExecutionStats, TraceRecord, class_mix
 
 __all__ = [
     "CacheConfig",
@@ -55,5 +54,4 @@ __all__ = [
     "describe_invalid_pc",
     "run_batch",
     "semantic_fingerprint",
-    "simulate",
 ]

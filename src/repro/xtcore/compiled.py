@@ -1733,16 +1733,6 @@ class CompilationCache:
                 self.build_evictions += 1
             return value
 
-    def put(self, executable: ExecutableProgram) -> None:
-        """Insert a pre-built lowering (e.g. compiled in a parent process)."""
-        key = (executable.program_digest, executable.lowering_key)
-        with self._lock:
-            self._entries[key] = executable
-            self._entries.move_to_end(key)
-            if len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
     def clear(self) -> None:
         """Drop all entries and reset every counter."""
         with self._lock, self._build_lock:
@@ -1802,7 +1792,8 @@ class CompilationCache:
 
 #: Process-wide cache used by :class:`repro.xtcore.Simulator` (and thereby
 #: ``run_session``).  Forked worker processes inherit the parent's entries
-#: copy-on-write, which is how the DSE pool compiles once pre-fork.
+#: copy-on-write, which is how the serve pool's workers start with the
+#: bundled benchmarks already lowered.
 _GLOBAL_CACHE = CompilationCache()
 
 

@@ -7,8 +7,9 @@ construction.  It is an oracle only, with two jobs:
 
 * the **differential test harness** asserts that both dispatch loops in
   :mod:`repro.xtcore.iss` (superop and instrumented) produce
-  bitwise-identical stats, traces and final machine state against this
-  loop on generated and bundled programs;
+  bitwise-identical stats, final machine state and — through a
+  :class:`~repro.obs.bundled.TraceObserver` on both sides — traces
+  against this loop on generated and bundled programs;
 * the **throughput benchmark** (`benchmarks/bench_iss_throughput.py`)
   measures the compiled loops' speedup against it.
 
@@ -25,7 +26,7 @@ from ..asm import Program
 from ..isa import INSTRUCTION_BYTES, InstructionClass, MachineState
 from ..isa.bits import truncate
 from ..isa.instructions import Instruction, InstructionDef
-from ..obs.bundled import StatsObserver, TraceObserver
+from ..obs.bundled import StatsObserver
 from ..obs.events import RetireEvent
 from ..obs.protocol import SimObserver
 from .caches import SetAssociativeCache
@@ -41,13 +42,11 @@ class ReferenceSimulator:
         self,
         config: ProcessorConfig,
         program: Program,
-        collect_trace: bool = False,
         max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
         observers: Sequence[SimObserver] = (),
     ) -> None:
         self.config = config
         self.program = program
-        self.collect_trace = collect_trace
         self.max_instructions = max_instructions
         self.observers = tuple(observers)
         isa = config.isa
@@ -73,18 +72,11 @@ class ReferenceSimulator:
         state.pc = self.program.entry
         return state
 
-    def run(self, entry: Optional[int] = None) -> SimulationResult:
-        """Simulate from ``entry`` (default: program entry) to completion."""
+    def run(self) -> SimulationResult:
+        """Simulate from the program entry to completion."""
         state = self._reset()
-        if entry is not None:
-            state.pc = entry
         stats_observer = StatsObserver()
-        chain: list[SimObserver] = [stats_observer]
-        trace_observer: Optional[TraceObserver] = None
-        if self.collect_trace:
-            trace_observer = TraceObserver()
-            chain.append(trace_observer)
-        chain.extend(self.observers)
+        chain: list[SimObserver] = [stats_observer, *self.observers]
         for observer in chain:
             observer.on_run_start(self.config, self.program)
         # Prefilter per granularity once, so unused callbacks cost nothing
@@ -213,7 +205,6 @@ class ReferenceSimulator:
             config=self.config,
             stats=stats,
             state=state,
-            trace=trace_observer.records if trace_observer is not None else None,
             engine="reference",
         )
         for observer in chain:

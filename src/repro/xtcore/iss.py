@@ -24,8 +24,9 @@ by the :func:`~repro.xtcore.compiled.compilation_cache`), and
 :meth:`Simulator.run` dispatches over that IR through one of two loops,
 picked by what the run must report:
 
-* the **instrumented loop** runs whenever a trace is requested or an
-  observer wants per-retire callbacks: it populates one reused
+* the **instrumented loop** runs whenever an observer wants per-retire
+  callbacks (a :class:`~repro.obs.bundled.TraceObserver` is one such
+  observer): it populates one reused
   :class:`~repro.obs.events.RetireEvent` per instruction and fans it out
   to the :class:`~repro.obs.protocol.SimObserver` chain, exactly as the
   streaming protocol documents;
@@ -39,6 +40,10 @@ picked by what the run must report:
   no callback dispatch.  Solo runs, batched multi-config runs
   (:func:`repro.xtcore.batch.run_batch`) and forked serve workers all
   dispatch through this one loop and the same fused regions.
+
+The one public way to run a program is :func:`repro.obs.run_session`;
+per-retire data (a trace, switching activity, profiles) is always an
+observer passed in its ``observers``.
 
 Both loops fold statistics the same way — per-op retire/taken counts and
 scalar event counters, aggregated into :class:`ExecutionStats` at run
@@ -55,9 +60,9 @@ from typing import Callable, Optional, Sequence
 from ..asm import Program
 from ..isa import INSTRUCTION_BYTES, MachineState
 from ..isa.classes import InstructionClass
-from ..obs.bundled import TraceObserver
 from ..obs.events import RetireEvent
 from ..obs.protocol import SimObserver
+from ..obs.records import ExecutionStats
 from .caches import SetAssociativeCache
 from .compiled import (
     ExecutableProgram,
@@ -67,7 +72,6 @@ from .compiled import (
 )
 from .config import DEFAULT_MAX_INSTRUCTIONS, ProcessorConfig
 from .errors import SimulationError, SimulationLimitExceeded
-from .trace import ExecutionStats, TraceRecord
 
 #: Value planted in the link register at reset; returning to it halts the
 #: simulation, so top-level routines may end with ``ret`` instead of ``halt``.
@@ -87,7 +91,6 @@ __all__ = [
     "SimulationLimitExceeded",
     "SimulationResult",
     "Simulator",
-    "simulate",
 ]
 
 
@@ -99,7 +102,6 @@ class SimulationResult:
     config: ProcessorConfig
     stats: ExecutionStats
     state: MachineState
-    trace: Optional[list[TraceRecord]] = None
     #: dispatch path that produced this result: "superop", "instrumented",
     #: "batch" or "reference" (the oracle interpreter).
     engine: Optional[str] = None
@@ -418,13 +420,12 @@ class Simulator:
 
     Construction resolves the program against the process-wide
     :func:`~repro.xtcore.compiled.compilation_cache` (pass ``executable``
-    to reuse a lowering compiled elsewhere, e.g. pre-fork in a worker
-    pool).  ``observers`` registers extra
+    to reuse a lowering compiled elsewhere).  ``observers`` registers
     :class:`~repro.obs.protocol.SimObserver` subscribers on every run.
 
     Each run picks its dispatch loop from what it must report: the
-    instrumented per-op loop when a trace is requested or an observer
-    wants per-retire callbacks (``wants_retire`` / ``wants_events``),
+    instrumented per-op loop when an observer wants per-retire
+    callbacks (``wants_retire`` / ``wants_events``),
     the superop region loop (:func:`dispatch`) otherwise.  Stats are
     bitwise identical either way.  Most callers should go through
     :func:`repro.obs.run_session` instead of constructing a ``Simulator``
@@ -435,14 +436,12 @@ class Simulator:
         self,
         config: ProcessorConfig,
         program: Program,
-        collect_trace: bool = False,
         max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
         observers: Sequence[SimObserver] = (),
         executable: Optional[ExecutableProgram] = None,
     ) -> None:
         self.config = config
         self.program = program
-        self.collect_trace = collect_trace
         self.max_instructions = max_instructions
         self.observers = tuple(observers)
         if executable is None:
@@ -467,14 +466,10 @@ class Simulator:
         state.pc = self.program.entry
         return state
 
-    def run(self, entry: Optional[int] = None) -> SimulationResult:
-        """Simulate from ``entry`` (default: program entry) to completion."""
+    def run(self) -> SimulationResult:
+        """Simulate from the program entry to completion."""
         state = self._reset()
-        if entry is not None:
-            state.pc = entry
-        if self.collect_trace or any(
-            o.wants_retire or o.wants_events for o in self.observers
-        ):
+        if any(o.wants_retire or o.wants_events for o in self.observers):
             return self._run_instrumented(state)
         # Run-scoped observers only need the start/finish callbacks the
         # protocol guarantees; fused regions honor those.
@@ -511,18 +506,13 @@ class Simulator:
         )
 
     # ------------------------------------------------------------------
-    # instrumented path: observer chain and/or trace materialization
+    # instrumented path: the per-retire observer chain
     # ------------------------------------------------------------------
 
     def _run_instrumented(self, state: MachineState) -> SimulationResult:
         executable = self.executable
         config = self.config
-        chain: list[SimObserver] = []
-        trace_observer: Optional[TraceObserver] = None
-        if self.collect_trace:
-            trace_observer = TraceObserver()
-            chain.append(trace_observer)
-        chain.extend(self.observers)
+        chain = self.observers
         for observer in chain:
             observer.on_run_start(config, self.program)
         # Prefilter per granularity once, so unused callbacks cost nothing
@@ -690,28 +680,9 @@ class Simulator:
             config=config,
             stats=stats,
             state=state,
-            trace=trace_observer.records if trace_observer is not None else None,
             engine="instrumented",
         )
         for observer in chain:
             observer.on_run_finish(result)
         return result
 
-
-def simulate(
-    config: ProcessorConfig,
-    program: Program,
-    collect_trace: bool = False,
-    max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-    observers: Sequence[SimObserver] = (),
-    executable: Optional[ExecutableProgram] = None,
-) -> SimulationResult:
-    """One-shot convenience wrapper around :class:`Simulator`."""
-    return Simulator(
-        config,
-        program,
-        collect_trace=collect_trace,
-        max_instructions=max_instructions,
-        observers=observers,
-        executable=executable,
-    ).run()

@@ -13,7 +13,8 @@ from repro.core import (
 )
 from repro.hwlib import SPURIOUS_ACTIVATION_WEIGHT, ComponentCategory
 from repro.tie import TieSpec
-from repro.xtcore import build_processor, simulate
+from repro.obs import run_session
+from repro.xtcore import build_processor
 
 
 def _mul16():
@@ -42,7 +43,7 @@ loop:
         "extract-test",
         isa=config.isa,
     )
-    return config, simulate(config, program)
+    return config, run_session(config, program)
 
 
 class TestInstructionVariables:
@@ -91,7 +92,7 @@ class TestResourceUsage:
             "base-only",
             isa=config.isa,
         )
-        result = simulate(config, program)
+        result = run_session(config, program)
         usage = analyze_resource_usage(result.stats, config)
         assert usage.instance_active_cycles == {}
         assert sum(usage.instance_spurious_cycles.values()) > 0
@@ -101,7 +102,7 @@ class TestResourceUsage:
 
     def test_base_processor_has_zero_usage(self, tiny_loop_program):
         config = build_processor("plain")
-        result = simulate(config, tiny_loop_program)
+        result = run_session(config, tiny_loop_program)
         usage = analyze_resource_usage(result.stats, config)
         assert usage.weighted_activity == {}
         assert usage.vector() == [0.0] * 10
@@ -118,7 +119,7 @@ class TestResourceUsage:
             "narrow",
             isa=config.isa,
         )
-        result = simulate(config, program)
+        result = run_session(config, program)
         usage = analyze_resource_usage(result.stats, config)
         weighted = usage.weighted_activity[ComponentCategory.TIE_MULT]
         raw = usage.raw_activity[ComponentCategory.TIE_MULT]

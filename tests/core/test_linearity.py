@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.asm import assemble
 from repro.core import EnergyMacroModel, default_template
-from repro.xtcore import build_processor, simulate
+from repro.obs import run_session
+from repro.xtcore import build_processor
 
 
 @pytest.fixture(scope="module")
@@ -19,9 +20,9 @@ def model():
 @pytest.fixture(scope="module")
 def stats_pair():
     config = build_processor("lin")
-    a = simulate(config, assemble(
+    a = run_session(config, assemble(
         "main:\n    movi a2, 40\nl:\n    add a3, a3, a2\n    addi a2, a2, -1\n    bnez a2, l\n    halt\n", "a")).stats
-    b = simulate(config, assemble(
+    b = run_session(config, assemble(
         "    .data\nv: .space 64\n    .text\nmain:\n    la a2, v\n    movi a3, 10\nl:\n    l32i a4, a2, 0\n    s32i a4, a2, 4\n    addi a3, a3, -1\n    bnez a3, l\n    halt\n", "b")).stats
     return config, a, b
 
@@ -51,7 +52,7 @@ class TestLinearity:
         config = build_processor("lin-scale")
         template = default_template()
         local_model = EnergyMacroModel(template, np.linspace(10, 400, len(template)))
-        stats = simulate(config, assemble(
+        stats = run_session(config, assemble(
             "main:\n    movi a2, 15\nl:\n    xor a3, a3, a2\n    addi a2, a2, -1\n    bnez a2, l\n    halt\n",
             "unit")).stats
         merged = stats

@@ -10,7 +10,8 @@ from repro.core import (
     extract_variables,
     instruction_level_template,
 )
-from repro.xtcore import SimulationLimitExceeded, simulate
+from repro.obs import run_session
+from repro.xtcore import SimulationLimitExceeded
 
 
 @pytest.fixture()
@@ -39,7 +40,7 @@ class TestConstruction:
 
 class TestEstimation:
     def test_estimate_is_dot_product(self, model, tiny_loop_program, base_config):
-        result = simulate(base_config, tiny_loop_program)
+        result = run_session(base_config, tiny_loop_program)
         variables = extract_variables(result.stats, base_config, model.template)
         expected = float(variables @ model.coefficients)
         assert model.estimate_from_stats(result.stats, base_config) == pytest.approx(expected)
@@ -47,7 +48,7 @@ class TestEstimation:
     def test_estimate_runs_iss(self, model, tiny_loop_program, base_config):
         estimate = model.estimate(base_config, tiny_loop_program)
         assert estimate.energy > 0
-        assert estimate.cycles == simulate(base_config, tiny_loop_program).cycles
+        assert estimate.cycles == run_session(base_config, tiny_loop_program).cycles
         assert estimate.program_name == tiny_loop_program.name
         assert set(estimate.variables) == set(model.template.keys())
         assert "tiny_loop" in estimate.summary()
@@ -196,14 +197,12 @@ class TestOperatingPointSchema:
             EnergyMacroModel.from_json(json.dumps(payload))
 
     def test_digest_stable_across_save_load(self, model, tmp_path):
-        from repro.dse.cache import model_digest
-
         derived = model.at("90nm@1.2V@600MHz")
         path = tmp_path / "derived.json"
         derived.save(str(path))
-        assert model_digest(EnergyMacroModel.load(str(path))) == model_digest(derived)
+        assert EnergyMacroModel.load(str(path)).digest() == derived.digest()
         # the operating point is part of the digest: base and derived differ
-        assert model_digest(model) != model_digest(derived)
+        assert model.digest() != derived.digest()
 
     def test_at_scales_by_hand_computed_factor(self, model):
         # C(65)/C(180) * (1.1/1.8)^2 over the committed table

@@ -11,7 +11,8 @@ from repro.core import (
     default_template,
     regions_from_symbols,
 )
-from repro.xtcore import Simulator, build_processor
+from repro.obs import TraceObserver, run_session
+from repro.xtcore import build_processor
 from tests.stats_oracle import stats_from_records
 
 TWO_PHASE = """
@@ -90,8 +91,9 @@ class TestRegionDerivation:
 class TestStatsReconstruction:
     def test_partition_sums_to_whole(self, setup):
         config, program = setup
-        result = Simulator(config, program, collect_trace=True).run()
-        whole = stats_from_records(result.trace, config)
+        tracer = TraceObserver()
+        result = run_session(config, program, observers=(tracer,))
+        whole = stats_from_records(tracer.records, config)
         # must exactly equal the live stats the simulator collected
         live = result.stats
         assert whole.class_cycles == live.class_cycles
@@ -116,8 +118,9 @@ class TestStatsReconstruction:
             "mac-prof",
             isa=config.isa,
         )
-        result = Simulator(config, program, collect_trace=True).run()
-        rebuilt = stats_from_records(result.trace, config)
+        tracer = TraceObserver()
+        result = run_session(config, program, observers=(tracer,))
+        rebuilt = stats_from_records(tracer.records, config)
         assert rebuilt.custom_counts == result.stats.custom_counts
         assert rebuilt.custom_cycles == result.stats.custom_cycles
         assert rebuilt.custom_gpr_cycles == result.stats.custom_gpr_cycles

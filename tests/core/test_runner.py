@@ -15,7 +15,7 @@ from repro.core import (
     TooManyFailures,
     characterize,
 )
-from repro.obs import run_session
+from repro.obs import TraceObserver, run_session
 from repro.rtl.estimator import RtlEnergyObserver
 from repro.testing import FaultPlan, hanging_task
 from repro.xtcore import build_processor
@@ -228,7 +228,11 @@ class TestCharacterizeIntegration:
         plan = FaultPlan().fail_simulation("arith", times=1)
         report = _runner(simulate=plan.wrap_session(spy)).run(base_tasks)
         assert report.ok
-        assert not any(kwargs.get("collect_trace", False) for kwargs in calls)
+        assert not any(
+            isinstance(observer, TraceObserver)
+            for kwargs in calls
+            for observer in kwargs.get("observers", ())
+        )
         observed = [kwargs for kwargs in calls if kwargs.get("observers")]
         assert len(observed) == len(base_tasks)
         for kwargs in observed:

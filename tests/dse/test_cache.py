@@ -3,13 +3,7 @@
 import json
 import pathlib
 
-from repro.dse import (
-    ResultCache,
-    candidate_cache_key,
-    get_space,
-    model_digest,
-    program_digest,
-)
+from repro.dse import ResultCache, candidate_cache_key, get_space
 
 from .conftest import make_toy_space
 
@@ -20,25 +14,25 @@ class TestDigests:
 
         from repro.core import EnergyMacroModel
 
-        assert model_digest(synthetic_model) == model_digest(synthetic_model)
+        assert synthetic_model.digest() == synthetic_model.digest()
         other = EnergyMacroModel(
             synthetic_model.template,
             np.asarray(synthetic_model.coefficients) + 1.0,
         )
-        assert model_digest(other) != model_digest(synthetic_model)
+        assert other.digest() != synthetic_model.digest()
 
     def test_program_digest_distinguishes_programs(self):
         space = make_toy_space()
-        config, prog_a = space.build({"n": 2, "pad": 0})
+        _, prog_a = space.build({"n": 2, "pad": 0})
         _, prog_b = space.build({"n": 4, "pad": 0})
-        assert program_digest(prog_a, config) != program_digest(prog_b, config)
-        assert program_digest(prog_a, config) == program_digest(prog_a, config)
+        assert prog_a.digest() != prog_b.digest()
+        assert prog_a.digest() == prog_a.digest()
 
 
 class TestCandidateCacheKey:
     def test_stable_across_separate_builds(self, synthetic_model):
         space = get_space("reed_solomon")
-        digest = model_digest(synthetic_model)
+        digest = synthetic_model.digest()
         keys = []
         for _ in range(2):
             config, program = space.build({"impl": "gfmac"})
@@ -47,7 +41,7 @@ class TestCandidateCacheKey:
 
     def test_sensitive_to_every_component(self, synthetic_model):
         space = make_toy_space()
-        digest = model_digest(synthetic_model)
+        digest = synthetic_model.digest()
         config, program = space.build({"n": 2, "pad": 0})
         base = candidate_cache_key(digest, config, program, 1000)
         other_config, other_program = space.build({"n": 4, "pad": 0})

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.asm import assemble
 from repro.isa import MachineState
+from repro.obs import TraceObserver
 from repro.programs.extensions import add4x8_spec, mul16_spec
 from repro.xtcore import DEFAULT_STACK_TOP, EXIT_ADDRESS, Simulator, build_processor
 
@@ -94,7 +95,7 @@ class TestDifferential:
         config = build_processor("diff-test", _custom_specs())
         program = assemble(source, "diff", isa=config.isa)
         plain = Simulator(config, program).run()
-        traced = Simulator(config, program, collect_trace=True).run()
+        traced = Simulator(config, program, observers=(TraceObserver(),)).run()
         assert plain.state.regs == traced.state.regs
         assert plain.stats.total_cycles == traced.stats.total_cycles
         assert plain.stats.class_cycles == traced.stats.class_cycles

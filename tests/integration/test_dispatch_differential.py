@@ -2,10 +2,10 @@
 
 :class:`repro.xtcore.Simulator` has two dispatch paths — the superop
 block loop (the default) and the instrumented per-op loop (taken when a
-trace or a per-retire observer is present).  Both must be bitwise
-equivalent to the reference interpreter
-(:class:`repro.xtcore.ReferenceSimulator`) on statistics, traces and
-final machine state — on every bundled benchmark and on hundreds of
+per-retire observer is present).  Both must be bitwise equivalent to the
+reference interpreter (:class:`repro.xtcore.ReferenceSimulator`) on
+statistics, traces (a :class:`~repro.obs.TraceObserver` on each side)
+and final machine state — on every bundled benchmark and on hundreds of
 seeded random programs from :mod:`repro.testing.progen`.
 """
 
@@ -13,7 +13,7 @@ import dataclasses
 
 import pytest
 
-from repro.obs import SimObserver
+from repro.obs import SimObserver, TraceObserver
 from repro.programs import characterization_suite
 from repro.testing.progen import generate_program, generate_source, stress_programs
 from repro.xtcore import (
@@ -103,21 +103,25 @@ def run_to_fault(simulator):
 
 
 def run_both(config, program, max_instructions=MAX_INSTRUCTIONS):
-    reference = ReferenceSimulator(
-        config, program, collect_trace=True, max_instructions=max_instructions
-    )
-    ref_result = reference.run()
+    """Traced reference and instrumented runs.
+
+    Returns ``(ref_result, ref_trace, new_result, new_trace, executable)``.
+    """
+    ref_tracer = TraceObserver()
+    ref_result = ReferenceSimulator(
+        config, program, max_instructions=max_instructions, observers=(ref_tracer,)
+    ).run()
     executable = compile_program(config, program)
-    compiled = Simulator(
+    new_tracer = TraceObserver()
+    new_result = Simulator(
         config,
         program,
-        collect_trace=True,
         max_instructions=max_instructions,
+        observers=(new_tracer,),
         executable=executable,
-    )
-    new_result = compiled.run()
+    ).run()
     assert new_result.engine == "instrumented"
-    return reference, ref_result, compiled, new_result, executable
+    return ref_result, ref_tracer.records, new_result, new_tracer.records, executable
 
 
 class TestBundledSuiteEquivalence:
@@ -126,16 +130,16 @@ class TestBundledSuiteEquivalence:
     )
     def test_case_bitwise_identical(self, case):
         config, program = case.build()
-        reference, ref_result, compiled, new_result, executable = run_both(
+        ref_result, ref_trace, new_result, new_trace, executable = run_both(
             config, program, max_instructions=case.max_instructions
         )
         assert_stats_equal(ref_result.stats, new_result.stats, case.name)
-        assert_traces_equal(ref_result.trace, new_result.trace, case.name)
+        assert_traces_equal(ref_trace, new_trace, case.name)
         assert_states_equal(ref_result.state, new_result.state, case.name)
         case.verify(new_result)
 
         # both untraced paths (fused superop regions, and the per-op
-        # instrumented loop driven by an observer) must agree as well
+        # instrumented loop driven by a no-op observer) must agree as well
         for path in PATHS:
             fast_result = run_path(
                 path,
@@ -146,7 +150,6 @@ class TestBundledSuiteEquivalence:
             )
             context = f"{case.name} ({path})"
             assert_stats_equal(ref_result.stats, fast_result.stats, context)
-            assert fast_result.trace is None  # trace off => not materialized
             assert_states_equal(ref_result.state, fast_result.state, context)
 
 
@@ -159,12 +162,12 @@ class TestRandomProgramEquivalence:
         config = build_processor("xt-differential", [])
         for seed in RANDOM_SEEDS:
             program = generate_program(seed)
-            reference, ref_result, compiled, new_result, executable = run_both(
+            ref_result, ref_trace, new_result, new_trace, executable = run_both(
                 config, program
             )
             context = f"seed {seed}"
             assert_stats_equal(ref_result.stats, new_result.stats, context)
-            assert_traces_equal(ref_result.trace, new_result.trace, context)
+            assert_traces_equal(ref_trace, new_trace, context)
             assert_states_equal(ref_result.state, new_result.state, context)
 
             # the traced run above is the instrumented path; the default

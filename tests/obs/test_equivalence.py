@@ -1,12 +1,10 @@
-"""Observer-path equivalence with the pre-observer simulation semantics.
+"""Observer-path equivalence.
 
-The refactor's contract: statistics and traces delivered through the
-observer protocol are identical to what the hard-wired collection
-produced, and the streaming RTL estimator reproduces the materialized
-``estimate(result)`` numbers to 1e-9 relative tolerance on every bundled
-program (the acceptance bar — in practice they are bitwise equal, since
-both paths walk identical arithmetic over identical per-instruction
-values).
+Statistics and traces delivered through the observer protocol agree
+with the run's own aggregate statistics, and a trace materialized by a
+:class:`TraceObserver` carries everything the reference RTL estimator
+reads: replaying its records through a fresh estimator observer
+reproduces the streaming report bit for bit on every bundled program.
 """
 
 import dataclasses
@@ -16,6 +14,7 @@ import pytest
 from repro.obs import StatsObserver, TraceObserver, run_session
 from repro.programs import characterization_suite
 from repro.rtl import RtlEnergyEstimator, generate_netlist
+from tests.stats_oracle import stats_from_records
 
 SUITE = characterization_suite(include_variants=False)
 
@@ -23,6 +22,27 @@ SUITE = characterization_suite(include_variants=False)
 def _assert_stats_equal(a, b):
     for field in dataclasses.fields(a):
         assert getattr(a, field.name) == getattr(b, field.name), field.name
+
+
+def _replay(estimator, records, result):
+    """Feed materialized trace records through a fresh estimator observer."""
+    observer = estimator.observer()
+    observer.on_run_start(result.config, result.program)
+    for record in records:
+        observer.on_retire(record)
+    observer.on_run_finish(result)
+    return observer.report
+
+
+def _assert_reports_bitwise(a, b):
+    assert a.total.hex() == b.total.hex()
+    assert (a.cycles, a.instructions) == (b.cycles, b.instructions)
+    assert [(k, v.hex()) for k, v in a.by_block.items()] == [
+        (k, v.hex()) for k, v in b.by_block.items()
+    ]
+    assert [(k, v.hex()) for k, v in a.by_group.items()] == [
+        (k, v.hex()) for k, v in b.by_group.items()
+    ]
 
 
 class TestBundledObserverEquivalence:
@@ -34,20 +54,22 @@ class TestBundledObserverEquivalence:
         _assert_stats_equal(observer.stats, result.stats)
 
     @pytest.mark.parametrize("case", SUITE[:6], ids=lambda c: c.name)
-    def test_external_trace_observer_matches_result_trace(self, case):
+    def test_trace_observer_records_fold_to_result_stats(self, case):
         observer = TraceObserver()
-        result = case.run(collect_trace=True, observers=(observer,))
-        assert result.trace is not None
-        assert len(observer.records) == len(result.trace)
-        for mine, bundled in zip(observer.records, result.trace):
-            for field in mine.__slots__:
-                assert getattr(mine, field) == getattr(bundled, field), field
+        result = case.run(observers=(observer,))
+        assert len(observer.records) == result.stats.total_instructions
+        _assert_stats_equal(
+            stats_from_records(observer.records, result.config), result.stats
+        )
 
     def test_session_without_trace_returns_none(self):
+        # a trace exists only as an observer's records: the result of a
+        # session without one carries none and takes the superop loop
         case = SUITE[0]
         config, program = case.build()
         result = run_session(config, program, max_instructions=case.max_instructions)
-        assert result.trace is None
+        assert not hasattr(result, "trace")
+        assert result.engine == "superop"
         assert result.stats.total_instructions > 0
 
 
@@ -57,61 +79,46 @@ class TestStreamingRtlEquivalence:
         config, program = case.build()
         estimator = RtlEnergyEstimator(generate_netlist(config))
 
+        tracer = TraceObserver()
         traced = run_session(
             config,
             program,
-            collect_trace=True,
+            observers=(tracer,),
             max_instructions=case.max_instructions,
         )
-        materialized = estimator.estimate(traced)
+        materialized = _replay(estimator, tracer.records, traced)
 
-        streaming, result = estimator.estimate_program(
+        streaming, _ = estimator.estimate_program(
             program, max_instructions=case.max_instructions
         )
-
-        assert result.trace is None  # no list[TraceRecord] retained
-        assert streaming.total == pytest.approx(materialized.total, rel=1e-9)
-        assert streaming.cycles == materialized.cycles
-        assert streaming.instructions == materialized.instructions
-        for block, energy in materialized.by_block.items():
-            assert streaming.by_block[block] == pytest.approx(
-                energy, rel=1e-9, abs=1e-12
-            ), block
-        for group, energy in materialized.by_group.items():
-            assert streaming.by_group[group] == pytest.approx(
-                energy, rel=1e-9, abs=1e-12
-            ), group
+        _assert_reports_bitwise(streaming, materialized)
 
     def test_frozen_activity_mode_matches_too(self):
         case = SUITE[0]
         config, program = case.build()
         estimator = RtlEnergyEstimator(generate_netlist(config), data_dependent=False)
+        tracer = TraceObserver()
         traced = run_session(
-            config, program, collect_trace=True, max_instructions=case.max_instructions
+            config, program, observers=(tracer,), max_instructions=case.max_instructions
         )
-        materialized = estimator.estimate(traced)
+        materialized = _replay(estimator, tracer.records, traced)
         streaming, _ = estimator.estimate_program(
             program, max_instructions=case.max_instructions
         )
-        assert streaming.total == pytest.approx(materialized.total, rel=1e-9)
+        _assert_reports_bitwise(streaming, materialized)
 
 
 class TestEstimatorErrors:
-    def test_materialized_requires_trace(self, base_config, tiny_loop_program):
-        estimator = RtlEnergyEstimator(generate_netlist(base_config))
-        untraced = run_session(base_config, tiny_loop_program)
-        with pytest.raises(ValueError, match="streaming observer"):
-            estimator.estimate(untraced)
-
     def test_config_mismatch_reports_fingerprints(self, base_config, tiny_loop_program):
         from repro.programs.extensions import ALL_SPEC_FACTORIES
         from repro.xtcore import build_processor
 
         other = build_processor("obs-other", [ALL_SPEC_FACTORIES["mul16"]()])
         estimator = RtlEnergyEstimator(generate_netlist(other))
-        traced = run_session(base_config, tiny_loop_program, collect_trace=True)
         with pytest.raises(ValueError) as excinfo:
-            estimator.estimate(traced)
+            run_session(
+                base_config, tiny_loop_program, observers=(estimator.observer(),)
+            )
         message = str(excinfo.value)
         assert base_config.fingerprint()[:12] in message
         assert other.fingerprint()[:12] in message
@@ -141,6 +148,6 @@ class TestEstimatorErrors:
         config_a = build_processor("twin")
         config_b = build_processor("twin")
         estimator = RtlEnergyEstimator(generate_netlist(config_a))
-        traced = run_session(config_b, tiny_loop_program, collect_trace=True)
-        report = estimator.estimate(traced)
-        assert report.total > 0
+        observer = estimator.observer()
+        run_session(config_b, tiny_loop_program, observers=(observer,))
+        assert observer.report.total > 0

@@ -10,6 +10,7 @@ from repro.obs import (
     EnergyTimelineObserver,
     HotSpotObserver,
     ObserverStateError,
+    TraceObserver,
     run_session,
 )
 from tests.stats_oracle import stats_from_records
@@ -137,13 +138,14 @@ class TestRegionObserverEquivalence:
 
         report = EnergyProfiler(model).profile(base_config, loopy_program)
 
-        traced = run_session(base_config, loopy_program, collect_trace=True)
+        tracer = TraceObserver()
+        traced = run_session(base_config, loopy_program, observers=(tracer,))
         regions = sorted(
             regions_from_symbols(loopy_program), key=lambda region: region.start
         )
         for profile in report.regions:
             region = next(r for r in regions if r.name == profile.name)
-            records = [rec for rec in traced.trace if rec.addr in region]
+            records = [rec for rec in tracer.records if rec.addr in region]
             stats = stats_from_records(records, base_config)
             assert profile.instructions == stats.total_instructions
             assert profile.cycles == stats.total_cycles

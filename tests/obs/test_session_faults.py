@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.asm import assemble
 from repro.core.runner import CharacterizationRunner, RunnerTask
-from repro.obs import StatsObserver, run_session
+from repro.obs import StatsObserver, TraceObserver, run_session
 from repro.testing.faults import FaultPlan, InjectedFault
 
 
@@ -18,8 +17,9 @@ class TestWrapSession:
         config, program = pair
         session = FaultPlan().wrap_session()
         observer = StatsObserver()
-        result = session(config, program, observers=(observer,), collect_trace=True)
-        assert result.trace is not None
+        tracer = TraceObserver()
+        result = session(config, program, observers=(observer, tracer))
+        assert len(tracer.records) == result.stats.total_instructions
         assert observer.stats.total_instructions == result.stats.total_instructions
 
     def test_injects_for_named_program(self, pair):
@@ -37,20 +37,20 @@ class TestWrapSession:
         config, program = pair
         seen = {}
 
-        def inner(config, program, *, observers=(), collect_trace=False,
-                  max_instructions=0, entry=None):
-            seen.update(collect_trace=collect_trace, max_instructions=max_instructions)
+        tracer = TraceObserver()
+
+        def inner(config, program, *, observers=(), max_instructions=0):
+            seen.update(observers=observers, max_instructions=max_instructions)
             return run_session(
                 config,
                 program,
                 observers=observers,
-                collect_trace=collect_trace,
                 max_instructions=max_instructions,
             )
 
         session = FaultPlan().wrap_session(inner)
-        session(config, program, collect_trace=True, max_instructions=1234)
-        assert seen == {"collect_trace": True, "max_instructions": 1234}
+        session(config, program, observers=(tracer,), max_instructions=1234)
+        assert seen == {"observers": (tracer,), "max_instructions": 1234}
 
     def test_runner_accepts_wrapped_session(self, pair):
         config, program = pair
@@ -60,19 +60,3 @@ class TestWrapSession:
         assert report.ok
         assert len(report.samples) == 1
 
-
-class TestSessionEntry:
-    def test_entry_override(self, base_config):
-        source = """
-main:
-    movi a2, 1
-    halt
-alt:
-    movi a2, 2
-    halt
-"""
-        program = assemble(source, "entries", isa=base_config.isa)
-        default = run_session(base_config, program)
-        alt = run_session(base_config, program, entry=program.symbol("alt"))
-        assert default.state.get(2) == 1
-        assert alt.state.get(2) == 2

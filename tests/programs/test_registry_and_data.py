@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.obs import TraceObserver
 from repro.programs import BenchmarkCase, Lcg, expect_word, expect_words, rand_words
 from repro.programs.data import chunked, format_words
 from repro.programs.extensions import mul16_spec
@@ -119,8 +120,9 @@ class TestDensityVariants:
         narrow = _make_density_case(
             "narrow-data", dsp_extension_config(), ("mul16",), 0, 30, 7, data_mask=0xF
         )
-        result = narrow.run_verified(collect_trace=True)
-        for record in result.trace:
+        tracer = TraceObserver()
+        narrow.run_verified(observers=(tracer,))
+        for record in tracer.records:
             if record.mnemonic == "mul16":
                 assert all(op <= 0xF for op in record.operands)
 

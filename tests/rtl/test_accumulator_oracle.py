@@ -1,6 +1,6 @@
-"""Differential oracle for the reference estimator's activity accumulator.
+"""Differential oracle for the reference estimator's activity accumulation.
 
-The production accumulator reads switching activity from a Hamming
+The production observer reads switching activity from a Hamming
 distance table and charges each block from per-mnemonic constants.  The
 oracle below is the plain per-charge form it replaced, written out
 literally: every charge goes through one ``charge()`` helper and every
@@ -9,7 +9,8 @@ out left to right, as ``sum()`` rounds differently from Python 3.12 on.
 Both must produce bitwise-equal totals, per-block and per-group energies
 (compared as ``float.hex``) and the same key order, for every bundled
 case, with and without an operating point and with data-dependent
-activity on and off, on the streaming and on the materialized path.
+activity on and off.  The oracle reads the run's records from a
+:class:`~repro.obs.TraceObserver`; the product streams them.
 
 A change in any one charge's association (``(E * t * n) * s`` versus
 ``E * t * (n * s)``) or in the order of additions to a block or group
@@ -21,7 +22,7 @@ from __future__ import annotations
 import pytest
 
 from repro.isa import InstructionClass, hamming_distance
-from repro.obs import run_session
+from repro.obs import TraceObserver, run_session
 from repro.programs import application_suite, characterization_suite
 from repro.rtl import RtlEnergyEstimator, generate_netlist
 from repro.rtl.blocks import (
@@ -288,10 +289,14 @@ def _assert_bitwise(report, oracle: OracleAccumulator, label: str) -> None:
 def test_accumulator_matches_the_per_charge_oracle(name):
     case = CASES[name]
     netlist = generate_netlist(case.config)
-    traced = run_session(
-        case.config, case.program, collect_trace=True, max_instructions=case.max_instructions
+    tracer = TraceObserver()
+    run_session(
+        case.config,
+        case.program,
+        observers=(tracer,),
+        max_instructions=case.max_instructions,
     )
-    assert traced.trace
+    assert tracer.records
     for point in POINTS:
         for data_dependent in DATA_DEPENDENT:
             estimator = RtlEnergyEstimator(
@@ -299,10 +304,9 @@ def test_accumulator_matches_the_per_charge_oracle(name):
             )
             label = f"{name} point={point} data_dependent={data_dependent}"
             oracle = OracleAccumulator(estimator)
-            for record in traced.trace:
+            for record in tracer.records:
                 oracle.feed(record)
             streamed, _ = estimator.estimate_program(
                 case.program, max_instructions=case.max_instructions
             )
             _assert_bitwise(streamed, oracle, label + " streaming")
-            _assert_bitwise(estimator.estimate(traced), oracle, label + " materialized")

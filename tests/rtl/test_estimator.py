@@ -4,9 +4,10 @@ accounting structure and the data-dependence ablation switch."""
 import pytest
 
 from repro.asm import assemble
+from repro.obs import run_session
 from repro.rtl import EVENT_ENERGY, RtlEnergyEstimator, generate_netlist, reference_energy
 from repro.tie import TieSpec
-from repro.xtcore import Simulator, build_processor
+from repro.xtcore import build_processor
 
 
 def _mul16():
@@ -35,35 +36,26 @@ loop:
 
 
 class TestBasics:
-    def test_requires_trace(self):
-        config = build_processor("plain")
-        program = _program(LOOP, config)
-        untraced = Simulator(config, program, collect_trace=False).run()
-        estimator = RtlEnergyEstimator(generate_netlist(config))
-        with pytest.raises(ValueError, match="trace"):
-            estimator.estimate(untraced)
-
     def test_config_mismatch_rejected(self):
         plain = build_processor("plain")
         other = build_processor("other", [_mul16()])
         program = _program(LOOP, plain)
-        traced = Simulator(plain, program, collect_trace=True).run()
         estimator = RtlEnergyEstimator(generate_netlist(other))
         with pytest.raises(ValueError, match="models"):
-            estimator.estimate(traced)
+            run_session(plain, program, observers=(estimator.observer(),))
 
     def test_equal_content_config_accepted(self):
-        # the guard is content-addressed: a trace from a different object
+        # the guard is content-addressed: a run on a different object
         # (even differently named) describing the same hardware is valid,
         # and the estimate matches a native run on the modeled processor
         run_on = build_processor("one", [_mul16()])
         modeled = build_processor("two", [_mul16()])
         program = _program(LOOP, run_on)
-        traced = Simulator(run_on, program, collect_trace=True).run()
         estimator = RtlEnergyEstimator(generate_netlist(modeled))
-        report = estimator.estimate(traced)
+        observer = estimator.observer()
+        run_session(run_on, program, observers=(observer,))
         native, _ = reference_energy(modeled, _program(LOOP, modeled))
-        assert report.total == native.total
+        assert observer.report.total == native.total
 
     def test_deterministic(self):
         config = build_processor("plain")
@@ -76,19 +68,21 @@ class TestBasics:
     def test_unknown_arith_mnemonic_raises_key_error(self):
         from repro.isa import InstructionClass
         from repro.obs.records import TraceRecord
-        from repro.rtl.estimator import _ActivityAccumulator
 
-        estimator = RtlEnergyEstimator(generate_netlist(build_processor("plain")))
+        config = build_processor("plain")
+        program = _program(LOOP, config)
+        estimator = RtlEnergyEstimator(generate_netlist(config))
         record = TraceRecord(0x100, "nosuchop", InstructionClass.ARITH, 1, (3, 5), 8)
+        observer = estimator.observer()
+        observer.on_run_start(config, program)
         with pytest.raises(KeyError, match="nosuchop"):
-            _ActivityAccumulator(estimator).feed(record)
+            observer.on_retire(record)
         # the failed mnemonic leaves no plan behind: it raises again
+        observer.on_run_start(config, program)
         with pytest.raises(KeyError, match="nosuchop"):
-            _ActivityAccumulator(estimator).feed(record)
+            observer.on_retire(record)
 
     def test_observer_reused_across_runs_starts_from_zero(self):
-        from repro.obs import run_session
-
         config = build_processor("plain")
         program = _program(LOOP, config)
         estimator = RtlEnergyEstimator(generate_netlist(config))

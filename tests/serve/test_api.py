@@ -105,10 +105,17 @@ class TestRequestKey:
         config = build_processor("key-test")
         program = assemble("main:\n    halt\n", "p", isa=config.isa)
         other = assemble("main:\n    nop\n    halt\n", "p", isa=config.isa)
+        # same text, different data image
+        data = "    .data\nv: .word {}\n    .text\nmain:\n    halt\n"
+        data_a = assemble(data.format(1), "p", isa=config.isa)
+        data_b = assemble(data.format(2), "p", isa=config.isa)
         base = candidate_cache_key("m" * 64, config, program, 1000)
         assert candidate_cache_key("n" * 64, config, program, 1000) != base
         assert candidate_cache_key("m" * 64, config, other, 1000) != base
         assert candidate_cache_key("m" * 64, config, program, 999) != base
+        assert candidate_cache_key("m" * 64, config, data_a, 1000) != (
+            candidate_cache_key("m" * 64, config, data_b, 1000)
+        )
 
     def test_name_insensitive(self):
         """Cosmetic program names must not defeat coalescing."""

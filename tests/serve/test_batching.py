@@ -1,4 +1,4 @@
-"""Coalescer semantics, load-adaptive batch harvesting, and group partitioning."""
+"""Coalescer semantics and load-adaptive batch harvesting."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.core.runner import RetryPolicy
-from repro.serve import BatchQueue, Coalescer, Job, partition_compatible
+from repro.serve import BatchQueue, Coalescer, Job
 from repro.testing.faults import ServiceChaosPlan
 
 from .conftest import PoolGate, fire, wait_until
@@ -17,11 +17,11 @@ from .test_chaos import inline_body
 from .test_server import StallingPool
 
 
-def job_without_future(key: str, group: str = "g") -> Job:
+def job_without_future(key: str) -> Job:
     """Jobs for sync-only tests; the future is never awaited."""
     loop = asyncio.new_event_loop()
     try:
-        return Job(key=key, group=group, item={"max_instructions": 1}, future=loop.create_future())
+        return Job(key=key, item={"max_instructions": 1}, future=loop.create_future())
     finally:
         loop.close()
 
@@ -191,6 +191,25 @@ class TestLoadAdaptiveBatching:
         assert sum(sizes[1:]) == count
         assert max(sizes[1:]) == min(count, batch_max)
 
+    def test_mixed_processors_leave_as_one_batch(self, make_server):
+        # the worker's estimation kernel groups by trajectory, so a harvest
+        # that spans processor configs is still one pool round trip
+        server = make_server()
+        gate = PoolGate(server.service)
+        blocker = hold_worker(server, gate)
+        bodies = distinct_bodies(4)
+        for body in bodies[::2]:
+            body["extensions"] = ["mul16"]
+        results, threads = fire(server, bodies)
+        wait_until(lambda: server.service.queue.qsize() == 4)
+        gate.open()
+        for thread in blocker + threads:
+            thread.join(timeout=60)
+        assert sorted(status for _, status, _ in results) == [200] * 4
+        assert gate.sizes() == [1, 4]
+        extensions = {tuple(item["extensions"]) for item in gate.batches[1]}
+        assert extensions == {(), ("mul16",)}
+
     def test_lone_request_on_idle_service_is_dispatched_at_once(self, make_server):
         server = make_server()
         gate = PoolGate(server.service)
@@ -274,24 +293,3 @@ class TestQueueWait:
         assert "repro_serve_queue_wait_jobs 2" in text
         assert "repro_serve_queue_wait_p95_ms " in text
 
-
-class TestPartitionCompatible:
-    def test_groups_by_fingerprint_preserving_order(self):
-        jobs = [
-            job_without_future("a", group="base"),
-            job_without_future("b", group="ext"),
-            job_without_future("c", group="base"),
-            job_without_future("d", group="ext"),
-        ]
-        groups = partition_compatible(jobs)
-        assert [[job.key for job in group] for group in groups] == [
-            ["a", "c"],
-            ["b", "d"],
-        ]
-
-    def test_single_group_stays_whole(self):
-        jobs = [job_without_future(k) for k in "abc"]
-        assert partition_compatible(jobs) == [jobs]
-
-    def test_empty(self):
-        assert partition_compatible([]) == []

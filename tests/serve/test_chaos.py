@@ -134,7 +134,6 @@ class TestExclusiveRecovery:
             jobs = {
                 name: Job(
                     key=name,
-                    group="g",
                     item={"name": name, "max_instructions": 100},
                     future=loop.create_future(),
                 )

@@ -185,7 +185,6 @@ class TestBackpressure:
             service.queue.put_nowait(
                 Job(
                     key="occupant",
-                    group="g",
                     item={"max_instructions": 100},
                     future=loop.create_future(),
                 )
@@ -243,7 +242,6 @@ class TestTimeoutRetry:
             service.pool = stub
             job = Job(
                 key="k",
-                group="g",
                 item={"benchmark": "tp01_alu_mix", "max_instructions": 1000},
                 future=asyncio.get_running_loop().create_future(),
             )

@@ -292,6 +292,71 @@ class TestInputErrorHygiene:
         assert "Traceback" not in err
 
 
+def _exit_code(argv):
+    """``main``'s exit status, whether returned or raised."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestRunTimeErrors:
+    """A program that assembles but fails while running is bad input."""
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "reference", "profile"])
+    def test_budget_exhaustion_exits_2(self, command, model_file, demo_file, capsys):
+        model = [model_file] if command in ("estimate", "profile") else []
+        argv = [command, *model, demo_file, "--max-instructions", "5"]
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:")
+        assert "exceeded 5 instructions" in err
+        assert "Traceback" not in err
+
+    def test_invalid_pc_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "falloff.s"
+        path.write_text("main:\n    nop\n")  # runs off the end of the text
+        assert _exit_code(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:")
+        assert "not a valid instruction address" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command",
+        ["simulate", "assemble", "disasm", "estimate", "reference", "profile",
+         "explore", "discover"],
+    )
+    def test_non_positive_budget_exits_2(
+        self, command, budget, model_file, demo_file, tmp_path, capsys
+    ):
+        argv = {
+            "simulate": ["simulate", demo_file],
+            "assemble": ["assemble", demo_file, "-o", str(tmp_path / "out.xpf")],
+            "disasm": ["disasm", demo_file],
+            "estimate": ["estimate", model_file, demo_file],
+            "reference": ["reference", demo_file],
+            "profile": ["profile", model_file, demo_file],
+            "explore": ["explore", model_file, "--space", "fir"],
+            "discover": ["discover", model_file, "--workload", "fir"],
+        }[command]
+        assert _exit_code([*argv, "--max-instructions", budget]) == 2
+        assert "repro: error: --max-instructions must be >= 1" in capsys.readouterr().err
+
+    def test_negative_trace_limit_exits_2(self, demo_file, capsys):
+        argv = ["simulate", demo_file, "--trace", "--trace-limit", "-3"]
+        assert _exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert "repro: error: --trace-limit must be >= 0" in captured.err
+        assert captured.out == ""
+
+    def test_zero_trace_limit_prints_only_the_count(self, demo_file, capsys):
+        assert main(["simulate", demo_file, "--trace", "--trace-limit", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "TraceRecord" not in out
+        assert "more records)" in out
+
+
 def test_closed_stdout_exits_without_traceback():
     # The read end closes before the child starts, so every write fails.
     src = Path(__file__).resolve().parents[1] / "src"

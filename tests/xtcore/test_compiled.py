@@ -179,15 +179,15 @@ class TestCompilationCache:
         cache.get_or_compile(config, programs[0])
         assert cache.compilations == 4
 
-    def test_put_and_clear(self, config, program):
+    def test_clear(self, config, program):
         cache = CompilationCache()
-        executable = compile_program(config, program)
-        cache.put(executable)
+        executable = cache.get_or_compile(config, program)
         assert cache.get_or_compile(config, program) is executable
-        assert cache.compilations == 0
+        assert cache.compilations == 1
         cache.clear()
         assert len(cache) == 0
         assert cache.info()["hits"] == 0
+        assert cache.compilations == 0
 
     def test_global_cache_is_shared(self, config, program):
         assert compilation_cache() is compilation_cache()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.isa import BreakpointHit
+from repro.obs import TraceObserver
 from repro.tie import TieSpec, compile_spec
 from repro.xtcore import SimulationError, SimulationLimitExceeded, Simulator, build_processor
 
@@ -68,10 +69,11 @@ class TestCustomInstructionFaults:
     def test_trace_not_partially_corrupted_on_fault(self):
         config = build_processor("fault")
         program = assemble("main:\n    movi a2, 1\n    break\n    halt\n", "brk2", isa=config.isa)
-        simulator = Simulator(config, program, collect_trace=True)
+        tracer = TraceObserver()
+        simulator = Simulator(config, program, observers=(tracer,))
         with pytest.raises(BreakpointHit):
             simulator.run()
-        # a fresh run object is produced each time; a second run starts clean
+        # the same observer on a second run starts clean
         program_ok = assemble("main:\n    movi a2, 1\n    halt\n", "ok", isa=config.isa)
-        result = Simulator(config, program_ok, collect_trace=True).run()
-        assert len(result.trace) == 2
+        Simulator(config, program_ok, observers=(tracer,)).run()
+        assert len(tracer.records) == 2

@@ -4,6 +4,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.isa import InstructionClass
+from repro.obs import TraceObserver, run_session
 from repro.tie import TieSpec
 from repro.xtcore import (
     DEFAULT_STACK_TOP,
@@ -14,14 +15,20 @@ from repro.xtcore import (
     Simulator,
     build_processor,
     class_mix,
-    simulate,
 )
 
 
 def run(source, config=None, **kwargs):
     config = config or build_processor("iss-test")
     program = assemble(source, "iss-test", isa=config.isa)
-    return simulate(config, program, **kwargs)
+    return run_session(config, program, **kwargs)
+
+
+def trace(source):
+    """Run ``source`` with a :class:`TraceObserver`; ``(result, records)``."""
+    tracer = TraceObserver()
+    result = run(source, observers=(tracer,))
+    return result, tracer.records
 
 
 class TestBasicExecution:
@@ -231,44 +238,42 @@ class TestCustomInstructions:
 
 class TestTraces:
     def test_trace_only_when_requested(self):
-        result = run("main:\n    halt\n")
-        assert result.trace is None
-        traced = run("main:\n    halt\n", collect_trace=True)
-        assert traced.trace is not None and len(traced.trace) == 1
+        # without a per-retire observer the run takes the superop loop
+        assert run("main:\n    halt\n").engine == "superop"
+        traced, records = trace("main:\n    halt\n")
+        assert traced.engine == "instrumented"
+        assert len(records) == 1
 
     def test_trace_records_operands_and_results(self):
-        result = run(
-            "main:\n    movi a2, 6\n    movi a3, 7\n    add a4, a2, a3\n    halt\n",
-            collect_trace=True,
+        _, records = trace(
+            "main:\n    movi a2, 6\n    movi a3, 7\n    add a4, a2, a3\n    halt\n"
         )
-        record = result.trace[2]
+        record = records[2]
         assert record.mnemonic == "add"
         assert record.operands == (6, 7)
         assert record.result == 13
         assert record.iclass is InstructionClass.ARITH
 
     def test_trace_memory_address(self):
-        result = run(
-            "    .data\nv: .word 9\n    .text\nmain:\n    la a2, v\n    l32i a3, a2, 0\n    halt\n",
-            collect_trace=True,
+        result, records = trace(
+            "    .data\nv: .word 9\n    .text\nmain:\n    la a2, v\n    l32i a3, a2, 0\n    halt\n"
         )
-        load_record = [r for r in result.trace if r.mnemonic == "l32i"][0]
+        load_record = [r for r in records if r.mnemonic == "l32i"][0]
         assert load_record.mem_addr == result.program.symbol("v")
         assert load_record.dcache_miss
 
     def test_branch_trace_resolved_class(self):
-        result = run(
-            "main:\n    movi a2, 1\n    bnez a2, t\nt:\n    beqz a2, u\nu:\n    halt\n",
-            collect_trace=True,
+        _, records = trace(
+            "main:\n    movi a2, 1\n    bnez a2, t\nt:\n    beqz a2, u\nu:\n    halt\n"
         )
-        taken = [r for r in result.trace if r.mnemonic == "bnez"][0]
-        untaken = [r for r in result.trace if r.mnemonic == "beqz"][0]
+        taken = [r for r in records if r.mnemonic == "bnez"][0]
+        untaken = [r for r in records if r.mnemonic == "beqz"][0]
         assert taken.iclass is InstructionClass.BRANCH_TAKEN
         assert untaken.iclass is InstructionClass.BRANCH_UNTAKEN
 
     def test_trace_repr_flags(self):
-        result = run("main:\n    halt\n", collect_trace=True)
-        assert "halt" in repr(result.trace[0])
+        _, records = trace("main:\n    halt\n")
+        assert "halt" in repr(records[0])
 
 
 class TestStats:

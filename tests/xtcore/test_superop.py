@@ -12,7 +12,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.isa import base_isa
-from repro.obs import SimObserver
+from repro.obs import SimObserver, TraceObserver
 from repro.obs.tally import RunTallyObserver
 from repro.programs import characterization_suite
 from repro.programs.reed_solomon import reed_solomon_choices
@@ -91,6 +91,13 @@ def _region_ops(block):
     return range(block[BLK_START], block[BLK_START] + block[BLK_LEN])
 
 
+def _trace(config, program):
+    """The run's trace records, through a :class:`TraceObserver`."""
+    tracer = TraceObserver()
+    Simulator(config, program, observers=(tracer,)).run()
+    return tracer.records
+
+
 def _fused_calls(config, program, superops):
     """Header index -> dispatch arrivals, replaying the fusion policy on a trace.
 
@@ -99,7 +106,7 @@ def _fused_calls(config, program, superops):
     range, a straight region for its one segment.  No run here nears
     the instruction budget, so no region stops for it.
     """
-    trace = Simulator(config, program, collect_trace=True).run().trace
+    trace = _trace(config, program)
     executable = compile_program(config, program)
     path = [executable.index_of(record.addr) for record in trace]
     arrivals: dict[int, int] = {}
@@ -344,7 +351,7 @@ class TestCompileSuperops:
             Simulator(config, program).run()
         finally:
             superops.fused[loop] = region
-        trace = Simulator(config, program, collect_trace=True).run().trace
+        trace = _trace(config, program)
         entry = program.symbol("gfmult_sw")
         mult_calls = sum(1 for record in trace if record.addr == entry)
         assert mult_calls > 1
@@ -385,9 +392,10 @@ class TestEngineSelection:
         assert result.state.halted
 
     def test_trace_deoptimizes_to_instrumented(self, config, program):
-        result = Simulator(config, program, collect_trace=True).run()
+        tracer = TraceObserver()
+        result = Simulator(config, program, observers=(tracer,)).run()
         assert result.engine == "instrumented"
-        assert result.trace is not None
+        assert len(tracer.records) == result.stats.total_instructions
 
     def test_run_scoped_observer_keeps_superop(self, config, program):
         tally = RunTallyObserver()

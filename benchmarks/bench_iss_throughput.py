@@ -25,8 +25,10 @@ or as a CI smoke check on a couple of programs:
         --programs tp01_alu_mix tp05_memcpy --repeat 2 --check
 
 ``--check`` fails when either compiled loop drops below the interpreter
-on any program, or when the superop loop is slower than the instrumented
-loop on any program (the un-instrumented path must pay for itself).
+on any program, when the superop loop is slower than the instrumented
+loop on any program (the un-instrumented path must pay for itself), or
+when ``run_batch`` is slower than the solo runs or any member's stats
+differ from its solo run.
 """
 
 from __future__ import annotations
@@ -146,8 +148,10 @@ def measure_batch(case, n_configs: int = 16, repeat: int = 3) -> dict:
     batch_best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        for variant in configs:
+        solo = [
             Simulator(variant, program, max_instructions=budget).run()
+            for variant in configs
+        ]
         solo_best = min(solo_best, time.perf_counter() - start)
 
         start = time.perf_counter()
@@ -156,6 +160,11 @@ def measure_batch(case, n_configs: int = 16, repeat: int = 3) -> dict:
     return {
         "program": case.name,
         "configs": n_configs,
+        "stats_mismatches": [
+            config.name
+            for config, alone, batched in zip(configs, solo, results)
+            if alone.stats != batched.stats
+        ],
         "retired_instructions": results[0].stats.total_instructions,
         "solo_configs_per_second": round(n_configs / solo_best, 2),
         "batch_configs_per_second": round(n_configs / batch_best, 2),
@@ -224,7 +233,8 @@ def main(argv=None) -> int:
         "--check",
         action="store_true",
         help="exit non-zero if a dispatch loop is slower than the interpreter, "
-        "or superop slower than instrumented, on any program",
+        "or superop slower than instrumented, on any program, or if run_batch "
+        "is slower than solo runs or disagrees with them",
     )
     args = parser.parse_args(argv)
 
@@ -278,6 +288,12 @@ def main(argv=None) -> int:
         if behind:
             print(f"CHECK FAILED: superop slower than instrumented on: {behind}")
             failed = True
+        if batch["stats_mismatches"]:
+            print(
+                "CHECK FAILED: run_batch stats differ from solo runs for: "
+                f"{batch['stats_mismatches']}"
+            )
+            failed = True
         if batch["batch_speedup"] < 1.0:
             print(f"CHECK FAILED: run_batch slower than solo runs ({batch['batch_speedup']}x)")
             failed = True
@@ -285,7 +301,8 @@ def main(argv=None) -> int:
             return 1
         print(
             "CHECK OK: both dispatch loops at least as fast as the interpreter, "
-            "superop >= instrumented on every program, batch >= solo"
+            "superop >= instrumented on every program, batch >= solo with "
+            "equal stats for every member"
         )
     return 0
 

@@ -3,7 +3,8 @@
 # and the fused superop loop must both beat the reference interpreter on
 # a two-program subset, superop must not be slower than instrumented on
 # any program, and run_batch must not be slower than the same configs
-# run solo.  All of that is --check's contract.
+# run solo, and must give every member the stats of its solo run.  All
+# of that is --check's contract.
 # Run identically by CI and locally:  bash scripts/ci/smoke_iss.sh
 set -euo pipefail
 

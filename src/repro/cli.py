@@ -53,6 +53,13 @@ def _die(message: str, code: int = EXIT_BAD_INPUT) -> "SystemExit":
     raise SystemExit(code)
 
 
+def _load_model(path: str) -> EnergyMacroModel:
+    try:
+        return EnergyMacroModel.load(path)
+    except (OSError, ValueError) as exc:
+        raise _die(f"cannot load model {path!r}: {exc}")
+
+
 def _build_config(name: str, extensions: str) -> ProcessorConfig:
     if not extensions:
         return build_processor(name)
@@ -61,7 +68,7 @@ def _build_config(name: str, extensions: str) -> ProcessorConfig:
     for mnemonic in mnemonics:
         factory = ALL_SPEC_FACTORIES.get(mnemonic)
         if factory is None:
-            raise SystemExit(
+            raise _die(
                 f"unknown extension {mnemonic!r}; available: "
                 + ", ".join(sorted(ALL_SPEC_FACTORIES))
             )
@@ -236,10 +243,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     from .tech import CalibrationError
 
-    try:
-        model = EnergyMacroModel.load(args.model)
-    except (OSError, ValueError) as exc:
-        raise _die(f"cannot load model {args.model!r}: {exc}")
+    model = _load_model(args.model)
     if args.operating_point:
         try:
             model = model.at(args.operating_point)
@@ -359,10 +363,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         return 0
     if args.model is None:
         raise _die("a model JSON file is required (or use --list-spaces)")
-    try:
-        model = EnergyMacroModel.load(args.model)
-    except (OSError, ValueError) as exc:
-        raise _die(f"cannot load model {args.model!r}: {exc}")
+    model = _load_model(args.model)
     try:
         space = get_space(args.space)
     except SpaceError as exc:
@@ -515,10 +516,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     )
     from .discover.pipeline import SOFTWARE_CASES
 
-    try:
-        model = EnergyMacroModel.load(args.model)
-    except (OSError, ValueError) as exc:
-        raise _die(f"cannot load model {args.model!r}: {exc}")
+    model = _load_model(args.model)
     if args.workload not in SOFTWARE_CASES:
         raise _die(
             f"unknown workload {args.workload!r}; available: "
@@ -598,7 +596,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     if args.top is not None and args.top < 1:
         raise _die("--top must be >= 1")
-    model = EnergyMacroModel.load(args.model)
+    model = _load_model(args.model)
     if args.operating_point:
         try:
             model = model.at(args.operating_point)
@@ -662,10 +660,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .core.runner import RetryPolicy
     from .serve import EstimationService, run_server
 
-    try:
-        model = EnergyMacroModel.load(args.model)
-    except (OSError, ValueError) as exc:
-        raise _die(f"cannot load model {args.model!r}: {exc}")
+    model = _load_model(args.model)
     if args.workers < 0:
         raise _die("--workers must be >= 0")
     if args.queue_limit < 1:

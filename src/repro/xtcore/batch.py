@@ -25,20 +25,30 @@ models and the per-class cycle attribution.
    line cannot change where its own same-line transitions fall: equal
    fine lines imply equal coarse lines, so every coarse-grain transition
    is preserved in the fine-grain stream.
-2. **Replay** — per distinct cache geometry ``(size_bytes, ways,
-   line_bytes)``, push the recorded stream once through a fresh
+2. **Misses: closed form, or replay when a set overflows** — per
+   distinct cache geometry ``(size_bytes, ways, line_bytes)``, map the
+   stream's distinct addresses (one ``set(stream)`` per stream per
+   batch) to lines at the geometry's line size and count distinct lines
+   per set.  When no set receives more distinct lines than ``ways``,
+   true LRU starting empty never evicts, so every line misses exactly
+   once: the miss count is the number of distinct lines.  Exact because
+   the stream holds every line the run touches at the finest line size
+   (step 1), hence at every coarser one.  Otherwise push the recorded
+   stream once through a fresh
    :class:`~repro.xtcore.caches.SetAssociativeCache` via
    :meth:`~repro.xtcore.caches.SetAssociativeCache.replay` (the same
-   same-line memo the dispatch loops use) to obtain its miss count.
-   Misses depend on nothing else — ``miss_penalty`` only prices them —
-   so batch members with equal geometry share one replay.
-3. **Aggregate** — fold the shared counters plus the per-config miss
-   counts through :func:`repro.xtcore.iss._aggregate_stats` against each
-   config's compiled lowering (issue latencies fold in the branch
-   penalty and custom latencies), yielding stats bitwise identical to
-   running that config alone.  Lowerings are keyed by
+   same-line memo the dispatch loops use).  Misses depend on nothing
+   else — ``miss_penalty`` only prices them — so batch members with
+   equal geometry share one count.
+3. **Fold once per lowering, price per member** — sum the shared
+   counters through :func:`repro.xtcore.iss._fold` once per compiled
+   lowering (issue latencies fold in the branch penalty and custom
+   latencies), then price that fold for each member with
+   :func:`repro.xtcore.iss._price` (its miss counts, miss penalties and
+   timing), yielding stats bitwise identical to running that config
+   alone.  Lowerings are keyed by
    :attr:`~repro.xtcore.config.ProcessorConfig.lowering_key`, which
-   leaves out caches and clock, so a batch normally resolves one.
+   leaves out caches and clock, so a batch normally folds once.
 
 The returned results share one final :class:`~repro.isa.MachineState`
 (the trajectory is shared, so the architectural outcome is too).
@@ -46,20 +56,14 @@ The returned results share one final :class:`~repro.isa.MachineState`
 
 from __future__ import annotations
 
-import hashlib
+from collections import Counter
 from typing import TYPE_CHECKING, Sequence
 
 from .caches import SetAssociativeCache
 from .compiled import compilation_cache
-from .config import (
-    DEFAULT_MAX_INSTRUCTIONS,
-    CacheConfig,
-    ProcessorConfig,
-    canonical_json_with_extensions,
-    extension_json,
-)
+from .config import DEFAULT_MAX_INSTRUCTIONS, CacheConfig, ProcessorConfig
 from .errors import SimulationError
-from .iss import SimulationResult, Simulator, _aggregate_stats, dispatch
+from .iss import SimulationResult, Simulator, _fold, _price, dispatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..asm import Program
@@ -68,19 +72,12 @@ __all__ = ["run_batch", "semantic_fingerprint"]
 
 
 def semantic_fingerprint(config: ProcessorConfig) -> str:
-    """Content hash of everything that shapes the execution *trajectory*.
+    """The partition key of :func:`run_batch`.
 
-    Two configs with equal semantic fingerprints run any program through
-    the identical instruction sequence — same retires, branch outcomes,
-    memory addresses, interlocks and final machine state — no matter how
-    their caches, pipeline penalties, clock or custom-hardware costs
-    differ.  That is the compatibility contract of :func:`run_batch`.
+    Reads :attr:`~repro.xtcore.config.ProcessorConfig.semantic_fingerprint`,
+    which each config hashes once.
     """
-    blob = canonical_json_with_extensions(
-        {"format": "repro-semantic-fingerprint/1", "num_registers": config.num_registers},
-        [extension_json(impl, semantic=True) for impl in config.extensions],
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return config.semantic_fingerprint
 
 
 def _record_trajectory(
@@ -121,14 +118,28 @@ def _record_trajectory(
 def _geometry_misses(
     memo: dict[tuple[int, int, int], int],
     stream: list[int],
+    addresses: set[int],
     config: CacheConfig,
     name: str,
 ) -> int:
-    """Misses of ``stream`` on ``config``'s geometry, replayed once per ``memo``."""
+    """Misses of ``stream`` on ``config``'s geometry, counted once per ``memo``.
+
+    ``addresses`` is ``set(stream)``.  If no set of the geometry receives
+    more distinct lines than it has ways, nothing is ever evicted and the
+    misses are the distinct lines; otherwise the stream is replayed.
+    """
     key = (config.size_bytes, config.ways, config.line_bytes)
     misses = memo.get(key)
     if misses is None:
-        misses = memo[key] = SetAssociativeCache(config, name).replay(stream)
+        shift = config.line_bytes.bit_length() - 1
+        lines = {addr >> shift for addr in addresses}
+        ways = config.ways
+        set_mask = config.num_sets - 1
+        if len(lines) > ways and max(Counter(map(set_mask.__and__, lines)).values()) > ways:
+            misses = SetAssociativeCache(config, name).replay(stream)
+        else:
+            misses = len(lines)
+        memo[key] = misses
     return misses
 
 
@@ -170,26 +181,25 @@ def run_batch(
         lead, min_ishift, min_dshift, entry
     )
 
-    executables = {lead.executable.lowering_key: lead.executable}
+    folds = {
+        lead.executable.lowering_key: _fold(lead.executable, counts, taken_counts, interlocks)
+    }
+    iaddresses = set(ifetch)
+    daddresses = set(daccess)
     imisses: dict[tuple[int, int, int], int] = {}
     dmisses: dict[tuple[int, int, int], int] = {}
     results: list[SimulationResult] = []
     for config in configs:
-        executable = executables.get(config.lowering_key)
-        if executable is None:
-            executable = executables[config.lowering_key] = cache.get_or_compile(
-                config, program
+        fold = folds.get(config.lowering_key)
+        if fold is None:
+            fold = folds[config.lowering_key] = _fold(
+                cache.get_or_compile(config, program), counts, taken_counts, interlocks
             )
-        icache_misses = _geometry_misses(imisses, ifetch, config.icache, "icache")
-        dcache_misses = _geometry_misses(dmisses, daccess, config.dcache, "dcache")
-        stats = _aggregate_stats(
+        stats = _price(
             config,
-            executable,
-            counts,
-            taken_counts,
-            icache_misses,
-            dcache_misses,
-            interlocks,
+            fold,
+            _geometry_misses(imisses, ifetch, iaddresses, config.icache, "icache"),
+            _geometry_misses(dmisses, daccess, daddresses, config.dcache, "dcache"),
         )
         results.append(
             SimulationResult(

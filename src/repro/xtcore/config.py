@@ -199,6 +199,23 @@ class ProcessorConfig:
         )
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
+    @cached_property
+    def semantic_fingerprint(self) -> str:
+        """Content hash of everything that shapes the execution *trajectory*.
+
+        Two configs with equal semantic fingerprints run any program through
+        the identical instruction sequence — same retires, branch outcomes,
+        memory addresses, interlocks and final machine state — no matter how
+        their caches, pipeline penalties, clock or custom-hardware costs
+        differ.  That is the compatibility contract of
+        :func:`~repro.xtcore.batch.run_batch`.
+        """
+        blob = canonical_json_with_extensions(
+            {"format": "repro-semantic-fingerprint/1", "num_registers": self.num_registers},
+            [extension_json(impl, semantic=True) for impl in self.extensions],
+        )
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
     def describe(self) -> str:
         """One-paragraph human-readable summary."""
         lines = [
@@ -242,7 +259,7 @@ def extension_json(impl: TieImplementation, semantic: bool = False) -> str:
     The full form feeds :meth:`ProcessorConfig.fingerprint` and
     :attr:`ProcessorConfig.lowering_key`; the ``semantic`` form drops
     :data:`_NON_SEMANTIC_EXTENSION_KEYS` and feeds
-    :func:`repro.xtcore.semantic_fingerprint`.  Each is memoized on
+    :attr:`ProcessorConfig.semantic_fingerprint`.  Each is memoized on
     the (immutable) implementation, so configs sharing an extension tuple
     serialise each instruction's dataflow graph once.
     """

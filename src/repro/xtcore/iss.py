@@ -153,31 +153,33 @@ class SimulationResult:
         return [self.state.memory.read(base + 4 * i, 4) for i in range(count)]
 
 
-def _aggregate_stats(
-    config: ProcessorConfig,
+def _fold(
     executable: ExecutableProgram,
     counts: list[int],
     taken_counts: list[int],
-    icache_misses: int,
-    dcache_misses: int,
     interlocks: int,
-) -> ExecutionStats:
-    """Fold per-op retire counters into :class:`ExecutionStats`.
+) -> tuple[ExecutionStats, int]:
+    """Sum per-op retire counters into their pricing-free part.
 
     Mathematically identical to applying :func:`repro.obs.bundled.apply_event`
     per retired instruction (the reference interpreter's folding rule), but
     O(static ops) instead of O(dynamic instructions): every retire of one
     micro-op contributes the same class, issue cycles and bus attribution,
     so the per-retire sums collapse to ``count x per-op values`` — with
-    branches split by their taken count.  Both dispatch loops use this, so
-    superop stats equal instrumented stats by construction.
+    branches split by their taken count.
+
+    Returns ``(counters, issue_total)``: stats with no misses and no
+    ``total_cycles`` yet, and the summed issue cycles.  Neither depends on
+    caches, miss penalties, interlock stall or the uncached-fetch penalty,
+    so one fold serves every config sharing a
+    :attr:`~repro.xtcore.config.ProcessorConfig.lowering_key`.
     """
-    stats = ExecutionStats()
-    class_cycles = stats.class_cycles
-    class_counts = stats.class_counts
-    mnemonic_counts = stats.mnemonic_counts
-    custom_cycles = stats.custom_cycles
-    custom_counts = stats.custom_counts
+    counters = ExecutionStats()
+    class_cycles = counters.class_cycles
+    class_counts = counters.class_counts
+    mnemonic_counts = counters.mnemonic_counts
+    custom_cycles = counters.custom_cycles
+    custom_counts = counters.custom_counts
     total_instructions = 0
     issue_total = 0
     base_bus = 0
@@ -220,23 +222,68 @@ def _aggregate_stats(
                 base_bus += issue
         if not op[6]:
             uncached_fetches += count
+    counters.interlocks = interlocks
+    counters.uncached_fetches = uncached_fetches
+    counters.custom_gpr_cycles = gpr_cycles
+    counters.base_bus_cycles = base_bus
+    counters.system_cycles = system
+    counters.total_instructions = total_instructions
+    return counters, issue_total
+
+
+def _price(
+    config: ProcessorConfig,
+    fold: tuple[ExecutionStats, int],
+    icache_misses: int,
+    dcache_misses: int,
+) -> ExecutionStats:
+    """Price a :func:`_fold` against ``config``: a fresh :class:`ExecutionStats`.
+
+    The result owns copies of the fold's dicts, so a fold priced for many
+    configs hands no caller a dict that another result shares.
+    """
+    counters, issue_total = fold
     timing = config.timing
-    stats.icache_misses = icache_misses
-    stats.dcache_misses = dcache_misses
-    stats.interlocks = interlocks
-    stats.uncached_fetches = uncached_fetches
-    stats.custom_gpr_cycles = gpr_cycles
-    stats.base_bus_cycles = base_bus
-    stats.system_cycles = system
-    stats.total_instructions = total_instructions
-    stats.total_cycles = (
-        issue_total
-        + interlocks * timing.interlock_stall
-        + icache_misses * config.icache.miss_penalty
-        + dcache_misses * config.dcache.miss_penalty
-        + uncached_fetches * timing.uncached_fetch_penalty
+    return dataclasses.replace(
+        counters,
+        class_cycles=dict(counters.class_cycles),
+        class_counts=dict(counters.class_counts),
+        mnemonic_counts=dict(counters.mnemonic_counts),
+        custom_cycles=dict(counters.custom_cycles),
+        custom_counts=dict(counters.custom_counts),
+        icache_misses=icache_misses,
+        dcache_misses=dcache_misses,
+        total_cycles=(
+            issue_total
+            + counters.interlocks * timing.interlock_stall
+            + icache_misses * config.icache.miss_penalty
+            + dcache_misses * config.dcache.miss_penalty
+            + counters.uncached_fetches * timing.uncached_fetch_penalty
+        ),
     )
-    return stats
+
+
+def _aggregate_stats(
+    config: ProcessorConfig,
+    executable: ExecutableProgram,
+    counts: list[int],
+    taken_counts: list[int],
+    icache_misses: int,
+    dcache_misses: int,
+    interlocks: int,
+) -> ExecutionStats:
+    """Fold per-op retire counters and price them into :class:`ExecutionStats`.
+
+    Both dispatch loops use this, so superop stats equal instrumented
+    stats by construction; :func:`repro.xtcore.batch.run_batch` calls
+    :func:`_fold` once per lowering and :func:`_price` per member.
+    """
+    return _price(
+        config,
+        _fold(executable, counts, taken_counts, interlocks),
+        icache_misses,
+        dcache_misses,
+    )
 
 
 def dispatch(

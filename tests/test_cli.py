@@ -86,9 +86,12 @@ class TestSimulate:
         assert main(["simulate", custom_file, "--extensions", "mul16"]) == 0
         assert "instructions: 4" in capsys.readouterr().out
 
-    def test_unknown_extension(self, custom_file):
-        with pytest.raises(SystemExit, match="unknown extension"):
+    def test_unknown_extension(self, custom_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["simulate", custom_file, "--extensions", "warpdrive"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: unknown extension 'warpdrive'; available: ")
 
 
 class TestDisasm:
@@ -263,6 +266,31 @@ class TestInputErrorHygiene:
         assert excinfo.value.code == 2
         assert "truncated image" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize(
+        "command, rest",
+        [
+            ("estimate", ["PROGRAM"]),
+            ("profile", ["PROGRAM"]),
+            ("explore", ["--space", "fir"]),
+            ("discover", ["--workload", "fir"]),
+            ("serve", []),
+        ],
+    )
+    @pytest.mark.parametrize("bad", ["missing", "malformed"])
+    def test_unloadable_model_is_clean_exit(
+        self, tmp_path, demo_file, capsys, command, rest, bad
+    ):
+        model = tmp_path / "model.json"
+        if bad == "malformed":
+            model.write_text("{not json")
+        argv = [command, str(model)] + [demo_file if a == "PROGRAM" else a for a in rest]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: cannot load model {str(model)!r}")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["simulate", "estimate", "profile"])
     @pytest.mark.parametrize(

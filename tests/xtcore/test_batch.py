@@ -162,7 +162,8 @@ loop:
 
 
 class TestReplaySharing:
-    """Members with equal cache geometry share one replay per stream."""
+    """Members with equal cache geometry share one miss count per stream;
+    only a geometry with an overflowing set pays for a replay."""
 
     @pytest.fixture()
     def program(self):
@@ -210,7 +211,9 @@ class TestReplaySharing:
             direct_mapped,
         ]
 
-    def test_each_geometry_replays_once_and_members_match_solo(self, program, monkeypatch):
+    def test_only_overflowing_geometries_replay_once_and_members_match_solo(
+        self, program, monkeypatch
+    ):
         configs = self.sharing_configs()
         calls = {"icache": [], "dcache": []}
         replay = SetAssociativeCache.replay
@@ -223,13 +226,10 @@ class TestReplaySharing:
         monkeypatch.setattr(SetAssociativeCache, "replay", counting_replay)
         results = run_batch(configs, program)
 
-        for name in ("icache", "dcache"):
-            geometries = {
-                (c.size_bytes, c.ways, c.line_bytes)
-                for c in (getattr(config, name) for config in configs)
-            }
-            assert sorted(calls[name]) == sorted(geometries), name
-        assert len(calls["icache"]) == 2 and len(calls["dcache"]) == 5
+        # ``lo`` and ``hi`` share a set only in the 1 KiB direct-mapped
+        # D-cache (listed twice); every other geometry, and every I-cache,
+        # holds the whole working set and is counted in closed form.
+        assert calls == {"icache": [], "dcache": [(1024, 1, 32)]}
         _assert_matches_solo(configs, results, program)
         # a penalty-only variant shares misses but not cycles
         assert results[1].stats.icache_misses == results[0].stats.icache_misses
@@ -239,6 +239,71 @@ class TestReplaySharing:
         thrash = results[2].stats.dcache_misses
         assert thrash > results[4].stats.dcache_misses
         assert thrash > results[5].stats.dcache_misses
+
+
+class TestFoldAndPrice:
+    """One fold per lowering, priced into independent per-member stats."""
+
+    @pytest.fixture()
+    def program(self):
+        return assemble(CONFLICT_SOURCE, "batch-conflict", isa=base_isa())
+
+    @staticmethod
+    def configs():
+        base = build_processor("xt-price-base", [])
+        slow_branches = dataclasses.replace(
+            base,
+            name="xt-price-slow-branches",
+            timing=dataclasses.replace(base.timing, branch_taken_penalty=5),
+        )
+
+        def thrashing(config):
+            return dataclasses.replace(
+                config,
+                name=f"{config.name}-1way",
+                dcache=dataclasses.replace(config.dcache, ways=1, size_bytes=1024),
+            )
+
+        def fitting(config):
+            return dataclasses.replace(
+                config,
+                name=f"{config.name}-2way-16B",
+                dcache=dataclasses.replace(
+                    config.dcache, ways=2, size_bytes=1024, line_bytes=16
+                ),
+            )
+
+        return [
+            base,
+            thrashing(slow_branches),
+            fitting(base),
+            slow_branches,
+            thrashing(base),
+            fitting(slow_branches),
+        ]
+
+    def test_mixed_geometries_and_lowerings_match_solo(self, program):
+        configs = self.configs()
+        assert len({c.lowering_key for c in configs}) == 2
+        results = run_batch(configs, program)
+        _assert_matches_solo(configs, results, program)
+        assert results[4].stats.dcache_misses > results[2].stats.dcache_misses
+        assert results[3].stats.total_cycles > results[0].stats.total_cycles
+
+    def test_members_own_their_stats(self, program):
+        configs = self.configs()
+        results = run_batch(configs, program)
+        solo = [Simulator(config, program).run().stats for config in configs]
+        target = results[0].stats
+        for field in dataclasses.fields(target):
+            value = getattr(target, field.name)
+            if isinstance(value, dict):
+                for key in list(value):
+                    value[key] += 1000
+                value["poison"] = 1
+        assert target != solo[0]
+        for result, expected in zip(results[1:], solo[1:]):
+            assert result.stats == expected, result.config.name
 
 
 class TestRecordLoopStress:

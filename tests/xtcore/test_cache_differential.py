@@ -4,7 +4,9 @@ Hypothesis drives both implementations with the same access stream; they
 must agree on every hit/miss decision.  The oracle is written for
 clarity, the production model for speed — divergence pinpoints a bug in
 either.  Both LRU forms of the production model are covered: the
-per-access ``access()`` and the batch ``replay()`` kernel.
+per-access ``access()`` and the batch ``replay()`` kernel — and so is
+``run_batch``'s miss count per geometry, which skips the replay when no
+set receives more distinct lines than it has ways.
 """
 
 from collections import OrderedDict
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.xtcore import CacheConfig, SetAssociativeCache
+from repro.xtcore.batch import _geometry_misses
 
 
 class OracleCache:
@@ -137,3 +140,77 @@ class TestReplayKernel:
         assert (cache.hits, cache.misses) == (0, 1)
         assert cache.replay([0x40, 0x80, 0x40]) == 1
         assert (cache.hits, cache.misses) == (2, 2)
+
+
+@st.composite
+def working_sets(draw, overflow: bool):
+    """``(geometry, lines)``: per set at most ``ways`` distinct lines, and
+    with ``overflow`` one set given ``ways + 1`` to ``ways + 3`` of them."""
+    sets, ways, line = draw(GEOMETRIES)
+    tags = st.integers(min_value=0, max_value=63)
+    lines = []
+    for index in range(sets):
+        for tag in draw(st.lists(tags, max_size=ways, unique=True)):
+            lines.append(tag * sets + index)
+    if overflow:
+        index = draw(st.integers(min_value=0, max_value=sets - 1))
+        crowd = draw(st.lists(tags, min_size=ways + 1, max_size=ways + 3, unique=True))
+        lines.extend(tag * sets + index for tag in crowd)
+    if not lines:
+        lines.append(draw(tags) * sets)
+    return (sets, ways, line), lines
+
+
+@st.composite
+def recorded_streams(draw, overflow: bool):
+    """A geometry and an address stream touching every line of a working
+    set, deduped at a line size no coarser than the geometry's — as a
+    batch recorder captures it."""
+    (sets, ways, line), lines = draw(working_sets(overflow))
+    order = draw(st.permutations(lines))
+    order += draw(st.lists(st.sampled_from(lines), max_size=200))
+    offsets = st.integers(min_value=0, max_value=line - 1)
+    addresses = [number * line + draw(offsets) for number in order]
+    record_line = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    return (sets, ways, line), _memo_survivors(addresses, min(record_line, line))
+
+
+def _batch_misses(geometry, stream):
+    sets, ways, line = geometry
+    config = CacheConfig(size_bytes=sets * ways * line, ways=ways, line_bytes=line)
+    return _geometry_misses({}, stream, set(stream), config, "dcache")
+
+
+def _oracle_misses(geometry, stream):
+    oracle = OracleCache(*geometry)
+    return sum(not oracle.access(addr) for addr in stream)
+
+
+class TestGeometryMisses:
+    @settings(max_examples=120, deadline=None)
+    @given(recorded_streams(overflow=False))
+    def test_fitting_working_set_counts_distinct_lines(self, case):
+        geometry, stream = case
+        distinct_lines = len({addr // geometry[2] for addr in stream})
+        assert _batch_misses(geometry, stream) == _oracle_misses(geometry, stream)
+        assert _oracle_misses(geometry, stream) == distinct_lines
+
+    @settings(max_examples=120, deadline=None)
+    @given(recorded_streams(overflow=True))
+    def test_overflowing_set_matches_oracle(self, case):
+        geometry, stream = case
+        assert _batch_misses(geometry, stream) == _oracle_misses(geometry, stream)
+
+    @settings(max_examples=80, deadline=None)
+    @given(GEOMETRIES, RUNS, st.sampled_from([1, 2, 4, 8, 16]))
+    def test_any_stream_matches_oracle(self, geometry, runs, record_line):
+        addresses = [start + i * stride for start, count, stride in runs for i in range(count)]
+        stream = _memo_survivors(addresses, min(record_line, geometry[2]))
+        assert _batch_misses(geometry, stream) == _oracle_misses(geometry, stream)
+
+    def test_thrashing_set_is_replayed(self):
+        # Two lines 1 KiB apart alternate in one set of a direct-mapped
+        # cache: its 3 distinct lines would undercount the 9 misses.
+        geometry = (32, 1, 32)
+        stream = [0x000, 0x400, 0x000, 0x400, 0x000, 0x400, 0x000, 0x400, 0x800]
+        assert _batch_misses(geometry, stream) == _oracle_misses(geometry, stream) == 9

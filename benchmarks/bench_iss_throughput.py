@@ -15,6 +15,17 @@ A batch section additionally measures :func:`repro.xtcore.run_batch`
 (one program across N cache/clock variants in a single pass) against
 the same N runs done solo through the superop loop.
 
+A fusion section times cold runs (fresh compilation cache, so every
+lowering and every fused region is made inside the timed run) of the
+bundled suite and of the four Reed-Solomon implementations of the
+``reed_solomon_tuned`` space under several superop fusion rules: the
+dispatch loop's committed payback constant (``iss._FUSE_AFTER_OPS``),
+fuse-on-second-entry (a constant of one op), never-fuse, and a sweep of
+other constants.  Each set's time is the sum over its programs of the
+best of nine runs, the rules interleaved; each rule also
+records the regions fused per cold pass over the set.  This script sets
+the private constant itself; nothing in ``src/`` reads an override.
+
 Run as a script to (re)generate ``BENCH_ISS.json`` at the repo root:
 
     PYTHONPATH=src python benchmarks/bench_iss_throughput.py
@@ -26,15 +37,17 @@ or as a CI smoke check on a couple of programs:
 
 ``--check`` fails when either compiled loop drops below the interpreter
 on any program, when the superop loop is slower than the instrumented
-loop on any program (the un-instrumented path must pay for itself), or
-when ``run_batch`` is slower than the solo runs or any member's stats
-differ from its solo run.
+loop on any program (the un-instrumented path must pay for itself), when
+``run_batch`` is slower than the solo runs or any member's stats differ
+from its solo run, or when the committed payback constant is slower
+than fuse-on-second-entry on either fusion set.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -46,7 +59,15 @@ import pytest
 
 from repro.obs import SimObserver
 from repro.programs import characterization_suite
-from repro.xtcore import ReferenceSimulator, Simulator, compile_program, run_batch
+from repro.programs.reed_solomon import reed_solomon_choices
+from repro.xtcore import (
+    ReferenceSimulator,
+    Simulator,
+    compilation_cache,
+    compile_program,
+    iss,
+    run_batch,
+)
 
 DEFAULT_OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_ISS.json"
 
@@ -172,6 +193,96 @@ def measure_batch(case, n_configs: int = 16, repeat: int = 3) -> dict:
     }
 
 
+#: The committed payback constant, read before any rule patches it.
+COMMITTED_FUSE_AFTER = iss._FUSE_AFTER_OPS
+
+#: Fusion rules as payback constants: ops a region retires op by op
+#: before its next entry fuses it.  One op is the fuse-on-second-entry
+#: rule; infinity never fuses.
+FUSION_RULES = {
+    "payback": COMMITTED_FUSE_AFTER,
+    "second_entry": 1,
+    "never": math.inf,
+}
+
+#: Other constants timed next to the rules, to show where the committed
+#: one sits.
+FUSION_SWEEP = (16, 32, 64, 96, 128, 192, 256, 512)
+
+#: Cold runs per program and constant; the best is kept.  Fewer let
+#: host noise decide the suite's payback/second-entry comparison.
+FUSION_REPEAT = 9
+
+
+def _cold_run(case, fuse_after) -> tuple[float, int]:
+    """One run of ``case`` from a fresh compilation cache under ``fuse_after``.
+
+    Returns ``(seconds, regions fused)``.  The lowering, region cutting
+    and every fused region are made inside the timed span.
+    """
+    config, program = case.build()
+    cache = compilation_cache()
+    cache.clear()
+    iss._FUSE_AFTER_OPS = fuse_after
+    try:
+        start = time.perf_counter()
+        Simulator(config, program, max_instructions=case.max_instructions).run()
+        elapsed = time.perf_counter() - start
+    finally:
+        iss._FUSE_AFTER_OPS = COMMITTED_FUSE_AFTER
+    return elapsed, cache.info()["regions_fused"]
+
+
+def measure_fusion(cases, repeat: int = FUSION_REPEAT) -> dict:
+    """Cold-run time and regions fused of ``cases`` under each fusion rule.
+
+    Per program, every constant runs once per round (the order reversed
+    on odd rounds) for ``repeat`` rounds and keeps its best time; a
+    set's time is the sum of its programs' best times.  The cyclic
+    garbage collector runs between rounds, never inside a timed run.
+    """
+    constants = sorted({*FUSION_RULES.values(), *FUSION_SWEEP})
+    best = {constant: 0.0 for constant in constants}
+    fused = {constant: 0 for constant in constants}
+    gc.disable()
+    try:
+        for case in cases:
+            times = {constant: math.inf for constant in constants}
+            for round_ in range(repeat):
+                gc.collect()
+                for constant in constants if round_ % 2 == 0 else constants[::-1]:
+                    seconds, regions = _cold_run(case, constant)
+                    times[constant] = min(times[constant], seconds)
+                    if round_ == 0:
+                        fused[constant] += regions
+            for constant in constants:
+                best[constant] += times[constant]
+    finally:
+        gc.enable()
+
+    def row(constant) -> dict:
+        return {"ms": round(best[constant] * 1e3, 3), "regions_fused": fused[constant]}
+
+    return {
+        "programs": [case.name for case in cases],
+        "rules": {name: row(constant) for name, constant in FUSION_RULES.items()},
+        "sweep": {str(constant): row(constant) for constant in FUSION_SWEEP},
+    }
+
+
+def fusion_section() -> dict:
+    """The ``fusion`` payload: both sets under every rule."""
+    return {
+        "fuse_after_ops": COMMITTED_FUSE_AFTER,
+        "repeat": FUSION_REPEAT,
+        "unit": "ms, sum over programs of the best cold run",
+        "sets": {
+            "suite": measure_fusion(characterization_suite(include_variants=False)),
+            "reed_solomon_tuned": measure_fusion(reed_solomon_choices()),
+        },
+    }
+
+
 def run_suite(program_names=None, repeat: int = 3, batch_configs: int = 16) -> dict:
     """Measure the (sub)suite and assemble the BENCH_ISS payload."""
     cases = characterization_suite(include_variants=False)
@@ -193,6 +304,7 @@ def run_suite(program_names=None, repeat: int = 3, batch_configs: int = 16) -> d
         "repeat": repeat,
         "programs": results,
         "batch": measure_batch(cases[0], n_configs=batch_configs, repeat=repeat),
+        "fusion": fusion_section(),
         "summary": {
             "instrumented_speedup_geomean": round(
                 _geomean([r["instrumented_speedup"] for r in results]), 2
@@ -233,13 +345,16 @@ def main(argv=None) -> int:
         "--check",
         action="store_true",
         help="exit non-zero if a dispatch loop is slower than the interpreter, "
-        "or superop slower than instrumented, on any program, or if run_batch "
-        "is slower than solo runs or disagrees with them",
+        "or superop slower than instrumented, on any program, if run_batch "
+        "is slower than solo runs or disagrees with them, or if payback "
+        "fusion is slower than fuse-on-second-entry on either set",
     )
     args = parser.parse_args(argv)
 
     payload = run_suite(
-        args.programs, repeat=args.repeat, batch_configs=args.batch_configs
+        args.programs,
+        repeat=args.repeat,
+        batch_configs=args.batch_configs,
     )
     args.output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
@@ -269,6 +384,22 @@ def main(argv=None) -> int:
         f"{batch['batch_configs_per_second']} batched configs/s "
         f"({batch['batch_speedup']}x)  -> {args.output}"
     )
+    fusion = payload["fusion"]
+    for name, fusion_set in fusion["sets"].items():
+        print(
+            f"fusion {name} (cold, ms / regions fused): "
+            + ", ".join(
+                f"{rule} {row['ms']:.2f}/{row['regions_fused']}"
+                for rule, row in fusion_set["rules"].items()
+            )
+        )
+        print(
+            "  sweep: "
+            + ", ".join(
+                f"{constant} {row['ms']:.2f}/{row['regions_fused']}"
+                for constant, row in fusion_set["sweep"].items()
+            )
+        )
 
     if args.check:
         failed = False
@@ -297,12 +428,25 @@ def main(argv=None) -> int:
         if batch["batch_speedup"] < 1.0:
             print(f"CHECK FAILED: run_batch slower than solo runs ({batch['batch_speedup']}x)")
             failed = True
+        behind_rule = [
+            f"{name} ({rules['payback']['ms']} > {rules['second_entry']['ms']} ms)"
+            for name, fusion_set in fusion["sets"].items()
+            for rules in (fusion_set["rules"],)
+            if rules["payback"]["ms"] > rules["second_entry"]["ms"]
+        ]
+        if behind_rule:
+            print(
+                f"CHECK FAILED: payback fusion ({fusion['fuse_after_ops']} ops) "
+                f"slower than fuse-on-second-entry on: {behind_rule}"
+            )
+            failed = True
         if failed:
             return 1
         print(
             "CHECK OK: both dispatch loops at least as fast as the interpreter, "
             "superop >= instrumented on every program, batch >= solo with "
-            "equal stats for every member"
+            "equal stats for every member, payback fusion no slower than "
+            "fuse-on-second-entry on either set"
         )
     return 0
 

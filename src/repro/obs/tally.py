@@ -44,6 +44,10 @@ class RunTallyObserver(SimObserver):
         self.icache_misses = 0
         self.dcache_misses = 0
         self.sim_seconds = 0.0
+        #: superop regions fused, and seconds spent generating them, by
+        #: whoever fills these in (the serve worker, per batch)
+        self.regions_fused = 0
+        self.fuse_seconds = 0.0
         self._run_began: float | None = None
 
     # -- protocol ----------------------------------------------------------
@@ -75,6 +79,8 @@ class RunTallyObserver(SimObserver):
             "icache_misses": self.icache_misses,
             "dcache_misses": self.dcache_misses,
             "sim_seconds": self.sim_seconds,
+            "regions_fused": self.regions_fused,
+            "fuse_seconds": self.fuse_seconds,
         }
 
     def merge(self, snapshot: dict) -> None:
@@ -86,6 +92,8 @@ class RunTallyObserver(SimObserver):
         self.icache_misses += int(snapshot.get("icache_misses", 0))
         self.dcache_misses += int(snapshot.get("dcache_misses", 0))
         self.sim_seconds += float(snapshot.get("sim_seconds", 0.0))
+        self.regions_fused += int(snapshot.get("regions_fused", 0))
+        self.fuse_seconds += float(snapshot.get("fuse_seconds", 0.0))
 
     def clear(self) -> None:
         self.__init__()

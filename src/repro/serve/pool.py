@@ -238,15 +238,20 @@ def run_estimate_batch(items: Sequence[dict]) -> dict:
     Per-item failures become ``{"ok": False, ...}`` payloads carrying a
     :class:`~repro.core.runner.SampleFailure`.  One
     :class:`~repro.obs.RunTallyObserver` sees every simulated item of the
-    batch and its snapshot rides back with the results.  Chaos-carrying
-    batches score item by item — the directives crash or wedge the
-    worker at a specific position on purpose.
+    batch and its snapshot rides back with the results, with the superop
+    regions the batch fused in this process and the time that took.
+    Chaos-carrying batches score item by item — the directives crash or
+    wedge the worker at a specific position on purpose.
     """
     tally = RunTallyObserver()
+    cache = compilation_cache()
+    fused, fuse_seconds = cache.regions_fused, cache.fuse_seconds
     if any(item.get(CHAOS_KEY) is not None for item in items):
         results = [_estimate_items([item], tally)[0] for item in items]
     else:
         results = _estimate_items(items, tally)
+    tally.regions_fused = cache.regions_fused - fused
+    tally.fuse_seconds = cache.fuse_seconds - fuse_seconds
     return {"results": results, "tally": tally.snapshot()}
 
 
@@ -290,6 +295,19 @@ def run_explore(item: dict) -> dict:
     if top_k is not None:
         payload["scores"] = payload["scores"][: int(top_k)]
     return {"ok": True, "report": payload}
+
+
+def _kill_children(executor: concurrent.futures.Executor) -> None:
+    """SIGKILL every child process a process-pool executor still has."""
+    processes = getattr(executor, "_processes", None)
+    for process in list((processes or {}).values()):
+        try:
+            # SIGKILL, not SIGTERM: a wedged worker may never service a
+            # catchable signal, and an uncatchable one also cannot echo
+            # into any signal plumbing the child inherited across fork
+            process.kill()
+        except Exception:  # noqa: BLE001 — already-dead children are fine
+            pass
 
 
 class WorkerPool:
@@ -369,17 +387,7 @@ class WorkerPool:
         drain into cancelled futures.
         """
         old = self._executor
-        processes = getattr(old, "_processes", None)
-        if processes:
-            for process in list(processes.values()):
-                try:
-                    # SIGKILL, not SIGTERM: a wedged worker may never
-                    # service a catchable signal, and an uncatchable one
-                    # also cannot echo into any signal plumbing the
-                    # child inherited from the parent across fork
-                    process.kill()
-                except Exception:  # noqa: BLE001 — already-dead children are fine
-                    pass
+        _kill_children(old)
         try:
             old.shutdown(wait=False, cancel_futures=True)
         except Exception:  # noqa: BLE001 — a broken executor may refuse politely
@@ -398,5 +406,15 @@ class WorkerPool:
         return self._executor.submit(run_explore, dict(item))
 
     def shutdown(self) -> None:
-        # don't block on stragglers: timed-out jobs may still be running
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        """Stop the executor without blocking on stragglers.
+
+        Fork mode kills the children (a timed-out job may still be
+        running) and then joins the executor, so no manager thread or
+        child outlives the pool: the interpreter's exit hook would
+        otherwise write to the executor's already closed wakeup pipe.
+        Inline mode cannot kill its thread and does not wait for it.
+        """
+        executor = self._executor
+        if self.mode == "fork":
+            _kill_children(executor)
+        executor.shutdown(wait=self.mode == "fork", cancel_futures=True)

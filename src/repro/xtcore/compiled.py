@@ -23,7 +23,8 @@ construction.  This module hoists all of that to **compile time**:
   dests, next op, last address) and segment descriptors (``SEG_*``:
   start, end, I-line transitions, internal interlocks, taken target)
   are flat tuples; :func:`fuse_region` generates one closure per region
-  on its header's second entry;
+  once the region has retired enough ops op by op to pay for it (the
+  payback rule of :func:`repro.xtcore.iss.dispatch`);
 * :class:`CompilationCache` memoizes those lowerings across runs, keyed
   by ``(Program.digest(), ProcessorConfig.lowering_key)`` — content
   hashes of exactly what the lowering reads, so equal-content programs
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+import time
 from bisect import bisect_right
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Hashable, Optional, TypeVar
@@ -905,11 +907,12 @@ class SuperopProgram:
 
     The descriptors are immutable; ``fused[i]``, the slot of the region
     headed by op ``i``, fills on demand (:func:`repro.xtcore.iss.dispatch`):
-    None until the header is first entered, False after one entry (run
-    op by op), then the closure from :func:`fuse_region`.  A race between
-    threads to fill one slot is harmless: each generates an equivalent
-    closure and either may be kept, and fused and per-op execution
-    retire identically.
+    an int counting the ops the region has retired op by op (0 before
+    its first entry), then, once that count has paid for the code, the
+    closure from :func:`fuse_region`.  Races between threads on one slot
+    are harmless: a lost count only delays fusion, each thread generates
+    an equivalent closure and either may be kept, and fused and per-op
+    execution retire identically.
     """
 
     ishift: int
@@ -1238,9 +1241,12 @@ def fuse_region(ops: tuple, region: tuple, dshift: int):
     header; the caller enters a region only while one more worst-case
     iteration fits, so the per-op path raises
     :class:`SimulationLimitExceeded` at the exact instruction.  The dispatch loop
-    calls this on a header's second entry and keeps the result in
-    :attr:`SuperopProgram.fused`.
+    calls this once the region has retired enough ops op by op to pay
+    for it, and keeps the result in :attr:`SuperopProgram.fused`.  Each
+    call counts one region and its generation time in the process-wide
+    :func:`compilation_cache` (``regions_fused``, ``fuse_ms``).
     """
+    began = time.perf_counter()
     head = region[BLK_START]
     length = region[BLK_LEN]
     segments = region[BLK_SEGMENTS]
@@ -1456,6 +1462,7 @@ def fuse_region(ops: tuple, region: tuple, dshift: int):
         compile(source, f"<region@{ops[head][OP_ADDR]:#x}>", "exec"),
         namespace,
     )
+    _GLOBAL_CACHE.count_fusion(time.perf_counter() - began)
     return namespace["_region"]
 
 
@@ -1490,7 +1497,7 @@ def compile_superops(
       a static property of adjacent (load dests, source regs) pairs.
 
     No code is generated here: a region's closure, which bakes in
-    ``dshift``, is made on its header's second entry (see
+    ``dshift``, is made once the region has paid for it (see
     :attr:`SuperopProgram.fused`).  Callers go through
     :meth:`ExecutableProgram.superops`, which memoizes the result.
     """
@@ -1601,7 +1608,7 @@ def compile_superops(
         blocks=tuple(blocks),
         block_at=tuple(block_at),
         segment_at=tuple(segment_at),
-        fused=[None] * n,
+        fused=[0] * n,
     )
 
 
@@ -1661,6 +1668,10 @@ class CompilationCache:
     The ``build`` tier has its own lock and builds outside it, so a
     build-tier lookup (the estimation service resolves request keys on
     its event loop) never waits behind a lowering or another build.
+
+    The process-wide instance also counts the superop regions
+    :func:`fuse_region` generated and the time that took, so a slow
+    cold run shows how much of it was code generation.
     """
 
     def __init__(self, maxsize: int = 256) -> None:
@@ -1680,6 +1691,8 @@ class CompilationCache:
         self.build_misses = 0
         self.builds = 0
         self.build_evictions = 0
+        self.regions_fused = 0
+        self.fuse_seconds = 0.0
 
     def __len__(self) -> int:
         with self._lock:
@@ -1746,6 +1759,14 @@ class CompilationCache:
             self.build_misses = 0
             self.builds = 0
             self.build_evictions = 0
+            self.regions_fused = 0
+            self.fuse_seconds = 0.0
+
+    def count_fusion(self, seconds: float) -> None:
+        """Count one region closure generated in ``seconds``."""
+        with self._build_lock:
+            self.regions_fused += 1
+            self.fuse_seconds += seconds
 
     def info(self) -> dict:
         """Counters, overall and per artifact tier.
@@ -1753,7 +1774,9 @@ class CompilationCache:
         The top-level keys keep their historical meaning (the per-op
         ``ops`` tier, which every simulation resolves through); the
         ``tiers`` breakdown adds the design-point ``build`` tier (its
-        ``compilations`` count builds).
+        ``compilations`` count builds).  ``regions_fused`` and
+        ``fuse_ms`` count the superop region closures generated and the
+        milliseconds spent generating them.
         """
         with self._lock, self._build_lock:
             return {
@@ -1763,6 +1786,8 @@ class CompilationCache:
                 "misses": self.misses,
                 "compilations": self.compilations,
                 "evictions": self.evictions,
+                "regions_fused": self.regions_fused,
+                "fuse_ms": round(self.fuse_seconds * 1e3, 3),
                 "tiers": {
                     "ops": {
                         "entries": len(self._entries),

@@ -35,8 +35,9 @@ picked by what the run must report:
   fused *region* — a straight segment with its ending branch folded in,
   or a whole inner loop run to its exit with its internal branches
   inlined — plus a per-op path for everything no region covers (calls,
-  returns, system ops, a header's first entry, the last iterations
-  before the instruction budget).  No event objects, no operand tuples,
+  returns, system ops, a region not yet fused because it has retired
+  fewer than ``_FUSE_AFTER_OPS`` ops, the last iterations before the
+  instruction budget).  No event objects, no operand tuples,
   no callback dispatch.  Solo runs, batched multi-config runs
   (:func:`repro.xtcore.batch.run_batch`) and forked serve workers all
   dispatch through this one loop and the same fused regions.
@@ -79,6 +80,16 @@ EXIT_ADDRESS = 0xFFFF_FFF0
 
 #: Default stack-pointer value at reset (grows downward).
 DEFAULT_STACK_TOP = 0x0007_FF00
+
+#: Ops a region retires op by op before :func:`dispatch` fuses it: the
+#: header's first entry after its slot reaches this count generates the
+#: closure.  Generating one takes about 0.5-1.5 ms, the price of
+#: hundreds to thousands of op-by-op steps, so a region entered a
+#: handful of times never pays it back, while a hot loop crosses this
+#: count within a few iterations.  The ``fusion`` sweep of
+#: ``benchmarks/bench_iss_throughput.py`` sized it (docs/PERFORMANCE.md,
+#: "Payback fusion").
+_FUSE_AFTER_OPS = 64
 
 _BRANCH_TAKEN = InstructionClass.BRANCH_TAKEN
 _BRANCH_UNTAKEN = InstructionClass.BRANCH_UNTAKEN
@@ -303,10 +314,12 @@ def dispatch(
     lowering at ``(ishift, dshift)``
     (:meth:`~repro.xtcore.compiled.ExecutableProgram.superops`), an op
     index heading a region runs the region to its exit in one fused
-    call from the header's second entry on: the first entry runs op by
-    op, the second generates the closure
-    (:func:`~repro.xtcore.compiled.fuse_region`) into the region's
-    :attr:`~repro.xtcore.compiled.SuperopProgram.fused` slot.  A loop
+    call once the region has paid for its code: until then each entry
+    runs it op by op and adds its length (the most one pass retires)
+    to the region's :attr:`~repro.xtcore.compiled.SuperopProgram.fused`
+    slot, and the first entry after that count reaches
+    ``_FUSE_AFTER_OPS`` generates the closure
+    (:func:`~repro.xtcore.compiled.fuse_region`) into the slot.  A loop
     region runs whole iterations, its internal branches inlined, until
     an edge leaves it or the worst-case iterations that fit in the
     remaining instruction budget have run.  Every other op, and any
@@ -323,6 +336,7 @@ def dispatch(
     superops = executable.superops(ishift, dshift)
     block_at = superops.block_at
     fused = superops.fused
+    fuse_after = _FUSE_AFTER_OPS
     counts = [0] * len(ops)
     taken_counts = [0] * len(ops)
     segment_counts = [0] * len(ops)  # keyed by the segment's first op index
@@ -355,13 +369,16 @@ def dispatch(
             block = block_at[idx]
             if block is not None and executed + block[1] <= max_instructions:
                 fn = fused[idx]
-                if fn is None:
-                    # First entry: run the region op by op below; most
-                    # regions entered once are not worth generating code.
-                    fused[idx] = False
+                if fn.__class__ is int:
+                    # Not fused yet: the slot holds the ops this region
+                    # has retired op by op, charged one full pass per
+                    # entry.  Once that pays for its code, fuse and
+                    # re-probe; until then run this pass op by op below.
+                    if fn >= fuse_after:
+                        fused[idx] = fuse_region(ops, block, dshift)
+                        continue
+                    fused[idx] = fn + block[1]
                 else:
-                    if fn is False:  # second entry: fuse once, keep it
-                        fn = fused[idx] = fuse_region(ops, block, dshift)
                     # Fused fast path: the region runs to its exit in one
                     # call — semantics, branches, I-line memo and D-cache
                     # replays inlined into one generated closure, which
@@ -390,11 +407,11 @@ def dispatch(
                         )
                     )
             # Per-op path: ops no region covers (calls, returns, system
-            # ops, unfoldable customs and branches), a header's first
-            # entry, landings off a header from dynamic jumps, and
-            # regions that could cross the instruction budget (so
-            # SimulationLimitExceeded raises at the exact instruction,
-            # after any earlier fault).
+            # ops, unfoldable customs and branches), a region that has
+            # not yet paid for its code, landings off a header from
+            # dynamic jumps, and regions that could cross the
+            # instruction budget (so SimulationLimitExceeded raises at
+            # the exact instruction, after any earlier fault).
             if executed >= max_instructions:
                 raise SimulationLimitExceeded(
                     f"{executable.program_name}: "

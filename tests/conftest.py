@@ -46,3 +46,17 @@ def experiment_context():
     from repro.analysis import default_context
 
     return default_context()
+
+
+@pytest.fixture()
+def forced_fusion(monkeypatch):
+    """Fuse each superop region on its first re-entry.
+
+    Sets the dispatch loop's payback constant to one op, so a region
+    fuses on its second entry instead of after it has retired
+    ``_FUSE_AFTER_OPS`` ops op by op: short test programs then run
+    through fused closures too.
+    """
+    from repro.xtcore import iss
+
+    monkeypatch.setattr(iss, "_FUSE_AFTER_OPS", 1)

@@ -7,9 +7,15 @@ reference interpreter (:class:`repro.xtcore.ReferenceSimulator`) on
 statistics, traces (a :class:`~repro.obs.TraceObserver` on each side)
 and final machine state — on every bundled benchmark and on hundreds of
 seeded random programs from :mod:`repro.testing.progen`.
+
+Every suite runs twice: at the committed payback constant, where short
+programs run mostly op by op, and under the ``forced_fusion`` fixture
+(the ``...ForcedFusion`` classes), where every region fuses on its first
+re-entry, so the fused path sees each program too.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -23,7 +29,10 @@ from repro.xtcore import (
     Simulator,
     build_processor,
     compile_program,
+    iss,
 )
+from repro.asm import assemble
+from repro.isa import base_isa
 
 TRACE_FIELDS = (
     "addr",
@@ -288,3 +297,76 @@ class TestStressPrograms:
         assert "is not a valid instruction address" in message
         assert "nearest preceding symbol: 'tail'" in message
         assert "last retired instruction at 0x" in message
+
+
+#: Two-op entry, then a three-op loop body run 200 times.
+BOUNDARY_SOURCE = """\
+    .text
+main:
+    movi a2, 0
+    movi a3, 200
+loop:
+    addi a2, a2, 1
+    add a4, a2, a2
+    bne a2, a3, loop
+    halt
+"""
+
+
+class TestPaybackBudgetBoundary:
+    """Budget expiry is exact on both sides of a region's fusion.
+
+    The loop header is entered op by op, charging three ops per entry,
+    until the charge reaches ``iss._FUSE_AFTER_OPS``; the next entry
+    fuses the loop if one more iteration fits in the budget.  Budgets
+    around that entry must raise :class:`SimulationLimitExceeded` with
+    the reference's registers and message, whether the run fused or not.
+    """
+
+    def test_limit_is_exact_before_and_after_the_region_fuses(self):
+        config = build_processor("xt-boundary", [])
+        program = assemble(BOUNDARY_SOURCE, "boundary", isa=base_isa())
+        # instructions retired when the entry that fuses the loop arrives
+        fusing_entry = 2 + 3 * math.ceil(iss._FUSE_AFTER_OPS / 3)
+        loop = compile_program(config, program).index_of(program.symbol("loop"))
+        outcomes = set()
+        for budget in range(fusing_entry - 4, fusing_entry + 10):
+            ref_error, ref_state = run_to_fault(
+                ReferenceSimulator(config, program, max_instructions=budget)
+            )
+            executable = compile_program(config, program)  # fresh slots
+            error, state = run_to_fault(
+                Simulator(
+                    config, program, max_instructions=budget, executable=executable
+                )
+            )
+            assert type(error) is SimulationLimitExceeded
+            assert type(ref_error) is SimulationLimitExceeded
+            assert str(error).startswith(str(ref_error))
+            assert state.regs == ref_state.regs, budget
+            slot = executable.superops(5, 5).fused[loop]
+            fused = callable(slot)
+            # the fusing entry fuses only while one more iteration fits
+            assert fused == (budget >= fusing_entry + 3), budget
+            outcomes.add(fused)
+        assert outcomes == {False, True}
+
+
+@pytest.mark.usefixtures("forced_fusion")
+class TestBundledSuiteEquivalenceForcedFusion(TestBundledSuiteEquivalence):
+    pass
+
+
+@pytest.mark.usefixtures("forced_fusion")
+class TestRandomProgramEquivalenceForcedFusion(TestRandomProgramEquivalence):
+    pass
+
+
+@pytest.mark.usefixtures("forced_fusion")
+class TestStressProgramsForcedFusion(TestStressPrograms):
+    pass
+
+
+@pytest.mark.usefixtures("forced_fusion")
+class TestPaybackBudgetBoundaryForcedFusion(TestPaybackBudgetBoundary):
+    pass

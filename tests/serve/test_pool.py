@@ -59,6 +59,16 @@ def test_one_source_at_three_points_is_one_batch_pass(worker, batch_passes):
         assert (payload["energy"], payload["cycles"]) == (solo.energy, solo.cycles)
 
 
+def test_batch_tally_counts_the_regions_it_fused(worker):
+    hot = TINY_SOURCE.replace("movi a2, 6", "movi a2, 100")
+    compilation_cache().clear()
+    cold = pool.run_estimate_batch([_item(source=hot, name="hot")])["tally"]
+    assert cold["regions_fused"] == 1  # the loop; the straight code ran once
+    assert cold["fuse_seconds"] > 0
+    warm = pool.run_estimate_batch([_item(source=hot, name="hot")])["tally"]
+    assert (warm["regions_fused"], warm["fuse_seconds"]) == (0, 0.0)
+
+
 def test_mixed_batch_keeps_input_order(worker, batch_passes):
     items = [
         _item(name="pair-a"),

@@ -21,6 +21,7 @@ import pytest
 from repro.core.runner import RetryPolicy
 from repro.serve import EstimationService, Job, run_server
 from repro.serve.api import ApiError
+from repro.xtcore import compilation_cache
 
 from .conftest import TINY_SOURCE, PoolGate, fire, wait_until
 
@@ -307,6 +308,7 @@ class TestExploreEndpoint:
 )
 class TestForkPool:
     def test_forked_workers_report_tallies(self, make_server):
+        compilation_cache().clear()  # the worker fuses from fresh slots
         server = make_server(workers=1, prewarm=["tp01_alu_mix"])
         _, health = server.request("GET", "/healthz")
         assert health["pool"] == {
@@ -323,6 +325,23 @@ class TestForkPool:
         _, metrics = server.request("GET", "/metrics")
         assert metrics["simulation"]["runs_finished"] >= 1
         assert metrics["simulation"]["instructions"] > 0
+        # so did the regions the worker fused, which the frontend's own
+        # compilation cache never sees
+        assert metrics["simulation"]["regions_fused"] == 1
+        assert metrics["simulation"]["fuse_seconds"] > 0
+
+    def test_stop_leaves_no_manager_thread_or_child(self, make_server):
+        server = make_server(workers=1)
+        status, _ = server.estimate(INLINE_BODY)
+        assert status == 200
+        executor = server.service.pool._executor
+        manager = executor._executor_manager_thread
+        children = list(executor._processes.values())
+        assert manager.is_alive() and children
+        server.close()
+        assert not manager.is_alive()
+        assert not any(child.is_alive() for child in children)
+        assert not set(children) & set(multiprocessing.active_children())
 
 
 class TestCliWiring:

@@ -463,7 +463,7 @@ class TestSharedLowering:
             assert result.state.pc == solo.state.pc
         assert cache.compilations == len(keys)
 
-    def test_recorder_fuses_at_the_finest_line_sizes(self, base, program):
+    def test_recorder_fuses_at_the_finest_line_sizes(self, base, program, forced_fusion):
         from repro.xtcore import compilation_cache
 
         configs = self.members(base)
@@ -475,7 +475,9 @@ class TestSharedLowering:
         loop = executable.index_of(program.symbol("loop"))
         assert callable(superops.fused[loop])
 
-    def test_budget_expiring_mid_block_raises_once_like_solo(self, base, program):
+    def test_budget_expiring_mid_block_raises_once_like_solo(
+        self, base, program, forced_fusion
+    ):
         configs = self.members(base)
         total = Simulator(base, program).run().stats.total_instructions
         # the last loop iteration: each budget stops inside or at the edge

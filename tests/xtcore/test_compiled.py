@@ -117,6 +117,8 @@ class TestCompilationCache:
             "misses": 1,
             "compilations": 1,
             "evictions": 0,
+            "regions_fused": 0,
+            "fuse_ms": 0.0,
             "tiers": {
                 "ops": {
                     "entries": 1,

@@ -1,17 +1,23 @@
 """Code is generated only for what runs.
 
 TIE semantics closures are generated when a program using the
-instruction is first lowered, and a superop region's fused closure on
-its header's second entry.  Results never depend on either: these tests pin
-when code is generated, and that the lazy forms behave like eager ones.
+instruction is first lowered, and a superop region's fused closure once
+the region has paid for it: on the first header entry after it has
+retired ``iss._FUSE_AFTER_OPS`` ops op by op (the ``forced_fusion``
+fixture sets that to one op, which fuses on the second entry).  Results
+never depend on either: these tests pin when code is generated, and that
+the lazy forms behave like eager ones.
 """
 
+import math
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro.asm import assemble
+from repro.core import EnergyMacroModel, default_template
 from repro.isa import base_isa
 from repro.programs import characterization_suite
 from repro.programs.extensions import ALL_SPEC_FACTORIES
@@ -129,9 +135,34 @@ loop:
 """
 
 
+#: A loop whose three-op body runs ``{bound}`` times after a two-op entry.
+PAYBACK_SOURCE = """\
+    .text
+main:
+    movi a2, 0
+    movi a3, {bound}
+loop:
+    addi a2, a2, 1
+    add a4, a2, a2
+    bne a2, a3, loop
+    halt
+"""
+
+
+def payback_iterations():
+    """Loop iterations after which the loop region has paid for its code.
+
+    Each op-by-op entry charges the region its three ops; the entry after
+    the charge reaches the constant fuses it.
+    """
+    return math.ceil(iss._FUSE_AFTER_OPS / 3)
+
+
 class TestSecondEntryFusion:
+    """At a payback of one op a region fuses on its second entry."""
+
     @pytest.fixture()
-    def config(self):
+    def config(self, forced_fusion):
         return build_processor("xt-lazy-test", [])
 
     def test_block_entered_once_compiles_nothing(self, config, fused):
@@ -142,7 +173,7 @@ class TestSecondEntryFusion:
         assert fused == []
         executable = compilation_cache().get_or_compile(config, program)
         superops = executable.superops(5, 5)  # the default 32 B lines
-        assert superops.fused[0] is False  # entered once, run op by op
+        assert superops.fused[0] == 3  # entered once: three ops run op by op
 
     def test_block_entered_twice_compiles_once(self, config, fused):
         compilation_cache().clear()
@@ -197,3 +228,60 @@ class TestSecondEntryFusion:
         executable = compilation_cache().get_or_compile(config, case.program)
         superops = executable.superops(5, 5)  # the one lowering all threads share
         assert any(callable(slot) for slot in superops.fused)
+
+
+class TestPaybackFusion:
+    """At the committed constant a region fuses once its ops pay for it."""
+
+    @pytest.fixture()
+    def config(self):
+        return build_processor("xt-lazy-test", [])
+
+    def test_region_short_of_payback_compiles_nothing(self, config, fused):
+        compilation_cache().clear()
+        bound = payback_iterations()
+        program = assemble(PAYBACK_SOURCE.format(bound=bound), "short", isa=base_isa())
+        loop = compile_program(config, program).index_of(program.symbol("loop"))
+        result = Simulator(config, program).run()
+        assert result.stats.total_instructions == 2 + 3 * bound + 1
+        assert fused == []
+        executable = compilation_cache().get_or_compile(config, program)
+        superops = executable.superops(5, 5)
+        # every entry ran op by op and charged the region its three ops
+        assert superops.fused[loop] == 3 * bound >= iss._FUSE_AFTER_OPS
+        assert superops.fused[0] == 2
+
+    def test_region_fuses_on_the_entry_after_payback(self, config, fused):
+        compilation_cache().clear()
+        bound = payback_iterations() + 1
+        program = assemble(PAYBACK_SOURCE.format(bound=bound), "paid", isa=base_isa())
+        loop = compile_program(config, program).index_of(program.symbol("loop"))
+        first = Simulator(config, program).run()
+        assert fused == [loop]
+        reference = ReferenceSimulator(config, program).run()
+        assert first.stats == reference.stats
+        assert first.state.regs == reference.state.regs
+        # the two-op entry region pays back only after many runs; the
+        # loop is never generated again
+        for _ in range(math.ceil(iss._FUSE_AFTER_OPS / 2) - 1):
+            assert Simulator(config, program).run().stats == first.stats
+        assert fused == [loop]
+        Simulator(config, program).run()
+        assert fused == [loop, 0]
+
+    def test_cold_estimate_counts_regions_fused(self, config):
+        template = default_template()
+        model = EnergyMacroModel(template, np.linspace(50, 5000, len(template)))
+        bound = payback_iterations() + 1
+        program = assemble(PAYBACK_SOURCE.format(bound=bound), "paid", isa=base_isa())
+        cache = compilation_cache()
+        cache.clear()
+        assert (cache.info()["regions_fused"], cache.info()["fuse_ms"]) == (0, 0.0)
+        model.estimate(config, program)
+        info = cache.info()
+        assert info["regions_fused"] == 1  # the loop; the entry ran once
+        assert info["fuse_ms"] > 0
+        model.estimate(config, program)  # warm: the loop is already fused
+        assert cache.info()["regions_fused"] == 1
+        cache.clear()
+        assert (cache.info()["regions_fused"], cache.info()["fuse_ms"]) == (0, 0.0)

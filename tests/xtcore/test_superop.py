@@ -7,6 +7,7 @@ and the region lowerings memoized on each executable.
 """
 
 import dataclasses
+from typing import Optional
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.xtcore import (
     compilation_cache,
     compile_program,
     compile_superops,
+    iss,
 )
 from repro.xtcore.compiled import (
     BLK_FIRST_SRCS,
@@ -99,17 +101,21 @@ def _trace(config, program):
 
 
 def _fused_calls(config, program, superops):
-    """Header index -> dispatch arrivals, replaying the fusion policy on a trace.
+    """Header index -> its slot after the run, replaying the fusion policy.
 
-    The first arrival at a header runs its region op by op (one retire),
-    later ones run it fused: a loop region until control leaves its op
-    range, a straight region for its one segment.  No run here nears
-    the instruction budget, so no region stops for it.
+    Replays the payback rule on a trace.  An arrival at a header whose
+    charged ops are still short of ``iss._FUSE_AFTER_OPS`` charges the
+    region its length and runs one op per-op (a retire); the first
+    arrival after the charge reaches it fuses the region, and that and
+    every later arrival run it fused: a loop region until control leaves
+    its op range, a straight region for its one segment.  The slot is
+    the final charge, or None once fused.  No run here nears the
+    instruction budget, so no region stops for it.
     """
     trace = _trace(config, program)
     executable = compile_program(config, program)
     path = [executable.index_of(record.addr) for record in trace]
-    arrivals: dict[int, int] = {}
+    charged: dict[int, Optional[int]] = {}
     pos = 0
     while pos < len(path):
         block = superops.block_at[path[pos]]
@@ -117,13 +123,18 @@ def _fused_calls(config, program, superops):
             pos += 1
             continue
         head = block[BLK_START]
-        arrivals[head] = arrivals.get(head, 0) + 1
-        if arrivals[head] == 1 or not block[BLK_LOOP]:
-            pos += 1 if arrivals[head] == 1 else block[BLK_LEN]
+        ops_run = charged.get(head, 0)
+        if ops_run is not None and ops_run < iss._FUSE_AFTER_OPS:
+            charged[head] = ops_run + block[BLK_LEN]
+            pos += 1
+            continue
+        charged[head] = None
+        if not block[BLK_LOOP]:
+            pos += block[BLK_LEN]
             continue
         while pos < len(path) and path[pos] in _region_ops(block):
             pos += 1
-    return arrivals
+    return charged
 
 
 def _assert_fused_equals_per_op(config, executable, block, fused, budget=4000):
@@ -278,22 +289,24 @@ class TestCompileSuperops:
                 assert block[BLK_NEXT_IDX] == ops[last][OP_FALL_IDX]
         assert loops
 
-    def test_fused_closures_present_for_base_isa(self, config, program):
-        # Fusion happens on a header's second arrival: after a run,
-        # every region arrived at twice or more holds a callable
-        # closure, a region arrived at once holds the entered-once
-        # marker, and each closure retires exactly like the per-op path.
+    @staticmethod
+    def _assert_slots_follow_the_policy(config, program):
+        """Run once; check every slot against the replayed fusion policy.
+
+        A region the policy fused holds a callable closure that retires
+        exactly like the per-op path; every other region holds the ops
+        charged to it.  Returns whether any region fused.
+        """
         compilation_cache().clear()
         Simulator(config, program).run()
         executable = compilation_cache().get_or_compile(config, program)
         superops = executable.superops(*_shifts(config))
-        arrivals = _fused_calls(config, program, superops)
-        assert any(n >= 2 for n in arrivals.values())
-        assert any(n == 1 for n in arrivals.values())
+        replayed = _fused_calls(config, program, superops)
+        assert any(charge is not None for charge in replayed.values())
         for start in range(len(executable.ops)):
-            n = arrivals.get(start, 0)
+            charge = replayed.get(start, 0)
             slot = superops.fused[start]
-            if n >= 2:
+            if charge is None:
                 assert callable(slot)
                 block = superops.block_at[start]
                 _assert_fused_equals_per_op(config, executable, block, slot)
@@ -301,10 +314,21 @@ class TestCompileSuperops:
                 _assert_fused_equals_per_op(
                     config, executable, block, slot, budget=block[BLK_LEN]
                 )
-            elif n == 1:
-                assert slot is False
             else:
-                assert slot is None
+                assert slot == charge
+        return any(charge is None for charge in replayed.values())
+
+    def test_fused_closures_present_for_base_isa(self, config, program, forced_fusion):
+        # At a payback of one op, fusion happens on a header's second
+        # arrival: after a run, every region arrived at twice or more
+        # holds a callable closure, a region arrived at once holds its
+        # charged length, and each closure retires like the per-op path.
+        assert self._assert_slots_follow_the_policy(config, program)
+
+    def test_short_run_charges_regions_short_of_payback(self, config, program):
+        # At the committed constant the 10-iteration loop (40 ops) stays
+        # short of payback: every region holds its charge, none is fused.
+        assert not self._assert_slots_follow_the_policy(config, program)
 
     def test_fused_closures_equal_per_op_with_memory_and_customs(self):
         compilation_cache().clear()
@@ -434,7 +458,9 @@ class TestBlockLoweringMemo:
         assert set(cache.info()["tiers"]) == {"ops", "build"}
         assert cache.info()["tiers"]["ops"]["entries"] == 1
 
-    def test_runs_share_the_lowering_of_their_line_sizes(self, config, program):
+    def test_runs_share_the_lowering_of_their_line_sizes(
+        self, config, program, forced_fusion
+    ):
         compilation_cache().clear()
         bigger = dataclasses.replace(
             config, icache=dataclasses.replace(config.icache, size_bytes=32768)

@@ -11,14 +11,20 @@ requested D times, shuffled):
   batches of whatever queued while the worker was busy, so the pool
   simulates each unique program once.
 
+A third section, ``pool_round_trip``, times the fork IPC layer alone:
+sequential single-item batches of an already lowered program through a
+``workers=1`` fork pool, each split into the round trip the event loop
+sees and the worker's own batch time; their difference is the time the
+batch spent outside the worker (pickling, the pipe, waking the loop).
+
 Run as a script to (re)generate ``BENCH_SERVE.json`` at the repo root:
 
     PYTHONPATH=src python benchmarks/bench_serve.py
 
 or as a CI smoke check with a scaled-down workload:
 
-    PYTHONPATH=src python benchmarks/bench_serve.py \
-        --uniques 4 --dupes 4 --clients 4 --check --output serve-smoke.json
+    PYTHONPATH=src python benchmarks/bench_serve.py --uniques 4 --dupes 8 \
+        --clients 4 --round-trips 100 --check --output serve-smoke.json
 """
 
 from __future__ import annotations
@@ -37,10 +43,14 @@ import time
 import numpy as np
 
 from repro.core import EnergyMacroModel, default_template
-from repro.serve import EstimationServer, EstimationService
+from repro.serve import EstimationServer, EstimationService, WorkerPool
+from repro.serve.pool import resolve_workload
 
 DEFAULT_OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_SERVE.json"
 SPEEDUP_TARGET = 3.0
+#: ``--check`` bound on the median time a single-item batch spends
+#: outside the worker (round trip minus the worker's own batch time)
+IPC_BOUND_MS = 0.5
 
 PROGRAM_TEMPLATE = """
     .data
@@ -276,6 +286,48 @@ def run_loadtest(
     }
 
 
+def _percentiles_ms(values: list[float]) -> dict:
+    ordered = sorted(values)
+    return {
+        "p50_ms": round(_percentile(ordered, 50) * 1e3, 4),
+        "p90_ms": round(_percentile(ordered, 90) * 1e3, 4),
+    }
+
+
+def measure_round_trip(round_trips: int = 500) -> dict:
+    """Time sequential single-item batches through a ``workers=1`` fork pool."""
+    source = PROGRAM_TEMPLATE.format(loops=20, salt=1)
+    item = {"name": "rt", "source": source, "extensions": [], "max_instructions": 100_000}
+    # the frontend's role: assemble once, dispatch the program
+    _, item["program"] = resolve_workload(item)
+    del item["source"]
+
+    async def run() -> tuple[str, list[float], list[float]]:
+        pool = WorkerPool(make_model(), workers=1)
+        try:
+            await pool.estimate_batch([item])  # the worker lowers it once
+            trips, worker = [], []
+            for _ in range(round_trips):
+                began = time.perf_counter()
+                outcome = await pool.estimate_batch([item])
+                trips.append(time.perf_counter() - began)
+                worker.append(outcome["tally"]["batch_seconds"])
+            return pool.mode, trips, worker
+        finally:
+            pool.shutdown()
+
+    mode, trips, worker = asyncio.run(run())
+    return {
+        "pool": {"mode": mode, "workers": 1},
+        "round_trips": round_trips,
+        "round_trip": _percentiles_ms(trips),
+        "worker": _percentiles_ms(worker),
+        "outside_worker": _percentiles_ms([t - w for t, w in zip(trips, worker)]),
+        "bound_p50_ms": IPC_BOUND_MS,
+        "host": host_info(),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--uniques", type=int, default=8, help="distinct programs")
@@ -286,6 +338,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=7, help="workload shuffle seed")
     parser.add_argument(
+        "--round-trips",
+        type=int,
+        default=500,
+        help="single-item batches timed through the fork pool",
+    )
+    parser.add_argument(
         "--output",
         type=pathlib.Path,
         default=DEFAULT_OUTPUT,
@@ -294,7 +352,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help=f"exit non-zero unless coalesced speedup >= {SPEEDUP_TARGET}x",
+        help=(
+            f"exit non-zero unless coalesced speedup >= {SPEEDUP_TARGET}x and the "
+            f"median time outside the worker is <= {IPC_BOUND_MS} ms"
+        ),
     )
     args = parser.parse_args(argv)
 
@@ -305,6 +366,7 @@ def main(argv=None) -> int:
         loops=args.loops,
         seed=args.seed,
     )
+    payload["pool_round_trip"] = measure_round_trip(args.round_trips)
     args.output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     for mode in ("serial", "coalesced"):
@@ -315,17 +377,33 @@ def main(argv=None) -> int:
             f"{row['simulations']} simulation(s)"
         )
     summary = payload["summary"]
+    trip = payload["pool_round_trip"]
+    outside = trip["outside_worker"]["p50_ms"]
+    print(
+        f"pool round trip ({trip['pool']['mode']}): "
+        f"p50 {trip['round_trip']['p50_ms']:.3f} ms, worker "
+        f"{trip['worker']['p50_ms']:.3f} ms, outside the worker {outside:.3f} ms"
+    )
     print(f"speedup: {summary['speedup']}x (target {summary['target']}x)"
           f"  -> {args.output}")
 
     if args.check:
+        failed = False
         if summary["speedup"] < SPEEDUP_TARGET:
             print(
                 f"CHECK FAILED: {summary['speedup']}x below the "
                 f"{SPEEDUP_TARGET}x coalescing target"
             )
+            failed = True
+        if outside > IPC_BOUND_MS:
+            print(
+                f"CHECK FAILED: {outside:.3f} ms outside the worker per batch, "
+                f"above the {IPC_BOUND_MS} ms bound"
+            )
+            failed = True
+        if failed:
             return 1
-        print("CHECK OK: coalesced throughput clears the target")
+        print("CHECK OK: coalesced throughput and pool round trip clear their bounds")
     return 0
 
 

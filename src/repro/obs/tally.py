@@ -48,6 +48,8 @@ class RunTallyObserver(SimObserver):
         #: whoever fills these in (the serve worker, per batch)
         self.regions_fused = 0
         self.fuse_seconds = 0.0
+        #: wall seconds the serve worker spent on its batches
+        self.batch_seconds = 0.0
         self._run_began: float | None = None
 
     # -- protocol ----------------------------------------------------------
@@ -81,6 +83,7 @@ class RunTallyObserver(SimObserver):
             "sim_seconds": self.sim_seconds,
             "regions_fused": self.regions_fused,
             "fuse_seconds": self.fuse_seconds,
+            "batch_seconds": self.batch_seconds,
         }
 
     def merge(self, snapshot: dict) -> None:
@@ -94,6 +97,7 @@ class RunTallyObserver(SimObserver):
         self.sim_seconds += float(snapshot.get("sim_seconds", 0.0))
         self.regions_fused += int(snapshot.get("regions_fused", 0))
         self.fuse_seconds += float(snapshot.get("fuse_seconds", 0.0))
+        self.batch_seconds += float(snapshot.get("batch_seconds", 0.0))
 
     def clear(self) -> None:
         self.__init__()

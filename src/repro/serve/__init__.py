@@ -7,7 +7,8 @@ long-running process.  This package is that server-shaped entry point:
 
 * :class:`EstimationService` — request coalescing by content address,
   load-adaptive batching (a free worker takes everything queued), a
-  persistent fork-based worker pool pre-warmed through the shared
+  persistent pool of forked workers, each driven over its own pipe by
+  the event loop, pre-warmed through the shared
   :class:`~repro.xtcore.compiled.CompilationCache`, the DSE
   :class:`~repro.dse.cache.ResultCache` as a shared on-disk result store,
   bounded queues with ``429`` backpressure and
@@ -29,6 +30,7 @@ from .server import EstimationServer, EstimationService, run_server
 from .supervise import (
     InjectedWorkerCrash,
     QuarantineRegistry,
+    WorkerCrashed,
     deadline_at,
     deadline_expired,
     is_pool_crash,
@@ -48,6 +50,7 @@ __all__ = [
     "LatencyWindow",
     "QuarantineRegistry",
     "ServiceMetrics",
+    "WorkerCrashed",
     "WorkerPool",
     "deadline_at",
     "deadline_expired",

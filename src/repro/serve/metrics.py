@@ -9,7 +9,9 @@ Three layers feed ``GET /metrics``:
   per endpoint, reduced to p50/p95/mean on demand, plus the **queue
   wait** of every dispatched job (enqueue → batch dispatch), so a slow
   miss splits into time spent waiting for a worker and time spent in
-  one;
+  one, and the **fork IPC** of every batch: its pool round trip, the
+  worker's own time inside it, and the difference, the time the batch
+  spent in transport (pickling, the pipe, waking the event loop);
 * **simulation tallies** — a :class:`~repro.obs.tally.RunTallyObserver`
   rides along every worker-side estimate; workers ship its
   ``snapshot()`` back with their results and the parent merges them, so
@@ -98,6 +100,13 @@ class ServiceMetrics:
         self.inflight = 0
         self.latency = {"estimate": LatencyWindow(), "explore": LatencyWindow()}
         self.queue_wait = LatencyWindow()
+        #: per batch: pool round trip, the worker's own time, and their
+        #: difference (the transport)
+        self.fork_ipc = {
+            "round_trip": LatencyWindow(),
+            "worker": LatencyWindow(),
+            "ipc": LatencyWindow(),
+        }
         self.sim_tally = RunTallyObserver()
         #: requests per operating-point key ("fit-point" = no point given)
         self.operating_points: dict[str, int] = {}
@@ -121,6 +130,13 @@ class ServiceMetrics:
         with self._lock:
             for seconds in waits:
                 self.queue_wait.record(seconds)
+
+    def observe_round_trip(self, seconds: float, worker_seconds: float) -> None:
+        """Record one batch's pool round trip and the worker's time in it."""
+        with self._lock:
+            self.fork_ipc["round_trip"].record(seconds)
+            self.fork_ipc["worker"].record(worker_seconds)
+            self.fork_ipc["ipc"].record(seconds - worker_seconds)
 
     def observe_operating_point(self, point: Optional[str]) -> None:
         """Count one request against its operating point."""
@@ -167,6 +183,9 @@ class ServiceMetrics:
                     name: window.snapshot() for name, window in self.latency.items()
                 },
                 "queue_wait": self.queue_wait.snapshot(),
+                "fork_ipc": {
+                    name: window.snapshot() for name, window in self.fork_ipc.items()
+                },
                 "simulation": self.sim_tally.snapshot(),
                 "operating_points": dict(self.operating_points),
             }
@@ -226,6 +245,12 @@ def render_prometheus(payload: dict) -> str:
     emit("queue_wait_p50_ms", queue_wait["p50_ms"])
     emit("queue_wait_p95_ms", queue_wait["p95_ms"])
     emit("queue_wait_mean_ms", queue_wait["mean_ms"])
+    for part, window in sorted(payload["fork_ipc"].items()):
+        labels = f'{{part="{part}"}}'
+        emit("fork_ipc_batches", window["count"], labels)
+        emit("fork_ipc_p50_ms", window["p50_ms"], labels)
+        emit("fork_ipc_p95_ms", window["p95_ms"], labels)
+        emit("fork_ipc_mean_ms", window["mean_ms"], labels)
     for name, value in sorted(payload["simulation"].items()):
         emit(f"sim_{name}", value)
     for point, count in sorted(payload.get("operating_points", {}).items()):

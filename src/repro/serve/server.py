@@ -4,8 +4,8 @@
 
     parse → resolve (config, program) → content-address → dedupe
     (memo / in-flight / shared disk cache) → bounded queue → batch of
-    what is queued when a worker is free → forked worker pool → resolve
-    coalesced waiters → memoize
+    what is queued when a worker is free → a forked worker, over its own
+    pipe → resolve coalesced waiters → memoize
 
 — and exposes it over four endpoints:
 
@@ -33,15 +33,16 @@ The service is **self-healing** (see :mod:`repro.serve.supervise`).  A
 pool crash, however often it repeats, always climbs one ladder —
 respawn, bisect, quarantine:
 
-* a worker crash (``BrokenProcessPool``) respawns the pool — prewarmed
-  lowerings are re-inherited copy-on-write — and re-dispatches the
-  interrupted batch;
+* a worker crash (EOF on the worker's pipe mid-batch,
+  :class:`~repro.serve.supervise.WorkerCrashed`) respawns the worker —
+  prewarmed lowerings are re-inherited copy-on-write — and re-dispatches
+  the interrupted batch;
 * a multi-request batch that keeps crashing is **bisected** until the
   poisoned request is isolated; after ``quarantine_after`` singleton
   crashes the key is quarantined and answered with a typed ``500``
   while the rest of the traffic keeps flowing;
-* a timed-out fork-mode batch is treated as a *hung worker*: the pool
-  is respawned (killing the wedged child) before the retry;
+* a timed-out fork-mode batch is treated as a *hung worker*: the
+  abandoned call kills and replaces the wedged child before the retry;
 * client ``deadline_ms`` propagates through the queue into the worker,
   shedding expired requests with ``504`` before they pay for simulation
   (at harvest, after waiting behind busy workers, and again worker-side);
@@ -94,8 +95,8 @@ from .supervise import (
 class _PoolCrash(Exception):
     """Internal carrier: a dispatch died of pool death.
 
-    Wraps the original ``BrokenProcessPool``/``InjectedWorkerCrash``
-    together with the pool generation the batch was submitted against,
+    Wraps the original ``WorkerCrashed``/``InjectedWorkerCrash``
+    together with the pool generation the batch was dispatched against,
     so concurrent crash handlers can tell whether the pool they saw die
     has already been respawned by somebody else.
     """
@@ -165,7 +166,6 @@ class EstimationService:
         self._halted = False
         #: when the drain grace runs out; None until draining begins
         self._drain_deadline: Optional[float] = None
-        self._pool_lock = asyncio.Lock()
         # crash recovery owns the pool exclusively (see _handle_pool_crash):
         # fresh batches pass through _recovery_lock before they submit, and
         # recovery waits for _pool_quiet, set when no fresh batch is on it
@@ -431,6 +431,10 @@ class EstimationService:
             raise
         except Exception as exc:  # noqa: BLE001 — bad workload == bad request
             raise ApiError(400, f"cannot build workload: {exc}", code="bad_workload")
+        if "source" in item:
+            # the worker simulates this assembly instead of repeating it
+            del item["source"]
+            item["program"] = program
         # requests at different points must dedupe/cache separately: the
         # derived model at each point has its own digest
         key = candidate_cache_key(
@@ -573,8 +577,7 @@ class EstimationService:
         self.metrics.observe_operating_point(req.operating_point)
         self._active_explores += 1
         try:
-            future = self.pool.submit_explore(item)
-            waiter = asyncio.wrap_future(future)
+            waiter = asyncio.ensure_future(self.pool.explore(item))
             self._explore_waiters.add(waiter)
             try:
                 outcome = await asyncio.wait_for(waiter, self.explore_timeout)
@@ -588,7 +591,6 @@ class EstimationService:
                     "message": "the service shut down before this exploration finished",
                 }
             except asyncio.TimeoutError:
-                future.cancel()
                 self.metrics.incr("timeouts_total")
                 failure = SampleFailure(
                     name=f"explore:{req.space}",
@@ -734,43 +736,28 @@ class EstimationService:
             directive = self._stamp_chaos(jobs, items)
             try:
                 async with self._pool_turn(recovering):
-                    # read after any wait for a recovery, and never submit
-                    # into an executor that a respawn is tearing down
-                    async with self._pool_lock:
-                        generation = self.pool.generation
-                        try:
-                            future = self.pool.submit_estimate_batch(items)
-                        except Exception as exc:
-                            # the pool broke under a concurrent batch
-                            # before this submit: the stamped directive
-                            # never reached a worker, so put it back on the
-                            # schedule for a later dispatch.  Hangs are
-                            # re-armed by the outer handler (which also
-                            # covers a batch dying *queued* in a broken
-                            # pool) — re-arming here too would schedule the
-                            # hang twice.
-                            if (
-                                is_pool_crash(exc)
-                                and directive is not None
-                                and not directive.startswith("hang")
-                            ):
-                                self.chaos.rearm(directive, self._batch_seq)
-                            raise
+                    # read after any wait for a recovery
+                    generation = self.pool.generation
+                    began = time.perf_counter()
                     try:
                         outcome = await asyncio.wait_for(
-                            asyncio.wrap_future(future), self.request_timeout
+                            self.pool.estimate_batch(items), self.request_timeout
                         )
                     except asyncio.TimeoutError:
-                        future.cancel()
                         if self.pool.mode == "fork":
                             # a fork-mode timeout may be a wedged worker,
-                            # which never finishes on its own: kill and
-                            # respawn while this batch still holds its turn
-                            # (no recovery runs under the respawn), so the
-                            # retry lands on a healthy pool
+                            # which never finishes on its own: abandoning
+                            # the call killed and replaced that child, so
+                            # the retry lands on a healthy one; the restart
+                            # counts the respawn while this batch still
+                            # holds its turn
                             self.metrics.incr("worker_hangs_total")
-                            await self._respawn_pool(generation)
+                            self._respawn_pool(generation)
                         raise
+                    self.metrics.observe_round_trip(
+                        time.perf_counter() - began,
+                        outcome.get("tally", {}).get("batch_seconds", 0.0),
+                    )
                 return outcome, attempt
             except asyncio.TimeoutError:
                 self.metrics.incr("timeouts_total")
@@ -789,10 +776,10 @@ class EstimationService:
                 self.metrics.incr("retries_total")
             except Exception as exc:  # noqa: BLE001 — classified by the caller
                 if is_pool_crash(exc):
-                    # a hang directive cannot break the pool, so this
-                    # break came from elsewhere (a crash directive or a
-                    # poisoned item, possibly in a concurrent batch) and
-                    # the scheduled hang never played out — re-arm it
+                    # a hang directive cannot kill its worker, so this
+                    # death came from elsewhere (the child was killed
+                    # from outside) and the scheduled hang never played
+                    # out — re-arm it
                     if directive is not None and directive.startswith("hang"):
                         self.chaos.rearm(directive, self._batch_seq)
                     raise _PoolCrash(exc, generation) from exc
@@ -832,7 +819,7 @@ class EstimationService:
         clears.
         """
         self.metrics.incr("worker_crashes_total")
-        await self._respawn_pool(crash.generation)
+        self._respawn_pool(crash.generation)
         if recovering:
             await self._isolate_crash(jobs, crash)
             return
@@ -866,12 +853,11 @@ class EstimationService:
         await self._run_supervised(jobs[:mid], recovering=True)
         await self._run_supervised(jobs[mid:], recovering=True)
 
-    async def _respawn_pool(self, generation: int) -> None:
-        """Serialize concurrent crash handlers into one pool restart."""
-        async with self._pool_lock:
-            if self.pool.generation == generation:
-                self.metrics.incr("pool_restarts_total")
-                await asyncio.to_thread(self.pool.restart)
+    def _respawn_pool(self, generation: int) -> None:
+        """Deduplicate concurrent crash handlers into one pool restart."""
+        if self.pool.generation == generation:
+            self.metrics.incr("pool_restarts_total")
+            self.pool.restart()
 
     def _stamp_chaos(self, jobs: list[Job], items: list[dict]) -> Optional[str]:
         """Attach the chaos plan's directives to one dispatch's items.

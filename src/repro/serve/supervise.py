@@ -4,10 +4,11 @@ A forked worker dying is not an exception at scale — it is the steady
 state.  This module holds the small pieces the service composes into its
 one recovery ladder for a pool crash — respawn, bisect, quarantine:
 
-* :func:`is_pool_crash` — one predicate for "the executor is gone"
-  covering real :class:`concurrent.futures.BrokenExecutor` process
-  death and the chaos harness's :class:`InjectedWorkerCrash` (the
-  inline-pool stand-in for ``os._exit`` in a forked child);
+* :func:`is_pool_crash` — one predicate for "a worker died under a
+  batch" covering :class:`WorkerCrashed` (a forked child's pipe reached
+  EOF or was reset with a call outstanding) and the chaos harness's
+  :class:`InjectedWorkerCrash` (the inline-pool stand-in for
+  ``os._exit`` in a forked child);
 * :class:`QuarantineRegistry` — per-request-key crash accounting.  A
   request whose (bisected, singleton) batch keeps killing the pool is
   **poisoned**; after ``threshold`` isolated crashes it is quarantined
@@ -41,11 +42,19 @@ CHAOS_KEY = "_chaos"
 DEADLINE_KEY = "deadline"
 
 
+class WorkerCrashed(concurrent.futures.BrokenExecutor):
+    """A forked worker died with a call outstanding.
+
+    Raised by the pool when a child's pipe reaches EOF or is reset (the
+    child exited, was killed, or crashed) before the reply arrived.
+    """
+
+
 class InjectedWorkerCrash(RuntimeError):
     """The inline-pool analog of a forked worker dying mid-batch.
 
     In fork mode the chaos harness calls ``os._exit`` in the child and
-    the parent observes :class:`concurrent.futures.BrokenExecutor`; in
+    the parent observes :class:`WorkerCrashed` on the child's pipe; in
     inline (thread) mode killing the process would kill the test, so
     the directive raises this instead and the supervisor treats both
     identically (see :func:`is_pool_crash`).
@@ -53,7 +62,11 @@ class InjectedWorkerCrash(RuntimeError):
 
 
 def is_pool_crash(exc: BaseException) -> bool:
-    """True when ``exc`` means the worker pool died under a batch."""
+    """True when ``exc`` means a worker died under a batch.
+
+    :class:`WorkerCrashed` is a :class:`concurrent.futures.BrokenExecutor`,
+    so any broken executor counts.
+    """
     return isinstance(
         exc, (concurrent.futures.BrokenExecutor, InjectedWorkerCrash)
     )
@@ -153,13 +166,14 @@ def execute_chaos_directive(directive: str, fork: bool) -> None:
     """Run one parent-stamped chaos directive inside a worker.
 
     ``crash``      — die the way a segfaulting/OOM-killed child does:
-                     ``os._exit`` in fork mode (the parent sees
-                     :class:`~concurrent.futures.process.BrokenProcessPool`),
+                     ``os._exit`` in fork mode (the parent reads EOF on
+                     the child's pipe and sees :class:`WorkerCrashed`),
                      :class:`InjectedWorkerCrash` in inline mode.
     ``hang:<s>``   — sleep ``s`` seconds mid-batch.  In fork mode the
-                     supervisor's timeout + pool respawn kills the
-                     wedged child; in inline mode the sleep is kept
-                     short by the plan so the thread eventually drains.
+                     supervisor's timeout abandons the call, which kills
+                     and replaces the wedged child; in inline mode the
+                     sleep is kept short by the plan so the thread
+                     eventually drains.
     """
     if directive == "crash":
         if fork:

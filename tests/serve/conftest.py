@@ -11,7 +11,6 @@ under a millisecond of simulation.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import http.client
 import json
 import threading
@@ -96,50 +95,38 @@ class ServerHarness:
 
 
 class PoolGate:
-    """Hold every estimate batch a service submits until :meth:`open`.
+    """Hold every estimate batch a service dispatches until :meth:`open`.
 
-    Wraps ``service.pool.submit_estimate_batch``.  While the gate is
-    shut each submitted batch keeps its worker slot, so requests that
-    arrive meanwhile wait in the queue — as they would behind a slow
-    batch — and leave together as the next harvest.  ``batches`` records
-    the items of every submission; ``max_outstanding`` is the most
-    batches the service ever had submitted and unfinished at once.
+    Wraps ``service.pool.estimate_batch``.  While the gate is shut each
+    dispatched batch keeps its worker slot, so requests that arrive
+    meanwhile wait in the queue — as they would behind a slow batch —
+    and leave together as the next harvest.  ``batches`` records the
+    items of every dispatch; ``max_outstanding`` is the most batches the
+    service ever had dispatched and unfinished at once.
     """
 
     def __init__(self, service: EstimationService) -> None:
         self._opened = threading.Event()
         self._lock = threading.Lock()
-        self._submit = service.pool.submit_estimate_batch
+        self._estimate_batch = service.pool.estimate_batch
         self.batches: list[list[dict]] = []
         self.outstanding = 0
         self.max_outstanding = 0
-        service.pool.submit_estimate_batch = self.submit
+        service.pool.estimate_batch = self.estimate_batch
 
-    def submit(self, items) -> concurrent.futures.Future:
-        outer: concurrent.futures.Future = concurrent.futures.Future()
+    async def estimate_batch(self, items) -> dict:
         with self._lock:
             self.batches.append(list(items))
             self.outstanding += 1
             self.max_outstanding = max(self.max_outstanding, self.outstanding)
-        outer.add_done_callback(self._finished)
-
-        def run() -> None:
-            self._opened.wait(30)
-            try:
-                result = self._submit(items).result(30)
-            except BaseException as exc:  # noqa: BLE001 — relayed to the service
-                if not outer.done():
-                    outer.set_exception(exc)
-            else:
-                if not outer.done():
-                    outer.set_result(result)
-
-        threading.Thread(target=run, daemon=True).start()
-        return outer
-
-    def _finished(self, _future) -> None:
-        with self._lock:
-            self.outstanding -= 1
+        try:
+            deadline = time.monotonic() + 30
+            while not self._opened.is_set() and time.monotonic() < deadline:
+                await asyncio.sleep(0.002)
+            return await self._estimate_batch(items)
+        finally:
+            with self._lock:
+                self.outstanding -= 1
 
     def open(self) -> None:
         self._opened.set()

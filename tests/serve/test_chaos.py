@@ -12,7 +12,6 @@ equivalent (real ``os._exit`` children) is exercised by
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 
 import pytest
 
@@ -106,12 +105,12 @@ class FakePool:
     def __init__(self) -> None:
         self.generation = 0
         self.restarts = 0
-        self.submitted: list[tuple[list[str], concurrent.futures.Future]] = []
+        self.submitted: list[tuple[list[str], asyncio.Future]] = []
 
-    def submit_estimate_batch(self, items):
-        future: concurrent.futures.Future = concurrent.futures.Future()
+    async def estimate_batch(self, items):
+        future = asyncio.get_running_loop().create_future()
         self.submitted.append(([item["name"] for item in items], future))
-        return future
+        return await future
 
     def restart(self) -> int:
         self.generation += 1

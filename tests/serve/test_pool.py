@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import repro.asm as asm
 import repro.core.model as model_module
 from repro.dse.cache import candidate_cache_key
 from repro.serve import pool
@@ -83,6 +84,20 @@ def test_mixed_batch_keeps_input_order(worker, batch_passes):
     assert batch_passes == [2]
 
 
+def test_item_carrying_a_program_is_never_assembled(worker, monkeypatch):
+    _, program = pool.resolve_workload(_item())
+    expected = pool.run_estimate_batch([_item()])["results"]
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("the worker assembled a program it was given")
+
+    monkeypatch.setattr(asm, "assemble", no_assembly)
+    compilation_cache().clear()
+    item = {**_item(), "program": program}
+    del item["source"]
+    assert pool.run_estimate_batch([item])["results"] == expected
+
+
 def test_workload_memos_are_bounded_and_content_keyed(worker, monkeypatch):
     builds = compilation_cache()
     builds.clear()
@@ -107,10 +122,10 @@ def test_workload_memos_are_bounded_and_content_keyed(worker, monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_signal_in_a_fresh_fork_child_does_not_reach_the_parent_loop():
-    """A child signalled before any pool initializer ran (a sibling that
-    ``ProcessPoolExecutor`` terminates when another worker dies) must
-    not drain the server: it may not echo into the parent's wakeup fd.
-    Importing :mod:`repro.serve.pool` arms the fork hooks that ensure it."""
+    """A child signalled before it set up as a worker (say, by a SIGTERM
+    sent to the whole process group just after a fork) must not drain
+    the server: it may not echo into the parent's wakeup fd.  Importing
+    :mod:`repro.serve.pool` arms the fork hooks that ensure it."""
 
     async def scenario() -> bool:
         stop = asyncio.Event()

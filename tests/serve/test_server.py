@@ -8,10 +8,9 @@ service object directly so the failure timing is deterministic.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import http.client
 import json
-import multiprocessing
+import os
 import signal
 import threading
 import time
@@ -19,7 +18,7 @@ import time
 import pytest
 
 from repro.core.runner import RetryPolicy
-from repro.serve import EstimationService, Job, run_server
+from repro.serve import EstimationService, Job, pool, run_server
 from repro.serve.api import ApiError
 from repro.xtcore import compilation_cache
 
@@ -221,9 +220,9 @@ class StallingPool:
     def __init__(self) -> None:
         self.budgets: list[list[int]] = []
 
-    def submit_estimate_batch(self, items):
+    async def estimate_batch(self, items):
         self.budgets.append([item["max_instructions"] for item in items])
-        return concurrent.futures.Future()  # intentionally never resolved
+        await asyncio.get_running_loop().create_future()  # never resolved
 
     def shutdown(self) -> None:
         pass
@@ -302,10 +301,17 @@ class TestExploreEndpoint:
         assert body["error_type"] == "SpaceError"
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="fork start method unavailable",
-)
+def inline_body(loops: int) -> dict:
+    """A distinct inline program (and request key) per ``loops``."""
+    source = TINY_SOURCE.replace("movi a2, 6", f"movi a2, {loops}")
+    return {**INLINE_BODY, "program": {"source": source, "name": f"tiny{loops}"}}
+
+
+#: The operating points perfbench's serve workload requests.
+PERFBENCH_POINTS = (None, "130nm@1.5V@400MHz", "90nm@1.2V@600MHz", "65nm@1.1V@800MHz")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="fork unavailable")
 class TestForkPool:
     def test_forked_workers_report_tallies(self, make_server):
         compilation_cache().clear()  # the worker fuses from fresh slots
@@ -330,18 +336,110 @@ class TestForkPool:
         assert metrics["simulation"]["regions_fused"] == 1
         assert metrics["simulation"]["fuse_seconds"] > 0
 
-    def test_stop_leaves_no_manager_thread_or_child(self, make_server):
-        server = make_server(workers=1)
-        status, _ = server.estimate(INLINE_BODY)
-        assert status == 200
-        executor = server.service.pool._executor
-        manager = executor._executor_manager_thread
-        children = list(executor._processes.values())
-        assert manager.is_alive() and children
+    def test_requests_start_no_thread_and_stop_leaves_no_child(self, make_server):
+        server = make_server(workers=2)
+        threads = set(threading.enumerate())
+        for loops in range(3, 7):
+            status, _ = server.estimate(inline_body(loops))
+            assert status == 200
+        # the event loop drives the children's pipes itself
+        assert set(threading.enumerate()) == threads
+        pids = server.service.pool.pids
+        assert len(pids) == 2
         server.close()
-        assert not manager.is_alive()
-        assert not any(child.is_alive() for child in children)
-        assert not set(children) & set(multiprocessing.active_children())
+        for pid in pids:
+            # reaped: neither a live child of this process nor a zombie
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_child_killed_mid_batch_is_answered_once_with_the_library_estimate(
+        self, make_server, serve_model, monkeypatch, tmp_path
+    ):
+        # the first batch any child runs stalls, so the test can SIGKILL
+        # its child mid-batch; the replacement child runs it normally
+        marker = tmp_path / "stalled"
+        estimate_items = pool._estimate_items
+
+        def stall_once(items, tally):
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                return estimate_items(items, tally)
+            time.sleep(60)
+
+        monkeypatch.setattr(pool, "_estimate_items", stall_once)
+        server = make_server(workers=1)
+        answers, threads = fire(server, [INLINE_BODY])
+        wait_until(marker.exists)
+        (victim,) = server.service.pool.pids
+        os.kill(victim, signal.SIGKILL)
+        threads[0].join(timeout=60)
+        ((_, status, body),) = answers
+        assert status == 200, body
+        config, program = pool.resolve_workload(
+            {"name": "tiny", "source": TINY_SOURCE, "extensions": []}
+        )
+        expected = serve_model.estimate(config, program, max_instructions=10_000)
+        assert (body["energy"], body["cycles"]) == (expected.energy, expected.cycles)
+        _, metrics = server.request("GET", "/metrics")
+        counters = metrics["counters"]
+        assert counters["worker_crashes_total"] == 1
+        assert (counters["batches_dispatched"], counters["responses_ok"]) == (1, 1)
+        assert victim not in server.service.pool.pids
+        with pytest.raises(ChildProcessError):
+            os.waitpid(victim, os.WNOHANG)
+
+    def test_one_killed_child_is_replaced_while_the_other_keeps_serving(
+        self, make_server
+    ):
+        server = make_server(workers=2)
+        assert server.estimate(inline_body(3))[0] == 200
+        victim, survivor = server.service.pool.pids
+        os.kill(victim, signal.SIGKILL)
+        # EOF on the idle child's pipe: reaped and replaced at once
+        wait_until(
+            lambda: victim not in (pids := server.service.pool.pids) and len(pids) == 2,
+            timeout=2,
+        )
+        with pytest.raises(ChildProcessError):
+            os.waitpid(victim, os.WNOHANG)
+        assert survivor in server.service.pool.pids
+        for loops in range(4, 8):
+            assert server.estimate(inline_body(loops))[0] == 200
+        _, metrics = server.request("GET", "/metrics")
+        assert metrics["counters"]["worker_crashes_total"] == 0
+        assert survivor in server.service.pool.pids
+
+    @pytest.mark.parametrize("point", PERFBENCH_POINTS)
+    def test_fork_payloads_equal_inline_payloads(self, make_server, point):
+        inline, forked = make_server(workers=0), make_server(workers=1)
+        bodies = [{"benchmark": name} for name in ("tp01_alu_mix", "tp06_memcpy")]
+        bodies.append(INLINE_BODY)
+        for body in bodies:
+            if point is not None:
+                body = {**body, "operating_point": point}
+            status, expected = inline.estimate(body)
+            assert status == 200, expected
+            assert forked.estimate(body) == (200, expected)
+
+    def test_fork_ipc_block_counts_every_batch(self, make_server):
+        server = make_server(workers=1)
+        for loops in range(3, 6):
+            assert server.estimate(inline_body(loops))[0] == 200
+        _, metrics = server.request("GET", "/metrics")
+        batches = metrics["counters"]["batches_dispatched"]
+        assert batches == 3
+        ipc = metrics["fork_ipc"]
+        assert {part: window["count"] for part, window in ipc.items()} == {
+            "round_trip": batches,
+            "worker": batches,
+            "ipc": batches,
+        }
+        assert ipc["worker"]["mean_ms"] > 0
+        assert ipc["ipc"]["mean_ms"] >= 0 and ipc["ipc"]["p50_ms"] >= 0
+        assert metrics["simulation"]["batch_seconds"] > 0
+        _, text = server.request("GET", "/metrics?format=prom")
+        assert 'repro_serve_fork_ipc_batches{part="ipc"} 3' in text
 
 
 class TestCliWiring:
@@ -544,9 +642,9 @@ class TestGracefulDrain:
         port_file = tmp_path / "port"
 
         class StallingExplorePool(StallingPool):
-            def submit_explore(self, item):
+            async def explore(self, item):
                 self.explores = [item]
-                return concurrent.futures.Future()  # never resolved
+                await asyncio.get_running_loop().create_future()  # never resolved
 
         async def post(port, path, payload):
             reader, writer = await asyncio.open_connection("127.0.0.1", port)

@@ -15,6 +15,7 @@ import pytest
 from repro.serve.supervise import (
     InjectedWorkerCrash,
     QuarantineRegistry,
+    WorkerCrashed,
     deadline_at,
     deadline_expired,
     execute_chaos_directive,
@@ -26,6 +27,9 @@ from repro.testing.faults import ServiceChaosPlan
 class TestIsPoolCrash:
     def test_broken_executor_counts(self):
         assert is_pool_crash(concurrent.futures.BrokenExecutor("gone"))
+
+    def test_worker_crashed_counts(self):
+        assert is_pool_crash(WorkerCrashed("pipe closed"))
 
     def test_injected_crash_counts(self):
         assert is_pool_crash(InjectedWorkerCrash("chaos"))

@@ -26,6 +26,15 @@ best of nine runs, the rules interleaved; each rule also
 records the regions fused per cold pass over the set.  This script sets
 the private constant itself; nothing in ``src/`` reads an override.
 
+A front-end section times the static layers of a cold one-shot
+estimate of each of the 66 bundled programs, as ``repro estimate`` runs
+one (fresh compilation cache, freshly built processor): assembly per
+source line; the cache key (``lowering_key`` and ``Program.digest``)
+and ``compile_program`` per instruction; and their share of the whole
+cold estimate (TIE build, assembly, key, lowering, dispatch, extraction
+and dot product) with the committed fixture model.  Each layer keeps
+its best of several rounds over the programs.
+
 Run as a script to (re)generate ``BENCH_ISS.json`` at the repo root:
 
     PYTHONPATH=src python benchmarks/bench_iss_throughput.py
@@ -40,7 +49,8 @@ on any program, when the superop loop is slower than the instrumented
 loop on any program (the un-instrumented path must pay for itself), when
 ``run_batch`` is slower than the solo runs or any member's stats differ
 from its solo run, or when the committed payback constant is slower
-than fuse-on-second-entry on either fusion set.
+than fuse-on-second-entry on either fusion set, or when the front end's
+share of a cold estimate exceeds ``FRONT_END_SHARE_BOUND``.
 """
 
 from __future__ import annotations
@@ -57,19 +67,24 @@ import time
 
 import pytest
 
+from repro.asm import assemble
+from repro.core import EnergyMacroModel
 from repro.obs import SimObserver
-from repro.programs import characterization_suite
+from repro.programs import application_suite, characterization_suite
+from repro.programs.extensions import ALL_SPEC_FACTORIES
 from repro.programs.reed_solomon import reed_solomon_choices
 from repro.xtcore import (
     ReferenceSimulator,
     Simulator,
+    build_processor,
     compilation_cache,
     compile_program,
     iss,
     run_batch,
 )
 
-DEFAULT_OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_ISS.json"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEFAULT_OUTPUT = ROOT / "BENCH_ISS.json"
 
 
 class NullRetireObserver(SimObserver):
@@ -283,6 +298,103 @@ def fusion_section() -> dict:
     }
 
 
+#: Model the front-end section's cold estimates use (any fitted model
+#: prices a run the same way; this one is committed).
+FRONT_END_MODEL = ROOT / "perfbench" / "data" / "model_fixture.json"
+
+#: Rounds over the programs in the front-end section; each layer of each
+#: program keeps its best.
+FRONT_END_REPEAT = 7
+
+#: Layers of a cold estimate the front-end section times, in run order.
+FRONT_END_LAYERS = ("build", "assemble", "lowering_key", "digest", "compile_program", "rest")
+
+#: ``--check`` fails when the front end (assemble + lowering_key + digest
+#: + compile_program) exceeds this share of a whole cold estimate; see
+#: CHANGES.md for the measurements it was set from.
+FRONT_END_SHARE_BOUND = 0.32
+
+
+def _cold_estimate_layers(model, case, factories) -> dict:
+    """One cold estimate of ``case`` on a processor built from ``factories``:
+    seconds per layer, in run order."""
+    compilation_cache().clear()
+    stamps = [time.perf_counter()]
+    config = build_processor(case.name, [factory() for factory in factories])
+    config.isa
+    stamps.append(time.perf_counter())
+    program = assemble(case.source, case.name, isa=config.isa)
+    stamps.append(time.perf_counter())
+    config.lowering_key
+    stamps.append(time.perf_counter())
+    program.digest()
+    stamps.append(time.perf_counter())
+    compilation_cache().get_or_compile(config, program)  # the estimate reuses it
+    stamps.append(time.perf_counter())
+    model.estimate(config, program, max_instructions=case.max_instructions)
+    stamps.append(time.perf_counter())
+    return {
+        layer: stamps[i + 1] - stamps[i] for i, layer in enumerate(FRONT_END_LAYERS)
+    } | {"instructions": len(program)}
+
+
+def front_end_section(repeat: int = FRONT_END_REPEAT) -> dict:
+    """Per-program front-end costs of a cold estimate, and their share."""
+    model = EnergyMacroModel.load(FRONT_END_MODEL)
+    cases = characterization_suite() + application_suite()
+    # cases on a shared processor name its extension; build it afresh
+    factories = [
+        [ALL_SPEC_FACTORIES[impl.mnemonic] for impl in case.config.extensions]
+        for case in cases
+    ]
+    best = [dict.fromkeys(FRONT_END_LAYERS, math.inf) for _ in cases]
+    instructions = [0] * len(cases)
+    gc.disable()
+    try:
+        for _ in range(repeat):
+            gc.collect()
+            for index, case in enumerate(cases):
+                times = _cold_estimate_layers(model, case, factories[index])
+                instructions[index] = times["instructions"]
+                for layer in FRONT_END_LAYERS:
+                    best[index][layer] = min(best[index][layer], times[layer])
+    finally:
+        gc.enable()
+
+    def per(seconds: float, count: int) -> float:
+        return round(seconds / count * 1e6, 2)
+
+    rows = []
+    for case, row, count in zip(cases, best, instructions):
+        lines = len(case.source.splitlines())
+        rows.append(
+            {
+                "program": case.name,
+                "lines": lines,
+                "instructions": count,
+                "assemble_us_per_line": per(row["assemble"], lines),
+                "lowering_key_us_per_instruction": per(row["lowering_key"], count),
+                "digest_us_per_instruction": per(row["digest"], count),
+                "compile_program_us_per_instruction": per(row["compile_program"], count),
+                "cold_estimate_ms": round(sum(row.values()) * 1e3, 3),
+            }
+        )
+    sums = {layer: sum(row[layer] for row in best) for layer in FRONT_END_LAYERS}
+    front = sums["assemble"] + sums["lowering_key"] + sums["digest"] + sums["compile_program"]
+    return {
+        "programs": len(cases),
+        "repeat": repeat,
+        "unit": "best of the rounds per program and layer; a cold estimate from a fresh cache",
+        "per_program": rows,
+        "summary": {
+            **{f"{layer}_ms": round(seconds * 1e3, 3) for layer, seconds in sums.items()},
+            "cold_estimate_ms": round(sum(sums.values()) * 1e3, 3),
+            "front_end_share": round(front / sum(sums.values()), 4),
+            "share_bound": FRONT_END_SHARE_BOUND,
+        },
+    }
+
+
 def run_suite(program_names=None, repeat: int = 3, batch_configs: int = 16) -> dict:
     """Measure the (sub)suite and assemble the BENCH_ISS payload."""
     cases = characterization_suite(include_variants=False)
@@ -305,6 +417,7 @@ def run_suite(program_names=None, repeat: int = 3, batch_configs: int = 16) -> d
         "programs": results,
         "batch": measure_batch(cases[0], n_configs=batch_configs, repeat=repeat),
         "fusion": fusion_section(),
+        "front_end": front_end_section(),
         "summary": {
             "instrumented_speedup_geomean": round(
                 _geomean([r["instrumented_speedup"] for r in results]), 2
@@ -346,8 +459,9 @@ def main(argv=None) -> int:
         action="store_true",
         help="exit non-zero if a dispatch loop is slower than the interpreter, "
         "or superop slower than instrumented, on any program, if run_batch "
-        "is slower than solo runs or disagrees with them, or if payback "
-        "fusion is slower than fuse-on-second-entry on either set",
+        "is slower than solo runs or disagrees with them, if payback "
+        "fusion is slower than fuse-on-second-entry on either set, or if "
+        "the front end's share of a cold estimate exceeds its bound",
     )
     args = parser.parse_args(argv)
 
@@ -401,6 +515,15 @@ def main(argv=None) -> int:
             )
         )
 
+    front = payload["front_end"]["summary"]
+    print(
+        f"front end of {payload['front_end']['programs']} cold estimates (ms): "
+        f"assemble {front['assemble_ms']:.2f}, lowering_key {front['lowering_key_ms']:.2f}, "
+        f"digest {front['digest_ms']:.2f}, compile_program {front['compile_program_ms']:.2f} "
+        f"of {front['cold_estimate_ms']:.2f} "
+        f"(share {front['front_end_share']:.3f}, bound {front['share_bound']})"
+    )
+
     if args.check:
         failed = False
         slow = [
@@ -440,13 +563,19 @@ def main(argv=None) -> int:
                 f"slower than fuse-on-second-entry on: {behind_rule}"
             )
             failed = True
+        if front["front_end_share"] > front["share_bound"]:
+            print(
+                f"CHECK FAILED: the front end is {front['front_end_share']} of a cold "
+                f"estimate (bound {front['share_bound']})"
+            )
+            failed = True
         if failed:
             return 1
         print(
             "CHECK OK: both dispatch loops at least as fast as the interpreter, "
             "superop >= instrumented on every program, batch >= solo with "
             "equal stats for every member, payback fusion no slower than "
-            "fuse-on-second-entry on either set"
+            "fuse-on-second-entry on either set, front-end share within its bound"
         )
     return 0
 

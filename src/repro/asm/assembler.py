@@ -29,13 +29,30 @@ branches ``bgt/ble/bgtu/bleu``.
 
 Expressions are ``term (+|- term)*`` where a term is an integer literal
 (decimal, hex, binary or a character constant) or a label.
+
+Fast paths.  Most lines are plain: a ``.word`` table of integer
+literals, or an instruction whose immediates are integers.  Both skip
+the expression parser and produce exactly what it would:
+
+* an all-literal ``.word/.half/.byte`` line becomes its bytes in pass
+  one; any other data line keeps one deferred expression per item;
+* an operand that ``int(token, 0)`` reads (ASCII only) is that integer,
+  and a register name is read from one precomputed table;
+* each mnemonic's definition and operand layout are looked up once per
+  :class:`Assembler` and carried in the instruction's slot, so pass two
+  only resolves labels, builds the :class:`Instruction` and validates
+  its encoding ranges with :func:`~repro.isa.encode`;
+* an :class:`AsmError` is built only when one is raised.
+
+Every other token takes the general path, with the same value or error
+text and line number.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Callable, Optional
+from typing import Optional, Union
 
 from ..isa import (
     BASE_ISA,
@@ -54,6 +71,15 @@ DATA_ORIGIN = 0x0001_0000
 UTEXT_ORIGIN = 0x0008_0000
 
 _REGISTER_ALIASES = {"ra": 0, "sp": 1}
+#: Canonical (lower-case) register names -> index; other spellings that
+#: :meth:`Assembler._parse_register` accepts (``a07``) take its slow path.
+_REGISTERS = {**{f"a{index}": index for index in range(64)}, **_REGISTER_ALIASES}
+_DATA_SIZES = {".word": 4, ".half": 2, ".byte": 1}
+#: Operand fields -> position in ``Instruction(mnemonic, rd, rs, rt, imm)``;
+#: the ``BI`` format's bit/compare immediate ``imm2`` rides in ``rt``.
+_FIELD_SLOTS = {"rd": 0, "rs": 1, "rt": 2, "imm2": 2, "imm": 3}
+_PSEUDO_BRANCHES = {"bgt": "blt", "ble": "bge", "bgtu": "bltu", "bleu": "bgeu"}
+_PSEUDO = frozenset({"mv", "la", "li", *_PSEUDO_BRANCHES})
 _LABEL_RE = re.compile(r"^[A-Za-z_.$][A-Za-z0-9_.$]*$")
 _LABEL_DEF_RE = re.compile(r"^([A-Za-z_.$][A-Za-z0-9_.$]*)\s*:\s*")
 _COMMENT_RE = re.compile(r";.*$|#.*$|//.*$")
@@ -81,11 +107,12 @@ class _Expr:
     constant: int = 0
     labels: tuple[tuple[str, int], ...] = ()
 
-    def resolve(self, symbols: dict[str, int], err: Callable[[str], AsmError]) -> int:
+    def resolve(self, st: "_PassState", line_no: int) -> int:
         value = self.constant
+        symbols = st.symbols
         for name, sign in self.labels:
             if name not in symbols:
-                raise err(f"undefined symbol {name!r}")
+                raise st.error(line_no, f"undefined symbol {name!r}")
             value += sign * symbols[name]
         return value
 
@@ -94,14 +121,9 @@ class _Expr:
         return not self.labels
 
 
-@dataclasses.dataclass
-class _InsSlot:
-    """A reserved instruction slot awaiting pass-2 operand resolution."""
-
-    line_no: int
-    addr: int
-    mnemonic: str
-    operands: list[object]  # int (register), _Expr (immediate/target)
+#: An operand after pass one: a register index or constant, or a deferred
+#: expression that names labels.
+_Operand = Union[int, _Expr]
 
 
 @dataclasses.dataclass
@@ -142,6 +164,8 @@ class Assembler:
 
     def __init__(self, isa: InstructionSet | None = None) -> None:
         self.isa = isa if isa is not None else BASE_ISA
+        #: mnemonic -> (definition, operand fields, Instruction slot per field)
+        self._shapes: dict[str, tuple] = {}
 
     # -- public API ---------------------------------------------------------
 
@@ -154,20 +178,21 @@ class Assembler:
     # -- pass 1: layout -----------------------------------------------------
 
     def _pass_one(self, source: str, st: "_PassState") -> None:
+        label_def = _LABEL_DEF_RE.match
         for line_no, raw_line in enumerate(source.splitlines(), start=1):
             line = _strip_comment(raw_line).strip()
             if not line:
                 continue
             # Labels (possibly several) at the start of the line.
-            while True:
-                match = _LABEL_DEF_RE.match(line)
+            while ":" in line:
+                match = label_def(line)
                 if not match:
                     break
                 st.bind_label(match.group(1), line_no)
                 line = line[match.end():]
             if not line:
                 continue
-            if line.startswith("."):
+            if line[0] == ".":
                 self._directive(line, line_no, st)
             else:
                 self._instruction_pass_one(line, line_no, st)
@@ -176,56 +201,61 @@ class Assembler:
         parts = line.split(None, 1)
         name = parts[0].lower()
         rest = parts[1] if len(parts) > 1 else ""
-        err = st.error_factory(line_no)
 
-        if name in (".text", ".data", ".utext"):
+        if name in _DATA_SIZES:
+            size = _DATA_SIZES[name]
+            raw = _literal_data(rest, size)
+            if raw is not None:
+                st.add_data(_DataSlot(line_no, st.location, size, [], raw=raw), len(raw))
+                return
+            exprs = [self._parse_data_item(tok, line_no, st) for tok in _split_operands(rest)]
+            if not exprs:
+                raise st.error(line_no, f"{name} requires at least one value")
+            st.add_data(_DataSlot(line_no, st.location, size, exprs), size * len(exprs))
+        elif name in (".text", ".data", ".utext"):
             origin = None
             if rest:
                 origin = _parse_int_literal(rest)
                 if origin is None:
-                    raise err(f"bad section origin {rest!r}")
+                    raise st.error(line_no, f"bad section origin {rest!r}")
             st.switch_section(name[1:], origin)
         elif name == ".org":
             value = _parse_int_literal(rest)
             if value is None:
-                raise err(f".org requires a constant address, got {rest!r}")
-            st.set_location(value, err)
+                raise st.error(line_no, f".org requires a constant address, got {rest!r}")
+            st.set_location(value, line_no)
         elif name == ".align":
             value = _parse_int_literal(rest)
             if value is None or value <= 0 or value & (value - 1):
-                raise err(f".align requires a positive power of two, got {rest!r}")
+                raise st.error(
+                    line_no, f".align requires a positive power of two, got {rest!r}"
+                )
             st.align(value)
         elif name == ".equ":
             parts = _split_operands(rest)
             if len(parts) != 2:
-                raise err(".equ requires `name, expression`")
+                raise st.error(line_no, ".equ requires `name, expression`")
             symbol = parts[0]
             if not _LABEL_RE.match(symbol):
-                raise err(f"bad .equ name {symbol!r}")
+                raise st.error(line_no, f"bad .equ name {symbol!r}")
             # resolved immediately: terms may reference constants and
             # labels defined *above* this line
             expr = self._parse_expr(parts[1], line_no, st)
-            st.bind_constant(symbol, expr.resolve(st.symbols, err), line_no)
+            st.bind_constant(symbol, expr.resolve(st, line_no), line_no)
         elif name == ".entry":
             st.entry_label = rest.strip()
             if not _LABEL_RE.match(st.entry_label):
-                raise err(f"bad entry label {rest!r}")
+                raise st.error(line_no, f"bad entry label {rest!r}")
         elif name == ".global":
             pass  # accepted for compatibility; all labels are global
-        elif name in (".word", ".half", ".byte"):
-            size = {".word": 4, ".half": 2, ".byte": 1}[name]
-            exprs = [self._parse_data_item(tok, line_no, st) for tok in _split_operands(rest)]
-            if not exprs:
-                raise err(f"{name} requires at least one value")
-            st.add_data(_DataSlot(line_no, st.location, size, exprs), size * len(exprs))
         elif name == ".space":
             args = _split_operands(rest)
             if not args:
-                raise err(".space requires a size")
+                raise st.error(line_no, ".space requires a size")
             count = _parse_int_literal(args[0])
             fill = _parse_int_literal(args[1]) if len(args) > 1 else 0
             if count is None or count < 0 or fill is None:
-                raise err(f"bad .space arguments {rest!r}")
+                raise st.error(line_no, f"bad .space arguments {rest!r}")
             st.add_data(
                 _DataSlot(line_no, st.location, 1, [], raw=bytes([fill & 0xFF]) * count),
                 count,
@@ -233,42 +263,60 @@ class Assembler:
         elif name in (".ascii", ".asciiz"):
             text = rest.strip()
             if len(text) < 2 or text[0] != '"' or text[-1] != '"':
-                raise err(f"{name} requires a double-quoted string")
+                raise st.error(line_no, f"{name} requires a double-quoted string")
             try:
                 data = text[1:-1].encode().decode("unicode_escape").encode("latin-1")
             except UnicodeError as exc:
-                raise err(f"bad escape in {name} string {text}: {exc.reason}") from None
+                raise st.error(
+                    line_no, f"bad escape in {name} string {text}: {exc.reason}"
+                ) from None
             if name == ".asciiz":
                 data += b"\x00"
             st.add_data(_DataSlot(line_no, st.location, 1, [], raw=data), len(data))
         else:
-            raise err(f"unknown directive {name!r}")
+            raise st.error(line_no, f"unknown directive {name!r}")
 
     def _instruction_pass_one(self, line: str, line_no: int, st: "_PassState") -> None:
-        err = st.error_factory(line_no)
         if st.section == "data":
-            raise err("instructions are not allowed in the data section")
+            raise st.error(line_no, "instructions are not allowed in the data section")
         parts = line.split(None, 1)
         mnemonic = parts[0].lower()
-        operand_text = parts[1] if len(parts) > 1 else ""
-        tokens = _split_operands(operand_text)
+        tokens = _split_operands(parts[1]) if len(parts) > 1 else []
+        if mnemonic in _PSEUDO:
+            expansions = self._expand_pseudo(mnemonic, tokens, line_no, st)
+        else:
+            expansions = ((mnemonic, tokens),)
 
-        for expanded in self._expand_pseudo(mnemonic, tokens, line_no, st):
-            exp_mnemonic, exp_tokens = expanded
-            definition = self._lookup(exp_mnemonic, err)
-            fields = FORMAT_FIELDS[definition.fmt]
+        for exp_mnemonic, exp_tokens in expansions:
+            shape = self._shapes.get(exp_mnemonic) or self._shape(exp_mnemonic, line_no, st)
+            fields = shape[1]
             if len(exp_tokens) != len(fields):
-                raise err(
+                raise st.error(
+                    line_no,
                     f"{exp_mnemonic}: expected {len(fields)} operand(s) "
-                    f"({', '.join(fields)}), got {len(exp_tokens)}"
+                    f"({', '.join(fields)}), got {len(exp_tokens)}",
                 )
-            operands: list[object] = []
+            operands: list[_Operand] = []
             for field, token in zip(fields, exp_tokens):
-                if field in ("rd", "rs", "rt"):
-                    operands.append(self._parse_register(token, err))
+                if field[0] == "r":  # rd / rs / rt
+                    reg = _REGISTERS.get(token.lower())
+                    operands.append(
+                        reg if reg is not None else self._parse_register(token, line_no, st)
+                    )
                 else:  # imm / imm2
-                    operands.append(self._parse_expr(token, line_no, st))
-            st.add_instruction(_InsSlot(line_no, st.location, exp_mnemonic, operands))
+                    operands.append(self._parse_operand(token, line_no, st))
+            st.add_instruction((line_no, st.location, exp_mnemonic, shape, operands))
+
+    def _shape(self, mnemonic: str, line_no: int, st: "_PassState") -> tuple:
+        """Look up ``mnemonic`` once per assembler: definition and operand layout."""
+        try:
+            definition = self.isa.lookup(mnemonic)
+        except KeyError:
+            raise st.error(line_no, f"unknown instruction {mnemonic!r}") from None
+        fields = FORMAT_FIELDS[definition.fmt]
+        shape = (definition, fields, tuple(_FIELD_SLOTS[field] for field in fields))
+        self._shapes[mnemonic] = shape
+        return shape
 
     def _expand_pseudo(
         self,
@@ -278,77 +326,66 @@ class Assembler:
         st: "_PassState",
     ) -> list[tuple[str, list[str]]]:
         """Expand pseudo-instructions into real ones (size known in pass 1)."""
-        err = st.error_factory(line_no)
         if mnemonic == "mv":
             return [("mov", tokens)]
-        if mnemonic in ("bgt", "ble", "bgtu", "bleu"):
+        if mnemonic in _PSEUDO_BRANCHES:
             if len(tokens) != 3:
-                raise err(f"{mnemonic}: expected 3 operands")
-            real = {"bgt": "blt", "ble": "bge", "bgtu": "bltu", "bleu": "bgeu"}[mnemonic]
-            return [(real, [tokens[1], tokens[0], tokens[2]])]
+                raise st.error(line_no, f"{mnemonic}: expected 3 operands")
+            return [(_PSEUDO_BRANCHES[mnemonic], [tokens[1], tokens[0], tokens[2]])]
         if mnemonic == "la":
             if len(tokens) != 2:
-                raise err("la: expected `la rd, symbol[+offset]`")
+                raise st.error(line_no, "la: expected `la rd, symbol[+offset]`")
             rd = tokens[0]
             # Always two instructions so pass-1 sizing is label-independent.
             return [
                 ("movhi", [rd, f"%hi:{tokens[1]}"]),
                 ("ori", [rd, rd, f"%lo:{tokens[1]}"]),
             ]
-        if mnemonic == "li":
-            if len(tokens) != 2:
-                raise err("li: expected `li rd, constant`")
-            value = _parse_int_literal(tokens[1])
-            if value is None:
-                raise err(f"li: operand {tokens[1]!r} must be a constant (use `la` for labels)")
-            if -2048 <= value <= 2047:
-                return [("movi", tokens)]
-            if not 0 <= value <= 0x3FFF_FFFF:
-                raise err(f"li: constant {value:#x} outside composable 30-bit range")
-            rd = tokens[0]
-            return [
-                ("movhi", [rd, str(value >> 12)]),
-                ("ori", [rd, rd, str(value & 0xFFF)]),
-            ]
-        return [(mnemonic, tokens)]
+        # li
+        if len(tokens) != 2:
+            raise st.error(line_no, "li: expected `li rd, constant`")
+        value = _parse_int_literal(tokens[1])
+        if value is None:
+            raise st.error(
+                line_no, f"li: operand {tokens[1]!r} must be a constant (use `la` for labels)"
+            )
+        if -2048 <= value <= 2047:
+            return [("movi", tokens)]
+        if not 0 <= value <= 0x3FFF_FFFF:
+            raise st.error(line_no, f"li: constant {value:#x} outside composable 30-bit range")
+        rd = tokens[0]
+        return [
+            ("movhi", [rd, str(value >> 12)]),
+            ("ori", [rd, rd, str(value & 0xFFF)]),
+        ]
 
     # -- pass 2: resolution ---------------------------------------------------
 
     def _pass_two(self, source: str, st: "_PassState") -> Program:
         instructions: dict[int, Instruction] = {}
-        for slot in st.instruction_slots:
-            err = st.error_factory(slot.line_no)
-            definition = self._lookup(slot.mnemonic, err)
-            fields = FORMAT_FIELDS[definition.fmt]
-            values: dict[str, int] = {}
-            for field, operand in zip(fields, slot.operands):
-                if isinstance(operand, _Expr):
-                    values[field] = operand.resolve(st.symbols, err)
-                else:
-                    values[field] = operand
-            ins = Instruction(
-                mnemonic=slot.mnemonic,
-                rd=values.get("rd"),
-                rs=values.get("rs"),
-                rt=values.get("imm2", values.get("rt")),
-                imm=values.get("imm"),
-                addr=slot.addr,
-            )
+        isa = self.isa
+        for line_no, addr, mnemonic, (definition, _, slots), operands in st.instruction_slots:
+            values: list[Optional[int]] = [None, None, None, None]
+            for slot, operand in zip(slots, operands):
+                values[slot] = (
+                    operand if operand.__class__ is int else operand.resolve(st, line_no)
+                )
+            ins = Instruction(mnemonic, values[0], values[1], values[2], values[3], addr)
             try:
-                encode(definition, ins, self.isa)  # range validation
+                encode(definition, ins, isa)  # range validation
             except EncodingError as exc:
-                raise err(str(exc)) from exc
-            instructions[slot.addr] = ins
+                raise st.error(line_no, str(exc)) from exc
+            instructions[addr] = ins
 
         data: list[tuple[int, bytes]] = []
         for dslot in st.data_slots:
-            err = st.error_factory(dslot.line_no)
             if dslot.raw:
                 data.append((dslot.addr, dslot.raw))
                 continue
             blob = bytearray()
+            mask = (1 << (8 * dslot.size_per_item)) - 1
             for expr in dslot.exprs:
-                value = expr.resolve(st.symbols, err) & ((1 << (8 * dslot.size_per_item)) - 1)
+                value = expr.resolve(st, dslot.line_no) & mask
                 blob += value.to_bytes(dslot.size_per_item, "little")
             data.append((dslot.addr, bytes(blob)))
 
@@ -376,13 +413,7 @@ class Assembler:
 
     # -- operand parsing ------------------------------------------------------
 
-    def _lookup(self, mnemonic: str, err: Callable[[str], AsmError]):
-        try:
-            return self.isa.lookup(mnemonic)
-        except KeyError:
-            raise err(f"unknown instruction {mnemonic!r}") from None
-
-    def _parse_register(self, token: str, err: Callable[[str], AsmError]) -> int:
+    def _parse_register(self, token: str, line_no: int, st: "_PassState") -> int:
         token = token.strip().lower()
         if token in _REGISTER_ALIASES:
             return _REGISTER_ALIASES[token]
@@ -390,15 +421,27 @@ class Assembler:
             index = int(token[1:])
             if 0 <= index < 64:
                 return index
-        raise err(f"bad register {token!r} (expected a0..a63, sp or ra)")
+        raise st.error(line_no, f"bad register {token!r} (expected a0..a63, sp or ra)")
+
+    def _parse_operand(self, token: str, line_no: int, st: "_PassState") -> _Operand:
+        """An immediate or target operand: its value when constant."""
+        if token.isascii():
+            if _LABEL_RE.match(token):  # never an integer literal
+                return _Expr(0, ((token, 1),))
+            try:
+                return int(token, 0)
+            except ValueError:
+                pass
+        expr = self._parse_expr(token, line_no, st)
+        return expr.constant if expr.__class__ is _Expr and not expr.labels else expr
 
     def _parse_data_item(self, token: str, line_no: int, st: "_PassState") -> _Expr:
         """One ``.word/.half/.byte`` item: plain integer literals skip the parser.
 
-        Data tables are almost all literals.  An ASCII token that ``int``
-        reads is exactly a signed literal ``_parse_expr`` would fold to
-        the same value (``int`` also takes non-ASCII digits, which
-        ``_parse_expr`` rejects); anything else goes to ``_parse_expr``.
+        An ASCII token that ``int`` reads is exactly a signed literal
+        ``_parse_expr`` would fold to the same value (``int`` also takes
+        non-ASCII digits, which ``_parse_expr`` rejects); anything else
+        goes to ``_parse_expr``.
         """
         if token.isascii():
             try:
@@ -408,7 +451,6 @@ class Assembler:
         return self._parse_expr(token, line_no, st)
 
     def _parse_expr(self, token: str, line_no: int, st: "_PassState") -> _Expr:
-        err = st.error_factory(line_no)
         token = token.strip()
         transform = None
         if token.startswith("%hi:"):
@@ -420,7 +462,7 @@ class Assembler:
         labels: list[tuple[str, int]] = []
         terms = _TERM_RE.findall(token)
         if not terms:
-            raise err(f"empty or malformed operand expression {token!r}")
+            raise st.error(line_no, f"empty or malformed operand expression {token!r}")
         for sign_str, term in terms:
             sign = -1 if sign_str == "-" else 1
             literal = _parse_int_literal(term)
@@ -429,7 +471,7 @@ class Assembler:
             elif _LABEL_RE.match(term):
                 labels.append((term, sign))
             else:
-                raise err(f"bad expression term {term!r}")
+                raise st.error(line_no, f"bad expression term {term!r}")
         expr = _Expr(constant=constant, labels=tuple(labels))
         if transform is None:
             return expr
@@ -445,10 +487,10 @@ class _TransformedExpr(_Expr):
         super().__init__(constant=inner.constant, labels=inner.labels)
         self.kind = kind
 
-    def resolve(self, symbols: dict[str, int], err: Callable[[str], AsmError]) -> int:
-        value = super().resolve(symbols, err)
+    def resolve(self, st: "_PassState", line_no: int) -> int:
+        value = super().resolve(st, line_no)
         if not 0 <= value <= 0x3FFF_FFFF:
-            raise err(f"%{self.kind} operand {value:#x} outside 30-bit range")
+            raise st.error(line_no, f"%{self.kind} operand {value:#x} outside 30-bit range")
         if self.kind == "hi":
             return value >> 12
         return value & 0xFFF
@@ -462,7 +504,8 @@ class _PassState:
     def __init__(self, name: str) -> None:
         self.name = name
         self.symbols: dict[str, int] = {}
-        self.instruction_slots: list[_InsSlot] = []
+        #: ``(line_no, addr, mnemonic, shape, operands)`` per instruction
+        self.instruction_slots: list[tuple] = []
         self.data_slots: list[_DataSlot] = []
         self.entry_label: str = ""
         self.section = "text"
@@ -476,17 +519,17 @@ class _PassState:
     def location(self) -> int:
         return self._counters[self.section]
 
-    def error_factory(self, line_no: int) -> Callable[[str], AsmError]:
-        return lambda message: AsmError(self.name, line_no, message)
+    def error(self, line_no: int, message: str) -> AsmError:
+        return AsmError(self.name, line_no, message)
 
     def switch_section(self, section: str, origin: Optional[int]) -> None:
         self.section = section
         if origin is not None:
             self._counters[section] = origin
 
-    def set_location(self, value: int, err: Callable[[str], AsmError]) -> None:
+    def set_location(self, value: int, line_no: int) -> None:
         if value < 0:
-            raise err(f"negative .org address {value}")
+            raise self.error(line_no, f"negative .org address {value}")
         self._counters[self.section] = value
 
     def align(self, boundary: int) -> None:
@@ -514,11 +557,12 @@ class _PassState:
         self.symbols[name] = value
         self._label_lines[name] = line_no
 
-    def add_instruction(self, slot: _InsSlot) -> None:
+    def add_instruction(self, slot: tuple) -> None:
         self.instruction_slots.append(slot)
+        addr = self._counters[self.section]
         if self.section == "utext":
-            self._utext_spans.append((slot.addr, slot.addr + INSTRUCTION_BYTES))
-        self._counters[self.section] += INSTRUCTION_BYTES
+            self._utext_spans.append((addr, addr + INSTRUCTION_BYTES))
+        self._counters[self.section] = addr + INSTRUCTION_BYTES
 
     def add_data(self, slot: _DataSlot, size: int) -> None:
         self.data_slots.append(slot)
@@ -560,6 +604,8 @@ def _unquoted(text: str):
 def _strip_comment(line: str) -> str:
     """``line`` without its ``;``, ``#`` or ``//`` comment; quoted text is kept."""
     if "'" not in line and '"' not in line:
+        if ";" not in line and "#" not in line and "//" not in line:
+            return line
         return _COMMENT_RE.sub("", line)
     for index, char in _unquoted(line):
         if char == ";" or char == "#" or (char == "/" and line.startswith("//", index)):
@@ -582,6 +628,25 @@ def _split_operands(text: str) -> list[str]:
             start = index + 1
     parts.append(text[start:].strip())
     return parts
+
+
+def _literal_data(text: str, size: int) -> Optional[bytes]:
+    """The bytes of a data line whose items are all integer literals, else None.
+
+    ``text`` is the line's operand text.  An item that ``int`` reads from
+    ASCII text is the value ``_parse_expr`` would give (see
+    ``_parse_data_item``; ``int`` also skips the whitespace around it);
+    any other item, an empty one included, sends the whole line to the
+    expression path.
+    """
+    if not text.isascii():
+        return None
+    try:
+        values = [int(token, 0) for token in text.split(",")]
+    except ValueError:
+        return None
+    mask = (1 << (8 * size)) - 1
+    return b"".join([(value & mask).to_bytes(size, "little") for value in values])
 
 
 def assemble(source: str, name: str = "program", isa: InstructionSet | None = None) -> Program:

@@ -163,14 +163,11 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         CharacterizationRunError,
         CharacterizationRunner,
         Characterizer,
-        RetryPolicy,
         RunnerTask,
         audit_coverage,
     )
     from .programs import characterization_suite
 
-    if args.max_attempts < 1:
-        raise _die("--max-attempts must be >= 1")
     if args.max_failures is not None and args.max_failures < 0:
         raise _die("--max-failures must be >= 0")
 
@@ -193,7 +190,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         suite = characterization_suite(include_variants=not args.core_only)
         runner = CharacterizationRunner(
             characterizer,
-            retry=RetryPolicy(max_attempts=args.max_attempts),
             max_failures=args.max_failures,
             progress=(lambda msg: print(f"  {msg}")) if args.verbose else None,
         )
@@ -657,8 +653,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .core.runner import RetryPolicy
-    from .serve import EstimationService, run_server
+    from .serve import EstimationService, RetryPolicy, run_server
 
     model = _load_model(args.model)
     if args.workers < 0:
@@ -825,13 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="abort once more than N test programs fail (default: unlimited)",
-    )
-    p.add_argument(
-        "--max-attempts",
-        type=int,
-        default=2,
-        metavar="N",
-        help="attempts per test program before recording a failure (default 2)",
     )
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=_cmd_characterize)

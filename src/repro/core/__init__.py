@@ -45,7 +45,6 @@ from .runner import (
     CharacterizationRunError,
     CharacterizationRunner,
     CoverageLossError,
-    RetryPolicy,
     RunReport,
     RunnerTask,
     SampleFailure,
@@ -78,7 +77,6 @@ __all__ = [
     "CoverageLossError",
     "CoverageReport",
     "IllConditionedDesignWarning",
-    "RetryPolicy",
     "RunReport",
     "RunnerTask",
     "SampleFailure",

@@ -10,10 +10,9 @@ template extraction), with:
 
 * **error isolation** — each failure is captured as a structured
   :class:`SampleFailure` record (stage ``build``, ``simulate`` or
-  ``validate``) instead of propagating;
-* **a retry policy** (:class:`RetryPolicy`) — failed samples are retried
-  with a lowered instruction budget, each retry first probing the
-  program without the RTL observer before paying for the observed run;
+  ``validate``) instead of propagating.  A failed sample is not retried:
+  the simulator and the RTL reference are deterministic, so a second
+  run would fail the same way;
 * **degradation rules** — the run proceeds on the surviving samples when
   coverage still spans the template (audited by
   :mod:`repro.core.coverage`); in strict mode a coverage-destroying
@@ -68,34 +67,6 @@ class CoverageLossError(CharacterizationRunError):
         super().__init__(message)
         self.coverage = coverage
         self.lost_variables = lost_variables
-
-
-@dataclasses.dataclass(frozen=True)
-class RetryPolicy:
-    """How a failed sample is retried before being recorded as a failure.
-
-    ``max_attempts`` bounds total attempts per sample (1 = no retries).
-    On each retry the instruction budget is multiplied by
-    ``budget_factor`` so a deterministically hanging program (budget
-    exhaustion) fails fast instead of paying the full budget again, while
-    a transient failure gets a real second chance — characterization
-    programs finish far below their budget.
-    """
-
-    max_attempts: int = 2
-    budget_factor: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if not 0.0 < self.budget_factor <= 1.0:
-            raise ValueError(
-                f"budget_factor must be in (0, 1], got {self.budget_factor}"
-            )
-
-    def budget_for(self, attempt: int, base_budget: int) -> int:
-        """Instruction budget for 1-indexed ``attempt``."""
-        return max(1, int(base_budget * self.budget_factor ** (attempt - 1)))
 
 
 @dataclasses.dataclass
@@ -237,8 +208,6 @@ class CharacterizationRunner:
     characterizer:
         Measures every sample and receives the survivors; a fresh
         default-template :class:`Characterizer` when omitted.
-    retry:
-        :class:`RetryPolicy`; default retries once with a halved budget.
     max_failures:
         Abort (raising :class:`TooManyFailures`) once more than this many
         samples have failed this run.  ``None`` = unlimited.
@@ -261,7 +230,6 @@ class CharacterizationRunner:
         self,
         characterizer: Optional[Characterizer] = None,
         *,
-        retry: Optional[RetryPolicy] = None,
         max_failures: Optional[int] = None,
         degradation: str = "warn",
         progress: Optional[Callable[[str], None]] = None,
@@ -275,7 +243,6 @@ class CharacterizationRunner:
         if max_failures is not None and max_failures < 0:
             raise ValueError(f"max_failures must be >= 0, got {max_failures}")
         self.characterizer = characterizer if characterizer is not None else Characterizer()
-        self.retry = retry if retry is not None else RetryPolicy()
         self.max_failures = max_failures
         self.degradation = degradation
         self.progress = progress
@@ -337,7 +304,7 @@ class CharacterizationRunner:
         )
 
     def _run_task(self, task: RunnerTask) -> CharacterizationSample | SampleFailure:
-        """One task through build→(measure→validate)×retry.
+        """One task through build → measure → validate.
 
         A sample that passes validation is added to the characterizer.
         """
@@ -346,32 +313,19 @@ class CharacterizationRunner:
         except Exception as exc:  # noqa: BLE001 — isolation is the point
             return SampleFailure.from_exception(task.name, "", "build", exc)
         stage = "simulate"
-        last_exc: Optional[Exception] = None
-        attempt = 0
-        while attempt < self.retry.max_attempts:
-            attempt += 1
-            budget = self.retry.budget_for(attempt, task.max_instructions)
-            try:
-                stage = "simulate"
-                if attempt > 1:
-                    # cheap termination probe before paying for the RTL observer
-                    self._simulate(config, program, max_instructions=budget)
-                sample = self.characterizer.measure(
-                    config,
-                    program,
-                    budget,
-                    session=self._simulate,
-                    energy=self._energy,
-                )
-                stage = "validate"
-                self.characterizer.add_sample(sample)
-                return sample
-            except Exception as exc:  # noqa: BLE001 — isolation is the point
-                last_exc = exc
-        assert last_exc is not None
-        return SampleFailure.from_exception(
-            task.name, config.name, stage, last_exc, attempts=attempt
-        )
+        try:
+            sample = self.characterizer.measure(
+                config,
+                program,
+                task.max_instructions,
+                session=self._simulate,
+                energy=self._energy,
+            )
+            stage = "validate"
+            self.characterizer.add_sample(sample)
+        except Exception as exc:  # noqa: BLE001 — isolation is the point
+            return SampleFailure.from_exception(task.name, config.name, stage, exc)
+        return sample
 
     def _no_survivors(self) -> CharacterizationRunError:
         return CharacterizationRunError(

@@ -12,7 +12,7 @@ long-running process.  This package is that server-shaped entry point:
   :class:`~repro.xtcore.compiled.CompilationCache`, the DSE
   :class:`~repro.dse.cache.ResultCache` as a shared on-disk result store,
   bounded queues with ``429`` backpressure and
-  :class:`~repro.core.runner.RetryPolicy`-driven timeouts;
+  :class:`RetryPolicy`-driven timeouts;
 * :class:`EstimationServer` / :func:`run_server` — the stdlib-only
   asyncio HTTP transport (``repro serve`` on the command line);
 * :class:`ServiceMetrics` — the ``/metrics`` registry, fed worker-side
@@ -30,6 +30,7 @@ from .server import EstimationServer, EstimationService, run_server
 from .supervise import (
     InjectedWorkerCrash,
     QuarantineRegistry,
+    RetryPolicy,
     WorkerCrashed,
     deadline_at,
     deadline_expired,
@@ -49,6 +50,7 @@ __all__ = [
     "Job",
     "LatencyWindow",
     "QuarantineRegistry",
+    "RetryPolicy",
     "ServiceMetrics",
     "WorkerCrashed",
     "WorkerPool",

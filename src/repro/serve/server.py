@@ -24,8 +24,8 @@ are busy leave together as the next batch.
 
 Backpressure is explicit: a full queue answers ``429`` with a
 ``Retry-After`` header instead of buffering unboundedly.  Per-batch
-timeouts reuse the characterization :class:`~repro.core.runner.RetryPolicy`
-— a timed-out batch is retried with the policy's lowered instruction
+timeouts follow a :class:`~repro.serve.supervise.RetryPolicy` — a
+timed-out batch is retried with the policy's lowered instruction
 budget, and a batch that exhausts its attempts resolves every waiter
 with a :class:`~repro.core.runner.SampleFailure`-shaped ``504``.
 
@@ -64,7 +64,7 @@ from collections import deque
 from typing import Optional, Sequence
 
 from ..core.model import EnergyMacroModel
-from ..core.runner import RetryPolicy, SampleFailure
+from ..core.runner import SampleFailure
 from ..dse.cache import ResultCache, candidate_cache_key
 from .admission import DrainRateEstimator, retry_after_seconds
 from .api import (
@@ -87,6 +87,7 @@ from .supervise import (
     CHAOS_KEY,
     DEADLINE_KEY,
     QuarantineRegistry,
+    RetryPolicy,
     deadline_at,
     is_pool_crash,
 )

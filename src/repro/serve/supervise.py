@@ -14,6 +14,8 @@ one recovery ladder for a pool crash — respawn, bisect, quarantine:
   **poisoned**; after ``threshold`` isolated crashes it is quarantined
   and answered with a typed failure instead of crashing workers
   forever.  Keys that later succeed are exonerated;
+* :class:`RetryPolicy` — how many times a timed-out batch is retried,
+  and on what instruction budget;
 * deadline helpers — client-supplied ``deadline_ms`` becomes an
   absolute :func:`time.monotonic` instant that flows through the batch
   queue into the worker call, so expired requests are shed before
@@ -30,6 +32,7 @@ tested without a server or a pool.
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import os
 import time
 from collections import OrderedDict
@@ -40,6 +43,33 @@ CHAOS_KEY = "_chaos"
 
 #: Item-dict key carrying the absolute monotonic deadline to a worker.
 DEADLINE_KEY = "deadline"
+
+
+@dataclasses.dataclass(frozen=True)
+class RetryPolicy:
+    """How a timed-out batch is retried before its jobs get a 504.
+
+    ``max_attempts`` bounds total attempts per batch (1 = no retries).
+    On each retry the instruction budget is multiplied by
+    ``budget_factor``, so a deterministically hanging program (budget
+    exhaustion) fails fast instead of paying the full budget again, while
+    a worker that was merely wedged gets a real second chance.
+    """
+
+    max_attempts: int = 2
+    budget_factor: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        if not 0.0 < self.budget_factor <= 1.0:
+            raise ValueError(
+                f"budget_factor must be in (0, 1], got {self.budget_factor}"
+            )
+
+    def budget_for(self, attempt: int, base_budget: int) -> int:
+        """Instruction budget for 1-indexed ``attempt``."""
+        return max(1, int(base_budget * self.budget_factor ** (attempt - 1)))
 
 
 class WorkerCrashed(concurrent.futures.BrokenExecutor):

@@ -5,9 +5,8 @@ The harness wraps the two injectable pipeline stages of
 session, and ``estimate_energy``, which reads the energy off the streamed
 reference report) and perturbs them according to a :class:`FaultPlan`:
 named programs raise simulator exceptions, exhaust their instruction
-budget, or yield NaN/Inf energies — each a bounded number of times, so
-tests can distinguish "transient fault + retry succeeds" from "permanent
-fault → structured failure record".  It also fabricates genuinely hanging
+budget, or yield NaN/Inf energies — each a bounded number of times, and
+each contained as a structured failure record.  It also fabricates genuinely hanging
 programs (an infinite loop contained by the instruction budget).
 
 :class:`ServiceChaosPlan` extends the same philosophy one layer up, to

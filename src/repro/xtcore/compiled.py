@@ -41,7 +41,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Hashable, Optional, TypeVar
 
@@ -730,14 +730,45 @@ _EMITTERS = {
 }
 
 
-def _specialize(definition, ins, addr: int, num_registers: int):
-    """A specialized semantics closure for this op, or None to use the generic."""
-    if definition.iclass is InstructionClass.CUSTOM:
-        return None
-    emitter = _EMITTERS.get(definition.mnemonic)
-    if emitter is None:
-        return None
-    return emitter(ins, addr, num_registers)
+def _mnemonic_facts(definition, penalty: int, gpr_mnemonics: frozenset) -> tuple:
+    """What an op's record takes from its definition alone, once per lowering.
+
+    ``(definition, emitter, generic semantics, timing, is memory op, is
+    BRANCH, is LOAD, custom kind, base energy class, interior when
+    specialized, interior when generic, edge when specialized)``, where
+    timing is :meth:`~repro.isa.instructions.InstructionDef.resolve_timing`
+    at ``penalty``.
+    """
+    iclass = definition.iclass
+    mnemonic = definition.mnemonic
+    custom = iclass is InstructionClass.CUSTOM
+    semantics = definition.semantics
+    if isinstance(semantics, LazySemantics):
+        # The op table holds the generated closure itself, so neither
+        # dispatch loop pays a forwarding call per retire.
+        semantics = semantics.resolve()
+    timing = definition.resolve_timing(penalty)
+    # Interior ops are provably straight-line: they never redirect the
+    # pc, never halt, and never read ``ctx.pc``, so a whole run of them
+    # can execute as one fused superop call (see compile_superops).
+    # Custom instructions qualify when the TIE compiler marked their
+    # semantics straight-line (pure dataflow by construction).
+    interior = iclass in _INTERIOR_CLASSES
+    return (
+        definition,
+        None if custom else _EMITTERS.get(mnemonic),
+        semantics,
+        timing,
+        iclass in (InstructionClass.LOAD, InstructionClass.STORE),
+        iclass is InstructionClass.BRANCH,
+        iclass is InstructionClass.LOAD,
+        (2 if mnemonic in gpr_mnemonics else 1) if custom else 0,
+        timing[0] in BASE_ENERGY_CLASSES,
+        interior,
+        (interior and mnemonic in _SAFE_GENERIC_INTERIOR)
+        or (custom and getattr(definition.semantics, "tie_straightline", False)),
+        mnemonic in _EDGE_MNEMONICS,
+    )
 
 
 def compile_program(config: "ProcessorConfig", program: "Program") -> ExecutableProgram:
@@ -756,76 +787,64 @@ def compile_program(config: "ProcessorConfig", program: "Program") -> Executable
         if impl.accesses_gpr
     )
 
-    addrs = tuple(sorted(program.instructions))
+    instructions = program.instructions
+    addrs = tuple(sorted(instructions))
     pc_to_index = {addr: index for index, addr in enumerate(addrs)}
+    uncached: set[int] = set()
+    for span in program.uncached_ranges:
+        uncached.update(
+            addrs[bisect_left(addrs, span.start) : bisect_left(addrs, span.end)]
+        )
+    facts_of: dict[str, tuple] = {}
     ops: list[tuple] = []
     num_registers = config.num_registers
     regs_in_range = True
     for addr in addrs:
-        ins = program.instructions[addr]
-        try:
-            definition = isa.lookup(ins.mnemonic)
-        except KeyError as exc:
-            raise SimulationError(
-                f"{program.name}: instruction {ins.mnemonic!r} at {addr:#x} "
-                f"is not in processor {config.name}'s ISA"
-            ) from exc
+        ins = instructions[addr]
+        mnemonic = ins.mnemonic
+        facts = facts_of.get(mnemonic)
+        if facts is None:
+            try:
+                definition = isa.lookup(mnemonic)
+            except KeyError as exc:
+                raise SimulationError(
+                    f"{program.name}: instruction {mnemonic!r} at {addr:#x} "
+                    f"is not in processor {config.name}'s ISA"
+                ) from exc
+            facts = facts_of[mnemonic] = _mnemonic_facts(definition, penalty, gpr_mnemonics)
+        (
+            definition, emitter, semantics, timing, is_mem, is_branch, is_load,
+            custom_kind, base_class, interior, generic_interior, edge,
+        ) = facts
         srcs = definition.source_registers(ins)
         dests = definition.dest_registers(ins)
-        if regs_in_range and any(
-            reg < 0 or reg >= num_registers for reg in srcs + dests
-        ):
-            regs_in_range = False
-        iclass = definition.iclass
-        class_untaken, class_taken, issue_untaken, issue_taken = (
-            definition.resolve_timing(penalty)
-        )
-        if iclass is InstructionClass.CUSTOM:
-            custom_kind = 2 if ins.mnemonic in gpr_mnemonics else 1
-        else:
-            custom_kind = 0
-        specialized = _specialize(definition, ins, addr, num_registers)
-        semantics = specialized or definition.semantics
-        if isinstance(semantics, LazySemantics):
-            # The op table holds the generated closure itself, so neither
-            # dispatch loop pays a forwarding call per retire.
-            semantics = semantics.resolve()
-        # Interior ops are provably straight-line: they never redirect the
-        # pc, never halt, and never read ``ctx.pc``, so a whole run of them
-        # can execute as one fused superop call (see compile_superops).
-        # Custom instructions qualify when the TIE compiler marked their
-        # semantics straight-line (pure dataflow by construction).
-        interior = (
-            iclass in _INTERIOR_CLASSES
-            and (specialized is not None or ins.mnemonic in _SAFE_GENERIC_INTERIOR)
-        ) or (
-            iclass is InstructionClass.CUSTOM
-            and getattr(definition.semantics, "tie_straightline", False)
-        )
+        if regs_in_range:
+            for reg in srcs + dests:
+                if reg < 0 or reg >= num_registers:
+                    regs_in_range = False
+                    break
+        specialized = emitter(ins, addr, num_registers) if emitter is not None else None
         ops.append(
             (
-                semantics,
+                specialized or semantics,
                 ins,
                 srcs,
                 srcs[0] if srcs else -1,
                 ins.imm or 0,
-                iclass in (InstructionClass.LOAD, InstructionClass.STORE),
-                not program.is_uncached(addr),
-                iclass is InstructionClass.BRANCH,
-                dests if iclass is InstructionClass.LOAD else (),
+                is_mem,
+                addr not in uncached,
+                is_branch,
+                dests if is_load else (),
                 pc_to_index.get(addr + INSTRUCTION_BYTES, -1),
                 addr,
-                ins.mnemonic,
-                class_untaken,
-                class_taken,
-                issue_untaken,
-                issue_taken,
+                mnemonic,
+                *timing,
                 dests[0] if dests else -1,
                 custom_kind,
                 bool(srcs),
-                class_untaken in BASE_ENERGY_CLASSES,
-                interior,
-                specialized is not None and ins.mnemonic in _EDGE_MNEMONICS,
+                base_class,
+                interior if specialized is not None else generic_interior,
+                specialized is not None and edge,
             )
         )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import marshal
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -184,20 +185,44 @@ class ProcessorConfig:
         """Content hash of exactly what :func:`~repro.xtcore.compiled.compile_program` reads.
 
         That is the register-file size, the taken-branch penalty (folded
-        into issue latencies) and the full compiled-extension content
-        (semantics and latency).  Caches, clock, interlock stall and
-        uncached-fetch penalty only price a run, so configs differing in
-        those alone share one lowering.
+        into issue latencies) and, per custom instruction, its format,
+        issue latency, GPR access and dataflow graph (nodes, state
+        registers, state writes and result), which fix its semantics.
+        Caches, clock, interlock stall, uncached-fetch penalty and the
+        compiled hardware only price a run, so configs differing in those
+        alone share one lowering.
+
+        The key is never persisted, so instead of the canonical JSON that
+        :meth:`fingerprint` builds it hashes plain tuples of ints and
+        strings in ``marshal`` format 2: that format writes no
+        back-references and no interning flags, so equal content gives
+        equal bytes however the objects are shared.
         """
-        blob = canonical_json_with_extensions(
-            {
-                "format": "repro-lowering-key/1",
-                "num_registers": self.num_registers,
-                "branch_taken_penalty": self.timing.branch_taken_penalty,
-            },
-            [extension_json(impl) for impl in self.extensions],
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        content = [
+            "repro-lowering-key/2",
+            self.num_registers,
+            self.timing.branch_taken_penalty,
+        ]
+        for impl in self.extensions:
+            spec = impl.spec
+            content.append(
+                (
+                    spec.mnemonic,
+                    spec.fmt,
+                    impl.instruction.latency,
+                    spec.accesses_gpr,
+                    # a node's category follows from its op, so the op stands for it
+                    [
+                        (node.nid, node.kind, node.width, node.op, node.payload,
+                         [source.nid for source in node.inputs])
+                        for node in spec.nodes
+                    ],
+                    sorted((state.name, state.width, state.init) for state in spec.states.values()),
+                    [(state.name, node.nid) for state, node in spec.state_writes],
+                    spec.result_node.nid if spec.result_node is not None else None,
+                )
+            )
+        return hashlib.sha256(marshal.dumps(content, 2)).hexdigest()
 
     @cached_property
     def semantic_fingerprint(self) -> str:
@@ -256,8 +281,8 @@ def canonical_json_with_extensions(fields: Mapping[str, object], extensions: Seq
 def extension_json(impl: TieImplementation, semantic: bool = False) -> str:
     """Canonical JSON of one compiled instruction's content.
 
-    The full form feeds :meth:`ProcessorConfig.fingerprint` and
-    :attr:`ProcessorConfig.lowering_key`; the ``semantic`` form drops
+    The full form feeds :meth:`ProcessorConfig.fingerprint`; the
+    ``semantic`` form drops
     :data:`_NON_SEMANTIC_EXTENSION_KEYS` and feeds
     :attr:`ProcessorConfig.semantic_fingerprint`.  Each is memoized on
     the (immutable) implementation, so configs sharing an extension tuple

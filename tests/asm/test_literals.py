@@ -148,3 +148,50 @@ class TestQuotedText:
         assert _split_operands("a2, ','") == ["a2", "','"]
         assert _split_operands("a2, a3, 4") == ["a2", "a3", "4"]
         assert _split_operands("  ") == []
+
+
+#: one data item: its source text and its value before masking, given the
+#: label ``tab`` at DATA_ORIGIN and ``far`` at DATA_ORIGIN + 0x12340
+_ITEMS = st.one_of(
+    st.integers(-(2**40), 2**40).map(lambda v: (str(v), v)),
+    st.integers(0, 2**32).map(lambda v: (hex(v), v)),
+    st.integers(0, 255).map(lambda v: (bin(v), v)),
+    st.sampled_from("az09 ,;#").map(lambda c: (f"'{c}'", ord(c))),
+    st.just(("tab", DATA_ORIGIN)),
+    st.integers(-64, 64).map(lambda k: (f"far{k:+d}", DATA_ORIGIN + 0x12340 + k)),
+    st.integers(0, 64).map(lambda k: (f"%hi:far+{k}", (DATA_ORIGIN + 0x12340 + k) >> 12)),
+    st.integers(0, 64).map(lambda k: (f"%lo:tab+{k}", (DATA_ORIGIN + k) & 0xFFF)),
+)
+
+
+class TestDataLineDifferential:
+    """An all-literal data line becomes bytes in pass one; any other line
+    keeps one expression per item.  Both give the same bytes."""
+
+    @staticmethod
+    def data_bytes(lines):
+        source = (
+            "    .data\ntab:\n"
+            + "".join(f"    {line}\n" for line in lines)
+            + "    .org 0x22340\nfar: .byte 0\n    .text\nmain: halt\n"
+        )
+        return b"".join(blob for addr, blob in assemble(source).data if addr < 0x22340)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([(".word", 4), (".half", 2), (".byte", 1)]),
+        st.lists(_ITEMS, min_size=1, max_size=6),
+    )
+    def test_fast_and_expression_paths_agree(self, directive, items):
+        name, size = directive
+        texts = [text for text, _ in items]
+        expected = b"".join(
+            (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little") for _, value in items
+        )
+        # the whole line, one item per line (literal items alone take the
+        # fast path) and the line with a label item appended (which sends
+        # every item through the expression path) all lay out the same bytes
+        whole = self.data_bytes([f"{name} {', '.join(texts)}"])
+        apart = self.data_bytes([f"{name} {text}" for text in texts])
+        forced = self.data_bytes([f"{name} {', '.join(texts)}, tab"])
+        assert whole == apart == forced[:-size] == expected

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.core.runner import RetryPolicy
+from repro.serve import RetryPolicy
 from repro.serve import BatchQueue, Coalescer, Job
 from repro.testing.faults import ServiceChaosPlan
 

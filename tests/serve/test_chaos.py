@@ -15,7 +15,7 @@ import asyncio
 
 import pytest
 
-from repro.core.runner import RetryPolicy
+from repro.serve import RetryPolicy
 from repro.serve import EstimationService, InjectedWorkerCrash, Job
 from repro.testing.faults import ServiceChaosPlan
 

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.core.runner import RetryPolicy
+from repro.serve import RetryPolicy
 from repro.serve import EstimationService, Job, pool, run_server
 from repro.serve.api import ApiError
 from repro.xtcore import compilation_cache

@@ -411,7 +411,6 @@ class TestCharacterizeFlagValidation:
         "argv, message",
         [
             (["--core-only", "--max-failures", "-5"], "--max-failures must be >= 0"),
-            (["--max-attempts", "0"], "--max-attempts must be >= 1"),
         ],
     )
     def test_invalid_numeric_flags(self, argv, message, capsys):

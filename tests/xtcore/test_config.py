@@ -231,6 +231,99 @@ class TestLoweringKey:
         ]
         assert len({v.lowering_key for v in variants}) == len(variants)
 
+    def test_each_pricing_knob_alone_shares_the_key(self):
+        base = build_processor("a", [_mul_spec(), *_acc_specs()])
+        variants = [
+            dataclasses.replace(base, icache=CacheConfig(size_bytes=8 * 1024, ways=2)),
+            dataclasses.replace(base, dcache=CacheConfig(miss_penalty=40)),
+            dataclasses.replace(base, clock_mhz=50.0),
+            dataclasses.replace(base, timing=TimingConfig(interlock_stall=4)),
+            dataclasses.replace(base, timing=TimingConfig(uncached_fetch_penalty=0)),
+        ]
+        assert {v.lowering_key for v in variants} == {base.lowering_key}
+
+    @staticmethod
+    def _graph_variants():
+        """Specs that each differ from ``_mul_spec()`` in one lowered fact."""
+        wider = TieSpec("cmul", fmt="R3")
+        wider.result(wider.tie_mult(wider.source("rs", width=17), wider.source("rt", width=16)))
+        other_op = TieSpec("cmul", fmt="R3")
+        other_op.result(other_op.mul(other_op.source("rs", width=16), other_op.source("rt", width=16)))
+        swapped = TieSpec("cmul", fmt="R3")
+        b = swapped.source("rt", width=16)
+        a = swapped.source("rs", width=16)
+        swapped.result(swapped.tie_mult(a, b))
+        const = TieSpec("cmul", fmt="R3")
+        const.result(const.tie_mult(const.source("rs", width=16), const.const(3, 16)))
+        const2 = TieSpec("cmul", fmt="R3")
+        const2.result(const2.tie_mult(const2.source("rs", width=16), const2.const(5, 16)))
+        # the same product latched into state: no GPR result, so no GPR write
+        from repro.tie import TieState
+
+        latched = TieSpec("cmul", fmt="RS1")
+        src = latched.source("rs", width=16)
+        latched.write_state(TieState("cprod", width=32), latched.tie_mult(src, src))
+        return [wider, other_op, swapped, const, const2, latched]
+
+    def test_every_lowered_fact_splits_the_key(self):
+        base = build_processor("a", [_mul_spec()])
+        keys = [base.lowering_key]
+        keys += [build_processor("a", [spec]).lowering_key for spec in self._graph_variants()]
+        impl = base.extensions[0]
+        slow = dataclasses.replace(
+            impl,
+            latency=impl.latency + 1,
+            instruction=dataclasses.replace(impl.instruction, latency=impl.latency + 1),
+        )
+        keys += [
+            dataclasses.replace(base, extensions=(slow,)).lowering_key,
+            dataclasses.replace(base, num_registers=63).lowering_key,
+            dataclasses.replace(base, timing=TimingConfig(branch_taken_penalty=3)).lowering_key,
+        ]
+        assert len(set(keys)) == len(keys)
+
+    def test_gpr_access_splits_the_key(self):
+        from repro.tie import TieState
+
+        def spec(reads_gpr):
+            s = TieSpec("cset", fmt="RS1")
+            value = s.source("rs", width=8) if reads_gpr else s.const(7, 8)
+            s.write_state(TieState("cflag", width=8), value)
+            return s
+
+        reads, constant = spec(True), spec(False)
+        assert reads.accesses_gpr and not constant.accesses_gpr
+        assert (
+            build_processor("a", [reads]).lowering_key
+            != build_processor("a", [constant]).lowering_key
+        )
+
+    @pytest.mark.parametrize("mnemonics", [("wrmac", "mac16", "rdmac"), ("gfmul",), ("sbox48",)])
+    def test_separate_cold_builds_share_the_key(self, mnemonics):
+        from repro.programs.extensions import ALL_SPEC_FACTORIES
+
+        builds = [
+            build_processor(f"cold{i}", [ALL_SPEC_FACTORIES[m]() for m in mnemonics])
+            for i in range(2)
+        ]
+        assert builds[0].extensions[0] is not builds[1].extensions[0]
+        assert builds[0].lowering_key == builds[1].lowering_key
+
+    def test_bundled_extension_sets_keep_their_sharing(self):
+        # one key per distinct extension list, as the full-content key gave
+        from repro.programs import application_suite, characterization_suite
+        from repro.programs.extensions import ALL_SPEC_FACTORIES
+
+        lists = {
+            tuple(impl.mnemonic for impl in case.config.extensions)
+            for case in characterization_suite() + application_suite()
+        }
+        keys = {
+            build_processor("x", [ALL_SPEC_FACTORIES[m]() for m in names]).lowering_key
+            for names in lists
+        }
+        assert len(keys) == len(lists)
+
     def test_memoized_hex_sha256(self):
         config = ProcessorConfig()
         assert config.lowering_key is config.lowering_key

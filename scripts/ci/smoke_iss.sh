@@ -6,8 +6,11 @@
 # run solo, and must give every member the stats of its solo run.  Cold
 # runs of the whole bundled suite and of the four Reed-Solomon
 # implementations must not be slower under the committed payback fusion
-# constant than under fuse-on-second-entry.  All of that is --check's
-# contract.
+# constant than under fuse-on-second-entry.  The static front end of a
+# cold estimate (assemble + lowering key + program digest +
+# compile_program, timed over all 66 bundled programs) must stay within
+# its committed share of the whole cold estimate.  All of that is
+# --check's contract.
 # Run identically by CI and locally:  bash scripts/ci/smoke_iss.sh
 set -euo pipefail
 

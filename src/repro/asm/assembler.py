@@ -179,8 +179,10 @@ class Assembler:
 
     def _pass_one(self, source: str, st: "_PassState") -> None:
         label_def = _LABEL_DEF_RE.match
-        for line_no, raw_line in enumerate(source.splitlines(), start=1):
-            line = _strip_comment(raw_line).strip()
+        for line_no, line in enumerate(source.splitlines(), start=1):
+            if ";" in line or "#" in line or "/" in line:  # else there is no comment
+                line = _strip_comment(line)
+            line = line.strip()
             if not line:
                 continue
             # Labels (possibly several) at the start of the line.
@@ -206,7 +208,7 @@ class Assembler:
             size = _DATA_SIZES[name]
             raw = _literal_data(rest, size)
             if raw is not None:
-                st.add_data(_DataSlot(line_no, st.location, size, [], raw=raw), len(raw))
+                st.add_data(_DataSlot(line_no, st.location, size, (), raw), len(raw))
                 return
             exprs = [self._parse_data_item(tok, line_no, st) for tok in _split_operands(rest)]
             if not exprs:
@@ -604,8 +606,6 @@ def _unquoted(text: str):
 def _strip_comment(line: str) -> str:
     """``line`` without its ``;``, ``#`` or ``//`` comment; quoted text is kept."""
     if "'" not in line and '"' not in line:
-        if ";" not in line and "#" not in line and "//" not in line:
-            return line
         return _COMMENT_RE.sub("", line)
     for index, char in _unquoted(line):
         if char == ";" or char == "#" or (char == "/" and line.startswith("//", index)):

@@ -94,7 +94,7 @@ class ExecContext(Protocol):
         """Request simulation stop after the current instruction."""
 
 
-@dataclasses.dataclass(frozen=True, init=False)
+@dataclasses.dataclass(frozen=True)
 class Instruction:
     """A decoded (or assembled) instruction instance.
 
@@ -108,19 +108,6 @@ class Instruction:
     rt: Optional[int] = None
     imm: Optional[int] = None
     addr: int = 0
-
-    def __init__(
-        self,
-        mnemonic: str,
-        rd: Optional[int] = None,
-        rs: Optional[int] = None,
-        rt: Optional[int] = None,
-        imm: Optional[int] = None,
-        addr: int = 0,
-    ) -> None:
-        # One dict update instead of the frozen-dataclass __init__'s six
-        # object.__setattr__ calls: the assembler builds one per line.
-        self.__dict__.update(mnemonic=mnemonic, rd=rd, rs=rs, rt=rt, imm=imm, addr=addr)
 
     def __str__(self) -> str:
         parts: list[str] = []

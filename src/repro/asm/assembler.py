@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import struct
 from typing import Optional, Union
 
 from ..isa import (
@@ -72,9 +73,12 @@ UTEXT_ORIGIN = 0x0008_0000
 
 _REGISTER_ALIASES = {"ra": 0, "sp": 1}
 #: Canonical (lower-case) register names -> index; other spellings that
-#: :meth:`Assembler._parse_register` accepts (``a07``) take its slow path.
+#: :meth:`Assembler._parse_register` accepts (``A3``, ``a07``) take its
+#: slow path.
 _REGISTERS = {**{f"a{index}": index for index in range(64)}, **_REGISTER_ALIASES}
 _DATA_SIZES = {".word": 4, ".half": 2, ".byte": 1}
+#: ``struct`` format of N little-endian unsigned items, by item size
+_PACK = {4: "<%dI", 2: "<%dH", 1: "<%dB"}
 #: Operand fields -> position in ``Instruction(mnemonic, rd, rs, rt, imm)``;
 #: the ``BI`` format's bit/compare immediate ``imm2`` rides in ``rt``.
 _FIELD_SLOTS = {"rd": 0, "rs": 1, "rt": 2, "imm2": 2, "imm": 3}
@@ -164,7 +168,8 @@ class Assembler:
 
     def __init__(self, isa: InstructionSet | None = None) -> None:
         self.isa = isa if isa is not None else BASE_ISA
-        #: mnemonic -> (definition, operand fields, Instruction slot per field)
+        #: mnemonic -> (definition, operand fields, Instruction slot per
+        #: field, whether each field is a register)
         self._shapes: dict[str, tuple] = {}
 
     # -- public API ---------------------------------------------------------
@@ -299,13 +304,13 @@ class Assembler:
                     f"({', '.join(fields)}), got {len(exp_tokens)}",
                 )
             operands: list[_Operand] = []
-            for field, token in zip(fields, exp_tokens):
-                if field[0] == "r":  # rd / rs / rt
-                    reg = _REGISTERS.get(token.lower())
+            for is_register, token in zip(shape[3], exp_tokens):
+                if is_register:
+                    reg = _REGISTERS.get(token)
                     operands.append(
                         reg if reg is not None else self._parse_register(token, line_no, st)
                     )
-                else:  # imm / imm2
+                else:
                     operands.append(self._parse_operand(token, line_no, st))
             st.add_instruction((line_no, st.location, exp_mnemonic, shape, operands))
 
@@ -316,7 +321,12 @@ class Assembler:
         except KeyError:
             raise st.error(line_no, f"unknown instruction {mnemonic!r}") from None
         fields = FORMAT_FIELDS[definition.fmt]
-        shape = (definition, fields, tuple(_FIELD_SLOTS[field] for field in fields))
+        shape = (
+            definition,
+            fields,
+            tuple(_FIELD_SLOTS[field] for field in fields),
+            tuple(field in ("rd", "rs", "rt") for field in fields),
+        )
         self._shapes[mnemonic] = shape
         return shape
 
@@ -366,7 +376,7 @@ class Assembler:
     def _pass_two(self, source: str, st: "_PassState") -> Program:
         instructions: dict[int, Instruction] = {}
         isa = self.isa
-        for line_no, addr, mnemonic, (definition, _, slots), operands in st.instruction_slots:
+        for line_no, addr, mnemonic, (definition, _, slots, _), operands in st.instruction_slots:
             values: list[Optional[int]] = [None, None, None, None]
             for slot, operand in zip(slots, operands):
                 values[slot] = (
@@ -641,12 +651,12 @@ def _literal_data(text: str, size: int) -> Optional[bytes]:
     """
     if not text.isascii():
         return None
+    mask = (1 << (8 * size)) - 1
     try:
-        values = [int(token, 0) for token in text.split(",")]
+        values = [int(token, 0) & mask for token in text.split(",")]
     except ValueError:
         return None
-    mask = (1 << (8 * size)) - 1
-    return b"".join([(value & mask).to_bytes(size, "little") for value in values])
+    return struct.pack(_PACK[size] % len(values), *values)
 
 
 def assemble(source: str, name: str = "program", isa: InstructionSet | None = None) -> Program:

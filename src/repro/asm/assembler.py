@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import dataclasses
 import re
-import struct
 from typing import Optional, Union
 
 from ..isa import (
@@ -77,8 +76,6 @@ _REGISTER_ALIASES = {"ra": 0, "sp": 1}
 #: slow path.
 _REGISTERS = {**{f"a{index}": index for index in range(64)}, **_REGISTER_ALIASES}
 _DATA_SIZES = {".word": 4, ".half": 2, ".byte": 1}
-#: ``struct`` format of N little-endian unsigned items, by item size
-_PACK = {4: "<%dI", 2: "<%dH", 1: "<%dB"}
 #: Operand fields -> position in ``Instruction(mnemonic, rd, rs, rt, imm)``;
 #: the ``BI`` format's bit/compare immediate ``imm2`` rides in ``rt``.
 _FIELD_SLOTS = {"rd": 0, "rs": 1, "rt": 2, "imm2": 2, "imm": 3}
@@ -656,7 +653,7 @@ def _literal_data(text: str, size: int) -> Optional[bytes]:
         values = [int(token, 0) & mask for token in text.split(",")]
     except ValueError:
         return None
-    return struct.pack(_PACK[size] % len(values), *values)
+    return b"".join([value.to_bytes(size, "little") for value in values])
 
 
 def assemble(source: str, name: str = "program", isa: InstructionSet | None = None) -> Program:

@@ -311,8 +311,8 @@ FRONT_END_LAYERS = ("build", "assemble", "lowering_key", "digest", "compile_prog
 
 #: ``--check`` fails when the front end (assemble + lowering_key + digest
 #: + compile_program) exceeds this share of a whole cold estimate.  The
-#: share read 0.373 twice before the assembler, lowering-key and
-#: compile_program fast paths and 0.275-0.287 in three runs after them
+#: share read 0.373-0.376 in four runs before the assembler, lowering-key
+#: and compile_program fast paths and 0.275-0.287 in nine runs after them
 #: (x86-64, 2 CPUs, Python 3.11.7); the bound sits halfway, so losing
 #: about half of the saving fails.
 FRONT_END_SHARE_BOUND = 0.32
@@ -345,7 +345,8 @@ def front_end_section(repeat: int = FRONT_END_REPEAT) -> dict:
     """Per-program front-end costs of a cold estimate, and their share."""
     model = EnergyMacroModel.load(FRONT_END_MODEL)
     cases = characterization_suite() + application_suite()
-    # cases on a shared processor name its extension; build it afresh
+    # a case may run on a shared, prebuilt processor: rebuild its
+    # extension from the spec factories, as `repro estimate` does
     factories = [
         [ALL_SPEC_FACTORIES[impl.mnemonic] for impl in case.config.extensions]
         for case in cases

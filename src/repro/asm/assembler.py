@@ -293,7 +293,7 @@ class Assembler:
 
         for exp_mnemonic, exp_tokens in expansions:
             shape = self._shapes.get(exp_mnemonic) or self._shape(exp_mnemonic, line_no, st)
-            fields = shape[1]
+            _, fields, _, registers = shape
             if len(exp_tokens) != len(fields):
                 raise st.error(
                     line_no,
@@ -301,7 +301,7 @@ class Assembler:
                     f"({', '.join(fields)}), got {len(exp_tokens)}",
                 )
             operands: list[_Operand] = []
-            for is_register, token in zip(shape[3], exp_tokens):
+            for is_register, token in zip(registers, exp_tokens):
                 if is_register:
                     reg = _REGISTERS.get(token)
                     operands.append(

@@ -1,14 +1,11 @@
-"""DSE engine throughput: cold vs warm-cache vs batched.
+"""DSE engine throughput: serial vs batched.
 
 The exploration engine's whole value is candidates/second on the
-macro-model fast path.  This benchmark scores the same seeded random
-sample of the tuned Reed-Solomon space two ways — simulated, and from a
-warm on-disk result cache — asserts the two agree on the ranking, and
-writes the measured throughput table.
-
-A third case measures the batched evaluator: one program across 64
-cache-geometry variants (a single semantic partition), scored through
-one :func:`repro.xtcore.run_batch` pass versus 64 per-point runs.
+macro-model fast path.  This benchmark times one seeded random sample
+of the tuned Reed-Solomon space, then the batched evaluator: one
+program across 64 cache-geometry variants (a single semantic
+partition), scored through one :func:`repro.xtcore.run_batch` pass
+versus 64 per-point runs.
 """
 
 import dataclasses
@@ -20,7 +17,6 @@ from repro.dse import (
     EvaluationEngine,
     Knob,
     RandomStrategy,
-    ResultCache,
     SearchSpace,
     explore,
     get_space,
@@ -47,47 +43,14 @@ def space():
     return get_space("reed_solomon_tuned")
 
 
-def _run(ctx, space, cache=None):
+def _run(ctx, space):
     strategy = RandomStrategy(budget=BUDGET, seed=3)
-    return explore(ctx.model, space, strategy, cache=cache)
+    return explore(ctx.model, space, strategy)
 
 
-@pytest.fixture(scope="module")
-def serial_report(ctx, space):
-    return _run(ctx, space)
-
-
-def test_dse_serial(benchmark, ctx, space, serial_report):
+def test_dse_serial(benchmark, ctx, space):
     report = benchmark.pedantic(_run, args=(ctx, space), rounds=1, iterations=1)
     assert report.ok and len(report.scores) == BUDGET
-
-
-def test_dse_warm_cache(benchmark, ctx, space, serial_report, tmp_path, save_report):
-    cache_dir = tmp_path / "dse-cache"
-    cold = _run(ctx, space, cache=ResultCache(cache_dir))
-    assert cold.cache_misses == BUDGET
-
-    warm = benchmark.pedantic(
-        _run,
-        args=(ctx, space),
-        kwargs={"cache": ResultCache(cache_dir)},
-        rounds=1,
-        iterations=1,
-    )
-    assert warm.cache_hits == BUDGET and warm.evaluated == 0
-    assert [s.key for s in warm.ranked()] == [s.key for s in serial_report.ranked()]
-
-    rows = [("cold", serial_report), ("warm cache", warm)]
-    header = f"{'mode':<20}{'cand/s':>10}{'elapsed s':>12}{'evaluated':>11}{'hits':>6}"
-    lines = [f"space reed_solomon_tuned, {BUDGET} candidates per run", header,
-             "-" * len(header)]
-    for label, report in rows:
-        lines.append(
-            f"{label:<20}{report.candidates_per_second:>10.1f}"
-            f"{report.elapsed_seconds:>12.3f}{report.evaluated:>11}"
-            f"{report.cache_hits:>6}"
-        )
-    save_report("dse_throughput", "\n".join(lines))
 
 
 # -- batched evaluation: one program x 64 configs ----------------------------
@@ -243,7 +206,7 @@ def test_dse_batched_operating_point_axis(benchmark, ctx, save_report):
         assert solo.energy == batched.energy
         assert solo.cycles == batched.cycles
 
-    # each point owns a disjoint slice of the result cache
+    # each point gets its own request key, so the serve memo keeps them apart
     config, program = space.build(candidates[0].assignment_dict)
     keys = {
         candidate_cache_key(

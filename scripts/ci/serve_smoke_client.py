@@ -62,7 +62,7 @@ def main(argv: list[str]) -> int:
     assert second["key"] == first["key"], (first, second)
     assert second["energy"] == first["energy"], (first, second)
     assert first["dedup"] == "fresh", first
-    assert second["dedup"] in ("memo", "coalesced", "disk"), second
+    assert second["dedup"] in ("memo", "coalesced"), second
 
     status, metrics = request(port, "GET", "/metrics")
     assert status == 200, (status, metrics)

@@ -334,7 +334,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
     from .core.runner import TooManyFailures
     from .dse import (
-        ResultCache,
         SpaceError,
         available_spaces,
         cross_check,
@@ -399,7 +398,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     for flag, value in (("--top-k", args.top_k), ("--verify-top", args.verify_top)):
         if value is not None and value < 1:
             raise _die(f"{flag} must be >= 1")
-    cache = ResultCache(args.cache) if args.cache else None
     progress = (lambda msg: print(f"  {msg}", file=sys.stderr)) if args.verbose else None
     reports = []
     for point, point_model in zip(points, point_models):
@@ -419,7 +417,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                 point_model,
                 space,
                 strategy,
-                cache=cache,
                 objective=args.objective,
                 max_instructions=args.max_instructions,
                 max_failures=args.max_failures,
@@ -691,7 +688,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             queue_limit=args.queue_limit,
             batch_max=args.batch_max,
             dedupe=not args.no_dedupe,
-            cache_dir=args.cache,
             retry=RetryPolicy(max_attempts=args.max_attempts),
             request_timeout=args.timeout,
             prewarm=prewarm,
@@ -911,11 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="RPS",
         help="append a carbon/TCO overlay assuming RPS executions per second",
     )
-    p.add_argument(
-        "--cache",
-        metavar="DIR",
-        help="content-addressed on-disk result cache directory",
-    )
     p.add_argument("--top-k", type=int, default=None, help="show only the best K points")
     p.add_argument(
         "--max-failures",
@@ -1061,11 +1052,6 @@ def build_parser() -> argparse.ArgumentParser:
             "max requests dispatched to a free worker as one batch: whatever "
             "queued while the workers were busy, up to N (default 8)"
         ),
-    )
-    p.add_argument(
-        "--cache",
-        metavar="DIR",
-        help="shared on-disk result cache (same format as `explore --cache`)",
     )
     p.add_argument(
         "--no-dedupe",

@@ -172,7 +172,7 @@ class EnergyMacroModel:
         """sha256 of :meth:`to_json`: the model's content address (memoized).
 
         Derived models carry their operating point in the JSON, so each
-        point has its own digest; result-cache and request keys build on it.
+        point has its own digest; request keys build on it.
         """
         if self._digest is None:
             self._digest = hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()

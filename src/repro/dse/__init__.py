@@ -8,8 +8,8 @@ This package is that search engine:
 * :mod:`repro.dse.space` — declarative candidate spaces (knobs x builder)
   with deterministic enumeration and a registry of bundled spaces;
 * :mod:`repro.dse.evaluate` — the scoring engine: macro-model fast path,
-  batched simulation per semantic partition, per-candidate failure
-  isolation and a content-addressed on-disk result cache;
+  batched simulation per semantic partition and per-candidate failure
+  isolation;
 * :mod:`repro.dse.strategies` — exhaustive / seeded-random / greedy
   hill-climb search behind one ``Strategy`` interface;
 * :mod:`repro.dse.pareto` — Pareto-frontier extraction and deterministic
@@ -26,7 +26,6 @@ Typical use::
     best = report.best
 """
 
-from .cache import ResultCache, candidate_cache_key
 from .evaluate import OBJECTIVES, CandidateScore, EvaluationEngine
 from .pareto import PARETO_AXES, dominates, pareto_frontier, rank_scores
 from .report import CrossCheckResult, ExplorationReport, cross_check, explore
@@ -67,13 +66,11 @@ __all__ = [
     "OPERATING_POINT_KNOB",
     "PARETO_AXES",
     "RandomStrategy",
-    "ResultCache",
     "SearchSpace",
     "SpaceError",
     "Strategy",
     "assignment_key",
     "available_spaces",
-    "candidate_cache_key",
     "cross_check",
     "dominates",
     "explore",

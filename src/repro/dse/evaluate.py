@@ -1,4 +1,4 @@
-"""Candidate scoring: the macro-model fast path, batched and cached.
+"""Candidate scoring: the macro-model fast path, batched.
 
 A candidate is scored on the paper's macro-model path (untraced
 instruction-set simulation, then a dot product; no RTL) plus a netlist
@@ -12,14 +12,12 @@ simulation each:
   estimation kernel
   (:meth:`~repro.core.model.EnergyMacroModel.estimate_many`) in one
   call, which runs candidates sharing one program and one semantic
-  partition through a single :func:`repro.xtcore.run_batch` pass.
-
-On top of that the engine layers two accelerations:
-
+  partition through a single :func:`repro.xtcore.run_batch` pass;
 * a per-run **memo** — strategies that revisit design points (greedy
-  walks) pay for each point once;
-* the content-addressed **on-disk cache** (:mod:`repro.dse.cache`) —
-  repeated or resumed explorations skip already-scored points entirely.
+  walks) pay for each point once.
+
+Nothing is stored across runs: a rerun re-scores every point, which costs
+less than filling an on-disk result store did (docs/PERFORMANCE.md).
 
 Failures are isolated per candidate into the same
 :class:`~repro.core.runner.SampleFailure` records the characterization
@@ -36,7 +34,6 @@ from ..core.model import EnergyMacroModel, MacroEstimate
 from ..core.runner import SampleFailure, TooManyFailures
 from ..rtl import generate_netlist
 from ..xtcore import DEFAULT_MAX_INSTRUCTIONS, ProcessorConfig
-from .cache import ResultCache, candidate_cache_key
 from .space import OPERATING_POINT_KNOB, Candidate, SearchSpace, assignment_key
 
 
@@ -57,7 +54,6 @@ class CandidateScore:
     energy: float
     cycles: int
     area: float
-    from_cache: bool = False
     operating_point: Optional[str] = None
     frequency_mhz: Optional[float] = None
 
@@ -120,7 +116,7 @@ class CandidateScore:
         return payload
 
     @classmethod
-    def from_payload(cls, payload: dict, from_cache: bool = False) -> "CandidateScore":
+    def from_payload(cls, payload: dict) -> "CandidateScore":
         frequency = payload.get("frequency_mhz")
         return cls(
             key=payload["key"],
@@ -130,7 +126,6 @@ class CandidateScore:
             energy=float(payload["energy"]),
             cycles=int(payload["cycles"]),
             area=float(payload["area"]),
-            from_cache=from_cache,
             operating_point=payload.get("operating_point"),
             frequency_mhz=float(frequency) if frequency is not None else None,
         )
@@ -144,10 +139,9 @@ def score_payload(
 ) -> dict:
     """The record of one estimation-kernel outcome, shared by DSE and serve.
 
-    An estimate becomes the :class:`~repro.dse.cache.ResultCache` entry
-    shape, with the custom-area proxy of ``config`` (the processor it
-    was estimated on); a failure keeps its own fields under
-    ``ok: False``.
+    An estimate becomes the :class:`CandidateScore` payload shape, with
+    the custom-area proxy of ``config`` (the processor it was estimated
+    on); a failure keeps its own fields under ``ok: False``.
     """
     if isinstance(outcome, SampleFailure):
         return {"ok": False, **outcome.to_payload()}
@@ -167,22 +161,21 @@ def score_payload(
 def _score_points(
     model: EnergyMacroModel,
     space: SearchSpace,
-    points: Sequence[tuple[dict, Optional[tuple]]],
+    points: Sequence[dict],
     max_instructions: int,
 ) -> tuple[list[dict], list[int]]:
-    """Score ``(assignment, built)`` design points in one kernel call.
+    """Build and score design-point assignments in one kernel call.
 
-    ``built`` is the point's ``(config, program)`` when already in hand,
-    else None.  An operating-point knob rescales the model, never the
-    hardware, so it travels as the job's point.  Never raises: failures
-    become records.  Also returns the kernel's simulation pass sizes.
+    An operating-point knob rescales the model, never the hardware, so it
+    travels as the job's point.  Never raises: failures become records.
+    Also returns the kernel's simulation pass sizes.
     """
     outcomes: list = [None] * len(points)
     configs: list = [None] * len(points)
     jobs = []
-    for index, (assignment, built) in enumerate(points):
+    for index, assignment in enumerate(points):
         try:
-            config, program = built if built is not None else space.build(assignment)
+            config, program = space.build(assignment)
         except Exception as exc:  # noqa: BLE001 — per-candidate isolation is the point
             outcomes[index] = SampleFailure.from_exception(
                 assignment_key(assignment), "", "build", exc
@@ -199,7 +192,7 @@ def _score_points(
             "key": assignment_key(assignment),
             "assignment": dict(assignment),
         }
-        for outcome, config, (assignment, _) in zip(outcomes, configs, points)
+        for outcome, config, assignment in zip(outcomes, configs, points)
     ]
     return records, estimates.passes
 
@@ -211,7 +204,6 @@ class EvaluationEngine:
         self,
         model: EnergyMacroModel,
         space: SearchSpace,
-        cache: Optional[ResultCache] = None,
         max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
         max_failures: Optional[int] = None,
         progress: Optional[Callable[[str], None]] = None,
@@ -220,7 +212,6 @@ class EvaluationEngine:
             raise ValueError(f"max_failures must be >= 0, got {max_failures}")
         self.model = model
         self.space = space
-        self.cache = cache
         self.max_instructions = max_instructions
         self.max_failures = max_failures
         self.progress = progress
@@ -234,25 +225,6 @@ class EvaluationEngine:
         self.batch_members = 0
         self._memo: dict[str, CandidateScore] = {}
 
-    def _model_digest(self, candidate: Candidate) -> str:
-        """The model digest at the candidate's operating point.
-
-        Distinct digests make cache keys disjoint across points.  Raises
-        (CalibrationError) on a bad point — callers score inside their
-        per-candidate isolation, or pre-validate via the space.
-        """
-        return self.model.at(candidate.assignment_dict.get(OPERATING_POINT_KNOB)).digest()
-
-    # -- cache bookkeeping -------------------------------------------------
-
-    @property
-    def cache_hits(self) -> int:
-        return self.cache.hits if self.cache is not None else 0
-
-    @property
-    def cache_misses(self) -> int:
-        return self.cache.misses if self.cache is not None else 0
-
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, candidates: Sequence[Candidate]) -> list[CandidateScore]:
@@ -262,7 +234,7 @@ class EvaluationEngine:
         ``max_failures``) instead of aborting the batch.
         """
         slots: list[Optional[CandidateScore]] = [None] * len(candidates)
-        pending: list[tuple[int, Candidate, Optional[tuple]]] = []
+        pending: list[tuple[int, Candidate]] = []
 
         for position, candidate in enumerate(candidates):
             memo = self._memo.get(candidate.key)
@@ -270,27 +242,14 @@ class EvaluationEngine:
                 self.memo_hits += 1
                 slots[position] = memo
                 continue
-            built = None
-            if self.cache is not None:
-                outcome = self._try_cache(candidate)
-                if isinstance(outcome, CandidateScore):
-                    slots[position] = outcome
-                    self._memo[candidate.key] = outcome
-                    continue
-                built = outcome  # (config, program) or None when build failed
-                if built is None:
-                    continue  # build failure already recorded
-            pending.append((position, candidate, built))
+            pending.append((position, candidate))
 
-        for (position, candidate, built), raw in zip(pending, self._run_pending(pending)):
+        for (position, candidate), raw in zip(pending, self._run_pending(pending)):
             if raw["ok"]:
-                score = CandidateScore.from_payload(
-                    {**raw, "key": candidate.key}, from_cache=False
-                )
+                score = CandidateScore.from_payload({**raw, "key": candidate.key})
                 self.evaluated += 1
                 slots[position] = score
                 self._memo[candidate.key] = score
-                self._store(candidate, raw, built)
                 self._emit(f"scored {candidate.key}: edp {score.edp:.3g}")
             else:
                 self._record_failure(SampleFailure.from_payload({**raw, "name": candidate.key}))
@@ -299,7 +258,7 @@ class EvaluationEngine:
     # -- internals ---------------------------------------------------------
 
     def _run_pending(self, pending: list) -> list[dict]:
-        """Score the uncached candidates in one kernel call.
+        """Score the candidates the memo missed in one kernel call.
 
         The kernel batches candidates that share a trajectory; the
         batched-execution counters tally the passes it reports.
@@ -309,45 +268,13 @@ class EvaluationEngine:
         records, passes = _score_points(
             self.model,
             self.space,
-            [(candidate.assignment_dict, built) for _, candidate, built in pending],
+            [candidate.assignment_dict for _, candidate in pending],
             self.max_instructions,
         )
         batched = [size for size in passes if size > 1]
         self.batch_groups += len(batched)
         self.batch_members += sum(batched)
         return records
-
-    def _try_cache(self, candidate: Candidate):
-        """A cached score, a built (config, program) pair, or None."""
-        try:
-            digest = self._model_digest(candidate)
-            config, program = candidate.build()
-        except Exception as exc:  # noqa: BLE001
-            self._record_failure(
-                SampleFailure.from_exception(candidate.key, "", "build", exc)
-            )
-            return None
-        key = candidate_cache_key(digest, config, program, self.max_instructions)
-        payload = self.cache.get(key)
-        if payload is not None:
-            score = CandidateScore.from_payload(
-                {**payload, "key": candidate.key, "assignment": candidate.assignment_dict},
-                from_cache=True,
-            )
-            self._emit(f"cache hit {candidate.key}")
-            return score
-        return (config, program)
-
-    def _store(self, candidate: Candidate, raw: dict, built: Optional[tuple]) -> None:
-        if self.cache is None:
-            return
-        config, program = built if built is not None else candidate.build()
-        key = candidate_cache_key(
-            self._model_digest(candidate), config, program, self.max_instructions
-        )
-        payload = dict(raw)
-        payload.pop("ok", None)
-        self.cache.put(key, payload)
 
     def _record_failure(self, failure: SampleFailure) -> None:
         self.failures.append(failure)

@@ -24,7 +24,6 @@ from ..core.model import EnergyMacroModel
 from ..core.runner import SampleFailure
 from ..rtl import reference_energy
 from ..xtcore import DEFAULT_MAX_INSTRUCTIONS
-from .cache import ResultCache
 from .evaluate import CandidateScore, EvaluationEngine
 from .pareto import PARETO_AXES, pareto_frontier, rank_scores
 from .space import OPERATING_POINT_KNOB, SearchSpace
@@ -43,9 +42,7 @@ class ExplorationReport:
     failures: list[SampleFailure]
     pareto: list[CandidateScore]
     elapsed_seconds: float
-    evaluated: int  # candidates actually simulated (cache/memo hits excluded)
-    cache_hits: int = 0
-    cache_misses: int = 0
+    evaluated: int  # candidates actually simulated (memo hits excluded)
     #: content digest of the model the run scored against (self-describing
     #: artifacts: re-running with a different model is visibly different)
     model_digest: str = ""
@@ -59,7 +56,7 @@ class ExplorationReport:
 
     @property
     def candidates_per_second(self) -> float:
-        """Throughput over *scored* candidates (cache hits included)."""
+        """Throughput over *scored* candidates (memo hits included)."""
         if self.elapsed_seconds <= 0:
             return float("inf")
         return len(self.scores) / self.elapsed_seconds
@@ -81,10 +78,6 @@ class ExplorationReport:
             f"design points via {self.strategy} "
             f"({self.elapsed_seconds:.2f}s, {self.candidates_per_second:.1f} cand/s)"
         ]
-        if self.cache_hits or self.cache_misses:
-            lines.append(
-                f"result cache: {self.cache_hits} hit(s), {self.cache_misses} miss(es)"
-            )
         if self.model_digest or self.operating_point:
             lines.append(
                 f"model {self.model_digest[:12] or '?'} at "
@@ -135,8 +128,6 @@ class ExplorationReport:
             "operating_point": self.operating_point,
             "elapsed_seconds": self.elapsed_seconds,
             "evaluated": self.evaluated,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
             "scores": [score.to_payload() for score in self.ranked()],
             "pareto": [score.key for score in self.pareto],
             "failures": [failure.to_payload() for failure in self.failures],
@@ -193,7 +184,6 @@ def explore(
     space: SearchSpace,
     strategy: Strategy,
     jobs: int = 1,  # perfbench's explore_one still passes jobs=1
-    cache: Optional[ResultCache] = None,
     objective: str = "edp",
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
     max_failures: Optional[int] = None,
@@ -217,7 +207,6 @@ def explore(
     engine = EvaluationEngine(
         model,
         space,
-        cache=cache,
         max_instructions=max_instructions,
         max_failures=max_failures,
         progress=progress,
@@ -235,8 +224,6 @@ def explore(
         pareto=pareto_frontier(scores),
         elapsed_seconds=elapsed,
         evaluated=engine.evaluated,
-        cache_hits=engine.cache_hits,
-        cache_misses=engine.cache_misses,
         model_digest=model.digest(),
         operating_point=(
             model.operating_point.key if model.operating_point is not None else None

@@ -13,7 +13,7 @@ Design points are addressed three interchangeable ways:
 * an **index** — the mixed-radix rank of the assignment in knob order,
   which lets strategies sample uniformly without materializing the space;
 * a **key** — the canonical ``"icache_kb=8,impl=gfmac"`` string used in
-  reports and result caches.
+  reports and the per-run memo.
 
 Bundled spaces (see :data:`BUILTIN_SPACES`) subsume the hand-built
 ``fir_choices()``/``reed_solomon_choices()`` studies and extend them with
@@ -280,7 +280,7 @@ def _build_impl_point(workload: str, assignment: Assignment) -> Tuple[ProcessorC
     compiled extension tuple and one :class:`Program`, built once per
     ``(workload, impl)`` in the compilation cache's ``build`` tier; each
     candidate only swaps in its cache geometry.  Every downstream key
-    (config fingerprint, program digest, result-cache key) stays
+    (config fingerprint, program digest, request key) stays
     content-based, so the sharing changes none of them.
     """
     impl = assignment["impl"]

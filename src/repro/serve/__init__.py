@@ -9,10 +9,8 @@ long-running process.  This package is that server-shaped entry point:
   load-adaptive batching (a free worker takes everything queued), a
   persistent pool of forked workers, each driven over its own pipe by
   the event loop, pre-warmed through the shared
-  :class:`~repro.xtcore.compiled.CompilationCache`, the DSE
-  :class:`~repro.dse.cache.ResultCache` as a shared on-disk result store,
-  bounded queues with ``429`` backpressure and
-  :class:`RetryPolicy`-driven timeouts;
+  :class:`~repro.xtcore.compiled.CompilationCache`, bounded queues with
+  ``429`` backpressure and :class:`RetryPolicy`-driven timeouts;
 * :class:`EstimationServer` / :func:`run_server` — the stdlib-only
   asyncio HTTP transport (``repro serve`` on the command line);
 * :class:`ServiceMetrics` — the ``/metrics`` registry, fed worker-side

@@ -12,14 +12,11 @@ by **bundled benchmark name** (``benchmark``, one of the
 characterization-suite programs) — the second form is what load
 generators and smoke tests use, since it ships no assembly.
 
-The deduplication identity of an estimate request is the DSE result
-cache's content address, :func:`repro.dse.cache.candidate_cache_key`
+The deduplication identity of an estimate request is the content
+address of a candidate score, :func:`repro.dse.cache.candidate_cache_key`
 ``sha256(model digest, config fingerprint, program image digest,
-instruction budget)`` — so the service's in-memory memo, its in-flight
-coalescing map and the shared on-disk
-:class:`~repro.dse.cache.ResultCache` all agree on what "the same
-request" means, and a score computed by an exploration is a cache hit
-for the service (and vice versa).
+instruction budget)`` — so the service's in-memory memo and its in-flight
+coalescing map agree on what "the same request" means.
 """
 
 from __future__ import annotations

@@ -74,7 +74,6 @@ class ServiceMetrics:
         "responses_error",
         "coalesced_total",
         "memo_hits_total",
-        "disk_cache_hits_total",
         "rejected_total",
         "timeouts_total",
         "retries_total",
@@ -161,15 +160,12 @@ class ServiceMetrics:
         """
         with self._lock:
             return (
-                self.counters["coalesced_total"]
-                + self.counters["memo_hits_total"]
-                + self.counters["disk_cache_hits_total"]
+                self.counters["coalesced_total"] + self.counters["memo_hits_total"]
             )
 
     def to_payload(
         self,
         compilation_cache: Optional[dict] = None,
-        result_cache: Optional[dict] = None,
         supervision: Optional[dict] = None,
         admission: Optional[dict] = None,
     ) -> dict:
@@ -192,7 +188,6 @@ class ServiceMetrics:
         payload["counters"]["duplicates_merged"] = (
             payload["counters"]["coalesced_total"]
             + payload["counters"]["memo_hits_total"]
-            + payload["counters"]["disk_cache_hits_total"]
         )
         caches: dict = {}
         if compilation_cache is not None:
@@ -201,14 +196,6 @@ class ServiceMetrics:
             total = hits + misses
             caches["compilation"] = {
                 **compilation_cache,
-                "hit_rate": (hits / total) if total else 0.0,
-            }
-        if result_cache is not None:
-            hits = result_cache.get("hits", 0)
-            misses = result_cache.get("misses", 0)
-            total = hits + misses
-            caches["results"] = {
-                **result_cache,
                 "hit_rate": (hits / total) if total else 0.0,
             }
         payload["caches"] = caches
@@ -257,15 +244,7 @@ def render_prometheus(payload: dict) -> str:
         emit("operating_point_requests", count, f'{{point="{point}"}}')
     for cache_name, info in sorted(payload.get("caches", {}).items()):
         labels = f'{{cache="{cache_name}"}}'
-        for field in (
-            "hits",
-            "misses",
-            "hit_rate",
-            "entries",
-            "stores",
-            "evictions",
-            "corrupt_entries",
-        ):
+        for field in ("hits", "misses", "hit_rate", "entries", "evictions"):
             if field in info:
                 emit(f"cache_{field}", info[field], labels)
         # per-tier breakdown (compilation cache: ops lowerings vs design-point builds)

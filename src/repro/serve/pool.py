@@ -273,7 +273,7 @@ def run_explore(item: dict) -> dict:
     """Run one exploration request inside a worker; never raises."""
     import json
 
-    from ..dse import ResultCache, explore, get_space, make_strategy
+    from ..dse import explore, get_space, make_strategy
 
     model: EnergyMacroModel = _WORKER["model"]
     try:
@@ -285,13 +285,10 @@ def run_explore(item: dict) -> dict:
             seed=int(item.get("seed", 0)),
             objective=item.get("objective", "edp"),
         )
-        cache_root = item.get("cache_root")
-        cache = ResultCache(cache_root) if cache_root else None
         report = explore(
             model,
             space,
             strategy,
-            cache=cache,
             objective=item.get("objective", "edp"),
             max_instructions=int(item["max_instructions"]),
         )

@@ -3,7 +3,7 @@
 :class:`EstimationService` owns the whole request path —
 
     parse → resolve (config, program) → content-address → dedupe
-    (memo / in-flight / shared disk cache) → bounded queue → batch of
+    (memo / in-flight) → bounded queue → batch of
     what is queued when a worker is free → a forked worker, over its own
     pipe → resolve coalesced waiters → memoize
 
@@ -65,7 +65,7 @@ from typing import Optional, Sequence
 
 from ..core.model import EnergyMacroModel
 from ..core.runner import SampleFailure
-from ..dse.cache import ResultCache, candidate_cache_key
+from ..dse.cache import candidate_cache_key
 from .admission import DrainRateEstimator, retry_after_seconds
 from .api import (
     ApiError,
@@ -120,7 +120,6 @@ class EstimationService:
         batch_max: int = 8,
         dedupe: bool = True,
         memo_size: int = 4096,
-        cache_dir: Optional[str] = None,
         retry: Optional[RetryPolicy] = None,
         request_timeout: float = 30.0,
         explore_timeout: float = 600.0,
@@ -144,9 +143,6 @@ class EstimationService:
         self.metrics = ServiceMetrics()
         self.coalescer = Coalescer(memo_size if dedupe else 0)
         self.pool = WorkerPool(model, workers=workers, prewarm=prewarm)
-        self.result_cache: Optional[ResultCache] = (
-            ResultCache(cache_dir) if cache_dir else None
-        )
         self.queue = BatchQueue(queue_limit)
         #: observed completion rates, feeding computed Retry-After hints
         self.drain_rate = DrainRateEstimator()
@@ -391,9 +387,6 @@ class EstimationService:
 
         return self.metrics.to_payload(
             compilation_cache=compilation_cache().info(),
-            result_cache=(
-                self.result_cache.info() if self.result_cache is not None else None
-            ),
             supervision=self.supervision_payload(),
             admission={
                 "queue_depth": self.queue.qsize(),
@@ -436,7 +429,7 @@ class EstimationService:
             # the worker simulates this assembly instead of repeating it
             del item["source"]
             item["program"] = program
-        # requests at different points must dedupe/cache separately: the
+        # requests at different points must dedupe separately: the
         # derived model at each point has its own digest
         key = candidate_cache_key(
             self.model.at(req.operating_point).digest(),
@@ -457,7 +450,7 @@ class EstimationService:
         item: dict,
         deadline: Optional[float] = None,
     ):
-        """Answer one keyed estimate: memo, coalesce, disk cache, or enqueue."""
+        """Answer one keyed estimate: memo, coalesce, or enqueue."""
         if self.quarantine.is_quarantined(key):
             self.metrics.incr("quarantine_rejections_total")
             return (
@@ -481,14 +474,6 @@ class EstimationService:
             if inflight is not None:
                 self.metrics.incr("coalesced_total")
                 return await asyncio.shield(inflight.future), "coalesced"
-        if self.result_cache is not None:
-            stored = self.result_cache.get(key)
-            if stored is not None:
-                payload = {**stored, "ok": True}
-                self.metrics.incr("disk_cache_hits_total")
-                if self.dedupe:
-                    self.coalescer.close(key, payload)  # promote to memo
-                return payload, "disk"
         job = Job(
             key=key,
             item=item,
@@ -573,7 +558,6 @@ class EstimationService:
             "max_instructions": req.max_instructions,
             "top_k": req.top_k,
             "operating_point": req.operating_point,
-            "cache_root": self.result_cache.root if self.result_cache else None,
         }
         self.metrics.observe_operating_point(req.operating_point)
         self._active_explores += 1
@@ -929,9 +913,6 @@ class EstimationService:
                 self.quarantine.record_success(job.key)
                 if self.dedupe:
                     self.coalescer.close(job.key, payload)
-                if self.result_cache is not None:
-                    stored = {k: v for k, v in payload.items() if k != "ok"}
-                    self.result_cache.put(job.key, stored)
             else:
                 if self.dedupe:
                     self.coalescer.close(job.key)

@@ -61,16 +61,6 @@ class TestExplore:
         assert lines[0].startswith("rank,key,program")
         assert len(lines) == 4
 
-    def test_warm_cache_hits_every_candidate(self, model_file, tmp_path, capsys):
-        cache_dir = str(tmp_path / "dse-cache")
-        argv = ["explore", model_file, "--space", "fir", "--cache", cache_dir]
-        assert main(argv) == 0
-        cold = capsys.readouterr().out
-        assert "0 hit(s), 3 miss(es)" in cold
-        assert main(argv) == 0
-        warm = capsys.readouterr().out
-        assert "3 hit(s), 0 miss(es)" in warm
-
     def test_random_strategy_deterministic(self, model_file, capsys):
         argv = [
             "explore",
@@ -184,23 +174,6 @@ class TestExploreOperatingPoints:
         cycles_a = {s["key"]: s["cycles"] for s in a["scores"]}
         cycles_b = {s["key"]: s["cycles"] for s in b["scores"]}
         assert cycles_a == cycles_b
-
-    def test_matrix_shares_cache_with_disjoint_keys(self, model_file, tmp_path, capsys):
-        cache_dir = str(tmp_path / "matrix-cache")
-        argv = [
-            "explore", model_file, "--space", "fir", "--cache", cache_dir,
-            "--operating-point", "130nm@1.5V@400MHz",
-            "--operating-point", "65nm@1.1V@800MHz",
-        ]
-        assert main(argv) == 0
-        cold = capsys.readouterr().out
-        # disjoint key sets: the second point misses instead of hitting
-        assert "0 hit(s), 3 miss(es)" in cold
-        assert "0 hit(s), 6 miss(es)" in cold
-        assert main(argv) == 0
-        warm = capsys.readouterr().out
-        assert "3 hit(s), 0 miss(es)" in warm
-        assert "6 hit(s), 0 miss(es)" in warm
 
     def test_csv_rejects_matrix(self, model_file, capsys):
         with pytest.raises(SystemExit) as excinfo:

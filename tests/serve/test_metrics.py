@@ -33,21 +33,18 @@ class TestServiceMetrics:
         metrics = ServiceMetrics()
         metrics.incr("coalesced_total", 2)
         metrics.incr("memo_hits_total", 3)
-        metrics.incr("disk_cache_hits_total", 1)
-        assert metrics.duplicates_merged == 6
+        assert metrics.duplicates_merged == 5
         payload = metrics.to_payload()
-        assert payload["counters"]["duplicates_merged"] == 6
+        assert payload["counters"]["duplicates_merged"] == 5
+        assert "disk_cache_hits_total" not in payload["counters"]
 
     def test_payload_shape_and_cache_rates(self):
         metrics = ServiceMetrics()
         metrics.observe_latency("estimate", 0.002)
         metrics.merge_sim_snapshot({"runs_finished": 4, "instructions": 100})
-        payload = metrics.to_payload(
-            compilation_cache={"hits": 3, "misses": 1},
-            result_cache={"hits": 0, "misses": 0},
-        )
+        payload = metrics.to_payload(compilation_cache={"hits": 3, "misses": 1})
         assert payload["caches"]["compilation"]["hit_rate"] == 0.75
-        assert payload["caches"]["results"]["hit_rate"] == 0.0
+        assert list(payload["caches"]) == ["compilation"]
         assert payload["simulation"]["runs_finished"] == 4
         assert payload["latency"]["estimate"]["count"] == 1
 
@@ -61,4 +58,5 @@ class TestServiceMetrics:
         assert "repro_serve_requests_total 7" in text
         assert 'repro_serve_latency_p50_ms{endpoint="estimate"} 10' in text
         assert 'repro_serve_cache_hit_rate{cache="compilation"} 0.5' in text
+        assert 'cache="results"' not in text
         assert text.endswith("\n")

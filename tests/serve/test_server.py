@@ -122,25 +122,6 @@ class TestEstimateEndpoint:
         assert metrics["latency"]["estimate"]["count"] == 2
 
 
-class TestDiskCache:
-    def test_results_survive_restart(self, make_server, tmp_path):
-        cache_dir = str(tmp_path / "serve-cache")
-        first = make_server(cache_dir=cache_dir)
-        status, body = first.estimate(INLINE_BODY)
-        assert status == 200 and body["dedup"] == "fresh"
-        _, metrics = first.request("GET", "/metrics")
-        assert metrics["caches"]["results"]["stores"] == 1
-        first.close()
-
-        second = make_server(cache_dir=cache_dir)
-        status, again = second.estimate(INLINE_BODY)
-        assert status == 200
-        assert again["dedup"] == "disk"
-        assert again["energy"] == body["energy"]
-        # the disk hit was promoted to the memo
-        assert second.estimate(INLINE_BODY)[1]["dedup"] == "memo"
-
-
 class TestIntrospection:
     def test_healthz(self, make_server):
         server = make_server(queue_limit=7)
@@ -469,15 +450,12 @@ class TestCliWiring:
                 "--no-dedupe",
                 "--prewarm",
                 "suite",
-                "--cache",
-                "/tmp/c",
             ]
         )
         assert args.port == 0
         assert args.workers == 0
         assert args.no_dedupe
         assert args.prewarm == "suite"
-        assert args.cache == "/tmp/c"
 
     @pytest.mark.parametrize("flag", ["--breaker-failures", "--breaker-cooldown"])
     def test_breaker_flags_are_gone(self, flag):

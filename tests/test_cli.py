@@ -68,6 +68,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize("command", ["explore", "serve"])
+    def test_result_cache_flag_is_gone(self, command, capsys):
+        # a script still passing --cache must fail loudly, not run uncached
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "model.json", "--cache", "d"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --cache d" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_basic(self, demo_file, capsys):

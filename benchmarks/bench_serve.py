@@ -11,7 +11,16 @@ requested D times, shuffled):
   batches of whatever queued while the worker was busy, so the pool
   simulates each unique program once.
 
-A third section, ``pool_round_trip``, times the fork IPC layer alone:
+A third section, ``points``, sends each of U unique programs at the
+four operating points perfbench's ``serve`` traffic draws from, through
+the same live service.  A point rescales the coefficients, never the
+simulation, so the service simulates each program once and prices every
+point from that run: the section records simulations per request and
+throughput, and ``--check`` fails unless there is one simulation per
+unique program and every response is bitwise equal to
+``model.at(point).estimate(...)``.
+
+A fourth section, ``pool_round_trip``, times the fork IPC layer alone:
 sequential single-item batches of an already lowered program through a
 ``workers=1`` fork pool, each split into the round trip the event loop
 sees and the worker's own batch time; their difference is the time the
@@ -39,6 +48,7 @@ import platform
 import random
 import threading
 import time
+from typing import Optional
 
 import numpy as np
 
@@ -47,6 +57,8 @@ from repro.serve import EstimationServer, EstimationService, WorkerPool
 from repro.serve.pool import resolve_workload
 
 DEFAULT_OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_SERVE.json"
+#: the operating points perfbench's ``serve`` traffic draws from
+POINTS = (None, "130nm@1.5V@400MHz", "90nm@1.2V@600MHz", "65nm@1.1V@800MHz")
 SPEEDUP_TARGET = 3.0
 #: ``--check`` bound on the median time a single-item batch spends
 #: outside the worker (round trip minus the worker's own batch time)
@@ -187,8 +199,13 @@ def _percentile(sorted_values: list[float], p: float) -> float:
     return sorted_values[rank - 1]
 
 
-def drive(port: int, bodies: list[dict], clients: int) -> dict:
-    """Closed loop: ``clients`` threads drain the workload, recording latency."""
+def drive(
+    port: int, bodies: list[dict], clients: int, answers: Optional[dict] = None
+) -> dict:
+    """Closed loop: ``clients`` threads drain the workload, recording latency.
+
+    ``answers``, when given, receives each response under its body's index.
+    """
     pending = list(enumerate(bodies))
     latencies: list[float] = []
     dedups: dict[str, int] = {}
@@ -200,7 +217,7 @@ def drive(port: int, bodies: list[dict], clients: int) -> dict:
             with lock:
                 if not pending or errors:
                     return
-                _, body = pending.pop()
+                index, body = pending.pop()
             began = time.perf_counter()
             try:
                 payload = _post_estimate(port, body)
@@ -212,6 +229,8 @@ def drive(port: int, bodies: list[dict], clients: int) -> dict:
             with lock:
                 latencies.append(elapsed)
                 dedups[payload["dedup"]] = dedups.get(payload["dedup"], 0) + 1
+                if answers is not None:
+                    answers[index] = payload
 
     began = time.perf_counter()
     threads = [threading.Thread(target=worker) for _ in range(clients)]
@@ -286,6 +305,56 @@ def run_loadtest(
     }
 
 
+def run_points(
+    uniques: int = 8, clients: int = 8, loops: int = 2000, seed: int = 7
+) -> dict:
+    """U unique programs x :data:`POINTS` through one live service."""
+    model = make_model()
+    bodies = []
+    for body in make_workload(uniques, 1, loops, seed):
+        for point in POINTS:
+            bodies.append(body if point is None else {**body, "operating_point": point})
+    random.Random(seed).shuffle(bodies)
+    answers: dict = {}
+    server = LiveServer(EstimationService(model, workers=0))
+    try:
+        row = drive(server.port, bodies, clients=clients, answers=answers)
+        row["simulations"] = _get_metrics(server.port)["simulation"]["runs_finished"]
+    finally:
+        server.close()
+    mismatches = 0
+    for index, body in enumerate(bodies):
+        program = body["program"]
+        config, built = resolve_workload(
+            {"name": program["name"], "source": program["source"], "extensions": []}
+        )
+        expected = model.at(body.get("operating_point")).estimate(
+            config, built, max_instructions=body["max_instructions"]
+        )
+        point = expected.operating_point
+        answer = answers[index]
+        mismatches += (
+            answer["energy"].hex(),
+            answer["cycles"],
+            answer.get("seconds"),
+            answer.get("frequency_mhz"),
+        ) != (
+            expected.energy.hex(),
+            expected.cycles,
+            expected.seconds,
+            point.frequency_mhz if point is not None else None,
+        )
+    row.update(
+        {
+            "unique_programs": uniques,
+            "points": [point or "fit-point" for point in POINTS],
+            "sims_per_request": round(row["simulations"] / len(bodies), 4),
+            "bitwise_mismatches": mismatches,
+        }
+    )
+    return row
+
+
 def _percentiles_ms(values: list[float]) -> dict:
     ordered = sorted(values)
     return {
@@ -353,8 +422,10 @@ def main(argv=None) -> int:
         "--check",
         action="store_true",
         help=(
-            f"exit non-zero unless coalesced speedup >= {SPEEDUP_TARGET}x and the "
-            f"median time outside the worker is <= {IPC_BOUND_MS} ms"
+            f"exit non-zero unless coalesced speedup >= {SPEEDUP_TARGET}x, the "
+            "points section simulates each program once and answers every "
+            "point bitwise equal to the library, and the median time outside "
+            f"the worker is <= {IPC_BOUND_MS} ms"
         ),
     )
     args = parser.parse_args(argv)
@@ -366,6 +437,9 @@ def main(argv=None) -> int:
         loops=args.loops,
         seed=args.seed,
     )
+    payload["points"] = run_points(
+        uniques=args.uniques, clients=args.clients, loops=args.loops, seed=args.seed
+    )
     payload["pool_round_trip"] = measure_round_trip(args.round_trips)
     args.output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
@@ -376,6 +450,13 @@ def main(argv=None) -> int:
             f"p50 {row['p50_ms']:>7.2f} ms   p95 {row['p95_ms']:>7.2f} ms   "
             f"{row['simulations']} simulation(s)"
         )
+    points = payload["points"]
+    print(
+        f"{'points':<10} {points['throughput_rps']:>8.1f} req/s   "
+        f"p50 {points['p50_ms']:>7.2f} ms   p95 {points['p95_ms']:>7.2f} ms   "
+        f"{points['simulations']} simulation(s) for {points['requests']} requests "
+        f"at {len(POINTS)} points, {points['bitwise_mismatches']} mismatch(es)"
+    )
     summary = payload["summary"]
     trip = payload["pool_round_trip"]
     outside = trip["outside_worker"]["p50_ms"]
@@ -395,6 +476,18 @@ def main(argv=None) -> int:
                 f"{SPEEDUP_TARGET}x coalescing target"
             )
             failed = True
+        if points["simulations"] != points["unique_programs"]:
+            print(
+                f"CHECK FAILED: {points['simulations']} simulations for "
+                f"{points['unique_programs']} unique programs at {len(POINTS)} points"
+            )
+            failed = True
+        if points["bitwise_mismatches"]:
+            print(
+                f"CHECK FAILED: {points['bitwise_mismatches']} point response(s) "
+                "differ from the library estimate"
+            )
+            failed = True
         if outside > IPC_BOUND_MS:
             print(
                 f"CHECK FAILED: {outside:.3f} ms outside the worker per batch, "
@@ -403,7 +496,10 @@ def main(argv=None) -> int:
             failed = True
         if failed:
             return 1
-        print("CHECK OK: coalesced throughput and pool round trip clear their bounds")
+        print(
+            "CHECK OK: coalesced throughput, one simulation per program across "
+            "points and pool round trip clear their bounds"
+        )
     return 0
 
 

@@ -11,8 +11,13 @@ A model is fitted at one technology **operating point** (process node,
 supply voltage, clock).  ``model.at("65nm@1.1V@800MHz")`` derives the
 same model rescaled to another point via the committed calibration table
 (see ``repro.tech`` and ``docs/CALIBRATION.md``); the derived model's
-JSON — and therefore its content digest — carries the point, so cache
-keys at different points never collide.
+JSON — and therefore its content digest — carries the point.  A point
+rescales the coefficients only, never the variables: one simulation's
+variables vector prices every point through :meth:`EnergyMacroModel.energy_of`,
+the one place a vector becomes energy.  ``estimate_many`` shares one
+simulation across jobs that differ only in the point, and ``repro
+serve`` keys its memo by the point-free model digest and prices each
+request at its own point.
 
 Models serialize to JSON so a characterized model can ship without the
 characterization infrastructure.
@@ -235,10 +240,18 @@ class EnergyMacroModel:
     def coefficients_by_key(self) -> dict[str, float]:
         return dict(zip(self.template.keys(), self.coefficients.tolist()))
 
+    def energy_of(self, variables: "np.ndarray | Sequence[float]") -> float:
+        """Energy of one variables vector, in template order: Σ coefficient × variable.
+
+        The one pricing site: the estimation kernel, :meth:`estimate_from_stats`
+        and the serve frontend all price through it, so a vector priced
+        anywhere gives the kernel's bits.
+        """
+        return float(np.asarray(variables, dtype=float) @ self.coefficients)
+
     def estimate_from_stats(self, stats: ExecutionStats, config: ProcessorConfig) -> float:
         """Energy from already-collected execution statistics."""
-        variables = extract_variables(stats, config, self.template)
-        return float(variables @ self.coefficients)
+        return self.energy_of(extract_variables(stats, config, self.template))
 
     def estimate(
         self,
@@ -335,7 +348,7 @@ class EnergyMacroModel:
         return MacroEstimate(
             program_name=program.name,
             processor_name=config.name,
-            energy=float(variables @ model.coefficients),
+            energy=model.energy_of(variables),
             stats=run.stats,
             variables=dict(zip(model.template.keys(), variables.tolist())),
             operating_point=model.operating_point,

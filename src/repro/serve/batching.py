@@ -7,8 +7,10 @@ Two independent mechanisms make a duplicate-heavy workload cheap:
   whose key is already *in flight* attaches to the existing job's future
   instead of enqueueing a second simulation; a request whose key is in
   the bounded completed-**memo** is answered without touching the queue
-  at all.  Estimation is a pure function of (model, config, program,
-  budget), so both merges are exact, not heuristic.
+  at all.  Simulation is a pure function of (model, config, program,
+  budget) and an operating point only rescales the coefficients, so
+  the key leaves the point out and both merges are exact, not
+  heuristic; the server prices each waiter at its own point.
 * **Batching** (:class:`BatchQueue`): the dispatcher harvests only when
   a worker slot is free, and then takes every job already queued, up to
   ``max_batch``, without waiting for more.  Jobs that arrive while the

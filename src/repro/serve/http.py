@@ -164,7 +164,9 @@ def json_response(
     extra_headers: Optional[dict[str, str]] = None,
     keep_alive: bool = True,
 ) -> bytes:
-    body = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    # compact: an indented dump runs the pure-Python encoder, about twice
+    # the C encoder's time on every response the event loop writes
+    body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
     return format_response(
         status, body, "application/json", extra_headers, keep_alive
     )

@@ -189,10 +189,8 @@ def _payload(outcome, config: Optional[ProcessorConfig] = None) -> dict:
     payload = score_payload(outcome, config)
     if isinstance(outcome, MacroEstimate):
         payload["instructions"] = int(outcome.stats.total_instructions)
-        if outcome.seconds is not None:
-            payload["seconds"] = outcome.seconds
-        # always shipped: a coalesced waiter may want the breakdown even
-        # when the request that triggered the simulation did not
+        # always shipped: the frontend prices every operating point from
+        # them, and a waiter may want the breakdown
         payload["variables"] = outcome.variables
     return payload
 
@@ -230,11 +228,7 @@ def _estimate_items(items: Sequence[dict], tally: RunTallyObserver) -> list[dict
             outcomes[index] = SampleFailure.from_exception(name, "", "build", exc)
             continue
         configs[index] = config
-        # the operating point rescales the model only: the kernel shares
-        # one simulation across items that differ just in the point
-        jobs.append(
-            (config, program, item.get("operating_point"), int(item["max_instructions"]))
-        )
+        jobs.append((config, program, None, int(item["max_instructions"])))
     estimated = iter(_WORKER["model"].estimate_many(jobs, observers=(tally,)))
     return [
         _payload(next(estimated) if outcome is None else outcome, config)

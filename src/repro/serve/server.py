@@ -135,6 +135,8 @@ class EstimationService:
         if drain_grace < 0:
             raise ValueError(f"drain_grace must be >= 0, got {drain_grace}")
         self.model = model
+        #: template order of a payload's variables, for pricing
+        self._variable_keys = tuple(model.template.keys())
         self.dedupe = dedupe
         self.batch_max = batch_max
         self.request_timeout = request_timeout
@@ -413,11 +415,6 @@ class EstimationService:
                 "extensions": list(req.extensions),
                 "max_instructions": req.max_instructions,
             }
-        if req.operating_point is not None:
-            # Only stamped when set so the wire item (and therefore the
-            # worker path) is byte-identical to the pre-calibration shape
-            # for point-less requests.
-            item["operating_point"] = req.operating_point
         self.metrics.observe_operating_point(req.operating_point)
         try:
             config, program = resolve_workload(item)
@@ -429,17 +426,17 @@ class EstimationService:
             # the worker simulates this assembly instead of repeating it
             del item["source"]
             item["program"] = program
-        # requests at different points must dedupe separately: the
-        # derived model at each point has its own digest
-        key = candidate_cache_key(
-            self.model.at(req.operating_point).digest(),
-            config,
-            program,
-            req.max_instructions,
+        # a point rescales the coefficients, never the simulation: the
+        # memo, the coalescer and the quarantine share one point-free key,
+        # and each request is priced at its own point from the variables
+        model = self.model.at(req.operating_point)
+        sim_key = candidate_cache_key(
+            self.model.digest(), config, program, req.max_instructions
         )
+        key = candidate_cache_key(model.digest(), config, program, req.max_instructions)
         deadline = deadline_at(req.deadline_ms)
-        payload, dedup = await self._obtain(key, item, deadline=deadline)
-        status, response = self._estimate_response(req, key, payload, dedup)
+        payload, dedup = await self._obtain(sim_key, item, deadline=deadline)
+        status, response = self._estimate_response(req, model, key, payload, dedup)
         self.metrics.observe_latency("estimate", time.perf_counter() - began)
         self.metrics.incr("responses_ok" if status == 200 else "responses_error")
         return status, response, None
@@ -498,26 +495,35 @@ class EstimationService:
         return await asyncio.shield(job.future), "fresh"
 
     def _estimate_response(
-        self, req: EstimateRequest, key: str, payload: dict, dedup: str
+        self,
+        req: EstimateRequest,
+        model: EnergyMacroModel,
+        key: str,
+        payload: dict,
+        dedup: str,
     ):
+        """The response to one request, priced by ``model`` (its point's)."""
         if payload.get("ok"):
+            variables = payload["variables"]
+            energy = model.energy_of([variables[name] for name in self._variable_keys])
+            cycles = payload["cycles"]
             response = {
                 "program": req.name,
                 "processor": payload["processor"],
-                "energy": payload["energy"],
-                "cycles": payload["cycles"],
-                "edp": payload["energy"] * payload["cycles"],
+                "energy": energy,
+                "cycles": cycles,
+                "edp": energy * cycles,
                 "area": payload.get("area", 0.0),
                 "key": key,
                 "dedup": dedup,
             }
-            if payload.get("operating_point") is not None:
-                response["operating_point"] = payload["operating_point"]
-                response["frequency_mhz"] = payload.get("frequency_mhz")
-                if payload.get("seconds") is not None:
-                    response["seconds"] = payload["seconds"]
-            if req.variables and "variables" in payload:
-                response["variables"] = payload["variables"]
+            point = model.operating_point
+            if point is not None:
+                response["operating_point"] = point.key
+                response["frequency_mhz"] = point.frequency_mhz
+                response["seconds"] = point.seconds(cycles)
+            if req.variables:
+                response["variables"] = variables
             return 200, response
         stage = payload.get("stage")
         status = 504 if stage in ("timeout", "deadline") else 500

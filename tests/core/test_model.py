@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.model as model_module
 from repro.asm import assemble
 from repro.core import (
     EnergyMacroModel,
@@ -10,8 +11,10 @@ from repro.core import (
     extract_variables,
     instruction_level_template,
 )
-from repro.obs import run_session
+from repro.obs import RunTallyObserver, run_session
 from repro.xtcore import SimulationLimitExceeded
+
+POINTS = (None, "130nm@1.5V@400MHz", "65nm@1.1V@800MHz")
 
 
 @pytest.fixture()
@@ -19,6 +22,20 @@ def model():
     template = default_template()
     coefficients = np.arange(1.0, len(template) + 1.0)
     return EnergyMacroModel(template, coefficients, processor_family="test-fam")
+
+
+@pytest.fixture
+def batch_passes(monkeypatch):
+    """Counts run_batch passes made by the estimation kernel."""
+    passes = []
+    real = model_module.run_batch
+
+    def counting(configs, program, **kwargs):
+        passes.append(len(configs))
+        return real(configs, program, **kwargs)
+
+    monkeypatch.setattr(model_module, "run_batch", counting)
+    return passes
 
 
 class TestConstruction:
@@ -94,6 +111,63 @@ class TestEstimation:
         assert (outcomes[1].stage, outcomes[1].error_type) == ("estimate", "CalibrationError")
         assert model.estimate_many([good]).passes == [1]
         assert model.estimate_many([]).passes == []
+
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_energy_of_prices_a_vector_as_the_kernel_does(
+        self, model, tiny_loop_program, base_config, point
+    ):
+        at_point = model.at(point)
+        estimate = at_point.estimate(base_config, tiny_loop_program)
+        vector = [estimate.variables[key] for key in model.template.keys()]
+        assert at_point.energy_of(vector).hex() == estimate.energy.hex()
+        stats = run_session(base_config, tiny_loop_program).stats
+        assert at_point.estimate_from_stats(stats, base_config) == estimate.energy
+
+
+class TestEstimateManyAcrossPoints:
+    """Jobs that differ only in the operating point share one simulation."""
+
+    def test_one_program_at_three_points_is_one_batch_pass(
+        self, model, tiny_loop_program, base_config, batch_passes
+    ):
+        tally = RunTallyObserver()
+        jobs = [(base_config, tiny_loop_program, point, 10_000) for point in POINTS]
+        outcomes = model.estimate_many(jobs, observers=(tally,))
+        assert batch_passes == [len(POINTS)]
+        assert tally.snapshot()["runs_finished"] == len(POINTS)
+        for point, estimate in zip(POINTS, outcomes):
+            solo = model.at(point).estimate(
+                base_config, tiny_loop_program, max_instructions=10_000
+            )
+            assert (estimate.energy, estimate.cycles) == (solo.energy, solo.cycles)
+            assert estimate.operating_point == solo.operating_point
+
+    def test_mixed_jobs_keep_input_order(
+        self, model, tiny_loop_program, base_config, batch_passes
+    ):
+        other = assemble("main:\n    movi a2, 3\n    halt\n", "other")
+        jobs = [
+            (base_config, tiny_loop_program, None, 10_000),
+            (base_config, tiny_loop_program, None, 3),
+            (base_config, other, POINTS[2], 10_000),
+            (base_config, tiny_loop_program, POINTS[1], 10_000),
+        ]
+        outcomes = model.estimate_many(jobs)
+        assert batch_passes == [2]
+        assert outcomes.passes == [2, 1, 1]
+        assert (outcomes[1].stage, outcomes[1].error_type) == (
+            "estimate",
+            "SimulationLimitExceeded",
+        )
+        for index in (0, 2, 3):
+            config, program, point, budget = jobs[index]
+            solo = model.at(point).estimate(config, program, max_instructions=budget)
+            assert outcomes[index].program_name == program.name
+            assert (outcomes[index].energy, outcomes[index].cycles) == (
+                solo.energy,
+                solo.cycles,
+            )
 
 
 class TestReports:

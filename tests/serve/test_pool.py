@@ -19,13 +19,9 @@ from repro.xtcore import compilation_cache
 
 from .conftest import TINY_SOURCE
 
-POINTS = (None, "130nm@1.5V@400MHz", "65nm@1.1V@800MHz")
 
-
-def _item(source=TINY_SOURCE, name="tiny", point=None, **extra):
+def _item(source=TINY_SOURCE, name="tiny", **extra):
     item = {"name": name, "source": source, "extensions": [], "max_instructions": 10_000}
-    if point is not None:
-        item["operating_point"] = point
     return {**item, **extra}
 
 
@@ -49,17 +45,6 @@ def batch_passes(monkeypatch):
     return passes
 
 
-def test_one_source_at_three_points_is_one_batch_pass(worker, batch_passes):
-    outcome = pool.run_estimate_batch([_item(point=point) for point in POINTS])
-    assert batch_passes == [len(POINTS)]
-    assert outcome["tally"]["runs_finished"] == len(POINTS)
-    config, program = pool.resolve_workload(_item())
-    for point, payload in zip(POINTS, outcome["results"]):
-        solo = worker.at(point).estimate(config, program, max_instructions=10_000)
-        assert payload["ok"]
-        assert (payload["energy"], payload["cycles"]) == (solo.energy, solo.cycles)
-
-
 def test_batch_tally_counts_the_regions_it_fused(worker):
     hot = TINY_SOURCE.replace("movi a2, 6", "movi a2, 100")
     compilation_cache().clear()
@@ -75,7 +60,7 @@ def test_mixed_batch_keeps_input_order(worker, batch_passes):
         _item(name="pair-a"),
         {**_item(name="broken"), "extensions": ["no_such_extension"]},
         _item(name="late", **{DEADLINE_KEY: time.monotonic() - 1.0}),
-        _item(name="pair-b", point=POINTS[1]),
+        _item(name="pair-b"),
     ]
     results = pool.run_estimate_batch(items)["results"]
     stages = [payload.get("stage", "ok") for payload in results]

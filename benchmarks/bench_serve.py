@@ -265,7 +265,7 @@ def run_loadtest(
     bodies = make_workload(uniques, dupes, loops, seed)
 
     serial_server = LiveServer(
-        EstimationService(model, workers=0, dedupe=False, batch_max=1)
+        EstimationService(model, workers=1, dedupe=False, batch_max=1)
     )
     try:
         serial = drive(serial_server.port, bodies, clients=1)
@@ -275,7 +275,7 @@ def run_loadtest(
     finally:
         serial_server.close()
 
-    coalesced_server = LiveServer(EstimationService(model, workers=0))
+    coalesced_server = LiveServer(EstimationService(model, workers=1))
     try:
         coalesced = drive(coalesced_server.port, bodies, clients=clients)
         metrics = _get_metrics(coalesced_server.port)
@@ -316,7 +316,7 @@ def run_points(
             bodies.append(body if point is None else {**body, "operating_point": point})
     random.Random(seed).shuffle(bodies)
     answers: dict = {}
-    server = LiveServer(EstimationService(model, workers=0))
+    server = LiveServer(EstimationService(model, workers=1))
     try:
         row = drive(server.port, bodies, clients=clients, answers=answers)
         row["simulations"] = _get_metrics(server.port)["simulation"]["runs_finished"]
@@ -371,7 +371,7 @@ def measure_round_trip(round_trips: int = 500) -> dict:
     _, item["program"] = resolve_workload(item)
     del item["source"]
 
-    async def run() -> tuple[str, list[float], list[float]]:
+    async def run() -> tuple[list[float], list[float]]:
         pool = WorkerPool(make_model(), workers=1)
         try:
             await pool.estimate_batch([item])  # the worker lowers it once
@@ -381,13 +381,13 @@ def measure_round_trip(round_trips: int = 500) -> dict:
                 outcome = await pool.estimate_batch([item])
                 trips.append(time.perf_counter() - began)
                 worker.append(outcome["tally"]["batch_seconds"])
-            return pool.mode, trips, worker
+            return trips, worker
         finally:
             pool.shutdown()
 
-    mode, trips, worker = asyncio.run(run())
+    trips, worker = asyncio.run(run())
     return {
-        "pool": {"mode": mode, "workers": 1},
+        "pool": {"workers": 1},
         "round_trips": round_trips,
         "round_trip": _percentiles_ms(trips),
         "worker": _percentiles_ms(worker),
@@ -461,7 +461,7 @@ def main(argv=None) -> int:
     trip = payload["pool_round_trip"]
     outside = trip["outside_worker"]["p50_ms"]
     print(
-        f"pool round trip ({trip['pool']['mode']}): "
+        "pool round trip: "
         f"p50 {trip['round_trip']['p50_ms']:.3f} ms, worker "
         f"{trip['worker']['p50_ms']:.3f} ms, outside the worker {outside:.3f} ms"
     )

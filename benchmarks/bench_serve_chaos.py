@@ -19,11 +19,12 @@ root:
 
     PYTHONPATH=src python benchmarks/bench_serve_chaos.py
 
-or as a CI smoke check with a scaled-down inline-pool workload:
+or as a CI smoke check with a scaled-down workload on a one-worker
+fork pool:
 
     PYTHONPATH=src python benchmarks/bench_serve_chaos.py \
-        --uniques 6 --dupes 2 --clients 4 --workers 0 --crashes 2 \
-        --check --output chaos-smoke.json
+        --uniques 6 --dupes 2 --clients 4 --workers 1 --crashes 2 \
+        --hangs 0 --horizon 3 --check --output chaos-smoke.json
 """
 
 from __future__ import annotations
@@ -202,10 +203,10 @@ def run_chaos_loadtest(
         "hang_killed_not_waited": (
             hangs == 0 or counters["worker_hangs_total"] >= hangs
         ),
-        # concurrent crash reports on one broken pool share a single
-        # generation-guarded respawn, so the floor is the faults that
-        # always break it at distinct times: the poison's two singleton
-        # strikes, at least one scheduled crash, and every hang
+        # the pool replaces every child that dies or is abandoned, so the
+        # floor is the faults that always take a child down: the
+        # poison's two singleton strikes, at least one scheduled crash,
+        # and every hang
         "pool_respawned": counters["pool_restarts_total"] >= 3 + hangs,
         "poison_quarantined": (
             supervision["quarantine"]["held"] == 1
@@ -223,7 +224,7 @@ def run_chaos_loadtest(
             "total_requests": uniques * dupes,
             "loop_iterations": loops,
             "seed": seed,
-            "pool": {"workers": workers, "mode": "fork" if workers else "inline"},
+            "pool": {"workers": workers},
         },
         "chaos_plan": {
             "seed": seed,
@@ -262,7 +263,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=11, help="chaos + shuffle seed")
     parser.add_argument(
-        "--workers", type=int, default=2, help="pool processes (0 = inline threads)"
+        "--workers", type=int, default=2, help="forked pool processes (at least 1)"
     )
     parser.add_argument("--crashes", type=int, default=3, help="scheduled worker crashes")
     parser.add_argument("--hangs", type=int, default=1, help="scheduled worker hangs")
@@ -329,14 +330,14 @@ else:
 
 
 def test_self_healing_under_scaled_chaos(save_report):
-    """Scaled-down inline-pool chaos run (the full fork run is scripted)."""
+    """Scaled-down chaos run on a one-worker fork pool (the full run is scripted)."""
     payload = run_chaos_loadtest(
         uniques=6,
         dupes=2,
         clients=4,
         loops=100,
         seed=5,
-        workers=0,
+        workers=1,
         crashes=2,
         hangs=0,
         horizon=3,

@@ -32,7 +32,7 @@ trap cleanup EXIT
 
 python "$SCRIPT_DIR/make_smoke_model.py" "$WORK/smoke-model.json"
 
-python -m repro serve "$WORK/smoke-model.json" --port 0 --workers 0 \
+python -m repro serve "$WORK/smoke-model.json" --port 0 --workers 1 \
     > "$WORK/serve.log" 2>&1 &
 SERVER_PID=$!
 

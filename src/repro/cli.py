@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from .asm import AsmError, ImageError, assemble, disassemble_program
 from .core import EnergyMacroModel, EnergyProfiler
 from .obs import TraceObserver, run_session
-from .programs.extensions import ALL_SPEC_FACTORIES
+from .programs.extensions import ALL_SPEC_FACTORIES, extension_specs
 from .rtl import reference_energy
 from .xtcore import (
     DEFAULT_MAX_INSTRUCTIONS,
@@ -64,15 +64,10 @@ def _build_config(name: str, extensions: str) -> ProcessorConfig:
     if not extensions:
         return build_processor(name)
     mnemonics = [token.strip() for token in extensions.split(",") if token.strip()]
-    specs = []
-    for mnemonic in mnemonics:
-        factory = ALL_SPEC_FACTORIES.get(mnemonic)
-        if factory is None:
-            raise _die(
-                f"unknown extension {mnemonic!r}; available: "
-                + ", ".join(sorted(ALL_SPEC_FACTORIES))
-            )
-        specs.append(factory())
+    try:
+        specs = extension_specs(mnemonics)
+    except ValueError as exc:
+        raise _die(str(exc))
     return build_processor(name, specs)
 
 
@@ -653,8 +648,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import EstimationService, RetryPolicy, run_server
 
     model = _load_model(args.model)
-    if args.workers < 0:
-        raise _die("--workers must be >= 0")
+    if args.workers < 1:
+        raise _die("--workers must be >= 1 (the service always forks its workers)")
     if args.queue_limit < 1:
         raise _die("--queue-limit must be >= 1")
     if args.batch_max < 1:
@@ -1034,7 +1029,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=2,
-        help="forked estimation workers (0 = in-process serial fallback)",
+        help="forked estimation worker processes, at least 1 (default 2)",
     )
     p.add_argument(
         "--queue-limit",

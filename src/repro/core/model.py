@@ -201,13 +201,19 @@ class EnergyMacroModel:
         bitwise identical across points.
 
         ``at(None)`` returns ``self`` (the model at its own fit point).
-        Results are memoized per instance, so repeated requests for the
-        same point (the DSE hot loop) share one derived model object.
+        Results are memoized per instance under the point's canonical
+        key, so repeated requests for the same point (the DSE hot loop,
+        the serving frontend) share one derived model object; a
+        canonical key string finds its entry without being parsed again.
         """
         if operating_point is None:
             return self
         cache_key: Optional[str] = None
         if calibration is None:
+            if isinstance(operating_point, str):
+                cached = self._derived_cache.get(operating_point)
+                if cached is not None:
+                    return cached
             calibration = default_calibration()
             cache_key = OperatingPoint.parse(operating_point).key
             cached = self._derived_cache.get(cache_key)

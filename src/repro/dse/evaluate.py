@@ -137,7 +137,7 @@ OBJECTIVES = ("energy", "cycles", "edp", "area", "time", "edp_seconds")
 def score_payload(
     outcome: "MacroEstimate | SampleFailure", config: Optional[ProcessorConfig] = None
 ) -> dict:
-    """The record of one estimation-kernel outcome, shared by DSE and serve.
+    """The record of one estimation-kernel outcome (one candidate's score).
 
     An estimate becomes the :class:`CandidateScore` payload shape, with
     the custom-area proxy of ``config`` (the processor it was estimated

@@ -44,8 +44,11 @@ class RunTallyObserver(SimObserver):
         self.icache_misses = 0
         self.dcache_misses = 0
         self.sim_seconds = 0.0
-        #: superop regions fused, and seconds spent generating them, by
-        #: whoever fills these in (the serve worker, per batch)
+        #: compilation-cache lowering lookups, superop regions fused and
+        #: seconds spent generating them, by whoever fills these in (the
+        #: serve worker, per batch)
+        self.lowering_hits = 0
+        self.lowering_misses = 0
         self.regions_fused = 0
         self.fuse_seconds = 0.0
         #: wall seconds the serve worker spent on its batches
@@ -81,6 +84,8 @@ class RunTallyObserver(SimObserver):
             "icache_misses": self.icache_misses,
             "dcache_misses": self.dcache_misses,
             "sim_seconds": self.sim_seconds,
+            "lowering_hits": self.lowering_hits,
+            "lowering_misses": self.lowering_misses,
             "regions_fused": self.regions_fused,
             "fuse_seconds": self.fuse_seconds,
             "batch_seconds": self.batch_seconds,
@@ -95,6 +100,8 @@ class RunTallyObserver(SimObserver):
         self.icache_misses += int(snapshot.get("icache_misses", 0))
         self.dcache_misses += int(snapshot.get("dcache_misses", 0))
         self.sim_seconds += float(snapshot.get("sim_seconds", 0.0))
+        self.lowering_hits += int(snapshot.get("lowering_hits", 0))
+        self.lowering_misses += int(snapshot.get("lowering_misses", 0))
         self.regions_fused += int(snapshot.get("regions_fused", 0))
         self.fuse_seconds += float(snapshot.get("fuse_seconds", 0.0))
         self.batch_seconds += float(snapshot.get("batch_seconds", 0.0))

@@ -14,6 +14,8 @@ kernels that use them.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from ..tie import TieSpec, TieState
 from . import gf
 
@@ -484,3 +486,21 @@ ALL_SPEC_FACTORIES = {
     "parity32": parity32_spec,
     "shiftmix": shiftmix_spec,
 }
+
+
+def extension_specs(mnemonics: Iterable[str]) -> list[TieSpec]:
+    """Fresh specs for custom-instruction mnemonics, in the order given.
+
+    Raises :class:`ValueError` naming the unknown mnemonic and every
+    available one.
+    """
+    specs = []
+    for mnemonic in mnemonics:
+        factory = ALL_SPEC_FACTORIES.get(mnemonic)
+        if factory is None:
+            raise ValueError(
+                f"unknown extension {mnemonic!r}; available: "
+                + ", ".join(sorted(ALL_SPEC_FACTORIES))
+            )
+        specs.append(factory())
+    return specs

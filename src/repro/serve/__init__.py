@@ -26,13 +26,11 @@ from .metrics import LatencyWindow, ServiceMetrics, render_prometheus
 from .pool import WorkerPool, run_estimate_batch, run_explore
 from .server import EstimationServer, EstimationService, run_server
 from .supervise import (
-    InjectedWorkerCrash,
     QuarantineRegistry,
     RetryPolicy,
     WorkerCrashed,
     deadline_at,
     deadline_expired,
-    is_pool_crash,
 )
 
 __all__ = [
@@ -44,7 +42,6 @@ __all__ = [
     "EstimationServer",
     "EstimationService",
     "ExploreRequest",
-    "InjectedWorkerCrash",
     "Job",
     "LatencyWindow",
     "QuarantineRegistry",
@@ -54,7 +51,6 @@ __all__ = [
     "WorkerPool",
     "deadline_at",
     "deadline_expired",
-    "is_pool_crash",
     "parse_estimate",
     "parse_explore",
     "render_prometheus",

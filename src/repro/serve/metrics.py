@@ -16,7 +16,8 @@ Three layers feed ``GET /metrics``:
   rides along every worker-side estimate; workers ship its
   ``snapshot()`` back with their results and the parent merges them, so
   instruction/cycle throughput is exact even though simulations happen
-  in forked children.
+  in forked children; the workers' compilation-cache lowering lookups
+  ride the same snapshot into ``caches.compilation``.
 
 Everything renders twice: a JSON payload (the default, what smoke tests
 assert against) and a Prometheus text exposition (``?format=prom``).
@@ -81,7 +82,6 @@ class ServiceMetrics:
         "batched_requests",
         "failures_total",
         # -- supervision / self-healing (see repro.serve.supervise) --------
-        "pool_restarts_total",
         "worker_crashes_total",
         "worker_hangs_total",
         "quarantined_total",
@@ -191,13 +191,26 @@ class ServiceMetrics:
         )
         caches: dict = {}
         if compilation_cache is not None:
-            hits = compilation_cache.get("hits", 0)
-            misses = compilation_cache.get("misses", 0)
-            total = hits + misses
+            # lowerings happen in the forked workers: their lookups, summed
+            # from the batch tallies, join the frontend's own (prewarming)
+            lookups = {
+                "hits": compilation_cache.get("hits", 0)
+                + payload["simulation"]["lowering_hits"],
+                "misses": compilation_cache.get("misses", 0)
+                + payload["simulation"]["lowering_misses"],
+            }
+            total = lookups["hits"] + lookups["misses"]
             caches["compilation"] = {
                 **compilation_cache,
-                "hit_rate": (hits / total) if total else 0.0,
+                **lookups,
+                "hit_rate": (lookups["hits"] / total) if total else 0.0,
             }
+            tiers = compilation_cache.get("tiers")
+            if tiers is not None:
+                caches["compilation"]["tiers"] = {
+                    **tiers,
+                    "ops": {**tiers["ops"], **lookups},
+                }
         payload["caches"] = caches
         if supervision is not None:
             payload["supervision"] = supervision
@@ -270,7 +283,6 @@ def render_prometheus(payload: dict) -> str:
         if "held" in quarantine:
             emit("quarantine_held", quarantine["held"])
         pool = supervision.get("pool", {})
-        for field in ("restarts", "generation"):
-            if field in pool:
-                emit(f"pool_{field}", pool[field])
+        if "restarts" in pool:
+            emit("pool_restarts", pool["restarts"])
     return "\n".join(lines) + "\n"

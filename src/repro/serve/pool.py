@@ -20,12 +20,11 @@ the child and one read back, watched with ``add_reader``, so the pool
 runs no helper thread and a free child takes the next call first in
 first out.  The pool's methods are coroutines.
 
-Where fork is unavailable (or ``workers=0`` is requested) the pool is
-an in-process thread executor instead — same awaitable interface, same
-worker functions, no pickling — which is also what the unit tests run.
-That is a deployment choice made at start-up, never a fallback: a
-forked child that dies is replaced, and the frontend process never
-scores a batch itself.
+There is no in-process pool: it always forks (``workers >= 1``;
+a platform without ``os.fork`` is refused at construction).  Only a
+separate process can be killed when it hangs, and only a separate
+process contains a worker's death; a child that dies or is abandoned is
+replaced, and the frontend process never scores a batch itself.
 
 Worker functions receive *batches*: a list of small picklable item
 dicts, one per queued job, whatever their processor configurations.  A
@@ -40,7 +39,6 @@ see worker-side simulation totals and the worker's own batch time.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import hashlib
 import os
 import pickle
@@ -51,11 +49,12 @@ import threading
 import time
 from typing import Callable, Optional, Sequence
 
-from ..core.model import EnergyMacroModel, MacroEstimate
+from ..core.model import EnergyMacroModel
 from ..core.runner import SampleFailure
-from ..dse.evaluate import score_payload
 from ..obs import RunTallyObserver
 from ..programs import characterization_suite
+from ..programs.extensions import extension_specs
+from ..rtl import generate_netlist
 from ..xtcore import ProcessorConfig, build_processor, compilation_cache
 from .supervise import (
     CHAOS_KEY,
@@ -65,7 +64,7 @@ from .supervise import (
     execute_chaos_directive,
 )
 
-#: Worker-process globals, installed by :func:`_worker_init`.
+#: Worker-process globals; :func:`_child_main` installs the model.
 _WORKER: dict = {}
 
 
@@ -76,17 +75,6 @@ def benchmark_cases() -> dict:
         cases = {case.name: case for case in characterization_suite(include_variants=False)}
         _WORKER["benchmark_cases"] = cases
     return cases
-
-
-def _worker_init(model: EnergyMacroModel, fork: bool = False) -> None:
-    """Install per-process state (runs in each worker, and inline mode)."""
-    _WORKER["model"] = model
-    _WORKER["fork"] = fork
-    if fork:
-        # simulations are batch work: where busy processes outnumber free
-        # cores, the frontend (memo hits, parsing, coalescing) gets the
-        # CPU first, so cached answers do not queue behind a simulation
-        os.nice(10)
 
 
 #: Signals the server's asyncio loop handles; a forked child must not.
@@ -131,21 +119,6 @@ if hasattr(os, "register_at_fork") and hasattr(signal, "pthread_sigmask"):
     )
 
 
-def _build_config(extensions: tuple[str, ...]) -> ProcessorConfig:
-    from ..programs.extensions import ALL_SPEC_FACTORIES
-
-    specs = []
-    for mnemonic in extensions:
-        factory = ALL_SPEC_FACTORIES.get(mnemonic)
-        if factory is None:
-            raise ValueError(
-                f"unknown extension {mnemonic!r}; available: "
-                + ", ".join(sorted(ALL_SPEC_FACTORIES))
-            )
-        specs.append(factory())
-    return build_processor("serve", specs)
-
-
 def resolve_workload(item: dict):
     """Build (config, program) for one request item.
 
@@ -172,7 +145,8 @@ def resolve_workload(item: dict):
     builds = compilation_cache()
     extensions = tuple(item.get("extensions", ()))
     config = builds.get_or_build(
-        ("serve.config", extensions), lambda: _build_config(extensions)
+        ("serve.config", extensions),
+        lambda: build_processor("serve", extension_specs(extensions)),
     )
     program = item.get("program")
     if program is None:
@@ -185,14 +159,21 @@ def resolve_workload(item: dict):
 
 
 def _payload(outcome, config: Optional[ProcessorConfig] = None) -> dict:
-    """The wire payload of one kernel outcome (see :func:`score_payload`)."""
-    payload = score_payload(outcome, config)
-    if isinstance(outcome, MacroEstimate):
-        payload["instructions"] = int(outcome.stats.total_instructions)
-        # always shipped: the frontend prices every operating point from
-        # them, and a waiter may want the breakdown
-        payload["variables"] = outcome.variables
-    return payload
+    """The wire payload of one kernel outcome: only what the frontend reads.
+
+    The frontend prices each request at its own operating point from the
+    ``variables`` (a waiter may also want the breakdown), so an estimate
+    ships no energy of its own.
+    """
+    if isinstance(outcome, SampleFailure):
+        return {"ok": False, **outcome.to_payload()}
+    return {
+        "ok": True,
+        "processor": outcome.processor_name,
+        "cycles": int(outcome.cycles),
+        "area": float(generate_netlist(config).custom_area),
+        "variables": outcome.variables,
+    }
 
 
 def _estimate_items(items: Sequence[dict], tally: RunTallyObserver) -> list[dict]:
@@ -210,7 +191,7 @@ def _estimate_items(items: Sequence[dict], tally: RunTallyObserver) -> list[dict
     for index, item in enumerate(items):
         directive = item.get(CHAOS_KEY)
         if directive is not None:
-            execute_chaos_directive(directive, fork=bool(_WORKER.get("fork")))
+            execute_chaos_directive(directive)
         name = item.get("benchmark") or item.get("name", "request")
         if deadline_expired(item.get(DEADLINE_KEY)):
             outcomes[index] = SampleFailure(
@@ -242,8 +223,9 @@ def run_estimate_batch(items: Sequence[dict]) -> dict:
     Per-item failures become ``{"ok": False, ...}`` payloads carrying a
     :class:`~repro.core.runner.SampleFailure`.  One
     :class:`~repro.obs.RunTallyObserver` sees every simulated item of the
-    batch and its snapshot rides back with the results, with the superop
-    regions the batch fused in this process, the time that took and the
+    batch and its snapshot rides back with the results, with what the
+    batch did to this process's compilation cache (lowering hits and
+    misses, superop regions fused and the time that took) and the
     batch's own wall time (``batch_seconds``: the frontend subtracts it
     from the round trip to time the pool transport).  Chaos-carrying
     batches score item by item — the directives crash or wedge the
@@ -252,11 +234,14 @@ def run_estimate_batch(items: Sequence[dict]) -> dict:
     began = time.perf_counter()
     tally = RunTallyObserver()
     cache = compilation_cache()
+    hits, misses = cache.hits, cache.misses
     fused, fuse_seconds = cache.regions_fused, cache.fuse_seconds
     if any(item.get(CHAOS_KEY) is not None for item in items):
         results = [_estimate_items([item], tally)[0] for item in items]
     else:
         results = _estimate_items(items, tally)
+    tally.lowering_hits = cache.hits - hits
+    tally.lowering_misses = cache.misses - misses
     tally.regions_fused = cache.regions_fused - fused
     tally.fuse_seconds = cache.fuse_seconds - fuse_seconds
     tally.batch_seconds = time.perf_counter() - began
@@ -330,7 +315,11 @@ def _child_main(
     try:
         for end in inherited:
             end.close()
-        _worker_init(model, fork=True)
+        _WORKER["model"] = model
+        # simulations are batch work: where busy processes outnumber free
+        # cores, the frontend (memo hits, parsing, coalescing) gets the
+        # CPU first, so cached answers do not queue behind a simulation
+        os.nice(10)
         stream = sock.makefile("rb")
         while True:
             header = stream.read(_FRAME.size)
@@ -456,52 +445,39 @@ class _Child:
 class WorkerPool:
     """Persistent, *supervised* executor of estimate batches and explore jobs.
 
-    ``workers >= 1`` with fork available → that many forked children,
-    each driven over its own socketpair by the event loop (see the
-    module docstring); a call waits first in first out for a free child.
-    ``workers == 0`` (or no fork) → a single-thread in-process executor
-    behind the same coroutines, used by tests and tiny deployments.
+    ``workers`` (at least 1) forked children, each driven over its own
+    socketpair by the event loop (see the module docstring); a call
+    waits first in first out for a free child.
 
     Children are forked lazily, by the first call, so prewarming in the
     parent reaches them copy-on-write.  A child whose pipe reaches EOF
     (it died) or whose call was abandoned (a timeout: it may be wedged)
-    is killed, reaped and replaced at once; the other children keep
-    their calls.  Because prewarming happened before the *first* fork,
-    replacements re-inherit the warm
-    :func:`~repro.xtcore.compilation_cache` copy-on-write for free.
-    :meth:`restart` bumps ``generation`` so concurrent crash handlers
-    can tell "already respawned" from "respawn needed".
+    is killed, reaped and replaced at once, and counted in
+    :attr:`restarts`; the other children keep their calls.  Because
+    prewarming happened before the *first* fork, replacements
+    re-inherit the warm :func:`~repro.xtcore.compilation_cache`
+    copy-on-write for free.
     """
 
     def __init__(
         self,
         model: EnergyMacroModel,
-        workers: int = 0,
+        workers: int = 1,
         prewarm: Sequence[str] = (),
     ) -> None:
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        if not hasattr(os, "fork"):
+            raise ValueError("the worker pool forks its workers; os.fork is unavailable")
         self.model = model
         self.prewarmed = self._prewarm(prewarm)
-        self.mode = "fork" if workers >= 1 and hasattr(os, "fork") else "inline"
-        self.workers = workers if self.mode == "fork" else max(1, workers)
-        #: bumped on every restart; crash handlers use it to deduplicate
-        self.generation = 0
-        #: pool respawns performed over the service lifetime
+        self.workers = workers
+        #: children replaced after dying or being abandoned
         self.restarts = 0
         self._children: list[_Child] = []
         #: free children, handed out first in first out
         self._idle: "asyncio.Queue[_Child]" = asyncio.Queue()
         self._closed = False
-        self._executor: Optional[concurrent.futures.ThreadPoolExecutor] = None
-        if self.mode == "inline":
-            _worker_init(model)
-            self._executor = self._make_executor()
-
-    def _make_executor(self) -> concurrent.futures.ThreadPoolExecutor:
-        return concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-serve"
-        )
 
     def _prewarm(self, prewarm: Sequence[str]) -> int:
         """Lower bundled benchmarks into the compilation cache pre-fork.
@@ -525,7 +501,7 @@ class WorkerPool:
 
     @property
     def pids(self) -> list[int]:
-        """Process ids of the live forked children (empty inline)."""
+        """Process ids of the live forked children."""
         return [child.pid for child in self._children]
 
     def _spawn(self) -> _Child:
@@ -548,11 +524,11 @@ class WorkerPool:
             return
         self._children.remove(child)
         child.kill()
-        self._fill()
+        if not self._closed:
+            self.restarts += 1
+            self._fill()
 
     async def _call(self, function: Callable, argument: object):
-        if self._executor is not None:
-            return await asyncio.wrap_future(self._executor.submit(function, argument))
         if self._closed:
             raise RuntimeError("the worker pool is shut down")
         self._fill()
@@ -578,31 +554,12 @@ class WorkerPool:
         """Run one exploration on a worker."""
         return await self._call(run_explore, dict(item))
 
-    def restart(self) -> int:
-        """Respawn after a crash or a hang; returns the new generation.
-
-        Fork mode has already killed and replaced the dead or wedged
-        child when its call ended, without touching the other children.
-        Inline mode cannot kill threads; it swaps executors and lets
-        stragglers drain into cancelled futures.
-        """
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = self._make_executor()
-        self.generation += 1
-        self.restarts += 1
-        return self.generation
-
     def shutdown(self) -> None:
         """Stop the pool without blocking on stragglers.
 
-        Fork mode closes every pipe, SIGKILLs every child (a timed-out
-        job may still be running) and reaps it, so no child outlives the
-        pool and no thread is left to join.  Inline mode cannot kill its
-        thread and does not wait for it.
+        Closes every pipe, SIGKILLs every child (a timed-out job may
+        still be running) and reaps it, so no child outlives the pool.
         """
         self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
         for child in list(self._children):
             self._discard(child)

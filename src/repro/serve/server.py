@@ -34,15 +34,15 @@ pool crash, however often it repeats, always climbs one ladder —
 respawn, bisect, quarantine:
 
 * a worker crash (EOF on the worker's pipe mid-batch,
-  :class:`~repro.serve.supervise.WorkerCrashed`) respawns the worker —
-  prewarmed lowerings are re-inherited copy-on-write — and re-dispatches
-  the interrupted batch;
+  :class:`~repro.serve.supervise.WorkerCrashed`): the pool has already
+  replaced the child — prewarmed lowerings are re-inherited
+  copy-on-write — and the service re-dispatches the interrupted batch;
 * a multi-request batch that keeps crashing is **bisected** until the
   poisoned request is isolated; after ``quarantine_after`` singleton
   crashes the key is quarantined and answered with a typed ``500``
   while the rest of the traffic keeps flowing;
-* a timed-out fork-mode batch is treated as a *hung worker*: the
-  abandoned call kills and replaces the wedged child before the retry;
+* a timed-out batch is treated as a *hung worker*: the abandoned call
+  kills and replaces the wedged child before the retry;
 * client ``deadline_ms`` propagates through the queue into the worker,
   shedding expired requests with ``504`` before they pay for simulation
   (at harvest, after waiting behind busy workers, and again worker-side);
@@ -88,24 +88,9 @@ from .supervise import (
     DEADLINE_KEY,
     QuarantineRegistry,
     RetryPolicy,
+    WorkerCrashed,
     deadline_at,
-    is_pool_crash,
 )
-
-
-class _PoolCrash(Exception):
-    """Internal carrier: a dispatch died of pool death.
-
-    Wraps the original ``WorkerCrashed``/``InjectedWorkerCrash``
-    together with the pool generation the batch was dispatched against,
-    so concurrent crash handlers can tell whether the pool they saw die
-    has already been respawned by somebody else.
-    """
-
-    def __init__(self, cause: BaseException, generation: int) -> None:
-        super().__init__(str(cause))
-        self.cause = cause
-        self.generation = generation
 
 
 class EstimationService:
@@ -115,7 +100,7 @@ class EstimationService:
         self,
         model: EnergyMacroModel,
         *,
-        workers: int = 0,
+        workers: int = 1,
         queue_limit: int = 64,
         batch_max: int = 8,
         dedupe: bool = True,
@@ -347,10 +332,8 @@ class EstimationService:
         return {
             "quarantine": self.quarantine.snapshot(),
             "pool": {
-                "mode": self.pool.mode,
                 "workers": self.pool.workers,
                 "restarts": self.pool.restarts,
-                "generation": self.pool.generation,
             },
             "chaos": (
                 {
@@ -369,11 +352,9 @@ class EstimationService:
             "reasons": reasons,
             "uptime_seconds": time.time() - self.metrics.started_at,
             "pool": {
-                "mode": self.pool.mode,
                 "workers": self.pool.workers,
                 "prewarmed": self.pool.prewarmed,
                 "restarts": self.pool.restarts,
-                "generation": self.pool.generation,
             },
             "quarantine": {
                 "held": self.quarantine.quarantined_count,
@@ -387,7 +368,7 @@ class EstimationService:
     def metrics_payload(self) -> dict:
         from ..xtcore import compilation_cache
 
-        return self.metrics.to_payload(
+        payload = self.metrics.to_payload(
             compilation_cache=compilation_cache().info(),
             supervision=self.supervision_payload(),
             admission={
@@ -398,6 +379,9 @@ class EstimationService:
                 "retry_after_s": self.retry_after_hint(),
             },
         )
+        # the pool counts the children it replaced
+        payload["counters"]["pool_restarts_total"] = self.pool.restarts
+        return payload
 
     # -- estimate path -----------------------------------------------------
 
@@ -692,8 +676,8 @@ class EstimationService:
             return
         try:
             outcome, attempts = await self._dispatch_with_retry(jobs, recovering)
-        except _PoolCrash as crash:
-            await self._handle_pool_crash(jobs, crash, recovering)
+        except WorkerCrashed:
+            await self._handle_pool_crash(jobs, recovering)
             return
         if outcome is None:
             return  # timeout budget exhausted; waiters already failed
@@ -704,10 +688,10 @@ class EstimationService:
 
         Returns ``(outcome, attempts)``; ``(None, attempts)`` when the
         retry budget is exhausted (waiters are failed with 504 here).
-        A pool death is re-raised as :class:`_PoolCrash` carrying the
-        pool generation the batch was submitted against.  A fresh
-        (not ``recovering``) batch waits out any crash recovery before
-        each attempt.
+        A worker's death propagates as
+        :class:`~repro.serve.supervise.WorkerCrashed`.  A fresh (not
+        ``recovering``) batch waits out any crash recovery before each
+        attempt.
         """
         attempt = 0
         while True:
@@ -727,23 +711,17 @@ class EstimationService:
             directive = self._stamp_chaos(jobs, items)
             try:
                 async with self._pool_turn(recovering):
-                    # read after any wait for a recovery
-                    generation = self.pool.generation
                     began = time.perf_counter()
                     try:
                         outcome = await asyncio.wait_for(
                             self.pool.estimate_batch(items), self.request_timeout
                         )
                     except asyncio.TimeoutError:
-                        if self.pool.mode == "fork":
-                            # a fork-mode timeout may be a wedged worker,
-                            # which never finishes on its own: abandoning
-                            # the call killed and replaced that child, so
-                            # the retry lands on a healthy one; the restart
-                            # counts the respawn while this batch still
-                            # holds its turn
-                            self.metrics.incr("worker_hangs_total")
-                            self._respawn_pool(generation)
+                        # a timeout may be a wedged worker, which never
+                        # finishes on its own: abandoning the call killed
+                        # and replaced that child, so the retry lands on
+                        # a healthy one
+                        self.metrics.incr("worker_hangs_total")
                         raise
                     self.metrics.observe_round_trip(
                         time.perf_counter() - began,
@@ -765,15 +743,12 @@ class EstimationService:
                     )
                     return None, attempt
                 self.metrics.incr("retries_total")
-            except Exception as exc:  # noqa: BLE001 — classified by the caller
-                if is_pool_crash(exc):
-                    # a hang directive cannot kill its worker, so this
-                    # death came from elsewhere (the child was killed
-                    # from outside) and the scheduled hang never played
-                    # out — re-arm it
-                    if directive is not None and directive.startswith("hang"):
-                        self.chaos.rearm(directive, self._batch_seq)
-                    raise _PoolCrash(exc, generation) from exc
+            except WorkerCrashed:
+                # a hang directive cannot kill its worker, so this death
+                # came from elsewhere (the child was killed from outside)
+                # and the scheduled hang never played out — re-arm it
+                if directive is not None and directive.startswith("hang"):
+                    self.chaos.rearm(directive, self._batch_seq)
                 raise
 
     @contextlib.asynccontextmanager
@@ -796,10 +771,8 @@ class EstimationService:
             if not self._fresh_on_pool:
                 self._pool_quiet.set()
 
-    async def _handle_pool_crash(
-        self, jobs: list[Job], crash: "_PoolCrash", recovering: bool
-    ) -> None:
-        """Respawn after a worker death, then isolate whoever caused it.
+    async def _handle_pool_crash(self, jobs: list[Job], recovering: bool) -> None:
+        """Isolate whoever caused a worker death (the pool replaced it).
 
         A crashed batch is re-run as a *recovery*: one at a time, under
         the recovery lock, and alone on the pool — new fresh batches wait
@@ -810,15 +783,14 @@ class EstimationService:
         clears.
         """
         self.metrics.incr("worker_crashes_total")
-        self._respawn_pool(crash.generation)
         if recovering:
-            await self._isolate_crash(jobs, crash)
+            await self._isolate_crash(jobs)
             return
         async with self._recovery_lock:
             await self._pool_quiet.wait()
-            await self._isolate_crash(jobs, crash)
+            await self._isolate_crash(jobs)
 
-    async def _isolate_crash(self, jobs: list[Job], crash: "_PoolCrash") -> None:
+    async def _isolate_crash(self, jobs: list[Job]) -> None:
         if len(jobs) == 1:
             job = jobs[0]
             name = job.item.get("benchmark") or job.item.get("name", "?")
@@ -827,7 +799,7 @@ class EstimationService:
                 self._fail_job(
                     job,
                     stage="quarantine",
-                    error_type=type(crash.cause).__name__,
+                    error_type=WorkerCrashed.__name__,
                     message=(
                         f"request crashed the worker pool "
                         f"{self.quarantine.threshold} time(s) in isolation; "
@@ -843,12 +815,6 @@ class EstimationService:
         mid = (len(jobs) + 1) // 2
         await self._run_supervised(jobs[:mid], recovering=True)
         await self._run_supervised(jobs[mid:], recovering=True)
-
-    def _respawn_pool(self, generation: int) -> None:
-        """Deduplicate concurrent crash handlers into one pool restart."""
-        if self.pool.generation == generation:
-            self.metrics.incr("pool_restarts_total")
-            self.pool.restart()
 
     def _stamp_chaos(self, jobs: list[Job], items: list[dict]) -> Optional[str]:
         """Attach the chaos plan's directives to one dispatch's items.
@@ -1114,7 +1080,7 @@ async def run_server(
             loop.add_signal_handler(signum, stop.set)
     announce(
         f"repro serve: listening on {server.address} "
-        f"({service.pool.mode} pool, {service.pool.workers} worker(s), "
+        f"({service.pool.workers} forked worker(s), "
         f"queue limit {service.queue.maxsize})"
     )
     try:

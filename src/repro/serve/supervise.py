@@ -4,11 +4,8 @@ A forked worker dying is not an exception at scale — it is the steady
 state.  This module holds the small pieces the service composes into its
 one recovery ladder for a pool crash — respawn, bisect, quarantine:
 
-* :func:`is_pool_crash` — one predicate for "a worker died under a
-  batch" covering :class:`WorkerCrashed` (a forked child's pipe reached
-  EOF or was reset with a call outstanding) and the chaos harness's
-  :class:`InjectedWorkerCrash` (the inline-pool stand-in for
-  ``os._exit`` in a forked child);
+* :class:`WorkerCrashed` — "a worker died under a batch": a forked
+  child's pipe reached EOF or was reset with a call outstanding;
 * :class:`QuarantineRegistry` — per-request-key crash accounting.  A
   request whose (bisected, singleton) batch keeps killing the pool is
   **poisoned**; after ``threshold`` isolated crashes it is quarantined
@@ -23,7 +20,7 @@ one recovery ladder for a pool crash — respawn, bisect, quarantine:
 * :func:`execute_chaos_directive` — the worker-side half of the chaos
   harness: directives are *stamped by the parent* (deterministic,
   seeded — see :class:`repro.testing.faults.ServiceChaosPlan`) and
-  executed here as a real ``os._exit`` / sleep in the worker.
+  executed here as a real ``os._exit`` / sleep in the forked worker.
 
 Everything is transport-free and asyncio-free, so each piece is unit
 tested without a server or a pool.
@@ -31,7 +28,6 @@ tested without a server or a pool.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import os
 import time
@@ -72,34 +68,12 @@ class RetryPolicy:
         return max(1, int(base_budget * self.budget_factor ** (attempt - 1)))
 
 
-class WorkerCrashed(concurrent.futures.BrokenExecutor):
+class WorkerCrashed(Exception):
     """A forked worker died with a call outstanding.
 
     Raised by the pool when a child's pipe reaches EOF or is reset (the
     child exited, was killed, or crashed) before the reply arrived.
     """
-
-
-class InjectedWorkerCrash(RuntimeError):
-    """The inline-pool analog of a forked worker dying mid-batch.
-
-    In fork mode the chaos harness calls ``os._exit`` in the child and
-    the parent observes :class:`WorkerCrashed` on the child's pipe; in
-    inline (thread) mode killing the process would kill the test, so
-    the directive raises this instead and the supervisor treats both
-    identically (see :func:`is_pool_crash`).
-    """
-
-
-def is_pool_crash(exc: BaseException) -> bool:
-    """True when ``exc`` means a worker died under a batch.
-
-    :class:`WorkerCrashed` is a :class:`concurrent.futures.BrokenExecutor`,
-    so any broken executor counts.
-    """
-    return isinstance(
-        exc, (concurrent.futures.BrokenExecutor, InjectedWorkerCrash)
-    )
 
 
 # -- deadlines ---------------------------------------------------------------
@@ -192,23 +166,18 @@ class QuarantineRegistry:
 # -- worker-side chaos execution ---------------------------------------------
 
 
-def execute_chaos_directive(directive: str, fork: bool) -> None:
-    """Run one parent-stamped chaos directive inside a worker.
+def execute_chaos_directive(directive: str) -> None:
+    """Run one parent-stamped chaos directive inside a forked worker.
 
-    ``crash``      — die the way a segfaulting/OOM-killed child does:
-                     ``os._exit`` in fork mode (the parent reads EOF on
-                     the child's pipe and sees :class:`WorkerCrashed`),
-                     :class:`InjectedWorkerCrash` in inline mode.
-    ``hang:<s>``   — sleep ``s`` seconds mid-batch.  In fork mode the
-                     supervisor's timeout abandons the call, which kills
-                     and replaces the wedged child; in inline mode the
-                     sleep is kept short by the plan so the thread
-                     eventually drains.
+    ``crash``      — die the way a segfaulting/OOM-killed child does,
+                     with ``os._exit``: the parent reads EOF on the
+                     child's pipe and sees :class:`WorkerCrashed`.
+    ``hang:<s>``   — sleep ``s`` seconds mid-batch.  The supervisor's
+                     timeout abandons the call, which kills and replaces
+                     the wedged child.
     """
     if directive == "crash":
-        if fork:
-            os._exit(13)
-        raise InjectedWorkerCrash("chaos: injected worker crash")
+        os._exit(13)
     if directive.startswith("hang:"):
         time.sleep(float(directive.split(":", 1)[1]))
         return

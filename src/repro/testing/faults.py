@@ -16,8 +16,8 @@ crashes** (``os._exit`` in a forked child), **worker hangs** and
 that crash every batch containing them.  The plan only *decides*; the
 service stamps directives onto worker items and
 :func:`repro.serve.supervise.execute_chaos_directive` executes them in
-the worker, so fork-mode chaos kills real processes and inline-mode
-chaos raises the equivalent :class:`~repro.serve.supervise.InjectedWorkerCrash`.
+the forked worker, so a chaos crash kills a real process and a chaos
+hang wedges one until the supervisor's timeout kills it.
 
 Everything here is deterministic: seeded randomness only, no wall-clock.
 """

@@ -1678,9 +1678,10 @@ class CompilationCache:
     under a caller-chosen content key, so an exploration builds each
     distinct one once (see :meth:`get_or_build`).
 
-    Thread-safe: the estimation service's worker pool resolves lowerings
-    from concurrent threads, so every mutation of the LRU order and the
-    counters happens under one lock.  ``get_or_compile`` holds the lock
+    Thread-safe: the cache is one per process and any thread may estimate
+    through it (a library caller's own threads, or a server's event loop
+    running beside the caller's thread), so every mutation of the LRU
+    order and the counters happens under one lock.  ``get_or_compile`` holds the lock
     across the compilation itself — that serializes first-time lowerings
     of *different* pairs, but guarantees the one-compilation-per-pair
     invariant under races (and compilation is a one-time cost by design).

@@ -297,6 +297,26 @@ class TestOperatingPointSchema:
         assert model.at(None) is model
         assert model.at("65nm@1.1V@800MHz") is model.at("65 nm @ 1.1 V @ 800 MHz")
 
+    def test_at_finds_a_canonical_key_without_parsing_it(self, model, monkeypatch):
+        from repro.tech import CalibrationError, OperatingPoint
+
+        derived = model.at("65 nm @ 1.1 V @ 800 MHz")
+        parsed = []
+        parse = OperatingPoint.parse
+
+        def counting_parse(raw):
+            parsed.append(raw)
+            return parse(raw)
+
+        monkeypatch.setattr(OperatingPoint, "parse", staticmethod(counting_parse))
+        assert model.at("65nm@1.1V@800MHz") is derived
+        assert parsed == []
+        # anything else still parses (and validates) on its way to the memo
+        assert model.at("65nm @ 1.1V @ 800MHz") is derived
+        assert parsed == ["65nm @ 1.1V @ 800MHz"]
+        with pytest.raises(CalibrationError):
+            model.at("65nm@9V@800MHz")
+
     def test_pickle_round_trip_keeps_point(self, model):
         import pickle
 

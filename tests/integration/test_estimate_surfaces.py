@@ -109,7 +109,7 @@ def test_cli_estimate_json(model, expected, tmp_path, capsys):
 
 
 def test_serve_estimate(model, expected):
-    harness = ServerHarness(EstimationService(model, workers=0))
+    harness = ServerHarness(EstimationService(model, workers=1))
     try:
         for seed, extensions, point in _cases():
             body = {

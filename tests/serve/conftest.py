@@ -3,9 +3,9 @@
 The end-to-end tests run a real :class:`EstimationServer` on an
 ephemeral port, with its asyncio loop on a background thread so the
 tests can speak plain blocking ``http.client`` — exactly what an
-external client does.  The default service uses the in-process pool
-(``workers=0``) and tiny inline programs, so each request costs well
-under a millisecond of simulation.
+external client does.  The default service forks one worker, the
+topology production runs, and the tests send tiny inline programs, so
+each request costs well under a millisecond of simulation.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def make_server(serve_model):
     harnesses: list[ServerHarness] = []
 
     def factory(**options) -> ServerHarness:
-        options.setdefault("workers", 0)
+        options.setdefault("workers", 1)
         harness = ServerHarness(EstimationService(serve_model, **options))
         harnesses.append(harness)
         return harness

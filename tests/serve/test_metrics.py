@@ -48,6 +48,18 @@ class TestServiceMetrics:
         assert payload["simulation"]["runs_finished"] == 4
         assert payload["latency"]["estimate"]["count"] == 1
 
+    def test_worker_lowering_lookups_join_the_compilation_cache(self):
+        metrics = ServiceMetrics()
+        metrics.merge_sim_snapshot({"lowering_hits": 2, "lowering_misses": 1})
+        metrics.merge_sim_snapshot({"lowering_hits": 1})
+        ops = {"hits": 3, "misses": 1, "entries": 1}
+        info = {"hits": 3, "misses": 1, "tiers": {"ops": ops, "build": {"hits": 9}}}
+        compilation = metrics.to_payload(compilation_cache=info)["caches"]["compilation"]
+        assert (compilation["hits"], compilation["misses"]) == (6, 2)
+        assert compilation["hit_rate"] == 0.75
+        assert compilation["tiers"]["ops"] == {"hits": 6, "misses": 2, "entries": 1}
+        assert compilation["tiers"]["build"] == {"hits": 9}
+
     def test_prometheus_rendering(self):
         metrics = ServiceMetrics()
         metrics.incr("requests_total", 7)

@@ -26,8 +26,9 @@ def _item(source=TINY_SOURCE, name="tiny", **extra):
 
 
 @pytest.fixture
-def worker(serve_model):
-    pool._worker_init(serve_model)
+def worker(serve_model, monkeypatch):
+    """The worker functions, run in this process with ``serve_model``."""
+    monkeypatch.setitem(pool._WORKER, "model", serve_model)
     return serve_model
 
 
@@ -53,6 +54,36 @@ def test_batch_tally_counts_the_regions_it_fused(worker):
     assert cold["fuse_seconds"] > 0
     warm = pool.run_estimate_batch([_item(source=hot, name="hot")])["tally"]
     assert (warm["regions_fused"], warm["fuse_seconds"]) == (0, 0.0)
+
+
+def test_batch_tally_counts_the_lowerings_it_looked_up(worker):
+    compilation_cache().clear()
+    cold = pool.run_estimate_batch([_item()])["tally"]
+    assert (cold["lowering_hits"], cold["lowering_misses"]) == (0, 1)
+    warm = pool.run_estimate_batch([_item()])["tally"]
+    assert (warm["lowering_hits"], warm["lowering_misses"]) == (1, 0)
+
+
+def test_payload_ships_only_what_the_frontend_reads(worker):
+    ok, broken = pool.run_estimate_batch(
+        [_item(), {**_item(name="broken"), "extensions": ["no_such_extension"]}]
+    )["results"]
+    assert set(ok) == {"ok", "processor", "cycles", "area", "variables"}
+    assert set(broken) == {
+        "ok",
+        "name",
+        "processor_name",
+        "stage",
+        "error_type",
+        "message",
+        "attempts",
+    }
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_pool_refuses_fewer_than_one_worker(serve_model, workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        pool.WorkerPool(serve_model, workers=workers)
 
 
 def test_mixed_batch_keeps_input_order(worker, batch_passes):

@@ -20,7 +20,7 @@ import pytest
 from repro.serve import RetryPolicy
 from repro.serve import EstimationService, Job, pool, run_server
 from repro.serve.api import ApiError
-from repro.xtcore import compilation_cache
+from repro.xtcore import DEFAULT_MAX_INSTRUCTIONS, compilation_cache
 
 from .conftest import TINY_SOURCE, PoolGate, fire, wait_until
 
@@ -101,6 +101,13 @@ class TestEstimateEndpoint:
         assert status == 400
         assert body["error"] == "bad_workload"
 
+    def test_unknown_extension_is_bad_request(self, make_server):
+        server = make_server()
+        status, body = server.estimate({**INLINE_BODY, "extensions": ["warpdrive"]})
+        assert status == 400
+        assert body["error"] == "bad_workload"
+        assert "unknown extension 'warpdrive'; available: " in body["message"]
+
     def test_broken_program_is_bad_request(self, make_server):
         server = make_server()
         status, body = server.estimate({"program": {"source": "main:\n    bogus_op\n"}})
@@ -128,11 +135,14 @@ class TestIntrospection:
         status, body = server.request("GET", "/healthz")
         assert status == 200
         assert body["status"] == "ok"
-        assert body["pool"]["mode"] == "inline"
+        assert body["pool"] == {"workers": 1, "prewarmed": 0, "restarts": 0}
         assert body["queue"] == {"depth": 0, "limit": 7}
         assert body["recent_failures"] == []
 
     def test_metrics_json_and_prometheus(self, make_server):
+        # the frontend lowers nothing, so the lookups counted below are
+        # the forked worker's, shipped back in its batch tally
+        compilation_cache().clear()
         server = make_server()
         server.estimate({"benchmark": "tp01_alu_mix"})
         status, body = server.request("GET", "/metrics")
@@ -160,7 +170,7 @@ class TestIntrospection:
 class TestBackpressure:
     def test_full_queue_answers_429(self, serve_model):
         async def scenario():
-            service = EstimationService(serve_model, workers=0, queue_limit=1)
+            service = EstimationService(serve_model, workers=1, queue_limit=1)
             # never started: nothing drains the queue, so fill it by hand
             loop = asyncio.get_running_loop()
             service.queue.put_nowait(
@@ -192,10 +202,8 @@ class TestBackpressure:
 class StallingPool:
     """A pool stub whose batches never finish — forces the timeout path."""
 
-    mode = "stub"
     workers = 1
     prewarmed = 0
-    generation = 0
     restarts = 0
 
     def __init__(self) -> None:
@@ -214,7 +222,7 @@ class TestTimeoutRetry:
         async def scenario():
             service = EstimationService(
                 serve_model,
-                workers=0,
+                workers=1,
                 request_timeout=0.05,
                 retry=RetryPolicy(max_attempts=2),
             )
@@ -298,13 +306,7 @@ class TestForkPool:
         compilation_cache().clear()  # the worker fuses from fresh slots
         server = make_server(workers=1, prewarm=["tp01_alu_mix"])
         _, health = server.request("GET", "/healthz")
-        assert health["pool"] == {
-            "mode": "fork",
-            "workers": 1,
-            "prewarmed": 1,
-            "restarts": 0,
-            "generation": 0,
-        }
+        assert health["pool"] == {"workers": 1, "prewarmed": 1, "restarts": 0}
         status, body = server.estimate({"benchmark": "tp01_alu_mix"})
         assert status == 200
         assert body["dedup"] == "fresh"
@@ -365,6 +367,7 @@ class TestForkPool:
         _, metrics = server.request("GET", "/metrics")
         counters = metrics["counters"]
         assert counters["worker_crashes_total"] == 1
+        assert counters["pool_restarts_total"] == 1
         assert (counters["batches_dispatched"], counters["responses_ok"]) == (1, 1)
         assert victim not in server.service.pool.pids
         with pytest.raises(ChildProcessError):
@@ -389,19 +392,34 @@ class TestForkPool:
             assert server.estimate(inline_body(loops))[0] == 200
         _, metrics = server.request("GET", "/metrics")
         assert metrics["counters"]["worker_crashes_total"] == 0
+        assert metrics["counters"]["pool_restarts_total"] == 1
         assert survivor in server.service.pool.pids
 
     @pytest.mark.parametrize("point", PERFBENCH_POINTS)
-    def test_fork_payloads_equal_inline_payloads(self, make_server, point):
-        inline, forked = make_server(workers=0), make_server(workers=1)
-        bodies = [{"benchmark": name} for name in ("tp01_alu_mix", "tp06_memcpy")]
-        bodies.append(INLINE_BODY)
-        for body in bodies:
+    def test_fork_payloads_equal_inline_payloads(self, make_server, serve_model, point):
+        """Forked answers equal the in-process library estimate, bitwise."""
+        server = make_server(workers=1)
+        cases = pool.benchmark_cases()
+        workloads = [
+            ({"benchmark": name}, cases[name].build(), DEFAULT_MAX_INSTRUCTIONS)
+            for name in ("tp01_alu_mix", "tp06_memcpy")
+        ]
+        inline = pool.resolve_workload({"name": "tiny", "source": TINY_SOURCE})
+        workloads.append((INLINE_BODY, inline, INLINE_BODY["max_instructions"]))
+        model = serve_model.at(point)
+        for body, (config, program), budget in workloads:
             if point is not None:
                 body = {**body, "operating_point": point}
-            status, expected = inline.estimate(body)
-            assert status == 200, expected
-            assert forked.estimate(body) == (200, expected)
+            status, answer = server.estimate(body)
+            assert status == 200, answer
+            expected = model.estimate(config, program, max_instructions=budget)
+            frequency = None if point is None else expected.operating_point.frequency_mhz
+            assert (
+                answer["energy"].hex(),
+                answer["cycles"],
+                answer.get("seconds"),
+                answer.get("frequency_mhz"),
+            ) == (expected.energy.hex(), expected.cycles, expected.seconds, frequency)
 
     def test_fork_ipc_block_counts_every_batch(self, make_server):
         server = make_server(workers=1)
@@ -446,14 +464,14 @@ class TestCliWiring:
                 "--port",
                 "0",
                 "--workers",
-                "0",
+                "3",
                 "--no-dedupe",
                 "--prewarm",
                 "suite",
             ]
         )
         assert args.port == 0
-        assert args.workers == 0
+        assert args.workers == 3
         assert args.no_dedupe
         assert args.prewarm == "suite"
 
@@ -582,7 +600,7 @@ class TestGracefulDrain:
         port_file = tmp_path / "port"
 
         async def scenario():
-            service = EstimationService(serve_model, workers=0, drain_grace=grace)
+            service = EstimationService(serve_model, workers=1, drain_grace=grace)
             service.pool.shutdown()
             stub = service.pool = StallingPool()
             serving = asyncio.create_task(
@@ -641,7 +659,7 @@ class TestGracefulDrain:
             return int(head.split()[1]), json.loads(body)
 
         async def scenario():
-            service = EstimationService(serve_model, workers=0, drain_grace=0.2)
+            service = EstimationService(serve_model, workers=1, drain_grace=0.2)
             service.pool.shutdown()
             stub = service.pool = StallingExplorePool()
             serving = asyncio.create_task(

@@ -7,36 +7,18 @@ determinism) is pinned exactly.
 
 from __future__ import annotations
 
-import concurrent.futures
+import os
 import time
 
 import pytest
 
 from repro.serve.supervise import (
-    InjectedWorkerCrash,
     QuarantineRegistry,
-    WorkerCrashed,
     deadline_at,
     deadline_expired,
     execute_chaos_directive,
-    is_pool_crash,
 )
 from repro.testing.faults import ServiceChaosPlan
-
-
-class TestIsPoolCrash:
-    def test_broken_executor_counts(self):
-        assert is_pool_crash(concurrent.futures.BrokenExecutor("gone"))
-
-    def test_worker_crashed_counts(self):
-        assert is_pool_crash(WorkerCrashed("pipe closed"))
-
-    def test_injected_crash_counts(self):
-        assert is_pool_crash(InjectedWorkerCrash("chaos"))
-
-    def test_ordinary_exceptions_do_not(self):
-        assert not is_pool_crash(RuntimeError("boom"))
-        assert not is_pool_crash(TimeoutError())
 
 
 class TestDeadlines:
@@ -99,18 +81,25 @@ class TestQuarantineRegistry:
 
 
 class TestExecuteChaosDirective:
-    def test_inline_crash_raises_injected(self):
-        with pytest.raises(InjectedWorkerCrash):
-            execute_chaos_directive("crash", fork=False)
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_crash_exits_the_worker_process(self):
+        pid = os.fork()
+        if pid == 0:  # child: the directive must end this process
+            try:
+                execute_chaos_directive("crash")
+            finally:
+                os._exit(0)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 13
 
     def test_hang_sleeps_for_the_given_seconds(self):
         began = time.monotonic()
-        execute_chaos_directive("hang:0.05", fork=False)
+        execute_chaos_directive("hang:0.05")
         assert time.monotonic() - began >= 0.05
 
     def test_unknown_directive_rejected(self):
         with pytest.raises(ValueError):
-            execute_chaos_directive("meteor", fork=False)
+            execute_chaos_directive("meteor")
 
 
 class TestServiceChaosPlan:

@@ -300,6 +300,18 @@ class TestInputErrorHygiene:
         assert err.startswith(f"repro: error: cannot load model {str(model)!r}")
         assert "Traceback" not in err
 
+    def test_serve_refuses_zero_workers(self, model_file, capsys, monkeypatch):
+        def no_server(*args, **kwargs):
+            raise AssertionError("serve started a server with --workers 0")
+
+        monkeypatch.setattr("repro.serve.run_server", no_server)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", model_file, "--workers", "0"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: --workers must be >= 1")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["simulate", "estimate", "profile"])
     @pytest.mark.parametrize(
         "source, message",

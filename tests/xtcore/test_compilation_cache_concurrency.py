@@ -1,8 +1,9 @@
 """CompilationCache consistency under the serving worker-pool usage pattern.
 
-The estimation service hammers one :class:`CompilationCache` from
-concurrent threads (inline pool) and inherits it across ``fork`` (process
-pool), so the LRU bookkeeping has hard invariants to keep under races:
+Any thread of a process may estimate through its one
+:class:`CompilationCache`, and the estimation service's forked workers
+inherit it across ``fork``, so the LRU bookkeeping has hard invariants
+to keep under races:
 
 * ``hits + misses == lookups`` — no lookup is double- or un-counted;
 * ``compilations == misses`` — exactly one lowering per (program, config)

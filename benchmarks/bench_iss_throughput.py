@@ -35,6 +35,11 @@ cold estimate (TIE build, assembly, key, lowering, dispatch, extraction
 and dot product) with the committed fixture model.  Each layer keeps
 its best of several rounds over the programs.
 
+A codegen section counts the code the same 66 cold estimates generate:
+superop region closures and custom-instruction semantics, each as
+closures, lines of source and milliseconds (from the counters of
+:func:`repro.xtcore.compilation_cache`).
+
 Run as a script to (re)generate ``BENCH_ISS.json`` at the repo root:
 
     PYTHONPATH=src python benchmarks/bench_iss_throughput.py
@@ -50,7 +55,9 @@ loop on any program (the un-instrumented path must pay for itself), when
 ``run_batch`` is slower than the solo runs or any member's stats differ
 from its solo run, or when the committed payback constant is slower
 than fuse-on-second-entry on either fusion set, or when the front end's
-share of a cold estimate exceeds ``FRONT_END_SHARE_BOUND``.
+share of a cold estimate exceeds ``FRONT_END_SHARE_BOUND``, or when
+the 66 cold estimates generate more lines of region or custom-instruction
+code than ``CODEGEN_STATEMENT_BOUNDS``.
 """
 
 from __future__ import annotations
@@ -341,16 +348,22 @@ def _cold_estimate_layers(model, case, factories) -> dict:
     } | {"instructions": len(program)}
 
 
-def front_end_section(repeat: int = FRONT_END_REPEAT) -> dict:
-    """Per-program front-end costs of a cold estimate, and their share."""
-    model = EnergyMacroModel.load(FRONT_END_MODEL)
+def _bundled_cases() -> tuple[list, list]:
+    """The 66 bundled cases, and per case the spec factories of its
+    extension: a case may run on a shared, prebuilt processor, so a cold
+    estimate rebuilds its extension from them, as `repro estimate` does."""
     cases = characterization_suite() + application_suite()
-    # a case may run on a shared, prebuilt processor: rebuild its
-    # extension from the spec factories, as `repro estimate` does
     factories = [
         [ALL_SPEC_FACTORIES[impl.mnemonic] for impl in case.config.extensions]
         for case in cases
     ]
+    return cases, factories
+
+
+def front_end_section(repeat: int = FRONT_END_REPEAT) -> dict:
+    """Per-program front-end costs of a cold estimate, and their share."""
+    model = EnergyMacroModel.load(FRONT_END_MODEL)
+    cases, factories = _bundled_cases()
     best = [dict.fromkeys(FRONT_END_LAYERS, math.inf) for _ in cases]
     instructions = [0] * len(cases)
     gc.disable()
@@ -399,6 +412,76 @@ def front_end_section(repeat: int = FRONT_END_REPEAT) -> dict:
     }
 
 
+#: Rounds of the 66 cold estimates in the codegen section; each
+#: program's generation milliseconds keep their best.
+CODEGEN_REPEAT = 5
+
+#: Source lines generated over the 66 cold estimates before region and
+#: custom-instruction code generation emitted lean forms (counted by
+#: wrapping ``compile()``; closures in brackets): regions 4,520 (83),
+#: custom instructions 871 (88).
+CODEGEN_BEFORE = {"region": 4520, "tie": 871}
+
+#: ``--check`` fails when the 66 cold estimates generate more lines than
+#: this.  The counts are deterministic; the bounds are the values
+#: measured with the lean generators.
+CODEGEN_STATEMENT_BOUNDS = {"region": 2849, "tie": 285}
+
+#: ``compilation_cache().info()`` counters per generator: closures made,
+#: lines generated, milliseconds spent generating and compiling them.
+_CODEGEN_COUNTERS = {
+    "region": ("regions_fused", "region_statements", "fuse_ms"),
+    "tie": ("tie_closures", "tie_statements", "tie_codegen_ms"),
+}
+
+
+def codegen_section(repeat: int = CODEGEN_REPEAT) -> dict:
+    """Code generated by the 66 cold estimates: closures, lines, milliseconds.
+
+    Each estimate starts from a cleared compilation cache (which also
+    clears the custom-instruction tally) on a freshly built processor,
+    as ``repro estimate`` runs one, and reads the cache's generation
+    counters after it.
+    """
+    model = EnergyMacroModel.load(FRONT_END_MODEL)
+    cases, factories = _bundled_cases()
+    counts = {kind: [0, 0] for kind in _CODEGEN_COUNTERS}
+    best = {kind: [math.inf] * len(cases) for kind in _CODEGEN_COUNTERS}
+    gc.disable()
+    try:
+        for round_ in range(repeat):
+            gc.collect()
+            for index, case in enumerate(cases):
+                compilation_cache().clear()
+                config = build_processor(case.name, [factory() for factory in factories[index]])
+                program = assemble(case.source, case.name, isa=config.isa)
+                model.estimate(config, program, max_instructions=case.max_instructions)
+                info = compilation_cache().info()
+                for kind, (closures, lines, ms) in _CODEGEN_COUNTERS.items():
+                    if round_ == 0:
+                        counts[kind][0] += info[closures]
+                        counts[kind][1] += info[lines]
+                    best[kind][index] = min(best[kind][index], info[ms])
+    finally:
+        gc.enable()
+    return {
+        "programs": len(cases),
+        "repeat": repeat,
+        "unit": "lines of generated source (one statement or one-line if each); "
+        "ms summed over programs, best of the rounds, generation and compile()",
+        **{
+            kind: {
+                "closures": counts[kind][0],
+                "statements": counts[kind][1],
+                "statements_before": CODEGEN_BEFORE[kind],
+                "ms": round(sum(best[kind]), 3),
+            }
+            for kind in _CODEGEN_COUNTERS
+        },
+        "statement_bounds": CODEGEN_STATEMENT_BOUNDS,
+    }
+
+
 def run_suite(program_names=None, repeat: int = 3, batch_configs: int = 16) -> dict:
     """Measure the (sub)suite and assemble the BENCH_ISS payload."""
     cases = characterization_suite(include_variants=False)
@@ -422,6 +505,7 @@ def run_suite(program_names=None, repeat: int = 3, batch_configs: int = 16) -> d
         "batch": measure_batch(cases[0], n_configs=batch_configs, repeat=repeat),
         "fusion": fusion_section(),
         "front_end": front_end_section(),
+        "codegen": codegen_section(),
         "summary": {
             "instrumented_speedup_geomean": round(
                 _geomean([r["instrumented_speedup"] for r in results]), 2
@@ -465,7 +549,8 @@ def main(argv=None) -> int:
         "or superop slower than instrumented, on any program, if run_batch "
         "is slower than solo runs or disagrees with them, if payback "
         "fusion is slower than fuse-on-second-entry on either set, or if "
-        "the front end's share of a cold estimate exceeds its bound",
+        "the front end's share of a cold estimate exceeds its bound, or if the "
+        "cold estimates generate more lines of code than bounded",
     )
     args = parser.parse_args(argv)
 
@@ -528,6 +613,16 @@ def main(argv=None) -> int:
         f"(share {front['front_end_share']:.3f}, bound {front['share_bound']})"
     )
 
+    codegen = payload["codegen"]
+    print(
+        f"codegen of {codegen['programs']} cold estimates (closures / lines / ms): "
+        + ", ".join(
+            f"{kind} {codegen[kind]['closures']} / {codegen[kind]['statements']} "
+            f"(was {codegen[kind]['statements_before']}) / {codegen[kind]['ms']:.2f}"
+            for kind in _CODEGEN_COUNTERS
+        )
+    )
+
     if args.check:
         failed = False
         slow = [
@@ -573,13 +668,22 @@ def main(argv=None) -> int:
                 f"estimate (bound {front['share_bound']})"
             )
             failed = True
+        grown = [
+            f"{kind} ({codegen[kind]['statements']} > {bound})"
+            for kind, bound in codegen["statement_bounds"].items()
+            if codegen[kind]["statements"] > bound
+        ]
+        if grown:
+            print(f"CHECK FAILED: cold estimates generate more lines than bounded: {grown}")
+            failed = True
         if failed:
             return 1
         print(
             "CHECK OK: both dispatch loops at least as fast as the interpreter, "
             "superop >= instrumented on every program, batch >= solo with "
             "equal stats for every member, payback fusion no slower than "
-            "fuse-on-second-entry on either set, front-end share within its bound"
+            "fuse-on-second-entry on either set, front-end share within its bound, "
+            "generated lines within their bounds"
         )
     return 0
 

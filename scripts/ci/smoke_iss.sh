@@ -9,8 +9,9 @@
 # constant than under fuse-on-second-entry.  The static front end of a
 # cold estimate (assemble + lowering key + program digest +
 # compile_program, timed over all 66 bundled programs) must stay within
-# its committed share of the whole cold estimate.  All of that is
-# --check's contract.
+# its committed share of the whole cold estimate, and those 66 cold
+# estimates must generate no more lines of region and custom-instruction
+# code than their committed bounds.  All of that is --check's contract.
 # Run identically by CI and locally:  bash scripts/ci/smoke_iss.sh
 set -euo pipefail
 

@@ -18,7 +18,7 @@ import hashlib
 import json
 from typing import Iterator
 
-from ..isa import INSTRUCTION_BYTES, Instruction, InstructionSet, encode
+from ..isa import INSTRUCTION_BYTES, Instruction
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,17 +130,3 @@ class Program:
         for ins in self.instructions.values():
             histogram[ins.mnemonic] = histogram.get(ins.mnemonic, 0) + 1
         return histogram
-
-    def encode_image(self, isa: InstructionSet) -> list[tuple[int, bytes]]:
-        """Encode text + data into (address, bytes) blobs, ascending.
-
-        Used for binary round-trip testing and to size memory images; the
-        simulator itself interprets :attr:`instructions` directly.
-        """
-        blobs: list[tuple[int, bytes]] = []
-        for addr in sorted(self.instructions):
-            ins = self.instructions[addr]
-            word = encode(isa.lookup(ins.mnemonic), ins, isa)
-            blobs.append((addr, word.to_bytes(INSTRUCTION_BYTES, "little")))
-        blobs.extend(sorted(self.data))
-        return blobs

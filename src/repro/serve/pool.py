@@ -291,7 +291,6 @@ def run_explore(item: dict) -> dict:
 
 #: Frame header: the byte length of the pickle that follows.
 _FRAME = struct.Struct("!Q")
-_READ_SIZE = 1 << 18
 
 
 def _frame(message: object) -> bytes:
@@ -361,7 +360,11 @@ class _Child:
         self._loop = loop
         self._on_lost = on_lost
         self._reply: Optional[asyncio.Future] = None
-        self._inbox = bytearray()
+        #: the reply being read: its frame header, then a buffer of the
+        #: length it announces, filled in place
+        self._header = bytearray(_FRAME.size)
+        self._inbox: Optional[bytearray] = None
+        self._received = 0
         self._outbox = memoryview(b"")
         sock.setblocking(False)
         loop.add_reader(self._fd, self._readable)
@@ -387,26 +390,37 @@ class _Child:
             self._loop.remove_writer(self._fd)
 
     def _readable(self) -> None:
-        try:
-            data = self.sock.recv(_READ_SIZE)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            data = b""
-        if not data:
-            self._on_lost(self)
-            return
-        inbox = self._inbox
-        inbox += data
-        if len(inbox) < _FRAME.size or len(inbox) < _FRAME.size + _FRAME.unpack_from(inbox)[0]:
-            return
-        # one call outstanding, so the rest of the inbox is its reply
-        self._inbox = bytearray()
+        """Read what the pipe holds of the reply, up to the frame's end.
+
+        The header is read first; the body then lands in one buffer of
+        exactly the announced length, however many reads it takes.
+        """
+        while True:
+            target = self._header if self._inbox is None else self._inbox
+            try:
+                count = self.sock.recv_into(memoryview(target)[self._received:])
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError:
+                count = 0
+            if not count:
+                self._on_lost(self)
+                return
+            self._received += count
+            if self._received < len(target):
+                return
+            self._received = 0
+            if self._inbox is None:
+                self._inbox = bytearray(_FRAME.unpack(self._header)[0])
+                continue
+            self._inbox = None
+            break
+        # one call outstanding, so this frame is its reply
         reply, self._reply = self._reply, None
         if reply is None or reply.done():
             return
         try:
-            ok, value = pickle.loads(inbox[_FRAME.size:])
+            ok, value = pickle.loads(target)
         except Exception as exc:  # noqa: BLE001 — relayed to the caller
             ok, value = False, exc
         if ok:
@@ -554,12 +568,22 @@ class WorkerPool:
         """Run one exploration on a worker."""
         return await self._call(run_explore, dict(item))
 
+    def close(self) -> None:
+        """Take no more calls and fork no more children.
+
+        A child lost from now on is killed and reaped but not replaced,
+        so the service closes the pool before it cancels the calls still
+        in flight: an abandoned call's child is not swapped for a fresh
+        one only for :meth:`shutdown` to kill it.
+        """
+        self._closed = True
+
     def shutdown(self) -> None:
         """Stop the pool without blocking on stragglers.
 
         Closes every pipe, SIGKILLs every child (a timed-out job may
         still be running) and reaps it, so no child outlives the pool.
         """
-        self._closed = True
+        self.close()
         for child in list(self._children):
             self._discard(child)

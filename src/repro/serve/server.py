@@ -217,8 +217,14 @@ class EstimationService:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._dispatcher
             self._dispatcher = None
-        for task in list(self._batch_tasks):
+        # close the pool before anything in flight is cancelled, so an
+        # abandoned call's child is killed, not replaced by a fresh fork;
+        # every cancel lands before the first await lets a batch run on
+        self.pool.close()
+        tasks = list(self._batch_tasks)
+        for task in tasks:
             task.cancel()
+        for task in tasks:
             with contextlib.suppress(asyncio.CancelledError):
                 await task
         abandoned += self.queue.take_all()

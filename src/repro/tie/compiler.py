@@ -24,6 +24,8 @@ custom-instruction specification it derives
 from __future__ import annotations
 
 import dataclasses
+import threading
+import time
 from typing import Mapping
 
 from ..hwlib import ComponentCategory, ComponentInstance
@@ -130,84 +132,149 @@ def _state_instance_name(state: TieState) -> str:
     return f"state/{state.name}"
 
 
-def _codegen_node(node: Node, v) -> "str | None":
-    """Python expression for one operator node, or None when not handled.
+def _atom(expr: str) -> str:
+    """``expr`` ready to be an operand: parenthesized unless a name or literal."""
+    return expr if expr.isidentifier() or expr.isdigit() else f"({expr})"
 
-    Mirrors :func:`repro.tie.nodes.evaluate_node` exactly — same masking,
-    same signedness windows, same shift-amount modulus — with every width
-    constant folded into the source.
+
+def _fits(bits: "int | None", width: int) -> bool:
+    """True when a value known to be below ``2**bits`` is below ``2**width``."""
+    return bits is not None and bits <= width
+
+
+def _signed(expr: str, bits: "int | None", width: int) -> str:
+    """Two's-complement value of ``expr`` read as a ``width``-bit word
+    (:func:`~repro.isa.bits.to_signed`, which truncates first)."""
+    sign = 1 << (width - 1)
+    if not _fits(bits, width):
+        expr = f"({expr} & {mask(width)})"
+    return f"(({expr} ^ {sign}) - {sign})"
+
+
+def _codegen_node(node: Node, inputs: list) -> "tuple[str, int | None] | None":
+    """Python expression for one operator node before its width mask, and
+    a bound on its value, or None when the op is not handled.
+
+    ``inputs`` holds each input's ``(operand expression, bits)``, where a
+    value is known to be below ``2**bits`` (``None``: non-negative, no
+    bound).  The result's bound is ``None`` too when the expression may
+    be negative; :func:`_codegen_semantics` masks whatever may exceed the
+    node width, so the node's value is exactly
+    :func:`repro.tie.nodes.evaluate_node`'s.
     """
-
-    def signed(expr: str, width: int) -> str:
-        # inputs are already masked to their widths, so to_signed's
-        # truncation is the identity here
-        return f"({expr} - {1 << width} if {expr} & {1 << (width - 1)} else {expr})"
-
-    m = mask(node.width)
     op = node.op
-    ins = node.inputs
-    a = v[ins[0].nid] if ins else ""
-    b = v[ins[1].nid] if len(ins) > 1 else ""
+    width = node.width
+    a, abits = inputs[0] if inputs else ("", None)
+    b, bbits = inputs[1] if len(inputs) > 1 else ("", None)
+    known = all(bits is not None for _, bits in inputs)
+    widest = max((bits for _, bits in inputs), default=0) if known else None
     if op == "add":
-        return f"({a} + {b}) & {m}"
+        return f"{a} + {b}", widest + 1 if known else None
     if op == "sub":
-        return f"({a} - {b}) & {m}"
-    if op in ("and", "or", "xor"):
-        sym = {"and": "&", "or": "|", "xor": "^"}[op]
-        return f"({a} {sym} {b}) & {m}"
+        return f"{a} - {b}", None
+    if op == "and":
+        bounds = [bits for _, bits in inputs if bits is not None]
+        return f"{a} & {b}", min(bounds) if bounds else None
+    if op in ("or", "xor"):
+        return f"{a} {'|' if op == 'or' else '^'} {b}", widest
     if op == "not":
-        return f"(~{a}) & {m}"
+        if _fits(abits, width):
+            return f"{a} ^ {mask(width)}", width
+        return f"~{a}", None
     if op == "mux":
-        sel, x, y = (v[i.nid] for i in ins)
-        return f"(({x} if {sel} else {y})) & {m}"
+        sel, (x, xbits), (y, ybits) = a, inputs[1], inputs[2]
+        both = xbits is not None and ybits is not None
+        return f"{x} if {sel} else {y}", max(xbits, ybits) if both else None
     if op in ("eq", "ne", "lt_s", "lt_u", "ge_s", "ge_u"):
         if op.endswith("_s"):
-            a = signed(a, ins[0].width)
-            b = signed(b, ins[1].width)
+            a = _signed(a, abits, node.inputs[0].width)
+            b = _signed(b, bbits, node.inputs[1].width)
         sym = {"eq": "==", "ne": "!=", "lt": "<", "ge": ">="}[op[:2]]
-        return f"(1 if {a} {sym} {b} else 0)"
+        return f"1 if {a} {sym} {b} else 0", 1
     if op in ("min_s", "min_u", "max_s", "max_u"):
-        fn = op[:3]
         if op.endswith("_s"):
-            a = signed(a, ins[0].width)
-            b = signed(b, ins[1].width)
-        return f"{fn}({a}, {b}) & {m}"
-    if op in ("red_or", "red_and", "red_xor"):
-        if op == "red_or":
-            return f"(1 if {a} else 0)"
-        if op == "red_and":
-            return f"(1 if {a} == {mask(ins[0].width)} else 0)"
-        return f"({a}).bit_count() & 1"
+            a = _signed(a, abits, node.inputs[0].width)
+            b = _signed(b, bbits, node.inputs[1].width)
+            return f"{op[:3]}({a}, {b})", None
+        return f"{op[:3]}({a}, {b})", widest
+    if op == "red_or":
+        return f"1 if {a} else 0", 1
+    if op == "red_and":
+        return f"1 if {a} == {mask(node.inputs[0].width)} else 0", 1
+    if op == "red_xor":
+        return f"{a}.bit_count() & 1", 1
     if op in ("shl", "shr", "sar"):
-        amount = f"({b} % {node.width})"
+        amount, most = f"({b} % {width})", width - 1
+        if b.isdigit():  # a constant amount
+            most = int(b) % width
+            amount = str(most)
         if op == "shl":
-            return f"({a} << {amount}) & {m}"
+            return f"{a} << {amount}", abits + most if abits is not None else None
         if op == "shr":
-            return f"({a} >> {amount}) & {m}"
-        return f"({signed(a, ins[0].width)} >> {amount}) & {m}"
+            return f"{a} >> {amount}", abits
+        return f"{_signed(a, abits, node.inputs[0].width)} >> {amount}", None
     if op in ("mul", "tie_mult"):
-        return f"({a} * {b}) & {m}"
+        return f"{a} * {b}", abits + bbits if known else None
     if op == "tie_mac":
-        return f"({a} * {b} + {v[ins[2].nid]}) & {m}"
+        c, cbits = inputs[2]
+        bound = max(abits + bbits, cbits) + 1 if known else None
+        return f"{a} * {b} + {c}", bound
     if op == "tie_add":
-        return f"({' + '.join(v[i.nid] for i in ins)}) & {m}"
+        bound = widest + (len(inputs) - 1).bit_length() if known else None
+        return " + ".join(expr for expr, _ in inputs), bound
     if op == "csa_sum":
-        c = v[ins[2].nid]
-        return f"({a} ^ {b} ^ {c}) & {m}"
+        return f"{a} ^ {b} ^ {inputs[2][0]}", widest
     if op == "csa_carry":
-        c = v[ins[2].nid]
-        return f"((({a} & {b}) | ({b} & {c}) | ({a} & {c})) << 1) & {m}"
+        c = inputs[2][0]
+        return f"(({a} & {b}) | ({b} & {c}) | ({a} & {c})) << 1", widest + 1 if known else None
     if op == "table":
-        return f"_table_{node.nid}[{a} & {len(node.payload) - 1}] & {m}"
+        entries = len(node.payload)
+        index = a if _fits(abits, entries.bit_length() - 1) else f"{a} & {entries - 1}"
+        return f"_table_{node.nid}[{index}]", width  # entries fit: spec-validated
     if op == "concat":
-        return f"(({a} << {ins[1].width}) | {b}) & {m}"
+        low = node.inputs[1].width
+        bound = max(abits + low, bbits) if known else None
+        return f"({a} << {low}) | {b}", bound
     if op == "slice":
-        return f"({a} >> {node.payload}) & {m}"
+        if not node.payload:
+            return a, abits
+        return f"{a} >> {node.payload}", abits
     if op == "sext":
-        return f"{signed(a, ins[0].width)} & {m}"
+        source = node.inputs[0].width
+        if width == source and _fits(abits, source):
+            return a, abits
+        return _signed(a, abits, source), None
     if op == "zext":
-        return f"{a} & {m}"
+        return a, abits
     return None
+
+
+class CodegenTally:
+    """Custom-instruction closures :func:`_codegen_semantics` made in this
+    process, their generated lines and the seconds that took; reported
+    and reset with the compilation cache's counters
+    (:func:`repro.xtcore.compilation_cache`)."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.closures = 0
+        self.statements = 0
+        self.seconds = 0.0
+
+    def count(self, statements: int, seconds: float) -> None:
+        with self._lock:
+            self.closures += 1
+            self.statements += statements
+            self.seconds += seconds
+
+    def clear(self) -> None:
+        with self._lock:
+            self.closures = 0
+            self.statements = 0
+            self.seconds = 0.0
+
+
+CODEGEN_TALLY = CodegenTally()
 
 
 def _codegen_semantics(spec: TieSpec, state_inits: Mapping[str, int]):
@@ -217,39 +284,93 @@ def _codegen_semantics(spec: TieSpec, state_inits: Mapping[str, int]):
     dispatch, an input-list build and an evaluator call per node per
     retire; for the DSE/serving hot path that interpretive overhead
     dominates custom-heavy programs.  Nodes arrive in topological order
-    (builders only reference already-added nodes), so the graph unrolls
-    into straight-line assignments with all width masks pre-folded.
+    (builders only reference already-added nodes), so the graph folds
+    into a few statements: constant subgraphs are evaluated here, a node
+    used once is written into its user's expression, a node used more
+    than once gets a local, and a width mask is emitted only where the
+    value may exceed the width.  Every GPR operand is read up front, in
+    node order, so an out-of-range register faults as the interpreter
+    does; a result needs no mask, as ``ctx.set`` truncates.
     """
-    v = {node.nid: f"v{node.nid}" for node in spec.nodes}
-    lines = ["def semantics(ctx, ins):", "    tie_state = ctx.tie_state"]
+    began = time.perf_counter()
+    uses = dict.fromkeys((node.nid for node in spec.nodes), 0)
+    for node in spec.nodes:
+        for i in node.inputs:
+            uses[i.nid] += 2 if node.op == "csa_carry" else 1
+    sinks = [(state.name, node) for state, node in spec.state_writes]
+    if spec.result_node is not None:
+        sinks.append((None, spec.result_node))
+    for _, node in sinks:
+        uses[node.nid] += 1
+    # A state read feeding a later sink must not see an earlier sink's
+    # write: with several sinks and any write, every state read gets a local.
+    pin_state = len(sinks) > 1 and bool(spec.state_writes)
+    state_ops = sum(1 for n in spec.nodes if n.kind == KIND_STATE) + len(spec.state_writes)
+    tie_state = "tie_state" if state_ops > 1 else "ctx.tie_state"
+
     namespace: dict = {"min": min, "max": max}
+    gprs = [node for node in spec.nodes if node.kind == KIND_GPR]
+    constants: dict[int, int] = {}  # nid -> value, for constant subgraphs
+    values: dict[int, tuple] = {}  # nid -> (operand expression, bits, raw, raw bits)
+    lines = ["def semantics(ctx, ins):"]
+    if gprs:
+        reads = []
+        for node in gprs:
+            read = f"ctx.get(ins.{'rs' if node.payload == 'rs' else 'rt'})"
+            reads.append(read if node.width >= 32 else f"{read} & {mask(node.width)}")
+            values[node.nid] = (f"v{node.nid}", min(node.width, 32), None, None)
+        names = ", ".join(f"v{node.nid}" for node in gprs)
+        lines.append(f"    {names} = {', '.join(reads)}")
+    if tie_state == "tie_state":
+        lines.append("    tie_state = ctx.tie_state")
     for node in spec.nodes:
         if node.kind == KIND_GPR:
-            field = "rs" if node.payload == "rs" else "rt"
-            expr = f"ctx.get(ins.{field}) & {mask(node.width)}"
-        elif node.kind == KIND_IMM:
-            expr = f"(ins.imm or 0) & {mask(node.width)}"
+            continue
+        if node.kind == KIND_CONST or (
+            node.inputs and all(i.nid in constants for i in node.inputs)
+        ):
+            value = node.payload if node.kind == KIND_CONST else evaluate_node(
+                node, [constants[i.nid] for i in node.inputs]
+            )
+            constants[node.nid] = value
+            values[node.nid] = (str(value), value.bit_length(), None, None)
+            continue
+        if node.kind == KIND_IMM:
+            raw, bits = "ins.imm or 0", None
         elif node.kind == KIND_STATE:
-            expr = f"tie_state.get({node.payload!r}, {state_inits[node.payload]})"
-        elif node.kind == KIND_CONST:
-            expr = repr(node.payload & mask(node.width))
+            raw, bits = f"{tie_state}.get({node.payload!r}, {state_inits[node.payload]})", None
         else:
-            expr = _codegen_node(node, v)
-            if expr is None:
+            generated = _codegen_node(node, [values[i.nid][:2] for i in node.inputs])
+            if generated is None:
                 return None
+            raw, bits = generated
             if node.op == "table":
                 namespace[f"_table_{node.nid}"] = tuple(node.payload)
-        lines.append(f"    {v[node.nid]} = {expr}")
-    # All reads above observe pre-instruction state; the write-back below
-    # only uses the computed v-locals, so commits are effectively atomic.
-    for state, node in spec.state_writes:
-        lines.append(
-            f"    tie_state[{state.name!r}] = {v[node.nid]} & {mask(spec.states[state.name].width)}"
-        )
-    if spec.result_node is not None:
-        lines.append(f"    ctx.set(ins.rd, {v[spec.result_node.nid]} & 0xFFFFFFFF)")
+        if _fits(bits, node.width) or node.kind == KIND_STATE:  # state: read as stored
+            expr, masked = raw, bits
+        else:
+            expr, masked = f"{_atom(raw)} & {mask(node.width)}", node.width
+        if uses[node.nid] > 1 or (pin_state and node.kind == KIND_STATE):
+            lines.append(f"    v{node.nid} = {expr}")
+            values[node.nid] = (f"v{node.nid}", masked, None, None)
+        else:
+            values[node.nid] = (_atom(expr), masked, _atom(raw), bits)
+    # All reads above observe pre-instruction state, and no state read
+    # is left in a sink after the first write, so commits are atomic.
+    for name, node in sinks:
+        expr, bits, raw, raw_bits = values[node.nid]
+        width = 32 if name is None else spec.states[name].width
+        if raw is not None and node.width >= width:
+            expr, bits = raw, raw_bits  # the sink's mask subsumes the node's
+        if name is None:
+            lines.append(f"    ctx.set(ins.rd, {expr})")
+        elif _fits(bits, width):
+            lines.append(f"    {tie_state}[{name!r}] = {expr}")
+        else:
+            lines.append(f"    {tie_state}[{name!r}] = {expr} & {mask(width)}")
     source = "\n".join(lines)
     exec(compile(source, f"<tie:{spec.mnemonic}>", "exec"), namespace)
+    CODEGEN_TALLY.count(len(lines), time.perf_counter() - began)
     return namespace["semantics"]
 
 

@@ -39,6 +39,7 @@ The dispatch loops that consume this IR live in :mod:`repro.xtcore.iss`.
 from __future__ import annotations
 
 import dataclasses
+import struct
 import threading
 import time
 from bisect import bisect_left, bisect_right
@@ -57,7 +58,7 @@ from ..isa.bits import (
 )
 from ..isa.classes import BASE_ENERGY_CLASSES
 from ..isa.state import SparseMemory
-from ..tie.compiler import LazySemantics
+from ..tie.compiler import CODEGEN_TALLY, LazySemantics
 from .errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -963,41 +964,64 @@ class SuperopProgram:
 
 
 # Inline source templates for the superop region codegen.  Each template
-# reproduces its specializer closure's body exactly — same masks, same
-# signedness windows, same single-page memory fast path — so a fused
-# region is observationally identical to calling the per-op closures in
-# sequence (pinned by tests/integration/test_dispatch_differential.py).
-# Ops with no template (divides, TIE customs) stay as bound calls.
+# computes exactly what its specializer closure computes, in as few
+# statements as the 32-bit register invariant allows: every register
+# holds a value in [0, 2**32), so a result that cannot leave that range
+# (``&``, ``|``, ``^``, ``>>``, compares, min/max) takes no mask, and a
+# signed compare of two registers is an unsigned compare with both sign
+# bits flipped.  A fused region is observationally identical to calling
+# the per-op closures in sequence (pinned by
+# tests/integration/test_dispatch_differential.py).  Ops with no
+# template (divides, TIE customs) stay as bound calls.
 
 _FUSE_R3 = {
-    "add": "regs[{s}] + regs[{t}]",
-    "sub": "regs[{s}] - regs[{t}]",
+    "add": "(regs[{s}] + regs[{t}]) & 4294967295",
+    "sub": "(regs[{s}] - regs[{t}]) & 4294967295",
     "and": "regs[{s}] & regs[{t}]",
     "or": "regs[{s}] | regs[{t}]",
     "xor": "regs[{s}] ^ regs[{t}]",
-    "nor": "~(regs[{s}] | regs[{t}])",
+    "nor": "(regs[{s}] | regs[{t}]) ^ 4294967295",
     "andn": "regs[{s}] & ~regs[{t}]",
-    "orn": "regs[{s}] | ~regs[{t}]",
-    "xnor": "~(regs[{s}] ^ regs[{t}])",
-    "addx2": "(regs[{s}] << 1) + regs[{t}]",
-    "addx4": "(regs[{s}] << 2) + regs[{t}]",
-    "addx8": "(regs[{s}] << 3) + regs[{t}]",
-    "subx2": "(regs[{s}] << 1) - regs[{t}]",
-    "subx4": "(regs[{s}] << 2) - regs[{t}]",
+    "orn": "regs[{s}] | (regs[{t}] ^ 4294967295)",
+    "xnor": "regs[{s}] ^ regs[{t}] ^ 4294967295",
+    "addx2": "((regs[{s}] << 1) + regs[{t}]) & 4294967295",
+    "addx4": "((regs[{s}] << 2) + regs[{t}]) & 4294967295",
+    "addx8": "((regs[{s}] << 3) + regs[{t}]) & 4294967295",
+    "subx2": "((regs[{s}] << 1) - regs[{t}]) & 4294967295",
+    "subx4": "((regs[{s}] << 2) - regs[{t}]) & 4294967295",
     "sltu": "1 if regs[{s}] < regs[{t}] else 0",
     "minu": "min(regs[{s}], regs[{t}])",
     "maxu": "max(regs[{s}], regs[{t}])",
-    "mull": "regs[{s}] * regs[{t}]",
-    "sll": "regs[{s}] << (regs[{t}] & 31)",
+    "mull": "(regs[{s}] * regs[{t}]) & 4294967295",
+    "mulhu": "(regs[{s}] * regs[{t}]) >> 32",
+    "sll": "(regs[{s}] << (regs[{t}] & 31)) & 4294967295",
     "srl": "regs[{s}] >> (regs[{t}] & 31)",
-    "rotl": "_rotl(regs[{s}], regs[{t}] & 31)",
-    "rotr": "_rotr(regs[{s}], regs[{t}] & 31)",
+    "sra": "(((regs[{s}] ^ 2147483648) >> (regs[{t}] & 31))"
+    " - (2147483648 >> (regs[{t}] & 31))) & 4294967295",
+    "rotl": "_rotl(regs[{s}], regs[{t}])",
+    "rotr": "_rotr(regs[{s}], regs[{t}])",
+    # signed forms: flipping the sign bit maps signed order onto unsigned
+    "slt": "1 if (regs[{s}] ^ 2147483648) < (regs[{t}] ^ 2147483648) else 0",
+    "min": "min(regs[{s}] ^ 2147483648, regs[{t}] ^ 2147483648) ^ 2147483648",
+    "max": "max(regs[{s}] ^ 2147483648, regs[{t}] ^ 2147483648) ^ 2147483648",
+    "mulh": "((((regs[{s}] ^ 2147483648) - 2147483648)"
+    " * ((regs[{t}] ^ 2147483648) - 2147483648)) >> 32) & 4294967295",
+}
+
+_FUSE_COND_MOVE = {
+    "moveqz": "regs[{t}] == 0",
+    "movnez": "regs[{t}] != 0",
+    "movltz": "regs[{t}] & 2147483648",
+    "movgez": "not regs[{t}] & 2147483648",
 }
 
 _FUSE_R2 = {
     "mov": "regs[{s}]",
-    "neg": "-regs[{s}]",
-    "not": "~regs[{s}]",
+    "neg": "-regs[{s}] & 4294967295",
+    "not": "regs[{s}] ^ 4294967295",
+    "abs": "4294967296 - regs[{s}] if regs[{s}] & 2147483648 else regs[{s}]",
+    "sext8": "(((regs[{s}] & 255) ^ 128) - 128) & 4294967295",
+    "sext16": "(((regs[{s}] & 65535) ^ 32768) - 32768) & 4294967295",
     "zext8": "regs[{s}] & 255",
     "zext16": "regs[{s}] & 65535",
     "clz": "_clz(regs[{s}])",
@@ -1008,30 +1032,29 @@ _FUSE_R2 = {
 
 #: mnemonic -> (immediate fold, expression template) — folds match _EMITTERS.
 _FUSE_IMM = {
-    "addi": (lambda i: i & _M, "regs[{s}] + {k}"),
-    "addmi": (lambda i: (i & _M) << 8, "regs[{s}] + {k}"),
+    "addi": (lambda i: i & _M, "(regs[{s}] + {k}) & 4294967295"),
+    "addmi": (lambda i: (i & _M) << 8, "(regs[{s}] + {k}) & 4294967295"),
     "andi": (lambda i: i & 0xFFF, "regs[{s}] & {k}"),
     "ori": (lambda i: i & 0xFFF, "regs[{s}] | {k}"),
     "xori": (lambda i: i & 0xFFF, "regs[{s}] ^ {k}"),
-    "slli": (lambda i: i & 31, "regs[{s}] << {k}"),
+    "slli": (lambda i: i & 31, "(regs[{s}] << {k}) & 4294967295"),
     "srli": (lambda i: i & 31, "regs[{s}] >> {k}"),
+    "srai": (
+        lambda i: i & 31,
+        "(((regs[{s}] ^ 2147483648) >> {k}) - (2147483648 >> {k})) & 4294967295",
+    ),
     "roli": (lambda i: i & 31, "_rotl(regs[{s}], {k})"),
     "rori": (lambda i: i & 31, "_rotr(regs[{s}], {k})"),
+    "slti": (lambda i: i + _SIGN_BIT, "1 if (regs[{s}] ^ 2147483648) < {k} else 0"),
+    "sltiu": (lambda i: i & _M, "1 if regs[{s}] < {k} else 0"),
+    "movi": (lambda i: i & _M, "{k}"),
+    "movhi": (lambda i: ((i & 0x3FFFF) << 12) & _M, "{k}"),
 }
 
-#: signed compare/minmax forms: mnemonic -> result template over a/b temps.
-_FUSE_SIGNED_R3 = {
-    "slt": "1 if a{u} < b{u} else 0",
-    "min": "min(a{u}, b{u}) & 4294967295",
-    "max": "max(a{u}, b{u}) & 4294967295",
-}
-
-_FUSE_COND_MOVE = {
-    "moveqz": "regs[{t}] == 0",
-    "movnez": "regs[{t}] != 0",
-    "movltz": "regs[{t}] & 2147483648",
-    "movgez": "not regs[{t}] & 2147483648",
-}
+#: Immediate forms that reduce to a move when their fold is zero.
+_FUSE_IMM_IDENTITY = frozenset(
+    {"addi", "addmi", "ori", "xori", "slli", "srli", "srai", "roli", "rori"}
+)
 
 #: mnemonic -> (size, sign_extend, is_store) for the memory templates.
 _FUSE_MEM = {
@@ -1045,161 +1068,103 @@ _FUSE_MEM = {
     "s8i": (1, False, True),
 }
 
+#: Little-endian word/halfword accessors bound into every region's
+#: namespace: unpack/pack in place, with no slice or bytes object made.
+_FUSE_NAMESPACE = {
+    "_rotl": rotate_left,
+    "_rotr": rotate_right,
+    "_clz": count_leading_zeros,
+    "_ctz": count_trailing_zeros,
+    "_popc": popcount,
+    "_bswap": byte_swap,
+    "_ld4": struct.Struct("<I").unpack_from,
+    "_ld2": struct.Struct("<H").unpack_from,
+    "_st4": struct.Struct("<I").pack_into,
+    "_st2": struct.Struct("<H").pack_into,
+}
 
-def _fuse_op_lines(op: tuple, dshift: int) -> Optional[list]:
+
+def _fuse_mem_lines(ins, size: int, signed: bool, is_store: bool) -> list:
+    """Statements for one load or store, without its D-cache replay.
+
+    The address lands in ``a`` (pre-op registers).  An in-page access to
+    a mapped page goes straight to the page; any other (a page-crossing
+    access, an unmapped page) goes through ``SparseMemory.read``/``write``,
+    which behave exactly like the per-op closures' fallbacks.
+    """
+    s, t = ins.rs, ins.rt
+    k = (ins.imm or 0) & _M
+    out = [f"a = regs[{s}]" if k == 0 else f"a = (regs[{s}] + {k}) & 4294967295"]
+    page = f"(p := pages.get(a >> {_PAGE_BITS}))"
+    if size == 1:  # a byte never straddles a page: index it directly
+        if is_store:
+            return out + [
+                f"if {page} is not None:",
+                f"    p[a & {_PAGE_MASK}] = regs[{t}] & 255",
+                "else:",
+                f"    state.memory.write(a, regs[{t}], 1)",
+            ]
+        value = f"0 if {page} is None else p[a & {_PAGE_MASK}]"
+    else:
+        fast = f"(o := a & {_PAGE_MASK}) <= {_PAGE_SIZE - size} and {page} is not None"
+        if is_store:
+            stored = f"regs[{t}]" if size == 4 else f"regs[{t}] & 65535"
+            return out + [
+                f"if {fast}:",
+                f"    _st{size}(p, o, {stored})",
+                "else:",
+                f"    state.memory.write(a, regs[{t}], {size})",
+            ]
+        value = f"_ld{size}(p, o)[0] if {fast} else state.memory.read(a, {size})"
+    if signed:
+        sign_bit = 1 << (size * 8 - 1)
+        value = f"((({value}) ^ {sign_bit}) - {sign_bit}) & 4294967295"
+    return out + [f"regs[{t}] = {value}"]
+
+
+def _fuse_op_lines(op: tuple) -> Optional[list]:
     """Source statements executing this interior op inline, or None.
 
     ``None`` means "no inline form" — the region codegen then binds the
     op's (possibly specialized) semantics callable and emits a call.
-    Memory templates append the D-cache replay with the line shift
-    ``dshift`` folded in, mirroring the per-op dispatch order: address
-    from pre-op registers, semantics, then the cache model.
+    A memory op's statements leave its address in ``a`` for the D-cache
+    replay the region codegen appends.
     """
     mnemonic = op[OP_MNEMONIC]
     ins = op[OP_INS]
-    u = op[OP_ADDR]  # unique per op: byte addresses never collide
-    d, s, t = ins.rd, ins.rs, ins.rt
-
     mem = _FUSE_MEM.get(mnemonic)
     if mem is not None:
-        size, signed, is_store = mem
-        k = (ins.imm or 0) & _M
-        limit = _PAGE_SIZE - size
-        out = [
-            f"a{u} = (regs[{s}] + {k}) & 4294967295",
-            f"o{u} = a{u} & {_PAGE_MASK}",
-        ]
-        if size == 1:  # a byte never straddles a page: index it directly
-            out.append(f"p{u} = pages.get(a{u} >> {_PAGE_BITS})")
-            if is_store:
-                out += [
-                    f"if p{u} is None:",
-                    f"    p{u} = bytearray({_PAGE_SIZE})",
-                    f"    pages[a{u} >> {_PAGE_BITS}] = p{u}",
-                    f"p{u}[o{u}] = regs[{t}] & 255",
-                ]
-            else:
-                out.append(f"v{u} = 0 if p{u} is None else p{u}[o{u}]")
-                if signed:
-                    out.append(f"if v{u} & 128: v{u} |= {_M >> 8 << 8}")
-                out.append(f"regs[{t}] = v{u}")
-        elif is_store:
-            value_mask = (1 << (size * 8)) - 1
-            out += [
-                f"if o{u} <= {limit}:",
-                f"    p{u} = pages.get(a{u} >> {_PAGE_BITS})",
-                f"    if p{u} is None:",
-                f"        p{u} = bytearray({_PAGE_SIZE})",
-                f"        pages[a{u} >> {_PAGE_BITS}] = p{u}",
-                f"    p{u}[o{u}:o{u}+{size}] = "
-                f"(regs[{t}] & {value_mask}).to_bytes({size}, 'little')",
-                "else:",
-                f"    state.memory.write(a{u}, regs[{t}], {size})",
-            ]
-        else:
-            out += [
-                f"if o{u} <= {limit}:",
-                f"    p{u} = pages.get(a{u} >> {_PAGE_BITS})",
-                f"    v{u} = 0 if p{u} is None else "
-                f"int.from_bytes(p{u}[o{u}:o{u}+{size}], 'little')",
-                "else:",
-                f"    v{u} = state.memory.read(a{u}, {size})",
-            ]
-            if signed:
-                sign_bit = 1 << (size * 8 - 1)
-                ext_mask = (_M >> (size * 8)) << (size * 8)
-                out.append(f"if v{u} & {sign_bit}: v{u} |= {ext_mask}")
-            out.append(f"regs[{t}] = v{u}")
-        out += [
-            f"l{u} = a{u} >> {dshift}",
-            f"if l{u} != dc[0]:",
-            f"    dc[0] = l{u}",
-            f"    if not dcache_access(a{u}):",
-            "        dc[1] += 1",
-        ]
-        return out
-
+        return _fuse_mem_lines(ins, *mem)
+    d, s, t = ins.rd, ins.rs, ins.rt
     expr = _FUSE_R3.get(mnemonic)
     if expr is not None:
-        return [f"regs[{d}] = ({expr.format(s=s, t=t)}) & 4294967295"]
-    expr = _FUSE_R2.get(mnemonic)
-    if expr is not None:
-        return [f"regs[{d}] = ({expr.format(s=s)}) & 4294967295"]
-    imm_form = _FUSE_IMM.get(mnemonic)
-    if imm_form is not None:
-        fold, expr = imm_form
-        return [f"regs[{d}] = ({expr.format(s=s, k=fold(ins.imm))}) & 4294967295"]
-    signed_form = _FUSE_SIGNED_R3.get(mnemonic)
-    if signed_form is not None:
-        return [
-            f"a{u} = regs[{s}]",
-            f"b{u} = regs[{t}]",
-            f"if a{u} & 2147483648: a{u} -= 4294967296",
-            f"if b{u} & 2147483648: b{u} -= 4294967296",
-            f"regs[{d}] = {signed_form.format(u=u)}",
-        ]
+        return [f"regs[{d}] = {expr.format(s=s, t=t)}"]
     cond = _FUSE_COND_MOVE.get(mnemonic)
     if cond is not None:
         return [f"if {cond.format(t=t)}: regs[{d}] = regs[{s}]"]
-    if mnemonic == "sra":
-        return [
-            f"a{u} = regs[{s}]",
-            f"if a{u} & 2147483648: a{u} -= 4294967296",
-            f"regs[{d}] = (a{u} >> (regs[{t}] & 31)) & 4294967295",
-        ]
-    if mnemonic == "srai":
-        return [
-            f"a{u} = regs[{s}]",
-            f"if a{u} & 2147483648: a{u} -= 4294967296",
-            f"regs[{d}] = (a{u} >> {ins.imm & 31}) & 4294967295",
-        ]
-    if mnemonic in ("mulh", "mulhu"):
-        out = [f"a{u} = regs[{s}]", f"b{u} = regs[{t}]"]
-        if mnemonic == "mulh":
-            out += [
-                f"if a{u} & 2147483648: a{u} -= 4294967296",
-                f"if b{u} & 2147483648: b{u} -= 4294967296",
-            ]
-        out.append(f"regs[{d}] = ((a{u} * b{u}) >> 32) & 4294967295")
-        return out
-    if mnemonic == "abs":
-        return [
-            f"a{u} = regs[{s}]",
-            f"if a{u} & 2147483648: a{u} = 4294967296 - a{u}",
-            f"regs[{d}] = a{u} & 4294967295",
-        ]
-    if mnemonic in ("sext8", "sext16"):
-        bits = 8 if mnemonic == "sext8" else 16
-        value_mask = (1 << bits) - 1
-        sign_bit = 1 << (bits - 1)
-        ext_mask = (_M >> bits) << bits
-        return [
-            f"v{u} = regs[{s}] & {value_mask}",
-            f"regs[{d}] = (v{u} | {ext_mask}) if v{u} & {sign_bit} else v{u}",
-        ]
-    if mnemonic == "slti":
-        return [
-            f"a{u} = regs[{s}]",
-            f"if a{u} & 2147483648: a{u} -= 4294967296",
-            f"regs[{d}] = 1 if a{u} < {ins.imm} else 0",
-        ]
-    if mnemonic == "sltiu":
-        return [f"regs[{d}] = 1 if regs[{s}] < {ins.imm & _M} else 0"]
-    if mnemonic == "movi":
-        return [f"regs[{d}] = {ins.imm & _M}"]
-    if mnemonic == "movhi":
-        return [f"regs[{d}] = {((ins.imm & 0x3FFFF) << 12) & _M}"]
+    expr = _FUSE_R2.get(mnemonic)
+    if expr is not None:
+        return [f"regs[{d}] = {expr.format(s=s)}"]
+    imm_form = _FUSE_IMM.get(mnemonic)
+    if imm_form is not None:
+        fold, expr = imm_form
+        k = fold(ins.imm)
+        if k == 0 and mnemonic in _FUSE_IMM_IDENTITY:
+            return [f"regs[{d}] = regs[{s}]"]
+        return [f"regs[{d}] = {expr.format(s=s, k=k)}"]
     return None
 
 
 #: Conditional-branch taken tests over the pre-op registers, with the
-#: same operands, signedness and bit tests as the ``_branch*`` emitters:
-#: unsigned forms over ``regs`` directly ...
+#: same operands, signedness and bit tests as the ``_branch*`` emitters;
+#: signed two-register compares flip both sign bits ...
 _FUSE_BRANCH = {
     "beq": "regs[{s}] == regs[{t}]",
     "bne": "regs[{s}] != regs[{t}]",
     "bltu": "regs[{s}] < regs[{t}]",
     "bgeu": "regs[{s}] >= regs[{t}]",
+    "blt": "(regs[{s}] ^ 2147483648) < (regs[{t}] ^ 2147483648)",
+    "bge": "(regs[{s}] ^ 2147483648) >= (regs[{t}] ^ 2147483648)",
     "beqz": "regs[{s}] == 0",
     "bnez": "regs[{s}] != 0",
     "bltz": "regs[{s}] & 2147483648",
@@ -1207,33 +1172,25 @@ _FUSE_BRANCH = {
     "bbs": "(regs[{s}] >> {k}) & 1",
     "bbc": "not (regs[{s}] >> {k}) & 1",
 }
-#: ... signed two-register compares over sign-converted temps ...
-_FUSE_BRANCH_SIGNED = {"blt": "<", "bge": ">="}
-#: ... and signed ``rs`` against the signed immediate folded into ``rt``.
+#: ... and signed ``rs`` against the signed immediate folded into ``rt``
+#: compares ``rs`` with its sign bit flipped against the immediate plus
+#: 2**31.
 _FUSE_BRANCH_IMM = {"beqi": "==", "bnei": "!=", "blti": "<", "bgei": ">="}
 
 #: Mnemonics that may end a region segment (OP_EDGE when specialized).
-_EDGE_MNEMONICS = frozenset(
-    {"j", *_FUSE_BRANCH, *_FUSE_BRANCH_SIGNED, *_FUSE_BRANCH_IMM}
-)
+_EDGE_MNEMONICS = frozenset({"j", *_FUSE_BRANCH, *_FUSE_BRANCH_IMM})
 
 
-def _fuse_branch_test(op: tuple) -> tuple[list, str]:
-    """``(statements, condition)`` that is true when this branch is taken."""
+def _fuse_branch_test(op: tuple) -> str:
+    """Condition that is true when this branch is taken."""
     mnemonic = op[OP_MNEMONIC]
     ins = op[OP_INS]
-    u = op[OP_ADDR]
     s, t = ins.rs, ins.rt
     expr = _FUSE_BRANCH.get(mnemonic)
     if expr is not None:
-        return [], expr.format(s=s, t=t, k=(t or 0) & 31)
-    lines = [f"a{u} = regs[{s}]", f"if a{u} & 2147483648: a{u} -= 4294967296"]
-    compare = _FUSE_BRANCH_SIGNED.get(mnemonic)
-    if compare is not None:
-        lines += [f"b{u} = regs[{t}]", f"if b{u} & 2147483648: b{u} -= 4294967296"]
-        return lines, f"a{u} {compare} b{u}"
+        return expr.format(s=s, t=t, k=(t or 0) & 31)
     b = t - _TWO32 if t & _SIGN_BIT else t
-    return lines, f"a{u} {_FUSE_BRANCH_IMM[mnemonic]} {b}"
+    return f"(regs[{s}] ^ 2147483648) {_FUSE_BRANCH_IMM[mnemonic]} {b + _SIGN_BIT}"
 
 
 def _load_use(ops: tuple, producer: int, consumer: int) -> int:
@@ -1271,14 +1228,7 @@ def fuse_region(ops: tuple, region: tuple, dshift: int):
     segments = region[BLK_SEGMENTS]
     loop = region[BLK_LOOP]
     last = segments[-1][SEG_END]
-    namespace = {
-        "_rotl": rotate_left,
-        "_rotr": rotate_right,
-        "_clz": count_leading_zeros,
-        "_ctz": count_trailing_zeros,
-        "_popc": popcount,
-        "_bswap": byte_swap,
-    }
+    namespace = dict(_FUSE_NAMESPACE)
 
     # Units: runs of segments entered only by falling through from the
     # one before.  A unit that only the conditional branch just before it
@@ -1371,13 +1321,101 @@ def fuse_region(ops: tuple, region: tuple, dshift: int):
             return [f"s = {dest}"]
         return []
 
-    def fetch(line: int, fetch_addr: int) -> list:
-        return [
-            f"if {line} != ic[0]:",
-            f"    ic[0] = {line}",
-            f"    if not icache_access({fetch_addr}):",
-            "        ic[1] += 1",
+    # The I-line each unit starts on, where every way in agrees: a unit
+    # left by its last fetch, or else on the line it was entered on, is
+    # followed by the unit it falls into and any unit its edge jumps to.
+    # The header of a loop whose whole body sits on one I-line is
+    # entered on that line from every iteration but the first, so that
+    # one check moves before the loop.  Within a segment the lines only
+    # grow, so after its first transition every one is a new line.
+    def entry_lines(header):
+        entry = [header] + [None] * (len(units) - 1)
+        arrivals: list[list] = [[] for _ in units]
+        exits = []
+        for n, unit in enumerate(units):
+            if n:
+                ways = arrivals[n]
+                if ends[n - 1][OP_MNEMONIC] != "j":
+                    ways = ways + [exits[n - 1]]
+                if ways and all(line == ways[0] for line in ways):
+                    entry[n] = ways[0]
+            line = entry[n]
+            for seg in unit:
+                if seg[SEG_IFETCH]:
+                    line = seg[SEG_IFETCH][-1][0]
+            exits.append(line)
+            if unit[-1][SEG_TARGET] in inner:
+                arrivals[number[unit[-1][SEG_TARGET]]].append(line)
+        back = [exits[n] for n, unit in enumerate(units) if unit[-1][SEG_TARGET] == head]
+        return entry, back
+
+    entry, back = entry_lines(None)
+    first = segments[0][SEG_IFETCH]
+    hoisted = loop and first and all(line == first[0][0] for line in back)
+    if hoisted:
+        entry, _ = entry_lines(first[0][0])
+
+    def fetch(lines: list, line) -> list:
+        """I-fetch statements for the ``(line, addr)`` transitions ``lines``
+        (in order) entered on I-line ``line``, None when unknown."""
+        todo = [
+            (this, addr)
+            for k, (this, addr) in enumerate(lines)
+            if this != (lines[k - 1][0] if k else line)
         ]
+        out = []
+        if todo and line is None:
+            out += [
+                f"if {todo[0][0]} != ic[0] and not icache_access({todo[0][1]}):",
+                "    ic[1] += 1",
+            ]
+            del todo[0]
+        if todo:
+            out.append(
+                "ic[1] += " + " + ".join(f"(not icache_access({addr}))" for _, addr in todo)
+            )
+        if out:
+            out.append(f"ic[0] = {lines[-1][0]}")
+        return out
+
+    # Units that all run once per iteration (counter ``e0``) in a row run
+    # their fetches together at the first one's start: nothing between
+    # them fetches, and none but the last can leave.
+    fetch_at: dict[int, list] = {}
+    run: list[int] = []
+    for n in range(len(units) + 1):
+        if run and n < len(units) and loop and counters[n] == counters[run[-1]] == "e0":
+            run.append(n)
+            continue
+        if run:
+            transitions = [t for m in run for seg in units[m] for t in seg[SEG_IFETCH]]
+            fetch_at[run[0]] = fetch(transitions, entry[run[0]])
+        run = [n]
+
+    def replay(i: int, last_access) -> tuple[list, Optional[tuple]]:
+        """Statements of interior op ``i`` and the ``(base, offset)`` its
+        D-cache replay leaves in ``dc[0]``'s line, given the one before
+        (None when unknown).  An access to the address of the access
+        just before it hits the same-line memo, so it replays nothing."""
+        op = ops[i]
+        lines = _fuse_op_lines(op)
+        if lines is None:
+            namespace[f"_c{i}"] = op[OP_SEM]
+            namespace[f"_i{i}"] = op[OP_INS]
+            return [f"_c{i}(state, _i{i})"], None
+        if op[OP_MEM]:
+            ins = op[OP_INS]
+            access = (ins.rs, (ins.imm or 0) & _M)
+            if access != last_access:
+                lines += [
+                    f"if (l := a >> {dshift}) != dc[0]:",
+                    "    dc[0] = l",
+                    "    dc[1] += not dcache_access(a)",
+                ]
+            last_access = access
+        if last_access is not None and op[OP_DEST0] == last_access[0]:
+            last_access = None
+        return lines, last_access
 
     def emit(n: int, successor: list) -> list:
         """Source of unit ``n``; ``successor`` is a nested next unit's source."""
@@ -1388,16 +1426,12 @@ def fuse_region(ops: tuple, region: tuple, dshift: int):
             lines = [f"e{n} += 1"]
         else:
             lines = []
+        lines += fetch_at.get(n, [])
+        last_access = None
         for seg in unit:
-            for line, fetch_addr in seg[SEG_IFETCH]:
-                lines += fetch(line, fetch_addr)
             interior_end = seg[SEG_END] if seg[SEG_TARGET] >= 0 else seg[SEG_END] + 1
             for i in range(seg[SEG_START], interior_end):
-                op_lines = _fuse_op_lines(ops[i], dshift)
-                if op_lines is None:
-                    namespace[f"_c{i}"] = ops[i][OP_SEM]
-                    namespace[f"_i{i}"] = ops[i][OP_INS]
-                    op_lines = [f"_c{i}(state, _i{i})"]
+                op_lines, last_access = replay(i, last_access)
                 lines += op_lines
         end = unit[-1][SEG_END]
         target = unit[-1][SEG_TARGET]
@@ -1415,8 +1449,7 @@ def fuse_region(ops: tuple, region: tuple, dshift: int):
             lines += [f"t{end} += 1"] if taken_counts[end] == f"t{end}" else []
             if ends[n][OP_MNEMONIC] == "j":
                 return lines
-            prelude, condition = _fuse_branch_test(ends[n])
-            lines += prelude + [f"if not ({condition}):"]
+            lines.append(f"if not ({_fuse_branch_test(ends[n])}):")
             return lines + ["    " + stmt for stmt in onward]
         taken = []
         if not loop:
@@ -1431,8 +1464,7 @@ def fuse_region(ops: tuple, region: tuple, dshift: int):
             taken += leave(target)
         if ends[n][OP_MNEMONIC] == "j":
             return lines + taken
-        prelude, condition = _fuse_branch_test(ends[n])
-        lines += prelude
+        condition = _fuse_branch_test(ends[n])
         if not taken:
             return lines + [f"if not ({condition}):"] + ["    " + stmt for stmt in onward]
         lines.append(f"if {condition}:")
@@ -1464,8 +1496,15 @@ def fuse_region(ops: tuple, region: tuple, dshift: int):
         own = [name for name in sizes if name != "e0"]
         if own or edges:
             body.append(" = ".join([*own, *(f"t{end}" for end in edges), "0"]))
+        if hoisted:
+            line, addr = first[0]
+            body += [
+                f"if {line} != ic[0] and not icache_access({addr}):",
+                "    ic[1] += 1",
+                f"ic[0] = {line}",
+            ]
         body.append(f"for e0 in range(1, budget // {length} + 1):")
-        body += ["    " + stmt for stmt in code]
+        body += ["    " + stmt for stmt in code or ["pass"]]
         body += ["else:", f"    r = {head}"]
         for n, unit in enumerate(units):
             body += [f"sc[{seg[SEG_START]}] += {counters[n]}" for seg in unit]
@@ -1481,7 +1520,7 @@ def fuse_region(ops: tuple, region: tuple, dshift: int):
         compile(source, f"<region@{ops[head][OP_ADDR]:#x}>", "exec"),
         namespace,
     )
-    _GLOBAL_CACHE.count_fusion(time.perf_counter() - began)
+    _GLOBAL_CACHE.count_fusion(time.perf_counter() - began, len(body) + 1)
     return namespace["_region"]
 
 
@@ -1712,6 +1751,7 @@ class CompilationCache:
         self.builds = 0
         self.build_evictions = 0
         self.regions_fused = 0
+        self.region_statements = 0
         self.fuse_seconds = 0.0
 
     def __len__(self) -> int:
@@ -1780,12 +1820,15 @@ class CompilationCache:
             self.builds = 0
             self.build_evictions = 0
             self.regions_fused = 0
+            self.region_statements = 0
             self.fuse_seconds = 0.0
+        CODEGEN_TALLY.clear()
 
-    def count_fusion(self, seconds: float) -> None:
-        """Count one region closure generated in ``seconds``."""
+    def count_fusion(self, seconds: float, statements: int) -> None:
+        """Count one region closure of ``statements`` generated in ``seconds``."""
         with self._build_lock:
             self.regions_fused += 1
+            self.region_statements += statements
             self.fuse_seconds += seconds
 
     def info(self) -> dict:
@@ -1794,9 +1837,13 @@ class CompilationCache:
         The top-level keys keep their historical meaning (the per-op
         ``ops`` tier, which every simulation resolves through); the
         ``tiers`` breakdown adds the design-point ``build`` tier (its
-        ``compilations`` count builds).  ``regions_fused`` and
-        ``fuse_ms`` count the superop region closures generated and the
-        milliseconds spent generating them.
+        ``compilations`` count builds).  ``regions_fused``,
+        ``region_statements`` and ``fuse_ms`` count the superop region
+        closures generated, their source lines and the milliseconds
+        spent generating them; ``tie_closures``, ``tie_statements`` and
+        ``tie_codegen_ms`` count the same for custom-instruction
+        semantics (:mod:`repro.tie.compiler`).  A generated line holds
+        one statement or a one-line ``if``.
         """
         with self._lock, self._build_lock:
             return {
@@ -1807,7 +1854,11 @@ class CompilationCache:
                 "compilations": self.compilations,
                 "evictions": self.evictions,
                 "regions_fused": self.regions_fused,
+                "region_statements": self.region_statements,
                 "fuse_ms": round(self.fuse_seconds * 1e3, 3),
+                "tie_closures": CODEGEN_TALLY.closures,
+                "tie_statements": CODEGEN_TALLY.statements,
+                "tie_codegen_ms": round(CODEGEN_TALLY.seconds * 1e3, 3),
                 "tiers": {
                     "ops": {
                         "entries": len(self._entries),

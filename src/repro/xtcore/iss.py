@@ -83,10 +83,12 @@ DEFAULT_STACK_TOP = 0x0007_FF00
 
 #: Ops a region retires op by op before :func:`dispatch` fuses it: the
 #: header's first entry after its slot reaches this count generates the
-#: closure.  Generating one takes about 0.5-1.5 ms, the price of
-#: hundreds to thousands of op-by-op steps, so a region entered a
-#: handful of times never pays it back, while a hot loop crosses this
-#: count within a few iterations.  The ``fusion`` sweep of
+#: closure.  Generating one takes about 0.45 ms on average (34 lines at
+#: about 13 us each, compile() included, over the 66 bundled cold
+#: estimates: the ``codegen`` section of ``BENCH_ISS.json``), the price
+#: of hundreds of op-by-op steps, so a region entered a handful of times
+#: never pays it back, while a hot loop crosses this count within a few
+#: iterations.  The ``fusion`` sweep of
 #: ``benchmarks/bench_iss_throughput.py`` sized it (docs/PERFORMANCE.md,
 #: "Payback fusion").
 _FUSE_AFTER_OPS = 64
@@ -136,24 +138,6 @@ class SimulationResult:
         if self.stats.total_instructions == 0:
             return 0.0
         return self.stats.total_cycles / self.stats.total_instructions
-
-    def performance_summary(self) -> str:
-        """One-paragraph performance digest (CPI, stall/penalty shares)."""
-        stats = self.stats
-        cycles = stats.total_cycles or 1
-        penalty_cycles = (
-            stats.interlocks * self.config.timing.interlock_stall
-            + stats.icache_misses * self.config.icache.miss_penalty
-            + stats.dcache_misses * self.config.dcache.miss_penalty
-            + stats.uncached_fetches * self.config.timing.uncached_fetch_penalty
-        )
-        return (
-            f"{self.program.name} on {self.config.name}: "
-            f"{stats.total_instructions} instructions in {stats.total_cycles} cycles "
-            f"(CPI {self.cpi:.2f}, {100.0 * penalty_cycles / cycles:.1f}% in "
-            f"stalls/miss penalties, {self.runtime_seconds * 1e6:.1f} us at "
-            f"{self.config.clock_mhz:g} MHz)"
-        )
 
     def word(self, symbol: str) -> int:
         """Read a 32-bit little-endian word at a program symbol (for checks)."""

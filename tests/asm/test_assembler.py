@@ -263,13 +263,6 @@ class TestProgramIntrospection:
         assert [(r.start, r.end) for r in ranges] == [(0, 8), (0x100, 0x104)]
         assert program.static_mnemonic_histogram() == {"nop": 2, "halt": 1}
 
-    def test_encode_image_blobs(self):
-        program = assemble("    .data\nv: .word 9\n    .text\nmain:\n    halt\n")
-        blobs = program.encode_image(BASE_ISA)
-        addresses = [addr for addr, _ in blobs]
-        assert program.entry in addresses
-        assert program.symbol("v") in addresses
-
     def test_misaligned_instruction_rejected(self):
         from repro.asm import Program
         from repro.isa import Instruction

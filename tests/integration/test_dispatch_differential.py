@@ -284,6 +284,62 @@ class TestStressPrograms:
                 assert_stats_equal(ref_result.stats, result.stats, context)
                 assert_states_equal(ref_result.state, result.state, context)
 
+    def test_engines_agree_when_the_caches_thrash(self):
+        """Caches of four 2-way sets of 16 B lines: a loop body evicts its
+        own header's I-line and its D-lines, so every I-fetch and D-cache
+        replay a fused region elides or hoists must be a true hit."""
+        filler = [f"    xor a{8 + k % 4}, a{8 + k % 4}, a3" for k in range(14)]
+        big_loop = "\n".join(
+            [
+                "    .data",
+                "buf:",
+                "    .space 256",
+                "    .text",
+                "main:",
+                "    movi a2, 24",
+                "    movi a3, 0",
+                "    la a4, buf",
+                "loop:",
+                "    l32i a5, a4, 0",
+                "    addi a4, a4, 64",  # the same base and offset, a new address
+                "    l32i a5, a4, 0",
+                "    addi a4, a4, -64",
+                "    add a3, a3, a5",
+                *filler,
+                "    andi a6, a2, 1",
+                "    beqz a6, even",
+                "    addi a3, a3, 7",
+                "    l32i a5, a4, 128",
+                "    j join",
+                "even:",
+                "    addi a3, a3, 3",
+                *filler[:5],
+                "    s32i a3, a4, 192",
+                "join:",
+                *filler,
+                "    addi a2, a2, -1",
+                "    bnez a2, loop",
+                "    halt",
+            ]
+        )
+        base = build_processor("xt-stress", [])
+        tiny = dataclasses.replace(base.icache, size_bytes=128, ways=2, line_bytes=16)
+        config = dataclasses.replace(
+            base,
+            icache=tiny,
+            dcache=dataclasses.replace(base.dcache, size_bytes=128, ways=2, line_bytes=16),
+        )
+        programs = [assemble(big_loop, "big_loop")]
+        programs += [program for case, program in stress_programs() if not case.faulting]
+        programs += [generate_program(seed) for seed in range(40)]
+        for program in programs:
+            ref_result = ReferenceSimulator(config, program, max_instructions=MAX_INSTRUCTIONS).run()
+            for path in PATHS:
+                result = run_path(path, config, program, max_instructions=MAX_INSTRUCTIONS)
+                context = f"{program.name} ({path}, thrashing caches)"
+                assert_stats_equal(ref_result.stats, result.stats, context)
+                assert_states_equal(ref_result.state, result.state, context)
+
     def test_fused_fall_off_end_diagnostics(self):
         """Satellite: the fused path's invalid-pc fault names the nearest
         preceding symbol (with offset) and the last retired address."""

@@ -107,6 +107,9 @@ class FakePool:
         self.submitted.append(([item["name"] for item in items], future))
         return await future
 
+    def close(self) -> None:
+        pass
+
     def shutdown(self) -> None:
         pass
 
@@ -287,6 +290,27 @@ class TestWorkerHang:
         assert counters["worker_hangs_total"] >= 1
         assert counters["pool_restarts_total"] >= 1
         assert metrics["supervision"]["chaos"]["injected"]["hang"] == 1
+
+    def test_stop_with_a_call_in_flight_forks_no_child(self, make_server):
+        server = make_server(
+            chaos=ServiceChaosPlan(seed=5, hangs=1, horizon=1, hang_seconds=30.0),
+            drain_grace=0.2,
+        )
+        service = server.service
+        results, threads = fire(server, [inline_body("slowpoke", loops=6)])
+        # the only child is busy with the hung call
+        wait_until(lambda: len(service.pool.pids) == 1 and service.pool._idle.qsize() == 0)
+        forks = []
+        spawn = service.pool._spawn
+        service.pool._spawn = lambda: forks.append(1) or spawn()
+        server.close()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert results[0][1] == 503
+        assert results[0][2]["stage"] == "shutdown"
+        assert forks == []
+        assert service.pool.pids == []
+        assert service.metrics_payload()["counters"]["pool_restarts_total"] == 0
 
 
 class TestConnectionReset:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
+import socket
 import time
 
 import pytest
@@ -161,3 +162,40 @@ def test_signal_in_a_fresh_fork_child_does_not_reach_the_parent_loop():
             loop.remove_signal_handler(signal.SIGTERM)
 
     assert asyncio.run(scenario()) is False
+
+
+def _read_reply(chunks: list[bytes]):
+    """What a frontend pipe decodes when the reply arrives as ``chunks``."""
+    loop = asyncio.new_event_loop()
+    ours, theirs = socket.socketpair()
+    theirs.setblocking(False)
+    lost = []
+    child = pool._Child(os.getpid(), ours, loop, lost.append)
+
+    async def scenario():
+        reply = child.call(len, ())
+        for chunk in chunks:
+            await loop.sock_sendall(theirs, chunk)
+            await asyncio.sleep(0.01)
+        return await asyncio.wait_for(reply, 30)
+
+    try:
+        return loop.run_until_complete(scenario())
+    finally:
+        loop.remove_reader(ours.fileno())
+        ours.close()
+        theirs.close()
+        loop.close()
+        assert lost == []
+
+
+def test_reply_split_across_reads_decodes():
+    frame = pool._frame((True, {"ok": True, "cycles": 1234}))
+    cuts = [0, 3, 8, 11, len(frame) - 1, len(frame)]  # the header split too
+    chunks = [frame[a:b] for a, b in zip(cuts, cuts[1:])]
+    assert _read_reply(chunks) == {"ok": True, "cycles": 1234}
+
+
+def test_reply_larger_than_one_read_decodes():
+    value = bytes(range(256)) * (12 << 10)  # 3 MiB: many reads of the pipe
+    assert _read_reply([pool._frame((True, value))]) == value

@@ -213,6 +213,9 @@ class StallingPool:
         self.budgets.append([item["max_instructions"] for item in items])
         await asyncio.get_running_loop().create_future()  # never resolved
 
+    def close(self) -> None:
+        pass
+
     def shutdown(self) -> None:
         pass
 

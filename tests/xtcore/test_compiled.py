@@ -110,7 +110,11 @@ class TestCompilationCache:
         first = cache.get_or_compile(config, program)
         again = cache.get_or_compile(config, program)
         assert first is again
-        assert cache.info() == {
+        info = cache.info()
+        # custom-instruction codegen is counted process-wide
+        for key in ("tie_closures", "tie_statements", "tie_codegen_ms"):
+            assert info.pop(key) >= 0
+        assert info == {
             "entries": 1,
             "maxsize": 256,
             "hits": 1,
@@ -118,6 +122,7 @@ class TestCompilationCache:
             "compilations": 1,
             "evictions": 0,
             "regions_fused": 0,
+            "region_statements": 0,
             "fuse_ms": 0.0,
             "tiers": {
                 "ops": {

@@ -326,12 +326,3 @@ class TestPerformanceSummary:
             state=None,
         )
         assert empty.cpi == 0.0
-
-    def test_summary_fields(self):
-        result = run(
-            "    .data\nv: .word 1\n    .text\nmain:\n    la a2, v\n    l32i a3, a2, 0\n    add a4, a3, a3\n    halt\n"
-        )
-        text = result.performance_summary()
-        assert "CPI" in text
-        assert "MHz" in text
-        assert "% in" in text

@@ -1,18 +1,47 @@
-"""DSE engine throughput: serial vs batched.
+"""DSE engine throughput: cold explorations, serial vs batched.
 
 The exploration engine's whole value is candidates/second on the
-macro-model fast path.  This benchmark times one seeded random sample
-of the tuned Reed-Solomon space, then the batched evaluator: one
-program across 64 cache-geometry variants (a single semantic
-partition), scored through one :func:`repro.xtcore.run_batch` pass
-versus 64 per-point runs.
+macro-model fast path.  Run as a script to (re)generate
+``BENCH_DSE.json`` at the repo root:
+
+    PYTHONPATH=src python benchmarks/bench_dse_throughput.py [--check]
+
+It runs cold explorations of the tuned Reed-Solomon space crossed with
+three DVFS points (each from a cleared compilation cache) and records
+the time per exploration and its breakdown: per impl (build, compile,
+simulate) and per candidate (build, estimate, score).  It also counts
+how often an exploration derives each cache-independent config value
+(``lowering_key``, ``semantic_fingerprint``) and generates a netlist
+for the area proxy.  ``--check`` fails unless each of those counts
+equals the number of distinct impls the exploration scored: candidates
+that differ only in cache geometry or operating point derive nothing
+again.  The timings are reported, not gated.
+
+Under pytest-benchmark it times one seeded random sample of the tuned
+Reed-Solomon space, then the batched evaluator: one program across 64
+cache-geometry variants (a single semantic partition), scored through
+one :func:`repro.xtcore.run_batch` pass versus 64 per-point runs.
 """
 
+import argparse
 import dataclasses
+import functools
+import json
+import os
+import pathlib
+import platform
+import statistics
 import time
+from collections import Counter
+from unittest import mock
 
 import pytest
 
+import repro.dse.evaluate
+import repro.dse.space
+import repro.xtcore.batch
+import repro.xtcore.compiled
+from repro.core import EnergyMacroModel
 from repro.dse import (
     EvaluationEngine,
     Knob,
@@ -25,7 +54,17 @@ from repro.dse import (
 from repro.dse.cache import candidate_cache_key
 from repro.programs import characterization_suite
 from repro.tech import default_calibration
-from repro.xtcore import DEFAULT_MAX_INSTRUCTIONS, build_processor
+from repro.xtcore import (
+    DEFAULT_MAX_INSTRUCTIONS,
+    ProcessorConfig,
+    build_processor,
+    compilation_cache,
+)
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEFAULT_OUTPUT = ROOT / "BENCH_DSE.json"
+#: any fitted model prices a run the same way; this one is committed
+MODEL = ROOT / "perfbench" / "data" / "model_fixture.json"
 
 BUDGET = 12
 BATCH_CONFIGS = 64
@@ -231,3 +270,247 @@ def test_dse_batched_operating_point_axis(benchmark, ctx, save_report):
         ),
     ]
     save_report("dse_batched_operating_point_axis", "\n".join(lines))
+
+
+# -- cold explorations: breakdown and derivation counts ----------------------
+
+EXPLORE_SPACE = "reed_solomon_tuned"
+EXPLORE_POINTS = OP_POINTS[:3]
+EXPLORE_BUDGET = 48
+#: strategy seeds; each seed is one cold exploration
+EXPLORE_SEEDS = range(24)
+
+#: cached ``ProcessorConfig`` values no cache setting enters, counted per
+#: derivation; ``--check`` wants one derivation per distinct impl
+DERIVED = ("lowering_key", "semantic_fingerprint")
+
+#: timed layers as (owner, attribute, name): the impl-level work, then
+#: the candidate-level calls that contain it
+_LAYERS = (
+    (repro.dse.space, "_build_impl", "impl_build"),
+    (repro.xtcore.compiled, "compile_program", "impl_compile"),
+    (repro.xtcore.batch, "_record_trajectory", "impl_simulate"),
+    (SearchSpace, "build", "build"),
+    (EnergyMacroModel, "estimate_many", "estimate"),
+    (repro.dse.evaluate, "_score_points", "score_points"),
+    (repro.dse.evaluate, "generate_netlist", "netlist"),
+)
+
+
+class _Probe:
+    """Seconds and calls per layer, and derivations per cached value."""
+
+    def __init__(self) -> None:
+        self.seconds: Counter = Counter()
+        self.calls: Counter = Counter()
+        self._depth: Counter = Counter()
+
+    def _timed(self, name: str, function):
+        @functools.wraps(function)
+        def timed(*args, **kwargs):
+            if self._depth[name]:  # a space builder re-entering build
+                return function(*args, **kwargs)
+            self._depth[name] += 1
+            started = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                self.seconds[name] += time.perf_counter() - started
+                self.calls[name] += 1
+                self._depth[name] -= 1
+
+        return timed
+
+    def _derived(self, attribute: str, derive):
+        prop = functools.cached_property(derive)
+        prop.__set_name__(ProcessorConfig, attribute)
+        return mock.patch.object(ProcessorConfig, attribute, prop)
+
+    def _counted(self, name: str):
+        derive = ProcessorConfig.__dict__[name].func
+
+        def counted(config):
+            self.calls[name] += 1
+            return derive(config)
+
+        return self._derived(name, counted)
+
+    def patches(self) -> list:
+        patches = [
+            mock.patch.object(owner, attribute, self._timed(name, getattr(owner, attribute)))
+            for owner, attribute, name in _LAYERS
+        ]
+        patches += [self._counted(name) for name in DERIVED]
+        # what a template derives once for its geometry variants
+        shared = ProcessorConfig.__dict__["_cache_independent"].func
+        patches.append(self._derived("_cache_independent", self._timed("impl_derive", shared)))
+        return patches
+
+
+def measure_explore(model, seed: int) -> dict:
+    """One cold exploration: wall time, layer times and counts."""
+    space = with_operating_points(get_space(EXPLORE_SPACE), EXPLORE_POINTS)
+    probe = _Probe()
+    patches = probe.patches()
+    for patch in patches:
+        patch.start()
+    try:
+        compilation_cache().clear()
+        started = time.perf_counter()
+        report = explore(model, space, RandomStrategy(EXPLORE_BUDGET, seed=seed))
+        wall = time.perf_counter() - started
+    finally:
+        for patch in reversed(patches):
+            patch.stop()
+    tier = compilation_cache().info()["tiers"]["build"]
+    candidates = len(report.scores) + len(report.failures)
+    return {
+        "seed": seed,
+        "impls": tier["misses"],
+        "candidates": candidates,
+        "failures": len(report.failures),
+        "wall_ms": wall * 1e3,
+        "seconds": dict(probe.seconds),
+        "counts": {name: probe.calls[name] for name in (*DERIVED, "netlist")},
+    }
+
+
+def run_suite(model, seeds=EXPLORE_SEEDS) -> dict:
+    """Cold explorations over ``seeds``: per-layer medians and every count.
+
+    One untimed exploration first pays the process's one-time set-up
+    (lazy imports, the calibration table), which no cold exploration of
+    a running process pays again.
+    """
+    measure_explore(model, seeds[0])
+    runs = [measure_explore(model, seed) for seed in seeds]
+
+    def layer(name: str) -> list[float]:
+        return [run["seconds"].get(name, 0.0) for run in runs]
+
+    # Impl-level work happens once per impl, inside the candidate-level
+    # calls; each candidate-level layer is reported net of it.
+    impl = {
+        "build": [b + d for b, d in zip(layer("impl_build"), layer("impl_derive"))],
+        "compile": layer("impl_compile"),
+        "simulate": layer("impl_simulate"),
+    }
+    candidate = {
+        "build": [b - i for b, i in zip(layer("build"), impl["build"])],
+        "estimate": [
+            e - c - s for e, c, s in zip(layer("estimate"), impl["compile"], impl["simulate"])
+        ],
+        "score": [
+            t - b - e
+            for t, b, e in zip(layer("score_points"), layer("build"), layer("estimate"))
+        ],
+    }
+    strategy = [run["wall_ms"] / 1e3 - t for run, t in zip(runs, layer("score_points"))]
+
+    def median(seconds: list[float], per: str, scale: float) -> float:
+        return round(
+            statistics.median(s / run[per] for s, run in zip(seconds, runs)) * scale, 3
+        )
+
+    return {
+        "benchmark": "dse_cold_explore",
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+        },
+        "workload": {
+            "space": EXPLORE_SPACE,
+            "operating_points": list(EXPLORE_POINTS),
+            "strategy": f"random(budget={EXPLORE_BUDGET})",
+            "seeds": f"{runs[0]['seed']}..{runs[-1]['seed']}",
+            "model": MODEL.relative_to(ROOT).as_posix(),
+            "cold": "compilation cache cleared before every exploration",
+        },
+        "unit": "medians over the explorations; a per-impl or per-candidate "
+        "time divides one exploration's layer time by its impls or candidates",
+        "explore_ms": round(statistics.median(run["wall_ms"] for run in runs), 3),
+        "per_impl_ms": {name: median(seconds, "impls", 1e3) for name, seconds in impl.items()},
+        "per_candidate_us": {
+            name: median(seconds, "candidates", 1e6) for name, seconds in candidate.items()
+        },
+        "strategy_and_report_ms": round(statistics.median(strategy) * 1e3, 3),
+        "counts": [
+            {
+                "seed": run["seed"],
+                "impls": run["impls"],
+                "candidates": run["candidates"],
+                "failures": run["failures"],
+                **run["counts"],
+            }
+            for run in runs
+        ],
+    }
+
+
+def check_failures(payload: dict) -> list[str]:
+    """Every ``--check`` gate the payload misses, one line each."""
+    failures = []
+    for row in payload["counts"]:
+        if row["failures"]:
+            failures.append(f"seed {row['seed']}: {row['failures']} candidate(s) failed")
+        for name in (*DERIVED, "netlist"):
+            if row[name] != row["impls"]:
+                failures.append(
+                    f"seed {row['seed']}: {row[name]} {name} derivations for "
+                    f"{row['impls']} distinct impls ({row['candidates']} candidates)"
+                )
+    return failures
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument(
+        "--output",
+        type=pathlib.Path,
+        default=DEFAULT_OUTPUT,
+        help="where to write the JSON payload (default: repo-root BENCH_DSE.json)",
+    )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="exit non-zero unless every exploration derives each cache-independent "
+        "value and the area netlist once per distinct impl",
+    )
+    args = parser.parse_args(argv)
+
+    payload = run_suite(EnergyMacroModel.load(MODEL))
+    args.output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+    impl, candidate = payload["per_impl_ms"], payload["per_candidate_us"]
+    print(
+        f"cold explore of {EXPLORE_SPACE} x {len(EXPLORE_POINTS)} points, "
+        f"{len(payload['counts'])} seeds: median {payload['explore_ms']} ms"
+    )
+    print(
+        f"per impl (ms): build {impl['build']}, compile {impl['compile']}, "
+        f"simulate {impl['simulate']}"
+    )
+    print(
+        f"per candidate (us): build {candidate['build']}, estimate {candidate['estimate']}, "
+        f"score {candidate['score']}"
+    )
+    row = payload["counts"][0]
+    print(
+        f"seed {row['seed']}: {row['impls']} impls, {row['candidates']} candidates, "
+        + ", ".join(f"{name} {row[name]}" for name in (*DERIVED, "netlist"))
+    )
+    print(f"-> {args.output}")
+
+    if args.check:
+        failures = check_failures(payload)
+        for failure in failures:
+            print(f"CHECK FAILED: {failure}")
+        if failures:
+            return 1
+        print("CHECK OK: one derivation of each cache-independent value per impl")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

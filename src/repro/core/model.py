@@ -28,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import warnings
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -45,6 +44,7 @@ from ..xtcore import (
     semantic_fingerprint,
 )
 from .extract import extract_variables
+from .resource import analyze_resource_usage
 from .template import (
     MacroModelTemplate,
     default_template,
@@ -52,12 +52,9 @@ from .template import (
     unweighted_template,
 )
 
-#: Current model-file schema.  ``/2`` adds the ``operating_point`` field.
+#: Current model-file schema.  ``/2`` adds the ``operating_point`` field;
+#: a file in any other format does not load.
 MODEL_FORMAT = "repro-energy-macro-model/2"
-
-#: Older schemas :meth:`EnergyMacroModel.from_json` still accepts (with a
-#: migration warning) instead of rejecting.
-LEGACY_MODEL_FORMATS = ("repro-energy-macro-model/1",)
 
 _TEMPLATE_REGISTRY = {
     "hybrid-21": default_template,
@@ -274,7 +271,7 @@ class EnergyMacroModel:
         """
         job = (config, program, None, max_instructions)
         (run,) = self._simulate([job], ())
-        return self._finish(job, run)
+        return self._finish(job, run, {})
 
     def estimate_many(
         self,
@@ -319,9 +316,10 @@ class EnergyMacroModel:
                 for index, job in zip(members, group):
                     outcomes[index] = _failure(job, exc)
                 continue
+            usages: dict = {}
             for index, job, run in zip(members, group, runs):
                 try:
-                    outcomes[index] = self._finish(job, run)
+                    outcomes[index] = self._finish(job, run, usages)
                 except Exception as exc:  # noqa: BLE001 — per-job isolation
                     outcomes[index] = _failure(job, exc)
         return Estimates(outcomes, passes)
@@ -346,11 +344,23 @@ class EnergyMacroModel:
                 observer.on_run_finish(run)
         return runs
 
-    def _finish(self, job: EstimateJob, run: SimulationResult) -> MacroEstimate:
-        """Variables and dot product for one job at its operating point."""
+    def _finish(
+        self, job: EstimateJob, run: SimulationResult, usages: dict
+    ) -> MacroEstimate:
+        """Variables and dot product for one job at its operating point.
+
+        ``usages`` memoizes the resource-usage analysis within one pass:
+        it reads the extensions and the fold's custom counts and bus
+        cycles, and members of one pass sharing the extension tuple and
+        the lowering share the fold.
+        """
         config, program, point, _ = job
         model = self.at(point)
-        variables = extract_variables(run.stats, config, model.template)
+        key = (id(config.extensions), config.lowering_key)
+        usage = usages.get(key)
+        if usage is None:
+            usage = usages[key] = analyze_resource_usage(run.stats, config)
+        variables = extract_variables(run.stats, config, model.template, usage=usage)
         return MacroEstimate(
             program_name=program.name,
             processor_name=config.name,
@@ -404,28 +414,15 @@ class EnergyMacroModel:
     def from_json(cls, text: str) -> "EnergyMacroModel":
         payload = json.loads(text)
         file_format = payload.get("format")
-        if file_format in LEGACY_MODEL_FORMATS:
-            warnings.warn(
-                f"model file uses legacy schema {file_format!r} "
-                f"(current: {MODEL_FORMAT!r}); it predates operating-point "
-                "metadata and is treated as fitted at the calibration "
-                "reference point — re-save with model.save() to migrate",
-                UserWarning,
-                stacklevel=2,
-            )
-            operating_point = None
-        elif file_format == MODEL_FORMAT:
-            raw_point = payload.get("operating_point")
-            try:
-                operating_point = (
-                    OperatingPoint.from_payload(raw_point)
-                    if raw_point is not None
-                    else None
-                )
-            except CalibrationError as exc:
-                raise ValueError(f"model file has a bad operating point: {exc}") from exc
-        else:
+        if file_format != MODEL_FORMAT:
             raise ValueError(f"unrecognized model format {file_format!r}")
+        raw_point = payload.get("operating_point")
+        try:
+            operating_point = (
+                OperatingPoint.from_payload(raw_point) if raw_point is not None else None
+            )
+        except CalibrationError as exc:
+            raise ValueError(f"model file has a bad operating point: {exc}") from exc
         template_name = payload["template"]
         factory = _TEMPLATE_REGISTRY.get(template_name)
         if factory is None:

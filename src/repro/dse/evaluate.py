@@ -1,9 +1,9 @@
 """Candidate scoring: the macro-model fast path, batched.
 
 A candidate is scored on the paper's macro-model path (untraced
-instruction-set simulation, then a dot product; no RTL) plus a netlist
-generation for the custom-area proxy.  Candidates rarely pay a
-simulation each:
+instruction-set simulation, then a dot product; no RTL) plus the
+custom-area proxy, one netlist generation per distinct extension tuple.
+Candidates rarely pay a simulation each:
 
 * **shared builds** — the design point's extensions and program come
   from the compilation cache's ``build`` tier, built once per distinct
@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 from ..core.model import EnergyMacroModel, MacroEstimate
 from ..core.runner import SampleFailure, TooManyFailures
 from ..rtl import generate_netlist
-from ..xtcore import DEFAULT_MAX_INSTRUCTIONS, ProcessorConfig
+from ..xtcore import DEFAULT_MAX_INSTRUCTIONS
 from .space import OPERATING_POINT_KNOB, Candidate, SearchSpace, assignment_key
 
 
@@ -134,14 +134,12 @@ class CandidateScore:
 OBJECTIVES = ("energy", "cycles", "edp", "area", "time", "edp_seconds")
 
 
-def score_payload(
-    outcome: "MacroEstimate | SampleFailure", config: Optional[ProcessorConfig] = None
-) -> dict:
+def score_payload(outcome: "MacroEstimate | SampleFailure", area: float) -> dict:
     """The record of one estimation-kernel outcome (one candidate's score).
 
     An estimate becomes the :class:`CandidateScore` payload shape, with
-    the custom-area proxy of ``config`` (the processor it was estimated
-    on); a failure keeps its own fields under ``ok: False``.
+    ``area``, the custom-area proxy of the processor it was estimated on;
+    a failure keeps its own fields under ``ok: False``.
     """
     if isinstance(outcome, SampleFailure):
         return {"ok": False, **outcome.to_payload()}
@@ -152,7 +150,7 @@ def score_payload(
         "processor": outcome.processor_name,
         "energy": float(outcome.energy),
         "cycles": int(outcome.cycles),
-        "area": float(generate_netlist(config).custom_area),
+        "area": area,
         "operating_point": point.key if point is not None else None,
         "frequency_mhz": point.frequency_mhz if point is not None else None,
     }
@@ -186,14 +184,24 @@ def _score_points(
     estimates = model.estimate_many(jobs)
     estimated = iter(estimates)
     outcomes = [next(estimated) if o is None else o for o in outcomes]
-    records = [
-        {
-            **score_payload(outcome, config),
-            "key": assignment_key(assignment),
-            "assignment": dict(assignment),
-        }
-        for outcome, config, assignment in zip(outcomes, configs, points)
-    ]
+    # The area proxy reads only the extensions, which the candidates of one
+    # impl share; ``configs`` keeps each tuple alive, so its id is unique.
+    areas: dict[int, float] = {}
+    records = []
+    for outcome, config, assignment in zip(outcomes, configs, points):
+        area = 0.0
+        if isinstance(outcome, MacroEstimate):
+            key = id(config.extensions)
+            if key not in areas:
+                areas[key] = float(generate_netlist(config).custom_area)
+            area = areas[key]
+        records.append(
+            {
+                **score_payload(outcome, area),
+                "key": assignment_key(assignment),
+                "assignment": dict(assignment),
+            }
+        )
     return records, estimates.passes
 
 

@@ -39,20 +39,24 @@ def pareto_frontier(
     unique: dict[str, CandidateScore] = {}
     for score in scores:
         unique.setdefault(score.key, score)
-    # Each axis tuple once, shared by the sort and the dominance test
-    # (the inner test is ``dominates`` on precomputed tuples).
+    # Each axis tuple once, shared by the sort and the dominance test.
     points = sorted(
         ((_axis_tuple(s, axes), s.key, s) for s in unique.values()),
         key=lambda point: point[:2],
     )
-    return [
-        candidate
-        for values, _, candidate in points
+    # A dominator is no worse on every axis, so it sorts before the point
+    # it dominates; dominance is transitive, so a point dominated by
+    # anything is dominated by a frontier point kept before it.  Testing
+    # against the frontier so far is therefore the full test (``dominates``
+    # on precomputed tuples), in O(n x frontier).
+    frontier: list[tuple] = []
+    for values, _, candidate in points:
         if not any(
-            all(x <= y for x, y in zip(other, values)) and other != values
-            for other, _, _ in points
-        )
-    ]
+            all(x <= y for x, y in zip(kept, values)) and kept != values
+            for kept, _ in frontier
+        ):
+            frontier.append((values, candidate))
+    return [candidate for _, candidate in frontier]
 
 
 def rank_scores(

@@ -254,8 +254,7 @@ def _case_factories(workload: str) -> Mapping[str, Callable]:
 
 def with_cache_knobs(config: ProcessorConfig, assignment: Assignment) -> ProcessorConfig:
     """``config`` with the assignment's optional cache-geometry knobs applied."""
-    return dataclasses.replace(
-        config,
+    return config.with_caches(
         icache=CacheConfig(size_bytes=int(assignment.get("icache_kb", 16)) * 1024),
         dcache=CacheConfig(
             size_bytes=int(assignment.get("dcache_kb", 16)) * 1024,

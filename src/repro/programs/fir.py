@@ -35,17 +35,21 @@ _U32 = 0xFFFFFFFF
 _ACC_MASK = (1 << 40) - 1
 
 
-def _workload() -> tuple[list[int], list[int], list[int]]:
-    """(samples, coefficients, expected outputs) — all 16-bit unsigned."""
-    samples = Lcg(7001).words(SAMPLES, bits=12)
-    coefficients = Lcg(7002).words(TAPS, bits=8)
+def _workload() -> tuple[list[int], list[int]]:
+    """(samples, coefficients) — all 16-bit unsigned."""
+    return Lcg(7001).words(SAMPLES, bits=12), Lcg(7002).words(TAPS, bits=8)
+
+
+def _expected_outputs() -> list[int]:
+    """The reference filter outputs, computed only when a check runs."""
+    samples, coefficients = _workload()
     outputs = []
     for n in range(OUTPUTS):
         acc = 0
         for k in range(TAPS):
             acc = (acc + samples[n + k] * coefficients[k]) & _ACC_MASK
         outputs.append(acc & _U32)
-    return samples, coefficients, outputs
+    return outputs
 
 
 def _fir_state() -> TieState:
@@ -106,7 +110,7 @@ outp: .space {OUTPUTS * 4}
 
 
 def fir_software() -> BenchmarkCase:
-    samples, coefficients, expected = _workload()
+    samples, coefficients = _workload()
     source = _data_section(samples, coefficients) + f"""
     .text
 main:
@@ -139,13 +143,13 @@ tap_loop:
         name="fir_sw",
         description="16-tap FIR, base ISA (mull + add per tap)",
         source=source,
-        check=expect_words("outp", expected),
+        check=expect_words("outp", _expected_outputs),
         max_instructions=DEFAULT_MAX_INSTRUCTIONS,
     )
 
 
 def fir_mac() -> BenchmarkCase:
-    samples, coefficients, expected = _workload()
+    samples, coefficients = _workload()
     source = _data_section(samples, coefficients) + f"""
     .text
 main:
@@ -182,12 +186,12 @@ tap_loop:
         description="16-tap FIR with the mac16 fused MAC instruction",
         source=source,
         spec_factories=(ext.mac16_spec, ext.rdmac_spec, ext.wrmac_spec),
-        check=expect_words("outp", expected),
+        check=expect_words("outp", _expected_outputs),
     )
 
 
 def fir_packed() -> BenchmarkCase:
-    samples, coefficients, expected = _workload()
+    samples, coefficients = _workload()
     source = _data_section(samples, coefficients) + f"""
     .text
 main:
@@ -221,7 +225,7 @@ pair_loop:
         description="16-tap FIR with the 2-wide packed firstep2 instruction",
         source=source,
         spec_factories=(firstep2_spec, wrfir_spec),
-        check=expect_words("outp", expected),
+        check=expect_words("outp", _expected_outputs),
     )
 
 

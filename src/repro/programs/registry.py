@@ -102,12 +102,19 @@ class BenchmarkCase:
             self.check(result)
 
 
-def expect_words(symbol: str, expected: list[int]) -> CheckFn:
-    """Check helper: memory at ``symbol`` must hold ``expected`` words."""
+def expect_words(
+    symbol: str, expected: "Sequence[int] | Callable[[], Sequence[int]]"
+) -> CheckFn:
+    """Check helper: memory at ``symbol`` must hold ``expected`` words.
+
+    ``expected`` may be a thunk, so a case whose reference output is
+    costly computes it only when its check runs.
+    """
 
     def check(result: SimulationResult) -> None:
-        actual = result.words(symbol, len(expected))
-        masked = [value & 0xFFFFFFFF for value in expected]
+        words = expected() if callable(expected) else expected
+        actual = result.words(symbol, len(words))
+        masked = [value & 0xFFFFFFFF for value in words]
         if actual != masked:
             mismatches = [
                 f"[{i}] got {a:#x}, want {e:#x}"

@@ -269,37 +269,6 @@ class TechCalibration:
         """Energy factor of ``point`` relative to another valid point."""
         return self.energy_scale(point) / self.energy_scale(base)
 
-    # -- scenario helpers ---------------------------------------------------
-
-    def scenario_matrix(
-        self,
-        nodes_nm: Sequence[float],
-        voltages: Sequence[float],
-        frequency_mhz: Optional[float] = None,
-    ) -> list[OperatingPoint]:
-        """The node x voltage grid as validated operating points.
-
-        With ``frequency_mhz=None`` each point runs at its own DVFS
-        ceiling (peak clock for that node/voltage pair) — the natural
-        "as fast as this scenario allows" matrix.
-        """
-        points = []
-        for node in nodes_nm:
-            for voltage in voltages:
-                frequency = (
-                    frequency_mhz
-                    if frequency_mhz is not None
-                    else self.max_frequency_mhz(node, voltage)
-                )
-                points.append(
-                    self.validate(
-                        OperatingPoint(
-                            node_nm=node, voltage=voltage, frequency_mhz=frequency
-                        )
-                    )
-                )
-        return points
-
     # -- (de)serialization --------------------------------------------------
 
     def to_payload(self) -> dict:

@@ -166,8 +166,14 @@ def _codegen_node(node: Node, inputs: list) -> "tuple[str, int | None] | None":
     width = node.width
     a, abits = inputs[0] if inputs else ("", None)
     b, bbits = inputs[1] if len(inputs) > 1 else ("", None)
-    known = all(bits is not None for _, bits in inputs)
-    widest = max((bits for _, bits in inputs), default=0) if known else None
+    widest: "int | None" = 0  # the widest input bound; None if any is unbounded
+    for _, bits in inputs:
+        if bits is None:
+            widest = None
+            break
+        if bits > widest:
+            widest = bits
+    known = widest is not None
     if op == "add":
         return f"{a} + {b}", widest + 1 if known else None
     if op == "sub":
@@ -293,10 +299,19 @@ def _codegen_semantics(spec: TieSpec, state_inits: Mapping[str, int]):
     does; a result needs no mask, as ``ctx.set`` truncates.
     """
     began = time.perf_counter()
-    uses = dict.fromkeys((node.nid for node in spec.nodes), 0)
+    # One analysis walk: use counts, the GPR operands and the state accesses.
+    uses: dict[int, int] = {}
+    gprs = []
+    state_ops = len(spec.state_writes)
     for node in spec.nodes:
+        uses[node.nid] = 0
+        if node.kind == KIND_GPR:
+            gprs.append(node)
+        elif node.kind == KIND_STATE:
+            state_ops += 1
+        step = 2 if node.op == "csa_carry" else 1
         for i in node.inputs:
-            uses[i.nid] += 2 if node.op == "csa_carry" else 1
+            uses[i.nid] += step
     sinks = [(state.name, node) for state, node in spec.state_writes]
     if spec.result_node is not None:
         sinks.append((None, spec.result_node))
@@ -305,63 +320,68 @@ def _codegen_semantics(spec: TieSpec, state_inits: Mapping[str, int]):
     # A state read feeding a later sink must not see an earlier sink's
     # write: with several sinks and any write, every state read gets a local.
     pin_state = len(sinks) > 1 and bool(spec.state_writes)
-    state_ops = sum(1 for n in spec.nodes if n.kind == KIND_STATE) + len(spec.state_writes)
     tie_state = "tie_state" if state_ops > 1 else "ctx.tie_state"
 
     namespace: dict = {"min": min, "max": max}
-    gprs = [node for node in spec.nodes if node.kind == KIND_GPR]
     constants: dict[int, int] = {}  # nid -> value, for constant subgraphs
-    values: dict[int, tuple] = {}  # nid -> (operand expression, bits, raw, raw bits)
+    operands: dict[int, tuple] = {}  # nid -> (operand expression, bits)
+    unmasked: dict[int, tuple] = {}  # nid -> (operand, bits) before the width mask, if inlined
     lines = ["def semantics(ctx, ins):"]
     if gprs:
         reads = []
         for node in gprs:
             read = f"ctx.get(ins.{'rs' if node.payload == 'rs' else 'rt'})"
             reads.append(read if node.width >= 32 else f"{read} & {mask(node.width)}")
-            values[node.nid] = (f"v{node.nid}", min(node.width, 32), None, None)
+            operands[node.nid] = (f"v{node.nid}", min(node.width, 32))
         names = ", ".join(f"v{node.nid}" for node in gprs)
         lines.append(f"    {names} = {', '.join(reads)}")
     if tie_state == "tie_state":
         lines.append("    tie_state = ctx.tie_state")
     for node in spec.nodes:
-        if node.kind == KIND_GPR:
+        kind, nid = node.kind, node.nid
+        if kind == KIND_GPR:
             continue
-        if node.kind == KIND_CONST or (
-            node.inputs and all(i.nid in constants for i in node.inputs)
-        ):
-            value = node.payload if node.kind == KIND_CONST else evaluate_node(
-                node, [constants[i.nid] for i in node.inputs]
-            )
-            constants[node.nid] = value
-            values[node.nid] = (str(value), value.bit_length(), None, None)
-            continue
-        if node.kind == KIND_IMM:
+        if kind == KIND_IMM:
             raw, bits = "ins.imm or 0", None
-        elif node.kind == KIND_STATE:
+        elif kind == KIND_STATE:
             raw, bits = f"{tie_state}.get({node.payload!r}, {state_inits[node.payload]})", None
         else:
-            generated = _codegen_node(node, [values[i.nid][:2] for i in node.inputs])
+            folded = bool(node.inputs) or kind == KIND_CONST
+            for i in node.inputs:
+                if i.nid not in constants:
+                    folded = False
+                    break
+            if folded:
+                value = node.payload if kind == KIND_CONST else evaluate_node(
+                    node, [constants[i.nid] for i in node.inputs]
+                )
+                constants[nid] = value
+                operands[nid] = (str(value), value.bit_length())
+                continue
+            generated = _codegen_node(node, [operands[i.nid] for i in node.inputs])
             if generated is None:
                 return None
             raw, bits = generated
             if node.op == "table":
-                namespace[f"_table_{node.nid}"] = tuple(node.payload)
-        if _fits(bits, node.width) or node.kind == KIND_STATE:  # state: read as stored
+                namespace[f"_table_{nid}"] = tuple(node.payload)
+        if kind == KIND_STATE or _fits(bits, node.width):  # state: read as stored
             expr, masked = raw, bits
         else:
             expr, masked = f"{_atom(raw)} & {mask(node.width)}", node.width
-        if uses[node.nid] > 1 or (pin_state and node.kind == KIND_STATE):
-            lines.append(f"    v{node.nid} = {expr}")
-            values[node.nid] = (f"v{node.nid}", masked, None, None)
+        if uses[nid] > 1 or (pin_state and kind == KIND_STATE):
+            lines.append(f"    v{nid} = {expr}")
+            operands[nid] = (f"v{nid}", masked)
         else:
-            values[node.nid] = (_atom(expr), masked, _atom(raw), bits)
+            atom = _atom(raw)
+            operands[nid] = (atom if expr is raw else f"({expr})", masked)
+            unmasked[nid] = (atom, bits)
     # All reads above observe pre-instruction state, and no state read
     # is left in a sink after the first write, so commits are atomic.
     for name, node in sinks:
-        expr, bits, raw, raw_bits = values[node.nid]
+        expr, bits = operands[node.nid]
         width = 32 if name is None else spec.states[name].width
-        if raw is not None and node.width >= width:
-            expr, bits = raw, raw_bits  # the sink's mask subsumes the node's
+        if node.nid in unmasked and node.width >= width:
+            expr, bits = unmasked[node.nid]  # the sink's mask subsumes the node's
         if name is None:
             lines.append(f"    ctx.set(ins.rd, {expr})")
         elif _fits(bits, width):

@@ -143,6 +143,33 @@ class ProcessorConfig:
             self, name=name, extensions=tuple(compile_extension(list(specs)))
         )
 
+    def with_caches(self, icache: CacheConfig, dcache: CacheConfig) -> "ProcessorConfig":
+        """This processor with another cache geometry.
+
+        The variant shares this config's derived values that no cache
+        setting enters (:data:`_CACHE_INDEPENDENT`), so many geometries of
+        one template derive each of them once.  :meth:`fingerprint` covers
+        the caches and is derived per variant.
+        """
+        variant = dataclasses.replace(self, icache=icache, dcache=dcache)
+        variant.__dict__.update(self._cache_independent)
+        return variant
+
+    @cached_property
+    def _cache_independent(self) -> Mapping[str, object]:
+        """The :data:`_CACHE_INDEPENDENT` values :meth:`with_caches` hands over.
+
+        A value whose derivation raises is left out: each variant then
+        derives it itself and raises where it is read, as it would alone.
+        """
+        values = {}
+        for name in _CACHE_INDEPENDENT:
+            try:
+                values[name] = getattr(self, name)
+            except Exception:  # noqa: BLE001 — re-raised by the variant that reads it
+                continue
+        return values
+
     def fingerprint(self) -> str:
         """Stable content hash of everything that affects simulation + energy.
 
@@ -255,6 +282,18 @@ class ProcessorConfig:
                 f"{impl.spec.description or 'no description'}"
             )
         return "\n".join(lines)
+
+
+#: Derived :class:`ProcessorConfig` values that read no cache setting;
+#: :meth:`ProcessorConfig.with_caches` hands them to each geometry variant.
+_CACHE_INDEPENDENT = (
+    "isa",
+    "extension_index",
+    "custom_instances",
+    "state_inits",
+    "lowering_key",
+    "semantic_fingerprint",
+)
 
 
 #: Extension-payload keys that shape energy/timing but not execution:

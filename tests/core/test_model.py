@@ -170,6 +170,36 @@ class TestEstimateManyAcrossPoints:
             )
 
 
+class TestEstimateManySharedAnalysis:
+    """One pass shares a resource-usage analysis only where it is equal."""
+
+    def test_members_with_other_custom_hardware_keep_their_own_usage(
+        self, model, batch_passes
+    ):
+        import dataclasses
+
+        from repro.programs.reed_solomon import rs_gfmac
+        from repro.xtcore import CacheConfig
+
+        config, program = rs_gfmac().build()
+        first, *rest = config.extensions
+        # same semantics and lowering, twice the per-execution activity
+        heavier = dataclasses.replace(
+            first,
+            per_exec_activity={c: 2 * a for c, a in first.per_exec_activity.items()},
+        )
+        configs = [
+            config,
+            dataclasses.replace(config, extensions=(heavier, *rest)),
+            config.with_caches(CacheConfig(4096), CacheConfig(8192, ways=2)),
+        ]
+        outcomes = model.estimate_many([(c, program, None, 10**6) for c in configs])
+        assert batch_passes == [3]
+        solos = [model.estimate(c, program, max_instructions=10**6) for c in configs]
+        assert [o.energy.hex() for o in outcomes] == [s.energy.hex() for s in solos]
+        assert outcomes[0].variables != outcomes[1].variables
+
+
 class TestReports:
     def test_coefficient_table(self, model):
         table = model.coefficient_table()
@@ -229,24 +259,16 @@ class TestSerialization:
 
 
 class TestOperatingPointSchema:
-    """Versioned model files: legacy migration, digests, at() scaling."""
+    """Versioned model files: the one format, digests, at() scaling."""
 
-    def test_legacy_v1_migrates_with_warning(self, model):
+    def test_legacy_v1_is_unloadable(self, model):
         import json
 
         payload = json.loads(model.to_json())
         payload["format"] = "repro-energy-macro-model/1"
         del payload["operating_point"]
-        with pytest.warns(UserWarning, match="legacy schema"):
-            restored = EnergyMacroModel.from_json(json.dumps(payload))
-        assert restored.operating_point is None
-        assert np.allclose(restored.coefficients, model.coefficients)
-        # re-saving writes the current schema; no warning the second time
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            EnergyMacroModel.from_json(restored.to_json())
+        with pytest.raises(ValueError, match="unrecognized model format"):
+            EnergyMacroModel.from_json(json.dumps(payload))
 
     def test_unknown_extra_fields_tolerated(self, model):
         import json

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.dse import (
     EvaluationEngine,
@@ -155,6 +157,13 @@ def _random_scores(seed: int, count: int) -> list[CandidateScore]:
     ]
 
 
+#: axis values on a coarse grid (ties) or anywhere finite (no NaN: a
+#: frontier over unordered values is undefined)
+_AXIS_VALUES = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(
+    min_value=-1e6, max_value=1e6, allow_nan=False
+)
+
+
 def _brute_force_frontier(scores, axes):
     unique = {}
     for score in scores:
@@ -170,6 +179,39 @@ class TestParetoFrontierBruteForce:
     def test_matches_dominates_filter(self, seed, axes):
         scores = _random_scores(seed, count=40)
         assert len({s.key for s in scores}) < len(scores)  # duplicate keys present
+        frontier = pareto_frontier(scores, axes)
+        expected = _brute_force_frontier(scores, axes)
+        assert [id(s) for s in frontier] == [id(s) for s in expected]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 7),  # key: small, so keys repeat
+                _AXIS_VALUES,
+                st.integers(90, 110) | st.sampled_from([100, 120]),
+                _AXIS_VALUES,
+            ),
+            max_size=30,
+        ),
+        st.sampled_from([PARETO_AXES, ("energy", "cycles"), ("edp", "area")]),
+    )
+    # equal axis tuples under different keys, and a duplicate key
+    @example([(0, 1.0, 100, 1.0), (1, 1.0, 100, 1.0), (2, 2.0, 120, 1.0)], PARETO_AXES)
+    @example([(3, 1.0, 100, 2.0), (3, 2.0, 100, 1.0), (4, 2.0, 100, 1.0)], PARETO_AXES)
+    def test_property_matches_dominates_filter(self, rows, axes):
+        scores = [
+            CandidateScore(
+                key=f"k{key}",
+                assignment={},
+                program_name="p",
+                processor_name="x",
+                energy=energy,
+                cycles=cycles,
+                area=area,
+            )
+            for key, energy, cycles, area in rows
+        ]
         frontier = pareto_frontier(scores, axes)
         expected = _brute_force_frontier(scores, axes)
         assert [id(s) for s in frontier] == [id(s) for s in expected]

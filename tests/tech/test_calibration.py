@@ -141,25 +141,6 @@ class TestEnergyScale:
         assert calib.validate("65nm@1.1V@800MHz").frequency_mhz == 800.0
 
 
-class TestScenarioMatrix:
-    def test_grid_size_and_default_clock(self, calib):
-        points = calib.scenario_matrix((65, 90, 130), (0.9, 1.0, 1.1))
-        assert len(points) == 9
-        # with no frequency given, every point runs at its own DVFS peak
-        for op in points:
-            assert op.frequency_mhz == pytest.approx(
-                calib.max_frequency_mhz(op.node_nm, op.voltage)
-            )
-
-    def test_explicit_clock_applies_everywhere(self, calib):
-        points = calib.scenario_matrix((90, 130), (1.2,), frequency_mhz=100)
-        assert {op.frequency_mhz for op in points} == {100.0}
-
-    def test_invalid_cell_raises(self, calib):
-        with pytest.raises(CalibrationError):
-            calib.scenario_matrix((65,), (0.3,))
-
-
 class TestTable:
     def test_default_is_committed_and_memoized(self):
         assert DEFAULT_CALIB_PATH.exists()

@@ -1,5 +1,6 @@
 """CLI tests (direct main() invocation; one subprocess for a closed stdout)."""
 
+import json
 import os
 import subprocess
 import sys
@@ -285,13 +286,20 @@ class TestInputErrorHygiene:
             ("serve", []),
         ],
     )
-    @pytest.mark.parametrize("bad", ["missing", "malformed"])
+    @pytest.mark.parametrize("bad", ["missing", "malformed", "legacy"])
     def test_unloadable_model_is_clean_exit(
         self, tmp_path, demo_file, capsys, command, rest, bad
     ):
         model = tmp_path / "model.json"
         if bad == "malformed":
             model.write_text("{not json")
+        elif bad == "legacy":  # a /1 file: the format before operating points
+            template = default_template()
+            fitted = EnergyMacroModel(template, np.linspace(50, 5000, len(template)))
+            payload = json.loads(fitted.to_json())
+            payload["format"] = "repro-energy-macro-model/1"
+            del payload["operating_point"]
+            model.write_text(json.dumps(payload))
         argv = [command, str(model)] + [demo_file if a == "PROGRAM" else a for a in rest]
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
